@@ -13,10 +13,6 @@
 //!   every annotation is a map hit), and
 //! * a budgeted **anneal** search whose neighbor moves revisit
 //!   incumbent-adjacent configurations, and
-//! * a **saturate** pass re-annotating every symbolic candidate under
-//!   `SimplifyStrategy::Saturate` (equality saturation), reporting its
-//!   throughput and how many candidates extract strictly fewer ops
-//!   than the fixpoint rewriter, and
 //! * a **two-tier pricing** phase: the legacy space's `(layout,
 //!   workload)` jobs priced twice on a fresh thread — cold (every
 //!   geometry traced) then warm (every price served from the traffic
@@ -54,8 +50,7 @@ use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_bench::{emit, tuned};
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_expr::intern::stats as arena_stats;
-use lego_expr::{Engine, Expr, RangeEnv, SimplifyStrategy};
-use lego_tune::space::{annotate_cache_stats, annotated_ops};
+use lego_tune::space::annotate_cache_stats;
 use lego_tune::{
     build_layout, build_workload, run_search, Budget, Domain, Json, RowwiseOp, SearchSpace,
     SpaceScale, Strategy, Tuner, WorkloadKind,
@@ -159,16 +154,8 @@ fn main() {
         device.name
     );
     println!(
-        "{:<22} {:>6} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "workload",
-        "cands",
-        "cold c/s",
-        "warm c/s",
-        "intern%",
-        "memo%",
-        "anneal c/s",
-        "sat c/s",
-        "sat<rw"
+        "{:<22} {:>6} {:>12} {:>12} {:>10} {:>10} {:>10}",
+        "workload", "cands", "cold c/s", "warm c/s", "intern%", "memo%", "anneal c/s"
     );
 
     let mut rows = Vec::new();
@@ -199,36 +186,6 @@ fn main() {
             .tune(&kind)
             .expect("anneal search");
         let anneal_s = t2.elapsed().as_secs_f64();
-
-        // Saturate: re-annotate every symbolic candidate under equality
-        // saturation and compare the extracted op counts against the
-        // rewriter's (the annotation cache keyed the rewrite numbers, so
-        // both are recomputed here through the strategy-explicit path).
-        let t3 = Instant::now();
-        let mut sat_candidates = 0usize;
-        let mut rw_ops_total = 0usize;
-        let mut sat_ops_total = 0usize;
-        let mut sat_strictly_better = 0usize;
-        for c in &space.candidates {
-            let Some(rw_ops) = annotated_ops(&kind, &c.config, SimplifyStrategy::Rewrite) else {
-                continue;
-            };
-            let sat_ops = annotated_ops(&kind, &c.config, SimplifyStrategy::Saturate)
-                .expect("symbolic under one strategy implies symbolic under the other");
-            assert!(
-                sat_ops <= rw_ops,
-                "{}: saturation extracted {sat_ops} ops where rewrite reached {rw_ops} for {:?}",
-                kind.name(),
-                c.config
-            );
-            sat_candidates += 1;
-            rw_ops_total += rw_ops;
-            sat_ops_total += sat_ops;
-            if sat_ops < rw_ops {
-                sat_strictly_better += 1;
-            }
-        }
-        let saturate_s = t3.elapsed().as_secs_f64();
 
         // Two-tier pricing: price the legacy jobs once on the main
         // thread (feeding the session traffic memo that the sidecar
@@ -294,7 +251,7 @@ fn main() {
         let cold_memo_rate = rate(cold_stats.memo_hits(), cold_stats.memo_misses());
 
         println!(
-            "{:<22} {:>6} {:>12.0} {:>12.0} {:>9.1}% {:>9.1}% {:>10.0} {:>10.0} {:>8}",
+            "{:<22} {:>6} {:>12.0} {:>12.0} {:>9.1}% {:>9.1}% {:>10.0}",
             kind.name(),
             candidates,
             per_second(candidates, cold_s),
@@ -302,8 +259,6 @@ fn main() {
             intern_rate * 100.0,
             memo_rate * 100.0,
             per_second(result.evaluated, anneal_s),
-            per_second(sat_candidates, saturate_s),
-            sat_strictly_better,
         );
         println!(
             "{:<22} {:>6} {:>12.0} {:>12.0} {:>9.1}%   pruned {}/{} (traffic {:.1}%)",
@@ -358,22 +313,6 @@ fn main() {
             ),
             ("annotate_cache_hits", Json::Int((ann_h1 - ann_h0) as i64)),
             ("annotate_cache_misses", Json::Int((ann_m1 - ann_m0) as i64)),
-            ("saturate_candidates", Json::Int(sat_candidates as i64)),
-            ("saturate_s", Json::Num(saturate_s)),
-            (
-                "saturate_candidates_per_s",
-                Json::Num(per_second(sat_candidates, saturate_s)),
-            ),
-            ("rewrite_index_ops", Json::Int(rw_ops_total as i64)),
-            ("saturate_index_ops", Json::Int(sat_ops_total as i64)),
-            (
-                "saturate_ops_delta",
-                Json::Int(rw_ops_total as i64 - sat_ops_total as i64),
-            ),
-            (
-                "saturate_strictly_better",
-                Json::Int(sat_strictly_better as i64),
-            ),
             ("pricing_jobs", Json::Int(jobs_n as i64)),
             ("pricing_cold_s", Json::Num(price_cold_s)),
             ("pricing_warm_s", Json::Num(price_warm_s)),
@@ -441,34 +380,6 @@ fn main() {
         total_pruned > 0,
         "the admissible bound pruned nothing across any family"
     );
-
-    // A pinned index-arithmetic case where saturation is *strictly*
-    // smaller than the fixpoint rewriter: two address terms sharing a
-    // symbolic stride. The rewriter's collect rule only merges
-    // syntactically identical cores (3 ops); the e-graph's exploratory
-    // factor rule reaches `(i+j)*s` (2 ops).
-    let shared_stride = Expr::sym("i") * Expr::sym("s") + Expr::sym("j") * Expr::sym("s");
-    let rw_eng = Engine::with_env(RangeEnv::new());
-    let sat_eng = Engine::with_env(RangeEnv::new()).with_strategy(SimplifyStrategy::Saturate);
-    let rw_ops = rw_eng.op_count(&rw_eng.simplify(&shared_stride));
-    let sat_ops = sat_eng.op_count(&sat_eng.simplify(&shared_stride));
-    assert!(
-        sat_ops < rw_ops,
-        "saturation must beat rewrite on the shared-stride sum ({sat_ops} vs {rw_ops})"
-    );
-    println!(
-        "saturate strictly smaller on i*s + j*s: {rw_ops} ops (rewrite) -> {sat_ops} ops (saturate)"
-    );
-    rows.push(Json::obj([
-        ("workload", Json::Str("shared-stride-sum".to_string())),
-        ("rewrite_index_ops", Json::Int(rw_ops as i64)),
-        ("saturate_index_ops", Json::Int(sat_ops as i64)),
-        (
-            "saturate_ops_delta",
-            Json::Int(rw_ops as i64 - sat_ops as i64),
-        ),
-        ("saturate_strictly_better", Json::Int(1)),
-    ]));
 
     // Cross-session sidecar: persist everything the run above derived,
     // then replay the full enumeration on two fresh threads — one cold,

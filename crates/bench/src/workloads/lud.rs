@@ -14,7 +14,7 @@
 //! panel traffic, so the bottleneck terms add.
 
 use gpu_sim::trace::{LudPanels, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
+use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_core::Layout;
 
 /// Result for one LUD configuration.
@@ -43,7 +43,7 @@ pub fn estimate(n: i64, bs: i64, cfg: &GpuConfig) -> Estimate {
     .build(cfg);
     // The panel trace is pre-aggregated; the layout is unused.
     let layout = Layout::identity([bs, bs]).expect("identity");
-    score(&layout, &workload, cfg)
+    CostModel::new(cfg).price(&layout, &workload)
 }
 
 /// Simulates LUD with LUD-block side `bs` (the CUDA block stays 16×16;

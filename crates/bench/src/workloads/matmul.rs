@@ -10,7 +10,7 @@
 //! row-major — and therefore how much reuse a wave finds in L2.
 
 use gpu_sim::trace::{MatmulWaves, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
+use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_core::{sugar, Layout, OrderBy};
 use lego_expr::Expr;
 
@@ -78,7 +78,7 @@ pub fn estimate(
         ..MatmulWaves::with_tiles(n, (bm, bn, bk))
     }
     .build(cfg);
-    score(&layout, &workload, cfg)
+    CostModel::new(cfg).price(&layout, &workload)
 }
 
 /// Simulates `C = A·B` for square `n`, FP16, `BM×BN×BK` tiles.

@@ -16,7 +16,7 @@
 //! prices, so table numbers and tuner rankings are bit-identical.
 
 use gpu_sim::trace::{NwWavefront, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
+use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_codegen::cuda::nw as nwgen;
 use lego_core::Layout;
 
@@ -47,7 +47,7 @@ pub fn estimate(n: i64, b: i64, optimized: bool, cfg: &GpuConfig) -> Estimate {
         index_flops: 0.0,
     }
     .build(cfg);
-    score(layout, &workload, cfg)
+    CostModel::new(cfg).price(layout, &workload)
 }
 
 /// Simulates the full NW run for an `n×n` matrix with block size `b`.

@@ -120,7 +120,7 @@ impl RowwiseBench {
         .build(cfg);
         // The lane-block layout of the generated kernels: unit stride.
         let layout = Layout::identity([bs]).expect("identity");
-        gpu_sim::score(&layout, &workload, cfg)
+        gpu_sim::CostModel::new(cfg).price(&layout, &workload)
     }
 }
 

@@ -18,7 +18,7 @@
 //! working-set-to-cache ratio that decides hit rates is preserved.
 
 use gpu_sim::trace::{StencilWalk, TraceBuilder};
-use gpu_sim::{score, Estimate, GpuConfig};
+use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_codegen::cuda::stencil::{generate, StencilBench, StencilShape};
 use lego_core::Layout;
 
@@ -59,7 +59,7 @@ pub fn estimate(
         index_flops: 0.0,
     }
     .build(cfg);
-    score(layout, &workload, cfg)
+    CostModel::new(cfg).price(layout, &workload)
 }
 
 /// Simulates one stencil sweep over an `n³` domain with the given

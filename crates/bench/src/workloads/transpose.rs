@@ -7,7 +7,7 @@
 //! (swizzled — conflict-free — in the LEGO version, per the kernel).
 
 use gpu_sim::trace::{TraceBuilder, TransposeSweeps};
-use gpu_sim::{score, Estimate, GpuConfig};
+use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_codegen::cuda::transpose::{generate, TransposeVariant};
 use lego_core::Layout;
 
@@ -45,7 +45,7 @@ pub fn estimate(n: i64, t: i64, variant: TransposeVariant, cfg: &GpuConfig) -> E
         index_flops: 0.0,
     }
     .build(cfg);
-    score(&layout, &workload, cfg)
+    CostModel::new(cfg).price(&layout, &workload)
 }
 
 /// Simulates an `n×n` fp32 transpose with `t×t` tiles.

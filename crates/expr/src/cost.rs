@@ -5,12 +5,10 @@
 //! choosing the unexpanded form for NW and the expanded form for LUD."
 //! [`crate::Engine::pick_cheaper`] implements exactly that selection,
 //! and [`crate::Engine::op_count`] is also what Table IV reports
-//! (arithmetic ops in user-visible code). The e-graph saturation engine
-//! extracts by the same count.
+//! (arithmetic ops in user-visible code).
 
 use crate::expr::{Cond, Expr, ExprKind};
 use crate::intern;
-use crate::range::RangeEnv;
 
 /// Counts arithmetic operations in an expression: each n-ary sum/product
 /// contributes `n-1`, every division/modulo/min/max/select/isqrt counts 1,
@@ -38,12 +36,6 @@ fn ops_uncached(e: &Expr) -> usize {
         // still contain arithmetic.
         ExprKind::Range { lo, len, .. } => ops(lo) + ops(len),
     }
-}
-
-/// Counts arithmetic operations in an expression.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::op_count`")]
-pub fn op_count(e: &Expr) -> usize {
-    crate::engine::Engine::new().op_count(e)
 }
 
 /// Operation count of a condition (each comparison costs 1).
@@ -98,13 +90,6 @@ pub(crate) fn choose(plain: Expr, expanded: Expr) -> CostChoice {
             expanded_ops: ec,
         }
     }
-}
-
-/// Simplifies `e` both ways — directly, and after full expansion — and
-/// returns the variant with the lower operation count.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::pick_cheaper`")]
-pub fn pick_cheaper(e: &Expr, env: &RangeEnv) -> CostChoice {
-    crate::engine::Engine::with_env(env.clone()).pick_cheaper(e)
 }
 
 #[cfg(test)]

@@ -61,12 +61,6 @@ fn distribute_uncached(e: &Expr) -> Expr {
     }
 }
 
-/// Recursively distributes every product over sums.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::expand`")]
-pub fn expand(e: &Expr) -> Expr {
-    crate::engine::Engine::new().expand(e)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,15 +15,15 @@
 //! The memo tables cache the expensive passes per `(environment id,
 //! node id)`:
 //!
-//! * [`crate::simplify()`] — full fixpoint results *and* single-pass
-//!   results (so shared subtrees across different candidate expressions
-//!   simplify once per tuning session),
+//! * [`crate::Engine::simplify`] — full fixpoint results *and*
+//!   single-pass results (so shared subtrees across different candidate
+//!   expressions simplify once per tuning session),
 //! * [`crate::range::RangeEnv::num_range`] — interval analysis,
 //! * `prove_nonneg` / `prove_pos` / `prove_lt` facts (only those
 //!   established at recursion depth 0, where the prover's depth budget
 //!   is full and the answer is a pure function of the query),
-//! * [`crate::op_count`] and [`crate::expand()`] — environment-free,
-//!   keyed by node id alone.
+//! * [`crate::Engine::op_count`] and [`crate::Engine::expand`] —
+//!   environment-free, keyed by node id alone.
 //!
 //! [`ArenaStats`] exposes hit/miss counters for all of the above; the
 //! `tuner-bench` binary reports them per workload in
@@ -106,10 +106,6 @@ pub struct ArenaStats {
     pub expand_hits: u64,
     /// `expand` results computed.
     pub expand_misses: u64,
-    /// Saturation (e-graph) results served from memo.
-    pub saturate_hits: u64,
-    /// Saturation (e-graph) results computed.
-    pub saturate_misses: u64,
     /// Memo entries installed from a persistent sidecar
     /// ([`crate::sidecar`]) rather than derived this session.
     pub sidecar_installed: u64,
@@ -129,7 +125,6 @@ impl ArenaStats {
             + self.range_hits
             + self.prove_hits
             + self.expand_hits
-            + self.saturate_hits
     }
 
     /// Total memo misses across all pass tables.
@@ -140,7 +135,6 @@ impl ArenaStats {
             + self.range_misses
             + self.prove_misses
             + self.expand_misses
-            + self.saturate_misses
     }
 
     /// Counter-wise difference `self - earlier` (for per-phase deltas).
@@ -165,8 +159,6 @@ impl ArenaStats {
             prove_misses: self.prove_misses.saturating_sub(earlier.prove_misses),
             expand_hits: self.expand_hits.saturating_sub(earlier.expand_hits),
             expand_misses: self.expand_misses.saturating_sub(earlier.expand_misses),
-            saturate_hits: self.saturate_hits.saturating_sub(earlier.saturate_hits),
-            saturate_misses: self.saturate_misses.saturating_sub(earlier.saturate_misses),
             sidecar_installed: self
                 .sidecar_installed
                 .saturating_sub(earlier.sidecar_installed),
@@ -223,23 +215,19 @@ struct ArenaInner {
     prove_lt: HashMap<(u64, u64, u64), bool>,
     /// `expr` → distributed (expanded) expr.
     expand: HashMap<u64, Expr>,
-    /// `(env, expr, budget fingerprint)` → saturated-and-extracted expr.
-    saturate: HashMap<(u64, u64, u64), Expr>,
     /// Canonical environment content → environment id.
     envs: HashMap<EnvKey, u64>,
     /// Keys of memo entries installed from a persistent sidecar (see
     /// [`crate::sidecar`]), tagged by table ([`SIDECAR_SIMPLIFY`] /
-    /// [`SIDECAR_SATURATE`] / [`SIDECAR_OPCOUNT`]) — membership lets the
-    /// `get` accessors attribute hits to the warm start.
-    sidecar: std::collections::HashSet<(u8, u64, u64, u64)>,
+    /// [`SIDECAR_OPCOUNT`]) — membership lets the `get` accessors
+    /// attribute hits to the warm start.
+    sidecar: std::collections::HashSet<(u8, u64, u64)>,
 }
 
 /// Sidecar-origin tag for the `simplify` table.
 const SIDECAR_SIMPLIFY: u8 = 0;
-/// Sidecar-origin tag for the `saturate` table.
-const SIDECAR_SATURATE: u8 = 1;
 /// Sidecar-origin tag for the `opcount` table.
-const SIDECAR_OPCOUNT: u8 = 2;
+const SIDECAR_OPCOUNT: u8 = 1;
 
 /// Canonical content of a `RangeEnv`, in node ids: sorted
 /// `(symbol, lo, hi)` bounds and sorted divisibility facts.
@@ -279,7 +267,6 @@ pub fn reset_memos() {
         a.prove_unary.clear();
         a.prove_lt.clear();
         a.expand.clear();
-        a.saturate.clear();
         a.sidecar.clear();
     });
     STATS.with(|s| s.set(ArenaStats::default()));
@@ -326,7 +313,7 @@ pub(crate) fn simplify_get(env: u64, expr: u64) -> Option<Expr> {
         a.simplify.get(&(env, expr)).map(|r| {
             (
                 r.clone(),
-                a.sidecar.contains(&(SIDECAR_SIMPLIFY, env, expr, 0)),
+                a.sidecar.contains(&(SIDECAR_SIMPLIFY, env, expr)),
             )
         })
     });
@@ -364,7 +351,7 @@ pub(crate) fn opcount_get(expr: u64) -> Option<usize> {
         let a = a.borrow();
         a.opcount
             .get(&expr)
-            .map(|n| (*n, a.sidecar.contains(&(SIDECAR_OPCOUNT, expr, 0, 0))))
+            .map(|n| (*n, a.sidecar.contains(&(SIDECAR_OPCOUNT, expr, 0))))
     });
     hit.map(|(n, warm)| {
         bump(|s| {
@@ -434,32 +421,6 @@ pub(crate) fn expand_insert(expr: u64, result: Expr) {
     bump(|s| s.expand_misses += 1);
 }
 
-pub(crate) fn saturate_get(env: u64, expr: u64, budget: u64) -> Option<Expr> {
-    let hit = ARENA.with(|a| {
-        let a = a.borrow();
-        a.saturate.get(&(env, expr, budget)).map(|r| {
-            (
-                r.clone(),
-                a.sidecar.contains(&(SIDECAR_SATURATE, env, expr, budget)),
-            )
-        })
-    });
-    hit.map(|(r, warm)| {
-        bump(|s| {
-            s.saturate_hits += 1;
-            if warm {
-                s.sidecar_hits += 1;
-            }
-        });
-        r
-    })
-}
-
-pub(crate) fn saturate_insert(env: u64, expr: u64, budget: u64, result: Expr) {
-    ARENA.with(|a| a.borrow_mut().saturate.insert((env, expr, budget), result));
-    bump(|s| s.saturate_misses += 1);
-}
-
 // ---- sidecar install / snapshot ----------------------------------------
 //
 // The persistent sidecar (`crate::sidecar`) re-warms the memo tables
@@ -479,24 +440,7 @@ pub(crate) fn sidecar_install_simplify(env: u64, expr: u64, result: Expr) -> boo
             return false;
         }
         a.simplify.insert((env, expr), result);
-        a.sidecar.insert((SIDECAR_SIMPLIFY, env, expr, 0));
-        true
-    });
-    if fresh {
-        bump(|s| s.sidecar_installed += 1);
-    }
-    fresh
-}
-
-/// Installs a saturation result loaded from a sidecar.
-pub(crate) fn sidecar_install_saturate(env: u64, expr: u64, budget: u64, result: Expr) -> bool {
-    let fresh = ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        if a.saturate.contains_key(&(env, expr, budget)) {
-            return false;
-        }
-        a.saturate.insert((env, expr, budget), result);
-        a.sidecar.insert((SIDECAR_SATURATE, env, expr, budget));
+        a.sidecar.insert((SIDECAR_SIMPLIFY, env, expr));
         true
     });
     if fresh {
@@ -513,7 +457,7 @@ pub(crate) fn sidecar_install_opcount(expr: u64, n: usize) -> bool {
             return false;
         }
         a.opcount.insert(expr, n);
-        a.sidecar.insert((SIDECAR_OPCOUNT, expr, 0, 0));
+        a.sidecar.insert((SIDECAR_OPCOUNT, expr, 0));
         true
     });
     if fresh {
@@ -532,8 +476,6 @@ pub(crate) struct MemoSnapshot {
     pub envs: HashMap<u64, EnvKey>,
     /// `(env, expr, result)` rows of the simplify table.
     pub simplify: Vec<(u64, u64, Expr)>,
-    /// `(env, expr, budget, result)` rows of the saturate table.
-    pub saturate: Vec<(u64, u64, u64, Expr)>,
     /// `(expr, count)` rows of the opcount table.
     pub opcount: Vec<(u64, usize)>,
 }
@@ -553,11 +495,6 @@ pub(crate) fn snapshot() -> MemoSnapshot {
                 .simplify
                 .iter()
                 .map(|((env, expr), r)| (*env, *expr, r.clone()))
-                .collect(),
-            saturate: a
-                .saturate
-                .iter()
-                .map(|((env, expr, budget), r)| (*env, *expr, *budget, r.clone()))
                 .collect(),
             opcount: a.opcount.iter().map(|(expr, n)| (*expr, *n)).collect(),
         }

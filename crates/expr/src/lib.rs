@@ -13,22 +13,18 @@
 //! * range analysis ([`RangeEnv`]) seeded from layout-derived index bounds;
 //! * a unified pass facade ([`Engine`]) fronting simplification, proving,
 //!   range analysis, op counting, expansion, and variant selection —
-//!   with a [`SimplifyStrategy`] knob selecting between the fixpoint
-//!   rewriter over the paper's Table II rules (the [`simplify`][mod@simplify]
-//!   module) and
-//!   budget-bounded *equality saturation* over the interned IR
-//!   ([`egraph`]), which explores rule orderings the destructive
-//!   rewriter cannot and extracts the cheapest form by op count;
-//! * the shared declarative rule table ([`rules::RewriteRule`]) driving
-//!   both strategies, with side conditions discharged by a structural
-//!   prover ([`prove`]) instead of an SMT solver — simplification,
-//!   interval analysis, op counting, expansion, saturation and depth-0
-//!   proof facts are all memoized per `(environment, node)` for the
-//!   session, so shared subtrees are processed once across an entire
-//!   tuner enumeration ([`intern::stats`] reports the hit rates);
+//!   simplification is the fixpoint rewriter over the paper's Table II
+//!   rules (the [`simplify`][mod@simplify] module);
+//! * the declarative rule table ([`rules::RewriteRule`]) the rewriter
+//!   applies, with side conditions discharged by a structural prover
+//!   ([`prove`]) instead of an SMT solver — simplification, interval
+//!   analysis, op counting, expansion and depth-0 proof facts are all
+//!   memoized per `(environment, node)` for the session, so shared
+//!   subtrees are processed once across an entire tuner enumeration
+//!   ([`intern::stats`] reports the hit rates);
 //! * a persistent memo **sidecar** ([`sidecar`]) that carries those
 //!   derived results across processes: structural-keyed on-disk storage
-//!   for simplified/saturated forms and op counts, re-interned on load
+//!   for simplified forms and op counts, re-interned on load
 //!   ([`Engine::load_sidecar`] / [`Engine::save_sidecar`]) and
 //!   invalidated wholesale when the schema or the rewrite-rule table
 //!   fingerprint changes;
@@ -59,7 +55,6 @@
 
 pub mod atomicfile;
 pub mod cost;
-pub mod egraph;
 pub mod engine;
 pub mod expand;
 mod expr;
@@ -73,20 +68,10 @@ pub mod simplify;
 pub mod subst;
 
 pub use cost::{CostChoice, Variant};
-pub use egraph::SaturationBudget;
-pub use engine::{Engine, SimplifyStrategy};
+pub use engine::Engine;
 pub use expr::{isqrt64, CmpOp, Cond, Expr, ExprKind};
 pub use intern::{ArenaStats, ExprId};
 pub use range::{NumRange, RangeEnv, SymBounds};
 pub use rules::{RewriteRule, RuleStats};
 pub use sidecar::{InstallReport, Sidecar};
 pub use subst::{eval, eval_cond, eval_lane, map_ranges, subst, transform, Bindings, EvalError};
-
-// Deprecated free-function pass API, kept for source compatibility; all
-// of these are thin shims over `Engine`.
-#[allow(deprecated)]
-pub use cost::{op_count, pick_cheaper};
-#[allow(deprecated)]
-pub use expand::expand;
-#[allow(deprecated)]
-pub use simplify::{simplify, simplify_with_stats};

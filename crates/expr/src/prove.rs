@@ -14,8 +14,7 @@
 //!
 //! decides them without an SMT solver. This module is that substitute; the
 //! substitution is documented in `DESIGN.md` §3. The public entry points
-//! are the `prove_*` methods on [`crate::Engine`]; the free functions
-//! here are deprecated shims kept for migration.
+//! are the `prove_*` methods on [`crate::Engine`].
 
 use crate::expand::distribute;
 use crate::expr::{Expr, ExprKind};
@@ -369,9 +368,9 @@ fn divide_term_env(t: &Expr, d: &Expr, env: &RangeEnv) -> Option<Expr> {
 /// Divides a single (non-`Add`) term by `d`, if `d` appears syntactically
 /// as a factor (or divides the constant coefficient for constant `d`).
 /// The quotient is exact by construction: `t == d * divide_term(t, d)`
-/// as integers, which is what makes the e-graph's `Factor` rule sound
-/// without environment conditions.
-pub(crate) fn divide_term(t: &Expr, d: &Expr) -> Option<Expr> {
+/// as integers, so [`div_exact`] needs no environment conditions to use
+/// it.
+fn divide_term(t: &Expr, d: &Expr) -> Option<Expr> {
     if t == d {
         return Some(Expr::one());
     }
@@ -416,50 +415,6 @@ pub(crate) fn divide_term(t: &Expr, d: &Expr) -> Option<Expr> {
         }
     }
     None
-}
-
-// ---- deprecated free-function shims -------------------------------------
-
-/// Proves `e >= 0`.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::prove_nonneg`")]
-pub fn prove_nonneg(e: &Expr, env: &RangeEnv) -> bool {
-    crate::engine::Engine::with_env(env.clone()).prove_nonneg(e)
-}
-
-/// Proves `e > 0`.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::prove_pos`")]
-pub fn prove_pos(e: &Expr, env: &RangeEnv) -> bool {
-    crate::engine::Engine::with_env(env.clone()).prove_pos(e)
-}
-
-/// Proves `e != 0`.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::prove_nonzero`")]
-pub fn prove_nonzero(e: &Expr, env: &RangeEnv) -> bool {
-    crate::engine::Engine::with_env(env.clone()).prove_nonzero(e)
-}
-
-/// Proves `a < b` (strict).
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::prove_lt`")]
-pub fn prove_lt(a: &Expr, b: &Expr, env: &RangeEnv) -> bool {
-    crate::engine::Engine::with_env(env.clone()).prove_lt(a, b)
-}
-
-/// Proves `a <= b`.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::prove_le`")]
-pub fn prove_le(a: &Expr, b: &Expr, env: &RangeEnv) -> bool {
-    crate::engine::Engine::with_env(env.clone()).prove_le(a, b)
-}
-
-/// Proves `0 <= x < d`.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::prove_in_half_open`")]
-pub fn prove_in_half_open(x: &Expr, d: &Expr, env: &RangeEnv) -> bool {
-    crate::engine::Engine::with_env(env.clone()).prove_in_half_open(x, d)
-}
-
-/// Proves the syntactic divisibility `d | e`, returning the quotient.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::divide_exact`")]
-pub fn divide_exact(e: &Expr, d: &Expr, env: &RangeEnv) -> Option<Expr> {
-    crate::engine::Engine::with_env(env.clone()).divide_exact(e, d)
 }
 
 #[cfg(test)]

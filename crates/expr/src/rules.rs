@@ -1,32 +1,22 @@
-//! The declarative rewrite-rule table shared by both simplification
-//! engines.
+//! The declarative rewrite-rule table of the fixpoint rewriter.
 //!
-//! Every rule the fixpoint rewriter ([`crate::simplify`][mod@crate::simplify]) can fire
-//! is a variant of [`RewriteRule`]; the single root-level applier
-//! (`apply_root`) is the *same function* the e-graph saturation engine
-//! ([`crate::egraph`]) uses to grow equivalence classes, so the two
-//! engines provably apply the same rule set. The e-graph additionally
-//! applies the rules marked [`RewriteRule::is_exploratory`] — identities
-//! like distribution and factoring that are not size-reducing in one
-//! step and therefore unsafe to apply destructively in a fixpoint loop,
-//! but free to explore non-destructively in an e-graph.
-//!
-//! [`RuleStats`] counts firings per typed rule.
+//! Every rule the rewriter ([`crate::simplify`][mod@crate::simplify])
+//! can fire is a variant of [`RewriteRule`]; the single root-level
+//! applier (`apply_root`) dispatches them, and [`RuleStats`] counts
+//! firings per typed rule.
 
 use std::collections::HashMap;
 
 use crate::cost::ops;
 use crate::expr::{Expr, ExprKind};
-use crate::prove::{div_exact, divide_term, in_half_open, le, nonzero, pos};
+use crate::prove::{div_exact, in_half_open, le, nonzero, pos};
 use crate::range::RangeEnv;
 
-/// One rewrite rule of the simplification engines, named.
+/// One rewrite rule of the fixpoint rewriter, named.
 ///
-/// The first fourteen variants are the destructive (size-reducing or
-/// size-preserving) rules the fixpoint rewriter applies; see the table
-/// in the [`crate::simplify`][mod@crate::simplify] module for the paper's Table II
-/// numbering. The last
-/// two are exploratory identities only the e-graph applies.
+/// Every variant is a destructive (size-reducing or size-preserving)
+/// rule; see the table in the [`crate::simplify`][mod@crate::simplify]
+/// module for the paper's Table II numbering.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RewriteRule {
     /// Like-term collection in a sum: `2*x + 3*x -> 5*x`.
@@ -57,17 +47,11 @@ pub enum RewriteRule {
     MinOrder,
     /// `max(a, b) -> b` when `a <= b` is provable (either order).
     MaxOrder,
-    /// Exploratory: distribute a product over one sum factor,
-    /// `a*(b + c) -> a*b + a*c`.
-    Distribute,
-    /// Exploratory: factor a common term out of a sum,
-    /// `a*b + a*c -> a*(b + c)`.
-    Factor,
 }
 
 impl RewriteRule {
     /// Every rule, in declaration order.
-    pub const ALL: [RewriteRule; 16] = [
+    pub const ALL: [RewriteRule; 14] = [
         RewriteRule::Collect,
         RewriteRule::Recompose,
         RewriteRule::DivMulExact,
@@ -82,8 +66,6 @@ impl RewriteRule {
         RewriteRule::DivSplit,
         RewriteRule::MinOrder,
         RewriteRule::MaxOrder,
-        RewriteRule::Distribute,
-        RewriteRule::Factor,
     ];
 
     /// The legacy snake-case name (as reported by pre-table `RuleStats`).
@@ -103,32 +85,21 @@ impl RewriteRule {
             RewriteRule::DivSplit => "div_split",
             RewriteRule::MinOrder => "min_order",
             RewriteRule::MaxOrder => "max_order",
-            RewriteRule::Distribute => "distribute",
-            RewriteRule::Factor => "factor",
         }
-    }
-
-    /// Whether the rule is applied only by the e-graph (never
-    /// destructively by the fixpoint rewriter): it does not reduce
-    /// expression size on its own, it only exposes forms other rules or
-    /// extraction can profit from.
-    pub fn is_exploratory(self) -> bool {
-        matches!(self, RewriteRule::Distribute | RewriteRule::Factor)
     }
 }
 
 /// A fingerprint of the whole rewrite-rule registry: an FNV-1a hash
-/// over the rule count, names, and exploratory flags, in declaration
-/// order. The persistent memo sidecar ([`crate::sidecar`]) stamps its
-/// documents with this value, so adding, removing, renaming, or
-/// re-classifying a rule invalidates every persisted derived form
-/// wholesale — a rule change can never serve stale simplifications.
+/// over the rule count and names, in declaration order. The persistent
+/// memo sidecar ([`crate::sidecar`]) stamps its documents with this
+/// value, so adding, removing, or renaming a rule invalidates every
+/// persisted derived form wholesale — a rule change can never serve
+/// stale simplifications.
 pub fn table_fingerprint() -> u64 {
     let mut h = crate::intern::Fnv::new();
     h.u64(RewriteRule::ALL.len() as u64);
     for rule in RewriteRule::ALL {
         h.str(rule.name());
-        h.byte(rule.is_exploratory() as u8);
     }
     h.finish()
 }
@@ -178,9 +149,8 @@ impl RuleStats {
 }
 
 /// Applies every applicable destructive rule at the root of `e` (one
-/// step; callers iterate). This is the shared node-level rule step: the
-/// fixpoint rewriter loops it inside its bottom-up pass, and the
-/// e-graph applies it to the current best term of every class.
+/// step; callers iterate). The fixpoint rewriter loops it inside its
+/// bottom-up pass.
 pub(crate) fn apply_root(e: &Expr, env: &RangeEnv, stats: &mut RuleStats) -> Expr {
     match e.kind() {
         ExprKind::Add(ts) => simplify_add(ts, env, stats),
@@ -211,90 +181,6 @@ pub(crate) fn apply_root(e: &Expr, env: &RangeEnv, stats: &mut RuleStats) -> Exp
         }
         _ => e.clone(),
     }
-}
-
-/// Applies the exploratory rules at the root of `e`, returning every
-/// (rule, equal form) candidate. Only the e-graph calls this: the
-/// results are value-equal to `e` but not necessarily smaller, so they
-/// are added as additional class members rather than replacements.
-pub(crate) fn explore_root(e: &Expr, stats: &mut RuleStats) -> Vec<Expr> {
-    let mut out = Vec::new();
-    if let Some(d) = distribute_once(e) {
-        stats.hit(RewriteRule::Distribute);
-        out.push(d);
-    }
-    for f in factor_once(e) {
-        stats.hit(RewriteRule::Factor);
-        out.push(f);
-    }
-    out
-}
-
-/// `a*(b + c) -> a*b + a*c` for the first sum factor of a product.
-fn distribute_once(e: &Expr) -> Option<Expr> {
-    let ExprKind::Mul(fs) = e.kind() else {
-        return None;
-    };
-    let pos = fs
-        .iter()
-        .position(|f| matches!(f.kind(), ExprKind::Add(_)))?;
-    let ExprKind::Add(addends) = fs[pos].kind() else {
-        unreachable!("position matched an Add factor");
-    };
-    let rest: Vec<Expr> = fs
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != pos)
-        .map(|(_, f)| f.clone())
-        .collect();
-    Some(Expr::add_all(addends.iter().map(|a| {
-        Expr::mul_all(rest.iter().cloned().chain([a.clone()]))
-    })))
-}
-
-/// How many candidate factors / factored forms `factor_once` considers
-/// per sum, to bound e-graph growth.
-const FACTOR_CANDIDATE_CAP: usize = 6;
-
-/// `a*b + a*c -> a*(b + c)`: for each syntactic factor shared by at
-/// least two terms of a sum, the factored-out form. Exact by
-/// construction (`divide_term` removes the factor syntactically), so no
-/// environment conditions are needed.
-fn factor_once(e: &Expr) -> Vec<Expr> {
-    let ExprKind::Add(ts) = e.kind() else {
-        return Vec::new();
-    };
-    // Candidate factors in first-occurrence order, constants excluded
-    // (constant factoring is the rewriter's Collect rule).
-    let mut candidates: Vec<Expr> = Vec::new();
-    for t in ts {
-        let fs: Vec<Expr> = match t.kind() {
-            ExprKind::Mul(fs) => fs.clone(),
-            _ => vec![t.clone()],
-        };
-        for f in fs {
-            if f.as_const().is_none() && !candidates.contains(&f) {
-                candidates.push(f);
-            }
-        }
-    }
-    candidates.truncate(FACTOR_CANDIDATE_CAP);
-    let mut out = Vec::new();
-    for f in &candidates {
-        let mut quotients: Vec<Expr> = Vec::new();
-        let mut rest: Vec<Expr> = Vec::new();
-        for t in ts {
-            match divide_term(t, f) {
-                Some(q) => quotients.push(q),
-                None => rest.push(t.clone()),
-            }
-        }
-        if quotients.len() >= 2 {
-            let grouped = Expr::mul_all([f.clone(), Expr::add_all(quotients)]);
-            out.push(Expr::add_all(rest.into_iter().chain([grouped])));
-        }
-    }
-    out
 }
 
 /// Splits a term into `(constant coefficient, core)` where `core` carries
@@ -540,66 +426,6 @@ mod tests {
         for (i, a) in RewriteRule::ALL.iter().enumerate() {
             for b in &RewriteRule::ALL[i + 1..] {
                 assert_ne!(a.name(), b.name());
-            }
-        }
-    }
-
-    #[test]
-    fn exploratory_rules_are_exactly_distribute_and_factor() {
-        let exploratory: Vec<RewriteRule> = RewriteRule::ALL
-            .iter()
-            .copied()
-            .filter(|r| r.is_exploratory())
-            .collect();
-        assert_eq!(
-            exploratory,
-            vec![RewriteRule::Distribute, RewriteRule::Factor]
-        );
-    }
-
-    #[test]
-    fn distribute_once_expands_one_level() {
-        let (a, b, c) = (Expr::sym("a"), Expr::sym("b"), Expr::sym("c"));
-        let e = &a * (&b + &c);
-        assert_eq!(distribute_once(&e), Some(&a * &b + &a * &c));
-        assert_eq!(distribute_once(&a), None);
-    }
-
-    #[test]
-    fn factor_once_groups_common_factor() {
-        let (a, b, c) = (Expr::sym("a"), Expr::sym("b"), Expr::sym("c"));
-        let e = &a * &b + &a * &c;
-        let factored = factor_once(&e);
-        assert!(
-            factored.contains(&(&a * (&b + &c))),
-            "expected a*(b+c) among {factored:?}"
-        );
-    }
-
-    #[test]
-    fn factor_once_keeps_unrelated_terms() {
-        let (a, b, c, d) = (
-            Expr::sym("a"),
-            Expr::sym("b"),
-            Expr::sym("c"),
-            Expr::sym("d"),
-        );
-        let e = &a * &b + &a * &c + &d;
-        let factored = factor_once(&e);
-        assert!(factored.contains(&(&a * (&b + &c) + &d)));
-    }
-
-    #[test]
-    fn factored_forms_preserve_value() {
-        use crate::subst::{eval, Bindings};
-        let (a, b) = (Expr::sym("a"), Expr::sym("b"));
-        let e = &a * &b + &a * Expr::val(3) + &b;
-        for cand in factor_once(&e) {
-            let mut bind = Bindings::new();
-            for (va, vb) in [(0i64, 0i64), (5, -3), (17, 11), (-2, 9)] {
-                bind.insert("a".into(), va);
-                bind.insert("b".into(), vb);
-                assert_eq!(eval(&e, &bind).unwrap(), eval(&cand, &bind).unwrap());
             }
         }
     }

@@ -8,7 +8,6 @@
 //! subset of those tables next to the tuning cache:
 //!
 //! * fixpoint-simplified forms per environment,
-//! * saturated forms per `(environment, budget fingerprint)`,
 //! * op counts,
 //! * plus an opaque annotation section the tuner layer uses for its
 //!   `(workload, config) → (variant, index_ops)` cache.
@@ -54,8 +53,8 @@ pub const SIDECAR_SCHEMA_VERSION: u64 = 1;
 /// First token of every sidecar document.
 const MAGIC: &str = "lego-expr-sidecar";
 
-/// Value row of the simplify/saturate sections: `(input structural
-/// hash, encoded result)`.
+/// Value row of the simplify section: `(input structural hash, encoded
+/// result)`.
 type FormRow = (u64, String);
 
 /// What [`Sidecar::install`] did: entries newly installed per table
@@ -66,8 +65,6 @@ type FormRow = (u64, String);
 pub struct InstallReport {
     /// Fixpoint-simplify entries installed.
     pub simplify: usize,
-    /// Saturation entries installed.
-    pub saturate: usize,
     /// Op-count entries installed.
     pub opcount: usize,
     /// Entries skipped: undecodable environment or expression, or a
@@ -78,7 +75,7 @@ pub struct InstallReport {
 impl InstallReport {
     /// Total entries installed across all tables.
     pub fn installed(&self) -> usize {
-        self.simplify + self.saturate + self.opcount
+        self.simplify + self.opcount
     }
 }
 
@@ -97,8 +94,6 @@ pub struct Sidecar {
     env_ids: HashMap<String, u32>,
     /// `(env slot, encoded input)` → `(input shash, encoded result)`.
     simplify: HashMap<(u32, String), FormRow>,
-    /// `(env slot, budget fingerprint, encoded input)` → result row.
-    saturate: HashMap<(u32, u64, String), FormRow>,
     /// Encoded input → `(input shash, op count)`.
     opcount: HashMap<String, (u64, u64)>,
     /// Opaque annotation entries (the tuner layer's section). Sorted
@@ -126,10 +121,10 @@ impl Sidecar {
         self.len() == 0
     }
 
-    /// Entries in the expression sections (simplify + saturate +
-    /// opcount), excluding annotations.
+    /// Entries in the expression sections (simplify + opcount),
+    /// excluding annotations.
     pub fn expr_entries(&self) -> usize {
-        self.simplify.len() + self.saturate.len() + self.opcount.len()
+        self.simplify.len() + self.opcount.len()
     }
 
     /// The slot of `enc` in the environment table, interning it if new.
@@ -171,7 +166,7 @@ impl Sidecar {
     }
 
     /// Snapshots the current thread's memo tables into a document:
-    /// every simplify/saturate/op-count entry whose key resolves to
+    /// every simplify/op-count entry whose key resolves to
     /// nodes this thread knows (entries keyed by another thread's ids
     /// are skipped — they will be collected by that thread).
     pub fn collect() -> Sidecar {
@@ -192,18 +187,6 @@ impl Sidecar {
             let slot = sc.env_slot(env_enc);
             sc.simplify
                 .entry((slot, input_enc))
-                .or_insert_with(|| (shash, enc_expr_string(result)));
-        }
-        for (env, expr, budget, result) in &snap.saturate {
-            let Some(Some(env_enc)) = env_enc.get(env) else {
-                continue;
-            };
-            let Some((input_enc, shash)) = enc_input(&snap.exprs, *expr) else {
-                continue;
-            };
-            let slot = sc.env_slot(env_enc);
-            sc.saturate
-                .entry((slot, *budget, input_enc))
                 .or_insert_with(|| (shash, enc_expr_string(result)));
         }
         for (expr, n) in &snap.opcount {
@@ -245,18 +228,6 @@ impl Sidecar {
                 rep.simplify += 1;
             }
         }
-        for ((slot, budget, input_enc), (shash, result_enc)) in &self.saturate {
-            let Some(env) = env_of(slot, &mut rep) else {
-                continue;
-            };
-            let Some((input, result)) = dec_entry(input_enc, *shash, result_enc) else {
-                rep.skipped += 1;
-                continue;
-            };
-            if intern::sidecar_install_saturate(env, input.id().get(), *budget, result) {
-                rep.saturate += 1;
-            }
-        }
         for (input_enc, (shash, n)) in &self.opcount {
             let Some(input) = dec_expr_full(input_enc) else {
                 rep.skipped += 1;
@@ -284,12 +255,6 @@ impl Sidecar {
                 .entry((slot, input.clone()))
                 .or_insert_with(|| row.clone());
         }
-        for ((slot, budget, input), row) in &other.saturate {
-            let slot = self.env_slot(&other.envs[*slot as usize]);
-            self.saturate
-                .entry((slot, *budget, input.clone()))
-                .or_insert_with(|| row.clone());
-        }
         for (input, row) in &other.opcount {
             self.opcount.entry(input.clone()).or_insert(*row);
         }
@@ -312,12 +277,7 @@ impl Sidecar {
         let clean = |s: &str| !s.contains(['\n', '\r']);
         // Renumber only the environments that entries actually
         // reference, in sorted-encoding order.
-        let referenced: BTreeSet<u32> = self
-            .simplify
-            .keys()
-            .map(|(slot, _)| *slot)
-            .chain(self.saturate.keys().map(|(slot, _, _)| *slot))
-            .collect();
+        let referenced: BTreeSet<u32> = self.simplify.keys().map(|(slot, _)| *slot).collect();
         let mut env_order: Vec<(&str, u32)> = referenced
             .iter()
             .map(|&slot| (&*self.envs[slot as usize], slot))
@@ -341,21 +301,6 @@ impl Sidecar {
             .iter()
             .map(|((slot, input), (shash, result))| {
                 format!("simplify {} {shash:016x} {input} {result}", renumber[slot])
-            })
-            .collect();
-        rows.sort_unstable();
-        for row in rows.drain(..).filter(|r| clean(r)) {
-            out.push_str(&row);
-            out.push('\n');
-        }
-        let mut rows: Vec<String> = self
-            .saturate
-            .iter()
-            .map(|((slot, budget, input), (shash, result))| {
-                format!(
-                    "saturate {} {budget:016x} {shash:016x} {input} {result}",
-                    renumber[slot]
-                )
             })
             .collect();
         rows.sort_unstable();
@@ -434,22 +379,6 @@ impl Sidecar {
                     let shash = u64::from_str_radix(shash, 16).ok()?;
                     sc.simplify
                         .insert((slot, input.to_string()), (shash, result.to_string()));
-                }
-                "saturate" => {
-                    let f: Vec<&str> = rest.split_whitespace().collect();
-                    let [slot, budget, shash, input, result] = f[..] else {
-                        return None;
-                    };
-                    let slot: u32 = slot.parse().ok()?;
-                    if slot as usize >= sc.envs.len() {
-                        return None;
-                    }
-                    let budget = u64::from_str_radix(budget, 16).ok()?;
-                    let shash = u64::from_str_radix(shash, 16).ok()?;
-                    sc.saturate.insert(
-                        (slot, budget, input.to_string()),
-                        (shash, result.to_string()),
-                    );
                 }
                 "opcount" => {
                     let f: Vec<&str> = rest.split_whitespace().collect();

@@ -13,10 +13,9 @@
 //! | 6 | `(n + y) / 1` | `n + (y / 1)` | (division by one is erased) |
 //! | 7 | `a*(x / a) + x % a` | `x` | `a != 0` |
 //!
-//! The rules themselves live in the shared table [`crate::rules`] (also
-//! used by the e-graph saturation engine); this module owns the
-//! *strategy*: a bottom-up pass iterated to fixpoint, applying rules
-//! destructively in a fixed order. Side conditions are discharged by
+//! The rules themselves live in the table [`crate::rules`]; this module
+//! owns the *strategy*: a bottom-up pass iterated to fixpoint, applying
+//! rules destructively in a fixed order. Side conditions are discharged by
 //! [`crate::prove`] from the ranges in a [`RangeEnv`]. Statistics on
 //! which rules fired are available through
 //! [`crate::Engine::simplify_with_stats`], which the tests use to
@@ -30,9 +29,8 @@ use crate::prove::at_depth0;
 use crate::range::RangeEnv;
 use crate::rules::{self, RuleStats};
 
-/// Core of [`crate::Engine::simplify`] under
-/// [`crate::SimplifyStrategy::Rewrite`]: simplifies to fixpoint
-/// (bounded at 12 passes).
+/// Core of [`crate::Engine::simplify`]: simplifies to fixpoint (bounded
+/// at 12 passes).
 ///
 /// Results are memoized for the session per `(environment, node)` —
 /// both the full fixpoint result and every per-node single-pass result
@@ -55,8 +53,8 @@ pub(crate) fn fixpoint_simplify(e: &Expr, env: &RangeEnv) -> Expr {
     result
 }
 
-/// Core of [`crate::Engine::simplify_with_stats`] under the rewrite
-/// strategy: simplifies to fixpoint and reports which rules fired.
+/// Core of [`crate::Engine::simplify_with_stats`]: simplifies to
+/// fixpoint and reports which rules fired.
 ///
 /// Uses a fresh per-call memo instead of the session tables, so the
 /// reported [`RuleStats`] are a deterministic function of `(e, env)`
@@ -76,24 +74,6 @@ pub(crate) fn single_pass(e: &Expr, env: &RangeEnv) -> Expr {
     let mut stats = RuleStats::default();
     let mut local = HashMap::new();
     pass(e, env, &mut stats, &mut PassMemo::Local(&mut local))
-}
-
-/// Simplifies to fixpoint (bounded at 12 passes).
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::simplify`")]
-pub fn simplify(e: &Expr, env: &RangeEnv) -> Expr {
-    crate::engine::Engine::with_env(env.clone()).simplify(e)
-}
-
-/// Simplifies to fixpoint and reports which rules fired.
-#[deprecated(note = "construct a `lego_expr::Engine` and call `Engine::simplify_with_stats`")]
-pub fn simplify_with_stats(e: &Expr, env: &RangeEnv) -> (Expr, RuleStats) {
-    crate::engine::Engine::with_env(env.clone()).simplify_with_stats(e)
-}
-
-/// A single bottom-up simplification pass (no fixpoint iteration).
-#[deprecated(note = "internal prover normalization; use `lego_expr::Engine::simplify` instead")]
-pub fn simplify_nofix(e: &Expr, env: &RangeEnv) -> Expr {
-    single_pass(e, env)
 }
 
 /// Where a rewrite pass looks up (and records) per-node results.

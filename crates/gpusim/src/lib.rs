@@ -19,9 +19,8 @@
 //!   owns the full trace→estimate path under a per-workload
 //!   [`PricingMode`] (roofline for overlapped kernels, additive launch
 //!   for the NW/LUD wavefront pipelines);
-//! * [`mod@score`] — the one-call `score(layout, workload, cfg)` face of
-//!   the cost model the `lego-tune` autotuner searches with, plus
-//!   parallel batch scoring;
+//! * [`mod@score`] — the [`Workload`] / [`Estimate`] vocabulary the
+//!   cost model prices and the `lego-tune` autotuner ranks by;
 //! * [`traffic`] — the per-thread geometry-keyed memo of the two-tier
 //!   pricing split: one trace replay serves every expression variant of
 //!   a geometry, and the memo exports/imports through the persistent
@@ -65,7 +64,7 @@ pub use coalesce::{coalesce_elems, coalesce_elems_on, coalesce_warp, CoalesceRes
 pub use config::{a100, by_name, h100, lookup, mi300, GpuConfig, DEVICE_TAGS};
 pub use model::{CostModel, PricingMode};
 pub use roofline::{attainable, ridge, RooflinePoint};
-pub use score::{score, score_batch, BlockResources, Estimate, L2Model, Phase, ScoreJob, Workload};
+pub use score::{BlockResources, Estimate, L2Model, Phase, ScoreJob, Workload};
 pub use smem::{bank_conflicts, bank_conflicts_elems, bank_conflicts_elems_on, BankConflictResult};
 pub use tilecache::TileCache;
 pub use timing::{

@@ -1,15 +1,11 @@
 //! The device-generic pricing engine: one [`CostModel`] owns the full
 //! trace→estimate path.
 //!
-//! Historically the repo priced traces in *two* places: the shared
-//! [`crate::score::score`] oracle (roofline timing, used by `lego-tune`
-//! and most `lego-bench` drivers) and a private additive wavefront loop
-//! inside `lego-bench`'s NW driver — so an NW table number and the
-//! tuner's NW ranking could disagree. This module is the merge point:
-//! every estimate, bench or tuner, on any device, is produced by
-//! [`CostModel::price`] (the `score()` free function is a thin wrapper
-//! kept for call-site convenience). A [`Workload`] now carries its
-//! [`PricingMode`], so the dependency-serialized wavefront workloads
+//! Every estimate, bench or tuner, on any device, is produced by
+//! [`CostModel::price`] (or [`CostModel::price_batch`]), so an NW table
+//! number and the tuner's NW ranking cannot disagree. A [`Workload`]
+//! carries its [`PricingMode`], so the dependency-serialized wavefront
+//! workloads
 //! (NW, LUD) are priced additively by the same engine that prices the
 //! overlapped streaming workloads with the roofline — and both crates
 //! get bit-identical numbers by construction.

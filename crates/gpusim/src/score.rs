@@ -1,14 +1,13 @@
-//! One-call layout scoring: the autotuner's evaluation oracle.
+//! The scoring vocabulary: what a kernel touches ([`Workload`],
+//! [`Phase`]) and what pricing it returns ([`Estimate`]).
 //!
-//! [`score`] is the call-site-friendly face of the device-generic
-//! pricing engine in [`crate::model`]: it hands the `(layout, workload,
-//! cfg)` triple to a [`CostModel`], which composes the crate's
-//! primitive models — warp coalescing ([`crate::coalesce`]),
-//! shared-memory bank serialization ([`crate::smem`]), sector- and
-//! tile-granular L2 filtering ([`crate::cache`] / [`crate::tilecache`])
-//! and the timing model ([`crate::timing`]) — under the workload's
-//! [`PricingMode`]. [`score_batch`] evaluates many candidate layouts in
-//! parallel (layouts are `Send + Sync` since the `Arc` refactor).
+//! Pricing itself is [`crate::CostModel::price`] (or
+//! [`crate::CostModel::price_batch`] for many candidates in parallel),
+//! which composes the crate's primitive models — warp coalescing
+//! ([`crate::coalesce`]), shared-memory bank serialization
+//! ([`crate::smem`]), sector- and tile-granular L2 filtering
+//! ([`crate::cache`] / [`crate::tilecache`]) and the timing model
+//! ([`crate::timing`]) — under the workload's [`PricingMode`].
 //!
 //! A [`Workload`] describes *what* a kernel touches in logical terms;
 //! the [`lego_core::Layout`] under evaluation decides *where* those
@@ -18,8 +17,7 @@
 
 use lego_core::Layout;
 
-use crate::config::GpuConfig;
-use crate::model::{CostModel, PricingMode};
+use crate::model::PricingMode;
 use crate::timing::{Pipeline, TimeEstimate};
 
 /// Generator of warp-level element-index groups: called with the layout
@@ -168,27 +166,15 @@ impl Estimate {
     }
 }
 
-/// Scores one candidate layout against a workload on `cfg` by handing
-/// it to the device's [`CostModel`] — the single trace→estimate path
-/// shared by the bench drivers and the tuner.
-pub fn score(layout: &Layout, workload: &Workload, cfg: &GpuConfig) -> Estimate {
-    CostModel::new(cfg).price(layout, workload)
-}
-
 /// One unit of batch work: a candidate layout plus the workload it is
 /// scored against (workloads may differ per candidate, e.g. tile sizes).
 pub type ScoreJob = (Layout, Workload);
-
-/// Scores a batch of candidates in parallel, preserving order (see
-/// [`CostModel::price_batch`]).
-pub fn score_batch(jobs: Vec<ScoreJob>, cfg: &GpuConfig) -> Vec<Estimate> {
-    CostModel::new(cfg).price_batch(jobs)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::a100;
+    use crate::model::CostModel;
 
     fn streaming_workload(stride: i64) -> Workload {
         Workload {
@@ -220,9 +206,10 @@ mod tests {
     #[test]
     fn strided_stream_scores_slower_than_unit_stride() {
         let cfg = a100();
+        let model = CostModel::new(&cfg);
         let layout = Layout::identity([100_000i64]).unwrap();
-        let unit = score(&layout, &streaming_workload(1), &cfg);
-        let strided = score(&layout, &streaming_workload(64), &cfg);
+        let unit = model.price(&layout, &streaming_workload(1));
+        let strided = model.price(&layout, &streaming_workload(64));
         assert!(strided.time_s > unit.time_s);
         assert!(strided.dram_bytes > unit.dram_bytes);
     }
@@ -238,8 +225,9 @@ mod tests {
                 )
             })
             .collect();
-        let seq: Vec<Estimate> = jobs.iter().map(|(l, w)| score(l, w, &cfg)).collect();
-        let par = score_batch(jobs, &cfg);
+        let model = CostModel::new(&cfg);
+        let seq: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
+        let par = model.price_batch(jobs);
         assert_eq!(seq, par);
     }
 
@@ -269,7 +257,7 @@ mod tests {
                 scale: 1.0,
             }],
         };
-        let e = score(&layout, &w, &cfg);
+        let e = CostModel::new(&cfg).price(&layout, &w);
         assert_eq!(e.smem_passes, 32.0);
     }
 }

@@ -8,7 +8,7 @@
 //! This module is the merge point: each [`TraceBuilder`] owns one
 //! workload's logical access pattern and emits it as [`Phase`]s through
 //! the existing [`AddrGen`] / [`TouchGen`] callbacks, producing a
-//! [`Workload`] that [`crate::score::score`] prices. An estimate printed
+//! [`Workload`] that [`crate::CostModel::price`] prices. An estimate printed
 //! in a paper table and an estimate ranked by the tuner now come from
 //! literally the same code path.
 //!
@@ -802,7 +802,7 @@ impl TraceBuilder for RowwiseSweep {
 mod tests {
     use super::*;
     use crate::config::{a100, h100};
-    use crate::score::score;
+    use crate::model::CostModel;
 
     #[test]
     fn matmul_builder_matches_legacy_semantics() {
@@ -883,8 +883,8 @@ mod tests {
         .build(&cfg);
         assert!(coarse.launches < base.launches / 3.0);
         let id = Layout::identity([16i64, 16]).unwrap();
-        let eb = score(&id, &base, &cfg);
-        let ec = score(&id, &coarse, &cfg);
+        let eb = CostModel::new(&cfg).price(&id, &base);
+        let ec = CostModel::new(&cfg).price(&id, &coarse);
         assert!(ec.dram_bytes < eb.dram_bytes);
         assert!(ec.time_s < eb.time_s);
     }
@@ -927,7 +927,7 @@ mod tests {
         };
         let t = |bs: i64| {
             let w = sweep(bs).build(&cfg);
-            score(&layout(bs), &w, &cfg).time_s
+            CostModel::new(&cfg).price(&layout(bs), &w).time_s
         };
         // A mid-size block beats both a tiny one (chunk-loop overhead)
         // and a grossly padded one (masked-lane compute + occupancy).
@@ -949,8 +949,8 @@ mod tests {
             index_flops: 0.0,
         };
         let l = Layout::identity([1024i64]).unwrap();
-        let two = score(&l, &mk(2.0).build(&cfg), &cfg);
-        let four = score(&l, &mk(4.0).build(&cfg), &cfg);
+        let two = CostModel::new(&cfg).price(&l, &mk(2.0).build(&cfg));
+        let four = CostModel::new(&cfg).price(&l, &mk(4.0).build(&cfg));
         assert!((four.dram_bytes / two.dram_bytes - 2.0).abs() < 1e-9);
     }
 
@@ -970,8 +970,8 @@ mod tests {
             lane_axis,
             index_flops: 0.0,
         };
-        let y = score(&rm, &mk(LaneAxis::Y, (4, 8, 4)).build(&cfg), &cfg);
-        let z = score(&rm, &mk(LaneAxis::Z, (4, 4, 8)).build(&cfg), &cfg);
+        let y = CostModel::new(&cfg).price(&rm, &mk(LaneAxis::Y, (4, 8, 4)).build(&cfg));
+        let z = CostModel::new(&cfg).price(&rm, &mk(LaneAxis::Z, (4, 4, 8)).build(&cfg));
         assert!(
             y.l2_bytes > 2.0 * z.l2_bytes,
             "y {} z {}",

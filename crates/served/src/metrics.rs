@@ -318,8 +318,6 @@ fn add_stats(a: &ArenaStats, b: &ArenaStats) -> ArenaStats {
         prove_misses: a.prove_misses + b.prove_misses,
         expand_hits: a.expand_hits + b.expand_hits,
         expand_misses: a.expand_misses + b.expand_misses,
-        saturate_hits: a.saturate_hits + b.saturate_hits,
-        saturate_misses: a.saturate_misses + b.saturate_misses,
         sidecar_installed: a.sidecar_installed + b.sidecar_installed,
         sidecar_hits: a.sidecar_hits + b.sidecar_hits,
     }

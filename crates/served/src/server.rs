@@ -18,7 +18,7 @@
 //! a short timeout so idle connections notice the flag), and exit. The
 //! daemon then flushes the cache and exits 0.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -35,6 +35,11 @@ use crate::service::TuneService;
 
 /// How often a blocked read re-checks the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line served, newline excluded. A longer line is
+/// answered with one error and skipped up to its newline; the
+/// connection stays open.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Daemon configuration (the `lego-served` flags).
 #[derive(Clone, Debug)]
@@ -180,32 +185,42 @@ fn worker_loop(idx: usize, rx: &Mutex<mpsc::Receiver<TcpStream>>, service: &Tune
 }
 
 /// Serves one connection's line-delimited requests until EOF, error, or
-/// shutdown. A malformed line costs an error response, never the
-/// connection; a client that disconnects mid-search only loses its
-/// response — the search result is still promoted and persisted.
+/// shutdown. A malformed or over-long line costs an error response,
+/// never the connection; a client that disconnects mid-search only
+/// loses its response — the search result is still promoted and
+/// persisted.
 fn serve_connection(idx: usize, stream: TcpStream, service: &TuneService) {
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
+    let mut respond = |response: &Json| {
+        writer
+            .write_all(protocol::render_line(response).as_bytes())
+            .and_then(|()| writer.flush())
+            .is_ok()
+    };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
+    // Inside an over-long line: discard input up to its newline.
+    let mut skipping = false;
     loop {
-        // `read_line` may deliver a partial line before the poll
-        // timeout fires; keep accumulating into the same buffer until
-        // the newline arrives.
-        match reader.read_line(&mut line) {
-            Ok(0) => break,                          // EOF
-            Ok(_) if !line.ends_with('\n') => break, // EOF mid-line
-            Ok(_) => {
-                let (response, shutdown) = dispatch(idx, line.trim(), service);
+        // A read may deliver a partial line before the poll timeout
+        // fires; keep accumulating into the same buffer until the
+        // newline arrives, but never past one byte beyond the cap.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(0) => break, // EOF
+            Ok(_) if line.ends_with(b"\n") => {
+                if std::mem::take(&mut skipping) {
+                    line.clear();
+                    continue;
+                }
+                let text = String::from_utf8_lossy(&line);
+                let (response, shutdown) = dispatch(idx, text.trim(), service);
                 line.clear();
-                if writer
-                    .write_all(protocol::render_line(&response).as_bytes())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if !respond(&response) {
                     break; // client went away; nothing to report to
                 }
                 if shutdown {
@@ -213,6 +228,17 @@ fn serve_connection(idx: usize, stream: TcpStream, service: &TuneService) {
                     break;
                 }
             }
+            Ok(_) if line.len() > MAX_LINE_BYTES => {
+                line.clear();
+                if !std::mem::replace(&mut skipping, true) {
+                    service.metrics().record_rejected();
+                    let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    if !respond(&protocol::error_response(&msg)) {
+                        break;
+                    }
+                }
+            }
+            Ok(_) => break, // EOF mid-line
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if service.is_shutdown() {
                     break;

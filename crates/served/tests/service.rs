@@ -94,6 +94,7 @@ fn malformed_lines_error_without_dropping_the_connection() {
         "{\"verb\": \"tune\", \"workload\": \"matmul(n=nope)\"}",
         "{\"verb\": \"tune\", \"workload\": \"matmul(n=64)\", \"device\": \"v100\"}",
         "{\"verb\": \"tune\", \"workload\": \"matmul(n=64)\", \"strategy\": \"brute\"}",
+        "{\"verb\": \"tune\", \"workload\": \"matmul(n=99999999999)\"}",
     ] {
         let line = client.roundtrip_line(bad).expect("connection must survive");
         let response = Json::parse(&line).expect("error responses are JSON");
@@ -113,7 +114,46 @@ fn malformed_lines_error_without_dropping_the_connection() {
         "connection must still serve: {}",
         good.render()
     );
-    assert_eq!(service_errors(&server), 6);
+    assert_eq!(service_errors(&server), 7);
+
+    shutdown_and_join(server);
+    let _ = std::fs::remove_file(&cache);
+}
+
+#[test]
+fn oversized_line_errors_once_and_keeps_the_connection() {
+    let (server, cache) = start("oversized", 2);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    // Several times the daemon's line cap, so the skip spans many reads.
+    let huge = format!(
+        "{{\"verb\":\"tune\",\"workload\":\"{}\"}}",
+        "x".repeat(200 * 1024)
+    );
+    let line = client
+        .roundtrip_line(&huge)
+        .expect("connection must survive");
+    let response = Json::parse(&line).expect("error responses are JSON");
+    assert!(!is_ok(&response), "an over-long line must be rejected");
+    assert!(
+        response
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("exceeds")),
+        "{line}"
+    );
+
+    // Exactly one response for the whole line: the next roundtrip on the
+    // same connection reads the tune answer, not a second error.
+    let good = client
+        .tune(&TuneSpec::workload("transpose(n=256)"))
+        .expect("tune after an oversized line");
+    assert!(
+        is_ok(&good),
+        "connection must still serve: {}",
+        good.render()
+    );
+    assert_eq!(service_errors(&server), 1);
 
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);

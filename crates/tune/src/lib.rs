@@ -14,7 +14,7 @@
 //!    batch-scoring, or budgeted [`Strategy::Anneal`] /
 //!    [`Strategy::Genetic`] metaheuristics driven by a seeded in-crate
 //!    RNG ([`rng::Rng`]) so every search replays deterministically —
-//!    every candidate priced by `gpu-sim`'s [`gpu_sim::score()`] oracle
+//!    every candidate priced by `gpu-sim`'s [`gpu_sim::CostModel`]
 //!    (coalescing + bank conflicts + cache filtering + roofline timing
 //!    in one call);
 //! 3. persists the winner *and the top-k frontier* in a JSON

@@ -1,7 +1,7 @@
 //! The tuner's view of the persistent memo sidecar.
 //!
 //! `lego_expr::sidecar` persists the expression layer's derived results
-//! (simplified/saturated forms, op counts). This module layers the
+//! (simplified forms, op counts). This module layers the
 //! tuner's own derived state on top — the candidate-annotation cache
 //! mapping `(workload, config)` to `(expression variant, index op
 //! count)` — carried in the sidecar's opaque annotation section, so one
@@ -25,7 +25,7 @@ use crate::space;
 /// What a sidecar install warmed, per layer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SidecarWarm {
-    /// Expression-layer entries installed (simplify/saturate/opcount).
+    /// Expression-layer entries installed (simplify/opcount).
     pub exprs: InstallReport,
     /// Annotation entries installed into the candidate cache.
     pub annotations: u64,
@@ -118,7 +118,7 @@ mod tests {
             let cand = Candidate::annotated(&kind, &kind.default_config());
             let layout = build_layout(&kind, &cand.config).expect("default builds");
             let wl = build_workload(&kind, &cand, &gpu);
-            gpu_sim::score(&layout, &wl, &gpu)
+            gpu_sim::CostModel::new(&gpu).price(&layout, &wl)
         }
         let cold = price();
         let text = collect().render();

@@ -140,7 +140,8 @@ impl WorkloadKind {
     /// # Errors
     ///
     /// Unknown family, malformed parameter list, missing/extra/
-    /// non-positive parameters.
+    /// non-positive parameters, or a problem whose element count
+    /// overflows `i64`.
     pub fn parse(name: &str) -> std::result::Result<WorkloadKind, String> {
         let s = name.trim();
         let (family, rest) = s
@@ -195,7 +196,7 @@ impl WorkloadKind {
             })
         };
 
-        match family {
+        let kind = match family {
             "matmul" => Ok(WorkloadKind::Matmul { n: take(&["n"])?[0] }),
             "transpose" => Ok(WorkloadKind::Transpose { n: take(&["n"])?[0] }),
             "stencil" => {
@@ -220,6 +221,26 @@ impl WorkloadKind {
             other => Err(format!(
                 "unknown workload family {other:?} (use matmul|transpose|stencil|nw|lud|softmax|layernorm-fwd|layernorm-bwd)"
             )),
+        }?;
+        if kind.element_count().is_none() {
+            return Err(format!(
+                "workload {s:?}: problem element count overflows i64"
+            ));
+        }
+        Ok(kind)
+    }
+
+    /// Elements of the problem's largest array (`n²`, `n³` for
+    /// stencils, `m·n` for rowwise), or `None` when that overflows
+    /// `i64` — no index arithmetic over such a problem can be priced.
+    fn element_count(&self) -> Option<i64> {
+        match *self {
+            WorkloadKind::Matmul { n }
+            | WorkloadKind::Transpose { n }
+            | WorkloadKind::Nw { n, .. }
+            | WorkloadKind::Lud { n, .. } => n.checked_mul(n),
+            WorkloadKind::Stencil { n, .. } => n.checked_mul(n)?.checked_mul(n),
+            WorkloadKind::Rowwise { m, n, .. } => m.checked_mul(n),
         }
     }
 
@@ -688,10 +709,6 @@ fn annotate(kind: &WorkloadKind, config: &TunedConfig) -> (Option<Variant>, Opti
     let Some((raws, env)) = sym else {
         return (None, None);
     };
-    // The annotation cache and the golden semantics transcript are both
-    // defined over the fixpoint rewriter, so this always runs the
-    // default `Rewrite` strategy; `annotated_ops` exposes the
-    // strategy-explicit path for benchmarking saturation.
     let eng = Engine::with_env(env);
     let ops_u: usize = raws.iter().map(|e| eng.op_count(&eng.simplify(e))).sum();
     let ops_e: usize = raws
@@ -703,28 +720,6 @@ fn annotate(kind: &WorkloadKind, config: &TunedConfig) -> (Option<Variant>, Opti
     } else {
         (Some(Variant::Unexpanded), Some(ops_u))
     }
-}
-
-/// Total op count of a candidate's simplified index expressions under an
-/// explicit simplification strategy (the cheaper of the expanded and
-/// unexpanded variants, like [`Candidate::annotated`]). `None` when the
-/// layout has no symbolic form. This is the strategy-explicit path the
-/// tuner benchmark uses to compare equality saturation against the
-/// fixpoint rewriter; candidate annotation itself always uses the
-/// default `Rewrite` strategy.
-pub fn annotated_ops(
-    kind: &WorkloadKind,
-    config: &TunedConfig,
-    strategy: lego_expr::SimplifyStrategy,
-) -> Option<usize> {
-    let (raws, env) = symbolic_exprs(kind, config)?;
-    let eng = Engine::with_env(env).with_strategy(strategy);
-    let ops_u: usize = raws.iter().map(|e| eng.op_count(&eng.simplify(e))).sum();
-    let ops_e: usize = raws
-        .iter()
-        .map(|e| eng.op_count(&eng.simplify(&eng.expand(e))))
-        .sum();
-    Some(ops_u.min(ops_e))
 }
 
 /// The symbolic index expressions a candidate's kernel would compute,
@@ -1007,21 +1002,31 @@ mod tests {
     #[test]
     fn workload_parse_rejects_malformed_names() {
         for bad in [
-            "matmul",                    // no parameter list
-            "matmul(n=2048",             // unterminated
-            "matmul(m=2048)",            // wrong key
-            "matmul(n=2048,extra=1)",    // extra key
-            "matmul(n=0)",               // non-positive
-            "matmul(n=-4)",              // negative
-            "matmul(n=banana)",          // non-integer
-            "frobnicate(n=4)",           // unknown family
-            "stencil(n=48)",             // missing shape
-            "stencil(ball-7pt,n=48)",    // unknown shape
-            "nw(n=64)",                  // missing b
-            "softmax(n=1024)",           // missing m
-            "lud(n=2048,bs=16,extra=1)", // extra key
+            "matmul",                             // no parameter list
+            "matmul(n=2048",                      // unterminated
+            "matmul(m=2048)",                     // wrong key
+            "matmul(n=2048,extra=1)",             // extra key
+            "matmul(n=0)",                        // non-positive
+            "matmul(n=-4)",                       // negative
+            "matmul(n=banana)",                   // non-integer
+            "frobnicate(n=4)",                    // unknown family
+            "stencil(n=48)",                      // missing shape
+            "stencil(ball-7pt,n=48)",             // unknown shape
+            "nw(n=64)",                           // missing b
+            "softmax(n=1024)",                    // missing m
+            "lud(n=2048,bs=16,extra=1)",          // extra key
+            "matmul(n=99999999999)",              // n² overflows i64
+            "stencil(star-7pt,n=3000000)",        // n³ overflows i64
+            "softmax(m=4294967296,n=4294967296)", // m·n overflows i64
         ] {
             assert!(WorkloadKind::parse(bad).is_err(), "{bad:?} must not parse");
         }
+        let err = WorkloadKind::parse("matmul(n=99999999999)").unwrap_err();
+        assert!(err.contains("overflows i64"), "{err}");
+        // The largest square side whose element count still fits.
+        assert_eq!(
+            WorkloadKind::parse("matmul(n=3037000499)"),
+            Ok(WorkloadKind::Matmul { n: 3_037_000_499 })
+        );
     }
 }

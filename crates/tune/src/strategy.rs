@@ -1,8 +1,8 @@
 //! Search strategies: how the tuner spends its evaluation budget.
 //!
 //! The v2 tuner had exactly one move — enumerate everything and
-//! batch-score it — which caps how rich the configuration space can get
-//! before `score_batch` dominates. This module adds budgeted
+//! batch-price it — which caps how rich the configuration space can get
+//! before batch pricing dominates. This module adds budgeted
 //! metaheuristics over the parameterized [`Domain`]:
 //!
 //! * [`Strategy::Exhaustive`] — score every point (the v2 behavior;
@@ -27,8 +27,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use gpu_sim::score::{score_batch, Estimate};
-use gpu_sim::GpuConfig;
+use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_codegen::tuning::TunedConfig;
 
 use crate::cache::config_to_json;
@@ -211,7 +210,7 @@ impl<'a> Evaluator<'a> {
         if fresh.is_empty() {
             return 0;
         }
-        let estimates = score_batch(jobs, self.gpu);
+        let estimates = CostModel::new(self.gpu).price_batch(jobs);
         let added = fresh.len();
         for ((key, cand), est) in fresh.into_iter().zip(estimates) {
             let idx = self.entries.len();
@@ -252,9 +251,9 @@ impl<'a> Evaluator<'a> {
     fn eval_batch_pruned(&mut self, configs: &[TunedConfig]) -> usize {
         /// Candidates between threshold recomputations. Small enough
         /// that the cutoff tightens while the sweep is still hot;
-        /// large enough that `score_batch` can fan out.
+        /// large enough that `price_batch` can fan out.
         const PRUNE_CHUNK: usize = 32;
-        let model = gpu_sim::CostModel::new(self.gpu);
+        let model = CostModel::new(self.gpu);
         let mut added = 0;
         for chunk in configs.chunks(PRUNE_CHUNK) {
             let cutoff = self.prune_threshold();
@@ -293,7 +292,7 @@ impl<'a> Evaluator<'a> {
             if fresh.is_empty() {
                 continue;
             }
-            let estimates = score_batch(jobs, self.gpu);
+            let estimates = model.price_batch(jobs);
             added += fresh.len();
             for ((key, cand), est) in fresh.into_iter().zip(estimates) {
                 let idx = self.entries.len();
@@ -318,7 +317,7 @@ impl<'a> Evaluator<'a> {
         let cand = Candidate::annotated(&self.kind, c);
         let layout = build_layout(&self.kind, &cand.config)?;
         let wl = build_workload(&self.kind, &cand, self.gpu);
-        let est = gpu_sim::score(&layout, &wl, self.gpu);
+        let est = CostModel::new(self.gpu).price(&layout, &wl);
         self.seen.insert(config_key(c), self.entries.len());
         self.entries.push((cand, est));
         Ok(est)
@@ -341,7 +340,7 @@ impl<'a> Evaluator<'a> {
             return None;
         };
         let wl = build_workload(&self.kind, &cand, self.gpu);
-        let est = gpu_sim::score(&layout, &wl, self.gpu);
+        let est = CostModel::new(self.gpu).price(&layout, &wl);
         let idx = self.entries.len();
         self.seen.insert(key, idx);
         self.entries.push((cand, est));
@@ -411,7 +410,7 @@ pub fn run_search(
     warm_start: &[TunedConfig],
 ) -> Result<SearchOutcome, TuneError> {
     let mut rng = Rng::from_key(&format!("{seed_key}|{}", strategy.name()));
-    // Traffic-memo probes all land on this thread (`score_batch` looks
+    // Traffic-memo probes all land on this thread (`price_batch` looks
     // keys up before fanning out), so the stat delta around the search
     // is exactly this search's hit/miss count.
     let (hits0, misses0) = gpu_sim::traffic_memo_stats();

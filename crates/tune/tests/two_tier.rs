@@ -127,7 +127,7 @@ fn pruned_exhaustive_matches_score_everything_ground_truth() {
             .into_iter()
             .map(|(cand, layout)| {
                 let wl = lego_tune::build_workload(kind, &cand, &gpu);
-                let est = gpu_sim::score(&layout, &wl, &gpu);
+                let est = CostModel::new(&gpu).price(&layout, &wl);
                 (cand, est)
             })
             .collect();

@@ -26,7 +26,7 @@ use prop_support::Rng;
 
 /// The workloads the properties enumerate — small enough that a fresh
 /// thread re-derives them in milliseconds, varied enough to exercise
-/// simplify, saturate, op-count, and annotation rows.
+/// simplify, op-count, and annotation rows.
 fn kinds() -> Vec<WorkloadKind> {
     vec![
         WorkloadKind::Matmul { n: 256 },

@@ -9,7 +9,7 @@
 
 mod prop_support;
 
-use gpu_sim::{a100, h100, mi300, score, Estimate, GpuConfig, KernelProfile};
+use gpu_sim::{a100, h100, mi300, CostModel, Estimate, GpuConfig, KernelProfile};
 use lego_bench::workloads::matmul::Schedule;
 use lego_bench::workloads::rowwise::RowwiseBench;
 use lego_bench::workloads::{lud as bench_lud, matmul, nw as bench_nw, stencil, transpose};
@@ -40,7 +40,7 @@ fn oracle(kind: WorkloadKind, config: TunedConfig, cfg: &GpuConfig) -> Estimate 
     };
     let layout = build_layout(&kind, &config).expect("layout");
     let workload = build_workload(&kind, &candidate, cfg);
-    score(&layout, &workload, cfg)
+    CostModel::new(cfg).price(&layout, &workload)
 }
 
 #[test]
@@ -191,7 +191,7 @@ fn nw_and_lud_prices_are_bit_identical() {
             let bench_passes = bench_nw::block_smem_passes(layout, 16, &cfg);
             let nb = 2048 / 16;
             let blocks = 2.0 * (nb * nb) as f64;
-            let tuned = score(
+            let tuned = CostModel::new(&cfg).price(
                 layout,
                 &gpu_sim::trace::TraceBuilder::build(
                     &gpu_sim::trace::NwWavefront {
@@ -201,7 +201,6 @@ fn nw_and_lud_prices_are_bit_identical() {
                     },
                     &cfg,
                 ),
-                &cfg,
             );
             assert_eq!(tuned.smem_passes, bench_passes * blocks);
         }
