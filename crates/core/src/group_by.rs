@@ -142,6 +142,13 @@ impl Layout {
 
     /// Concrete `apply` (Fig. 5): logical index → physical flat position.
     ///
+    /// This is the reference interpreter: every call walks the chain,
+    /// re-deriving each level's dims and unflattening through it. Code
+    /// that maps many elements of one layout should
+    /// [`compile`](Layout::compile) it once and use
+    /// [`ConcreteLayout::apply`](crate::ConcreteLayout::apply), which is
+    /// tested equal to this method.
+    ///
     /// # Errors
     ///
     /// Rank mismatches, out-of-bounds coordinates, symbolic dimensions,
@@ -158,6 +165,9 @@ impl Layout {
     }
 
     /// Concrete `inv` (Fig. 5): physical flat position → logical index.
+    ///
+    /// The reference interpreter, like [`Layout::apply_c`]; the compiled
+    /// counterpart is [`ConcreteLayout::inv`](crate::ConcreteLayout::inv).
     ///
     /// # Errors
     ///
@@ -277,22 +287,16 @@ impl Layout {
         set.into_iter().collect()
     }
 
-    /// Enumerates `apply_c` over the whole (constant) view, returning the
-    /// permutation `perm[flat_logical] = flat_physical`. Useful for
-    /// visualization and exhaustive bijectivity checks.
+    /// The permutation `perm[flat_logical] = flat_physical` over the
+    /// whole (constant) view. Useful for visualization and exhaustive
+    /// checks. Built by [`compile`](Layout::compile), so it tabulates
+    /// each permutation once instead of interpreting every element.
     ///
     /// # Errors
     ///
-    /// Symbolic dimensions and any evaluation-time failure.
+    /// As [`Layout::compile`].
     pub fn to_permutation(&self) -> Result<Vec<Ix>> {
-        let vd = self.view.dims_const()?;
-        let size = self.view.size_const()?;
-        let mut out = Vec::with_capacity(size as usize);
-        for f in 0..size {
-            let idx = unflatten(&vd, f)?;
-            out.push(self.apply_c(&idx)?);
-        }
-        Ok(out)
+        Ok(self.compile()?.permutation())
     }
 }
 

@@ -16,6 +16,9 @@
 //! * [`Layout`] — a `GroupBy` view plus a chain of `OrderBy`s, with
 //!   concrete (`apply_c`/`inv_c`) and symbolic (`apply_sym`/`inv_sym`)
 //!   evaluation plus NumPy-style slicing ([`Layout::apply_sliced`]);
+//! * [`ConcreteLayout`] — a constant layout compiled once
+//!   ([`Layout::compile`]) into flat lookup tables, for hot loops that
+//!   map every element (the `gpu-sim` traces);
 //! * [`ExpandBy`] — partial tiles beyond the bijective fragment;
 //! * [`InjectiveLayout`] — apply-only broadcasts and dilations;
 //! * sugar: [`sugar::row`], [`sugar::col`], [`sugar::tile_by`],
@@ -64,6 +67,7 @@
 
 pub mod brick;
 pub mod check;
+mod concrete;
 mod error;
 mod expand_by;
 mod group_by;
@@ -75,6 +79,7 @@ pub mod perms;
 pub mod shape;
 pub mod sugar;
 
+pub use concrete::ConcreteLayout;
 pub use error::{LayoutError, Result};
 pub use expand_by::ExpandBy;
 pub use group_by::{IdxArg, Layout, LayoutBuilder};

@@ -78,3 +78,24 @@ pub use traffic::{
     export as export_traffic, import as import_traffic, memo_stats as traffic_memo_stats,
     sidecar_stats as traffic_sidecar_stats, TrafficCost,
 };
+
+/// A tiny deterministic LCG for the property tests of the warp models
+/// (the workspace has no proptest in registry-less containers).
+#[cfg(test)]
+mod test_rng {
+    pub(crate) struct Lcg(pub(crate) u64);
+
+    impl Lcg {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> i64 {
+            (self.next() % n) as i64
+        }
+    }
+}

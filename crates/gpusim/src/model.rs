@@ -16,7 +16,7 @@
 //! (warp-64, 64-bank LDS, 64-byte segment) device prices through
 //! exactly the same code as the A100.
 
-use lego_core::Layout;
+use lego_core::{ConcreteLayout, Layout};
 
 use crate::cache::Cache;
 use crate::coalesce::coalesce_elems_on;
@@ -101,17 +101,27 @@ impl<'a> CostModel<'a> {
     /// a [`traffic_key`](Workload::traffic_key), the result is memoized
     /// in this thread's geometry cache (see [`crate::traffic`]);
     /// keyless workloads replay the trace unconditionally.
+    ///
+    /// The layout is [compiled](Layout::compile) at most once, and only
+    /// when some phase reads it; the compiled form serves both the memo
+    /// key and the trace.
+    ///
+    /// # Panics
+    ///
+    /// When a phase reads the layout and it does not compile (symbolic
+    /// dims or a broken `GenP`): a traced layout must be concrete.
     pub fn traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
-        match self.memo_key(layout, workload) {
+        let concrete = compile_for(layout, workload);
+        match self.memo_key(concrete.as_ref(), workload) {
             Some(key) => match traffic::lookup(&key) {
                 Some(tc) => tc,
                 None => {
-                    let tc = self.trace_traffic(layout, workload);
+                    let tc = self.trace_traffic(concrete.as_ref(), workload);
                     traffic::insert(key, tc);
                     tc
                 }
             },
-            None => self.trace_traffic(layout, workload),
+            None => self.trace_traffic(concrete.as_ref(), workload),
         }
     }
 
@@ -119,12 +129,12 @@ impl<'a> CostModel<'a> {
     /// `None` when the pair must be traced fresh. Built from the
     /// producer's geometry prefix plus everything the traffic pass
     /// reads *outside* the trace closures: the pricing device's traffic
-    /// geometry, the workload's L2 model and per-phase scalars, and a
-    /// structural fingerprint of the layout (skipped when no phase
-    /// reads the layout). The trace closures themselves are the only
-    /// trust gap, which is exactly what the producer's key opt-in
-    /// promises to cover.
-    fn memo_key(&self, layout: &Layout, workload: &Workload) -> Option<String> {
+    /// geometry, the workload's L2 model and per-phase scalars, and the
+    /// compiled layout's [fingerprint](ConcreteLayout::fingerprint)
+    /// (`layout` is `None` exactly when no phase reads the layout). The
+    /// trace closures themselves are the only trust gap, which is
+    /// exactly what the producer's key opt-in promises to cover.
+    fn memo_key(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> Option<String> {
         let prefix = workload.traffic_key.as_deref()?;
         let cfg = self.cfg;
         let mut key = String::with_capacity(prefix.len() + 96);
@@ -147,21 +157,17 @@ impl<'a> CostModel<'a> {
             }
             None => key.push_str("|l2-"),
         }
-        let mut layout_free = true;
         for phase in &workload.phases {
             match phase {
                 Phase::Global {
                     elem_bytes, scale, ..
                 } => {
-                    layout_free = false;
                     let _ = write!(key, "|G{}:{:x}", elem_bytes, scale.to_bits());
                 }
                 Phase::Shared { scale, .. } => {
-                    layout_free = false;
                     let _ = write!(key, "|S{:x}", scale.to_bits());
                 }
                 Phase::TileTouches { scale, .. } => {
-                    layout_free = false;
                     let _ = write!(key, "|T{:x}", scale.to_bits());
                 }
                 Phase::Streamed {
@@ -172,21 +178,24 @@ impl<'a> CostModel<'a> {
                 }
             }
         }
-        if layout_free {
+        match layout {
             // No phase receives the layout: traffic is layout-independent.
-            key.push_str("|-");
-        } else {
-            let fp = layout_fingerprint(layout)?;
-            key.push('|');
-            key.push_str(&fp);
+            None => key.push_str("|-"),
+            Some(layout) => {
+                key.push('|');
+                key.push_str(&layout.fingerprint());
+            }
         }
         Some(key)
     }
 
     /// Replays the phase traces and accumulates their traffic totals —
     /// the uncached body of tier 1.
-    fn trace_traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
+    /// `layout` is the compiled layout, `None` only for workloads whose
+    /// phases never read it.
+    fn trace_traffic(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
         let cfg = self.cfg;
+        let layout = || layout.expect("layout compiled for a layout-reading phase");
         let mut l2_bytes = 0f64;
         let mut dram_bytes = 0f64;
         let mut smem_passes = 0f64;
@@ -203,7 +212,7 @@ impl<'a> CostModel<'a> {
                     let mut moved = 0f64;
                     let mut cache = workload.l2.map(|m| Cache::new(m.lines, m.assoc));
                     let mut sectors: Vec<i64> = Vec::with_capacity(cfg.warp_size);
-                    trace(layout, &mut |idx: &[i64]| {
+                    trace(layout(), &mut |idx: &[i64]| {
                         let c = coalesce_elems_on(idx, *elem_bytes, 0, cfg);
                         moved += c.moved_bytes as f64;
                         if let Some(cache) = cache.as_mut() {
@@ -233,7 +242,7 @@ impl<'a> CostModel<'a> {
                 }
                 Phase::Shared { trace, scale } => {
                     let mut passes = 0f64;
-                    trace(layout, &mut |idx: &[i64]| {
+                    trace(layout(), &mut |idx: &[i64]| {
                         passes += bank_conflicts_elems_on(idx, 4, cfg).passes as f64;
                     });
                     smem_passes += passes * scale;
@@ -241,7 +250,7 @@ impl<'a> CostModel<'a> {
                 Phase::TileTouches { trace, scale } => {
                     let mut tiles = TileCache::new(cfg.l2_bytes);
                     let mut touched = 0f64;
-                    trace(layout, &mut |id: i64, bytes: usize| {
+                    trace(layout(), &mut |id: i64, bytes: usize| {
                         tiles.touch(id, bytes);
                         touched += bytes as f64;
                     });
@@ -458,20 +467,32 @@ impl<'a> CostModel<'a> {
 
     /// Prices a batch of candidates in parallel, preserving order.
     ///
+    /// Each layout is compiled once on the calling thread (when its
+    /// workload reads it) and serves both its memo key and its trace.
     /// The traffic memo is probed on the calling thread first (spawned
     /// threads would see fresh thread-locals): warm geometries assemble
-    /// inline, and only the cold traces fan out over
-    /// `available_parallelism` OS threads — inline when fewer than
-    /// `INLINE_BATCH` remain, since spawning costs more than a
-    /// handful of traces. Fresh traces are recorded back into the
+    /// inline, and only the cold traces fan out, with their compiled
+    /// layouts, over `available_parallelism` OS threads — inline when
+    /// fewer than `INLINE_BATCH` remain, since spawning costs more than
+    /// a handful of traces. Fresh traces are recorded back into the
     /// calling thread's memo. Chunks are sized so no spawned thread
     /// receives an empty tail.
+    ///
+    /// # Panics
+    ///
+    /// As [`traffic`](CostModel::traffic).
     pub fn price_batch(&self, jobs: Vec<(Layout, Workload)>) -> Vec<Estimate> {
         let n = jobs.len();
         if n == 0 {
             return Vec::new();
         }
-        let mut keys: Vec<Option<String>> = jobs.iter().map(|(l, w)| self.memo_key(l, w)).collect();
+        let compiled: Vec<Option<ConcreteLayout>> =
+            jobs.iter().map(|(l, w)| compile_for(l, w)).collect();
+        let mut keys: Vec<Option<String>> = jobs
+            .iter()
+            .zip(&compiled)
+            .map(|((_, w), c)| self.memo_key(c.as_ref(), w))
+            .collect();
         let mut traffic: Vec<Option<TrafficCost>> = vec![None; n];
         let mut cold: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
@@ -486,18 +507,19 @@ impl<'a> CostModel<'a> {
             .min(cold.len());
         if threads <= 1 || cold.len() < Self::INLINE_BATCH {
             for &i in &cold {
-                traffic[i] = Some(self.trace_traffic(&jobs[i].0, &jobs[i].1));
+                traffic[i] = Some(self.trace_traffic(compiled[i].as_ref(), &jobs[i].1));
             }
         } else {
             let mut traced: Vec<Option<TrafficCost>> = vec![None; cold.len()];
             let chunk = cold.len().div_ceil(threads);
-            let (jobs_ref, cold_ref) = (&jobs, &cold);
+            let (jobs_ref, compiled_ref, cold_ref) = (&jobs, &compiled, &cold);
             std::thread::scope(|s| {
                 for (ci, out) in traced.chunks_mut(chunk).enumerate() {
                     s.spawn(move || {
                         for (k, slot) in out.iter_mut().enumerate() {
-                            let (layout, workload) = &jobs_ref[cold_ref[ci * chunk + k]];
-                            *slot = Some(self.trace_traffic(layout, workload));
+                            let i = cold_ref[ci * chunk + k];
+                            *slot =
+                                Some(self.trace_traffic(compiled_ref[i].as_ref(), &jobs_ref[i].1));
                         }
                     });
                 }
@@ -523,24 +545,22 @@ impl<'a> CostModel<'a> {
     const INLINE_BATCH: usize = 8;
 }
 
-/// A structural fingerprint of a layout for the traffic memo key:
-/// layouts that fingerprint equal induce the identical logical→physical
-/// map, hence identical traces. Identity layouts (no reordering chain)
-/// fingerprint from the view dims alone; reordered layouts hash the
-/// full `to_permutation` table (FNV-1a over the physical positions).
-/// `None` — symbolic dims, unevaluable chains — means uncacheable.
-fn layout_fingerprint(layout: &Layout) -> Option<String> {
-    let dims = layout.view().dims_const().ok()?;
-    if layout.orders().is_empty() {
-        return Some(format!("id{dims:?}"));
-    }
-    let perm = layout.to_permutation().ok()?;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in &perm {
-        h ^= p as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    Some(format!("p{dims:?}x{h:016x}"))
+/// Compiles `layout` when some phase of `workload` reads it (every
+/// phase but [`Phase::Streamed`]); `None` for layout-free workloads.
+///
+/// # Panics
+///
+/// When the layout is read but does not compile.
+fn compile_for(layout: &Layout, workload: &Workload) -> Option<ConcreteLayout> {
+    let reads_layout = workload
+        .phases
+        .iter()
+        .any(|p| !matches!(p, Phase::Streamed { .. }));
+    reads_layout.then(|| {
+        layout
+            .compile()
+            .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
+    })
 }
 
 #[cfg(test)]

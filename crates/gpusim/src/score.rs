@@ -11,24 +11,25 @@
 //!
 //! A [`Workload`] describes *what* a kernel touches in logical terms;
 //! the [`lego_core::Layout`] under evaluation decides *where* those
-//! touches land. The workload's trace generators receive the layout and
+//! touches land. The cost model compiles the layout once into a
+//! [`ConcreteLayout`]; the workload's trace generators receive that and
 //! emit warp-level element indices (or tile touches) through a callback,
 //! so traces never have to be materialized in memory.
 
-use lego_core::Layout;
+use lego_core::{ConcreteLayout, Layout};
 
 use crate::model::PricingMode;
 use crate::timing::{Pipeline, TimeEstimate};
 
-/// Generator of warp-level element-index groups: called with the layout
-/// under evaluation and a sink receiving one warp's flat element indices
-/// per call.
-pub type AddrGen = Box<dyn Fn(&Layout, &mut dyn FnMut(&[i64])) + Send + Sync>;
+/// Generator of warp-level element-index groups: called with the
+/// compiled layout under evaluation and a sink receiving one warp's flat
+/// element indices per call.
+pub type AddrGen = Box<dyn Fn(&ConcreteLayout, &mut dyn FnMut(&[i64])) + Send + Sync>;
 
-/// Generator of tile-granular touches: called with the layout under
-/// evaluation and a sink receiving `(tile_id, bytes)` per touch, in
-/// execution order.
-pub type TouchGen = Box<dyn Fn(&Layout, &mut dyn FnMut(i64, usize)) + Send + Sync>;
+/// Generator of tile-granular touches: called with the compiled layout
+/// under evaluation and a sink receiving `(tile_id, bytes)` per touch,
+/// in execution order.
+pub type TouchGen = Box<dyn Fn(&ConcreteLayout, &mut dyn FnMut(i64, usize)) + Send + Sync>;
 
 /// A sector-granular L2 model for [`Phase::Global`] traffic.
 #[derive(Clone, Copy, Debug)]
@@ -193,7 +194,7 @@ mod tests {
             phases: vec![Phase::Global {
                 trace: Box::new(move |layout, sink| {
                     let idx: Vec<i64> = (0..32)
-                        .map(|l| layout.apply_c(&[l * stride]).unwrap())
+                        .map(|l| layout.apply(&[l * stride]).unwrap())
                         .collect();
                     sink(&idx);
                 }),
@@ -251,7 +252,7 @@ mod tests {
             traffic_key: None,
             phases: vec![Phase::Shared {
                 trace: Box::new(|layout, sink| {
-                    let idx: Vec<i64> = (0..32).map(|r| layout.apply_c(&[r, 0]).unwrap()).collect();
+                    let idx: Vec<i64> = (0..32).map(|r| layout.apply(&[r, 0]).unwrap()).collect();
                     sink(&idx);
                 }),
                 scale: 1.0,

@@ -10,9 +10,11 @@
 //! [`GpuConfig::smem_banks`] / [`GpuConfig::bank_bytes`]; the
 //! 32-bank/4-byte entry points remain as NVIDIA-shaped conveniences.
 
-use std::collections::HashMap;
-
 use crate::config::GpuConfig;
+
+/// Lanes [`bank_conflicts`] buffers on the stack before spilling to the
+/// heap: one 64-lane wavefront.
+const STACK_LANES: usize = 64;
 
 /// The result of one warp's shared-memory access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -27,33 +29,13 @@ pub struct BankConflictResult {
 /// `addrs` are per-lane *byte* addresses; lanes may be fewer than 32
 /// (inactive lanes simply absent).
 pub fn bank_conflicts(addrs: &[i64], banks: usize, bank_bytes: usize) -> BankConflictResult {
-    // bank -> set of distinct word addresses (same word broadcasts).
-    let mut per_bank: HashMap<usize, Vec<i64>> = HashMap::new();
-    for &a in addrs {
-        let word = a / bank_bytes as i64;
-        let bank = (word.rem_euclid(banks as i64)) as usize;
-        let entry = per_bank.entry(bank).or_default();
-        if !entry.contains(&word) {
-            entry.push(word);
-        }
-    }
-    let passes = per_bank
-        .values()
-        .map(Vec::len)
-        .max()
-        .unwrap_or(0)
-        .max(usize::from(!addrs.is_empty()));
-    BankConflictResult {
-        passes,
-        lanes: addrs.len(),
-    }
+    bank_passes(addrs.iter().copied(), addrs.len(), banks, bank_bytes)
 }
 
 /// Computes conflicts for a warp of *element indices* into a 4-byte
 /// shared array.
 pub fn bank_conflicts_elems(elem_idx: &[i64], banks: usize) -> BankConflictResult {
-    let addrs: Vec<i64> = elem_idx.iter().map(|&i| i * 4).collect();
-    bank_conflicts(&addrs, banks, 4)
+    bank_passes(elem_idx.iter().map(|&i| i * 4), elem_idx.len(), banks, 4)
 }
 
 /// Computes conflicts for a warp of element indices into an
@@ -64,13 +46,77 @@ pub fn bank_conflicts_elems_on(
     elem_bytes: usize,
     cfg: &GpuConfig,
 ) -> BankConflictResult {
-    let addrs: Vec<i64> = elem_idx.iter().map(|&i| i * elem_bytes as i64).collect();
-    bank_conflicts(&addrs, cfg.smem_banks, cfg.bank_bytes)
+    let addrs = elem_idx.iter().map(|&i| i * elem_bytes as i64);
+    bank_passes(addrs, elem_idx.len(), cfg.smem_banks, cfg.bank_bytes)
+}
+
+/// The passes of `lanes` accesses at byte addresses `addrs`: each lane's
+/// `(bank, word)` pair goes into one buffer (on the stack for
+/// warp-sized inputs), which is sorted so that each bank's words form a
+/// run; equal pairs are one broadcast word, and the longest run of
+/// distinct words is the serialization.
+fn bank_passes(
+    addrs: impl Iterator<Item = i64>,
+    lanes: usize,
+    banks: usize,
+    bank_bytes: usize,
+) -> BankConflictResult {
+    let mut stack = [(0i64, 0i64); STACK_LANES];
+    let mut heap = Vec::new();
+    let buf: &mut [(i64, i64)] = if lanes <= STACK_LANES {
+        &mut stack[..lanes]
+    } else {
+        heap.resize(lanes, (0, 0));
+        &mut heap
+    };
+    for (slot, a) in buf.iter_mut().zip(addrs) {
+        let word = a / bank_bytes as i64;
+        *slot = (word.rem_euclid(banks as i64), word);
+    }
+    buf.sort_unstable();
+    let (mut passes, mut run) = (0, 0);
+    let mut prev: Option<(i64, i64)> = None;
+    for &(bank, word) in buf.iter() {
+        run = match prev {
+            Some((b, w)) if b == bank => run + usize::from(w != word),
+            _ => 1,
+        };
+        passes = passes.max(run);
+        prev = Some((bank, word));
+    }
+    BankConflictResult { passes, lanes }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_rng::Lcg;
+    use std::collections::HashMap;
+
+    /// The hash-map bank model the sort-and-dedup one replaced: the
+    /// reference the property tests below hold it to.
+    fn bank_conflicts_oracle(addrs: &[i64], banks: usize, bank_bytes: usize) -> BankConflictResult {
+        // bank -> set of distinct word addresses (same word broadcasts).
+        let mut per_bank: HashMap<usize, Vec<i64>> = HashMap::new();
+        for &a in addrs {
+            let word = a / bank_bytes as i64;
+            let bank = (word.rem_euclid(banks as i64)) as usize;
+            let entry = per_bank.entry(bank).or_default();
+            if !entry.contains(&word) {
+                entry.push(word);
+            }
+        }
+        let passes = per_bank
+            .values()
+            .map(Vec::len)
+            .max()
+            .unwrap_or(0)
+            .max(usize::from(!addrs.is_empty()));
+        BankConflictResult {
+            passes,
+            lanes: addrs.len(),
+        }
+    }
 
     #[test]
     fn unit_stride_is_conflict_free() {
@@ -107,24 +153,6 @@ mod tests {
     #[test]
     fn empty_access_is_zero_passes() {
         assert_eq!(bank_conflicts_elems(&[], 32).passes, 0);
-    }
-
-    /// A tiny deterministic LCG for the property tests below (the
-    /// workspace has no proptest in registry-less containers).
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0 >> 11
-        }
-
-        fn below(&mut self, n: u64) -> i64 {
-            (self.next() % n) as i64
-        }
     }
 
     /// Doubling the bank count can only reduce conflicts: two words
@@ -182,6 +210,53 @@ mod tests {
                 assert_eq!(a, b, "broadcast changed passes on {banks}x{word}");
             }
         }
+    }
+
+    /// Random warps of 32 and 64 lanes on 32- and 64-bank geometries
+    /// with 2-, 4- and 8-byte elements (on 4- and 8-byte bank words):
+    /// strided, random, broadcast, duplicate and negative lanes all
+    /// serialize exactly as the hash-map oracle does, through every
+    /// entry point, including warps wider than the stack buffer.
+    #[test]
+    fn sort_dedup_matches_the_hash_map_oracle() {
+        let mut rng = Lcg(0x0ba4_c0de);
+        for round in 0..3000 {
+            let lanes = [32usize, 64, 1 + rng.below(128) as usize][round % 3];
+            let banks = [32usize, 64][rng.below(2) as usize];
+            let word = [4usize, 8][rng.below(2) as usize];
+            let elem = [2usize, 4, 8][rng.below(3) as usize];
+            let idx: Vec<i64> = match round % 5 {
+                0 => {
+                    let stride = rng.below(70);
+                    (0..lanes as i64).map(|l| l * stride).collect()
+                }
+                1 => vec![rng.below(4096); lanes],
+                2 => {
+                    let run: Vec<i64> = (0..lanes as i64).map(|l| l * 33).collect();
+                    (0..lanes)
+                        .map(|_| run[rng.below(lanes as u64) as usize])
+                        .collect()
+                }
+                3 => (0..lanes).map(|_| rng.below(8192) - 4096).collect(),
+                _ => (0..lanes).map(|_| rng.below(1 << 14)).collect(),
+            };
+            let addrs: Vec<i64> = idx.iter().map(|&i| i * elem as i64).collect();
+            let want = bank_conflicts_oracle(&addrs, banks, word);
+            assert_eq!(bank_conflicts(&addrs, banks, word), want, "{addrs:?}");
+            let cfg = crate::config::GpuConfig {
+                smem_banks: banks,
+                bank_bytes: word,
+                ..crate::config::a100()
+            };
+            assert_eq!(bank_conflicts_elems_on(&idx, elem, &cfg), want);
+            if elem == 4 && word == 4 {
+                assert_eq!(bank_conflicts_elems(&idx, banks), want);
+            }
+        }
+        assert_eq!(
+            bank_conflicts(&[], 32, 4),
+            bank_conflicts_oracle(&[], 32, 4)
+        );
     }
 
     #[test]

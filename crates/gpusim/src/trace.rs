@@ -139,7 +139,7 @@ impl TraceBuilder for MatmulWaves {
             while pid0 < nblocks {
                 let pids: Vec<(i64, i64)> = (pid0..(pid0 + wave).min(nblocks))
                     .map(|pid| {
-                        let v = layout.inv_c(pid).expect("pid in range");
+                        let v = layout.inv(pid).expect("pid in range");
                         (v[0], v[1])
                     })
                     .collect();
@@ -245,15 +245,15 @@ impl TraceBuilder for TransposeSweeps {
                 let threads: Vec<(i64, i64)> = (0..t)
                     .flat_map(|ty| (0..t).map(move |tx| (ty, tx)))
                     .collect();
+                let mut store = Vec::with_capacity(warp);
+                let mut load = Vec::with_capacity(warp);
                 for chunk in threads.chunks(warp) {
-                    let store: Vec<i64> = chunk
-                        .iter()
-                        .map(|&(ty, tx)| layout.apply_c(&[ty, tx]).expect("in tile"))
-                        .collect();
-                    let load: Vec<i64> = chunk
-                        .iter()
-                        .map(|&(ty, tx)| layout.apply_c(&[tx, ty]).expect("in tile"))
-                        .collect();
+                    store.clear();
+                    load.clear();
+                    for &(ty, tx) in chunk {
+                        store.push(layout.apply(&[ty, tx]).expect("in tile"));
+                        load.push(layout.apply(&[tx, ty]).expect("in tile"));
+                    }
                     sink(&store);
                     sink(&load);
                 }
@@ -395,7 +395,7 @@ impl TraceBuilder for StencilWalk {
                                             };
                                             idx.push(
                                                 layout
-                                                    .apply_c(&[
+                                                    .apply(&[
                                                         clamp(x + dx),
                                                         clamp(y + dy),
                                                         clamp(z + dz),
@@ -485,23 +485,19 @@ impl NwWavefront {
     /// warp instructions).
     pub fn block_trace(b: i64, warp: usize) -> AddrGen {
         Box::new(move |layout, sink| {
+            // Per step: the write (t+1, d-t+1), then the NW, N and W
+            // reads, as (row, col) offsets from (t, d-t).
+            const GROUPS: [(i64, i64); 4] = [(1, 1), (0, 0), (0, 1), (1, 0)];
+            let mut group = Vec::with_capacity(b as usize);
             for d in 0..(2 * b - 1) {
                 let lo = (d + 1 - b).max(0);
                 let hi = d.min(b - 1);
-                let coords = |f: &dyn Fn(i64, i64) -> (i64, i64)| -> Vec<i64> {
-                    (lo..=hi)
-                        .map(|t| {
-                            let (i, j) = f(t, d);
-                            layout.apply_c(&[i, j]).expect("in bounds")
-                        })
-                        .collect()
-                };
-                let write: Vec<i64> = coords(&|t, d| (t + 1, d - t + 1));
-                let nw_read: Vec<i64> = coords(&|t, d| (t, d - t));
-                let n_read: Vec<i64> = coords(&|t, d| (t, d - t + 1));
-                let w_read: Vec<i64> = coords(&|t, d| (t + 1, d - t));
-                for g in [write, nw_read, n_read, w_read] {
-                    emit_warp_chunks(&g, warp, sink);
+                for (di, dj) in GROUPS {
+                    group.clear();
+                    group.extend(
+                        (lo..=hi).map(|t| layout.apply(&[t + di, d - t + dj]).expect("in bounds")),
+                    );
+                    emit_warp_chunks(&group, warp, sink);
                 }
             }
         })
@@ -510,10 +506,16 @@ impl NwWavefront {
     /// Shared-memory passes for one block's full wavefront sweep under
     /// a given buffer layout, on the warp and bank geometry of `cfg` —
     /// the quantity the additive pricing mode charges per round.
+    ///
+    /// # Panics
+    ///
+    /// When `layout` does not [`compile`](Layout::compile) (symbolic
+    /// dims or a broken `GenP`).
     pub fn block_passes(layout: &Layout, b: i64, cfg: &GpuConfig) -> f64 {
+        let layout = layout.compile().expect("NW buffer layout compiles");
         let trace = NwWavefront::block_trace(b, cfg.warp_size);
         let mut passes = 0usize;
-        trace(layout, &mut |g: &[i64]| {
+        trace(&layout, &mut |g: &[i64]| {
             passes += bank_conflicts_elems_on(g, 4, cfg).passes;
         });
         passes as f64
@@ -764,7 +766,7 @@ impl TraceBuilder for RowwiseSweep {
         let lanes = (cfg.warp_size as i64).min(bs);
         let trace: AddrGen = Box::new(move |layout, sink| {
             let idx: Vec<i64> = (0..lanes)
-                .map(|l| layout.apply_c(&[l]).expect("lane in block"))
+                .map(|l| layout.apply(&[l]).expect("lane in block"))
                 .collect();
             sink(&idx);
         });

@@ -41,6 +41,9 @@ struct Inner {
     requests: u64,
     errors: u64,
     malformed: u64,
+    /// Request lines cut off at the daemon's line cap (each also counts
+    /// as one malformed request).
+    oversized_lines: u64,
     tiers: [u64; 4],
     classes: BTreeMap<String, ClassStats>,
     /// Completed fleet runs and their summed counters.
@@ -98,6 +101,13 @@ impl Metrics {
         inner.requests += 1;
         inner.errors += 1;
         inner.malformed += 1;
+    }
+
+    /// Records a request line rejected for exceeding the line cap
+    /// (counted as a malformed request too).
+    pub fn record_oversized(&self) {
+        self.record_rejected();
+        self.inner.lock().expect("metrics poisoned").oversized_lines += 1;
     }
 
     /// Records one completed fleet run's per-class counters.
@@ -233,6 +243,7 @@ impl Metrics {
             ("qps", Json::num(inner.requests as f64 / uptime_s)),
             ("errors", Json::Int(inner.errors as i64)),
             ("malformed", Json::Int(inner.malformed as i64)),
+            ("oversized_lines", Json::Int(inner.oversized_lines as i64)),
             ("tiers", tier_obj(&inner.tiers)),
             (
                 "searches_run",

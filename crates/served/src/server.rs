@@ -231,7 +231,7 @@ fn serve_connection(idx: usize, stream: TcpStream, service: &TuneService) {
             Ok(_) if line.len() > MAX_LINE_BYTES => {
                 line.clear();
                 if !std::mem::replace(&mut skipping, true) {
-                    service.metrics().record_rejected();
+                    service.metrics().record_oversized();
                     let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
                     if !respond(&protocol::error_response(&msg)) {
                         break;

@@ -154,6 +154,17 @@ fn oversized_line_errors_once_and_keeps_the_connection() {
         good.render()
     );
     assert_eq!(service_errors(&server), 1);
+    let oversized = server
+        .service()
+        .metrics()
+        .to_json()
+        .get("oversized_lines")
+        .and_then(Json::as_i64);
+    assert_eq!(
+        oversized,
+        Some(1),
+        "the line-cap gauge counts the rejection"
+    );
 
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);

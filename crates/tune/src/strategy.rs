@@ -30,7 +30,6 @@ use std::fmt;
 use gpu_sim::{CostModel, Estimate, GpuConfig};
 use lego_codegen::tuning::TunedConfig;
 
-use crate::cache::config_to_json;
 use crate::domain::Domain;
 use crate::rng::Rng;
 use crate::space::{build_layout, build_workload, Candidate, WorkloadKind};
@@ -141,19 +140,15 @@ struct Evaluator<'a> {
     kind: WorkloadKind,
     gpu: &'a GpuConfig,
     max_evals: usize,
-    /// Serialized config → index into `entries` (scored) or `usize::MAX`
-    /// (failed to build: treated as infeasible, not charged — or
-    /// dismissed by the admissible bound, which is charged as pruned).
-    seen: HashMap<String, usize>,
+    /// Config → index into `entries` (scored) or `usize::MAX` (failed
+    /// to build: treated as infeasible, not charged — or dismissed by
+    /// the admissible bound, which is charged as pruned).
+    seen: HashMap<TunedConfig, usize>,
     entries: Vec<(Candidate, Estimate)>,
     best: usize,
     /// Candidates dismissed by [`gpu_sim::CostModel::bound`] without a
     /// full traffic pass (exhaustive strategy only).
     pruned: usize,
-}
-
-fn config_key(c: &TunedConfig) -> String {
-    config_to_json(c).render()
 }
 
 impl<'a> Evaluator<'a> {
@@ -180,26 +175,25 @@ impl<'a> Evaluator<'a> {
     /// Scores a batch of configs (deduplicated, in order) until the
     /// budget runs out. Returns how many new configs were scored.
     fn eval_batch(&mut self, configs: &[TunedConfig]) -> usize {
-        let mut fresh: Vec<(String, Candidate)> = Vec::new();
-        // In-batch dedup by key: the linear scan this replaces was
-        // O(batch²) on the large enumerated spaces.
-        let mut fresh_keys: HashSet<String> = HashSet::new();
+        let mut fresh: Vec<Candidate> = Vec::new();
+        // In-batch dedup: the linear scan this replaces was O(batch²)
+        // on the large enumerated spaces.
+        let mut fresh_keys: HashSet<TunedConfig> = HashSet::new();
         let mut jobs = Vec::new();
-        for c in configs {
+        for &key in configs {
             if self.entries.len() + fresh.len() >= self.max_evals {
                 break;
             }
-            let key = config_key(c);
             if self.seen.contains_key(&key) || fresh_keys.contains(&key) {
                 continue;
             }
-            let cand = Candidate::annotated(&self.kind, c);
+            let cand = Candidate::annotated(&self.kind, &key);
             match build_layout(&self.kind, &cand.config) {
                 Ok(layout) => {
                     let wl = build_workload(&self.kind, &cand, self.gpu);
                     jobs.push((layout, wl));
-                    fresh_keys.insert(key.clone());
-                    fresh.push((key, cand));
+                    fresh_keys.insert(key);
+                    fresh.push(cand);
                 }
                 // Unbuildable configs are infeasible, not charged.
                 Err(_) => {
@@ -212,9 +206,9 @@ impl<'a> Evaluator<'a> {
         }
         let estimates = CostModel::new(self.gpu).price_batch(jobs);
         let added = fresh.len();
-        for ((key, cand), est) in fresh.into_iter().zip(estimates) {
+        for (cand, est) in fresh.into_iter().zip(estimates) {
             let idx = self.entries.len();
-            self.seen.insert(key, idx);
+            self.seen.insert(cand.config, idx);
             self.entries.push((cand, est));
             if rank(&est) < rank(&self.entries[self.best].1) {
                 self.best = idx;
@@ -257,18 +251,17 @@ impl<'a> Evaluator<'a> {
         let mut added = 0;
         for chunk in configs.chunks(PRUNE_CHUNK) {
             let cutoff = self.prune_threshold();
-            let mut fresh: Vec<(String, Candidate)> = Vec::new();
-            let mut fresh_keys: HashSet<String> = HashSet::new();
+            let mut fresh: Vec<Candidate> = Vec::new();
+            let mut fresh_keys: HashSet<TunedConfig> = HashSet::new();
             let mut jobs = Vec::new();
-            for c in chunk {
+            for &key in chunk {
                 if self.entries.len() + self.pruned + fresh.len() >= self.max_evals {
                     break;
                 }
-                let key = config_key(c);
                 if self.seen.contains_key(&key) || fresh_keys.contains(&key) {
                     continue;
                 }
-                let cand = Candidate::annotated(&self.kind, c);
+                let cand = Candidate::annotated(&self.kind, &key);
                 match build_layout(&self.kind, &cand.config) {
                     Ok(layout) => {
                         let wl = build_workload(&self.kind, &cand, self.gpu);
@@ -281,8 +274,8 @@ impl<'a> Evaluator<'a> {
                             continue;
                         }
                         jobs.push((layout, wl));
-                        fresh_keys.insert(key.clone());
-                        fresh.push((key, cand));
+                        fresh_keys.insert(key);
+                        fresh.push(cand);
                     }
                     Err(_) => {
                         self.seen.insert(key, usize::MAX);
@@ -294,9 +287,9 @@ impl<'a> Evaluator<'a> {
             }
             let estimates = model.price_batch(jobs);
             added += fresh.len();
-            for ((key, cand), est) in fresh.into_iter().zip(estimates) {
+            for (cand, est) in fresh.into_iter().zip(estimates) {
                 let idx = self.entries.len();
-                self.seen.insert(key, idx);
+                self.seen.insert(cand.config, idx);
                 self.entries.push((cand, est));
                 if rank(&est) < rank(&self.entries[self.best].1) {
                     self.best = idx;
@@ -318,7 +311,7 @@ impl<'a> Evaluator<'a> {
         let layout = build_layout(&self.kind, &cand.config)?;
         let wl = build_workload(&self.kind, &cand, self.gpu);
         let est = CostModel::new(self.gpu).price(&layout, &wl);
-        self.seen.insert(config_key(c), self.entries.len());
+        self.seen.insert(*c, self.entries.len());
         self.entries.push((cand, est));
         Ok(est)
     }
@@ -327,8 +320,7 @@ impl<'a> Evaluator<'a> {
     /// config is infeasible or the budget is exhausted (and the config
     /// unseen).
     fn eval(&mut self, c: &TunedConfig) -> Option<Estimate> {
-        let key = config_key(c);
-        if let Some(&idx) = self.seen.get(&key) {
+        if let Some(&idx) = self.seen.get(c) {
             return (idx != usize::MAX).then(|| self.entries[idx].1);
         }
         if self.exhausted() {
@@ -336,13 +328,13 @@ impl<'a> Evaluator<'a> {
         }
         let cand = Candidate::annotated(&self.kind, c);
         let Ok(layout) = build_layout(&self.kind, &cand.config) else {
-            self.seen.insert(key, usize::MAX);
+            self.seen.insert(*c, usize::MAX);
             return None;
         };
         let wl = build_workload(&self.kind, &cand, self.gpu);
         let est = CostModel::new(self.gpu).price(&layout, &wl);
         let idx = self.entries.len();
-        self.seen.insert(key, idx);
+        self.seen.insert(*c, idx);
         self.entries.push((cand, est));
         if rank(&est) < rank(&self.entries[self.best].1) {
             self.best = idx;
