@@ -27,18 +27,19 @@
 //! by CI next to the paper-table artifacts so the tuner's throughput
 //! finally has its own trajectory.
 //!
-//! A final **sidecar** phase persists everything the run derived into
-//! the cross-session memo sidecar (`--sidecar PATH`, or a temp file
-//! removed afterwards) and replays the full enumeration twice on fresh
-//! threads — a fresh thread owns a fresh thread-local arena and an
-//! empty annotation cache, the closest a single process gets to a
-//! restart. The cold replay re-derives everything; the warmed replay
-//! installs the sidecar first. The phase asserts the two produce
-//! byte-identical per-candidate results and that the warmed replay's
-//! candidates/second is at least the cold one's, and emits a
+//! A final **sidecar** phase persists the run's answers — candidate
+//! annotations and traffic geometries — into the cross-session memo
+//! sidecar (`--sidecar PATH`, or a temp file removed afterwards) and
+//! replays the full enumeration twice on fresh threads — a fresh thread
+//! owns a fresh thread-local arena and an empty annotation cache, the
+//! closest a single process gets to a restart. The cold replay
+//! re-derives everything; the warmed replay installs the sidecar first
+//! and answers every annotation from it. The phase asserts the two
+//! produce byte-identical per-candidate results and that the warmed
+//! replay's candidates/second is at least the cold one's, and emits a
 //! `sidecar-rewarm` summary row (`cold_process_candidates_per_s`,
 //! `sidecar_candidates_per_s`, `sidecar_speedup`, load time, entry and
-//! warm-hit counts). A matching `traffic-rewarm` row replays the
+//! annotation warm-hit counts). A matching `traffic-rewarm` row replays the
 //! pricing jobs the same way: a cold process traces every geometry, a
 //! sidecar-warmed one re-times from the persisted traffic memo, and
 //! the two must price bit-identically.
@@ -91,11 +92,6 @@ fn per_second(count: usize, secs: f64) -> f64 {
     count as f64 / secs.max(1e-9)
 }
 
-/// Enumerates every workload once on the *calling* thread and returns
-/// `(candidates, seconds, per-candidate result lines, memo hit rate)`.
-/// Run on a fresh `std::thread` this is a cold-process stand-in: the
-/// thread-local arena and annotation cache start empty, so the only
-/// possible warm-up is whatever a sidecar installed beforehand.
 /// The `(layout, workload)` pricing jobs of a kind's legacy space,
 /// built on the calling thread so candidate-construction cost stays
 /// out of the timed pricing loops.
@@ -125,6 +121,11 @@ fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec
     (jobs.len(), secs, ests, rate(h, m))
 }
 
+/// Enumerates every workload once on the *calling* thread and returns
+/// `(candidates, seconds, per-candidate result lines, memo hit rate)`.
+/// Run on a fresh `std::thread` this is a cold-process stand-in: the
+/// thread-local arena and annotation cache start empty, so the only
+/// possible warm-up is whatever a sidecar installed beforehand.
 fn fresh_enumeration(kinds: &[WorkloadKind]) -> (usize, f64, Vec<String>, f64) {
     let before = arena_stats();
     let t = Instant::now();
@@ -411,8 +412,7 @@ fn main() {
             let warm = lego_tune::sidecar::load_and_install(&path);
             let load_s = t.elapsed().as_secs_f64();
             let r = fresh_enumeration(&kinds);
-            let (_, ann_hits) = lego_tune::space::annotate_sidecar_stats();
-            let hits = arena_stats().sidecar_hits + ann_hits;
+            let (_, hits) = lego_tune::space::annotate_sidecar_stats();
             (r, load_s, warm.installed(), hits)
         })
         .join()

@@ -136,16 +136,15 @@ pub fn sidecar_from_args() -> Option<std::path::PathBuf> {
 }
 
 /// Warm-start this thread from the `--sidecar` file, if one was given:
-/// installs the persisted expression memos and candidate annotations
+/// installs the persisted candidate annotations and traffic geometries
 /// and prints what got re-warmed. Returns the path for
 /// [`sidecar_teardown`].
 pub fn sidecar_setup() -> Option<std::path::PathBuf> {
     let path = sidecar_from_args()?;
     let warm = lego_tune::sidecar::load_and_install(&path);
     println!(
-        "-- sidecar {}: installed {} expr memo entries + {} annotations + {} traffic geometries --",
+        "-- sidecar {}: installed {} annotations + {} traffic geometries --",
         path.display(),
-        warm.exprs.installed(),
         warm.annotations,
         warm.traffics
     );

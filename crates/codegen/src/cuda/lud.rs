@@ -51,7 +51,21 @@ __global__ void lud_internal_coarsened(float* m, int matrix_dim, int offset) {
 }
 "#;
 
-/// Builds the coarsened thread layout and kernel source.
+/// The coarsened thread layout `TileBy([R,R],[T,T]).OrderBy(Row(R·T,
+/// R·T))`: logical `[R, R, T, T]` view → LUD-block flat index. Layout
+/// construction only — no index expression is lowered or simplified.
+///
+/// # Errors
+///
+/// Propagates layout construction errors.
+pub fn layout(r: i64, t: i64) -> Result<Layout> {
+    let bs = r * t;
+    sugar::tile_by([vec![Expr::val(r); 2], vec![Expr::val(t); 2]])?
+        .order_by(OrderBy::new([sugar::row([bs, bs])?])?)
+        .build()
+}
+
+/// Builds the coarsened thread layout ([`layout`]) and kernel source.
 ///
 /// `r` is the per-dimension coarsening factor and `t` the CUDA block
 /// side; the LUD block side is `r*t`.
@@ -61,9 +75,7 @@ __global__ void lud_internal_coarsened(float* m, int matrix_dim, int offset) {
 /// Propagates layout construction errors.
 pub fn generate(r: i64, t: i64) -> Result<LudKernel> {
     let bs = r * t;
-    let layout = sugar::tile_by([vec![Expr::val(r); 2], vec![Expr::val(t); 2]])?
-        .order_by(OrderBy::new([sugar::row([bs, bs])?])?)
-        .build()?;
+    let layout = layout(r, t)?;
 
     let mut env = RangeEnv::new();
     env.set_bounds("ri", Expr::zero(), Expr::val(r));

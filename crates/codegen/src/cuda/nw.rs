@@ -54,18 +54,31 @@ __global__ void nw_kernel(float* ref, float* matrix, int cols, int penalty, int 
 }
 "#;
 
-/// Builds the two buffer layouts and the wrapper source for an NW block
-/// size `b` (buffer side `n = b + 1`).
+/// The two `(b+1)×(b+1)` buffer layouts for an NW block size `b`:
+/// `(baseline row-major, LEGO anti-diagonal)`. Layout construction
+/// only — no index expression is lowered or simplified.
+///
+/// # Errors
+///
+/// Propagates layout construction errors.
+pub fn layouts(b: i64) -> Result<(Layout, Layout)> {
+    let n = b + 1;
+    let baseline = Layout::identity([n, n])?;
+    let optimized = Layout::builder([n, n])
+        .order_by(OrderBy::new([antidiag(n)?])?)
+        .build()?;
+    Ok((baseline, optimized))
+}
+
+/// Builds the two buffer layouts ([`layouts`]) and the wrapper source
+/// for an NW block size `b` (buffer side `n = b + 1`).
 ///
 /// # Errors
 ///
 /// Propagates layout construction errors.
 pub fn generate(b: i64) -> Result<NwKernel> {
     let n = b + 1;
-    let baseline = Layout::identity([n, n])?;
-    let optimized = Layout::builder([n, n])
-        .order_by(OrderBy::new([antidiag(n)?])?)
-        .build()?;
+    let (baseline, optimized) = layouts(b)?;
 
     let mut env = RangeEnv::new();
     env.set_bounds("i", Expr::zero(), Expr::val(n));

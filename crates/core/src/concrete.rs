@@ -26,8 +26,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime of the layout fingerprint.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A constant-shaped [`Layout`] compiled into lookup tables (see the
-/// [module docs](self)). Built by [`Layout::compile`].
+/// A constant-shaped [`Layout`] compiled into lookup tables: a flat
+/// forward table and its inverse (none when the map is the identity).
+/// Built by [`Layout::compile`].
 ///
 /// # Examples
 ///

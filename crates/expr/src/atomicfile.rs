@@ -1,7 +1,7 @@
 //! Concurrent-writer-safe file replacement.
 //!
-//! Both persistent stores in the workspace — the tuning cache
-//! (`lego-tune`) and the expression memo sidecar ([`crate::sidecar`]) —
+//! Both persistent stores in the workspace — the tuning cache and the
+//! memo sidecar (both in `lego-tune`) —
 //! follow the same read-modify-write discipline: serialize same-file
 //! writers within the process behind a per-canonical-path mutex
 //! ([`path_lock`]), then replace the document via a unique tempfile and

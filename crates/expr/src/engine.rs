@@ -54,27 +54,6 @@ impl Engine {
         Engine { env }
     }
 
-    /// Loads the persistent memo sidecar at `path` and installs its
-    /// entries into *this thread's* memo tables, so subsequent
-    /// [`Engine::simplify`] / [`Engine::op_count`] calls (from any engine —
-    /// the tables are shared) hit warm. A missing, stale, or corrupt
-    /// sidecar installs nothing; see [`crate::sidecar`] for the
-    /// invalidation contract.
-    pub fn load_sidecar(path: &std::path::Path) -> crate::sidecar::InstallReport {
-        crate::sidecar::Sidecar::load(path).install()
-    }
-
-    /// Snapshots this thread's derived results and merges them into the
-    /// sidecar at `path` atomically (concurrent savers cannot lose each
-    /// other's entries).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_sidecar(path: &std::path::Path) -> std::io::Result<()> {
-        crate::sidecar::Sidecar::collect().save(path)
-    }
-
     /// The environment the passes are conditioned on.
     pub fn env(&self) -> &RangeEnv {
         &self.env

@@ -190,7 +190,7 @@ pub(crate) struct Node {
 /// light local canonicalization (constant folding, flattening, operand
 /// sorting) and then hash-conses the node, so structurally identical
 /// expressions share one allocation; the full rewriting lives in
-/// [`crate::simplify()`].
+/// [`crate::Engine::simplify`].
 ///
 /// Equality, ordering and hashing are *structural* (unchanged from the
 /// tree representation), but accelerated: two handles to the same node

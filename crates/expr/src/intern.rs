@@ -106,12 +106,11 @@ pub struct ArenaStats {
     pub expand_hits: u64,
     /// `expand` results computed.
     pub expand_misses: u64,
-    /// Memo entries installed from a persistent sidecar
-    /// ([`crate::sidecar`]) rather than derived this session.
-    pub sidecar_installed: u64,
-    /// Memo hits served by sidecar-installed entries (a subset of the
-    /// per-table hit counters above, broken out so consumers can see
-    /// how much a warm start is worth).
+    /// Memo hits served by entries installed from a persistent
+    /// sidecar. Always 0: the memo tables are per-process and nothing
+    /// installs into them. The persistent sidecar (`lego-tune`) carries
+    /// per-candidate answers instead, and counts its own hits. Kept for
+    /// API compatibility with existing readers of the counters.
     pub sidecar_hits: u64,
 }
 
@@ -159,9 +158,6 @@ impl ArenaStats {
             prove_misses: self.prove_misses.saturating_sub(earlier.prove_misses),
             expand_hits: self.expand_hits.saturating_sub(earlier.expand_hits),
             expand_misses: self.expand_misses.saturating_sub(earlier.expand_misses),
-            sidecar_installed: self
-                .sidecar_installed
-                .saturating_sub(earlier.sidecar_installed),
             sidecar_hits: self.sidecar_hits.saturating_sub(earlier.sidecar_hits),
         }
     }
@@ -217,17 +213,7 @@ struct ArenaInner {
     expand: HashMap<u64, Expr>,
     /// Canonical environment content → environment id.
     envs: HashMap<EnvKey, u64>,
-    /// Keys of memo entries installed from a persistent sidecar (see
-    /// [`crate::sidecar`]), tagged by table ([`SIDECAR_SIMPLIFY`] /
-    /// [`SIDECAR_OPCOUNT`]) — membership lets the `get` accessors
-    /// attribute hits to the warm start.
-    sidecar: std::collections::HashSet<(u8, u64, u64)>,
 }
-
-/// Sidecar-origin tag for the `simplify` table.
-const SIDECAR_SIMPLIFY: u8 = 0;
-/// Sidecar-origin tag for the `opcount` table.
-const SIDECAR_OPCOUNT: u8 = 1;
 
 /// Canonical content of a `RangeEnv`, in node ids: sorted
 /// `(symbol, lo, hi)` bounds and sorted divisibility facts.
@@ -267,7 +253,6 @@ pub fn reset_memos() {
         a.prove_unary.clear();
         a.prove_lt.clear();
         a.expand.clear();
-        a.sidecar.clear();
     });
     STATS.with(|s| s.set(ArenaStats::default()));
 }
@@ -308,24 +293,11 @@ pub(crate) fn intern_env(key: EnvKey) -> u64 {
 // borrow is held while computing).
 
 pub(crate) fn simplify_get(env: u64, expr: u64) -> Option<Expr> {
-    let hit = ARENA.with(|a| {
-        let a = a.borrow();
-        a.simplify.get(&(env, expr)).map(|r| {
-            (
-                r.clone(),
-                a.sidecar.contains(&(SIDECAR_SIMPLIFY, env, expr)),
-            )
-        })
-    });
-    hit.map(|(r, warm)| {
-        bump(|s| {
-            s.simplify_hits += 1;
-            if warm {
-                s.sidecar_hits += 1;
-            }
-        });
-        r
-    })
+    let hit = ARENA.with(|a| a.borrow().simplify.get(&(env, expr)).cloned());
+    if hit.is_some() {
+        bump(|s| s.simplify_hits += 1);
+    }
+    hit
 }
 
 pub(crate) fn simplify_insert(env: u64, expr: u64, result: Expr) {
@@ -347,21 +319,11 @@ pub(crate) fn pass_insert(env: u64, expr: u64, result: Expr) {
 }
 
 pub(crate) fn opcount_get(expr: u64) -> Option<usize> {
-    let hit = ARENA.with(|a| {
-        let a = a.borrow();
-        a.opcount
-            .get(&expr)
-            .map(|n| (*n, a.sidecar.contains(&(SIDECAR_OPCOUNT, expr, 0))))
-    });
-    hit.map(|(n, warm)| {
-        bump(|s| {
-            s.opcount_hits += 1;
-            if warm {
-                s.sidecar_hits += 1;
-            }
-        });
-        n
-    })
+    let hit = ARENA.with(|a| a.borrow().opcount.get(&expr).copied());
+    if hit.is_some() {
+        bump(|s| s.opcount_hits += 1);
+    }
+    hit
 }
 
 pub(crate) fn opcount_insert(expr: u64, n: usize) {
@@ -419,86 +381,6 @@ pub(crate) fn expand_get(expr: u64) -> Option<Expr> {
 pub(crate) fn expand_insert(expr: u64, result: Expr) {
     ARENA.with(|a| a.borrow_mut().expand.insert(expr, result));
     bump(|s| s.expand_misses += 1);
-}
-
-// ---- sidecar install / snapshot ----------------------------------------
-//
-// The persistent sidecar (`crate::sidecar`) re-warms the memo tables
-// from disk. Installs never overwrite an entry the session already
-// derived (the session's own result is at least as fresh), count as
-// `sidecar_installed` rather than misses, and mark their key so the
-// `get` accessors above can attribute subsequent hits to the warm
-// start. The snapshot is the reverse direction: a copy of everything
-// the sidecar persists, taken in one borrow.
-
-/// Installs a fixpoint-simplify result loaded from a sidecar. Returns
-/// `true` if the entry was fresh (not already derived this session).
-pub(crate) fn sidecar_install_simplify(env: u64, expr: u64, result: Expr) -> bool {
-    let fresh = ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        if a.simplify.contains_key(&(env, expr)) {
-            return false;
-        }
-        a.simplify.insert((env, expr), result);
-        a.sidecar.insert((SIDECAR_SIMPLIFY, env, expr));
-        true
-    });
-    if fresh {
-        bump(|s| s.sidecar_installed += 1);
-    }
-    fresh
-}
-
-/// Installs an op-count result loaded from a sidecar.
-pub(crate) fn sidecar_install_opcount(expr: u64, n: usize) -> bool {
-    let fresh = ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        if a.opcount.contains_key(&expr) {
-            return false;
-        }
-        a.opcount.insert(expr, n);
-        a.sidecar.insert((SIDECAR_OPCOUNT, expr, 0));
-        true
-    });
-    if fresh {
-        bump(|s| s.sidecar_installed += 1);
-    }
-    fresh
-}
-
-/// A copy of everything the sidecar persists from this thread's arena:
-/// the live nodes (to resolve memo-key ids back to structures), the
-/// interned environments, and the contents of the persistable tables.
-pub(crate) struct MemoSnapshot {
-    /// Node id → interned expression, for every node this thread knows.
-    pub exprs: HashMap<u64, Expr>,
-    /// Environment id → canonical content.
-    pub envs: HashMap<u64, EnvKey>,
-    /// `(env, expr, result)` rows of the simplify table.
-    pub simplify: Vec<(u64, u64, Expr)>,
-    /// `(expr, count)` rows of the opcount table.
-    pub opcount: Vec<(u64, usize)>,
-}
-
-/// Snapshots the persistable memo state of the current thread's arena.
-pub(crate) fn snapshot() -> MemoSnapshot {
-    ARENA.with(|a| {
-        let a = a.borrow();
-        MemoSnapshot {
-            exprs: a
-                .nodes
-                .iter()
-                .map(|n| (n.0.id().get(), n.0.clone()))
-                .collect(),
-            envs: a.envs.iter().map(|(k, id)| (*id, k.clone())).collect(),
-            simplify: a
-                .simplify
-                .iter()
-                .map(|((env, expr), r)| (*env, *expr, r.clone()))
-                .collect(),
-            opcount: a.opcount.iter().map(|(expr, n)| (*expr, *n)).collect(),
-        }
-    })
 }
 
 // ---- structural hashing -------------------------------------------------

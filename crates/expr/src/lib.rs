@@ -21,13 +21,10 @@
 //!   analysis, op counting, expansion and depth-0 proof facts are all
 //!   memoized per `(environment, node)` for the session, so shared
 //!   subtrees are processed once across an entire tuner enumeration
-//!   ([`intern::stats`] reports the hit rates);
-//! * a persistent memo **sidecar** ([`sidecar`]) that carries those
-//!   derived results across processes: structural-keyed on-disk storage
-//!   for simplified forms and op counts, re-interned on load
-//!   ([`Engine::load_sidecar`] / [`Engine::save_sidecar`]) and
-//!   invalidated wholesale when the schema or the rewrite-rule table
-//!   fingerprint changes;
+//!   ([`intern::stats`] reports the hit rates). The memos are
+//!   per-process: what persists across processes is the tuner's
+//!   answer per candidate (variant and op count), in `lego-tune`'s
+//!   sidecar, never the derivations behind it;
 //! * expression expansion and the op-count cost model ([`cost`]) that
 //!   picks expanded vs. unexpanded variants (NW vs. LUD);
 //! * printers for Python/Triton, C/CUDA, and MLIR (`printer`).
@@ -63,7 +60,6 @@ pub mod printer;
 pub mod prove;
 pub mod range;
 pub mod rules;
-pub mod sidecar;
 pub mod simplify;
 pub mod subst;
 
@@ -73,5 +69,4 @@ pub use expr::{isqrt64, CmpOp, Cond, Expr, ExprKind};
 pub use intern::{ArenaStats, ExprId};
 pub use range::{NumRange, RangeEnv, SymBounds};
 pub use rules::{RewriteRule, RuleStats};
-pub use sidecar::{InstallReport, Sidecar};
 pub use subst::{eval, eval_cond, eval_lane, map_ranges, subst, transform, Bindings, EvalError};

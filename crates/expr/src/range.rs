@@ -215,7 +215,7 @@ impl RangeEnv {
     /// The environment's session identity: environments with identical
     /// content (same bounds, same divisibility facts, by interned node
     /// identity) share one id, which keys the per-environment memo
-    /// tables of [`crate::simplify()`], [`RangeEnv::num_range`] and the
+    /// tables of [`crate::Engine::simplify`], [`RangeEnv::num_range`] and the
     /// prover. Computed once and cached; any mutation invalidates it.
     pub fn id(&self) -> u64 {
         *self.interned.get_or_init(|| {
@@ -273,18 +273,6 @@ impl RangeEnv {
                 hi: Some(hi),
             },
         );
-        self.touch();
-        self
-    }
-
-    /// Declares bounds where either side may be absent: `lo <= name`
-    /// and/or `name < hi`. Replaces any earlier bounds for `name`. This
-    /// is the general form [`RangeEnv::set_bounds`], [`RangeEnv::assume_pos`]
-    /// and [`RangeEnv::assume_nonneg`] special-case; the persistent memo
-    /// sidecar uses it to reconstruct environments whose symbols carry
-    /// only one-sided bounds.
-    pub fn set_bounds_opt(&mut self, name: &str, lo: Option<Expr>, hi: Option<Expr>) -> &mut Self {
-        self.bounds.insert(name.to_string(), SymBounds { lo, hi });
         self.touch();
         self
     }

@@ -91,10 +91,10 @@ impl RewriteRule {
 
 /// A fingerprint of the whole rewrite-rule registry: an FNV-1a hash
 /// over the rule count and names, in declaration order. The persistent
-/// memo sidecar ([`crate::sidecar`]) stamps its documents with this
+/// memo sidecar (`lego_tune::sidecar`) stamps its documents with this
 /// value, so adding, removing, or renaming a rule invalidates every
-/// persisted derived form wholesale — a rule change can never serve
-/// stale simplifications.
+/// persisted candidate annotation wholesale — a rule change can never
+/// serve an op count derived under the old rules.
 pub fn table_fingerprint() -> u64 {
     let mut h = crate::intern::Fnv::new();
     h.u64(RewriteRule::ALL.len() as u64);

@@ -27,8 +27,8 @@ options:
   --cache PATH         persistent tuning-cache file (default TUNE_CACHE.json;
                        \"none\" disables persistence)
   --sidecar PATH       persistent memo sidecar: re-warms every worker's
-                       expression/annotation memo tables at startup and
-                       flushes the merged derived results on shutdown
+                       candidate-annotation cache and traffic memo at
+                       startup and flushes the merged results on shutdown
                        (default none; \"none\" disables)
   --device-default D   device when a request names none: a100|h100|mi300
                        (default a100)

@@ -52,9 +52,8 @@ struct Inner {
     /// Latest arena snapshot per worker thread (counters are monotone
     /// per thread, so "latest" is "total").
     arena: BTreeMap<usize, ArenaStats>,
-    /// Latest `(installed, hits)` of sidecar-imported *annotations* per
-    /// worker thread (same monotone-snapshot convention). The arena's
-    /// own sidecar counters ride along in `arena`.
+    /// Latest `(installed, hits)` of sidecar-imported annotations per
+    /// worker thread (same monotone-snapshot convention).
     ann_sidecar: BTreeMap<usize, (u64, u64)>,
     /// Latest `(hits, misses)` of the traffic memo — the cost model's
     /// geometry-keyed trace cache — per worker thread (same
@@ -212,9 +211,9 @@ impl Metrics {
             }
         };
 
-        // Sidecar warm-start attribution: arena memo hits served from
-        // installed entries plus annotation-cache hits served from
-        // imported entries, summed across workers.
+        // Sidecar warm-start attribution: annotation-cache entries
+        // imported at startup and the hits served from them, summed
+        // across workers.
         let (ann_installed, ann_hits) = inner
             .ann_sidecar
             .values()
@@ -231,14 +230,8 @@ impl Metrics {
         Json::obj([
             ("ok", Json::Bool(true)),
             ("uptime_s", Json::num(uptime_s)),
-            (
-                "sidecar_warm_hits",
-                Json::Int((arena.sidecar_hits + ann_hits) as i64),
-            ),
-            (
-                "sidecar_installed",
-                Json::Int((arena.sidecar_installed + ann_installed) as i64),
-            ),
+            ("sidecar_warm_hits", Json::Int(ann_hits as i64)),
+            ("sidecar_installed", Json::Int(ann_installed as i64)),
             ("requests", Json::Int(inner.requests as i64)),
             ("qps", Json::num(inner.requests as f64 / uptime_s)),
             ("errors", Json::Int(inner.errors as i64)),
@@ -329,7 +322,6 @@ fn add_stats(a: &ArenaStats, b: &ArenaStats) -> ArenaStats {
         prove_misses: a.prove_misses + b.prove_misses,
         expand_hits: a.expand_hits + b.expand_hits,
         expand_misses: a.expand_misses + b.expand_misses,
-        sidecar_installed: a.sidecar_installed + b.sidecar_installed,
         sidecar_hits: a.sidecar_hits + b.sidecar_hits,
     }
 }

@@ -50,10 +50,10 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Persistent tuning-cache path (`None` = memory only).
     pub cache: Option<PathBuf>,
-    /// Persistent memo-sidecar path (`None` = cold worker arenas).
-    /// Loaded once at startup to re-warm every worker's memo tables;
-    /// the merged per-worker derived results are flushed back on
-    /// graceful shutdown.
+    /// Persistent memo-sidecar path (`None` = cold workers). Loaded
+    /// once at startup to re-warm every worker's annotation cache and
+    /// traffic memo; the merged per-worker derived results are flushed
+    /// back on graceful shutdown.
     pub sidecar: Option<PathBuf>,
     /// Device used when a request names none.
     pub device_default: GpuConfig,

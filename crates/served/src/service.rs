@@ -164,7 +164,7 @@ pub struct TuneService {
     cache: Option<TuningCache>,
     /// Persistent memo-sidecar path (`None` = no persistence). The
     /// document is parsed once at startup; every worker installs it
-    /// into its thread-local memo tables before serving
+    /// into its thread-local caches before serving
     /// ([`TuneService::warm_worker`]) and contributes its derived
     /// results back on drain ([`TuneService::harvest_worker`]), so the
     /// shutdown flush writes one merged document.
@@ -183,7 +183,7 @@ pub struct TuneService {
 impl TuneService {
     /// A service persisting to `cache_path` (None = in-memory only),
     /// preloading every persisted entry into the memory tier, and
-    /// re-warming worker memo tables from the sidecar at `sidecar_path`
+    /// re-warming worker caches from the sidecar at `sidecar_path`
     /// (None = cold workers, no persistence).
     pub fn new(
         default_device: GpuConfig,
@@ -214,7 +214,7 @@ impl TuneService {
     }
 
     /// Installs the startup sidecar into the calling worker thread's
-    /// memo tables and publishes the resulting warm counters. Workers
+    /// caches and publishes the resulting warm counters. Workers
     /// call this once, before taking connections.
     pub fn warm_worker(&self, idx: usize) {
         if let Some(sc) = &self.sidecar_in {

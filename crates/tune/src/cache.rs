@@ -781,7 +781,7 @@ mod tests {
                         frontier: vec![],
                     };
                     barrier.wait();
-                    let mut sc = lego_expr::Sidecar::new();
+                    let mut sc = crate::sidecar::Sidecar::new();
                     sc.set_annotation(&format!("conc-{t}"), "v");
                     sc.save(&sidecar_path).unwrap();
                     if t % 2 == 0 {
@@ -833,7 +833,7 @@ mod tests {
             }
         }
         // Every thread's sidecar merge survived the same race.
-        let sc = lego_expr::Sidecar::load(&sidecar_path);
+        let sc = crate::sidecar::Sidecar::load(&sidecar_path);
         for t in 0..THREADS {
             assert!(
                 sc.annotations().any(|(k, _)| k == format!("conc-{t}")),

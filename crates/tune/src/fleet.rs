@@ -650,9 +650,9 @@ impl FleetDriver {
     }
 
     /// Attaches a persistent memo sidecar: every worker thread installs
-    /// it before taking work (so annotation and expression memos start
-    /// warm), and the per-worker derived results are merged into *one*
-    /// atomic sidecar write at the end of the run.
+    /// it before taking work (so the annotation cache and traffic memo
+    /// start warm), and the per-worker derived results are merged into
+    /// *one* atomic sidecar write at the end of the run.
     #[must_use]
     pub fn with_sidecar(mut self, path: impl Into<std::path::PathBuf>) -> FleetDriver {
         self.sidecar = Some(path.into());
@@ -730,7 +730,7 @@ impl FleetDriver {
         let dirty: Mutex<Vec<Option<CachedTuning>>> = Mutex::new(vec![None; n]);
 
         // The persistent memo sidecar is parsed once here; each worker
-        // installs it into its own thread-local memo tables before
+        // installs it into its own thread-local caches before
         // taking work, and contributes its derived results to one
         // merged document persisted in a single atomic write below.
         let sidecar_in = self

@@ -140,8 +140,9 @@ impl WorkloadKind {
     /// # Errors
     ///
     /// Unknown family, malformed parameter list, missing/extra/
-    /// non-positive parameters, or a problem whose element count
-    /// overflows `i64`.
+    /// non-positive parameters, a problem whose element count
+    /// overflows `i64`, or a problem smaller than its default
+    /// configuration's tile or block.
     pub fn parse(name: &str) -> std::result::Result<WorkloadKind, String> {
         let s = name.trim();
         let (family, rest) = s
@@ -227,7 +228,30 @@ impl WorkloadKind {
                 "workload {s:?}: problem element count overflows i64"
             ));
         }
+        if let Some((param, size, tile)) = kind.undersized() {
+            return Err(format!(
+                "workload {s:?}: {param}={size} is smaller than the default \
+                 configuration's tile or block ({tile})"
+            ));
+        }
         Ok(kind)
+    }
+
+    /// `(parameter, size, tile)` when the problem side is smaller than
+    /// the default configuration's tile or block — the default would
+    /// cover zero tiles and price only launch overhead — else `None`.
+    /// Matmul's smallest default tile is 64, transpose's 32, a
+    /// stencil's lane extent at least 8; NW and LUD name their block.
+    fn undersized(&self) -> Option<(&'static str, i64, i64)> {
+        let (param, size, tile) = match *self {
+            WorkloadKind::Matmul { n } => ("n", n, 64),
+            WorkloadKind::Transpose { n } => ("n", n, 32),
+            WorkloadKind::Stencil { n, .. } => ("n", n, 8),
+            WorkloadKind::Nw { n, b } => ("n", n, b),
+            WorkloadKind::Lud { n, bs } => ("n", n, bs),
+            WorkloadKind::Rowwise { .. } => return None,
+        };
+        (size < tile).then_some((param, size, tile))
     }
 
     /// Elements of the problem's largest array (`n²`, `n³` for
@@ -420,7 +444,7 @@ impl Candidate {
 /// round-trip through [`WorkloadKind::parse`] / `config_from_json`);
 /// values encode the annotation as `"{variant}|{ops}"` with `u`/`x`
 /// for unexpanded/expanded and `-` for `None`.
-pub fn export_annotations(sidecar: &mut lego_expr::Sidecar) {
+pub fn export_annotations(sidecar: &mut crate::sidecar::Sidecar) {
     ANNOTATE_CACHE.with(|c| {
         for ((kind, config), ((variant, ops), _)) in c.borrow().iter() {
             let key = format!(
@@ -447,7 +471,7 @@ pub fn export_annotations(sidecar: &mut lego_expr::Sidecar) {
 /// has already derived are kept — never overwritten by disk state).
 /// Unparseable keys or values are skipped: they belong to a foreign or
 /// future encoding and simply never warm anything.
-pub fn import_annotations(sidecar: &lego_expr::Sidecar) -> u64 {
+pub fn import_annotations(sidecar: &crate::sidecar::Sidecar) -> u64 {
     let mut fresh = 0;
     ANNOTATE_CACHE.with(|c| {
         let mut cache = c.borrow_mut();
@@ -678,18 +702,19 @@ pub fn build_layout(kind: &WorkloadKind, config: &TunedConfig) -> Result<Layout>
             StencilLayoutChoice::RowMajorY | StencilLayoutChoice::RowMajorZ => row_major3d(*n),
             StencilLayoutChoice::Brick { b } => brick3d(*n, *b),
         },
-        // NW and LUD layouts come from the generators themselves, so
-        // the layout the tuner ranks is by construction the layout
-        // `from_tuned` will emit a kernel for.
+        // NW and LUD layouts come from the functions the generators
+        // build their kernels around, so the layout the tuner ranks is
+        // by construction the layout `from_tuned` will emit a kernel
+        // for — without rendering that kernel per candidate.
         (WorkloadKind::Nw { .. }, TunedConfig::Nw { b, layout }) => {
-            let k = lego_codegen::cuda::nw::generate(*b)?;
+            let (baseline, optimized) = lego_codegen::cuda::nw::layouts(*b)?;
             Ok(match layout {
-                NwLayoutChoice::RowMajor => k.baseline,
-                NwLayoutChoice::Antidiag => k.optimized,
+                NwLayoutChoice::RowMajor => baseline,
+                NwLayoutChoice::Antidiag => optimized,
             })
         }
         (WorkloadKind::Lud { .. }, TunedConfig::Lud { r, t }) => {
-            Ok(lego_codegen::cuda::lud::generate(*r, *t)?.layout)
+            lego_codegen::cuda::lud::layout(*r, *t)
         }
         // The rowwise lane block: one program's `BS`-wide row slice,
         // unit-stride by construction (the generated kernels index it as
@@ -999,6 +1024,32 @@ mod tests {
         );
     }
 
+    /// Pricing a candidate only needs its layout: building an NW or LUD
+    /// layout must not run the kernel generator (lowering, simplify,
+    /// C printing, template rendering) behind `from_tuned`.
+    #[test]
+    fn nw_and_lud_layouts_build_without_simplifying() {
+        for kind in [
+            WorkloadKind::Nw { n: 256, b: 16 },
+            WorkloadKind::Nw { n: 448, b: 16 },
+            WorkloadKind::Lud { n: 256, bs: 16 },
+            WorkloadKind::Lud { n: 512, bs: 16 },
+        ] {
+            let space = SearchSpace::enumerate(kind);
+            let before = lego_expr::intern::stats();
+            for c in &space.candidates {
+                build_layout(&kind, &c.config).expect("legacy candidates build");
+            }
+            let after = lego_expr::intern::stats();
+            assert_eq!(
+                (after.simplify_hits, after.simplify_misses),
+                (before.simplify_hits, before.simplify_misses),
+                "{}: build_layout ran the simplifier",
+                kind.name()
+            );
+        }
+    }
+
     #[test]
     fn workload_parse_rejects_malformed_names() {
         for bad in [
@@ -1018,11 +1069,29 @@ mod tests {
             "matmul(n=99999999999)",              // n² overflows i64
             "stencil(star-7pt,n=3000000)",        // n³ overflows i64
             "softmax(m=4294967296,n=4294967296)", // m·n overflows i64
+            "matmul(n=33)",                       // below the 64 tile
+            "matmul(n=63)",                       // below the 64 tile
+            "transpose(n=16)",                    // below the 32 tile
+            "nw(n=8,b=16)",                       // block larger than n
+            "lud(n=8,bs=16)",                     // block larger than n
+            "stencil(star-7pt,n=2)",              // below the 8 lanes
         ] {
             assert!(WorkloadKind::parse(bad).is_err(), "{bad:?} must not parse");
         }
         let err = WorkloadKind::parse("matmul(n=99999999999)").unwrap_err();
         assert!(err.contains("overflows i64"), "{err}");
+        let err = WorkloadKind::parse("matmul(n=33)").unwrap_err();
+        assert!(err.contains("smaller than the default"), "{err}");
+        // The smallest sizes the default configurations cover.
+        for edge in [
+            "matmul(n=64)",
+            "transpose(n=32)",
+            "lud(n=16,bs=16)",
+            "nw(n=16,b=16)",
+            "stencil(star-7pt,n=8)",
+        ] {
+            assert!(WorkloadKind::parse(edge).is_ok(), "{edge:?} must parse");
+        }
         // The largest square side whose element count still fits.
         assert_eq!(
             WorkloadKind::parse("matmul(n=3037000499)"),

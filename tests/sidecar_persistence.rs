@@ -1,18 +1,19 @@
 //! Cross-session persistence properties of the memo sidecar.
 //!
 //! The sidecar's contract has three legs, each pinned here at the
-//! workspace level (the unit suites in `lego-expr` and `lego-tune`
-//! cover the encoding; these tests cover the *process-boundary*
-//! behavior the consumers rely on):
+//! workspace level (the unit suite in `lego_tune::sidecar` covers the
+//! document format; these tests cover the *process-boundary* behavior
+//! the consumers rely on):
 //!
-//! 1. **Round trip** — derived results collected on one thread and
-//!    re-installed on a fresh thread (a fresh thread-local arena and an
-//!    empty annotation cache: the closest a single process gets to a
-//!    restart) reproduce bit-identical candidate results, and the
+//! 1. **Round trip** — candidate annotations collected on one thread
+//!    and re-installed on a fresh thread (a fresh thread-local arena
+//!    and an empty annotation cache: the closest a single process gets
+//!    to a restart) reproduce bit-identical candidate results, and the
 //!    re-saved file is byte-identical to the original.
 //! 2. **Staleness** — a schema-version or rewrite-rule-fingerprint
-//!    mismatch silently ignores the whole file: consumers re-derive
-//!    from scratch, nothing crashes, nothing half-installs.
+//!    mismatch, or a row of a section the format no longer has,
+//!    silently ignores the whole file: consumers re-derive from
+//!    scratch, nothing crashes, nothing half-installs.
 //! 3. **Corruption** — truncated or garbled files degrade to a cold
 //!    start: loads never panic, and whatever survives the integrity
 //!    checks never changes a derived result.
@@ -26,7 +27,7 @@ use prop_support::Rng;
 
 /// The workloads the properties enumerate — small enough that a fresh
 /// thread re-derives them in milliseconds, varied enough to exercise
-/// simplify, op-count, and annotation rows.
+/// both expression variants in the annotation rows.
 fn kinds() -> Vec<WorkloadKind> {
     vec![
         WorkloadKind::Matmul { n: 256 },
@@ -67,8 +68,8 @@ fn enumerate_lines() -> Vec<String> {
 
 /// Runs `enumerate_lines` on a brand-new thread after installing the
 /// sidecar at `path` (when given), returning the result lines plus how
-/// many entries the install put in and how many sidecar hits the
-/// enumeration scored.
+/// many entries the install put in and how many annotation hits the
+/// enumeration scored on installed entries.
 fn fresh_thread_enumeration(path: Option<PathBuf>) -> (Vec<String>, usize, u64) {
     std::thread::spawn(move || {
         let installed = match &path {
@@ -76,8 +77,7 @@ fn fresh_thread_enumeration(path: Option<PathBuf>) -> (Vec<String>, usize, u64) 
             None => 0,
         };
         let lines = enumerate_lines();
-        let (_, ann_hits) = lego_tune::annotate_sidecar_stats();
-        let hits = lego_expr::intern::stats().sidecar_hits + ann_hits;
+        let (_, hits) = lego_tune::annotate_sidecar_stats();
         (lines, installed, hits)
     })
     .join()
@@ -156,7 +156,9 @@ fn stale_schema_or_rule_fingerprint_is_silently_ignored() {
 
     // A future schema version and a foreign rule-table fingerprint must
     // both be ignored wholesale — stale derived results from another
-    // build must never be served.
+    // build must never be served. So must a document from a build that
+    // still persisted expression derivations: its `env`/`simplify`/
+    // `opcount` rows are not part of the format.
     let future = valid.replacen("lego-expr-sidecar v1 ", "lego-expr-sidecar v999 ", 1);
     let foreign = {
         let fp_at = header.len() - 16;
@@ -166,7 +168,21 @@ fn stale_schema_or_rule_fingerprint_is_silently_ignored() {
         assert_ne!(doc, valid, "fingerprint tamper was a no-op");
         doc
     };
-    for (name, doc) in [("future schema", future), ("foreign rules", foreign)] {
+    let legacy = format!(
+        "{header}\nenv 0 (E(b1:i_c0c8))\n\
+         simplify 0 0123456789abcdef (+y1:ic0) y1:i\n\
+         opcount 0123456789abcdef 0 y1:i\n{}",
+        valid
+            .lines()
+            .filter(|l| l.starts_with("ann ") || l.starts_with("traffic "))
+            .map(|l| format!("{l}\n"))
+            .collect::<String>()
+    );
+    for (name, doc) in [
+        ("future schema", future),
+        ("foreign rules", foreign),
+        ("expression sections", legacy),
+    ] {
         let stale = dir.join("stale.txt");
         std::fs::write(&stale, &doc).unwrap();
         assert!(
