@@ -1,31 +1,9 @@
 //! Arithmetic-operation accounting for Table IV.
 //!
 //! Table IV compares the arithmetic operations a user must *write* in the
-//! original Triton kernels against the LEGO versions. Two counters:
-//!
-//! * [`count_source_ops`] — counts `+ - * / // %` operators in marked
-//!   index-computation source lines (the colored boxes of Fig. 1);
-//! * [`GeneratedExprs`] — op counts of the expressions LEGO derived,
-//!   which end up *in generated code*, not user code.
-
-use lego_expr::{Engine, Expr};
-
-/// A named bundle of generated index expressions (one benchmark).
-#[derive(Clone, Debug)]
-pub struct GeneratedExprs {
-    /// Benchmark name.
-    pub name: String,
-    /// The generated expressions.
-    pub exprs: Vec<Expr>,
-}
-
-impl GeneratedExprs {
-    /// Total op count across the bundle.
-    pub fn total_ops(&self) -> usize {
-        let eng = Engine::new();
-        self.exprs.iter().map(|e| eng.op_count(e)).sum()
-    }
-}
+//! original Triton kernels against the LEGO versions: [`count_source_ops`]
+//! counts `+ - * / // %` operators in marked index-computation source
+//! lines (the colored boxes of Fig. 1).
 
 /// Counts arithmetic operators (`+ - * / %`, with `//` counted once) in a
 /// source snippet, ignoring comments, keyword arguments (`axis=0`),

@@ -11,7 +11,6 @@ use lego_core::{sugar, IdxArg, Result};
 use lego_expr::printer::python::{print, Flavor};
 use lego_expr::{Engine, Expr, RangeEnv};
 
-use crate::opcount::GeneratedExprs;
 use crate::template;
 use crate::triton::matmul::data_layout;
 
@@ -136,22 +135,6 @@ pub fn generate() -> Result<GroupedGemmKernel> {
         c_off,
         env: eng.env().clone(),
     })
-}
-
-impl GroupedGemmKernel {
-    /// Expression bundle for Table IV accounting.
-    pub fn generated_exprs(&self) -> GeneratedExprs {
-        GeneratedExprs {
-            name: "Grouped GEMM".to_string(),
-            exprs: vec![
-                self.pid_m.clone(),
-                self.pid_n.clone(),
-                self.a_off.clone(),
-                self.b_off.clone(),
-                self.c_off.clone(),
-            ],
-        }
-    }
 }
 
 #[cfg(test)]

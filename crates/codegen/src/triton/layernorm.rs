@@ -12,7 +12,6 @@ use lego_core::{IdxArg, Layout, LayoutError, Result};
 use lego_expr::printer::python::{print, Flavor};
 use lego_expr::{Engine, Expr, RangeEnv};
 
-use crate::opcount::GeneratedExprs;
 use crate::template;
 use crate::tuning::{RowwiseOp, TunedConfig};
 
@@ -190,19 +189,6 @@ pub fn from_tuned(config: &TunedConfig) -> Result<LayernormKernel> {
     let mut k = generate(pass)?;
     k.source = format!("# lego-tune: BS={bs}\n{}", k.source);
     Ok(k)
-}
-
-impl LayernormKernel {
-    /// Expression bundle for Table IV accounting.
-    pub fn generated_exprs(&self) -> GeneratedExprs {
-        GeneratedExprs {
-            name: match self.pass {
-                Pass::Fwd => "LayerNorm (FWD)".to_string(),
-                Pass::Bwd => "LayerNorm (BWD)".to_string(),
-            },
-            exprs: vec![self.x_off.clone(), self.col_off.clone()],
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,6 @@ use lego_core::{perms, sugar, IdxArg, Layout, LayoutError, OrderBy, Result};
 use lego_expr::printer::python::{print, Flavor};
 use lego_expr::{Engine, Expr, RangeEnv};
 
-use crate::opcount::GeneratedExprs;
 use crate::template;
 use crate::tuning::{ScheduleChoice, TunedConfig};
 
@@ -349,24 +348,6 @@ fn generate_from_pids(
         env: eng.env().clone(),
         variant,
     })
-}
-
-impl MatmulKernel {
-    /// The index expressions a user of the *plain Triton* version would
-    /// have to write by hand vs. the LEGO-generated ones — input for
-    /// Table IV.
-    pub fn generated_exprs(&self) -> GeneratedExprs {
-        GeneratedExprs {
-            name: format!("Matmul {}", self.variant.name()),
-            exprs: vec![
-                self.pid_m.clone(),
-                self.pid_n.clone(),
-                self.a_off.clone(),
-                self.b_off.clone(),
-                self.c_off.clone(),
-            ],
-        }
-    }
 }
 
 #[cfg(test)]

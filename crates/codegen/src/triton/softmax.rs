@@ -10,7 +10,6 @@ use lego_core::{IdxArg, Layout, LayoutError, Result};
 use lego_expr::printer::python::{print, Flavor};
 use lego_expr::{Engine, Expr, RangeEnv};
 
-use crate::opcount::GeneratedExprs;
 use crate::template;
 use crate::tuning::{RowwiseOp, TunedConfig};
 
@@ -95,16 +94,6 @@ pub fn from_tuned(config: &TunedConfig) -> Result<SoftmaxKernel> {
     let mut k = generate()?;
     k.source = format!("# lego-tune: BS={bs}\n{}", k.source);
     Ok(k)
-}
-
-impl SoftmaxKernel {
-    /// Expression bundle for Table IV accounting.
-    pub fn generated_exprs(&self) -> GeneratedExprs {
-        GeneratedExprs {
-            name: "Softmax".to_string(),
-            exprs: vec![self.row_off.clone()],
-        }
-    }
 }
 
 #[cfg(test)]

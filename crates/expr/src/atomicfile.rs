@@ -1,13 +1,13 @@
 //! Concurrent-writer-safe file replacement.
 //!
-//! Both persistent stores in the workspace — the tuning cache and the
-//! memo sidecar (both in `lego-tune`) —
-//! follow the same read-modify-write discipline: serialize same-file
+//! The persistence journal (`lego_tune::journal`, the one format behind
+//! both the tuning cache and the memo sidecar) serializes same-file
 //! writers within the process behind a per-canonical-path mutex
-//! ([`path_lock`]), then replace the document via a unique tempfile and
-//! an atomic rename ([`write_atomic`]) so a concurrent reader can never
-//! observe a torn file. This module is that shared discipline, extracted
-//! so neither store duplicates it.
+//! ([`path_lock`]): every append and every rewrite runs under it. A
+//! rewrite — creating a journal, replacing a stale or torn one, or
+//! compacting — goes through a unique tempfile and an atomic rename
+//! ([`write_atomic`]), so a concurrent reader sees either the old file
+//! or the new one, never a prefix of the rewrite.
 
 use std::collections::HashMap;
 use std::io;
@@ -15,12 +15,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The process-wide lock guarding one file's read-modify-write cycle,
-/// keyed by the file's stable identity (the canonicalized path when the
-/// file exists, else the canonicalized parent + file name). Concurrent
-/// writers of the same file — the tuning-service daemon's workers, a
-/// parallel fleet driver — are serialized here, so no writer can clobber
-/// another's entries between its load and its rename.
+/// The process-wide lock guarding one file's writes, keyed by the
+/// file's stable identity (the canonicalized path when the file exists,
+/// else the canonicalized parent + file name). Concurrent writers of
+/// the same file — the tuning-service daemon's workers, a parallel
+/// fleet driver — are serialized here, so no append interleaves with
+/// another and no rewrite clobbers another writer's entries.
 pub fn path_lock(path: &Path) -> Arc<Mutex<()>> {
     static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
     let mut locks = LOCKS
@@ -55,9 +55,9 @@ fn lock_key(path: &Path) -> PathBuf {
 /// the rename fails). Readers therefore see either the old document or
 /// the new one, never a prefix.
 ///
-/// This is the write half only — callers that merge with the existing
-/// document must hold the [`path_lock`] across their whole
-/// load → merge → `write_atomic` cycle.
+/// This is the write half only — callers that rewrite from the
+/// existing file must hold the [`path_lock`] across their whole
+/// read → `write_atomic` cycle.
 ///
 /// # Errors
 ///

@@ -103,11 +103,6 @@ pub fn sidecar_stats() -> (u64, u64) {
     SIDECAR.get()
 }
 
-/// Number of geometries in this thread's traffic memo.
-pub fn memo_len() -> usize {
-    MEMO.with(|m| m.borrow().len())
-}
-
 /// Encodes a [`TrafficCost`] as a stable ASCII string. The f64 fields
 /// go through `to_bits` so the round-trip is bit-exact — a memo entry
 /// re-imported from disk must price identically to a fresh trace.

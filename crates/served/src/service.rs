@@ -276,16 +276,15 @@ impl TuneService {
     }
 
     /// Writes every memory-tier entry absent from the persistent cache
-    /// back to disk (entries produced by searches are already persisted
-    /// eagerly with their frontiers; this covers a cache file deleted
-    /// or truncated while the daemon ran). No-op without a cache.
+    /// back in one batch, compacting when superseded records outnumber
+    /// live ones (searches persist their entries eagerly; this covers a
+    /// cache file deleted or truncated while the daemon ran).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn flush(&self) -> std::io::Result<()> {
-        // The merged per-worker sidecar first: one atomic write
-        // alongside the cache.
+        // The merged per-worker sidecar first, alongside the cache.
         if let Some(path) = &self.sidecar_path {
             let merged = self.sidecar_out.lock().expect("sidecar poisoned").clone();
             merged.save(path)?;
@@ -296,12 +295,12 @@ impl TuneService {
         let on_disk: std::collections::HashSet<String> =
             cache.entries().into_iter().map(|(k, _)| k).collect();
         let memory = self.memory.lock().expect("memory tier poisoned").clone();
-        for (key, entry) in &memory {
-            if !on_disk.contains(key) {
-                cache.store(key, entry)?;
-            }
-        }
-        Ok(())
+        let mut missing: Vec<_> = memory
+            .into_iter()
+            .filter(|(k, _)| !on_disk.contains(k))
+            .collect();
+        missing.sort_by(|a, b| a.0.cmp(&b.0));
+        cache.store_and_compact(&missing)
     }
 
     /// Resolves one request through the three tiers. The `Tier` is

@@ -424,6 +424,38 @@ fn flush_creates_missing_parent_directories() {
 }
 
 #[test]
+fn flush_compacts_the_cache_and_rewrites_a_deleted_one_in_one_batch() {
+    use lego_tune::{RowwiseOp, Tuner, TuningCache, WorkloadKind};
+    let path = temp_cache("compact");
+    let kind = WorkloadKind::Rowwise {
+        op: RowwiseOp::Softmax,
+        m: 16,
+        n: 256,
+    };
+    Tuner::new(gpu_sim::a100())
+        .with_cache(&path)
+        .tune(&kind)
+        .expect("tune");
+    let cache = TuningCache::new(&path);
+    let entries = cache.entries();
+    let (key, entry) = &entries[0];
+    // Two superseded records against one live one.
+    cache.store(key, entry).unwrap();
+    cache.store(key, entry).unwrap();
+    let service = lego_served::TuneService::new(gpu_sim::a100(), Some(path.clone()), None);
+    service.flush().expect("flush");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.lines().count(), 2, "flush left dead records: {text}");
+    assert_eq!(cache.entries(), entries);
+    // A cache deleted while the daemon ran comes back from the memory
+    // tier.
+    std::fs::remove_file(&path).unwrap();
+    service.flush().expect("flush");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn client_disconnect_mid_search_still_promotes_the_result() {
     let (server, cache) = start("disconnect", 4);
     let addr = server.local_addr();

@@ -1,14 +1,12 @@
-//! The persistent JSON tuning cache.
+//! The persistent tuning cache.
 //!
 //! Results are keyed by `(workload, problem size, hardware config)` so
-//! repeated runs skip the search entirely. The file is a single JSON
-//! document; floats round-trip bit-exactly (see [`crate::json`]), so a
-//! cached [`Estimate`] compares equal to the freshly computed one.
-//!
-//! The document carries a schema version ([`CACHE_SCHEMA_VERSION`]):
-//! documents whose version doesn't match the current one are treated as
-//! empty, so winners cached under an older trace/occupancy model can
-//! never be served stale.
+//! repeated runs skip the search entirely. The file is a
+//! [`crate::journal`] of `tune` records, each the compact JSON of one
+//! [`CachedTuning`]; floats round-trip bit-exactly (see [`crate::json`]),
+//! so a cached [`Estimate`] compares equal to the freshly computed one.
+//! Its header carries [`CACHE_SCHEMA_VERSION`], so winners cached under
+//! an older trace/occupancy model read as empty, never served stale.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -21,13 +19,15 @@ use lego_codegen::tuning::{
 };
 use lego_expr::Variant;
 
+use crate::journal::{self, Mode, Row, TUNE};
 use crate::json::Json;
 use crate::space::WorkloadKind;
 
 /// Version of the cache schema *and* of the estimate semantics behind
-/// it. Bump whenever the trace builders, the timing model, or the
-/// on-disk shape change incompatibly; mismatched documents are
-/// discarded wholesale (a cache miss, not an error).
+/// it, stamped into every journal header (`cache=<version>`). Bump
+/// whenever the trace builders, the timing model, or the entry shape
+/// change incompatibly; a journal under another version is discarded
+/// wholesale (a cache miss, not an error), memo sidecar included.
 ///
 /// History: 1 = original per-crate trace loops; 2 = shared
 /// `gpu_sim::trace` builders + occupancy-aware timing; 3 = entries
@@ -68,7 +68,7 @@ pub struct CachedTuning {
     pub frontier: Vec<(TunedConfig, f64)>,
 }
 
-/// A file-backed tuning cache.
+/// A journal-backed tuning cache.
 #[derive(Clone, Debug)]
 pub struct TuningCache {
     path: PathBuf,
@@ -111,53 +111,24 @@ impl TuningCache {
         &self.path
     }
 
-    fn load(&self) -> Json {
-        let Ok(text) = std::fs::read_to_string(&self.path) else {
-            return Json::Obj(vec![]);
-        };
-        match Json::parse(&text) {
-            // A document written under a different schema version (or
-            // with no version at all) is invalidated wholesale: the
-            // estimates it stores were produced by a different model.
-            Ok(doc) => match doc.get("version").and_then(Json::as_i64) {
-                Some(CACHE_SCHEMA_VERSION) => doc,
-                _ => Json::Obj(vec![]),
-            },
-            // A corrupt cache is a cache miss, not a failure.
-            Err(_) => Json::Obj(vec![]),
-        }
-    }
-
     /// Looks up a cached tuning by key.
     pub fn lookup(&self, key: &str) -> Option<CachedTuning> {
-        let doc = self.load();
-        let entry = doc.get("entries")?.get(key)?;
-        tuning_from_json(entry)
+        journal::read(&self.path, |live| decode(live.get(&(TUNE, key))?))
     }
 
-    /// Every decodable entry of the current-schema document, in file
-    /// order. Used by the tuning-service daemon to promote the whole
-    /// persisted cache into its in-memory tier at startup.
+    /// Every decodable entry, in key order: what the tuning-service
+    /// daemon promotes into its in-memory tier at startup.
     pub fn entries(&self) -> Vec<(String, CachedTuning)> {
-        let doc = self.load();
-        doc.get("entries")
-            .and_then(Json::as_obj)
-            .map(|pairs| {
-                pairs
-                    .iter()
-                    .filter_map(|(k, v)| Some((k.clone(), tuning_from_json(v)?)))
-                    .collect()
-            })
-            .unwrap_or_default()
+        journal::read(&self.path, |live| {
+            live.iter()
+                .filter(|((t, _), _)| *t == TUNE)
+                .filter_map(|(&(_, k), v)| Some((k.to_string(), decode(v)?)))
+                .collect()
+        })
     }
 
-    /// Stores (or replaces) a cached tuning under `key`.
-    ///
-    /// Safe under concurrency: the whole read-modify-write cycle runs
-    /// under a process-wide per-file mutex (so parallel stores from the
-    /// service daemon's workers can't drop each other's entries), and
-    /// the document is written to a tempfile and atomically renamed
-    /// into place (so a concurrent reader never observes a torn file).
+    /// Stores (or replaces) a cached tuning under `key`: one record
+    /// appended to the journal.
     ///
     /// # Errors
     ///
@@ -166,46 +137,39 @@ impl TuningCache {
         self.store_many(&[(key.to_string(), value.clone())])
     }
 
-    /// Stores (or replaces) a batch of entries in *one* locked
-    /// load → merge → atomic-rename cycle. This is what makes a fleet
-    /// run O(1) document rewrites instead of O(keys): N individual
-    /// [`TuningCache::store`] calls each re-read and re-render the whole
-    /// document, which is quadratic in entry count.
-    ///
-    /// Later duplicates in `batch` win, matching the sequential-store
-    /// semantics. An empty batch is a no-op that never touches the file.
+    /// Stores (or replaces) a batch of entries: one locked append of one
+    /// record each, whatever the journal's size. Later duplicates win;
+    /// an empty batch never touches the file.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn store_many(&self, batch: &[(String, CachedTuning)]) -> io::Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        // The whole read-modify-write cycle runs behind the shared
-        // per-canonical-path lock, and the rewrite goes through the
-        // shared tempfile + rename path (see `lego_expr::atomicfile`,
-        // which the memo sidecar uses too).
-        let lock = lego_expr::atomicfile::path_lock(&self.path);
-        let _guard = lock.lock().expect("cache file lock poisoned");
-        let doc = self.load();
-        let mut entries: Vec<(String, Json)> = doc
-            .get("entries")
-            .and_then(Json::as_obj)
-            .map(<[(String, Json)]>::to_vec)
-            .unwrap_or_default();
-        for (key, value) in batch {
-            let rendered = tuning_to_json(value);
-            match entries.iter_mut().find(|(k, _)| k == key) {
-                Some((_, slot)) => *slot = rendered,
-                None => entries.push((key.clone(), rendered)),
-            }
-        }
-        let doc = Json::obj([
-            ("version", Json::Int(CACHE_SCHEMA_VERSION)),
-            ("entries", Json::Obj(entries)),
-        ]);
-        lego_expr::atomicfile::write_atomic(&self.path, &doc.render_pretty())
+        self.write(batch, Mode::Append)
+    }
+
+    /// [`TuningCache::store_many`], but rewrites the journal as its live
+    /// records plus `batch` when superseded records outnumber live ones:
+    /// the end-of-run write of the daemon's flush and the fleet driver.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn store_and_compact(&self, batch: &[(String, CachedTuning)]) -> io::Result<()> {
+        self.write(batch, Mode::Compact)
+    }
+
+    fn write(&self, batch: &[(String, CachedTuning)], mode: Mode) -> io::Result<()> {
+        let values: Vec<String> = batch
+            .iter()
+            .map(|(_, v)| tuning_to_json(v).render())
+            .collect();
+        let rows: Vec<Row<'_>> = batch
+            .iter()
+            .zip(&values)
+            .map(|((k, _), v)| (TUNE, k.as_str(), v.as_str()))
+            .collect();
+        journal::write(&self.path, &rows, mode)
     }
 }
 
@@ -486,7 +450,7 @@ pub fn config_from_json(j: &Json) -> Option<TunedConfig> {
     }
 }
 
-fn tuning_to_json(t: &CachedTuning) -> Json {
+pub(crate) fn tuning_to_json(t: &CachedTuning) -> Json {
     Json::obj([
         ("config", config_to_json(&t.config)),
         (
@@ -531,6 +495,11 @@ fn tuning_to_json(t: &CachedTuning) -> Json {
             ),
         ),
     ])
+}
+
+/// Decodes the value of a `tune` record.
+fn decode(value: &str) -> Option<CachedTuning> {
+    tuning_from_json(&Json::parse(value).ok()?)
 }
 
 fn tuning_from_json(j: &Json) -> Option<CachedTuning> {
@@ -727,7 +696,7 @@ mod tests {
         assert_eq!(cache.lookup("k"), None);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
-            text.contains(&format!("\"version\": {CACHE_SCHEMA_VERSION}")),
+            text.contains(&format!("cache={CACHE_SCHEMA_VERSION}")),
             "rewritten under the current schema"
         );
 
@@ -744,8 +713,8 @@ mod tests {
         // key at a time, half in `store_many` batches, so the two write
         // paths interleave on one document — and require every entry to
         // survive.
-        // The memo sidecar shares the same atomic write path
-        // (`lego_expr::atomicfile`), so the same race must not lose
+        // The memo sidecar shares the same journal write path
+        // (`crate::journal`), so the same race must not lose
         // sidecar entries either: every thread also merges one distinct
         // annotation into a shared sidecar file.
         let dir = std::env::temp_dir().join(format!("lego-cache-conc-{}", std::process::id()));
@@ -880,11 +849,7 @@ mod tests {
         // Rewrite the document under an older version: every entry is
         // invalidated, and the next store starts a fresh document.
         let text = std::fs::read_to_string(&path).unwrap();
-        let stale = text.replacen(
-            &format!("\"version\": {CACHE_SCHEMA_VERSION}"),
-            "\"version\": 1",
-            1,
-        );
+        let stale = text.replacen(&format!("cache={CACHE_SCHEMA_VERSION}"), "cache=1", 1);
         assert_ne!(text, stale, "version field must be present");
         std::fs::write(&path, stale).unwrap();
         assert_eq!(cache.lookup("k"), None);

@@ -12,8 +12,8 @@
 //!   keeps its thread-local expression arena warm across every key it
 //!   tunes (the same per-thread-arena economics `lego-served` relies
 //!   on), and all results land in a sharded in-memory map with a
-//!   *single* merged [`TuningCache::store_many`] write at the end —
-//!   one document rewrite instead of one per key.
+//!   *single* [`TuningCache::store_and_compact`] batch at the end —
+//!   one append (or compaction) instead of one write per key.
 //! * **Transfer** — before a key falls back to a cold search, it seeds
 //!   from the frontier of the *nearest already-tuned key* in its
 //!   `(family, device)` class under [`crate::cache::key_distance`]
@@ -641,8 +641,8 @@ impl FleetDriver {
 
     /// Attaches a persistent cache: its entries preload the result map
     /// (satisfying keys become instant hits, stale frontiers become
-    /// seeds), and every fresh result is written back in one merged
-    /// [`TuningCache::store_many`] at the end of the run.
+    /// seeds), and every fresh result is written back in one batched
+    /// [`TuningCache::store_and_compact`] at the end of the run.
     #[must_use]
     pub fn with_cache(mut self, path: impl Into<std::path::PathBuf>) -> FleetDriver {
         self.cache = Some(TuningCache::new(path.into()));
@@ -652,7 +652,7 @@ impl FleetDriver {
     /// Attaches a persistent memo sidecar: every worker thread installs
     /// it before taking work (so the annotation cache and traffic memo
     /// start warm), and the per-worker derived results are merged into
-    /// *one* atomic sidecar write at the end of the run.
+    /// *one* sidecar write at the end of the run.
     #[must_use]
     pub fn with_sidecar(mut self, path: impl Into<std::path::PathBuf>) -> FleetDriver {
         self.sidecar = Some(path.into());
@@ -732,7 +732,7 @@ impl FleetDriver {
         // The persistent memo sidecar is parsed once here; each worker
         // installs it into its own thread-local caches before
         // taking work, and contributes its derived results to one
-        // merged document persisted in a single atomic write below.
+        // merged document persisted in a single write below.
         let sidecar_in = self
             .sidecar
             .as_deref()
@@ -799,7 +799,7 @@ impl FleetDriver {
                 .enumerate()
                 .filter_map(|(i, e)| Some((keys[i].clone(), e?)))
                 .collect();
-            if let Err(e) = cache.store_many(&batch) {
+            if let Err(e) = cache.store_and_compact(&batch) {
                 // Persisting is best-effort at this layer; surface the
                 // failure on every fresh key's report instead of
                 // panicking a completed run.

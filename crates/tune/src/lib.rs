@@ -17,7 +17,7 @@
 //!    every candidate priced by `gpu-sim`'s [`gpu_sim::CostModel`]
 //!    (coalescing + bank conflicts + cache filtering + roofline timing
 //!    in one call);
-//! 3. persists the winner *and the top-k frontier* in a JSON
+//! 3. persists the winner *and the top-k frontier* in a journal-backed
 //!    [`TuningCache`] keyed by `(workload, problem size, hardware
 //!    config)`, so repeated runs skip the search and later searches
 //!    warm-start from previous populations;
@@ -49,6 +49,7 @@
 pub mod cache;
 pub mod domain;
 pub mod fleet;
+pub mod journal;
 pub mod json;
 pub mod request;
 pub mod rng;

@@ -1,51 +1,21 @@
-//! The persistent memo sidecar: the tuner's derived answers on disk.
+//! The persistent memo sidecar: the tuner's derived answers on disk,
+//! a [`crate::journal`] of two record kinds, both pure functions of
+//! structural keys:
 //!
-//! A search spends its time deriving two things per candidate, both
-//! pure functions of structural keys, so both persist across processes
-//! next to the tuning cache:
-//!
-//! * `ann` rows — the candidate-annotation cache mapping `(workload,
-//!   config)` to `(expression variant, index op count)`
-//!   ([`crate::space::export_annotations`]); a warmed process serves
-//!   [`crate::space::Candidate::annotated`] straight from them, without
-//!   lowering or simplifying a single index expression;
-//! * `traffic` rows — the cost model's geometry → traffic memo
-//!   ([`gpu_sim::export_traffic`]); a warmed process re-times a known
+//! * `ann` — the candidate-annotation cache, `(workload, config)` →
+//!   `(expression variant, index op count)`: a warmed process serves
+//!   [`crate::space::Candidate::annotated`] without lowering or
+//!   simplifying an index expression;
+//! * `traffic` — the cost model's geometry → traffic memo
+//!   ([`gpu_sim::export_traffic`]): a warmed process re-times a known
 //!   geometry without replaying its trace.
-//!
-//! Both sections are opaque here: keys and values are length-prefixed
-//! strings whose encodings belong to their owners.
-//!
-//! **Invalidation is wholesale.** The document header records a schema
-//! version and a fingerprint of the rewrite-rule registry
-//! ([`lego_expr::rules::table_fingerprint`] — annotations are derived
-//! through the same rule table, so a rule change stales them). A
-//! mismatch in either, or any malformed or unknown line anywhere in the
-//! file, makes [`Sidecar::load`] return an empty document: a stale or
-//! corrupt sidecar is a cold start, never an error and never a stale
-//! answer.
-//!
-//! Writes go through the shared atomic-replace path
-//! ([`lego_expr::atomicfile`]): [`Sidecar::save`] merges with whatever
-//! is on disk under the per-file lock and renames a tempfile into
-//! place, so concurrent writers (fleet workers, daemon shutdown) cannot
-//! lose each other's entries and readers never see a torn document.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use lego_expr::{atomicfile, rules};
-
+use crate::journal::{self, Live, Mode, Row, ANN, TRAFFIC};
 use crate::space;
-
-/// First token of every sidecar document.
-const MAGIC: &str = "lego-expr-sidecar";
-
-/// Version of the document format. Bump on any incompatible change;
-/// mismatched documents are discarded wholesale (a cold start).
-const SCHEMA: &str = "v1";
 
 /// An in-memory sidecar document. Build one with [`collect`] (snapshot
 /// this thread's derived state) or [`Sidecar::load`] (read from disk),
@@ -53,10 +23,9 @@ const SCHEMA: &str = "v1";
 /// combine per-worker documents with [`Sidecar::merge`].
 #[derive(Clone, Debug, Default)]
 pub struct Sidecar {
-    /// Annotation entries. Sorted so rendering is deterministic.
-    annotations: BTreeMap<String, String>,
-    /// Traffic entries. Sorted so rendering is deterministic.
-    traffics: BTreeMap<String, String>,
+    /// `ann` and `traffic` entries by `(tag, key)`. Sorted, so the
+    /// `ann` rows render first and rendering is deterministic.
+    entries: BTreeMap<(&'static str, String), String>,
 }
 
 impl Sidecar {
@@ -67,7 +36,7 @@ impl Sidecar {
 
     /// Total entries across both sections.
     pub fn len(&self) -> usize {
-        self.annotations.len() + self.traffics.len()
+        self.entries.len()
     }
 
     /// True when neither section has any entries.
@@ -78,24 +47,37 @@ impl Sidecar {
     /// Adds (or replaces) an annotation entry. Keys and values
     /// containing newlines are dropped at render time.
     pub fn set_annotation(&mut self, key: &str, value: &str) {
-        self.annotations.insert(key.to_string(), value.to_string());
+        self.entries
+            .insert((ANN, key.to_string()), value.to_string());
     }
 
     /// Iterates the annotation section in sorted key order.
     pub fn annotations(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.annotations.iter().map(|(k, v)| (&**k, &**v))
+        self.section(ANN)
     }
 
     /// Adds (or replaces) a traffic entry: a geometry fingerprint mapped
     /// to an encoded traffic cost. Keys and values containing newlines
     /// are dropped at render time.
     pub fn set_traffic(&mut self, key: &str, value: &str) {
-        self.traffics.insert(key.to_string(), value.to_string());
+        self.entries
+            .insert((TRAFFIC, key.to_string()), value.to_string());
     }
 
     /// Iterates the traffic section in sorted key order.
     pub fn traffics(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.traffics.iter().map(|(k, v)| (&**k, &**v))
+        self.section(TRAFFIC)
+    }
+
+    fn section(&self, tag: &'static str) -> impl Iterator<Item = (&str, &str)> {
+        self.rows()
+            .filter(move |row| row.0 == tag)
+            .map(|(_, k, v)| (k, v))
+    }
+
+    /// Both sections as journal rows, in `(tag, key)` order.
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        self.entries.iter().map(|((t, k), v)| (*t, &**k, &**v))
     }
 
     /// Unions `other` into `self`. Existing entries win (all entries
@@ -103,116 +85,59 @@ impl Sidecar {
     /// immaterial; keeping the first makes merge order-insensitive for
     /// equal documents).
     pub fn merge(&mut self, other: &Sidecar) {
-        for (mine, theirs) in [
-            (&mut self.annotations, &other.annotations),
-            (&mut self.traffics, &other.traffics),
-        ] {
-            for (k, v) in theirs {
-                mine.entry(k.clone()).or_insert_with(|| v.clone());
-            }
+        for (k, v) in &other.entries {
+            self.entries.entry(k.clone()).or_insert_with(|| v.clone());
         }
     }
 
-    /// Renders the document: a header stamping the schema version and
-    /// rule-table fingerprint, then the `ann` rows and the `traffic`
-    /// rows in key order — so the same content always renders to the
-    /// same bytes regardless of insertion or merge order.
-    pub fn render(&self) -> String {
-        let mut out = header();
-        for (tag, section) in [("ann", &self.annotations), ("traffic", &self.traffics)] {
-            for (k, v) in section {
-                if !k.contains(['\n', '\r']) && !v.contains(['\n', '\r']) {
-                    let _ = writeln!(out, "{tag} {}:{k} {}:{v}", k.len(), v.len());
-                }
+    /// The document holding the `ann` and `traffic` records of `live`.
+    fn from_live(live: &Live<'_>) -> Sidecar {
+        let mut sc = Sidecar::default();
+        for (&(tag, key), value) in live {
+            if let Some(tag) = [ANN, TRAFFIC].into_iter().find(|t| *t == tag) {
+                sc.entries.insert((tag, key.to_string()), value.to_string());
             }
+        }
+        sc
+    }
+
+    /// Renders the document as a fresh journal: the header, then the
+    /// rows in `(tag, key)` order — so the same content always renders
+    /// to the same bytes regardless of insertion or merge order.
+    pub fn render(&self) -> String {
+        let mut out = journal::header();
+        for row in self.rows() {
+            journal::push_row(&mut out, row);
         }
         out
     }
 
-    /// Parses a rendered document. `None` on *any* anomaly — wrong
-    /// magic, schema version, or rule fingerprint; a malformed line; a
-    /// row of an unknown section — so callers degrade to an empty store
-    /// (cold start) rather than trusting a stale or truncated file.
+    /// Parses journal text. `None` on *any* anomaly but a torn tail — a
+    /// stale header, a malformed line, an unknown tag — so callers
+    /// degrade to an empty store (cold start) rather than trusting a
+    /// stale or corrupt file.
     pub fn parse(text: &str) -> Option<Sidecar> {
-        let mut lines = text.lines();
-        let mut header = lines.next()?.split_whitespace();
-        if header.next()? != MAGIC || header.next()? != SCHEMA {
-            return None;
-        }
-        let fp = header.next()?.strip_prefix("rules=")?;
-        if u64::from_str_radix(fp, 16).ok()? != rules::table_fingerprint() {
-            return None;
-        }
-        if header.next().is_some() {
-            return None;
-        }
-        let mut sc = Sidecar::default();
-        for line in lines.filter(|l| !l.is_empty()) {
-            let (tag, rest) = line.split_once(' ')?;
-            let section = match tag {
-                "ann" => &mut sc.annotations,
-                "traffic" => &mut sc.traffics,
-                _ => return None,
-            };
-            let (key, rest) = length_prefixed(rest)?;
-            let (value, rest) = length_prefixed(rest.strip_prefix(' ')?)?;
-            if !rest.is_empty() {
-                return None;
-            }
-            section.insert(key.to_string(), value.to_string());
-        }
-        Some(sc)
+        let records = journal::replay(text.as_bytes())?.0;
+        Some(Sidecar::from_live(&journal::live(&records)))
     }
 
-    /// Reads the sidecar at `path`. A missing, stale (schema or rule
-    /// fingerprint mismatch), truncated, or corrupt file yields an
-    /// empty document — persistence failures degrade to cold starts,
-    /// never errors.
+    /// Reads the sidecar at `path`. A missing, stale, or corrupt file
+    /// yields an empty document — persistence failures degrade to cold
+    /// starts, never errors.
     pub fn load(path: &Path) -> Sidecar {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Sidecar::parse(&text).unwrap_or_default(),
-            Err(_) => Sidecar::default(),
-        }
+        journal::read(path, Sidecar::from_live)
     }
 
-    /// Merges this document into the file at `path` atomically: under
-    /// the shared per-file lock, loads whatever is on disk (empty if
-    /// stale or corrupt — which means a save after a rule change
-    /// rewrites the file fresh), merges `self` in, and replaces the
-    /// file via tempfile + rename. Missing parent directories are
-    /// created.
+    /// Merges this document into the journal at `path`: appends only
+    /// the keys absent on disk ([`journal::Mode::Merge`]), so a healthy
+    /// file is never rewritten and concurrent savers lose nothing.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let lock = atomicfile::path_lock(path);
-        let _guard = lock.lock().expect("sidecar file lock poisoned");
-        let mut doc = Sidecar::load(path);
-        doc.merge(self);
-        atomicfile::write_atomic(path, &doc.render())
+        journal::write(path, &self.rows().collect::<Vec<_>>(), Mode::Merge)
     }
-}
-
-/// The header line every document starts with: magic, schema version
-/// and the rule-table fingerprint.
-fn header() -> String {
-    format!(
-        "{MAGIC} {SCHEMA} rules={:016x}\n",
-        rules::table_fingerprint()
-    )
-}
-
-/// Splits one `<len>:<bytes>` field off the front of `s`, returning the
-/// field and the remainder. The length is plain decimal digits and must
-/// end on a character boundary.
-fn length_prefixed(s: &str) -> Option<(&str, &str)> {
-    let (len, rest) = s.split_once(':')?;
-    if len.is_empty() || !len.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    let len: usize = len.parse().ok()?;
-    Some((rest.get(..len)?, rest.get(len..)?))
 }
 
 /// What a sidecar install warmed, per section.
@@ -261,8 +186,8 @@ pub fn collect() -> Sidecar {
 }
 
 /// [`collect`]s and merges the result into the sidecar at `path`
-/// atomically (lock + tempfile + rename; concurrent savers cannot lose
-/// each other's entries).
+/// ([`Sidecar::save`]; concurrent savers cannot lose each other's
+/// entries).
 ///
 /// # Errors
 ///
@@ -274,6 +199,7 @@ pub fn collect_and_save(path: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::header;
     use crate::space::{Candidate, WorkloadKind};
 
     #[test]
@@ -302,8 +228,12 @@ mod tests {
     #[test]
     fn foreign_header_is_rejected() {
         assert!(Sidecar::parse("not-a-sidecar v1 rules=0\n").is_none());
-        assert!(Sidecar::parse(&header().replacen(SCHEMA, "v999", 1)).is_none());
-        assert!(Sidecar::parse(&format!("{MAGIC} {SCHEMA} rules=dead\n")).is_none());
+        assert!(Sidecar::parse(&header().replacen("v1", "v999", 1)).is_none());
+        assert!(Sidecar::parse(&format!(
+            "lego-journal v1 cache={} rules=dead\n",
+            crate::CACHE_SCHEMA_VERSION
+        ))
+        .is_none());
         assert!(Sidecar::parse(&header().replacen('\n', " extra\n", 1)).is_none());
         // The happy header parses.
         assert!(Sidecar::parse(&header()).is_some());

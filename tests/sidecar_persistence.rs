@@ -1,9 +1,9 @@
 //! Cross-session persistence properties of the memo sidecar.
 //!
 //! The sidecar's contract has three legs, each pinned here at the
-//! workspace level (the unit suite in `lego_tune::sidecar` covers the
-//! document format; these tests cover the *process-boundary* behavior
-//! the consumers rely on):
+//! workspace level (the unit suites in `lego_tune::journal` and
+//! `lego_tune::sidecar` cover the file format; these tests cover the
+//! *process-boundary* behavior the consumers rely on):
 //!
 //! 1. **Round trip** — candidate annotations collected on one thread
 //!    and re-installed on a fresh thread (a fresh thread-local arena
@@ -14,9 +14,10 @@
 //!    mismatch, or a row of a section the format no longer has,
 //!    silently ignores the whole file: consumers re-derive from
 //!    scratch, nothing crashes, nothing half-installs.
-//! 3. **Corruption** — truncated or garbled files degrade to a cold
-//!    start: loads never panic, and whatever survives the integrity
-//!    checks never changes a derived result.
+//! 3. **Corruption** — garbled files degrade to a cold start and a
+//!    truncated file loses only its torn last record: loads never
+//!    panic, and whatever survives the integrity checks never changes
+//!    a derived result.
 
 mod prop_support;
 
@@ -152,14 +153,14 @@ fn stale_schema_or_rule_fingerprint_is_silently_ignored() {
     let cold_lines = derive_and_save(&path);
     let valid = std::fs::read_to_string(&path).unwrap();
     let (header, _) = valid.split_once('\n').unwrap();
-    assert!(header.starts_with("lego-expr-sidecar v1 rules="));
+    assert!(header.starts_with("lego-journal v1 cache="));
 
     // A future schema version and a foreign rule-table fingerprint must
     // both be ignored wholesale — stale derived results from another
     // build must never be served. So must a document from a build that
     // still persisted expression derivations: its `env`/`simplify`/
     // `opcount` rows are not part of the format.
-    let future = valid.replacen("lego-expr-sidecar v1 ", "lego-expr-sidecar v999 ", 1);
+    let future = valid.replacen("lego-journal v1 ", "lego-journal v999 ", 1);
     let foreign = {
         let fp_at = header.len() - 16;
         let mut doc = String::from(&valid[..fp_at]);
@@ -235,11 +236,12 @@ fn corrupt_or_truncated_files_degrade_to_cold_start() {
         );
     }
 
-    // Truncation at a random byte: either the cut lands mid-line (the
-    // strict parser rejects the whole file) or exactly on a line
-    // boundary (a valid prefix loads). Both are safe: installs never
-    // panic, and a fresh thread still derives bit-identical results —
-    // every surviving entry passed the integrity checks.
+    // Truncation at a random byte: a cut inside the header rejects the
+    // whole file; any later cut loads every complete record before it
+    // (a cut mid-record drops that torn record). Both are safe:
+    // installs never panic, and a fresh thread still derives
+    // bit-identical results — every surviving entry passed the
+    // integrity checks.
     for case in 0..16 {
         let cut = 1 + rng.index(valid.len() - 1);
         let p = dir.join("truncated.txt");
