@@ -53,7 +53,7 @@ use lego_codegen::cuda::stencil::StencilShape;
 use lego_expr::intern::stats as arena_stats;
 use lego_tune::space::annotate_cache_stats;
 use lego_tune::{
-    build_layout, build_workload, run_search, Budget, Domain, Json, RowwiseOp, SearchSpace,
+    build_layout, build_workload, run_search, Budget, Candidate, Domain, Json, RowwiseOp,
     SpaceScale, Strategy, Tuner, WorkloadKind,
 };
 
@@ -92,12 +92,21 @@ fn per_second(count: usize, secs: f64) -> f64 {
     count as f64 / secs.max(1e-9)
 }
 
+/// A kind's legacy space, each candidate annotated (through the
+/// session's annotation fast path).
+fn legacy_candidates(kind: &WorkloadKind) -> Vec<Candidate> {
+    Domain::new(*kind, SpaceScale::Legacy)
+        .enumerate()
+        .iter()
+        .map(|c| Candidate::annotated(kind, c))
+        .collect()
+}
+
 /// The `(layout, workload)` pricing jobs of a kind's legacy space,
 /// built on the calling thread so candidate-construction cost stays
 /// out of the timed pricing loops.
 fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<ScoreJob> {
-    SearchSpace::enumerate(*kind)
-        .candidates
+    legacy_candidates(kind)
         .iter()
         .filter_map(|c| {
             let layout = build_layout(kind, &c.config).ok()?;
@@ -131,8 +140,7 @@ fn fresh_enumeration(kinds: &[WorkloadKind]) -> (usize, f64, Vec<String>, f64) {
     let t = Instant::now();
     let mut lines = Vec::new();
     for kind in kinds {
-        let space = SearchSpace::enumerate(*kind);
-        for c in &space.candidates {
+        for c in &legacy_candidates(kind) {
             lines.push(format!(
                 "{}|{}|{:?}|{:?}",
                 kind.name(),
@@ -167,16 +175,15 @@ fn main() {
 
         // Cold: every candidate annotated for the first time.
         let t0 = Instant::now();
-        let space = SearchSpace::enumerate(kind);
+        let candidates = legacy_candidates(&kind).len();
         let cold_s = t0.elapsed().as_secs_f64();
-        let candidates = space.candidates.len();
         let cold_stats = arena_stats().since(&before);
 
         // Warm: the annotation fast path answers from the session map.
         let t1 = Instant::now();
-        let warm_space = SearchSpace::enumerate(kind);
+        let warm = legacy_candidates(&kind);
         let warm_s = t1.elapsed().as_secs_f64();
-        assert_eq!(warm_space.candidates.len(), candidates);
+        assert_eq!(warm.len(), candidates);
 
         // Anneal: neighbor/crossover moves share the incumbent's
         // subtrees through the same arena.

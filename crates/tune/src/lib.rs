@@ -3,13 +3,15 @@
 //! The LEGO algebra makes whole families of layouts *expressible*; this
 //! crate makes them *searchable*. For each workload it:
 //!
-//! 1. models the configuration space twice: the fixed v2
-//!    [`SearchSpace`] list (what exhaustive enumeration affords) and the
-//!    parameterized [`Domain`] with free-integer tile ranges plus
-//!    `neighbor`/`crossover` moves — tile shapes, `OrderBy` permutation
-//!    choices (grouped, Morton, block-cyclic, XOR-swizzle,
-//!    anti-diagonal, …) and the expanded-vs-unexpanded expression
-//!    variants of the §IV-A cost model ([`lego_expr::cost`]);
+//! 1. models the configuration space once, as a [`Domain`]: the
+//!    default plus the product of per-axis legal values — tile shapes
+//!    and `OrderBy` permutation choices (grouped, Morton, block-cyclic,
+//!    XOR-swizzle, anti-diagonal, …) — at the v2 legacy scale (what
+//!    exhaustive enumeration affords) or the free-integer enlarged
+//!    scale, with `neighbor`/`crossover` moves repaired back onto it;
+//!    each scored candidate carries the expanded-vs-unexpanded
+//!    expression variant of the §IV-A cost model
+//!    ([`lego_expr::cost`]);
 //! 2. explores it with a [`Strategy`] — [`Strategy::Exhaustive`]
 //!    batch-scoring, or budgeted [`Strategy::Anneal`] /
 //!    [`Strategy::Genetic`] metaheuristics driven by a seeded in-crate
@@ -71,7 +73,7 @@ pub use request::TuneRequest;
 pub use sidecar::{Sidecar, SidecarWarm};
 pub use space::{
     annotate_cache_stats, annotate_sidecar_stats, build_layout, build_workload,
-    rowwise_block_sizes, stencil_block, symbolic_exprs, Candidate, SearchSpace, WorkloadKind,
+    rowwise_block_sizes, stencil_block, symbolic_exprs, Candidate, WorkloadKind,
 };
 pub use strategy::{run_search, Budget, SearchOutcome, Strategy, FRONTIER_K};
 pub use tuner::{SeededTune, TuneError, TuneResult, Tuner};

@@ -1,9 +1,10 @@
-//! Search spaces: which (tile, layout, expression-variant)
-//! configurations the tuner explores per workload, and how each
-//! candidate becomes a concrete [`Layout`] plus a `gpu-sim`
-//! [`Workload`] trace.
+//! Tunable workloads and their candidates: each workload's hand-picked
+//! default configuration, the expression-variant annotation of a
+//! candidate, and how a candidate becomes a concrete [`Layout`] plus a
+//! `gpu-sim` [`Workload`] trace. Which configurations a search may
+//! visit is defined once, by [`crate::domain::Domain`].
 //!
-//! Every space lists the paper's hand-picked configuration first, so
+//! Every domain lists the paper's hand-picked configuration first, so
 //! the tuned result can never regress the shipped default — the search
 //! is free to do better, never worse.
 //!
@@ -22,7 +23,7 @@ use gpu_sim::GpuConfig;
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_codegen::cuda::transpose::staging_perm;
 use lego_codegen::tuning::{
-    NwLayoutChoice, RowwiseOp, ScheduleChoice, StagingChoice, StencilLayoutChoice, TunedConfig,
+    NwLayoutChoice, RowwiseOp, ScheduleChoice, StencilLayoutChoice, TunedConfig,
 };
 use lego_core::brick::{brick3d, row_major3d};
 use lego_core::perms::{block_cyclic_rows, morton};
@@ -514,146 +515,6 @@ fn parse_annotation(key: &str, value: &str) -> Option<(WorkloadKind, TunedConfig
     Some((kind, config, (variant, ops)))
 }
 
-/// The enumerated search space of one workload.
-#[derive(Clone, Debug)]
-pub struct SearchSpace {
-    /// The workload being tuned.
-    pub kind: WorkloadKind,
-    /// All candidates, default configuration first.
-    pub candidates: Vec<Candidate>,
-}
-
-impl SearchSpace {
-    /// Enumerates the space for `kind`: tile shapes × `OrderBy`
-    /// permutation choices, each annotated with the cheaper
-    /// expanded/unexpanded expression variant via `lego_expr::cost`.
-    pub fn enumerate(kind: WorkloadKind) -> SearchSpace {
-        let mut configs = vec![kind.default_config()];
-        let push = |c: TunedConfig, configs: &mut Vec<TunedConfig>| {
-            if !configs.contains(&c) {
-                configs.push(c);
-            }
-        };
-        match kind {
-            WorkloadKind::Matmul { n } => {
-                const TILES: [(i64, i64, i64); 8] = [
-                    (128, 128, 64),
-                    (128, 128, 32),
-                    (64, 64, 64),
-                    (64, 64, 32),
-                    (256, 128, 64),
-                    (128, 256, 64),
-                    (128, 64, 64),
-                    (64, 128, 64),
-                ];
-                for (bm, bn, bk) in TILES {
-                    if n % bm != 0 || n % bn != 0 || n % bk != 0 {
-                        continue;
-                    }
-                    let (nt_m, nt_n) = (n / bm, n / bn);
-                    let mut schedules = vec![ScheduleChoice::RowMajor];
-                    for gm in [4i64, 8, 16] {
-                        // The concrete grouped layout factorizes nt_m as
-                        // (nt_m/gm)·gm, so gm must divide nt_m.
-                        if nt_m % gm == 0 {
-                            schedules.push(ScheduleChoice::Grouped { gm });
-                        }
-                    }
-                    if nt_m == nt_n && nt_m.count_ones() == 1 {
-                        schedules.push(ScheduleChoice::Morton);
-                    }
-                    if nt_m % 16 == 0 {
-                        schedules.push(ScheduleChoice::BlockCyclic { p: 8, b: 2 });
-                    }
-                    for schedule in schedules {
-                        push(
-                            TunedConfig::Matmul {
-                                bm,
-                                bn,
-                                bk,
-                                schedule,
-                            },
-                            &mut configs,
-                        );
-                    }
-                }
-            }
-            WorkloadKind::Transpose { n } => {
-                for t in [16i64, 32] {
-                    if n % t != 0 {
-                        continue;
-                    }
-                    for staging in [
-                        StagingChoice::Identity,
-                        StagingChoice::Swizzle,
-                        StagingChoice::ColMajor,
-                        StagingChoice::Antidiag,
-                        StagingChoice::BlockCyclic { p: 8, b: 4 },
-                    ] {
-                        push(
-                            TunedConfig::Transpose {
-                                t,
-                                staging: Some(staging),
-                            },
-                            &mut configs,
-                        );
-                    }
-                }
-            }
-            WorkloadKind::Stencil { n, .. } => {
-                push(
-                    TunedConfig::Stencil {
-                        n,
-                        layout: StencilLayoutChoice::RowMajorZ,
-                    },
-                    &mut configs,
-                );
-                for b in [4i64, 8] {
-                    if n % b == 0 {
-                        push(
-                            TunedConfig::Stencil {
-                                n,
-                                layout: StencilLayoutChoice::Brick { b },
-                            },
-                            &mut configs,
-                        );
-                    }
-                }
-            }
-            WorkloadKind::Nw { n, .. } => {
-                // Block sizes trade launch count against occupancy: the
-                // (b+1)² scoring buffer is the smem footprint, so the
-                // largest blocks only fit hardware with a big carveout.
-                for b in [16i64, 32, 64, 112, 128, 224] {
-                    if n % b != 0 {
-                        continue;
-                    }
-                    for layout in [NwLayoutChoice::RowMajor, NwLayoutChoice::Antidiag] {
-                        push(TunedConfig::Nw { b, layout }, &mut configs);
-                    }
-                }
-            }
-            WorkloadKind::Lud { n, bs } => {
-                for r in [1i64, 2, 4, 8] {
-                    if n % (r * bs) == 0 {
-                        push(TunedConfig::Lud { r, t: bs }, &mut configs);
-                    }
-                }
-            }
-            WorkloadKind::Rowwise { op, n, .. } => {
-                for bs in rowwise_block_sizes(n) {
-                    push(TunedConfig::Rowwise { op, bs }, &mut configs);
-                }
-            }
-        }
-        let candidates = configs
-            .into_iter()
-            .map(|config| Candidate::annotated(&kind, &config))
-            .collect();
-        SearchSpace { kind, candidates }
-    }
-}
-
 /// Builds the concrete layout a candidate configuration describes: the
 /// pid→tile schedule for matmul, the smem staging tile for transpose,
 /// the 3-D data layout for stencils, the shared-buffer layout for NW,
@@ -921,7 +782,7 @@ pub fn build_workload(kind: &WorkloadKind, candidate: &Candidate, gpu: &GpuConfi
             }
             .build(gpu)
         }
-        _ => unreachable!("kind/config pairs come from SearchSpace::enumerate"),
+        _ => unreachable!("kind/config pairs come from one Domain"),
     }
 }
 
@@ -947,6 +808,7 @@ pub fn stencil_block(choice: &StencilLayoutChoice, n: i64) -> ((i64, i64, i64), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::{Domain, SpaceScale};
 
     /// The mode name baked into the cache key must agree with the mode
     /// the trace builders actually declare on the built workload — for
@@ -1035,10 +897,10 @@ mod tests {
             WorkloadKind::Lud { n: 256, bs: 16 },
             WorkloadKind::Lud { n: 512, bs: 16 },
         ] {
-            let space = SearchSpace::enumerate(kind);
+            let configs = Domain::new(kind, SpaceScale::Legacy).enumerate();
             let before = lego_expr::intern::stats();
-            for c in &space.candidates {
-                build_layout(&kind, &c.config).expect("legacy candidates build");
+            for c in &configs {
+                build_layout(&kind, c).expect("legacy candidates build");
             }
             let after = lego_expr::intern::stats();
             assert_eq!(

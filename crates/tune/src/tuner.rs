@@ -70,7 +70,7 @@ pub struct TuneResult {
     pub tuned: Estimate,
     /// How many candidates were evaluated (0 on a cache hit).
     pub evaluated: usize,
-    /// Whether the result came from the JSON tuning cache.
+    /// Whether the result came from the tuning cache.
     pub from_cache: bool,
 }
 
@@ -123,7 +123,7 @@ impl Tuner {
         }
     }
 
-    /// Attaches a JSON tuning cache at `path`.
+    /// Attaches a journal-backed tuning cache at `path`.
     #[must_use]
     pub fn with_cache(mut self, path: impl Into<PathBuf>) -> Tuner {
         self.cache = Some(TuningCache::new(path.into()));
@@ -227,8 +227,8 @@ impl Tuner {
 
         let seeded = self.tune_seeded(kind, &warm_start, None)?;
         if let Some(cache) = &self.cache {
-            // The single-key path rides the batched writer: one locked
-            // load → merge → atomic-rename cycle, same as a fleet.
+            // One journal append, through the same batched writer a
+            // fleet uses.
             cache.store_many(&[(key, self.entry_from(&seeded))])?;
         }
         Ok(seeded.result)

@@ -15,18 +15,19 @@
 //!   axes), so the budget above is a real saving, not a rounding
 //!   artifact;
 //! * the same seed replays the same search, and a larger budget never
-//!   returns a worse winner.
+//!   returns a worse winner;
+//! * pinned to the legacy space with a budget of its size, both
+//!   metaheuristics reach the legacy exhaustive optimum on every
+//!   device model.
 //!
 //! Any oracle or space change that silently breaks the metaheuristics
 //! (a neighborhood that can no longer reach the optimum, a scoring
 //! change that reshapes the landscape) fails here rather than in a
 //! paper table.
 
-use gpu_sim::a100;
+use gpu_sim::{a100, h100, mi300};
 use lego_codegen::cuda::stencil::StencilShape;
-use lego_tune::{
-    Budget, Domain, RowwiseOp, SearchSpace, SpaceScale, Strategy, Tuner, WorkloadKind,
-};
+use lego_tune::{Budget, Domain, RowwiseOp, SpaceScale, Strategy, Tuner, WorkloadKind};
 
 /// The workloads of the gate, at the legacy problem sizes (kept small
 /// enough that exhaustive ground truth stays cheap).
@@ -105,6 +106,53 @@ fn metaheuristics_match_exhaustive_optimum_within_quarter_budget() {
     }
 }
 
+/// Budgeted searches over the legacy space: with a budget equal to the
+/// legacy domain's size, seeded Anneal and Genetic reach the legacy
+/// exhaustive optimum on every workload and device model. Their moves
+/// walk the same per-axis definition exhaustive search enumerates, so
+/// a repair that strands part of the space fails here.
+#[test]
+fn legacy_budgeted_searches_match_legacy_exhaustive() {
+    for gpu in [a100(), h100(), mi300()] {
+        for kind in parity_kinds() {
+            let truth = Tuner::new(gpu.clone())
+                .with_space(SpaceScale::Legacy)
+                .tune(&kind)
+                .unwrap_or_else(|e| panic!("{}: exhaustive: {e}", kind.name()));
+            let budget = Budget(Domain::new(kind, SpaceScale::Legacy).len());
+            for strategy in [Strategy::Anneal, Strategy::Genetic] {
+                let r = Tuner::new(gpu.clone())
+                    .with_space(SpaceScale::Legacy)
+                    .with_strategy(strategy)
+                    .with_budget(budget)
+                    .tune(&kind)
+                    .unwrap_or_else(|e| panic!("{}: {strategy}: {e}", kind.name()));
+                assert!(
+                    r.evaluated <= budget.max_evals(),
+                    "{} {strategy} on {}: {} evals > budget {}",
+                    kind.name(),
+                    gpu.name,
+                    r.evaluated,
+                    budget.max_evals()
+                );
+                assert!(
+                    r.tuned.time_s <= truth.tuned.time_s * (1.0 + 1e-9),
+                    "{} {strategy} on {}: {} (config {}) misses legacy optimum {} \
+                     (config {}) with {}/{} evals",
+                    kind.name(),
+                    gpu.name,
+                    r.tuned.time_s,
+                    r.config,
+                    truth.tuned.time_s,
+                    truth.config,
+                    r.evaluated,
+                    truth.evaluated
+                );
+            }
+        }
+    }
+}
+
 /// The enlarged free-integer spaces report ≥ 10× more candidates than
 /// the v2 enumeration: per-workload for the kinds with free-integer
 /// axes, and ≥ 10× in aggregate.
@@ -113,7 +161,7 @@ fn enlarged_spaces_dwarf_v2_enumeration() {
     let mut v2_total = 0usize;
     let mut enlarged_total = 0usize;
     for kind in parity_kinds() {
-        let v2 = SearchSpace::enumerate(kind).candidates.len();
+        let v2 = Domain::new(kind, SpaceScale::Legacy).len();
         let enlarged = Domain::new(kind, SpaceScale::Enlarged).len();
         assert!(
             enlarged >= v2,

@@ -6,7 +6,7 @@ use gpu_sim::a100;
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_core::check::check_layout_bijective;
 use lego_tune::cache::{cache_key, CachedTuning, TuningCache};
-use lego_tune::{build_layout, SearchSpace, Tuner, WorkloadKind};
+use lego_tune::{build_layout, Budget, Domain, SpaceScale, Strategy, Tuner, WorkloadKind};
 
 fn small_kinds() -> Vec<WorkloadKind> {
     vec![
@@ -26,32 +26,26 @@ fn small_kinds() -> Vec<WorkloadKind> {
 #[test]
 fn search_space_layouts_are_bijective() {
     for kind in small_kinds() {
-        let space = SearchSpace::enumerate(kind);
+        let configs = Domain::new(kind, SpaceScale::Legacy).enumerate();
         assert!(
-            space.candidates.len() >= 3,
+            configs.len() >= 3,
             "{}: only {} candidates",
             kind.name(),
-            space.candidates.len()
+            configs.len()
         );
-        for cand in &space.candidates {
-            let layout = build_layout(&kind, &cand.config)
-                .unwrap_or_else(|e| panic!("{}: {e}", cand.config));
+        for config in &configs {
+            let layout = build_layout(&kind, config).unwrap_or_else(|e| panic!("{}: {e}", config));
             let dims = layout.view().dims_const().unwrap();
             let size: i64 = dims.iter().product();
             if size <= 64 * 64 {
                 // Exhaustive bijectivity for small spaces.
-                check_layout_bijective(&layout).unwrap_or_else(|e| panic!("{}: {e}", cand.config));
+                check_layout_bijective(&layout).unwrap_or_else(|e| panic!("{}: {e}", config));
             }
             // Pointwise apply/inv round trip on scattered probes.
             for probe in 0..16 {
                 let f = (probe * 7919) % size;
                 let idx = layout.inv_c(f).unwrap();
-                assert_eq!(
-                    layout.apply_c(&idx).unwrap(),
-                    f,
-                    "{}: flat {f}",
-                    cand.config
-                );
+                assert_eq!(layout.apply_c(&idx).unwrap(), f, "{}: flat {f}", config);
             }
         }
     }
@@ -62,8 +56,8 @@ fn search_space_layouts_are_bijective() {
 #[test]
 fn default_config_is_first_candidate() {
     for kind in small_kinds() {
-        let space = SearchSpace::enumerate(kind);
-        assert_eq!(space.candidates[0].config, kind.default_config());
+        let configs = Domain::new(kind, SpaceScale::Legacy).enumerate();
+        assert_eq!(configs[0], kind.default_config());
     }
 }
 
@@ -185,6 +179,33 @@ fn non_power_of_two_sizes_tune_cleanly() {
             .unwrap_or_else(|e| panic!("n={n}: {e}"));
         assert!(r.tuned.time_s <= r.naive.time_s, "n={n}");
         assert!(r.evaluated > 1, "n={n}: space collapsed");
+    }
+}
+
+/// Sizes that parse but leave an axis empty (no power-of-two transpose
+/// tile divides 100; 257 and 4099 are prime, so no matmul tile divides
+/// them) have a one-point domain: every strategy, at either scale,
+/// scores the default alone instead of panicking on an empty axis.
+#[test]
+fn empty_axis_sizes_tune_to_the_default() {
+    for name in ["transpose(n=100)", "matmul(n=257)", "matmul(n=4099)"] {
+        let kind = WorkloadKind::parse(name).expect("size parses");
+        for scale in [SpaceScale::Legacy, SpaceScale::Enlarged] {
+            for strategy in [Strategy::Exhaustive, Strategy::Anneal, Strategy::Genetic] {
+                let r = Tuner::new(a100())
+                    .with_space(scale)
+                    .with_strategy(strategy)
+                    .with_budget(Budget(16))
+                    .tune(&kind)
+                    .unwrap_or_else(|e| panic!("{name} {scale:?} {strategy}: {e}"));
+                assert_eq!(
+                    r.config,
+                    kind.default_config(),
+                    "{name} {scale:?} {strategy}"
+                );
+                assert_eq!(r.evaluated, 1, "{name} {scale:?} {strategy}");
+            }
+        }
     }
 }
 

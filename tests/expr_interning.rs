@@ -20,7 +20,7 @@
 //! structural equality must still hold.
 
 use lego_expr::{eval, Bindings, Engine, Expr, NumRange, RangeEnv};
-use lego_tune::{symbolic_exprs, SearchSpace, WorkloadKind};
+use lego_tune::{symbolic_exprs, Domain, SpaceScale, WorkloadKind};
 
 mod prop_kinds {
     use lego_codegen::cuda::stencil::StencilShape;
@@ -49,30 +49,29 @@ mod prop_kinds {
 /// Every symbolic candidate expression of a workload's legacy space,
 /// with its range environment.
 fn candidate_exprs(kind: WorkloadKind) -> Vec<(Vec<Expr>, RangeEnv)> {
-    SearchSpace::enumerate(kind)
-        .candidates
+    Domain::new(kind, SpaceScale::Legacy)
+        .enumerate()
         .iter()
-        .filter_map(|c| symbolic_exprs(&kind, &c.config))
+        .filter_map(|c| symbolic_exprs(&kind, c))
         .collect()
 }
 
 #[test]
 fn interning_round_trip_is_pointer_equal() {
     for kind in prop_kinds::all() {
-        let space = SearchSpace::enumerate(kind);
         let mut symbolic = 0usize;
-        for c in &space.candidates {
-            let Some((first, _)) = symbolic_exprs(&kind, &c.config) else {
+        for c in &Domain::new(kind, SpaceScale::Legacy).enumerate() {
+            let Some((first, _)) = symbolic_exprs(&kind, c) else {
                 continue;
             };
-            let (second, _) = symbolic_exprs(&kind, &c.config).expect("still symbolic");
+            let (second, _) = symbolic_exprs(&kind, c).expect("still symbolic");
             assert_eq!(first.len(), second.len());
             for (a, b) in first.iter().zip(&second) {
                 assert!(
                     a.ptr_eq(b),
                     "{}: re-lowering {:?} produced a distinct node for {a}",
                     kind.name(),
-                    c.config
+                    c
                 );
                 assert_eq!(a.id(), b.id());
             }

@@ -26,8 +26,8 @@ use lego_codegen::cuda::stencil::StencilShape;
 use lego_codegen::tuning::RowwiseOp;
 use lego_expr::printer::python::{print as py_print, Flavor};
 use lego_expr::{Engine, Expr, RangeEnv};
-use lego_tune::space::{build_layout, SearchSpace, WorkloadKind};
-use lego_tune::{Budget, Strategy, Tuner};
+use lego_tune::space::{build_layout, Candidate, WorkloadKind};
+use lego_tune::{Budget, Domain, SpaceScale, Strategy, Tuner};
 
 /// The six workload families at gate-sized problems (divisible by every
 /// legacy tile/block choice, small enough for exhaustive search).
@@ -64,8 +64,8 @@ fn transcript() -> Vec<String> {
 
     // Candidate annotations are device-independent (pure expr work).
     for kind in workloads() {
-        let space = SearchSpace::enumerate(kind);
-        for c in &space.candidates {
+        for config in Domain::new(kind, SpaceScale::Legacy).enumerate() {
+            let c = Candidate::annotated(&kind, &config);
             out.push(format!(
                 "cand {} {:?} variant={:?} ops={:?}",
                 kind.name(),

@@ -23,7 +23,7 @@ mod prop_support;
 
 use std::path::{Path, PathBuf};
 
-use lego_tune::{RowwiseOp, SearchSpace, Sidecar, WorkloadKind};
+use lego_tune::{Candidate, Domain, RowwiseOp, Sidecar, SpaceScale, WorkloadKind};
 use prop_support::Rng;
 
 /// The workloads the properties enumerate — small enough that a fresh
@@ -53,8 +53,8 @@ fn scratch(tag: &str) -> PathBuf {
 fn enumerate_lines() -> Vec<String> {
     let mut lines = Vec::new();
     for kind in kinds() {
-        let space = SearchSpace::enumerate(kind);
-        for c in &space.candidates {
+        for config in Domain::new(kind, SpaceScale::Legacy).enumerate() {
+            let c = Candidate::annotated(&kind, &config);
             lines.push(format!(
                 "{}|{}|{:?}|{:?}",
                 kind.name(),
