@@ -1,9 +1,9 @@
 //! `lego-fleet`: fleet-scale parallel tuning from the command line.
 //!
 //! Expands a [`FleetSpec`] grid (`family:lo..hixSTEP[,...][@devices]`)
-//! into tuning requests and runs them through the work-stealing
-//! [`FleetDriver`] — warm per-worker expression arenas, frontier
-//! transfer between neighboring keys, one merged cache write. Two
+//! into tuning requests and runs them through the [`FleetDriver`] —
+//! one FIFO of runnable keys, warm per-worker expression arenas,
+//! frontier transfer between neighboring keys, one merged cache write. Two
 //! modes:
 //!
 //! * **run** (default) — tune the grid once (transfer on unless
@@ -100,7 +100,7 @@ fn print_report(report: &FleetReport) {
     let c = report.counters();
     println!(
         "{} keys on {} threads in {:.2}s ({:.2} keys/s) — {} hits, {} searched \
-         ({} transferred, {} evals saved, mean {:.1} evals to winner), {} steals",
+         ({} transferred, {} evals saved, mean {:.1} evals to winner)",
         report.keys.len(),
         report.threads,
         report.elapsed_s,
@@ -110,7 +110,6 @@ fn print_report(report: &FleetReport) {
         c.transfers,
         c.evals_saved,
         c.mean_evals_to_winner(),
-        report.steals,
     );
 }
 

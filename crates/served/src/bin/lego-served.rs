@@ -8,8 +8,11 @@
 //! Listens for line-JSON requests (`tune`, `fleet`, `metrics`,
 //! `shutdown`) and serves best-config answers through the three-tier
 //! path described in `lego_served::service` — the `fleet` verb tunes a
-//! whole grid at once through the work-stealing
-//! [`lego_tune::FleetDriver`]. Runs until a client sends the `shutdown`
+//! whole grid at once through the [`lego_tune::FleetDriver`], at most
+//! 1,024 keys on at most 64 threads per request
+//! (`lego_served::protocol::MAX_FLEET_KEYS`, `MAX_FLEET_THREADS`), and
+//! promotes the entries it persisted into the memory tier. Runs until a
+//! client sends the `shutdown`
 //! verb, then drains in-flight work, flushes the tuning cache, and
 //! exits 0.
 
@@ -39,6 +42,7 @@ protocol (one JSON object per line, response mirrors with \"ok\"):
    \"strategy\":\"anneal\",\"budget\":256,\"space\":\"enlarged\"}
   {\"verb\":\"fleet\",\"grid\":\"matmul:512..4096x2@a100,h100\",
    \"strategy\":\"anneal\",\"budget\":160,\"threads\":4,\"transfer\":true}
+   (a fleet grid may expand to at most 1024 keys and ask for at most 64 threads)
   {\"verb\":\"metrics\"}
   {\"verb\":\"shutdown\"}";
 

@@ -87,12 +87,13 @@ impl Client {
     }
 
     /// Issues a `fleet` request: tunes a whole grid through the
-    /// daemon's work-stealing driver and returns the run summary with
-    /// per-key outcomes.
+    /// daemon's fleet driver and returns the run summary with per-key
+    /// outcomes.
     ///
     /// # Errors
     ///
-    /// Transport-level failures only — a fleet error is an `Ok`
+    /// Transport-level failures only — a fleet error (a malformed
+    /// grid, or one over the daemon's key or thread cap) is an `Ok`
     /// response with `"ok": false`.
     pub fn fleet(&mut self, wire: &FleetWire) -> std::io::Result<Json> {
         self.request(&wire.to_json())

@@ -17,9 +17,12 @@
 //! space). The `fleet` verb requires only `grid` (a
 //! [`FleetSpec`] string); its strategy defaults to `anneal` — a fleet
 //! exists to amortize budgeted searches — and `transfer` (boolean)
-//! defaults to true. Responses always carry `"ok"`; failures look like
-//! `{"ok": false, "error": "..."}` and never close the connection —
-//! a malformed line costs one error response, nothing more.
+//! defaults to true. A fleet request may expand to at most
+//! [`MAX_FLEET_KEYS`] keys and ask for at most [`MAX_FLEET_THREADS`]
+//! threads; anything larger is an error. Responses always carry
+//! `"ok"`; failures look like `{"ok": false, "error": "..."}` and
+//! never close the connection — a malformed line costs one error
+//! response, nothing more.
 //!
 //! Tune responses are *deterministic*: they contain only the served
 //! result (winner config, estimates, evaluation count), never
@@ -275,6 +278,15 @@ pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneReques
     })
 }
 
+/// Most keys one `fleet` request may expand to. The driver's transfer
+/// topology compares every key with every earlier one before any
+/// search runs, so the grid size bounds that quadratic setup too.
+pub const MAX_FLEET_KEYS: usize = 1024;
+
+/// Most worker threads one `fleet` request may ask for (the driver
+/// spawns one OS thread per worker, up to the key count).
+pub const MAX_FLEET_THREADS: usize = 64;
+
 /// A resolved fleet request: the expanded grid plus driver knobs.
 #[derive(Clone, Debug)]
 pub struct ResolvedFleet {
@@ -292,12 +304,26 @@ pub struct ResolvedFleet {
 ///
 /// # Errors
 ///
-/// Malformed grid spec, unknown device, strategy, or space.
+/// Malformed grid spec, unknown device, strategy, or space, a grid of
+/// more than [`MAX_FLEET_KEYS`] keys or more than [`MAX_FLEET_THREADS`]
+/// threads.
 pub fn resolve_fleet(
     wire: &FleetWire,
     default_device: &GpuConfig,
 ) -> Result<ResolvedFleet, String> {
     let spec = FleetSpec::parse(&wire.grid).map_err(|e| format!("bad grid: {e}"))?;
+    if spec.len() > MAX_FLEET_KEYS {
+        return Err(format!(
+            "grid expands to {} keys, above the cap of {MAX_FLEET_KEYS}",
+            spec.len()
+        ));
+    }
+    let threads = wire.threads.unwrap_or(4);
+    if threads > MAX_FLEET_THREADS {
+        return Err(format!(
+            "{threads} threads is above the cap of {MAX_FLEET_THREADS}"
+        ));
+    }
     let device = match &wire.device {
         None => default_device.clone(),
         Some(name) => gpu_sim::lookup(name).ok_or_else(|| {
@@ -322,7 +348,7 @@ pub fn resolve_fleet(
     let budget = wire.budget.map(Budget).unwrap_or_default();
     Ok(ResolvedFleet {
         grid: spec.requests(&device, strategy, budget, space),
-        threads: wire.threads.unwrap_or(4),
+        threads,
         transfer: wire.transfer.unwrap_or(true),
     })
 }
@@ -426,6 +452,33 @@ mod tests {
         assert!(resolve_fleet(&bad_dev, &gpu_sim::a100())
             .unwrap_err()
             .contains("unknown device"));
+    }
+
+    #[test]
+    fn resolve_fleet_caps_the_key_count() {
+        let grid = |keys: usize| FleetWire::grid(vec!["softmax:1k"; keys].join(","));
+        let at_cap = resolve_fleet(&grid(MAX_FLEET_KEYS), &gpu_sim::a100()).unwrap();
+        assert_eq!(at_cap.grid.len(), MAX_FLEET_KEYS);
+        let err = resolve_fleet(&grid(MAX_FLEET_KEYS + 1), &gpu_sim::a100()).unwrap_err();
+        assert!(err.contains("cap of 1024"), "{err}");
+        // Devices multiply the count: 342 groups on 3 devices is 1026.
+        let mut wide = grid(342);
+        wide.grid.push_str("@a100,h100,mi300");
+        let err = resolve_fleet(&wide, &gpu_sim::a100()).unwrap_err();
+        assert!(err.contains("1026 keys"), "{err}");
+    }
+
+    #[test]
+    fn resolve_fleet_caps_the_thread_count() {
+        let mut wire = FleetWire::grid("matmul:256");
+        wire.threads = Some(MAX_FLEET_THREADS);
+        assert_eq!(
+            resolve_fleet(&wire, &gpu_sim::a100()).unwrap().threads,
+            MAX_FLEET_THREADS
+        );
+        wire.threads = Some(MAX_FLEET_THREADS + 1);
+        let err = resolve_fleet(&wire, &gpu_sim::a100()).unwrap_err();
+        assert!(err.contains("cap of 64"), "{err}");
     }
 
     #[test]

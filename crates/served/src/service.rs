@@ -353,12 +353,13 @@ impl TuneService {
         (result, tier)
     }
 
-    /// Tunes a whole grid through the work-stealing
-    /// [`FleetDriver`] — sharing the daemon's persistent cache, so
-    /// already-served keys are instant hits and fresh results come back
-    /// in one merged write. Completed keys are promoted into the memory
-    /// tier (subsequent `tune` requests hit tier 1), and the run's
-    /// per-class counters land in the `metrics` report.
+    /// Tunes a whole grid through the [`FleetDriver`] — sharing the
+    /// daemon's persistent cache, so already-served keys are instant
+    /// hits and fresh results come back in one merged write. The
+    /// entries the run persisted (or, without a cache, would have) are
+    /// promoted into the memory tier, so a later `tune` of a fleet key
+    /// hits tier 1 with the same bytes a fresh search would answer.
+    /// The run's per-class counters land in the `metrics` report.
     pub fn fleet(&self, grid: &[TuneRequest], threads: usize, transfer: bool) -> FleetReport {
         let mut driver = FleetDriver::new(threads).with_transfer(transfer);
         if let Some(cache) = &self.cache {
@@ -369,44 +370,10 @@ impl TuneService {
         }
         let report = driver.run(grid);
 
-        // Promote. With a cache, the merged write is already on disk
-        // and its entries carry the real frontiers — refresh the memory
-        // tier from it. Without one, synthesize memory entries from the
-        // fresh results (empty frontier, per the serving-tier
-        // convention).
         let mut memory = self.memory.lock().expect("memory tier poisoned");
-        if let Some(cache) = &self.cache {
-            for (k, v) in cache.entries() {
-                memory.insert(k, v);
-            }
-        } else {
-            for key in &report.keys {
-                let Ok(t) = &key.result else { continue };
-                if t.from_cache {
-                    continue;
-                }
-                let req = &key.request;
-                memory.insert(
-                    key.cache_key.clone(),
-                    CachedTuning {
-                        config: t.config,
-                        expr_variant: None,
-                        index_ops: None,
-                        naive: t.naive,
-                        tuned: t.tuned,
-                        evaluated: t.evaluated,
-                        strategy: req.strategy.name().to_string(),
-                        // Transferred searches record the request's
-                        // cold budget, same as the driver's own cache
-                        // entries — the entry serves what was asked.
-                        budget: match req.strategy {
-                            Strategy::Exhaustive => None,
-                            Strategy::Anneal | Strategy::Genetic => Some(req.budget.max_evals()),
-                        },
-                        space: req.effective_space().name().to_string(),
-                        frontier: vec![],
-                    },
-                );
+        for key in &report.keys {
+            if let Some(entry) = &key.entry {
+                memory.insert(key.cache_key.clone(), entry.clone());
             }
         }
         drop(memory);

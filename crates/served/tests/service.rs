@@ -21,15 +21,19 @@ fn temp_cache(tag: &str) -> PathBuf {
 
 fn start(tag: &str, workers: usize) -> (Server, PathBuf) {
     let cache = temp_cache(tag);
-    let server = Server::start(ServerConfig {
+    (start_with(Some(cache.clone()), workers), cache)
+}
+
+/// A daemon persisting to `cache` (`None` = in-memory only).
+fn start_with(cache: Option<PathBuf>, workers: usize) -> Server {
+    Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
-        cache: Some(cache.clone()),
+        cache,
         sidecar: None,
         device_default: gpu_sim::a100(),
     })
-    .expect("bind ephemeral daemon");
-    (server, cache)
+    .expect("bind ephemeral daemon")
 }
 
 fn shutdown_and_join(server: Server) {
@@ -494,6 +498,82 @@ fn client_disconnect_mid_search_still_promotes_the_result() {
         .expect("tune after disconnect");
     assert!(is_ok(&served));
     assert_eq!(service.metrics().searches_run(), 1);
+
+    shutdown_and_join(server);
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// A key a fleet tuned answers `tune` with the bytes a fresh daemon's
+/// own search of that request answers, with a cache and without one.
+#[test]
+fn fleet_tuned_keys_answer_the_bytes_of_a_fresh_search() {
+    const TUNE: &str =
+        "{\"verb\":\"tune\",\"workload\":\"softmax(m=256,n=1024)\",\"strategy\":\"anneal\"}";
+    for cached in [false, true] {
+        let fresh_cache = cached.then(|| temp_cache("answer_fresh"));
+        let fresh = start_with(fresh_cache.clone(), 1);
+        let expected = Client::connect(fresh.local_addr())
+            .expect("connect")
+            .roundtrip_line(TUNE)
+            .expect("fresh tune");
+        assert_eq!(fresh.service().metrics().searches_run(), 1);
+        shutdown_and_join(fresh);
+
+        let fleet_cache = cached.then(|| temp_cache("answer_fleet"));
+        let server = start_with(fleet_cache.clone(), 1);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let mut wire = FleetWire::grid("softmax:1k");
+        wire.transfer = Some(false);
+        let report = client.fleet(&wire).expect("fleet roundtrip");
+        assert_eq!(report.get("searched").and_then(Json::as_i64), Some(1));
+        let served = client.roundtrip_line(TUNE).expect("tune after fleet");
+        assert_eq!(server.service().metrics().searches_run(), 0);
+        assert_eq!(served, expected, "cache attached: {cached}");
+        drop(client);
+        shutdown_and_join(server);
+
+        for path in [fresh_cache, fleet_cache].into_iter().flatten() {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// Fleet requests over the key or thread cap, or naming a size the
+/// workload checks refuse, each get an error, and the daemon's only
+/// worker keeps serving.
+#[test]
+fn bad_fleet_requests_error_and_the_daemon_keeps_serving() {
+    let (server, cache) = start("fleet_abuse", 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let over_keys = FleetWire::grid(vec!["softmax:1k"; 1025].join(","));
+    let mut over_threads = FleetWire::grid("softmax:1k");
+    over_threads.threads = Some(65);
+    for (wire, needle) in [
+        (over_keys, "cap of 1024"),
+        (over_threads, "cap of 64"),
+        (FleetWire::grid("stencil:2"), "size 2"),
+    ] {
+        let resp = client.fleet(&wire).expect("fleet roundtrip");
+        assert!(!is_ok(&resp), "{}", resp.render());
+        let err = resp.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(err.contains(needle), "{err}");
+    }
+    assert!(is_ok(
+        &client
+            .tune(&TuneSpec::workload("softmax(m=64,n=256)"))
+            .expect("tune on the same connection")
+    ));
+    drop(client);
+
+    // The one worker is still alive for the next connection.
+    let mut next = Client::connect(server.local_addr()).expect("connect again");
+    assert!(is_ok(
+        &next
+            .tune(&TuneSpec::workload("softmax(m=64,n=256)"))
+            .expect("tune on a new connection")
+    ));
+    drop(next);
 
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);

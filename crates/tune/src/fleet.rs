@@ -1,5 +1,6 @@
-//! Fleet-scale tuning: a work-stealing driver that tunes a whole grid
-//! of `(workload, size, device)` keys with cross-key frontier transfer.
+//! Fleet-scale tuning: a driver that tunes a whole grid of
+//! `(workload, size, device)` keys on a small thread pool with
+//! cross-key frontier transfer.
 //!
 //! Pre-tuning a model zoo is embarrassingly parallel *and* highly
 //! self-similar: `matmul(n=4096)` on an A100 is one unit-lattice hop
@@ -7,32 +8,38 @@
 //! persists each search's top-k frontier. The [`FleetDriver`] exploits
 //! both:
 //!
-//! * **Parallelism** — a fixed pool of worker threads pulls keys from
-//!   per-worker deques and steals from siblings when idle. Each worker
-//!   keeps its thread-local expression arena warm across every key it
-//!   tunes (the same per-thread-arena economics `lego-served` relies
-//!   on), and all results land in a sharded in-memory map with a
-//!   *single* [`TuningCache::store_and_compact`] batch at the end —
-//!   one append (or compaction) instead of one write per key.
+//! * **Parallelism** — a fixed pool of worker threads takes keys from
+//!   one FIFO queue of runnable keys. Each worker keeps its
+//!   thread-local expression arena warm across every key it tunes
+//!   (the same per-thread-arena economics `lego-served` relies on).
+//!   Completed entries land in one in-memory map, and each key's
+//!   report carries the entry the run persists for it
+//!   ([`FleetKeyReport::entry`]); the entries are written in grid
+//!   order with a *single* [`TuningCache::store_and_compact`] batch at
+//!   the end — one append (or compaction) instead of one write per key.
 //! * **Transfer** — before a key falls back to a cold search, it seeds
 //!   from the frontier of the *nearest already-tuned key* in its
 //!   `(family, device)` class under [`crate::cache::key_distance`]
 //!   (size distance in log2 space, cross-device fallback at a penalty).
-//!   Completed keys feed the in-memory index as the run progresses, so
+//!   Completed keys feed the in-memory map as the run progresses, so
 //!   late keys in a sweep transfer from early ones, and a transferred
 //!   search runs at a fraction of the cold budget
 //!   ([`TRANSFER_BUDGET_DIVISOR`]) because its seeds already contain a
 //!   near-winner.
 //!
-//! Determinism: each key's transfer source is fixed *before* the run —
-//! the nearest earlier-in-grid key by distance, not "whatever happened
-//! to finish first" — and keys only become runnable once their source
-//! completed. Every search is a pure function of `(key, knobs, seeds)`,
-//! so a fleet's results are bit-identical across thread counts and
-//! scheduling orders (asserted by the determinism tests).
+//! Determinism: each key's dependency is fixed *before* the run — a
+//! repeated key depends on its first occurrence, and with transfer on
+//! any other key on the nearest earlier-in-grid key by distance, not
+//! "whatever happened to finish first" — and a key only becomes
+//! runnable once its dependency completed. Every search is a pure
+//! function of `(key, knobs, seeds)`, so a fleet's results are
+//! bit-identical across thread counts and scheduling orders (asserted
+//! by the determinism tests). A search that panics fails only its own
+//! key; its dependents start cold, as they do after any failed key.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -45,7 +52,6 @@ use crate::cache::{config_to_json, nearest_neighbor, CachedTuning, TuningCache};
 use crate::domain::{Domain, SpaceScale};
 use crate::json::Json;
 use crate::request::TuneRequest;
-use crate::rng::fnv1a;
 use crate::space::WorkloadKind;
 use crate::strategy::{Budget, Strategy};
 
@@ -55,14 +61,10 @@ use crate::strategy::{Budget, Strategy};
 /// is where the fleet's keys/second win comes from.
 pub const TRANSFER_BUDGET_DIVISOR: usize = 4;
 
-/// Floor of the transferred budget, so even aggressive divisors leave
-/// room to evaluate the seeds plus a polish neighborhood. Never raises
-/// a budget above the cold one.
+/// Floor of the transferred budget, so the cut leaves room to evaluate
+/// the seeds plus a polish neighborhood. Never raises a budget above
+/// the cold one.
 pub const TRANSFER_MIN_EVALS: usize = 32;
-
-/// Shard count of the in-memory result map (bounds lock contention
-/// between workers completing keys concurrently).
-const SHARDS: usize = 16;
 
 /// Row count of the rowwise workloads a [`FleetSpec`] expands to (the
 /// tuned knob is the column block size; `m` only scales the trace).
@@ -231,7 +233,8 @@ impl FleetSpec {
     /// # Errors
     ///
     /// Describes the malformed fragment: unknown family or device, bad
-    /// size or step, empty spec.
+    /// size or step, a size [`WorkloadKind::validate`] rejects, empty
+    /// spec.
     pub fn parse(s: &str) -> Result<FleetSpec, String> {
         let s = s.trim();
         let (body, device_list) = match s.split_once('@') {
@@ -288,12 +291,19 @@ impl FleetSpec {
             if hi < lo {
                 return Err(format!("group {part:?}: upper bound below lower"));
             }
-            groups.push(FleetGroup {
+            let group = FleetGroup {
                 family,
                 lo,
                 hi,
                 step,
-            });
+            };
+            for n in group.sizes() {
+                family
+                    .kind(n)
+                    .validate()
+                    .map_err(|e| format!("group {part:?}: size {n}: {e}"))?;
+            }
+            groups.push(group);
         }
         if groups.is_empty() {
             return Err("empty fleet spec (expected family:sizes[,...][@devices])".to_string());
@@ -413,6 +423,10 @@ pub struct FleetKeyReport {
     pub worker: usize,
     /// Wall-clock seconds this key took on its worker.
     pub elapsed_s: f64,
+    /// The record this run persists for the key: the search's entry,
+    /// recorded at the request's cold budget when a transfer cut it.
+    /// `None` for cache hits and errors. Not part of [`Self::to_json`].
+    pub entry: Option<CachedTuning>,
 }
 
 impl FleetKeyReport {
@@ -561,8 +575,6 @@ pub struct FleetReport {
     pub threads: usize,
     /// Whether transfer was enabled.
     pub transfer: bool,
-    /// Keys a worker stole from a sibling's deque.
-    pub steals: u64,
     /// End-to-end wall-clock seconds.
     pub elapsed_s: f64,
 }
@@ -608,7 +620,6 @@ impl FleetReport {
             ("evals_saved", Json::Int(c.evals_saved as i64)),
             ("mean_evals_to_winner", Json::num(c.mean_evals_to_winner())),
             ("errors", Json::Int(c.errors as i64)),
-            ("steals", Json::Int(self.steals as i64)),
         ])
     }
 }
@@ -617,14 +628,13 @@ impl FleetReport {
 // The driver
 // ---------------------------------------------------------------------
 
-/// The work-stealing fleet driver. See the module docs for semantics.
+/// The fleet driver. See the module docs for semantics.
 #[derive(Clone, Debug)]
 pub struct FleetDriver {
     threads: usize,
     cache: Option<TuningCache>,
     sidecar: Option<std::path::PathBuf>,
     transfer: bool,
-    divisor: usize,
 }
 
 impl FleetDriver {
@@ -635,7 +645,6 @@ impl FleetDriver {
             cache: None,
             sidecar: None,
             transfer: true,
-            divisor: TRANSFER_BUDGET_DIVISOR,
         }
     }
 
@@ -667,38 +676,33 @@ impl FleetDriver {
         self
     }
 
-    /// Overrides the transferred-search budget divisor (≥ 1; 1 keeps
-    /// the full budget and measures seeding quality alone).
-    #[must_use]
-    pub fn with_transfer_divisor(mut self, divisor: usize) -> FleetDriver {
-        self.divisor = divisor.max(1);
-        self
-    }
-
     /// Tunes every key of `grid` and returns the per-key outcomes plus
-    /// run counters. Individual failures are recorded, never fatal; the
-    /// merged cache write happens once, after the last key.
+    /// run counters. Individual failures, panics included, are recorded,
+    /// never fatal; the merged cache write happens once, after the last
+    /// key.
     pub fn run(&self, grid: &[TuneRequest]) -> FleetReport {
         let t0 = Instant::now();
         let n = grid.len();
         let keys: Vec<String> = grid.iter().map(TuneRequest::cache_key).collect();
 
-        // Static transfer topology: each key depends on the nearest
-        // comparable *earlier* key (first occurrence), decided by the
-        // distance metric before anything runs. This is what keeps the
-        // run deterministic — the source is a function of the grid, not
-        // of scheduling.
+        // Static dependency topology, decided before anything runs: a
+        // repeated key depends on its first occurrence (and is then a
+        // hit), and with transfer on every other key depends on the
+        // nearest comparable earlier key. The source is a function of
+        // the grid, not of scheduling, which keeps the run
+        // deterministic.
         let mut first_at: HashMap<&str, usize> = HashMap::new();
         for (i, k) in keys.iter().enumerate() {
             first_at.entry(k.as_str()).or_insert(i);
         }
         let deps: Vec<Option<usize>> = (0..n)
-            .map(|i| {
-                if !self.transfer {
-                    return None;
+            .map(|i| match first_at[keys[i].as_str()] {
+                first if first < i => Some(first),
+                _ if self.transfer => {
+                    nearest_neighbor(&keys[i], keys[..i].iter().map(String::as_str))
+                        .map(|k| first_at[k])
                 }
-                nearest_neighbor(&keys[i], keys[..i].iter().map(String::as_str))
-                    .map(|k| first_at[k])
+                _ => None,
             })
             .collect();
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -708,104 +712,89 @@ impl FleetDriver {
             }
         }
 
-        // Sharded result map, preloaded from the persistent cache.
-        let shards: Vec<Mutex<HashMap<String, CachedTuning>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
-        let shard_of = |key: &str| &shards[(fnv1a(key) % SHARDS as u64) as usize];
-        if let Some(cache) = &self.cache {
-            for (k, v) in cache.entries() {
-                shard_of(&k).lock().expect("shard poisoned").insert(k, v);
-            }
-        }
-
+        // Completed entries by cache key, preloaded from the cache.
+        let tuned: Mutex<HashMap<String, CachedTuning>> = Mutex::new(
+            self.cache
+                .as_ref()
+                .map(|c| c.entries().into_iter().collect())
+                .unwrap_or_default(),
+        );
+        let queue = ReadyQueue::new((0..n).filter(|&i| deps[i].is_none()), n);
         let threads = self.threads.min(n.max(1));
-        let sched = Sched::new(threads, n);
-        for (w, i) in (0..n).filter(|i| deps[*i].is_none()).enumerate() {
-            sched.seed(w % threads, i);
-        }
-
-        let results: Mutex<Vec<Option<FleetKeyReport>>> = Mutex::new(vec![None; n]);
-        // Fresh entries to persist, slotted by grid index so the merged
-        // write is deterministic in grid order.
-        let dirty: Mutex<Vec<Option<CachedTuning>>> = Mutex::new(vec![None; n]);
 
         // The persistent memo sidecar is parsed once here; each worker
-        // installs it into its own thread-local caches before
-        // taking work, and contributes its derived results to one
-        // merged document persisted in a single write below.
+        // installs it into its own thread-local caches before taking
+        // work and hands back its derived results, merged below into
+        // one document persisted in a single write.
         let sidecar_in = self
             .sidecar
             .as_deref()
             .map(crate::sidecar::Sidecar::load)
             .filter(|sc| !sc.is_empty());
-        let sidecar_out: Option<Mutex<crate::sidecar::Sidecar>> = self
-            .sidecar
-            .is_some()
-            .then(|| Mutex::new(crate::sidecar::Sidecar::new()));
 
+        let mut slots: Vec<Option<FleetKeyReport>> = vec![None; n];
+        let mut sidecar_out = crate::sidecar::Sidecar::new();
         std::thread::scope(|scope| {
-            for w in 0..threads {
-                let sched = &sched;
-                let results = &results;
-                let dirty = &dirty;
-                let shards = &shards;
-                let grid_ref = grid;
-                let keys = &keys;
-                let deps = &deps;
-                let children = &children;
-                let divisor = self.divisor;
-                let sidecar_in = sidecar_in.as_ref();
-                let sidecar_out = sidecar_out.as_ref();
-                scope.spawn(move || {
-                    if let Some(sc) = sidecar_in {
-                        crate::sidecar::install(sc);
-                    }
-                    while let Some(i) = sched.next(w) {
-                        let (report, entry) = run_key(grid_ref, keys, deps, shards, divisor, i, w);
-                        if let Some(entry) = entry {
-                            let shard = &shards[(fnv1a(&keys[i]) % SHARDS as u64) as usize];
-                            shard
-                                .lock()
-                                .expect("shard poisoned")
-                                .insert(keys[i].clone(), entry.clone());
-                            dirty.lock().expect("dirty list poisoned")[i] = Some(entry);
+            let workers: Vec<_> = (0..threads)
+                .map(|w| {
+                    let (queue, tuned, keys, deps, children) =
+                        (&queue, &tuned, &keys, &deps, &children);
+                    let sidecar_in = sidecar_in.as_ref();
+                    scope.spawn(move || {
+                        if let Some(sc) = sidecar_in {
+                            crate::sidecar::install(sc);
                         }
-                        results.lock().expect("results poisoned")[i] = Some(report);
-                        // Dependents become runnable only now, with the
-                        // entry already visible in the shard.
-                        sched.complete(w, &children[i]);
-                    }
-                    if let Some(out) = sidecar_out {
-                        let derived = crate::sidecar::collect();
-                        out.lock().expect("sidecar poisoned").merge(&derived);
-                    }
-                });
+                        let mut done = Vec::new();
+                        while let Some(i) = queue.next() {
+                            let report = run_key(grid, keys, deps, tuned, i, w);
+                            if let Some(entry) = &report.entry {
+                                tuned
+                                    .lock()
+                                    .expect("result map poisoned")
+                                    .insert(keys[i].clone(), entry.clone());
+                            }
+                            // Dependents become runnable only now, with
+                            // the entry already visible in the map.
+                            queue.complete(&children[i]);
+                            done.push((i, report));
+                        }
+                        (done, self.sidecar.is_some().then(crate::sidecar::collect))
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let (done, derived) = worker.join().expect("fleet worker panicked");
+                for (i, report) in done {
+                    slots[i] = Some(report);
+                }
+                if let Some(derived) = derived {
+                    sidecar_out.merge(&derived);
+                }
             }
         });
+        let mut reports: Vec<FleetKeyReport> = slots
+            .into_iter()
+            .map(|r| r.expect("every key completed"))
+            .collect();
 
-        if let (Some(path), Some(out)) = (&self.sidecar, sidecar_out) {
-            let merged = out.into_inner().expect("sidecar poisoned");
-            if let Err(e) = merged.save(path) {
+        if let Some(path) = &self.sidecar {
+            if let Err(e) = sidecar_out.save(path) {
                 // Same best-effort stance as the cache write below.
                 eprintln!("fleet: sidecar write failed: {e}");
             }
         }
 
         if let Some(cache) = &self.cache {
-            let batch: Vec<(String, CachedTuning)> = dirty
-                .into_inner()
-                .expect("dirty list poisoned")
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, e)| Some((keys[i].clone(), e?)))
+            let batch: Vec<(String, CachedTuning)> = reports
+                .iter()
+                .filter_map(|r| Some((r.cache_key.clone(), r.entry.clone()?)))
                 .collect();
             if let Err(e) = cache.store_and_compact(&batch) {
                 // Persisting is best-effort at this layer; surface the
                 // failure on every fresh key's report instead of
                 // panicking a completed run.
-                let mut results = results.lock().expect("results poisoned");
-                for r in results.iter_mut().flatten() {
-                    if matches!(&r.result, Ok(t) if !t.from_cache) {
+                for r in &mut reports {
+                    if r.entry.take().is_some() {
                         r.result = Err(format!("cache write failed: {e}"));
                     }
                 }
@@ -813,70 +802,79 @@ impl FleetDriver {
         }
 
         FleetReport {
-            keys: results
-                .into_inner()
-                .expect("results poisoned")
-                .into_iter()
-                .map(|r| r.expect("every key completed"))
-                .collect(),
+            keys: reports,
             threads,
             transfer: self.transfer,
-            steals: sched.steals(),
             elapsed_s: t0.elapsed().as_secs_f64(),
         }
     }
 }
 
-/// Tunes grid key `i` on worker `w`. Returns the report and, for fresh
-/// searches, the cache entry to publish (the caller inserts it into the
-/// shard *before* marking the key complete).
+/// Tunes grid key `i` on worker `w`. A fresh search's report carries
+/// the entry to publish (the caller inserts it into the result map
+/// *before* marking the key complete). A panicking search becomes an
+/// error report for this key alone.
 fn run_key(
     grid: &[TuneRequest],
     keys: &[String],
     deps: &[Option<usize>],
-    shards: &[Mutex<HashMap<String, CachedTuning>>],
-    divisor: usize,
+    tuned: &Mutex<HashMap<String, CachedTuning>>,
     i: usize,
     w: usize,
-) -> (FleetKeyReport, Option<CachedTuning>) {
+) -> FleetKeyReport {
     let t0 = Instant::now();
     let req = &grid[i];
-    let key = &keys[i];
     let lookup = |k: &str| -> Option<CachedTuning> {
-        shards[(fnv1a(k) % SHARDS as u64) as usize]
-            .lock()
-            .expect("shard poisoned")
-            .get(k)
-            .cloned()
+        tuned.lock().expect("result map poisoned").get(k).cloned()
+    };
+    let mut report = FleetKeyReport {
+        request: req.clone(),
+        cache_key: keys[i].clone(),
+        result: Err(format!("tuning panicked for {}", req.kind.name())),
+        transferred_from: None,
+        seeds: 0,
+        worker: w,
+        elapsed_s: 0.0,
+        entry: None,
     };
 
     // Instant hit: a preloaded or earlier-completed entry satisfies the
     // request as-is (same rule the sequential tuner and daemon apply).
-    let own = lookup(key);
-    if let Some(hit) = &own {
-        if req.satisfied_by(hit) {
-            let report = FleetKeyReport {
-                request: req.clone(),
-                cache_key: key.clone(),
-                result: Ok(FleetTuned {
-                    config: hit.config,
-                    naive: hit.naive,
-                    tuned: hit.tuned,
-                    evaluated: 0,
-                    evals_to_winner: 0,
-                    budget: None,
-                    evals_saved: 0,
-                    from_cache: true,
-                }),
-                transferred_from: None,
-                seeds: 0,
-                worker: w,
-                elapsed_s: t0.elapsed().as_secs_f64(),
-            };
-            return (report, None);
-        }
+    let own = lookup(&keys[i]);
+    if let Some(hit) = own.as_ref().filter(|hit| req.satisfied_by(hit)) {
+        report.result = Ok(FleetTuned {
+            config: hit.config,
+            naive: hit.naive,
+            tuned: hit.tuned,
+            evaluated: 0,
+            evals_to_winner: 0,
+            budget: None,
+            evals_saved: 0,
+            from_cache: true,
+        });
+    } else {
+        let source = deps[i]
+            .filter(|&j| keys[j] != keys[i])
+            .and_then(|j| Some((j, lookup(&keys[j])?)));
+        // On a panic `report` keeps the error it was built with.
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            search_key(grid, req, own, source, &mut report);
+        }));
     }
+    report.elapsed_s = t0.elapsed().as_secs_f64();
+    report
+}
 
+/// Runs the search of a key that missed, seeded from its own stale
+/// entry and its transfer source `(grid index, entry)`, and fills the
+/// report's outcome fields in one step after the search returns.
+fn search_key(
+    grid: &[TuneRequest],
+    req: &TuneRequest,
+    own: Option<CachedTuning>,
+    source: Option<(usize, CachedTuning)>,
+    report: &mut FleetKeyReport,
+) {
     // Seeds: the key's own stale frontier first (a differently-searched
     // entry still knows good points), then the transfer source's.
     let domain = Domain::new(req.kind, req.effective_space());
@@ -885,44 +883,29 @@ fn run_key(
         .flat_map(|h| h.frontier.iter().map(|(c, _)| *c))
         .collect();
     let mut transferred_from = None;
-    if let Some(j) = deps[i] {
-        if keys[j] != *key {
-            if let Some(src) = lookup(&keys[j]) {
-                let survivors: Vec<TunedConfig> = src
-                    .frontier
-                    .iter()
-                    .map(|(c, _)| *c)
-                    .filter(|c| domain.contains(c))
-                    .collect();
-                if !survivors.is_empty() {
-                    transferred_from =
-                        Some(format!("{}@{}", grid[j].kind.name(), grid[j].device.tag));
-                    seeds.extend(survivors);
-                }
-            }
+    if let Some((j, src)) = source {
+        let survivors: Vec<TunedConfig> = src
+            .frontier
+            .iter()
+            .map(|(c, _)| *c)
+            .filter(|c| domain.contains(c))
+            .collect();
+        if !survivors.is_empty() {
+            transferred_from = Some(format!("{}@{}", grid[j].kind.name(), grid[j].device.tag));
+            seeds.extend(survivors);
         }
     }
 
     // A transferred search keeps only a fraction of the cold budget:
     // the seeds carry a near-winner, so the remainder just polishes.
-    let budgeted = !matches!(req.strategy, Strategy::Exhaustive);
-    let budget_override = if transferred_from.is_some() && budgeted {
-        let cold = req.budget.max_evals();
-        Some(Budget((cold / divisor).max(TRANSFER_MIN_EVALS.min(cold))))
-    } else {
-        None
-    };
+    let cold = req.budget.max_evals();
+    let budget_override = (transferred_from.is_some()
+        && !matches!(req.strategy, Strategy::Exhaustive))
+    .then(|| Budget((cold / TRANSFER_BUDGET_DIVISOR).max(TRANSFER_MIN_EVALS.min(cold))));
 
     let tuner = req.tuner();
-    let seed_count = seeds.len();
     let (result, entry) = match tuner.tune_seeded(&req.kind, &seeds, budget_override) {
         Ok(seeded) => {
-            let cold = req.budget.max_evals();
-            let evals_saved = if budget_override.is_some() && budgeted {
-                cold.saturating_sub(seeded.result.evaluated)
-            } else {
-                0
-            };
             let tuned = FleetTuned {
                 config: seeded.result.config,
                 naive: seeded.result.naive,
@@ -930,7 +913,8 @@ fn run_key(
                 evaluated: seeded.result.evaluated,
                 evals_to_winner: seeded.evals_to_winner,
                 budget: seeded.budget,
-                evals_saved,
+                evals_saved: budget_override
+                    .map_or(0, |_| cold.saturating_sub(seeded.result.evaluated)),
                 from_cache: false,
             };
             let mut entry = tuner.entry_from(&seeded);
@@ -947,97 +931,66 @@ fn run_key(
         }
         Err(e) => (Err(e.to_string()), None),
     };
-    let report = FleetKeyReport {
-        request: req.clone(),
-        cache_key: key.clone(),
-        result,
-        transferred_from,
-        seeds: seed_count,
-        worker: w,
-        elapsed_s: t0.elapsed().as_secs_f64(),
-    };
-    (report, entry)
+    report.result = result;
+    report.entry = entry;
+    report.transferred_from = transferred_from;
+    report.seeds = seeds.len();
 }
 
 // ---------------------------------------------------------------------
 // The scheduler
 // ---------------------------------------------------------------------
 
-/// Work-stealing scheduler state: per-worker deques of runnable keys.
-/// Owners pop from the front of their own deque; idle workers steal
-/// from the *back* of a sibling's (classic deque discipline — stolen
-/// work is the coldest). Keys enter a deque only when their transfer
-/// dependency has completed, so a runnable key's seeds are always
-/// visible.
-struct Sched {
-    inner: Mutex<SchedInner>,
+/// One FIFO of runnable keys shared by every worker. A key enters it
+/// only once its dependency has completed, so a runnable key's seeds
+/// are always visible in the result map.
+struct ReadyQueue {
+    inner: Mutex<Ready>,
     wake: Condvar,
 }
 
-struct SchedInner {
-    queues: Vec<VecDeque<usize>>,
+struct Ready {
+    runnable: VecDeque<usize>,
     /// Keys not yet completed (runnable, running, or still blocked on a
     /// dependency). Workers exit when it reaches zero.
     remaining: usize,
-    steals: u64,
 }
 
-impl Sched {
-    fn new(threads: usize, total: usize) -> Sched {
-        Sched {
-            inner: Mutex::new(SchedInner {
-                queues: vec![VecDeque::new(); threads],
+impl ReadyQueue {
+    /// A queue seeded with the keys that have no dependency, in grid
+    /// order, out of `total` keys.
+    fn new(roots: impl Iterator<Item = usize>, total: usize) -> ReadyQueue {
+        ReadyQueue {
+            inner: Mutex::new(Ready {
+                runnable: roots.collect(),
                 remaining: total,
-                steals: 0,
             }),
             wake: Condvar::new(),
         }
     }
 
-    /// Enqueues an initially-runnable key on worker `w`'s deque.
-    fn seed(&self, w: usize, i: usize) {
-        self.inner.lock().expect("scheduler poisoned").queues[w].push_back(i);
-    }
-
-    /// The next key for worker `w`: own deque first, then steal, else
-    /// block until a completion frees more work. `None` once every key
-    /// has completed.
-    fn next(&self, w: usize) -> Option<usize> {
+    /// The next runnable key, blocking until a completion frees one.
+    /// `None` once every key has completed.
+    fn next(&self) -> Option<usize> {
         let mut inner = self.inner.lock().expect("scheduler poisoned");
         loop {
             if inner.remaining == 0 {
                 return None;
             }
-            if let Some(i) = inner.queues[w].pop_front() {
-                return Some(i);
-            }
-            let workers = inner.queues.len();
-            if let Some(i) = (1..workers)
-                .map(|off| (w + off) % workers)
-                .find_map(|v| inner.queues[v].pop_back())
-            {
-                inner.steals += 1;
+            if let Some(i) = inner.runnable.pop_front() {
                 return Some(i);
             }
             inner = self.wake.wait(inner).expect("scheduler poisoned");
         }
     }
 
-    /// Marks a key complete and makes its dependents runnable on the
-    /// completing worker's deque (they share warm state: the worker's
-    /// arena already holds the family's expressions).
-    fn complete(&self, w: usize, dependents: &[usize]) {
+    /// Marks a key complete and makes its dependents runnable.
+    fn complete(&self, dependents: &[usize]) {
         let mut inner = self.inner.lock().expect("scheduler poisoned");
         inner.remaining -= 1;
-        for &d in dependents {
-            inner.queues[w].push_back(d);
-        }
+        inner.runnable.extend(dependents);
         drop(inner);
         self.wake.notify_all();
-    }
-
-    fn steals(&self) -> u64 {
-        self.inner.lock().expect("scheduler poisoned").steals
     }
 }
 
@@ -1117,6 +1070,25 @@ mod tests {
             "matmul:9q",
         ] {
             assert!(FleetSpec::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn spec_rejects_sizes_the_workload_checks_refuse() {
+        for (bad, size) in [
+            ("matmul:33", "33"),
+            ("transpose:16", "16"),
+            ("nw:8", "8"),
+            ("stencil:2", "2"),
+            ("matmul:99999999999", "99999999999"),
+            // A sweep is refused when any size fails, not just `lo`.
+            ("matmul:4096..99999999999x1024", "4294967296"),
+        ] {
+            let err = FleetSpec::parse(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("group {bad:?}: size {size}: ")),
+                "{bad:?}: {err}"
+            );
         }
     }
 

@@ -224,49 +224,49 @@ impl WorkloadKind {
                 "unknown workload family {other:?} (use matmul|transpose|stencil|nw|lud|softmax|layernorm-fwd|layernorm-bwd)"
             )),
         }?;
-        if kind.element_count().is_none() {
-            return Err(format!(
-                "workload {s:?}: problem element count overflows i64"
-            ));
-        }
-        if let Some((param, size, tile)) = kind.undersized() {
-            return Err(format!(
-                "workload {s:?}: {param}={size} is smaller than the default \
-                 configuration's tile or block ({tile})"
-            ));
-        }
+        kind.validate()
+            .map_err(|e| format!("workload {s:?}: {e}"))?;
         Ok(kind)
     }
 
-    /// `(parameter, size, tile)` when the problem side is smaller than
-    /// the default configuration's tile or block — the default would
-    /// cover zero tiles and price only launch overhead — else `None`.
-    /// Matmul's smallest default tile is 64, transpose's 32, a
-    /// stencil's lane extent at least 8; NW and LUD name their block.
-    fn undersized(&self) -> Option<(&'static str, i64, i64)> {
-        let (param, size, tile) = match *self {
-            WorkloadKind::Matmul { n } => ("n", n, 64),
-            WorkloadKind::Transpose { n } => ("n", n, 32),
-            WorkloadKind::Stencil { n, .. } => ("n", n, 8),
-            WorkloadKind::Nw { n, b } => ("n", n, b),
-            WorkloadKind::Lud { n, bs } => ("n", n, bs),
-            WorkloadKind::Rowwise { .. } => return None,
-        };
-        (size < tile).then_some((param, size, tile))
-    }
-
-    /// Elements of the problem's largest array (`n²`, `n³` for
-    /// stencils, `m·n` for rowwise), or `None` when that overflows
-    /// `i64` — no index arithmetic over such a problem can be priced.
-    fn element_count(&self) -> Option<i64> {
-        match *self {
+    /// Checks that the problem can be priced: the element count of its
+    /// largest array (`n²`, `n³` for stencils, `m·n` for rowwise) fits
+    /// `i64`, and its side is at least the default configuration's tile
+    /// or block, which would otherwise cover zero tiles and price only
+    /// launch overhead. Matmul's smallest default tile is 64,
+    /// transpose's 32, a stencil's lane extent at least 8; NW and LUD
+    /// name their block. [`Self::parse`] and fleet grids apply it to
+    /// every workload they build.
+    ///
+    /// # Errors
+    ///
+    /// Names the failed check.
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        let elements = match *self {
             WorkloadKind::Matmul { n }
             | WorkloadKind::Transpose { n }
             | WorkloadKind::Nw { n, .. }
             | WorkloadKind::Lud { n, .. } => n.checked_mul(n),
-            WorkloadKind::Stencil { n, .. } => n.checked_mul(n)?.checked_mul(n),
+            WorkloadKind::Stencil { n, .. } => n.checked_mul(n).and_then(|sq| sq.checked_mul(n)),
             WorkloadKind::Rowwise { m, n, .. } => m.checked_mul(n),
+        };
+        if elements.is_none() {
+            return Err("problem element count overflows i64".to_string());
         }
+        let (n, tile) = match *self {
+            WorkloadKind::Matmul { n } => (n, 64),
+            WorkloadKind::Transpose { n } => (n, 32),
+            WorkloadKind::Stencil { n, .. } => (n, 8),
+            WorkloadKind::Nw { n, b } => (n, b),
+            WorkloadKind::Lud { n, bs } => (n, bs),
+            WorkloadKind::Rowwise { .. } => return Ok(()),
+        };
+        if n < tile {
+            return Err(format!(
+                "n={n} is smaller than the default configuration's tile or block ({tile})"
+            ));
+        }
+        Ok(())
     }
 
     /// Stable display/cache name, e.g. `matmul(n=2048)`.

@@ -1,8 +1,9 @@
 //! Fleet-driver integration tests: parallel runs match the sequential
-//! tuner exactly, results are invariant to thread count and scheduling,
-//! the merged cache write persists every key, and frontier transfer is
-//! sound — never worse than a cold search beyond a fixed tolerance,
-//! and deterministic per seed.
+//! tuner exactly, results are invariant to thread count and scheduling
+//! (repeated keys included), the merged cache write persists every key
+//! and the reports carry what it wrote, a panicking key fails alone,
+//! and frontier transfer is sound — never worse than a cold search
+//! beyond a fixed tolerance, and deterministic per seed.
 
 use gpu_sim::a100;
 use lego_codegen::cuda::stencil::StencilShape;
@@ -49,7 +50,7 @@ fn cold_fleet_matches_the_sequential_tuner() {
 }
 
 /// Transfer sources are pinned before the run (nearest earlier key),
-/// so the whole report is invariant to worker count and steal order.
+/// so the whole report is invariant to worker count and queue order.
 #[test]
 fn transferred_fleet_is_thread_count_invariant() {
     let grid = small_grid();
@@ -106,6 +107,11 @@ fn fleet_persists_once_and_rehits() {
         assert!(req.satisfied_by(hit), "{}", req.cache_key());
         assert!(!hit.frontier.is_empty(), "frontier persisted");
     }
+    // Each fresh key's report carries exactly the entry persisted.
+    for key in &first.keys {
+        let persisted = entries.iter().find(|(k, _)| *k == key.cache_key);
+        assert_eq!(key.entry.as_ref(), persisted.map(|(_, v)| v));
+    }
 
     let second = driver.run(&grid);
     let c = second.counters();
@@ -124,6 +130,7 @@ fn fleet_persists_once_and_rehits() {
         assert_eq!(ra.config, rb.config);
         assert_eq!(ra.tuned, rb.tuned);
         assert!(rb.from_cache);
+        assert!(b.entry.is_none(), "a hit persists nothing");
     }
 
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -212,5 +219,65 @@ fn transfer_is_never_worse_than_cold_beyond_tolerance() {
             assert_eq!(warm.evals_to_winner, replay.evals_to_winner);
             assert_eq!(warm.frontier, replay.frontier);
         }
+    }
+}
+
+/// A key whose search panics fails alone: its report carries the
+/// error, its dependent starts cold, and every other key succeeds.
+#[test]
+fn a_panicking_key_fails_alone() {
+    let mut grid = FleetSpec::parse("matmul:256..512x2,stencil:32")
+        .unwrap()
+        .requests(&a100(), Strategy::Anneal, Budget(48), None);
+    // `stencil:2` is refused by the grid parser; built by hand it
+    // panics inside pricing. The stencil:32 key after it is its
+    // nearest earlier sibling's dependent.
+    let mut bad = grid[2].clone();
+    bad.kind = WorkloadKind::Stencil {
+        shape: StencilShape::Star(1),
+        n: 2,
+    };
+    grid.insert(2, bad);
+
+    let report = FleetDriver::new(2).run(&grid);
+    assert_eq!(report.keys.len(), 4);
+    let err = report.keys[2].result.as_ref().unwrap_err();
+    assert!(err.contains("panicked"), "{err}");
+    assert!(report.keys[2].entry.is_none());
+    for (i, key) in report.keys.iter().enumerate().filter(|(i, _)| *i != 2) {
+        assert!(
+            key.result.is_ok(),
+            "key {i} ({}) must succeed",
+            key.cache_key
+        );
+    }
+    assert_eq!(report.keys[3].transferred_from, None, "dependent runs cold");
+    assert_eq!(report.counters().errors, 1);
+}
+
+/// With transfer off, a repeated key still waits for its first
+/// occurrence and is then a hit: one search, the same reports on any
+/// thread count.
+#[test]
+fn repeated_keys_search_once_without_transfer() {
+    let grid = FleetSpec::parse("softmax:1k,softmax:1k,softmax:1k,softmax:1k@a100")
+        .unwrap()
+        .requests(&a100(), Strategy::Anneal, Budget(48), None);
+    let one = FleetDriver::new(1).with_transfer(false).run(&grid);
+    let many = FleetDriver::new(4).with_transfer(false).run(&grid);
+    for report in [&one, &many] {
+        let c = report.counters();
+        assert_eq!((c.searched, c.cache_hits), (1, 3));
+        let first = report.keys[0].result.as_ref().unwrap();
+        assert!(!first.from_cache, "the first occurrence is the search");
+        assert!(report.keys[0].entry.is_some());
+        assert!(report.keys[1..].iter().all(|k| k.entry.is_none()));
+    }
+    for (a, b) in one.keys.iter().zip(many.keys.iter()) {
+        let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+        assert_eq!(ra.from_cache, rb.from_cache);
+        assert_eq!(ra.config, rb.config);
+        assert_eq!(ra.tuned, rb.tuned);
+        assert_eq!(ra.evaluated, rb.evaluated);
     }
 }

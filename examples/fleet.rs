@@ -53,13 +53,12 @@ fn main() {
     let wc = warm.counters();
     println!(
         "transferred: {:>6.2} keys/s, {} evals total, mean {:.1} evals to winner \
-         ({} transfers, {} evals saved, {} steals)\n",
+         ({} transfers, {} evals saved)\n",
         warm.keys_per_s(),
         wc.evals_total,
         wc.mean_evals_to_winner(),
         wc.transfers,
-        wc.evals_saved,
-        warm.steals
+        wc.evals_saved
     );
 
     println!(
