@@ -6,10 +6,7 @@
 //! binaries print the same rows and series the paper reports — plus a
 //! machine-readable `BENCH_<name>.json` ([`emit`]) and an opt-in
 //! `--tuned` mode ([`tuned`]) that reports `lego-tune` naive-vs-tuned
-//! estimates. Criterion benches (disabled in registry-less containers
-//! via `autobenches = false`) cover layout-operation throughput,
-//! code-generation latency (Table III), the expand-vs-simplify
-//! ablation, and simulator speed.
+//! estimates.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

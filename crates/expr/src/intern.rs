@@ -142,23 +142,34 @@ impl ArenaStats {
     /// of underflowing.
     #[must_use]
     pub fn since(&self, earlier: &ArenaStats) -> ArenaStats {
+        self.zip_with(earlier, u64::saturating_sub)
+    }
+
+    /// Counter-wise sum `self + other` (for totals across threads).
+    #[must_use]
+    pub fn merge(&self, other: &ArenaStats) -> ArenaStats {
+        self.zip_with(other, |a, b| a + b)
+    }
+
+    /// Applies `f` to every pair of same-named counters.
+    fn zip_with(&self, o: &ArenaStats, f: impl Fn(u64, u64) -> u64) -> ArenaStats {
         ArenaStats {
-            nodes: self.nodes.saturating_sub(earlier.nodes),
-            intern_hits: self.intern_hits.saturating_sub(earlier.intern_hits),
-            intern_misses: self.intern_misses.saturating_sub(earlier.intern_misses),
-            simplify_hits: self.simplify_hits.saturating_sub(earlier.simplify_hits),
-            simplify_misses: self.simplify_misses.saturating_sub(earlier.simplify_misses),
-            pass_hits: self.pass_hits.saturating_sub(earlier.pass_hits),
-            pass_misses: self.pass_misses.saturating_sub(earlier.pass_misses),
-            opcount_hits: self.opcount_hits.saturating_sub(earlier.opcount_hits),
-            opcount_misses: self.opcount_misses.saturating_sub(earlier.opcount_misses),
-            range_hits: self.range_hits.saturating_sub(earlier.range_hits),
-            range_misses: self.range_misses.saturating_sub(earlier.range_misses),
-            prove_hits: self.prove_hits.saturating_sub(earlier.prove_hits),
-            prove_misses: self.prove_misses.saturating_sub(earlier.prove_misses),
-            expand_hits: self.expand_hits.saturating_sub(earlier.expand_hits),
-            expand_misses: self.expand_misses.saturating_sub(earlier.expand_misses),
-            sidecar_hits: self.sidecar_hits.saturating_sub(earlier.sidecar_hits),
+            nodes: f(self.nodes, o.nodes),
+            intern_hits: f(self.intern_hits, o.intern_hits),
+            intern_misses: f(self.intern_misses, o.intern_misses),
+            simplify_hits: f(self.simplify_hits, o.simplify_hits),
+            simplify_misses: f(self.simplify_misses, o.simplify_misses),
+            pass_hits: f(self.pass_hits, o.pass_hits),
+            pass_misses: f(self.pass_misses, o.pass_misses),
+            opcount_hits: f(self.opcount_hits, o.opcount_hits),
+            opcount_misses: f(self.opcount_misses, o.opcount_misses),
+            range_hits: f(self.range_hits, o.range_hits),
+            range_misses: f(self.range_misses, o.range_misses),
+            prove_hits: f(self.prove_hits, o.prove_hits),
+            prove_misses: f(self.prove_misses, o.prove_misses),
+            expand_hits: f(self.expand_hits, o.expand_hits),
+            expand_misses: f(self.expand_misses, o.expand_misses),
+            sidecar_hits: f(self.sidecar_hits, o.sidecar_hits),
         }
     }
 }
@@ -567,6 +578,40 @@ mod tests {
             after.simplify_hits > before.simplify_hits,
             "second simplify of the same (env, expr) must be a memo hit"
         );
+    }
+
+    /// A distinct power of two in every counter, so a field summed
+    /// into or subtracted from a neighbour cannot cancel out.
+    fn distinct_stats(shift: u64) -> ArenaStats {
+        let v = |i: u64| 1 << (i + shift);
+        ArenaStats {
+            nodes: v(0),
+            intern_hits: v(1),
+            intern_misses: v(2),
+            simplify_hits: v(3),
+            simplify_misses: v(4),
+            pass_hits: v(5),
+            pass_misses: v(6),
+            opcount_hits: v(7),
+            opcount_misses: v(8),
+            range_hits: v(9),
+            range_misses: v(10),
+            prove_hits: v(11),
+            prove_misses: v(12),
+            expand_hits: v(13),
+            expand_misses: v(14),
+            sidecar_hits: v(15),
+        }
+    }
+
+    #[test]
+    fn merge_is_undone_by_since() {
+        let a = distinct_stats(20);
+        let b = distinct_stats(0);
+        assert_eq!(a.merge(&b).since(&a), b);
+        assert_eq!(a.merge(&b), b.merge(&a));
+        assert_eq!(a.merge(&ArenaStats::default()), a);
+        assert_eq!(b.since(&a), ArenaStats::default(), "since saturates");
     }
 
     #[test]

@@ -100,7 +100,9 @@ impl<'a> CostModel<'a> {
     /// Tier 1: the trace-driven traffic pass. When the workload carries
     /// a [`traffic_key`](Workload::traffic_key), the result is memoized
     /// in this thread's geometry cache (see [`crate::traffic`]);
-    /// keyless workloads replay the trace unconditionally.
+    /// keyless workloads replay the trace unconditionally. This is the
+    /// one-job case of the batch pass behind
+    /// [`price_batch`](CostModel::price_batch).
     ///
     /// The layout is [compiled](Layout::compile) at most once, and only
     /// when some phase reads it; the compiled form serves both the memo
@@ -111,18 +113,7 @@ impl<'a> CostModel<'a> {
     /// When a phase reads the layout and it does not compile (symbolic
     /// dims or a broken `GenP`): a traced layout must be concrete.
     pub fn traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
-        let concrete = compile_for(layout, workload);
-        match self.memo_key(concrete.as_ref(), workload) {
-            Some(key) => match traffic::lookup(&key) {
-                Some(tc) => tc,
-                None => {
-                    let tc = self.trace_traffic(concrete.as_ref(), workload);
-                    traffic::insert(key, tc);
-                    tc
-                }
-            },
-            None => self.trace_traffic(concrete.as_ref(), workload),
-        }
+        self.traffic_batch(&[(layout, workload)])[0]
     }
 
     /// The full memo key of a cacheable (layout, workload) pair, or
@@ -465,35 +456,43 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Prices a batch of candidates in parallel, preserving order.
-    ///
-    /// Each layout is compiled once on the calling thread (when its
-    /// workload reads it) and serves both its memo key and its trace.
-    /// The traffic memo is probed on the calling thread first (spawned
-    /// threads would see fresh thread-locals): warm geometries assemble
-    /// inline, and only the cold traces fan out, with their compiled
-    /// layouts, over `available_parallelism` OS threads — inline when
-    /// fewer than `INLINE_BATCH` remain, since spawning costs more than
-    /// a handful of traces. Fresh traces are recorded back into the
-    /// calling thread's memo. Chunks are sized so no spawned thread
-    /// receives an empty tail.
+    /// Prices a batch of candidates in parallel, preserving order: one
+    /// [`traffic`](CostModel::traffic) pass over the whole batch, then
+    /// [`assemble`](CostModel::assemble) per job.
     ///
     /// # Panics
     ///
     /// As [`traffic`](CostModel::traffic).
     pub fn price_batch(&self, jobs: Vec<(Layout, Workload)>) -> Vec<Estimate> {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
+        let refs: Vec<(&Layout, &Workload)> = jobs.iter().map(|(l, w)| (l, w)).collect();
+        self.traffic_batch(&refs)
+            .iter()
+            .zip(&jobs)
+            .map(|(tc, (_, w))| self.assemble(w, tc))
+            .collect()
+    }
+
+    /// The traffic pass of a batch, in order: probe → trace → record.
+    ///
+    /// Each layout is compiled once on the calling thread (when its
+    /// workload reads it) and serves both its memo key and its trace.
+    /// The traffic memo is probed on the calling thread first (spawned
+    /// threads would see fresh thread-locals): warm geometries are
+    /// answered inline, and only the cold traces fan out, with their
+    /// compiled layouts, over `available_parallelism` OS threads —
+    /// inline when fewer than `INLINE_BATCH` remain, since spawning
+    /// costs more than a handful of traces. Fresh traces are recorded
+    /// back into the calling thread's memo. Chunks are sized so no
+    /// spawned thread receives an empty tail.
+    fn traffic_batch(&self, jobs: &[(&Layout, &Workload)]) -> Vec<TrafficCost> {
         let compiled: Vec<Option<ConcreteLayout>> =
-            jobs.iter().map(|(l, w)| compile_for(l, w)).collect();
+            jobs.iter().map(|&(l, w)| compile_for(l, w)).collect();
         let mut keys: Vec<Option<String>> = jobs
             .iter()
             .zip(&compiled)
-            .map(|((_, w), c)| self.memo_key(c.as_ref(), w))
+            .map(|(&(_, w), c)| self.memo_key(c.as_ref(), w))
             .collect();
-        let mut traffic: Vec<Option<TrafficCost>> = vec![None; n];
+        let mut traffic: Vec<Option<TrafficCost>> = vec![None; jobs.len()];
         let mut cold: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             match key.as_deref().and_then(traffic::lookup) {
@@ -501,25 +500,28 @@ impl<'a> CostModel<'a> {
                 None => cold.push(i),
             }
         }
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(cold.len());
-        if threads <= 1 || cold.len() < Self::INLINE_BATCH {
+        let threads = if cold.len() < Self::INLINE_BATCH {
+            1
+        } else {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+                .min(cold.len())
+        };
+        if threads <= 1 {
             for &i in &cold {
-                traffic[i] = Some(self.trace_traffic(compiled[i].as_ref(), &jobs[i].1));
+                traffic[i] = Some(self.trace_traffic(compiled[i].as_ref(), jobs[i].1));
             }
         } else {
             let mut traced: Vec<Option<TrafficCost>> = vec![None; cold.len()];
             let chunk = cold.len().div_ceil(threads);
-            let (jobs_ref, compiled_ref, cold_ref) = (&jobs, &compiled, &cold);
+            let (compiled_ref, cold_ref) = (&compiled, &cold);
             std::thread::scope(|s| {
                 for (ci, out) in traced.chunks_mut(chunk).enumerate() {
                     s.spawn(move || {
                         for (k, slot) in out.iter_mut().enumerate() {
                             let i = cold_ref[ci * chunk + k];
-                            *slot =
-                                Some(self.trace_traffic(compiled_ref[i].as_ref(), &jobs_ref[i].1));
+                            *slot = Some(self.trace_traffic(compiled_ref[i].as_ref(), jobs[i].1));
                         }
                     });
                 }
@@ -533,13 +535,10 @@ impl<'a> CostModel<'a> {
                 traffic::insert(key, traffic[i].expect("traced"));
             }
         }
-        jobs.iter()
-            .zip(&traffic)
-            .map(|((_, w), tc)| self.assemble(w, &tc.expect("traced")))
-            .collect()
+        traffic.into_iter().map(|tc| tc.expect("traced")).collect()
     }
 
-    /// Below this many cold traces, [`price_batch`](Self::price_batch)
+    /// Below this many cold traces, [`traffic_batch`](Self::traffic_batch)
     /// stays on the calling thread: thread spawn + scope teardown cost
     /// more than the traces themselves.
     const INLINE_BATCH: usize = 8;

@@ -201,7 +201,7 @@ impl Metrics {
         let arena = inner
             .arena
             .values()
-            .fold(ArenaStats::default(), |acc, s| add_stats(&acc, s));
+            .fold(ArenaStats::default(), |acc, s| acc.merge(s));
         let rate = |hits: u64, misses: u64| {
             let total = hits + misses;
             if total == 0 {
@@ -303,27 +303,6 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
     sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-fn add_stats(a: &ArenaStats, b: &ArenaStats) -> ArenaStats {
-    ArenaStats {
-        nodes: a.nodes + b.nodes,
-        intern_hits: a.intern_hits + b.intern_hits,
-        intern_misses: a.intern_misses + b.intern_misses,
-        simplify_hits: a.simplify_hits + b.simplify_hits,
-        simplify_misses: a.simplify_misses + b.simplify_misses,
-        pass_hits: a.pass_hits + b.pass_hits,
-        pass_misses: a.pass_misses + b.pass_misses,
-        opcount_hits: a.opcount_hits + b.opcount_hits,
-        opcount_misses: a.opcount_misses + b.opcount_misses,
-        range_hits: a.range_hits + b.range_hits,
-        range_misses: a.range_misses + b.range_misses,
-        prove_hits: a.prove_hits + b.prove_hits,
-        prove_misses: a.prove_misses + b.prove_misses,
-        expand_hits: a.expand_hits + b.expand_hits,
-        expand_misses: a.expand_misses + b.expand_misses,
-        sidecar_hits: a.sidecar_hits + b.sidecar_hits,
-    }
 }
 
 #[cfg(test)]

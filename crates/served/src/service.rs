@@ -31,7 +31,6 @@ use gpu_sim::GpuConfig;
 use lego_expr::Variant;
 use lego_tune::cache::{config_to_json, estimate_to_json};
 use lego_tune::fleet::FleetReport;
-use lego_tune::strategy::Strategy;
 use lego_tune::{CachedTuning, FleetDriver, Json, TuneRequest, TunedConfig, TuningCache};
 
 use crate::metrics::Metrics;
@@ -383,7 +382,10 @@ impl TuneService {
     }
 
     /// Runs the search tier: a tuner configured exactly as the request
-    /// asks, persisting through the concurrency-safe cache. Panics in
+    /// asks, persisting through the concurrency-safe cache. The entry
+    /// the tuner read or persisted is promoted into the memory tier
+    /// as-is (frontier included), so the cache tier, the memory tier and
+    /// a restarted daemon's preload answer the same bytes. Panics in
     /// the search are contained so a follower can never be left waiting
     /// on a dead slot.
     fn run_search(&self, req: &TuneRequest, cache_key: &str) -> (Result<Served, String>, Tier) {
@@ -392,30 +394,13 @@ impl TuneService {
             tuner = tuner.with_cache(cache.path());
         }
         let kind = req.kind;
-        let outcome = catch_unwind(AssertUnwindSafe(|| tuner.tune(&kind)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| tuner.tune_entry(&kind)));
         match outcome {
-            Ok(Ok(r)) => {
+            Ok(Ok((r, entry))) => {
                 let tier = if r.from_cache {
                     Tier::Cache
                 } else {
                     Tier::Searched
-                };
-                let entry = CachedTuning {
-                    config: r.config,
-                    expr_variant: r.expr_variant,
-                    index_ops: r.index_ops,
-                    naive: r.naive,
-                    tuned: r.tuned,
-                    evaluated: r.evaluated,
-                    strategy: req.strategy.name().to_string(),
-                    budget: match req.strategy {
-                        Strategy::Exhaustive => None,
-                        Strategy::Anneal | Strategy::Genetic => Some(req.budget.max_evals()),
-                    },
-                    space: req.effective_space().name().to_string(),
-                    // The serving tier never warm-starts searches; the
-                    // persistent cache keeps the real frontier.
-                    frontier: vec![],
                 };
                 let served = served_from(req, &entry);
                 self.memory

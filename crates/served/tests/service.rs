@@ -578,3 +578,51 @@ fn bad_fleet_requests_error_and_the_daemon_keeps_serving() {
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);
 }
+
+/// A key a batch tuner writes into the daemon's cache file after
+/// preload is answered from the cache tier with the bytes a daemon
+/// restarted on that file answers from memory.
+#[test]
+fn cache_tier_answers_the_bytes_of_a_restarted_daemon() {
+    const WORKLOAD: &str = "softmax(m=64,n=256)";
+    const TUNE: &str = "{\"verb\":\"tune\",\"workload\":\"softmax(m=64,n=256)\"}";
+    let tier_count = |server: &Server, tier: &str| {
+        server
+            .service()
+            .metrics()
+            .to_json()
+            .get("tiers")
+            .and_then(|t| t.get(tier))
+            .and_then(Json::as_i64)
+    };
+
+    let (server, cache) = start("cache_tier", 2);
+    assert_eq!(server.service().memory_len(), 0, "nothing to preload");
+    let kind = lego_tune::WorkloadKind::parse(WORKLOAD).expect("workload");
+    let batch = lego_tune::Tuner::new(gpu_sim::a100())
+        .with_cache(&cache)
+        .tune(&kind)
+        .expect("batch tune");
+    assert!(!batch.from_cache && batch.evaluated > 1);
+
+    let from_cache = Client::connect(server.local_addr())
+        .expect("connect")
+        .roundtrip_line(TUNE)
+        .expect("tune from the cache tier");
+    assert_eq!(tier_count(&server, "cache"), Some(1));
+    assert_eq!(server.service().metrics().searches_run(), 0);
+    shutdown_and_join(server);
+
+    let restarted = start_with(Some(cache.clone()), 2);
+    let from_memory = Client::connect(restarted.local_addr())
+        .expect("reconnect")
+        .roundtrip_line(TUNE)
+        .expect("tune from the memory tier");
+    assert_eq!(tier_count(&restarted, "memory"), Some(1));
+    assert_eq!(
+        from_cache, from_memory,
+        "the cache tier must answer the bytes of the memory tier"
+    );
+    shutdown_and_join(restarted);
+    let _ = std::fs::remove_file(&cache);
+}

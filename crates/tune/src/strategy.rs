@@ -15,16 +15,24 @@
 //!   neighbor-mutation, with the population seeded from the cache's
 //!   persisted top-k frontier when one is available.
 //!
+//! Every strategy scores through one `Evaluator` built by
+//! [`run_search`]: it scores the default first (entry zero, the naive
+//! baseline), then whatever the strategy proposes. Its one scoring
+//! routine annotates, builds and prices candidates in chunks of one
+//! [`CostModel::price_batch`] each, with an admissible-bound cutoff
+//! that only the exhaustive sweep turns on. A [`Budget`] bounds
+//! *unique* configurations scored or pruned; re-proposing an
+//! already-seen point costs nothing.
+//!
 //! All strategies are deterministic: randomness comes from the in-crate
 //! [`Rng`] seeded by the tuning cache key plus the strategy name, so
 //! the same search replays bit-identically (the basis of the
-//! determinism tests and the CI gate). A [`Budget`] bounds *unique*
-//! configurations scored; re-proposing an already-scored point costs
-//! nothing. Because the proposal stream does not depend on the budget,
-//! a larger budget evaluates a superset of a smaller one — the winner
-//! can only improve (asserted by the budget-monotonicity test).
+//! determinism tests and the CI gate). Because the proposal stream does
+//! not depend on the budget, a larger budget evaluates a superset of a
+//! smaller one — the winner can only improve (asserted by the
+//! budget-monotonicity test).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use gpu_sim::{CostModel, Estimate, GpuConfig};
@@ -134,11 +142,15 @@ pub struct SearchOutcome {
 }
 
 /// Memoizing, budget-enforcing evaluation oracle shared by all
-/// strategies. Every unique config is scored once; the default config
-/// is entry zero.
+/// strategies. [`Evaluator::score`] is the one routine that annotates,
+/// builds and prices candidates; everything else looks its results up.
+/// Every unique config is scored, pruned or found infeasible once, and
+/// the default config is entry zero.
 struct Evaluator<'a> {
     kind: WorkloadKind,
     gpu: &'a GpuConfig,
+    /// Cap on scored plus pruned configs (`usize::MAX` for the
+    /// exhaustive sweep, which ignores the budget).
     max_evals: usize,
     /// Config → index into `entries` (scored) or `usize::MAX` (failed
     /// to build: treated as infeasible, not charged — or dismissed by
@@ -169,52 +181,71 @@ impl<'a> Evaluator<'a> {
     }
 
     fn exhausted(&self) -> bool {
-        self.entries.len() >= self.max_evals
+        self.entries.len() + self.pruned >= self.max_evals
     }
 
-    /// Scores a batch of configs (deduplicated, in order) until the
-    /// budget runs out. Returns how many new configs were scored.
-    fn eval_batch(&mut self, configs: &[TunedConfig]) -> usize {
-        let mut fresh: Vec<Candidate> = Vec::new();
-        // In-batch dedup: the linear scan this replaces was O(batch²)
-        // on the large enumerated spaces.
-        let mut fresh_keys: HashSet<TunedConfig> = HashSet::new();
-        let mut jobs = Vec::new();
-        for &key in configs {
-            if self.entries.len() + fresh.len() >= self.max_evals {
-                break;
+    /// Scores `configs` in order, skipping any seen before (in this
+    /// batch or earlier), until scored plus pruned configs reach the
+    /// budget. Unbuildable configs are infeasible and not charged.
+    ///
+    /// The sweep proceeds in chunks priced by one
+    /// [`CostModel::price_batch`] each. With `cutoff` (the exhaustive
+    /// sweep only), the [`FRONTIER_K`]-th best scored time before each
+    /// chunk becomes a cutoff, and any candidate whose
+    /// [`CostModel::bound`] *strictly* exceeds it is pruned without a
+    /// traffic pass. That is winner- and frontier-identical to the
+    /// unpruned sweep: the bound never exceeds the true time, and the
+    /// cutoff only tightens, so a pruned candidate's time strictly
+    /// exceeds at least [`FRONTIER_K`] final times — it could not have
+    /// won or entered the frontier (ties break toward lower indices,
+    /// which scored entries keep). Pruned candidates count as
+    /// evaluated, so budgets and cache bookkeeping are numerically
+    /// unchanged.
+    fn score(&mut self, configs: &[TunedConfig], cutoff: bool) {
+        /// Candidates between cutoff recomputations. Small enough that
+        /// the cutoff tightens while the sweep is still hot; large
+        /// enough that `price_batch` can fan out.
+        const CHUNK: usize = 32;
+        let model = CostModel::new(self.gpu);
+        for chunk in configs.chunks(CHUNK) {
+            let threshold = if cutoff { self.prune_threshold() } else { None };
+            let mut fresh: Vec<Candidate> = Vec::new();
+            let mut jobs = Vec::new();
+            for &key in chunk {
+                if self.entries.len() + self.pruned + fresh.len() >= self.max_evals {
+                    break;
+                }
+                if self.seen.contains_key(&key) || fresh.iter().any(|c| c.config == key) {
+                    continue;
+                }
+                let cand = Candidate::annotated(&self.kind, &key);
+                let Ok(layout) = build_layout(&self.kind, &cand.config) else {
+                    self.seen.insert(key, usize::MAX);
+                    continue;
+                };
+                let wl = build_workload(&self.kind, &cand, self.gpu);
+                // Prune only after a successful build, so the
+                // infeasible/evaluated split matches the unpruned sweep.
+                if threshold.is_some_and(|t| model.bound(&wl) > t) {
+                    self.seen.insert(key, usize::MAX);
+                    self.pruned += 1;
+                    continue;
+                }
+                jobs.push((layout, wl));
+                fresh.push(cand);
             }
-            if self.seen.contains_key(&key) || fresh_keys.contains(&key) {
+            if fresh.is_empty() {
                 continue;
             }
-            let cand = Candidate::annotated(&self.kind, &key);
-            match build_layout(&self.kind, &cand.config) {
-                Ok(layout) => {
-                    let wl = build_workload(&self.kind, &cand, self.gpu);
-                    jobs.push((layout, wl));
-                    fresh_keys.insert(key);
-                    fresh.push(cand);
-                }
-                // Unbuildable configs are infeasible, not charged.
-                Err(_) => {
-                    self.seen.insert(key, usize::MAX);
+            for (cand, est) in fresh.into_iter().zip(model.price_batch(jobs)) {
+                let idx = self.entries.len();
+                self.seen.insert(cand.config, idx);
+                self.entries.push((cand, est));
+                if rank(&est) < rank(&self.entries[self.best].1) {
+                    self.best = idx;
                 }
             }
         }
-        if fresh.is_empty() {
-            return 0;
-        }
-        let estimates = CostModel::new(self.gpu).price_batch(jobs);
-        let added = fresh.len();
-        for (cand, est) in fresh.into_iter().zip(estimates) {
-            let idx = self.entries.len();
-            self.seen.insert(cand.config, idx);
-            self.entries.push((cand, est));
-            if rank(&est) < rank(&self.entries[self.best].1) {
-                self.best = idx;
-            }
-        }
-        added
     }
 
     /// The branch-and-bound cutoff: the [`FRONTIER_K`]-th smallest time
@@ -229,127 +260,39 @@ impl<'a> Evaluator<'a> {
         Some(times[FRONTIER_K - 1])
     }
 
-    /// [`Evaluator::eval_batch`] with admissible lower-bound pruning,
-    /// used only by the exhaustive strategy. The sweep proceeds in
-    /// chunks; before each chunk the k-th-best scored time becomes the
-    /// cutoff, and any candidate whose [`gpu_sim::CostModel::bound`]
-    /// *strictly* exceeds it is dismissed without a traffic pass.
-    ///
-    /// Winner- and frontier-identical to the unpruned sweep: the bound
-    /// never exceeds the true time, and the cutoff only tightens, so a
-    /// pruned candidate's time strictly exceeds at least [`FRONTIER_K`]
-    /// final times — it could not have won or entered the frontier
-    /// (ties break toward lower indices, which scored entries keep).
-    /// Pruned candidates still count as evaluated, so budgets and
-    /// cache bookkeeping are numerically unchanged.
-    fn eval_batch_pruned(&mut self, configs: &[TunedConfig]) -> usize {
-        /// Candidates between threshold recomputations. Small enough
-        /// that the cutoff tightens while the sweep is still hot;
-        /// large enough that `price_batch` can fan out.
-        const PRUNE_CHUNK: usize = 32;
-        let model = CostModel::new(self.gpu);
-        let mut added = 0;
-        for chunk in configs.chunks(PRUNE_CHUNK) {
-            let cutoff = self.prune_threshold();
-            let mut fresh: Vec<Candidate> = Vec::new();
-            let mut fresh_keys: HashSet<TunedConfig> = HashSet::new();
-            let mut jobs = Vec::new();
-            for &key in chunk {
-                if self.entries.len() + self.pruned + fresh.len() >= self.max_evals {
-                    break;
-                }
-                if self.seen.contains_key(&key) || fresh_keys.contains(&key) {
-                    continue;
-                }
-                let cand = Candidate::annotated(&self.kind, &key);
-                match build_layout(&self.kind, &cand.config) {
-                    Ok(layout) => {
-                        let wl = build_workload(&self.kind, &cand, self.gpu);
-                        // Prune only after a successful build, so the
-                        // infeasible/evaluated split matches the
-                        // unpruned sweep exactly.
-                        if cutoff.is_some_and(|t| model.bound(&wl) > t) {
-                            self.seen.insert(key, usize::MAX);
-                            self.pruned += 1;
-                            continue;
-                        }
-                        jobs.push((layout, wl));
-                        fresh_keys.insert(key);
-                        fresh.push(cand);
-                    }
-                    Err(_) => {
-                        self.seen.insert(key, usize::MAX);
-                    }
-                }
-            }
-            if fresh.is_empty() {
-                continue;
-            }
-            let estimates = model.price_batch(jobs);
-            added += fresh.len();
-            for (cand, est) in fresh.into_iter().zip(estimates) {
-                let idx = self.entries.len();
-                self.seen.insert(cand.config, idx);
-                self.entries.push((cand, est));
-                if rank(&est) < rank(&self.entries[self.best].1) {
-                    self.best = idx;
-                }
-            }
-        }
-        added
-    }
-
     /// Scores the default configuration — always the first evaluation,
     /// so it becomes entry zero (the naive baseline every strategy is
     /// compared against). Unlike [`Evaluator::eval`], a build failure
     /// here is an error, not an infeasible point: a default that does
     /// not build is a bug in the space, and skipping it would silently
     /// misattribute the naive baseline to some other candidate.
-    fn eval_default(&mut self, c: &TunedConfig) -> Result<Estimate, TuneError> {
+    fn eval_default(&mut self, c: &TunedConfig) -> Result<(), TuneError> {
         debug_assert!(self.entries.is_empty(), "default must be entry zero");
-        let cand = Candidate::annotated(&self.kind, c);
-        let layout = build_layout(&self.kind, &cand.config)?;
-        let wl = build_workload(&self.kind, &cand, self.gpu);
-        let est = CostModel::new(self.gpu).price(&layout, &wl);
-        self.seen.insert(*c, self.entries.len());
-        self.entries.push((cand, est));
-        Ok(est)
+        build_layout(&self.kind, c)?;
+        self.score(std::slice::from_ref(c), false);
+        Ok(())
     }
 
-    /// Scores one config, returning its estimate. `None` when the
-    /// config is infeasible or the budget is exhausted (and the config
-    /// unseen).
+    /// Scores one config and looks it up: its estimate, or `None` when
+    /// it is infeasible, pruned, or unseen with the budget exhausted.
     fn eval(&mut self, c: &TunedConfig) -> Option<Estimate> {
-        if let Some(&idx) = self.seen.get(c) {
-            return (idx != usize::MAX).then(|| self.entries[idx].1);
-        }
-        if self.exhausted() {
-            return None;
-        }
-        let cand = Candidate::annotated(&self.kind, c);
-        let Ok(layout) = build_layout(&self.kind, &cand.config) else {
-            self.seen.insert(*c, usize::MAX);
-            return None;
+        let idx = match self.seen.get(c) {
+            Some(&idx) => idx,
+            None => {
+                self.score(std::slice::from_ref(c), false);
+                *self.seen.get(c)?
+            }
         };
-        let wl = build_workload(&self.kind, &cand, self.gpu);
-        let est = CostModel::new(self.gpu).price(&layout, &wl);
-        let idx = self.entries.len();
-        self.seen.insert(*c, idx);
-        self.entries.push((cand, est));
-        if rank(&est) < rank(&self.entries[self.best].1) {
-            self.best = idx;
-        }
-        Some(est)
+        (idx != usize::MAX).then(|| self.entries[idx].1)
     }
 
     fn best_config(&self) -> TunedConfig {
         self.entries[self.best].0.config
     }
 
-    fn finish(self) -> Result<SearchOutcome, TuneError> {
-        if self.entries.is_empty() {
-            return Err(TuneError::EmptySpace(self.kind.name()));
-        }
+    /// The outcome so far. Entry zero exists: every search starts with
+    /// [`Evaluator::eval_default`].
+    fn finish(self) -> SearchOutcome {
         let naive = self.entries[0].1;
         let (winner, tuned) = self.entries[self.best].clone();
         let mut order: Vec<usize> = (0..self.entries.len()).collect();
@@ -364,7 +307,7 @@ impl<'a> Evaluator<'a> {
             .take(FRONTIER_K)
             .map(|i| (self.entries[i].0.config, self.entries[i].1.time_s))
             .collect();
-        Ok(SearchOutcome {
+        SearchOutcome {
             winner,
             tuned,
             naive,
@@ -377,14 +320,16 @@ impl<'a> Evaluator<'a> {
             // index is exactly how many evaluations it took to find it.
             evals_to_winner: self.best + 1,
             frontier,
-        })
+        }
     }
 }
 
 /// How many frontier configs are persisted per cache entry.
 pub const FRONTIER_K: usize = 8;
 
-/// Runs `strategy` over `domain` and returns the outcome.
+/// Runs `strategy` over `domain` and returns the outcome: one
+/// `Evaluator` scores the default, the strategy spends the budget on
+/// proposals, and the evaluator's entries become the outcome.
 ///
 /// `seed_key` derives the deterministic RNG (pass the tuning cache key);
 /// `warm_start` is a previously persisted frontier to seed from (ignored
@@ -392,7 +337,7 @@ pub const FRONTIER_K: usize = 8;
 ///
 /// # Errors
 ///
-/// [`TuneError::EmptySpace`] when the domain has no feasible point.
+/// [`TuneError::Layout`] when the domain's default does not build.
 pub fn run_search(
     strategy: Strategy,
     domain: &Domain,
@@ -406,31 +351,22 @@ pub fn run_search(
     // keys up before fanning out), so the stat delta around the search
     // is exactly this search's hit/miss count.
     let (hits0, misses0) = gpu_sim::traffic_memo_stats();
-    let mut outcome = match strategy {
-        Strategy::Exhaustive => {
-            // Exhaustive ignores the budget: it is the ground truth the
-            // budgeted strategies are gated against. Its enumerated
-            // sweep is the one place bound pruning is winner-safe by
-            // construction, so only this arm uses it.
-            let all = domain.enumerate();
-            let mut eval = Evaluator::new(domain.kind, gpu, all.len().max(1));
-            eval.eval_default(&domain.default_config())?;
-            eval.eval_batch_pruned(&all);
-            eval.finish()
-        }
-        Strategy::Anneal => {
-            let mut eval = Evaluator::new(domain.kind, gpu, budget.max_evals());
-            eval.eval_default(&domain.default_config())?;
-            anneal(domain, &mut eval, &mut rng, warm_start);
-            eval.finish()
-        }
-        Strategy::Genetic => {
-            let mut eval = Evaluator::new(domain.kind, gpu, budget.max_evals());
-            eval.eval_default(&domain.default_config())?;
-            genetic(domain, &mut eval, &mut rng, warm_start);
-            eval.finish()
-        }
-    }?;
+    // Exhaustive ignores the budget: it is the ground truth the
+    // budgeted strategies are gated against.
+    let max_evals = match strategy {
+        Strategy::Exhaustive => usize::MAX,
+        Strategy::Anneal | Strategy::Genetic => budget.max_evals(),
+    };
+    let mut eval = Evaluator::new(domain.kind, gpu, max_evals);
+    eval.eval_default(&domain.default_config())?;
+    match strategy {
+        // The enumerated sweep is the one place bound pruning is
+        // winner-safe by construction, so only it turns the cutoff on.
+        Strategy::Exhaustive => eval.score(&domain.enumerate(), true),
+        Strategy::Anneal => anneal(domain, &mut eval, &mut rng, warm_start),
+        Strategy::Genetic => genetic(domain, &mut eval, &mut rng, warm_start),
+    }
+    let mut outcome = eval.finish();
     let (hits1, misses1) = gpu_sim::traffic_memo_stats();
     outcome.traffic_hits = hits1 - hits0;
     outcome.traffic_misses = misses1 - misses0;
@@ -561,17 +497,17 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
     // superset of a smaller one.
     let mut polished_best: Option<TunedConfig> = None;
     let half = POP / 2;
-    eval.eval_batch(&pop[..half.min(pop.len())]);
+    eval.score(&pop[..half.min(pop.len())], false);
     loop {
         let best = eval.best_config();
         if polished_best == Some(best) || eval.exhausted() {
             break;
         }
         polished_best = Some(best);
-        eval.eval_batch(&domain.local_neighbors(&best));
+        eval.score(&domain.local_neighbors(&best), false);
     }
     if pop.len() > half {
-        eval.eval_batch(&pop[half..]);
+        eval.score(&pop[half..], false);
     }
 
     let max_generations = 4 * eval.max_evals / LAMBDA.min(eval.max_evals).max(1) + 4;
@@ -587,7 +523,7 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
                 break;
             }
             polished_best = Some(best);
-            eval.eval_batch(&domain.local_neighbors(&best));
+            eval.score(&domain.local_neighbors(&best), false);
         }
         if eval.exhausted() {
             break;
@@ -629,8 +565,87 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
             }
             children.push(child);
         }
-        eval.eval_batch(&children);
+        eval.score(&children, false);
         pop = elites;
         pop.extend(children);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::domain::SpaceScale;
+
+    /// A sweep the cutoff prunes: 544 configs, about half of them
+    /// dismissed by the bound in a full exhaustive pass.
+    fn sweep() -> (WorkloadKind, Vec<TunedConfig>) {
+        let kind = WorkloadKind::Matmul { n: 512 };
+        (kind, Domain::new(kind, SpaceScale::Enlarged).enumerate())
+    }
+
+    /// What the evaluator has charged and chosen so far.
+    fn state(eval: &Evaluator<'_>) -> (usize, usize, usize, usize) {
+        (eval.entries.len(), eval.pruned, eval.best, eval.seen.len())
+    }
+
+    #[test]
+    fn a_batch_crossing_the_budget_stops_exactly_at_it() {
+        let gpu = gpu_sim::a100();
+        let (kind, all) = sweep();
+        // Past the first pruned configs, mid-chunk.
+        const CAP: usize = 250;
+        for cutoff in [false, true] {
+            let mut eval = Evaluator::new(kind, &gpu, CAP);
+            eval.eval_default(&all[0]).expect("default builds");
+            eval.score(&all, cutoff);
+            // Scored plus pruned is exactly the budget, and the charged
+            // configs are exactly the sweep's first CAP.
+            assert_eq!(eval.entries.len() + eval.pruned, CAP, "cutoff: {cutoff}");
+            assert!(eval.exhausted());
+            assert_eq!(eval.seen.len(), CAP);
+            assert!(all[..CAP].iter().all(|c| eval.seen.contains_key(c)));
+            if cutoff {
+                assert!(eval.pruned > 0, "the budget must cross pruned configs");
+            } else {
+                assert_eq!(eval.pruned, 0);
+                let scored: Vec<TunedConfig> = eval.entries.iter().map(|(c, _)| c.config).collect();
+                assert_eq!(scored, all[..CAP]);
+            }
+            // Nothing more fits: seen configs are free, unseen ones are
+            // refused.
+            let before = state(&eval);
+            eval.score(&all, cutoff);
+            assert_eq!(state(&eval), before);
+            assert!(eval.eval(&all[CAP]).is_none());
+            assert_eq!(state(&eval), before);
+        }
+    }
+
+    #[test]
+    fn rescoring_a_seen_config_costs_nothing() {
+        let gpu = gpu_sim::a100();
+        let (kind, all) = sweep();
+        let mut eval = Evaluator::new(kind, &gpu, usize::MAX);
+        eval.eval_default(&all[0]).expect("default builds");
+        eval.score(&all[..64], false);
+        let before = state(&eval);
+        let best = eval.entries[eval.best].1;
+        assert_eq!(before.0, 64);
+
+        eval.score(&all[..64], false);
+        eval.score(&all[..64], true);
+        for c in &all[..64] {
+            let idx = eval.seen[c];
+            assert_eq!(
+                eval.eval(c).map(|e| e.time_s),
+                Some(eval.entries[idx].1.time_s)
+            );
+        }
+        assert_eq!(state(&eval), before);
+        assert_eq!(eval.entries[eval.best].1.time_s, best.time_s);
+
+        // A batch mixing seen and fresh configs charges only the fresh.
+        eval.score(&all[48..80], false);
+        assert_eq!(eval.entries.len(), 80);
     }
 }

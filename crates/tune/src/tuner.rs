@@ -22,9 +22,6 @@ pub enum TuneError {
     Layout(LayoutError),
     /// The cache file could not be written.
     Io(std::io::Error),
-    /// The search space was empty (never produced by the built-in
-    /// spaces; guards custom ones).
-    EmptySpace(String),
 }
 
 impl fmt::Display for TuneError {
@@ -32,9 +29,6 @@ impl fmt::Display for TuneError {
         match self {
             TuneError::Layout(e) => write!(f, "layout error: {e}"),
             TuneError::Io(e) => write!(f, "cache i/o error: {e}"),
-            TuneError::EmptySpace(w) => {
-                write!(f, "empty search space for {w}")
-            }
         }
     }
 }
@@ -202,13 +196,26 @@ impl Tuner {
     ///
     /// Propagates layout construction and cache write failures.
     pub fn tune(&self, kind: &WorkloadKind) -> Result<TuneResult, TuneError> {
+        self.tune_entry(kind).map(|(result, _)| result)
+    }
+
+    /// [`Tuner::tune`], also returning the cache entry behind the
+    /// answer: the entry read on a cache hit, otherwise the one the
+    /// search persisted (or, without a cache, would have). A service
+    /// layering its own memory tier over the cache promotes this entry
+    /// as-is, so every tier answers from the same record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tuner::tune`].
+    pub fn tune_entry(&self, kind: &WorkloadKind) -> Result<(TuneResult, CachedTuning), TuneError> {
         let workload = kind.name();
         let key = cache_key(&workload, kind.pricing_mode(), &self.gpu);
         let mut warm_start: Vec<TunedConfig> = Vec::new();
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.lookup(&key) {
                 if self.satisfied_by(&hit) {
-                    return Ok(TuneResult {
+                    let result = TuneResult {
                         workload,
                         config: hit.config,
                         expr_variant: hit.expr_variant,
@@ -217,7 +224,8 @@ impl Tuner {
                         tuned: hit.tuned,
                         evaluated: 0,
                         from_cache: true,
-                    });
+                    };
+                    return Ok((result, hit));
                 }
                 // A differently-searched entry still knows good points:
                 // reuse its frontier as the warm-start population.
@@ -226,12 +234,13 @@ impl Tuner {
         }
 
         let seeded = self.tune_seeded(kind, &warm_start, None)?;
+        let entry = self.entry_from(&seeded);
         if let Some(cache) = &self.cache {
             // One journal append, through the same batched writer a
             // fleet uses.
-            cache.store_many(&[(key, self.entry_from(&seeded))])?;
+            cache.store_many(&[(key, entry.clone())])?;
         }
-        Ok(seeded.result)
+        Ok((seeded.result, entry))
     }
 
     /// Runs the configured search for `kind`, seeded by `seeds` (configs
