@@ -19,48 +19,24 @@
 //!
 //! Flags: `--grid SPEC`, `--threads N`, `--strategy anneal|genetic`,
 //! `--budget N`, `--space legacy|enlarged`, `--device TAG` (default
-//! device for specs without `@`), `--cache PATH`, `--sidecar PATH`
-//! (warm every worker from the persisted memo sidecar and merge the
-//! derived results back on completion), `--no-transfer`, `--compare`,
-//! `--min-speedup X`, `--tol X`.
+//! device for specs without `@`; a tag or full name, in any case),
+//! `--cache PATH`, `--sidecar PATH` (warm every worker from the
+//! persisted memo sidecar and merge the derived results back on
+//! completion), `--no-transfer`, `--compare`, `--min-speedup X`,
+//! `--tol X`. The search knobs go through the resolver every front
+//! door shares ([`lego_tune::Knobs::resolve`]); bad input, or a flag
+//! given where a value belongs, exits with status 2.
 
 use std::collections::HashMap;
 use std::process::exit;
 
 use lego_bench::emit;
-use lego_tune::domain::SpaceScale;
+use lego_bench::tuned::{flag_value, has_flag, knobs_from_args, parsed_flag};
 use lego_tune::fleet::FleetReport;
-use lego_tune::{Budget, FleetDriver, FleetSpec, Json, Strategy, TuneRequest};
+use lego_tune::{Budget, FleetDriver, FleetSpec, Json, Knobs, Strategy, TuneRequest};
 
 /// The default smoke grid: three families × two devices, 26 keys.
 const DEFAULT_GRID: &str = "matmul:256..2048x2,nw:512..4096x2,softmax:1k..16kx2@a100,h100";
-
-fn flag(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return match args.next() {
-                Some(v) => Some(v),
-                None => {
-                    eprintln!("{name} requires a value");
-                    exit(2);
-                }
-            };
-        }
-    }
-    None
-}
-
-fn has(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-fn parse_or_exit<T: std::str::FromStr>(name: &str, v: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value {v:?} for {name}");
-        exit(2);
-    })
-}
 
 /// Prints the per-key table of one fleet run.
 fn print_report(report: &FleetReport) {
@@ -130,63 +106,41 @@ fn phase_summary(report: &FleetReport, phase: &str) -> Json {
 }
 
 fn main() {
-    let spec_text = flag("--grid").unwrap_or_else(|| DEFAULT_GRID.to_string());
+    let spec_text = flag_value("--grid").unwrap_or_else(|| DEFAULT_GRID.to_string());
     let spec = FleetSpec::parse(&spec_text).unwrap_or_else(|e| {
         eprintln!("bad --grid: {e}");
         exit(2);
     });
-    let device = match flag("--device") {
-        None => gpu_sim::a100(),
-        Some(v) => gpu_sim::by_name(&v).unwrap_or_else(|| {
-            eprintln!(
-                "unknown --device {v:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            );
-            exit(2);
-        }),
-    };
-    let strategy = match flag("--strategy") {
-        None => Strategy::Anneal,
-        Some(v) => Strategy::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --strategy {v:?} (use exhaustive|anneal|genetic)");
-            exit(2);
-        }),
-    };
-    let budget = Budget(match flag("--budget") {
-        None => 160,
-        Some(v) => parse_or_exit::<usize>("--budget", &v),
+    let knobs = knobs_from_args(Knobs {
+        strategy: Strategy::Anneal,
+        budget: Budget(160),
+        ..Knobs::new(gpu_sim::a100())
     });
-    let space: Option<SpaceScale> = flag("--space").map(|v| {
-        SpaceScale::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --space {v:?} (use legacy|enlarged)");
-            exit(2);
-        })
-    });
-    let threads = match flag("--threads") {
-        None => 4,
-        Some(v) => parse_or_exit::<usize>("--threads", &v),
-    };
-    let min_speedup: f64 =
-        flag("--min-speedup").map_or(1.5, |v| parse_or_exit::<f64>("--min-speedup", &v));
-    let tol: f64 = flag("--tol").map_or(0.05, |v| parse_or_exit::<f64>("--tol", &v));
+    let threads = parsed_flag("--threads").unwrap_or(4);
+    let min_speedup: f64 = parsed_flag("--min-speedup").unwrap_or(1.5);
+    let tol: f64 = parsed_flag("--tol").unwrap_or(0.05);
+    let cache = flag_value("--cache");
+    let sidecar = flag_value("--sidecar");
 
-    let grid: Vec<TuneRequest> = spec.requests(&device, strategy, budget, space);
+    let grid: Vec<TuneRequest> =
+        spec.requests(&knobs.device, knobs.strategy, knobs.budget, knobs.space);
     println!(
-        "-- lego-fleet: {} keys ({spec}), {threads} threads, {strategy} @ {} evals --",
+        "-- lego-fleet: {} keys ({spec}), {threads} threads, {} @ {} evals --",
         grid.len(),
-        budget.max_evals()
+        knobs.strategy,
+        knobs.budget.max_evals()
     );
 
-    if has("--compare") {
+    if has_flag("--compare") {
         compare(&grid, threads, min_speedup, tol);
         return;
     }
 
-    let mut driver = FleetDriver::new(threads).with_transfer(!has("--no-transfer"));
-    if let Some(path) = flag("--cache") {
+    let mut driver = FleetDriver::new(threads).with_transfer(!has_flag("--no-transfer"));
+    if let Some(path) = cache {
         driver = driver.with_cache(path);
     }
-    if let Some(path) = flag("--sidecar") {
+    if let Some(path) = sidecar {
         driver = driver.with_sidecar(path);
     }
     let report = driver.run(&grid);

@@ -4,9 +4,11 @@
 //!
 //! The search is steered from the command line:
 //!
-//! * `--device a100|h100|mi300` — which hardware model to simulate and
-//!   tune against (default `a100`); non-default devices suffix the
-//!   `BENCH_*.json` artifacts, so per-device results sit side by side;
+//! * `--device TAG` — which hardware model to simulate and tune
+//!   against (default `a100`): a tag or full device name, in any case,
+//!   as the daemon's wire protocol accepts; non-default devices suffix
+//!   the `BENCH_*.json` artifacts, so per-device results sit side by
+//!   side;
 //! * `--strategy exhaustive|anneal|genetic` — how to explore the space
 //!   (default `exhaustive`, the v2 behavior);
 //! * `--budget N` — evaluation cap for the metaheuristics (default
@@ -14,15 +16,26 @@
 //! * `--space legacy|enlarged` — pin the space scale (by default
 //!   exhaustive enumerates the legacy space and the metaheuristics
 //!   search the enlarged free-integer one).
+//!
+//! The knobs are resolved by [`lego_tune::Knobs::resolve`], the one
+//! resolver every front door shares; bad input exits with status 2.
+
+use std::process::exit;
+use std::str::FromStr;
 
 use gpu_sim::GpuConfig;
-use lego_tune::{Budget, Json, SpaceScale, Strategy, Tuner, WorkloadKind};
+use lego_tune::{Json, KnobText, Knobs, Tuner, WorkloadKind};
 
 use crate::emit;
 
+/// Whether `flag` was passed on the command line.
+pub fn has_flag(flag: &str) -> bool {
+    std::env::args().any(|a| a == flag)
+}
+
 /// Whether `--tuned` was passed on the command line.
 pub fn tuned_requested() -> bool {
-    std::env::args().any(|a| a == "--tuned")
+    has_flag("--tuned")
 }
 
 /// The command-line flags that take a value — skipped (with their
@@ -44,19 +57,65 @@ pub fn positional_args() -> Vec<String> {
     out
 }
 
-/// The device model selected by `--device` (default A100). Unknown
-/// tags abort with a usage message rather than silently falling back.
-pub fn device_from_args() -> GpuConfig {
-    match flag_value("--device") {
-        None => gpu_sim::a100(),
-        Some(v) => gpu_sim::by_name(&v).unwrap_or_else(|| {
-            eprintln!(
-                "unknown --device {v:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            );
-            std::process::exit(2);
-        }),
+/// The value following `flag` on the command line. `None` when the
+/// flag is absent; a flag given without a value (end of line, or
+/// followed by another `--flag`) aborts with a usage message instead of
+/// silently falling back to the default.
+pub fn flag_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return match args.next() {
+                Some(v) if !v.starts_with("--") => Some(v),
+                _ => {
+                    eprintln!("{flag} requires a value");
+                    exit(2);
+                }
+            };
+        }
     }
+    None
+}
+
+/// The value following `flag`, parsed; a value that does not parse
+/// aborts with a usage message.
+pub fn parsed_flag<T: FromStr>(flag: &str) -> Option<T> {
+    flag_value(flag).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("bad value {v:?} for {flag}");
+            exit(2);
+        })
+    })
+}
+
+/// The search knobs on the command line (`--device`, `--strategy`,
+/// `--budget`, `--space`) resolved against `defaults`. Bad input aborts
+/// with the resolver's message.
+pub fn knobs_from_args(defaults: Knobs) -> Knobs {
+    let device = flag_value("--device");
+    let strategy = flag_value("--strategy");
+    let space = flag_value("--space");
+    let text = KnobText {
+        device: device.as_deref(),
+        strategy: strategy.as_deref(),
+        space: space.as_deref(),
+        budget: parsed_flag("--budget"),
+    };
+    defaults.resolve(text).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    })
+}
+
+/// The bench binaries' knobs: the A100, exhaustive, budget 2000 unless
+/// the command line says otherwise.
+pub fn bench_knobs() -> Knobs {
+    knobs_from_args(Knobs::new(gpu_sim::a100()))
+}
+
+/// The device model selected by `--device` (default A100).
+pub fn device_from_args() -> GpuConfig {
+    bench_knobs().device
 }
 
 /// The `BENCH_*.json` name for `base` on device `cfg`: the default
@@ -68,63 +127,6 @@ pub fn bench_name(base: &str, cfg: &GpuConfig) -> String {
     } else {
         format!("{base}_{}", cfg.tag)
     }
-}
-
-/// The value following `flag` on the command line. `None` when the
-/// flag is absent; a flag given without a value (end of line, or
-/// followed by another `--flag`) aborts with a usage message instead of
-/// silently falling back to the default.
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return match args.next() {
-                Some(v) if !v.starts_with("--") => Some(v),
-                _ => {
-                    eprintln!("{flag} requires a value");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    None
-}
-
-/// The search strategy selected by `--strategy` (default exhaustive).
-/// Unknown names abort with a usage message rather than silently
-/// falling back.
-pub fn strategy_from_args() -> Strategy {
-    match flag_value("--strategy") {
-        None => Strategy::Exhaustive,
-        Some(v) => Strategy::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --strategy {v:?} (use exhaustive|anneal|genetic)");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// The evaluation budget selected by `--budget` (default 2000).
-pub fn budget_from_args() -> Budget {
-    match flag_value("--budget") {
-        None => Budget::default(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Budget(n),
-            _ => {
-                eprintln!("--budget requires a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-/// The space-scale pin selected by `--space`, if any.
-pub fn space_from_args() -> Option<SpaceScale> {
-    flag_value("--space").map(|v| {
-        SpaceScale::parse(&v).unwrap_or_else(|| {
-            eprintln!("unknown --space {v:?} (use legacy|enlarged)");
-            std::process::exit(2);
-        })
-    })
 }
 
 /// The persistent memo-sidecar path selected by `--sidecar`, if any
@@ -171,14 +173,17 @@ pub fn maybe_report(name: &str, kinds: &[WorkloadKind]) -> bool {
         return false;
     }
     let sidecar = sidecar_setup();
-    let device = device_from_args();
-    let strategy = strategy_from_args();
-    let budget = budget_from_args();
+    let Knobs {
+        device,
+        strategy,
+        budget,
+        space,
+    } = bench_knobs();
     let mut tuner = Tuner::new(device.clone())
         .with_cache("TUNE_CACHE.json")
         .with_strategy(strategy)
         .with_budget(budget);
-    if let Some(space) = space_from_args() {
+    if let Some(space) = space {
         tuner = tuner.with_space(space);
     }
     println!(

@@ -6,16 +6,16 @@
 //! perimeter row and column. Thread coarsening (LEGO's layout view of
 //! it) enlarges the LUD block (`bs = r·16`), which divides both the
 //! number of steps (launches) and the total perimeter traffic by `r` —
-//! the arithmetic-intensity shift visible on the paper's roofline. The
-//! panel walk lives in [`gpu_sim::trace::LudPanels`], shared with the
-//! `lego-tune` oracle, and is priced by `gpu_sim`'s `CostModel` under
-//! the workload's `PricingMode::AdditiveLaunch` — the dependent
-//! diagonal/perimeter/internal kernels cannot overlap compute with
-//! panel traffic, so the bottleneck terms add.
+//! the arithmetic-intensity shift visible on the paper's roofline. A
+//! block side `bs` is the tuner's LUD config with coarsening factor
+//! `bs/16`, priced through the tuner's path: the panel walk lives in
+//! [`gpu_sim::trace::LudPanels`] and is priced by `gpu_sim`'s
+//! `CostModel` under the workload's `PricingMode::AdditiveLaunch` —
+//! the dependent diagonal/perimeter/internal kernels cannot overlap
+//! compute with panel traffic, so the bottleneck terms add.
 
-use gpu_sim::trace::{LudPanels, TraceBuilder};
-use gpu_sim::{CostModel, Estimate, GpuConfig};
-use lego_core::Layout;
+use gpu_sim::{Estimate, GpuConfig};
+use lego_tune::{TunedConfig, WorkloadKind};
 
 /// Result for one LUD configuration.
 #[derive(Clone, Copy, Debug)]
@@ -30,20 +30,16 @@ pub struct LudResult {
     pub dram_bytes: f64,
 }
 
-/// Scores one LUD configuration through the shared trace builder,
-/// returning the raw `gpu-sim` estimate.
+/// Scores one LUD configuration, returning the raw `gpu-sim` estimate.
+/// The CUDA block stays 16×16, so `bs` must be a multiple of 16.
 pub fn estimate(n: i64, bs: i64, cfg: &GpuConfig) -> Estimate {
     assert!(n % bs == 0, "block must divide matrix");
-    let workload = LudPanels {
-        n,
-        bs,
-        t: 16,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    // The panel trace is pre-aggregated; the layout is unused.
-    let layout = Layout::identity([bs, bs]).expect("identity");
-    CostModel::new(cfg).price(&layout, &workload)
+    assert!(bs % 16 == 0, "block must coarsen the 16x16 CUDA block");
+    super::price(
+        WorkloadKind::Lud { n, bs: 16 },
+        TunedConfig::Lud { r: bs / 16, t: 16 },
+        cfg,
+    )
 }
 
 /// Simulates LUD with LUD-block side `bs` (the CUDA block stays 16×16;

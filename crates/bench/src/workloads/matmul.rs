@@ -7,12 +7,14 @@
 //! [`gpu_sim::trace::MatmulWaves`], shared with the `lego-tune` oracle.
 //! The *thread-block layout* decides which `(pid_m, pid_n)` a `pid`
 //! gets — the grouped column-major layout of Fig. 1 vs. plain
-//! row-major — and therefore how much reuse a wave finds in L2.
+//! row-major — and therefore how much reuse a wave finds in L2. Both
+//! are tuner schedules, priced through the tuner's path; only the
+//! vendor-library baseline keeps its own model.
 
-use gpu_sim::trace::{MatmulWaves, TraceBuilder};
+use gpu_sim::trace::MatmulWaves;
 use gpu_sim::{CostModel, Estimate, GpuConfig};
-use lego_core::{sugar, Layout, OrderBy};
-use lego_expr::Expr;
+use lego_core::Layout;
+use lego_tune::{ScheduleChoice, TunedConfig, WorkloadKind};
 
 /// How program ids map to tile coordinates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,43 +44,32 @@ pub struct MatmulResult {
     pub dram_bytes: f64,
 }
 
-/// Builds the concrete grouped thread layout for `nt_m × nt_n` tiles.
-fn grouped_layout(nt_m: i64, nt_n: i64, gm: i64) -> Layout {
-    let g = gm.min(nt_m);
-    let gmax = (nt_m / gm).max(1);
-    sugar::tile_by([vec![Expr::val(nt_m), Expr::val(nt_n)]])
-        .expect("tile_by")
-        .order_by(
-            OrderBy::new([
-                sugar::col([gmax, 1]).expect("col"),
-                sugar::col([g, nt_n]).expect("col"),
-            ])
-            .expect("order_by"),
-        )
-        .build()
-        .expect("layout")
-}
-
-/// Scores one GEMM configuration through the shared trace builder,
-/// returning the raw `gpu-sim` estimate.
-pub fn estimate(
-    n: i64,
-    (bm, bn, bk): (i64, i64, i64),
-    schedule: Schedule,
-    cfg: &GpuConfig,
-) -> Estimate {
-    let (nt_m, nt_n) = (n / bm, n / bn);
-    // pid -> (pid_m, pid_n)
-    let layout = match schedule {
-        Schedule::Grouped { gm } => grouped_layout(nt_m, nt_n, gm),
-        Schedule::RowMajor | Schedule::Vendor => Layout::identity([nt_m, nt_n]).expect("identity"),
+/// Scores one GEMM configuration, returning the raw `gpu-sim`
+/// estimate. The LEGO schedules are tuner configs; the vendor baseline
+/// is an identity tile grid under the vendor wave model.
+pub fn estimate(n: i64, tiles: (i64, i64, i64), schedule: Schedule, cfg: &GpuConfig) -> Estimate {
+    let schedule = match schedule {
+        Schedule::Grouped { gm } => ScheduleChoice::Grouped { gm },
+        Schedule::RowMajor => ScheduleChoice::RowMajor,
+        Schedule::Vendor => {
+            let (bm, bn, _) = tiles;
+            let layout = Layout::identity([n / bm, n / bn]).expect("identity");
+            let workload = MatmulWaves {
+                vendor: true,
+                ..MatmulWaves::with_tiles(n, tiles)
+            }
+            .build(cfg);
+            return CostModel::new(cfg).price(&layout, &workload);
+        }
     };
-    let workload = MatmulWaves {
-        vendor: matches!(schedule, Schedule::Vendor),
-        ..MatmulWaves::with_tiles(n, (bm, bn, bk))
-    }
-    .build(cfg);
-    CostModel::new(cfg).price(&layout, &workload)
+    let (bm, bn, bk) = tiles;
+    let config = TunedConfig::Matmul {
+        bm,
+        bn,
+        bk,
+        schedule,
+    };
+    super::price(WorkloadKind::Matmul { n }, config, cfg)
 }
 
 /// Simulates `C = A·B` for square `n`, FP16, `BM×BN×BK` tiles.
@@ -106,10 +97,21 @@ mod tests {
 
     #[test]
     fn grouped_layout_matches_reference_mapping() {
-        // Cross-check against the reference formula from the Triton
-        // tutorial (same as codegen's test, concrete path).
+        // Cross-check the layout the grouped schedule prices — a 2048²
+        // GEMM in 128-wide tiles, a 16×16 tile grid — against the
+        // reference formula from the Triton tutorial (same as codegen's
+        // test, concrete path).
         let (nt_m, nt_n, gm) = (16i64, 16i64, 8i64);
-        let l = grouped_layout(nt_m, nt_n, gm);
+        let l = lego_tune::build_layout(
+            &WorkloadKind::Matmul { n: 2048 },
+            &TunedConfig::Matmul {
+                bm: 128,
+                bn: 128,
+                bk: 64,
+                schedule: ScheduleChoice::Grouped { gm },
+            },
+        )
+        .unwrap();
         for pid in 0..nt_m * nt_n {
             let v = l.inv_c(pid).unwrap();
             let npg = gm * nt_n;

@@ -7,18 +7,17 @@
 //! *buffer layout*: row-major (stride-`b` bank conflicts) vs. the LEGO
 //! anti-diagonal permutation (conflict-free).
 //!
-//! This driver owns **no pricing**: the wavefront trace lives in
-//! [`gpu_sim::trace::NwWavefront`] and the calibrated additive launch
-//! timing (fixed instruction budget per in-block step plus serialized
-//! bank passes, blocks issued `sm_count` at a time per diagonal) lives
-//! in `gpu_sim`'s `CostModel` as the workload's
-//! `PricingMode::AdditiveLaunch` — the same path the `lego-tune` oracle
-//! prices, so table numbers and tuner rankings are bit-identical.
+//! This driver owns **no pricing**: each variant is the tuner's NW
+//! config for its buffer layout, priced through the tuner's path. The
+//! wavefront trace lives in [`gpu_sim::trace::NwWavefront`] and the
+//! calibrated additive launch timing (fixed instruction budget per
+//! in-block step plus serialized bank passes, blocks issued `sm_count`
+//! at a time per diagonal) lives in `gpu_sim`'s `CostModel` as the
+//! workload's `PricingMode::AdditiveLaunch`, so table numbers and tuner
+//! rankings are bit-identical.
 
-use gpu_sim::trace::{NwWavefront, TraceBuilder};
-use gpu_sim::{CostModel, Estimate, GpuConfig};
-use lego_codegen::cuda::nw as nwgen;
-use lego_core::Layout;
+use gpu_sim::{Estimate, GpuConfig};
+use lego_tune::{NwLayoutChoice, TunedConfig, WorkloadKind};
 
 /// Result for one NW configuration.
 #[derive(Clone, Copy, Debug)]
@@ -29,25 +28,20 @@ pub struct NwResult {
     pub block_passes: f64,
 }
 
-/// Shared-memory passes for one block's full wavefront sweep under a
-/// given buffer layout on `cfg`'s warp/bank geometry — counted from the
-/// shared trace builder's per-block wavefront walk.
-pub fn block_smem_passes(layout: &Layout, b: i64, cfg: &GpuConfig) -> f64 {
-    NwWavefront::block_passes(layout, b, cfg)
-}
-
-/// Scores one NW configuration through the shared trace builder and
-/// cost model, returning the raw `gpu-sim` estimate.
+/// Scores one NW configuration, returning the raw `gpu-sim` estimate:
+/// the Rodinia row-major buffer, or LEGO's anti-diagonal one when
+/// `optimized`.
 pub fn estimate(n: i64, b: i64, optimized: bool, cfg: &GpuConfig) -> Estimate {
-    let k = nwgen::generate(b).expect("nw layouts");
-    let layout = if optimized { &k.optimized } else { &k.baseline };
-    let workload = NwWavefront {
-        n,
-        b,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    CostModel::new(cfg).price(layout, &workload)
+    let layout = if optimized {
+        NwLayoutChoice::Antidiag
+    } else {
+        NwLayoutChoice::RowMajor
+    };
+    super::price(
+        WorkloadKind::Nw { n, b },
+        TunedConfig::Nw { b, layout },
+        cfg,
+    )
 }
 
 /// Simulates the full NW run for an `n×n` matrix with block size `b`.
@@ -71,14 +65,16 @@ pub fn speedup(n: i64, b: i64, cfg: &GpuConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::trace::NwWavefront;
     use gpu_sim::{a100, mi300};
+    use lego_codegen::cuda::nw::layouts;
 
     #[test]
     fn antidiag_eliminates_conflicts() {
         let cfg = a100();
-        let k = nwgen::generate(16).unwrap();
-        let base = block_smem_passes(&k.baseline, 16, &cfg);
-        let opt = block_smem_passes(&k.optimized, 16, &cfg);
+        let (baseline, optimized) = layouts(16).unwrap();
+        let base = NwWavefront::block_passes(&baseline, 16, &cfg);
+        let opt = NwWavefront::block_passes(&optimized, 16, &cfg);
         assert!(
             base / opt > 4.0,
             "expected large pass reduction: {base} vs {opt}"
@@ -89,8 +85,8 @@ mod tests {
     fn optimized_diagonal_passes_are_minimal() {
         // Conflict-free: 4 access groups x (2b-1) diagonals.
         let cfg = a100();
-        let k = nwgen::generate(16).unwrap();
-        let opt = block_smem_passes(&k.optimized, 16, &cfg);
+        let (_, optimized) = layouts(16).unwrap();
+        let opt = NwWavefront::block_passes(&optimized, 16, &cfg);
         assert!(opt <= (4 * (2 * 16 - 1)) as f64 * 1.5);
     }
 

@@ -10,10 +10,8 @@
 //! PyTorch baselines run the operation as multiple passes (uncoalesced
 //! fusion), modeled as extra traffic.
 
-use gpu_sim::trace::{RowwiseSweep, TraceBuilder};
 use gpu_sim::{estimate, Estimate, GpuConfig, KernelProfile, Pipeline};
-use lego_codegen::tuning::RowwiseOp;
-use lego_core::Layout;
+use lego_tune::{RowwiseOp, TunedConfig, WorkloadKind};
 
 use crate::workloads::matmul::{simulate as simulate_matmul, Schedule};
 
@@ -102,25 +100,17 @@ impl RowwiseBench {
         useful / self.time_s(m, n, im, cfg) / 1e9
     }
 
-    /// Scores one block-size configuration through the shared trace
-    /// builder and cost model, returning the raw `gpu-sim` estimate —
-    /// bit-identical to the `lego-tune` oracle's estimate for the same
-    /// `(op, m, n, bs)` on the same device.
+    /// Scores one block-size configuration through the tuner's path,
+    /// returning the raw `gpu-sim` estimate — bit-identical to the
+    /// `lego-tune` oracle's estimate for the same `(op, m, n, bs)` on
+    /// the same device.
     pub fn estimate(self, m: i64, n: i64, bs: i64, cfg: &GpuConfig) -> Estimate {
         let op = self.op();
-        let workload = RowwiseSweep {
-            op_name: op.tag().to_string(),
-            m,
-            n,
-            bs,
-            passes: op.traffic_passes(),
-            flops_per_elem: op.flops_per_elem(),
-            index_flops: 0.0,
-        }
-        .build(cfg);
-        // The lane-block layout of the generated kernels: unit stride.
-        let layout = Layout::identity([bs]).expect("identity");
-        gpu_sim::CostModel::new(cfg).price(&layout, &workload)
+        super::price(
+            WorkloadKind::Rowwise { op, m, n },
+            TunedConfig::Rowwise { op, bs },
+            cfg,
+        )
     }
 }
 

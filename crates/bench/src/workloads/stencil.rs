@@ -3,8 +3,8 @@
 //! The per-warp lane walk — every stencil tap's 32 element addresses
 //! computed through the *actual layout* (row-major vs. brick),
 //! coalesced into 32-byte sectors and filtered through a scaled L2 —
-//! lives in [`gpu_sim::trace::StencilWalk`], shared with the
-//! `lego-tune` oracle.
+//! lives in [`gpu_sim::trace::StencilWalk`]. Both layouts are tuner
+//! configs, priced through the tuner's path.
 //!
 //! The mechanism is the one the paper names: bricks put "spatially
 //! adjacent data related to a block of computation … physically
@@ -17,12 +17,9 @@
 //! at a smaller size with L2 capacity scaled by the same factor, so the
 //! working-set-to-cache ratio that decides hit rates is preserved.
 
-use gpu_sim::trace::{StencilWalk, TraceBuilder};
-use gpu_sim::{CostModel, Estimate, GpuConfig};
-use lego_codegen::cuda::stencil::{generate, StencilBench, StencilShape};
-use lego_core::Layout;
-
-pub use gpu_sim::trace::LaneAxis;
+use gpu_sim::{Estimate, GpuConfig};
+use lego_codegen::cuda::stencil::StencilShape;
+use lego_tune::{StencilLayoutChoice, TunedConfig, WorkloadKind};
 
 /// Result for one stencil configuration.
 #[derive(Clone, Copy, Debug)]
@@ -39,41 +36,23 @@ pub struct StencilResult {
     pub intensity: f64,
 }
 
-/// Scores one stencil sweep through the shared trace builder, returning
-/// the raw `gpu-sim` estimate.
-pub fn estimate(
-    layout: &Layout,
-    shape: StencilShape,
-    n: i64,
-    block: (i64, i64, i64),
-    lane_axis: LaneAxis,
-    cfg: &GpuConfig,
-) -> Estimate {
-    let workload = StencilWalk {
-        shape_name: shape.name(),
-        offsets: shape.offsets(),
-        radius: shape.radius(),
-        n,
-        block,
-        lane_axis,
-        index_flops: 0.0,
-    }
-    .build(cfg);
-    CostModel::new(cfg).price(layout, &workload)
+/// Scores one sweep of an `n³` domain in both layouts, returning the
+/// raw `gpu-sim` estimates `(row_major, brick)`. The baseline array
+/// kernel tiles the domain in 3-D blocks whose warps walk the strided
+/// y dimension of the row-major space; the brick kernel runs one block
+/// per `b³` brick, threads in brick-local order — which the brick
+/// layout makes memory-contiguous.
+pub fn estimate(shape: StencilShape, n: i64, b: i64, cfg: &GpuConfig) -> (Estimate, Estimate) {
+    let kind = WorkloadKind::Stencil { shape, n };
+    let price = |layout| super::price(kind, TunedConfig::Stencil { n, layout }, cfg);
+    (
+        price(StencilLayoutChoice::RowMajorY),
+        price(StencilLayoutChoice::Brick { b }),
+    )
 }
 
-/// Simulates one stencil sweep over an `n³` domain with the given
-/// layout, visiting points in `bx×by×bz` tiles with warps along
-/// `lane_axis`.
-pub fn sweep(
-    layout: &Layout,
-    shape: StencilShape,
-    n: i64,
-    block: (i64, i64, i64),
-    lane_axis: LaneAxis,
-    cfg: &GpuConfig,
-) -> StencilResult {
-    let e = estimate(layout, shape, n, block, lane_axis, cfg);
+/// The result view of one estimate.
+fn result(e: Estimate) -> StencilResult {
     StencilResult {
         time_s: e.time_s,
         gflops: e.flops / e.time_s / 1e9,
@@ -91,13 +70,8 @@ pub fn compare(
     b: i64,
     cfg: &GpuConfig,
 ) -> (StencilResult, StencilResult, f64) {
-    let bench: StencilBench = generate(shape, n, b).expect("stencil layouts");
-    // Baseline array kernel: 3-D tiles whose warps end up walking the
-    // strided y dimension of the row-major space.
-    let rm = sweep(&bench.row_major, shape, n, (4, 32, 4), LaneAxis::Y, cfg);
-    // Brick kernel: one block per brick, threads in brick-local order —
-    // which the brick layout makes memory-contiguous.
-    let bk = sweep(&bench.brick, shape, n, (b, b, b), LaneAxis::YZ, cfg);
+    let (rm, bk) = estimate(shape, n, b, cfg);
+    let (rm, bk) = (result(rm), result(bk));
     (rm, bk, rm.time_s / bk.time_s)
 }
 

@@ -59,11 +59,6 @@ impl Engine {
         &self.env
     }
 
-    /// Mutable access to the environment (bounds/divisibility updates).
-    pub fn env_mut(&mut self) -> &mut RangeEnv {
-        &mut self.env
-    }
-
     /// Simplifies `e` to fixpoint under the Table II rules. Results are
     /// memoized per `(environment, node)` for the session.
     pub fn simplify(&self, e: &Expr) -> Expr {
@@ -87,29 +82,9 @@ impl Engine {
         prove::pos(e, &self.env)
     }
 
-    /// Proves `e != 0`.
-    pub fn prove_nonzero(&self, e: &Expr) -> bool {
-        prove::nonzero(e, &self.env)
-    }
-
     /// Proves `a < b` (strict).
     pub fn prove_lt(&self, a: &Expr, b: &Expr) -> bool {
         prove::lt(a, b, &self.env)
-    }
-
-    /// Proves `a <= b`.
-    pub fn prove_le(&self, a: &Expr, b: &Expr) -> bool {
-        prove::le(a, b, &self.env)
-    }
-
-    /// Proves `0 <= x < d` — the guard of Table II rules 2, 4, and 5.
-    pub fn prove_in_half_open(&self, x: &Expr, d: &Expr) -> bool {
-        prove::in_half_open(x, d, &self.env)
-    }
-
-    /// Proves the divisibility `d | e`, returning the quotient.
-    pub fn divide_exact(&self, e: &Expr, d: &Expr) -> Option<Expr> {
-        prove::div_exact(e, d, &self.env)
     }
 
     /// The numeric interval of `e` under the environment's bounds.

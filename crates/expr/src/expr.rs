@@ -315,14 +315,6 @@ impl Expr {
         }
     }
 
-    /// Returns the symbol name if this expression is a bare symbol.
-    pub fn as_sym(&self) -> Option<&str> {
-        match self.kind() {
-            ExprKind::Sym(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// True if this is the literal `v`.
     pub fn is_const(&self, v: i64) -> bool {
         self.as_const() == Some(v)

@@ -46,22 +46,6 @@ impl NumRange {
         }
     }
 
-    /// `[lo, +∞)`.
-    pub fn at_least(lo: i64) -> NumRange {
-        NumRange {
-            lo: Some(lo),
-            hi: None,
-        }
-    }
-
-    /// `(-∞, hi]`.
-    pub fn at_most(hi: i64) -> NumRange {
-        NumRange {
-            lo: None,
-            hi: Some(hi),
-        }
-    }
-
     /// True if every value in the interval is `>= 0`.
     pub fn is_nonneg(&self) -> bool {
         matches!(self.lo, Some(l) if l >= 0)

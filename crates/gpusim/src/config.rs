@@ -143,30 +143,19 @@ pub fn mi300() -> GpuConfig {
     }
 }
 
-/// Looks a device configuration up by its CLI tag (`a100`, `h100`,
-/// `mi300`).
-pub fn by_name(tag: &str) -> Option<GpuConfig> {
-    match tag {
-        "a100" => Some(a100()),
-        "h100" => Some(h100()),
-        "mi300" => Some(mi300()),
-        _ => None,
-    }
-}
-
-/// The tags [`by_name`] accepts, for usage messages.
+/// The tags of every device model, for usage messages.
 pub const DEVICE_TAGS: [&str; 3] = ["a100", "h100", "mi300"];
 
-/// Looks a device up by CLI tag *or* full marketing name,
-/// ASCII-case-insensitively and ignoring surrounding whitespace — the
-/// forgiving lookup the tuning-service wire protocol uses, so a client
-/// may say `"h100"`, `"H100"`, or `"NVIDIA H100-SXM5-80GB"` and reach
-/// the same model. The strict [`by_name`] stays the CLI entry point.
+/// Looks a device up by tag *or* full marketing name,
+/// ASCII-case-insensitively and ignoring surrounding whitespace, so
+/// `"h100"`, `"H100"` and `"NVIDIA H100-SXM5-80GB"` all reach the same
+/// model. Every front door (the wire protocol and the CLIs) resolves
+/// devices through this one lookup.
 pub fn lookup(name: &str) -> Option<GpuConfig> {
     let want = name.trim();
-    DEVICE_TAGS
-        .iter()
-        .filter_map(|t| by_name(t))
+    [a100 as fn() -> GpuConfig, h100, mi300]
+        .into_iter()
+        .map(|device| device())
         .find(|cfg| cfg.tag.eq_ignore_ascii_case(want) || cfg.name.eq_ignore_ascii_case(want))
 }
 
@@ -223,18 +212,18 @@ mod tests {
     }
 
     #[test]
-    fn by_name_round_trips_tags() {
+    fn lookup_round_trips_tags() {
         for tag in DEVICE_TAGS {
-            let cfg = by_name(tag).expect("known tag");
+            let cfg = lookup(tag).expect("known tag");
             assert_eq!(cfg.tag, tag);
         }
-        assert!(by_name("v100").is_none());
+        assert!(lookup("v100").is_none());
     }
 
     #[test]
     fn lookup_accepts_tags_and_full_names() {
         for tag in DEVICE_TAGS {
-            let strict = by_name(tag).unwrap();
+            let strict = lookup(tag).unwrap();
             assert_eq!(lookup(tag).unwrap().tag, tag);
             assert_eq!(lookup(&tag.to_uppercase()).unwrap().tag, tag);
             assert_eq!(lookup(strict.name).unwrap().tag, tag);

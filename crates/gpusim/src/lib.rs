@@ -61,7 +61,7 @@ pub mod traffic;
 
 pub use cache::{Cache, CacheStats};
 pub use coalesce::{coalesce_elems, coalesce_elems_on, coalesce_warp, CoalesceResult};
-pub use config::{a100, by_name, h100, lookup, mi300, GpuConfig, DEVICE_TAGS};
+pub use config::{a100, h100, lookup, mi300, GpuConfig, DEVICE_TAGS};
 pub use model::{CostModel, PricingMode};
 pub use roofline::{attainable, ridge, RooflinePoint};
 pub use score::{BlockResources, Estimate, L2Model, Phase, ScoreJob, Workload};
@@ -71,8 +71,7 @@ pub use timing::{
     achieved_bandwidth, achieved_flops, estimate, KernelProfile, Pipeline, TimeEstimate,
 };
 pub use trace::{
-    LaneAxis, LudPanels, MatmulWaves, NwWavefront, RowwiseSweep, StencilWalk, TraceBuilder,
-    TransposeSweeps,
+    LaneAxis, LudPanels, MatmulWaves, NwWavefront, RowwiseSweep, StencilWalk, TransposeSweeps,
 };
 pub use traffic::{
     export as export_traffic, import as import_traffic, memo_stats as traffic_memo_stats,

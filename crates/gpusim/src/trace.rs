@@ -5,15 +5,15 @@
 //! access pattern: the `lego-bench` drivers replayed traces for the
 //! paper tables, and `lego-tune`'s search space re-implemented the same
 //! loops for the tuning oracle, so the two could silently drift apart.
-//! This module is the merge point: each [`TraceBuilder`] owns one
-//! workload's logical access pattern and emits it as [`Phase`]s through
-//! the existing [`AddrGen`] / [`TouchGen`] callbacks, producing a
-//! [`Workload`] that [`crate::CostModel::price`] prices. An estimate printed
-//! in a paper table and an estimate ranked by the tuner now come from
-//! literally the same code path.
+//! This module is the merge point: each builder struct owns one
+//! workload's logical access pattern and its `build` method emits it as
+//! [`Phase`]s through the existing [`AddrGen`] / [`TouchGen`] callbacks,
+//! producing a [`Workload`] that [`crate::CostModel::price`] prices. An
+//! estimate printed in a paper table and an estimate ranked by the tuner
+//! now come from literally the same code path.
 //!
 //! Builders also declare the kernel's per-block resource footprint
-//! ([`BlockResources`]) — a trait method taking the device config, so
+//! ([`BlockResources`]) from the device config, so
 //! register/warp estimates come from the generator family and scale
 //! with the device's warp size — and the occupancy term of
 //! [`crate::timing`] can penalize register/smem-hungry configurations.
@@ -42,22 +42,6 @@ pub const NW_PASS_CYCLES: f64 = 5.0;
 /// (calibrated at half the A100's 4 µs), and scaling by the config
 /// keeps the device descriptor authoritative for dispatch cost.
 pub const NW_LAUNCH_OVERHEAD_RATIO: f64 = 0.5;
-
-/// A builder of one workload's memory trace: given the hardware model,
-/// produces the [`Workload`] whose phases replay the kernel's logical
-/// access pattern through whatever layout is scored against it.
-pub trait TraceBuilder {
-    /// Stable display name, e.g. `matmul(n=2048,128x128x64)`.
-    fn name(&self) -> String;
-
-    /// The kernel family's per-block resource footprint on `cfg` —
-    /// warps per block follow the device's warp size; register and
-    /// shared-memory estimates are the family's calibrated heuristics.
-    fn resources(&self, cfg: &GpuConfig) -> BlockResources;
-
-    /// Builds the scoreable workload for hardware `cfg`.
-    fn build(&self, cfg: &GpuConfig) -> Workload;
-}
 
 /// Splits `idx` into device-warp-sized lane groups and feeds each to
 /// `sink` — the shared "what is one warp access on this device"
@@ -106,9 +90,8 @@ impl MatmulWaves {
             vendor: false,
         }
     }
-}
 
-impl TraceBuilder for MatmulWaves {
+    /// Stable display name, e.g. `matmul(n=2048,128x128x64)`.
     fn name(&self) -> String {
         format!("matmul(n={},{}x{}x{})", self.n, self.bm, self.bn, self.bk)
     }
@@ -125,7 +108,8 @@ impl TraceBuilder for MatmulWaves {
         }
     }
 
-    fn build(&self, cfg: &GpuConfig) -> Workload {
+    /// Builds the scoreable workload for hardware `cfg`.
+    pub fn build(&self, cfg: &GpuConfig) -> Workload {
         let MatmulWaves { n, bm, bn, bk, .. } = *self;
         let elem = 2i64; // fp16
         let (nt_m, nt_n) = (n / bm, n / bn);
@@ -195,7 +179,8 @@ pub struct TransposeSweeps {
     pub index_flops: f64,
 }
 
-impl TraceBuilder for TransposeSweeps {
+impl TransposeSweeps {
+    /// Stable display name.
     fn name(&self) -> String {
         format!("transpose(n={},t={})", self.n, self.t)
     }
@@ -211,7 +196,8 @@ impl TraceBuilder for TransposeSweeps {
         }
     }
 
-    fn build(&self, cfg: &GpuConfig) -> Workload {
+    /// Builds the scoreable workload for hardware `cfg`.
+    pub fn build(&self, cfg: &GpuConfig) -> Workload {
         let TransposeSweeps { n, t, staged, .. } = *self;
         let tiles = (n / t) * (n / t);
         // One representative warp per global access group, scaled to the
@@ -324,7 +310,8 @@ pub struct StencilWalk {
     pub index_flops: f64,
 }
 
-impl TraceBuilder for StencilWalk {
+impl StencilWalk {
+    /// Stable display name.
     fn name(&self) -> String {
         format!("stencil({},n={})", self.shape_name, self.n)
     }
@@ -341,7 +328,8 @@ impl TraceBuilder for StencilWalk {
         }
     }
 
-    fn build(&self, cfg: &GpuConfig) -> Workload {
+    /// Builds the scoreable workload for hardware `cfg`.
+    pub fn build(&self, cfg: &GpuConfig) -> Workload {
         let StencilWalk {
             n,
             block: (bx, by, bz),
@@ -537,9 +525,8 @@ impl NwWavefront {
         }
         (rounds, launches)
     }
-}
 
-impl TraceBuilder for NwWavefront {
+    /// Stable display name.
     fn name(&self) -> String {
         format!("nw(n={},b={})", self.n, self.b)
     }
@@ -557,7 +544,8 @@ impl TraceBuilder for NwWavefront {
         }
     }
 
-    fn build(&self, cfg: &GpuConfig) -> Workload {
+    /// Builds the scoreable workload for hardware `cfg`.
+    pub fn build(&self, cfg: &GpuConfig) -> Workload {
         let NwWavefront { n, b, .. } = *self;
         // Block sizes need not divide n (the kernel pads the last block
         // diagonal); a partial block costs a full one.
@@ -621,7 +609,8 @@ pub struct LudPanels {
     pub index_flops: f64,
 }
 
-impl TraceBuilder for LudPanels {
+impl LudPanels {
+    /// Stable display name.
     fn name(&self) -> String {
         format!("lud(n={},bs={})", self.n, self.bs)
     }
@@ -638,7 +627,8 @@ impl TraceBuilder for LudPanels {
         }
     }
 
-    fn build(&self, cfg: &GpuConfig) -> Workload {
+    /// Builds the scoreable workload for hardware `cfg`.
+    pub fn build(&self, cfg: &GpuConfig) -> Workload {
         let LudPanels { n, bs, .. } = *self;
         // Block sides need not divide n: the Rodinia driver pads the
         // trailing step, so a partial panel is priced as a full one.
@@ -730,7 +720,8 @@ pub struct RowwiseSweep {
     pub index_flops: f64,
 }
 
-impl TraceBuilder for RowwiseSweep {
+impl RowwiseSweep {
+    /// Stable display name.
     fn name(&self) -> String {
         format!("{}(m={},n={},bs={})", self.op_name, self.m, self.n, self.bs)
     }
@@ -750,7 +741,8 @@ impl TraceBuilder for RowwiseSweep {
         }
     }
 
-    fn build(&self, cfg: &GpuConfig) -> Workload {
+    /// Builds the scoreable workload for hardware `cfg`.
+    pub fn build(&self, cfg: &GpuConfig) -> Workload {
         let RowwiseSweep { m, n, bs, .. } = *self;
         let chunks = ((n + bs - 1) / bs).max(1);
         let elems = (m * n) as f64;

@@ -34,7 +34,7 @@ use std::time::Instant;
 use lego_bench::emit;
 use lego_served::client::{is_ok, Client};
 use lego_served::{Server, ServerConfig, TuneSpec};
-use lego_tune::Json;
+use lego_tune::{Json, KnobText, Knobs};
 
 const USAGE: &str =
     "lego-served-load: drive a herd/cold/warm request mix at an embedded lego-served daemon
@@ -256,11 +256,12 @@ fn main() {
         .filter(|s| !s.is_empty())
         .collect();
     for d in &devices {
-        if gpu_sim::lookup(d).is_none() {
-            eprintln!(
-                "unknown device {d:?} in --devices (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            );
+        let text = KnobText {
+            device: Some(d),
+            ..KnobText::default()
+        };
+        if let Err(e) = Knobs::new(gpu_sim::a100()).resolve(text) {
+            eprintln!("--devices: {e}");
             std::process::exit(2);
         }
     }

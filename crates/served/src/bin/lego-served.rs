@@ -19,6 +19,7 @@
 use std::path::PathBuf;
 
 use lego_served::{Server, ServerConfig};
+use lego_tune::{KnobText, Knobs};
 
 const USAGE: &str = "lego-served: serve tuning requests over line-delimited JSON on TCP
 
@@ -113,13 +114,17 @@ fn main() {
         };
     }
     if let Some(dev) = flag_value("--device-default") {
-        cfg.device_default = gpu_sim::lookup(&dev).unwrap_or_else(|| {
-            eprintln!(
-                "unknown --device-default {dev:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            );
-            std::process::exit(2);
-        });
+        let text = KnobText {
+            device: Some(&dev),
+            ..KnobText::default()
+        };
+        cfg.device_default = match Knobs::new(cfg.device_default).resolve(text) {
+            Ok(knobs) => knobs.device,
+            Err(e) => {
+                eprintln!("--device-default: {e}");
+                std::process::exit(2);
+            }
+        };
     }
 
     let workers = cfg.workers;

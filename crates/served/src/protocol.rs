@@ -31,9 +31,8 @@
 //! response lines, which the herd tests assert.
 
 use gpu_sim::GpuConfig;
-use lego_tune::domain::SpaceScale;
-use lego_tune::strategy::{Budget, Strategy};
-use lego_tune::{FleetSpec, Json, TuneRequest, WorkloadKind};
+use lego_tune::strategy::Strategy;
+use lego_tune::{FleetSpec, Json, KnobText, Knobs, TuneRequest, WorkloadKind};
 
 /// A parsed request line.
 #[derive(Clone, Debug, PartialEq)]
@@ -244,38 +243,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 ///
 /// # Errors
 ///
-/// Unknown workload name, device, strategy, or space; the message names
-/// the accepted values.
+/// Unknown workload name, device, strategy, or space, or a zero budget;
+/// the message names the accepted values.
 pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneRequest, String> {
     let kind = WorkloadKind::parse(&spec.workload)?;
-    let device = match &spec.device {
-        None => default_device.clone(),
-        Some(name) => gpu_sim::lookup(name).ok_or_else(|| {
-            format!(
-                "unknown device {name:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            )
-        })?,
-    };
-    let strategy = match &spec.strategy {
-        None => Strategy::default(),
-        Some(name) => Strategy::parse(name)
-            .ok_or_else(|| format!("unknown strategy {name:?} (use exhaustive|anneal|genetic)"))?,
-    };
-    let space = match &spec.space {
-        None => None,
-        Some(name) => Some(
-            SpaceScale::parse(name)
-                .ok_or_else(|| format!("unknown space {name:?} (use legacy|enlarged)"))?,
-        ),
-    };
-    Ok(TuneRequest {
-        kind,
-        device,
-        strategy,
-        budget: spec.budget.map(Budget).unwrap_or_default(),
-        space,
-    })
+    let knobs = Knobs::new(default_device.clone()).resolve(KnobText {
+        device: spec.device.as_deref(),
+        strategy: spec.strategy.as_deref(),
+        space: spec.space.as_deref(),
+        budget: spec.budget,
+    })?;
+    Ok(knobs.request(kind))
 }
 
 /// Most keys one `fleet` request may expand to. The driver's transfer
@@ -304,9 +282,9 @@ pub struct ResolvedFleet {
 ///
 /// # Errors
 ///
-/// Malformed grid spec, unknown device, strategy, or space, a grid of
-/// more than [`MAX_FLEET_KEYS`] keys or more than [`MAX_FLEET_THREADS`]
-/// threads.
+/// Malformed grid spec, unknown device, strategy, or space, a zero
+/// budget, a grid of more than [`MAX_FLEET_KEYS`] keys or more than
+/// [`MAX_FLEET_THREADS`] threads.
 pub fn resolve_fleet(
     wire: &FleetWire,
     default_device: &GpuConfig,
@@ -324,30 +302,18 @@ pub fn resolve_fleet(
             "{threads} threads is above the cap of {MAX_FLEET_THREADS}"
         ));
     }
-    let device = match &wire.device {
-        None => default_device.clone(),
-        Some(name) => gpu_sim::lookup(name).ok_or_else(|| {
-            format!(
-                "unknown device {name:?} (use {})",
-                gpu_sim::DEVICE_TAGS.join("|")
-            )
-        })?,
-    };
-    let strategy = match &wire.strategy {
-        None => Strategy::Anneal,
-        Some(name) => Strategy::parse(name)
-            .ok_or_else(|| format!("unknown strategy {name:?} (use exhaustive|anneal|genetic)"))?,
-    };
-    let space = match &wire.space {
-        None => None,
-        Some(name) => Some(
-            SpaceScale::parse(name)
-                .ok_or_else(|| format!("unknown space {name:?} (use legacy|enlarged)"))?,
-        ),
-    };
-    let budget = wire.budget.map(Budget).unwrap_or_default();
+    let knobs = Knobs {
+        strategy: Strategy::Anneal,
+        ..Knobs::new(default_device.clone())
+    }
+    .resolve(KnobText {
+        device: wire.device.as_deref(),
+        strategy: wire.strategy.as_deref(),
+        space: wire.space.as_deref(),
+        budget: wire.budget,
+    })?;
     Ok(ResolvedFleet {
-        grid: spec.requests(&device, strategy, budget, space),
+        grid: spec.requests(&knobs.device, knobs.strategy, knobs.budget, knobs.space),
         threads,
         transfer: wire.transfer.unwrap_or(true),
     })

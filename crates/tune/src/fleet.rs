@@ -51,7 +51,7 @@ use lego_codegen::tuning::{RowwiseOp, TunedConfig};
 use crate::cache::{config_to_json, nearest_neighbor, CachedTuning, TuningCache};
 use crate::domain::{Domain, SpaceScale};
 use crate::json::Json;
-use crate::request::TuneRequest;
+use crate::request::{KnobText, Knobs, TuneRequest};
 use crate::space::WorkloadKind;
 use crate::strategy::{Budget, Strategy};
 
@@ -227,6 +227,16 @@ fn parse_size(s: &str) -> Result<i64, String> {
         .ok_or_else(|| format!("size {s:?} overflows"))
 }
 
+/// A device a grid spec names, resolved as every front door resolves
+/// devices.
+fn grid_device(tag: &str) -> Result<GpuConfig, String> {
+    let text = KnobText {
+        device: Some(tag),
+        ..KnobText::default()
+    };
+    Ok(Knobs::new(gpu_sim::a100()).resolve(text)?.device)
+}
+
 impl FleetSpec {
     /// Parses a grid spec (see the type docs for the syntax).
     ///
@@ -244,13 +254,7 @@ impl FleetSpec {
         let mut devices = Vec::new();
         if let Some(list) = device_list {
             for tag in list.split(',') {
-                let tag = tag.trim();
-                let dev = gpu_sim::lookup(tag).ok_or_else(|| {
-                    format!(
-                        "unknown device {tag:?} (use {})",
-                        gpu_sim::DEVICE_TAGS.join("|")
-                    )
-                })?;
+                let dev = grid_device(tag.trim())?;
                 if !devices.contains(&dev.tag.to_string()) {
                     devices.push(dev.tag.to_string());
                 }
@@ -339,7 +343,7 @@ impl FleetSpec {
         } else {
             self.devices
                 .iter()
-                .map(|t| gpu_sim::lookup(t).expect("tags validated at parse time"))
+                .map(|t| grid_device(t).expect("tags validated at parse time"))
                 .collect()
         };
         let mut out = Vec::new();

@@ -69,7 +69,7 @@ pub use json::Json;
 pub use lego_codegen::tuning::{
     NwLayoutChoice, RowwiseOp, ScheduleChoice, StagingChoice, StencilLayoutChoice, TunedConfig,
 };
-pub use request::TuneRequest;
+pub use request::{KnobText, Knobs, TuneRequest};
 pub use sidecar::{Sidecar, SidecarWarm};
 pub use space::{
     annotate_cache_stats, annotate_sidecar_stats, build_layout, build_workload,

@@ -16,6 +16,12 @@
 //!   the *same deterministic search* (seeds derive from the cache key
 //!   and strategy), which is what lets the daemon collapse a thundering
 //!   herd of identical concurrent requests onto one in-flight slot.
+//!
+//! Every front door that takes the search knobs from a user — the
+//! daemon's wire protocol, the bench binaries' `--tuned` mode, the
+//! fleet CLI, fleet grid specs — resolves their text form through one
+//! function, [`Knobs::resolve`], so they all accept the same spellings
+//! and refuse bad input with the same messages.
 
 use gpu_sim::GpuConfig;
 
@@ -40,17 +46,107 @@ pub struct TuneRequest {
     pub space: Option<SpaceScale>,
 }
 
-impl TuneRequest {
-    /// A request with the default search knobs (exhaustive, default
-    /// budget, unpinned space) — the v2 CLI behavior.
-    pub fn new(kind: WorkloadKind, device: GpuConfig) -> TuneRequest {
-        TuneRequest {
-            kind,
+/// The search knobs of a request: device, strategy, budget and
+/// optional space pin. A front door states its defaults as a `Knobs`
+/// and overrides them from user text with [`Knobs::resolve`].
+#[derive(Clone, Debug)]
+pub struct Knobs {
+    /// The device model to tune against.
+    pub device: GpuConfig,
+    /// How to explore the space.
+    pub strategy: Strategy,
+    /// Evaluation cap for the budgeted strategies.
+    pub budget: Budget,
+    /// Optional space-scale pin (`None` = the strategy's default).
+    pub space: Option<SpaceScale>,
+}
+
+/// The text form of the search knobs, as a user gave them; `None`
+/// keeps the front door's default.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KnobText<'a> {
+    /// Device tag or full name, in any case.
+    pub device: Option<&'a str>,
+    /// Strategy name (`exhaustive`, `anneal` or `genetic`).
+    pub strategy: Option<&'a str>,
+    /// Space scale name (`legacy` or `enlarged`).
+    pub space: Option<&'a str>,
+    /// Evaluation budget; zero is refused.
+    pub budget: Option<usize>,
+}
+
+impl Knobs {
+    /// The default search knobs on `device`: exhaustive, default
+    /// budget, unpinned space.
+    pub fn new(device: GpuConfig) -> Knobs {
+        Knobs {
             device,
             strategy: Strategy::default(),
             budget: Budget::default(),
             space: None,
         }
+    }
+
+    /// Resolves `text` against these defaults: every knob the user gave
+    /// replaces its default.
+    ///
+    /// # Errors
+    ///
+    /// Unknown device, strategy or space, or a zero budget; the message
+    /// names the accepted values.
+    pub fn resolve(self, text: KnobText<'_>) -> Result<Knobs, String> {
+        let device = match text.device {
+            None => self.device,
+            Some(name) => gpu_sim::lookup(name).ok_or_else(|| {
+                format!(
+                    "unknown device {name:?} (use {})",
+                    gpu_sim::DEVICE_TAGS.join("|")
+                )
+            })?,
+        };
+        let strategy = match text.strategy {
+            None => self.strategy,
+            Some(name) => Strategy::parse(name).ok_or_else(|| {
+                format!("unknown strategy {name:?} (use exhaustive|anneal|genetic)")
+            })?,
+        };
+        let space = match text.space {
+            None => self.space,
+            Some(name) => Some(
+                SpaceScale::parse(name)
+                    .ok_or_else(|| format!("unknown space {name:?} (use legacy|enlarged)"))?,
+            ),
+        };
+        let budget = match text.budget {
+            None => self.budget,
+            Some(0) => return Err("\"budget\" must be a positive integer".to_string()),
+            Some(n) => Budget(n),
+        };
+        Ok(Knobs {
+            device,
+            strategy,
+            budget,
+            space,
+        })
+    }
+
+    /// The request for `kind` under these knobs.
+    pub fn request(self, kind: WorkloadKind) -> TuneRequest {
+        TuneRequest {
+            kind,
+            device: self.device,
+            strategy: self.strategy,
+            budget: self.budget,
+            space: self.space,
+        }
+    }
+}
+
+impl TuneRequest {
+    /// A request with the default search knobs (exhaustive, default
+    /// budget, unpinned space) — the v2 CLI behavior.
+    pub fn new(kind: WorkloadKind, device: GpuConfig) -> TuneRequest {
+        Knobs::new(device).request(kind)
     }
 
     /// A [`Tuner`] configured exactly as this request asks (no cache
@@ -139,6 +235,66 @@ mod tests {
         on_h100.device = gpu_sim::h100();
         assert_ne!(anneal.cache_key(), on_h100.cache_key());
         assert_ne!(anneal.coalesce_key(), on_h100.coalesce_key());
+    }
+
+    #[test]
+    fn knobs_resolve_against_the_callers_defaults() {
+        let defaults = Knobs {
+            strategy: Strategy::Anneal,
+            budget: Budget(160),
+            ..Knobs::new(gpu_sim::a100())
+        };
+        let kept = defaults.clone().resolve(KnobText::default()).unwrap();
+        assert_eq!(kept.device.tag, "a100");
+        assert_eq!(
+            (kept.strategy, kept.budget.0, kept.space),
+            (Strategy::Anneal, 160, None)
+        );
+
+        // Tag or full name, in any case, reaches the same model.
+        for name in ["h100", "H100", "NVIDIA H100-SXM5-80GB"] {
+            let text = KnobText {
+                device: Some(name),
+                ..KnobText::default()
+            };
+            assert_eq!(defaults.clone().resolve(text).unwrap().device.tag, "h100");
+        }
+        let text = KnobText {
+            strategy: Some("genetic"),
+            space: Some("legacy"),
+            budget: Some(7),
+            ..KnobText::default()
+        };
+        let set = defaults.clone().resolve(text).unwrap();
+        assert_eq!(
+            (set.strategy, set.budget.0, set.space),
+            (Strategy::Genetic, 7, Some(SpaceScale::Legacy))
+        );
+    }
+
+    #[test]
+    fn knobs_refuse_bad_text_and_a_zero_budget() {
+        let refuse = |text: KnobText<'_>| Knobs::new(gpu_sim::a100()).resolve(text).unwrap_err();
+        let device = refuse(KnobText {
+            device: Some("v100"),
+            ..KnobText::default()
+        });
+        assert_eq!(device, "unknown device \"v100\" (use a100|h100|mi300)");
+        let strategy = refuse(KnobText {
+            strategy: Some("greedy"),
+            ..KnobText::default()
+        });
+        assert!(strategy.starts_with("unknown strategy"), "{strategy}");
+        let space = refuse(KnobText {
+            space: Some("huge"),
+            ..KnobText::default()
+        });
+        assert!(space.starts_with("unknown space"), "{space}");
+        let budget = refuse(KnobText {
+            budget: Some(0),
+            ..KnobText::default()
+        });
+        assert_eq!(budget, "\"budget\" must be a positive integer");
     }
 
     #[test]

@@ -16,8 +16,7 @@
 
 use gpu_sim::score::Workload;
 use gpu_sim::trace::{
-    LaneAxis, LudPanels, MatmulWaves, NwWavefront, RowwiseSweep, StencilWalk, TraceBuilder,
-    TransposeSweeps,
+    LaneAxis, LudPanels, MatmulWaves, NwWavefront, RowwiseSweep, StencilWalk, TransposeSweeps,
 };
 use gpu_sim::GpuConfig;
 use lego_codegen::cuda::stencil::StencilShape;
@@ -74,12 +73,6 @@ pub enum WorkloadKind {
         /// Row length (columns).
         n: i64,
     },
-}
-
-/// Stable short tag of a rowwise operator, shared by workload names and
-/// trace labels.
-pub fn rowwise_tag(op: RowwiseOp) -> &'static str {
-    op.tag()
 }
 
 /// The smallest power of two ≥ `n` (for positive `n`).
@@ -280,7 +273,7 @@ impl WorkloadKind {
             WorkloadKind::Nw { n, b } => format!("nw(n={n},b={b})"),
             WorkloadKind::Lud { n, bs } => format!("lud(n={n},bs={bs})"),
             WorkloadKind::Rowwise { op, m, n } => {
-                format!("{}(m={m},n={n})", rowwise_tag(*op))
+                format!("{}(m={m},n={n})", op.tag())
             }
         }
     }

@@ -23,11 +23,11 @@
 //! behavior).
 
 use gpu_sim::{h100, mi300};
-use lego_bench::tuned::{budget_from_args, device_from_args, strategy_from_args};
+use lego_bench::tuned::bench_knobs;
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_codegen::cuda::{lud, nw, transpose};
 use lego_codegen::triton::matmul;
-use lego_tune::{Budget, RowwiseOp, Strategy, TuneResult, TunedConfig, Tuner, WorkloadKind};
+use lego_tune::{Budget, Knobs, RowwiseOp, Strategy, TuneResult, TunedConfig, Tuner, WorkloadKind};
 
 const CACHE_PATH: &str = "TUNE_CACHE.json";
 
@@ -61,9 +61,12 @@ fn main() {
     // doesn't.
     let _ = std::fs::remove_file(CACHE_PATH);
 
-    let strategy = strategy_from_args();
-    let budget = budget_from_args();
-    let baseline = device_from_args();
+    let Knobs {
+        device: baseline,
+        strategy,
+        budget,
+        ..
+    } = bench_knobs();
 
     let kinds = [
         WorkloadKind::Matmul { n: 2048 },

@@ -1,14 +1,20 @@
 //! Cross-crate price unification: the estimate a `lego-bench` driver
 //! prints in a paper table and the estimate the `lego-tune` oracle
-//! ranks must be *bit-identical* for the same (workload, config,
+//! ranks are *bit-identical* for the same (workload, config,
 //! hardware) — for **every** workload, including the additive-launch
 //! NW/LUD wavefronts, on every device (A100, H100 and the warp-64
-//! MI300) — because both route through the shared `gpu_sim::trace`
-//! builders and the one `CostModel` pricing engine, so nothing can
-//! drift. Plus property tests for the occupancy model.
+//! MI300). They agree by construction: each driver maps its paper
+//! point to a `(WorkloadKind, TunedConfig)` pair and prices it through
+//! the tuner's own `build_layout` → `build_workload` → `CostModel`
+//! path. These tests pin that mapping (grouped/row-major schedules,
+//! naive/swizzled transpose staging, row-major/anti-diagonal NW
+//! buffers, LUD coarsening `bs/16`, rowwise block sizes, row-major/brick
+//! stencils) and that the layouts the code generators emit price the
+//! same as the tuner's. Plus property tests for the occupancy model.
 
 mod prop_support;
 
+use gpu_sim::trace::NwWavefront;
 use gpu_sim::{a100, h100, mi300, CostModel, Estimate, GpuConfig, KernelProfile};
 use lego_bench::workloads::matmul::Schedule;
 use lego_bench::workloads::rowwise::RowwiseBench;
@@ -33,14 +39,25 @@ fn devices() -> [GpuConfig; 3] {
 /// index-expression flop term zeroed so it prices exactly what the
 /// bench drivers price.
 fn oracle(kind: WorkloadKind, config: TunedConfig, cfg: &GpuConfig) -> Estimate {
+    let layout = build_layout(&kind, &config).expect("layout");
+    priced_as(&layout, kind, config, cfg)
+}
+
+/// `layout` priced against the unannotated trace of `(kind, config)` —
+/// how a generated kernel's own layout is checked against the oracle.
+fn priced_as(
+    layout: &Layout,
+    kind: WorkloadKind,
+    config: TunedConfig,
+    cfg: &GpuConfig,
+) -> Estimate {
     let candidate = Candidate {
         config,
         expr_variant: None,
         index_ops: None,
     };
-    let layout = build_layout(&kind, &config).expect("layout");
     let workload = build_workload(&kind, &candidate, cfg);
-    CostModel::new(cfg).price(&layout, &workload)
+    CostModel::new(cfg).price(layout, &workload)
 }
 
 #[test]
@@ -94,18 +111,21 @@ fn transpose_bench_and_oracle_estimates_are_bit_identical() {
             );
             assert_eq!(bench, tuned, "naive n={n} on {}", cfg.name);
 
-            // SmemCoalesced <-> Swizzle staging (the generated kernel's
-            // staging layout is the swizzle).
+            // SmemCoalesced <-> Swizzle staging, and the generated
+            // kernel's staging layout prices as the swizzle.
             let bench = transpose::estimate(n, 32, TransposeVariant::SmemCoalesced, &cfg);
-            let tuned = oracle(
-                WorkloadKind::Transpose { n },
-                TunedConfig::Transpose {
-                    t: 32,
-                    staging: Some(StagingChoice::Swizzle),
-                },
-                &cfg,
-            );
+            let kind = WorkloadKind::Transpose { n };
+            let config = TunedConfig::Transpose {
+                t: 32,
+                staging: Some(StagingChoice::Swizzle),
+            };
+            let tuned = oracle(kind, config, &cfg);
             assert_eq!(bench, tuned, "smem n={n} on {}", cfg.name);
+            let kernel =
+                lego_codegen::cuda::transpose::generate(TransposeVariant::SmemCoalesced, 32)
+                    .unwrap();
+            let generated = priced_as(&kernel.smem_layout.unwrap(), kind, config, &cfg);
+            assert_eq!(generated, tuned, "generated smem n={n} on {}", cfg.name);
         }
     }
 }
@@ -118,47 +138,31 @@ fn stencil_bench_and_oracle_estimates_are_bit_identical() {
 }
 
 fn stencil_parity_on(cfg: &GpuConfig) {
-    let cfg = cfg.clone();
     for shape in [StencilShape::Star(2), StencilShape::Cube(1)] {
         let n = 32i64;
-        let bench_kernels = lego_codegen::cuda::stencil::generate(shape, n, 8).unwrap();
-        // Row-major baseline: (4, lane, 4) tiles, lanes along y.
-        let bench = stencil::estimate(
-            &bench_kernels.row_major,
-            shape,
-            n,
-            (4, 32, 4),
-            stencil::LaneAxis::Y,
-            &cfg,
-        );
-        let tuned = oracle(
-            WorkloadKind::Stencil { shape, n },
-            TunedConfig::Stencil {
-                n,
-                layout: StencilLayoutChoice::RowMajorY,
-            },
-            &cfg,
-        );
-        assert_eq!(bench, tuned, "{} row-major", shape.name());
-
-        // Brick layout, brick-local lanes.
-        let bench = stencil::estimate(
-            &bench_kernels.brick,
-            shape,
-            n,
-            (8, 8, 8),
-            stencil::LaneAxis::YZ,
-            &cfg,
-        );
-        let tuned = oracle(
-            WorkloadKind::Stencil { shape, n },
-            TunedConfig::Stencil {
-                n,
-                layout: StencilLayoutChoice::Brick { b: 8 },
-            },
-            &cfg,
-        );
-        assert_eq!(bench, tuned, "{} brick", shape.name());
+        let kind = WorkloadKind::Stencil { shape, n };
+        // Row-major baseline (lanes along y) and 8³ bricks (brick-local
+        // lanes).
+        let (bench_rm, bench_bk) = stencil::estimate(shape, n, 8, cfg);
+        let generated = lego_codegen::cuda::stencil::generate(shape, n, 8).unwrap();
+        for (bench, layout, kernel_layout) in [
+            (
+                bench_rm,
+                StencilLayoutChoice::RowMajorY,
+                &generated.row_major,
+            ),
+            (
+                bench_bk,
+                StencilLayoutChoice::Brick { b: 8 },
+                &generated.brick,
+            ),
+        ] {
+            let config = TunedConfig::Stencil { n, layout };
+            let tuned = oracle(kind, config, cfg);
+            assert_eq!(bench, tuned, "{} {layout:?}", shape.name());
+            let kernel = priced_as(kernel_layout, kind, config, cfg);
+            assert_eq!(kernel, tuned, "{} generated {layout:?}", shape.name());
+        }
     }
 }
 
@@ -184,25 +188,23 @@ fn nw_and_lud_prices_are_bit_identical() {
             assert_eq!(bench, tuned, "nw optimized={optimized} on {}", cfg.name);
         }
 
-        // The bench driver's per-block pass count is still the oracle's
-        // smem phase, block for block.
+        // The per-block pass count of the generated kernel's buffers is
+        // the oracle's smem phase, block for block.
         let k = lego_codegen::cuda::nw::generate(16).unwrap();
         for layout in [&k.baseline, &k.optimized] {
-            let bench_passes = bench_nw::block_smem_passes(layout, 16, &cfg);
+            let block_passes = NwWavefront::block_passes(layout, 16, &cfg);
             let nb = 2048 / 16;
             let blocks = 2.0 * (nb * nb) as f64;
             let tuned = CostModel::new(&cfg).price(
                 layout,
-                &gpu_sim::trace::TraceBuilder::build(
-                    &gpu_sim::trace::NwWavefront {
-                        n: 2048,
-                        b: 16,
-                        index_flops: 0.0,
-                    },
-                    &cfg,
-                ),
+                &NwWavefront {
+                    n: 2048,
+                    b: 16,
+                    index_flops: 0.0,
+                }
+                .build(&cfg),
             );
-            assert_eq!(tuned.smem_passes, bench_passes * blocks);
+            assert_eq!(tuned.smem_passes, block_passes * blocks);
         }
 
         // LUD: the bench estimate IS the oracle estimate (layout-free
