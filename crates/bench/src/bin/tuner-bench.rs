@@ -43,6 +43,13 @@
 //! pricing jobs the same way: a cold process traces every geometry, a
 //! sidecar-warmed one re-times from the persisted traffic memo, and
 //! the two must price bit-identically.
+//!
+//! A last **paper-size** phase prices the legacy matmul space at the
+//! paper's Fig. 11 sizes (`n` ∈ {2048, 4096, 8192}) on the A100 model,
+//! whatever `--device` says: each candidate traced cold (median and max
+//! per-candidate price time), then the whole exhaustive search on a
+//! fresh thread. One `matmul-paper-n<N>` row per size; the run fails
+//! when the n=4096 search takes [`PAPER_SEARCH_GATE_S`] or more.
 
 use std::time::Instant;
 
@@ -128,6 +135,72 @@ fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec
     let secs = t.elapsed().as_secs_f64();
     let (h, m) = gpu_sim::traffic_memo_stats();
     (jobs.len(), secs, ests, rate(h, m))
+}
+
+/// The paper's Fig. 11 matmul sizes, priced by the paper-size phase.
+const PAPER_MATMUL_SIZES: [i64; 3] = [2048, 4096, 8192];
+
+/// Ceiling on the legacy exhaustive `matmul(n=4096)` search, in
+/// seconds: five times the one-second target, so runner noise cannot
+/// flip it.
+const PAPER_SEARCH_GATE_S: f64 = 5.0;
+
+/// Prices the legacy matmul space at size `n` on the A100 model and
+/// returns its summary row: every candidate traced cold (its memo key
+/// dropped, so no geometry is shared), then the whole exhaustive search
+/// on a fresh thread, whose traffic memo starts empty.
+fn paper_matmul_row(n: i64) -> (Json, f64) {
+    let device = gpu_sim::a100();
+    let kind = WorkloadKind::Matmul { n };
+    let model = CostModel::new(&device);
+    let mut times: Vec<f64> = pricing_jobs(&kind, &device)
+        .into_iter()
+        .map(|(l, mut w)| {
+            w.traffic_key = None;
+            let t = Instant::now();
+            std::hint::black_box(model.price(&l, &w));
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    let median = times.get(times.len() / 2).copied().unwrap_or(0.0);
+    let max = times.last().copied().unwrap_or(0.0);
+    let (search_s, evaluated) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let t = Instant::now();
+            let outcome = run_search(
+                Strategy::Exhaustive,
+                &Domain::new(kind, SpaceScale::Legacy),
+                &device,
+                Budget::default(),
+                "tuner-bench",
+                &[],
+            )
+            .expect("paper-size exhaustive search");
+            (t.elapsed().as_secs_f64(), outcome.evaluated)
+        })
+        .join()
+        .expect("paper-size search thread")
+    });
+    println!(
+        "{:<22} {:>6} cands  price median {:.2}ms max {:.2}ms  exhaustive {:.2}s ({} evaluated)",
+        format!("matmul(n={n}) a100"),
+        times.len(),
+        median * 1e3,
+        max * 1e3,
+        search_s,
+        evaluated,
+    );
+    let row = Json::obj([
+        ("workload", Json::Str(format!("matmul-paper-n{n}"))),
+        ("device", Json::Str(device.tag.to_string())),
+        ("candidates", Json::Int(times.len() as i64)),
+        ("price_median_s", Json::Num(median)),
+        ("price_max_s", Json::Num(max)),
+        ("exhaustive_evaluated", Json::Int(evaluated as i64)),
+        ("exhaustive_search_s", Json::Num(search_s)),
+    ]);
+    (row, search_s)
 }
 
 /// Enumerates every workload once on the *calling* thread and returns
@@ -535,6 +608,19 @@ fn main() {
     ]));
     if !keep_sidecar {
         let _ = std::fs::remove_file(&sidecar_path);
+    }
+
+    println!("-- paper-size matmul: legacy exhaustive on the A100 model --");
+    for n in PAPER_MATMUL_SIZES {
+        let (row, search_s) = paper_matmul_row(n);
+        rows.push(row);
+        if n == 4096 {
+            assert!(
+                search_s < PAPER_SEARCH_GATE_S,
+                "legacy exhaustive matmul(n=4096) took {search_s:.2}s \
+                 (gate {PAPER_SEARCH_GATE_S}s)"
+            );
+        }
     }
 
     emit::announce(emit::write_bench_json(

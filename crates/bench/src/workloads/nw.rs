@@ -65,16 +65,13 @@ pub fn speedup(n: i64, b: i64, cfg: &GpuConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::trace::NwWavefront;
     use gpu_sim::{a100, mi300};
-    use lego_codegen::cuda::nw::layouts;
 
     #[test]
     fn antidiag_eliminates_conflicts() {
         let cfg = a100();
-        let (baseline, optimized) = layouts(16).unwrap();
-        let base = NwWavefront::block_passes(&baseline, 16, &cfg);
-        let opt = NwWavefront::block_passes(&optimized, 16, &cfg);
+        let base = simulate(2048, 16, false, &cfg).block_passes;
+        let opt = simulate(2048, 16, true, &cfg).block_passes;
         assert!(
             base / opt > 4.0,
             "expected large pass reduction: {base} vs {opt}"
@@ -85,8 +82,7 @@ mod tests {
     fn optimized_diagonal_passes_are_minimal() {
         // Conflict-free: 4 access groups x (2b-1) diagonals.
         let cfg = a100();
-        let (_, optimized) = layouts(16).unwrap();
-        let opt = NwWavefront::block_passes(&optimized, 16, &cfg);
+        let opt = simulate(2048, 16, true, &cfg).block_passes;
         assert!(opt <= (4 * (2 * 16 - 1)) as f64 * 1.5);
     }
 

@@ -60,11 +60,6 @@ impl Cache {
         }
     }
 
-    /// A fully-associative cache with `lines` lines.
-    pub fn fully_associative(lines: usize) -> Cache {
-        Cache::new(lines, lines)
-    }
-
     /// Accesses `line`, updating LRU state and statistics.
     pub fn access(&mut self, line: i64) -> Access {
         self.stamp += 1;
@@ -94,15 +89,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Resets contents and statistics.
-    pub fn clear(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-        self.stats = CacheStats::default();
-        self.stamp = 0;
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +97,7 @@ mod tests {
 
     #[test]
     fn cold_miss_then_hit() {
-        let mut c = Cache::fully_associative(4);
+        let mut c = Cache::new(4, 4);
         assert_eq!(c.access(7), Access::Miss);
         assert_eq!(c.access(7), Access::Hit);
         assert_eq!(c.stats().hits, 1);
@@ -120,7 +106,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order() {
-        let mut c = Cache::fully_associative(2);
+        let mut c = Cache::new(2, 2);
         c.access(1);
         c.access(2);
         c.access(1); // 2 is now LRU
@@ -142,7 +128,7 @@ mod tests {
 
     #[test]
     fn hit_rate_math() {
-        let mut c = Cache::fully_associative(8);
+        let mut c = Cache::new(8, 8);
         for _ in 0..3 {
             c.access(42);
         }
@@ -151,7 +137,7 @@ mod tests {
 
     #[test]
     fn working_set_larger_than_cache_thrashes() {
-        let mut c = Cache::fully_associative(4);
+        let mut c = Cache::new(4, 4);
         // Cyclic sweep over 8 lines with LRU: always miss.
         for _ in 0..4 {
             for l in 0..8 {
@@ -159,14 +145,5 @@ mod tests {
             }
         }
         assert_eq!(c.stats().hits, 0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut c = Cache::fully_associative(2);
-        c.access(1);
-        c.clear();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert_eq!(c.access(1), Access::Miss);
     }
 }

@@ -203,20 +203,28 @@ impl<'a> CostModel<'a> {
                     let mut moved = 0f64;
                     let mut cache = workload.l2.map(|m| Cache::new(m.lines, m.assoc));
                     let mut sectors: Vec<i64> = Vec::with_capacity(cfg.warp_size);
+                    let (elem, sector) = (*elem_bytes as i64, cfg.sector_bytes as i64);
+                    // When the width divides the sector, an element at a
+                    // non-negative index lies in one sector, so a warp's
+                    // sorted L2 sectors are also the coalescer's sector
+                    // set, and their count prices the moved bytes.
+                    let one_sector = sector % elem == 0;
                     trace(layout(), &mut |idx: &[i64]| {
-                        let c = coalesce_elems_on(idx, *elem_bytes, 0, cfg);
-                        moved += c.moved_bytes as f64;
-                        if let Some(cache) = cache.as_mut() {
-                            sectors.clear();
-                            sectors.extend(
-                                idx.iter()
-                                    .map(|&i| i * *elem_bytes as i64 / cfg.sector_bytes as i64),
-                            );
-                            sectors.sort_unstable();
-                            sectors.dedup();
-                            for &s in sectors.iter() {
-                                cache.access(s);
-                            }
+                        let Some(cache) = cache.as_mut() else {
+                            moved += coalesce_elems_on(idx, *elem_bytes, 0, cfg).moved_bytes as f64;
+                            return;
+                        };
+                        sectors.clear();
+                        sectors.extend(idx.iter().map(|&i| i * elem / sector));
+                        sectors.sort_unstable();
+                        sectors.dedup();
+                        moved += if one_sector && idx.iter().all(|&i| i >= 0) {
+                            (sectors.len() * cfg.sector_bytes) as f64
+                        } else {
+                            coalesce_elems_on(idx, *elem_bytes, 0, cfg).moved_bytes as f64
+                        };
+                        for &s in sectors.iter() {
+                            cache.access(s);
                         }
                     });
                     l2_bytes += moved * scale;
@@ -621,6 +629,101 @@ mod tests {
         let e1 = model.price(&layout, &additive_workload(10.0, 1.0));
         let e2 = model.price(&layout, &additive_workload(20.0, 1.0));
         assert!((e2.breakdown.compute_s / e1.breakdown.compute_s - 2.0).abs() < 1e-12);
+    }
+
+    /// A hand-built workload: one `Phase::Global` replaying `warps`
+    /// through a small L2, so that they both hit and evict.
+    fn global_workload(elem_bytes: usize, warps: Vec<Vec<i64>>) -> Workload {
+        Workload {
+            name: "global".into(),
+            pipeline: Pipeline::Fp32,
+            flops: 0.0,
+            useful_bytes: 0.0,
+            streamed_bytes: 0.0,
+            blocks: 1.0,
+            launches: 1.0,
+            wave_quantized: false,
+            l2: Some(crate::score::L2Model {
+                lines: 64,
+                assoc: 4,
+            }),
+            resources: BlockResources::default(),
+            mode: PricingMode::Roofline,
+            traffic_key: None,
+            phases: vec![Phase::Global {
+                trace: Box::new(move |_layout, sink| {
+                    for w in &warps {
+                        sink(w);
+                    }
+                }),
+                elem_bytes,
+                scale: 3.0,
+            }],
+        }
+    }
+
+    /// The `Phase::Global` arm as it was before the one-sort path:
+    /// moved bytes from the coalescer, then a second sort for the L2.
+    fn coalescer_path(cfg: &GpuConfig, elem_bytes: usize, warps: &[Vec<i64>]) -> TrafficCost {
+        let mut moved = 0f64;
+        let mut cache = Cache::new(64, 4);
+        for idx in warps {
+            moved += coalesce_elems_on(idx, elem_bytes, 0, cfg).moved_bytes as f64;
+            let mut sectors: Vec<i64> = idx
+                .iter()
+                .map(|&i| i * elem_bytes as i64 / cfg.sector_bytes as i64)
+                .collect();
+            sectors.sort_unstable();
+            sectors.dedup();
+            for &s in &sectors {
+                cache.access(s);
+            }
+        }
+        let stats = cache.stats();
+        TrafficCost {
+            dram_bytes: stats.misses as f64 * cfg.sector_bytes as f64 * 3.0,
+            l2_bytes: moved * 3.0,
+            smem_passes: 0.0,
+            hits: stats.hits,
+            misses: stats.misses,
+        }
+    }
+
+    /// Widths that divide the sector take one sort per warp; the traffic
+    /// it gives equals the coalescer path field for field on 32- and
+    /// 64-byte sectors, over unit-stride, strided, broadcast, shuffled,
+    /// reversed and empty warps. A 12-byte width, whose elements
+    /// straddle sectors, keeps the coalescer's count — as does a warp
+    /// with a negative lane.
+    #[test]
+    fn one_sort_sector_path_matches_the_coalescer_path() {
+        let mut shuffled: Vec<i64> = (0..32).map(|l| (l * 13) % 32 + 40).collect();
+        shuffled.swap(3, 17);
+        let warps = vec![
+            (0..32).collect(),
+            (0..32).map(|l| l * 9).collect(),
+            vec![7; 32],
+            shuffled,
+            (0..32).map(|l| 31 - l).collect(),
+            (0..32).map(|l| l * 101 + 5).collect(),
+            (0..32).map(|l| l * 3 - 20).collect(),
+            Vec::new(),
+            (0..32).collect(),
+        ];
+        let layout = Layout::identity([64i64]).unwrap();
+        for sector in [32usize, 64] {
+            let cfg = GpuConfig {
+                sector_bytes: sector,
+                ..a100()
+            };
+            for elem in [1usize, 2, 4, 8, 32, 12] {
+                let got =
+                    CostModel::new(&cfg).traffic(&layout, &global_workload(elem, warps.clone()));
+                let want = coalescer_path(&cfg, elem, &warps);
+                assert_eq!(got, want, "elem {elem} on {sector}-byte sectors");
+                assert!(got.hits > 0 && got.misses > 0);
+            }
+        }
     }
 
     #[test]

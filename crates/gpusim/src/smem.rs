@@ -50,17 +50,61 @@ pub fn bank_conflicts_elems_on(
     bank_passes(addrs, elem_idx.len(), cfg.smem_banks, cfg.bank_bytes)
 }
 
-/// The passes of `lanes` accesses at byte addresses `addrs`: each lane's
-/// `(bank, word)` pair goes into one buffer (on the stack for
-/// warp-sized inputs), which is sorted so that each bank's words form a
-/// run; equal pairs are one broadcast word, and the longest run of
-/// distinct words is the serialization.
+/// Banks [`bank_passes`] counts lanes for in one pass: up to a 64-bank
+/// LDS. Wider geometries take the sort.
+const COUNT_BANKS: usize = 64;
+
+/// The passes of `lanes` accesses at byte addresses `addrs`: the
+/// largest number of distinct words one bank serves.
+///
+/// Warp-sized inputs on up to [`COUNT_BANKS`] banks first count lanes
+/// per bank in one pass over a fixed `[u8; 64]`, and return the largest
+/// count when it is exact:
+///
+/// * **no bank holds two lanes** — every bank serves at most one word,
+///   so the access is one pass (zero for an empty warp);
+/// * **the lane words are strictly monotone** (increasing or
+///   decreasing, as every strided warp is) — no word repeats, so each
+///   bank's lane count *is* its distinct-word count.
+///
+/// Otherwise some bank may serve one word to several lanes (a
+/// broadcast), and the general fallback runs: each lane's `(bank,
+/// word)` pair goes into one buffer (on the stack for warp-sized
+/// inputs), which is sorted so that each bank's words form a run; equal
+/// pairs are one broadcast word, and the longest run of distinct words
+/// is the serialization.
 fn bank_passes(
-    addrs: impl Iterator<Item = i64>,
+    addrs: impl Iterator<Item = i64> + Clone,
     lanes: usize,
     banks: usize,
     bank_bytes: usize,
 ) -> BankConflictResult {
+    let bank_word = |a: i64| {
+        let word = a / bank_bytes as i64;
+        (word.rem_euclid(banks as i64), word)
+    };
+    if lanes <= STACK_LANES && banks <= COUNT_BANKS {
+        let mut counts = [0u8; COUNT_BANKS];
+        let (mut max, mut up, mut down) = (0u8, true, true);
+        let mut prev: Option<i64> = None;
+        for a in addrs.clone() {
+            let (bank, word) = bank_word(a);
+            let count = &mut counts[bank as usize];
+            *count += 1;
+            max = max.max(*count);
+            if let Some(p) = prev {
+                up &= word > p;
+                down &= word < p;
+            }
+            prev = Some(word);
+        }
+        if max <= 1 || up || down {
+            return BankConflictResult {
+                passes: usize::from(max),
+                lanes,
+            };
+        }
+    }
     let mut stack = [(0i64, 0i64); STACK_LANES];
     let mut heap = Vec::new();
     let buf: &mut [(i64, i64)] = if lanes <= STACK_LANES {
@@ -70,8 +114,7 @@ fn bank_passes(
         &mut heap
     };
     for (slot, a) in buf.iter_mut().zip(addrs) {
-        let word = a / bank_bytes as i64;
-        *slot = (word.rem_euclid(banks as i64), word);
+        *slot = bank_word(a);
     }
     buf.sort_unstable();
     let (mut passes, mut run) = (0, 0);
@@ -212,20 +255,31 @@ mod tests {
         }
     }
 
-    /// Random warps of 32 and 64 lanes on 32- and 64-bank geometries
-    /// with 2-, 4- and 8-byte elements (on 4- and 8-byte bank words):
-    /// strided, random, broadcast, duplicate and negative lanes all
+    /// Random warps of 1 to 128 lanes on 32-, 64- and 128-bank geometries
+    /// with 2-, 4- and 8-byte elements (on 4- and 8-byte bank words)
     /// serialize exactly as the hash-map oracle does, through every
-    /// entry point, including warps wider than the stack buffer.
+    /// entry point, on every path of [`bank_passes`]:
+    ///
+    /// * the count, conflict-free: permuted warps;
+    /// * the count, strictly monotone: increasing and decreasing
+    ///   strided warps, conflicted or not;
+    /// * the sort fallback: broadcast, duplicate, random and negative
+    ///   lanes, where words repeat out of order;
+    /// * the sort fallback for warps wider than the stack buffer and
+    ///   for more banks than the count holds.
+    ///
+    /// Fixed witnesses close it: NW's row-major `b = 224` buffer (a
+    /// stride-224 warp, 32-way both ways), the 64-lane 64-bank MI300
+    /// geometry, and the empty warp (0 passes).
     #[test]
     fn sort_dedup_matches_the_hash_map_oracle() {
         let mut rng = Lcg(0x0ba4_c0de);
-        for round in 0..3000 {
+        for round in 0..4200 {
             let lanes = [32usize, 64, 1 + rng.below(128) as usize][round % 3];
-            let banks = [32usize, 64][rng.below(2) as usize];
+            let banks = [32usize, 64, 128][rng.below(3) as usize];
             let word = [4usize, 8][rng.below(2) as usize];
             let elem = [2usize, 4, 8][rng.below(3) as usize];
-            let idx: Vec<i64> = match round % 5 {
+            let idx: Vec<i64> = match round % 7 {
                 0 => {
                     let stride = rng.below(70);
                     (0..lanes as i64).map(|l| l * stride).collect()
@@ -238,6 +292,23 @@ mod tests {
                         .collect()
                 }
                 3 => (0..lanes).map(|_| rng.below(8192) - 4096).collect(),
+                4 => {
+                    // Strictly decreasing, possibly crossing zero.
+                    let (top, stride) = (rng.below(4096), 1 + rng.below(300));
+                    (0..lanes as i64).map(|l| top - l * stride).collect()
+                }
+                5 => {
+                    // A permutation of distinct consecutive words: one
+                    // lane per bank when the warp fits the banks.
+                    let mut p: Vec<i64> = (0..lanes as i64).collect();
+                    for i in (1..p.len()).rev() {
+                        p.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    let base = rng.below(1 << 12);
+                    p.iter()
+                        .map(|&w| base + w * (word / elem.min(word)) as i64)
+                        .collect()
+                }
                 _ => (0..lanes).map(|_| rng.below(1 << 14)).collect(),
             };
             let addrs: Vec<i64> = idx.iter().map(|&i| i * elem as i64).collect();
@@ -253,10 +324,34 @@ mod tests {
                 assert_eq!(bank_conflicts_elems(&idx, banks), want);
             }
         }
+        // NW's row-major buffer at b = 224: each diagonal's lanes walk
+        // the 225-wide rows with stride 224, a multiple of 32 banks, so
+        // the warp is 32-way serialized in either direction.
+        for dir in [1i64, -1] {
+            let idx: Vec<i64> = (0..32).map(|l| 5000 + dir * l * 224).collect();
+            let got = bank_conflicts_elems(&idx, 32);
+            assert_eq!(got.passes, 32);
+            let addrs: Vec<i64> = idx.iter().map(|&i| i * 4).collect();
+            assert_eq!(got, bank_conflicts_oracle(&addrs, 32, 4));
+        }
+        // The 64-lane, 64-bank MI300 geometry: permuted, strided and
+        // broadcast wavefronts.
+        let cfg = crate::config::mi300();
+        let permuted: Vec<i64> = (0..64).map(|l| (l * 37) % 64).collect();
+        let strided: Vec<i64> = (0..64).map(|l| l * 96).collect();
+        let mut broadcast: Vec<i64> = (0..64).map(|l| (l % 8) * 64).collect();
+        broadcast.reverse();
+        for (idx, passes) in [(permuted, 1), (strided, 32), (broadcast, 8)] {
+            let addrs: Vec<i64> = idx.iter().map(|&i| i * 4).collect();
+            let want = bank_conflicts_oracle(&addrs, cfg.smem_banks, cfg.bank_bytes);
+            assert_eq!(want.passes, passes);
+            assert_eq!(bank_conflicts_elems_on(&idx, 4, &cfg), want);
+        }
         assert_eq!(
             bank_conflicts(&[], 32, 4),
             bank_conflicts_oracle(&[], 32, 4)
         );
+        assert_eq!(bank_conflicts(&[], 64, 4).passes, 0);
     }
 
     #[test]

@@ -21,12 +21,9 @@
 //! (32-lane NVIDIA warps, 64-lane CDNA wavefronts), so the same trace
 //! code prices both device families.
 
-use lego_core::Layout;
-
 use crate::config::GpuConfig;
 use crate::model::PricingMode;
 use crate::score::{AddrGen, BlockResources, L2Model, Phase, TouchGen, Workload};
-use crate::smem::bank_conflicts_elems_on;
 use crate::timing::Pipeline;
 
 /// Non-smem instruction cycles per NW in-block wavefront step
@@ -491,24 +488,6 @@ impl NwWavefront {
         })
     }
 
-    /// Shared-memory passes for one block's full wavefront sweep under
-    /// a given buffer layout, on the warp and bank geometry of `cfg` —
-    /// the quantity the additive pricing mode charges per round.
-    ///
-    /// # Panics
-    ///
-    /// When `layout` does not [`compile`](Layout::compile) (symbolic
-    /// dims or a broken `GenP`).
-    pub fn block_passes(layout: &Layout, b: i64, cfg: &GpuConfig) -> f64 {
-        let layout = layout.compile().expect("NW buffer layout compiles");
-        let trace = NwWavefront::block_trace(b, cfg.warp_size);
-        let mut passes = 0usize;
-        trace(&layout, &mut |g: &[i64]| {
-            passes += bank_conflicts_elems_on(g, 4, cfg).passes;
-        });
-        passes as f64
-    }
-
     /// The dependency-limited launch schedule over `nb × nb` blocks:
     /// two triangular sweeps over block anti-diagonals, one kernel
     /// launch per diagonal running its blocks `sm_count` at a time.
@@ -797,6 +776,8 @@ mod tests {
     use super::*;
     use crate::config::{a100, h100};
     use crate::model::CostModel;
+    use crate::smem::bank_conflicts_elems_on;
+    use lego_core::Layout;
 
     #[test]
     fn matmul_builder_matches_legacy_semantics() {
@@ -833,8 +814,16 @@ mod tests {
             .order_by(OrderBy::new([antidiag(nsz).unwrap()]).unwrap())
             .build()
             .unwrap();
-        let base = NwWavefront::block_passes(&baseline, b, &cfg);
-        let opt = NwWavefront::block_passes(&optimized, b, &cfg);
+        // One block's wavefront sweep, counted pass by pass.
+        let passes = |layout: &Layout| {
+            let layout = layout.compile().unwrap();
+            let mut passes = 0usize;
+            NwWavefront::block_trace(b, cfg.warp_size)(&layout, &mut |g: &[i64]| {
+                passes += bank_conflicts_elems_on(g, 4, &cfg).passes;
+            });
+            passes as f64
+        };
+        let (base, opt) = (passes(&baseline), passes(&optimized));
         assert!(base / opt > 1.5, "base {base} opt {opt}");
         // Conflict-free floor: 4 groups per step.
         assert!(opt >= (4 * (2 * b - 1)) as f64);

@@ -15,7 +15,9 @@
 mod prop_support;
 
 use gpu_sim::trace::NwWavefront;
-use gpu_sim::{a100, h100, mi300, CostModel, Estimate, GpuConfig, KernelProfile};
+use gpu_sim::{
+    a100, bank_conflicts_elems_on, h100, mi300, CostModel, Estimate, GpuConfig, KernelProfile,
+};
 use lego_bench::workloads::matmul::Schedule;
 use lego_bench::workloads::rowwise::RowwiseBench;
 use lego_bench::workloads::{lud as bench_lud, matmul, nw as bench_nw, stencil, transpose};
@@ -192,7 +194,12 @@ fn nw_and_lud_prices_are_bit_identical() {
         // the oracle's smem phase, block for block.
         let k = lego_codegen::cuda::nw::generate(16).unwrap();
         for layout in [&k.baseline, &k.optimized] {
-            let block_passes = NwWavefront::block_passes(layout, 16, &cfg);
+            let compiled = layout.compile().unwrap();
+            let mut passes = 0usize;
+            NwWavefront::block_trace(16, cfg.warp_size)(&compiled, &mut |g: &[i64]| {
+                passes += bank_conflicts_elems_on(g, 4, &cfg).passes;
+            });
+            let block_passes = passes as f64;
             let nb = 2048 / 16;
             let blocks = 2.0 * (nb * nb) as f64;
             let tuned = CostModel::new(&cfg).price(
