@@ -5,7 +5,7 @@ use std::sync::{Arc, Barrier};
 
 use lego_served::client::{is_ok, Client};
 use lego_served::{FleetWire, Server, ServerConfig, TuneSpec};
-use lego_tune::Json;
+use lego_tune::{Domain, Json, SpaceScale, Tuner, WorkloadKind};
 
 /// A unique temp cache path per test (tests run in one process, so the
 /// pid alone is not enough).
@@ -172,6 +172,49 @@ fn oversized_line_errors_once_and_keeps_the_connection() {
 
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);
+}
+
+/// The wire takes any positive budget. One far beyond the domain used
+/// to overflow the walks' proposal caps (anneal answered the naive
+/// default, genetic never returned and pinned the worker); now the
+/// search sweeps the domain and answers its exhaustive winner.
+#[test]
+fn a_budget_beyond_the_domain_gets_the_exhaustive_winner() {
+    let server = start_with(None, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let kind = WorkloadKind::Transpose { n: 256 };
+    let truth = Tuner::new(gpu_sim::a100())
+        .with_space(SpaceScale::Enlarged)
+        .tune(&kind)
+        .expect("exhaustive search");
+    let len = Domain::new(kind, SpaceScale::Enlarged).len() as i64;
+    for strategy in ["anneal", "genetic"] {
+        for budget in [1i64 << 58, 1 << 62, i64::MAX] {
+            let line = format!(
+                "{{\"verb\":\"tune\",\"workload\":\"transpose(n=256)\",\
+                 \"strategy\":\"{strategy}\",\"budget\":{budget}}}"
+            );
+            let response =
+                Json::parse(&client.roundtrip_line(&line).expect("tune roundtrip")).expect("JSON");
+            assert!(
+                is_ok(&response),
+                "{strategy} {budget}: {}",
+                response.render()
+            );
+            assert_eq!(
+                response.get("winner").and_then(Json::as_str),
+                Some(truth.config.to_string().as_str()),
+                "{strategy} {budget}"
+            );
+            assert_eq!(
+                response.get("evaluated").and_then(Json::as_i64),
+                Some(len),
+                "{strategy} {budget}"
+            );
+        }
+    }
+    drop(client);
+    shutdown_and_join(server);
 }
 
 fn service_errors(server: &Server) -> i64 {

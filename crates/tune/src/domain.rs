@@ -7,7 +7,11 @@
 //! parameters). Per-axis value functions (`matmul_tiles`,
 //! `transpose_stagings`, `nw_b_values`, …) list each axis's legal
 //! values, and they are the only code that depends on the
-//! [`SpaceScale`]. The domain is the workload's default configuration
+//! [`SpaceScale`]. [`Domain::new`] tabulates every axis once — a
+//! dependent axis (a tile grid's schedules, a tile side's stagings or
+//! coarsening factors) once per value of the axis it depends on — so
+//! [`Domain::len`] is arithmetic and a move reads its axes instead of
+//! rebuilding them. The domain is the workload's default configuration
 //! followed by the cross product of those axes; it knows how to
 //!
 //! * [`Domain::enumerate`] every point, default first (exhaustive
@@ -43,6 +47,8 @@
 //! the index subexpressions its changed axes actually touch — the rest
 //! are memo hits on the incumbent's interned subtrees — and revisited
 //! configurations skip lowering entirely via the annotation fast path.
+
+use std::borrow::Cow;
 
 use lego_codegen::tuning::{
     NwLayoutChoice, ScheduleChoice, StagingChoice, StencilLayoutChoice, TunedConfig,
@@ -88,16 +94,85 @@ pub struct Domain {
     pub kind: WorkloadKind,
     /// Parameter ranges.
     pub scale: SpaceScale,
-    /// The legal matmul tiles (empty for other workloads) and whether
-    /// the axis product holds any point, worked out once here because
-    /// every move asks. When the product holds no point, the domain is
-    /// the default alone and every move returns it.
-    tiles: Vec<Tile>,
+    /// Every axis's legal values, tabulated once here because every
+    /// move asks.
+    axes: Axes,
+    /// Number of points, the default included.
+    len: usize,
+    /// Whether the axis product holds any point. When it holds none,
+    /// the domain is the default alone and every move returns it.
     axis_points: bool,
 }
 
 /// A matmul tile: `(bm, bn, bk)`.
 type Tile = (i64, i64, i64);
+
+/// The legal values of one domain's axes, tabulated by
+/// [`Domain::new`]. A dependent axis has one row per value of the axis
+/// it depends on; the fields of other workloads stay empty.
+#[derive(Clone, Debug, Default)]
+struct Axes {
+    /// Legal matmul tiles, in enumeration order.
+    tiles: Vec<Tile>,
+    /// The distinct `bm`, `bn` and `bk` of `tiles`, ascending: the axes
+    /// a random draw or a step walks before the triple is repaired.
+    bm: Vec<i64>,
+    bn: Vec<i64>,
+    bk: Vec<i64>,
+    /// Legal schedules per `(bm, bn)` of `bm × bn`, row-major.
+    schedules: Vec<Vec<ScheduleChoice>>,
+    /// Transpose tile sides or LUD CUDA block sides, ascending.
+    t: Vec<i64>,
+    /// Transpose staging layouts per `t`.
+    stagings: Vec<Vec<Option<StagingChoice>>>,
+    /// Stencil layouts.
+    layouts: Vec<StencilLayoutChoice>,
+    /// NW block sizes and their launch-schedule tooth bottoms.
+    b: Vec<i64>,
+    teeth: Vec<i64>,
+    /// LUD coarsening factors per `t`.
+    r: Vec<Vec<i64>>,
+    /// Rowwise column block sizes.
+    bs: Vec<i64>,
+}
+
+impl Axes {
+    fn new(kind: WorkloadKind, scale: SpaceScale) -> Axes {
+        let mut axes = Axes::default();
+        match kind {
+            WorkloadKind::Matmul { n } => {
+                axes.tiles = scale.matmul_tiles(n);
+                axes.bm = tile_values(&axes.tiles, |t| t.0);
+                axes.bn = tile_values(&axes.tiles, |t| t.1);
+                axes.bk = tile_values(&axes.tiles, |t| t.2);
+                for &bm in &axes.bm {
+                    for &bn in &axes.bn {
+                        axes.schedules.push(scale.matmul_schedules(n, bm, bn));
+                    }
+                }
+            }
+            WorkloadKind::Transpose { n } => {
+                axes.t = scale.transpose_t_values(n);
+                axes.stagings = axes
+                    .t
+                    .iter()
+                    .map(|&t| scale.transpose_stagings(t))
+                    .collect();
+            }
+            WorkloadKind::Stencil { n, .. } => axes.layouts = scale.stencil_layouts(n),
+            WorkloadKind::Nw { n, .. } => {
+                axes.b = scale.nw_b_values(n);
+                axes.teeth = nw_tooth_values(n, &axes.b);
+            }
+            WorkloadKind::Lud { n, bs } => {
+                axes.t = scale.lud_t_values(n, bs);
+                axes.r = axes.t.iter().map(|&t| scale.lud_r_values(n, t)).collect();
+            }
+            WorkloadKind::Rowwise { n, .. } => axes.bs = crate::space::rowwise_block_sizes(n),
+        }
+        axes
+    }
+}
 
 /// The v2 matmul tile triples, in enumeration order.
 const LEGACY_TILES: [Tile; 8] = [
@@ -142,13 +217,27 @@ fn step(values: &[i64], cur: i64, rng: &mut Rng) -> i64 {
     values[j]
 }
 
-/// The distinct values of one tile component, ascending: the axis a
-/// random draw or a step walks before the triple is repaired.
+/// The distinct values of one tile component, ascending.
 fn tile_values(tiles: &[Tile], component: fn(&Tile) -> i64) -> Vec<i64> {
     let mut out: Vec<i64> = tiles.iter().map(component).collect();
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// The row of a dependent axis for `key`: borrowed from `rows` when
+/// `key` lies on the ascending axis `keys`, otherwise computed (an
+/// off-axis default, or a crossover child before its repair).
+fn row<'a, T: Clone>(
+    keys: &[i64],
+    rows: &'a [Vec<T>],
+    key: i64,
+    compute: impl FnOnce() -> Vec<T>,
+) -> Cow<'a, [T]> {
+    match keys.binary_search(&key) {
+        Ok(i) => Cow::Borrowed(&rows[i]),
+        Err(_) => Cow::Owned(compute()),
+    }
 }
 
 /// The other NW layout.
@@ -165,13 +254,15 @@ impl Domain {
         let mut domain = Domain {
             kind,
             scale,
-            tiles: Vec::new(),
-            axis_points: true,
+            axes: Axes::new(kind, scale),
+            len: 1,
+            axis_points: false,
         };
-        if let WorkloadKind::Matmul { n } = kind {
-            domain.tiles = domain.matmul_tiles(n);
-        }
-        domain.axis_points = domain.has_axis_points();
+        let product = domain.product_len();
+        domain.axis_points = product > 0;
+        // Axis products hold no repeats, so the default is the only
+        // point that could be counted twice.
+        domain.len = 1 + product - usize::from(domain.on_axes(&domain.default_config()));
         domain
     }
 
@@ -183,7 +274,7 @@ impl Domain {
 
     /// Number of points in the domain.
     pub fn len(&self) -> usize {
-        self.enumerate().len()
+        self.len
     }
 
     /// Whether the domain is empty: never, the default is a member.
@@ -191,11 +282,29 @@ impl Domain {
         false
     }
 
+    /// Number of points in the axis product.
+    fn product_len(&self) -> usize {
+        let axes = &self.axes;
+        match self.kind {
+            WorkloadKind::Matmul { n } => axes
+                .tiles
+                .iter()
+                .map(|&(bm, bn, _)| self.matmul_schedules(n, bm, bn).len())
+                .sum(),
+            WorkloadKind::Transpose { .. } => axes.stagings.iter().map(Vec::len).sum(),
+            WorkloadKind::Stencil { .. } => axes.layouts.len(),
+            WorkloadKind::Nw { .. } => 2 * axes.b.len(),
+            WorkloadKind::Lud { .. } => axes.r.iter().map(Vec::len).sum(),
+            WorkloadKind::Rowwise { .. } => axes.bs.len(),
+        }
+    }
+
     /// Materializes every configuration of the domain: the default,
     /// then the axis product in a deterministic order.
     pub fn enumerate(&self) -> Vec<TunedConfig> {
         let default = self.default_config();
-        let mut out = vec![default];
+        let mut out = Vec::with_capacity(self.len);
+        out.push(default);
         // Axis products hold no repeats, so the default is the only
         // point that could appear twice.
         let mut push = |c: TunedConfig| {
@@ -203,10 +312,11 @@ impl Domain {
                 out.push(c);
             }
         };
+        let axes = &self.axes;
         match self.kind {
             WorkloadKind::Matmul { n } => {
-                for &(bm, bn, bk) in &self.tiles {
-                    for schedule in self.matmul_schedules(n, bm, bn) {
+                for &(bm, bn, bk) in &axes.tiles {
+                    for &schedule in self.matmul_schedules(n, bm, bn).iter() {
                         push(TunedConfig::Matmul {
                             bm,
                             bn,
@@ -216,34 +326,34 @@ impl Domain {
                     }
                 }
             }
-            WorkloadKind::Transpose { n } => {
-                for t in self.transpose_t_values(n) {
-                    for staging in self.transpose_stagings(t) {
+            WorkloadKind::Transpose { .. } => {
+                for (&t, stagings) in axes.t.iter().zip(&axes.stagings) {
+                    for &staging in stagings {
                         push(TunedConfig::Transpose { t, staging });
                     }
                 }
             }
             WorkloadKind::Stencil { n, .. } => {
-                for layout in self.stencil_layouts(n) {
+                for &layout in &axes.layouts {
                     push(TunedConfig::Stencil { n, layout });
                 }
             }
-            WorkloadKind::Nw { n, .. } => {
-                for b in self.nw_b_values(n) {
+            WorkloadKind::Nw { .. } => {
+                for &b in &axes.b {
                     for layout in [NwLayoutChoice::RowMajor, NwLayoutChoice::Antidiag] {
                         push(TunedConfig::Nw { b, layout });
                     }
                 }
             }
-            WorkloadKind::Lud { n, bs } => {
-                for t in self.lud_t_values(n, bs) {
-                    for r in self.lud_r_values(n, t) {
+            WorkloadKind::Lud { .. } => {
+                for (&t, rs) in axes.t.iter().zip(&axes.r) {
+                    for &r in rs {
                         push(TunedConfig::Lud { r, t });
                     }
                 }
             }
-            WorkloadKind::Rowwise { op, n, .. } => {
-                for bs in self.rowwise_bs_values(n) {
+            WorkloadKind::Rowwise { op, .. } => {
+                for &bs in &axes.bs {
                     push(TunedConfig::Rowwise { op, bs });
                 }
             }
@@ -252,11 +362,15 @@ impl Domain {
     }
 
     /// Whether `c` is a member of this domain: the default, or a point
-    /// whose every axis value is legal.
+    /// of the axis product.
     pub fn contains(&self, c: &TunedConfig) -> bool {
-        if *c == self.default_config() {
-            return true;
-        }
+        *c == self.default_config() || self.on_axes(c)
+    }
+
+    /// Whether `c` is a point of the axis product: every axis value is
+    /// legal.
+    fn on_axes(&self, c: &TunedConfig) -> bool {
+        let axes = &self.axes;
         match (*c, self.kind) {
             (
                 TunedConfig::Matmul {
@@ -267,41 +381,23 @@ impl Domain {
                 },
                 WorkloadKind::Matmul { n },
             ) => {
-                self.tiles.contains(&(bm, bn, bk))
+                axes.tiles.contains(&(bm, bn, bk))
                     && self.matmul_schedules(n, bm, bn).contains(&schedule)
             }
-            (TunedConfig::Transpose { t, staging }, WorkloadKind::Transpose { n }) => {
-                self.transpose_t_values(n).contains(&t)
-                    && self.transpose_stagings(t).contains(&staging)
+            (TunedConfig::Transpose { t, staging }, WorkloadKind::Transpose { .. }) => {
+                axes.t.contains(&t) && self.transpose_stagings(t).contains(&staging)
             }
             (TunedConfig::Stencil { n, layout }, WorkloadKind::Stencil { n: wn, .. }) => {
-                n == wn && self.stencil_layouts(n).contains(&layout)
+                n == wn && axes.layouts.contains(&layout)
             }
-            (TunedConfig::Nw { b, .. }, WorkloadKind::Nw { n, .. }) => {
-                self.nw_b_values(n).contains(&b)
+            (TunedConfig::Nw { b, .. }, WorkloadKind::Nw { .. }) => axes.b.contains(&b),
+            (TunedConfig::Lud { r, t }, WorkloadKind::Lud { n, .. }) => {
+                axes.t.contains(&t) && self.lud_r_values(n, t).contains(&r)
             }
-            (TunedConfig::Lud { r, t }, WorkloadKind::Lud { n, bs }) => {
-                self.lud_t_values(n, bs).contains(&t) && self.lud_r_values(n, t).contains(&r)
-            }
-            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { op: wop, n, .. }) => {
-                op == wop && self.rowwise_bs_values(n).contains(&bs)
+            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { op: wop, .. }) => {
+                op == wop && axes.bs.contains(&bs)
             }
             _ => false,
-        }
-    }
-
-    /// Whether the axis product holds any point.
-    fn has_axis_points(&self) -> bool {
-        match self.kind {
-            WorkloadKind::Matmul { .. } => !self.tiles.is_empty(),
-            WorkloadKind::Transpose { n } => !self.transpose_t_values(n).is_empty(),
-            WorkloadKind::Stencil { .. } => true,
-            WorkloadKind::Nw { n, .. } => !self.nw_b_values(n).is_empty(),
-            WorkloadKind::Lud { n, bs } => self
-                .lud_t_values(n, bs)
-                .iter()
-                .any(|&t| !self.lud_r_values(n, t).is_empty()),
-            WorkloadKind::Rowwise { n, .. } => !self.rowwise_bs_values(n).is_empty(),
         }
     }
 
@@ -315,6 +411,7 @@ impl Domain {
         if self.contains(&c) {
             return c;
         }
+        let axes = &self.axes;
         let repaired = match (c, self.kind) {
             (
                 TunedConfig::Matmul {
@@ -324,7 +421,7 @@ impl Domain {
                     schedule,
                 },
                 WorkloadKind::Matmul { n },
-            ) => self
+            ) => axes
                 .tiles
                 .iter()
                 .copied()
@@ -337,24 +434,23 @@ impl Domain {
                     bk,
                     schedule: self.repair_schedule(n, bm, bn, schedule),
                 }),
-            (TunedConfig::Transpose { t, staging }, WorkloadKind::Transpose { n }) => {
-                nearest(&self.transpose_t_values(n), t).map(|t| TunedConfig::Transpose {
+            (TunedConfig::Transpose { t, staging }, WorkloadKind::Transpose { .. }) => {
+                nearest(&axes.t, t).map(|t| TunedConfig::Transpose {
                     t,
                     staging: self.repair_staging(t, staging),
                 })
             }
-            (TunedConfig::Nw { b, layout }, WorkloadKind::Nw { n, .. }) => {
-                nearest(&self.nw_b_values(n), b).map(|b| TunedConfig::Nw { b, layout })
+            (TunedConfig::Nw { b, layout }, WorkloadKind::Nw { .. }) => {
+                nearest(&axes.b, b).map(|b| TunedConfig::Nw { b, layout })
             }
-            (TunedConfig::Lud { r, t }, WorkloadKind::Lud { n, bs }) => {
-                nearest(&self.lud_t_values(n, bs), t).and_then(|t| {
+            (TunedConfig::Lud { r, t }, WorkloadKind::Lud { n, .. }) => nearest(&axes.t, t)
+                .and_then(|t| {
                     nearest(&self.lud_r_values(n, t), r).map(|r| TunedConfig::Lud { r, t })
-                })
-            }
-            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { op: wop, n, .. })
+                }),
+            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { op: wop, .. })
                 if op == wop =>
             {
-                nearest(&self.rowwise_bs_values(n), bs).map(|bs| TunedConfig::Rowwise { op, bs })
+                nearest(&axes.bs, bs).map(|bs| TunedConfig::Rowwise { op, bs })
             }
             _ => None,
         };
@@ -373,11 +469,12 @@ impl Domain {
 
     /// One uniform draw per axis.
     fn random_axes(&self, rng: &mut Rng) -> TunedConfig {
+        let axes = &self.axes;
         match self.kind {
             WorkloadKind::Matmul { n } => {
-                let bm = *rng.pick(&tile_values(&self.tiles, |t| t.0));
-                let bn = *rng.pick(&tile_values(&self.tiles, |t| t.1));
-                let bk = *rng.pick(&tile_values(&self.tiles, |t| t.2));
+                let bm = *rng.pick(&axes.bm);
+                let bn = *rng.pick(&axes.bn);
+                let bk = *rng.pick(&axes.bk);
                 let schedule = *rng.pick(&self.matmul_schedules(n, bm, bn));
                 TunedConfig::Matmul {
                     bm,
@@ -386,24 +483,24 @@ impl Domain {
                     schedule,
                 }
             }
-            WorkloadKind::Transpose { n } => {
-                let t = *rng.pick(&self.transpose_t_values(n));
+            WorkloadKind::Transpose { .. } => {
+                let t = *rng.pick(&axes.t);
                 let staging = *rng.pick(&self.transpose_stagings(t));
                 TunedConfig::Transpose { t, staging }
             }
             WorkloadKind::Stencil { n, .. } => TunedConfig::Stencil {
                 n,
-                layout: *rng.pick(&self.stencil_layouts(n)),
+                layout: *rng.pick(&axes.layouts),
             },
-            WorkloadKind::Nw { n, .. } => TunedConfig::Nw {
+            WorkloadKind::Nw { .. } => TunedConfig::Nw {
                 // Half the samples land on the launch-schedule tooth
                 // bottoms — the sub-lattice every additive-pricing
                 // optimum lives on — so population seeding covers the
                 // meaningful coordinate, not just the raw axis.
                 b: if rng.chance(0.5) {
-                    *rng.pick(&self.nw_tooth_values(n))
+                    *rng.pick(&axes.teeth)
                 } else {
-                    *rng.pick(&self.nw_b_values(n))
+                    *rng.pick(&axes.b)
                 },
                 layout: if rng.chance(0.5) {
                     NwLayoutChoice::RowMajor
@@ -411,14 +508,14 @@ impl Domain {
                     NwLayoutChoice::Antidiag
                 },
             },
-            WorkloadKind::Lud { n, bs } => {
-                let t = *rng.pick(&self.lud_t_values(n, bs));
+            WorkloadKind::Lud { n, .. } => {
+                let t = *rng.pick(&axes.t);
                 let r = *rng.pick(&self.lud_r_values(n, t));
                 TunedConfig::Lud { r, t }
             }
-            WorkloadKind::Rowwise { op, n, .. } => TunedConfig::Rowwise {
+            WorkloadKind::Rowwise { op, .. } => TunedConfig::Rowwise {
                 op,
-                bs: *rng.pick(&self.rowwise_bs_values(n)),
+                bs: *rng.pick(&axes.bs),
             },
         }
     }
@@ -436,6 +533,7 @@ impl Domain {
 
     /// The raw axis move behind [`Domain::neighbor`].
     fn neighbor_axes(&self, c: &TunedConfig, rng: &mut Rng) -> TunedConfig {
+        let axes = &self.axes;
         match (*c, self.kind) {
             (
                 TunedConfig::Matmul {
@@ -447,9 +545,9 @@ impl Domain {
                 WorkloadKind::Matmul { n },
             ) => {
                 match rng.below(4) {
-                    0 => bm = step(&tile_values(&self.tiles, |t| t.0), bm, rng),
-                    1 => bn = step(&tile_values(&self.tiles, |t| t.1), bn, rng),
-                    2 => bk = step(&tile_values(&self.tiles, |t| t.2), bk, rng),
+                    0 => bm = step(&axes.bm, bm, rng),
+                    1 => bn = step(&axes.bn, bn, rng),
+                    2 => bk = step(&axes.bk, bk, rng),
                     _ => schedule = *rng.pick(&self.matmul_schedules(n, bm, bn)),
                 }
                 schedule = self.repair_schedule(n, bm, bn, schedule);
@@ -460,9 +558,9 @@ impl Domain {
                     schedule,
                 }
             }
-            (TunedConfig::Transpose { mut t, mut staging }, WorkloadKind::Transpose { n }) => {
+            (TunedConfig::Transpose { mut t, mut staging }, WorkloadKind::Transpose { .. }) => {
                 if rng.chance(0.5) {
-                    t = step(&self.transpose_t_values(n), t, rng);
+                    t = step(&axes.t, t, rng);
                     staging = self.repair_staging(t, staging);
                 } else {
                     staging = *rng.pick(&self.transpose_stagings(t));
@@ -482,23 +580,23 @@ impl Domain {
                     layout: layouts[j],
                 }
             }
-            (TunedConfig::Nw { mut b, mut layout }, WorkloadKind::Nw { n, .. }) => {
+            (TunedConfig::Nw { mut b, mut layout }, WorkloadKind::Nw { .. }) => {
                 if rng.chance(0.7) {
                     // Half the block-size moves walk the launch-schedule
                     // tooth bottoms (the additive pricing's meaningful
                     // coordinate), half walk the raw axis.
                     let axis = if rng.chance(0.5) {
-                        self.nw_tooth_values(n)
+                        &axes.teeth
                     } else {
-                        self.nw_b_values(n)
+                        &axes.b
                     };
-                    b = step(&axis, b, rng);
+                    b = step(axis, b, rng);
                 } else {
                     layout = flip(layout);
                 }
                 TunedConfig::Nw { b, layout }
             }
-            (TunedConfig::Lud { mut r, mut t }, WorkloadKind::Lud { n, bs }) => {
+            (TunedConfig::Lud { mut r, mut t }, WorkloadKind::Lud { n, .. }) => {
                 if rng.chance(0.7) {
                     r = step(&self.lud_r_values(n, t), r, rng);
                 } else {
@@ -507,15 +605,15 @@ impl Domain {
                     // launch count depend on), re-deriving r for the new
                     // tile instead of dragging the old r along.
                     let lud_block = r * t;
-                    t = step(&self.lud_t_values(n, bs), t, rng);
+                    t = step(&axes.t, t, rng);
                     r = nearest(&self.lud_r_values(n, t), lud_block / t).unwrap_or(r);
                 }
                 TunedConfig::Lud { r, t }
             }
-            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { n, .. }) => {
+            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { .. }) => {
                 TunedConfig::Rowwise {
                     op,
-                    bs: step(&self.rowwise_bs_values(n), bs, rng),
+                    bs: step(&axes.bs, bs, rng),
                 }
             }
             // A foreign config (e.g. a stale cache frontier from another
@@ -543,6 +641,7 @@ impl Domain {
             }
             out
         };
+        let axes = &self.axes;
         let mut out = Vec::new();
         match (*c, self.kind) {
             (
@@ -554,7 +653,7 @@ impl Domain {
                 },
                 WorkloadKind::Matmul { n },
             ) => {
-                for v in adjacent(&tile_values(&self.tiles, |t| t.0), bm) {
+                for v in adjacent(&axes.bm, bm) {
                     let s = self.repair_schedule(n, v, bn, schedule);
                     out.push(TunedConfig::Matmul {
                         bm: v,
@@ -563,7 +662,7 @@ impl Domain {
                         schedule: s,
                     });
                 }
-                for v in adjacent(&tile_values(&self.tiles, |t| t.1), bn) {
+                for v in adjacent(&axes.bn, bn) {
                     let s = self.repair_schedule(n, bm, v, schedule);
                     out.push(TunedConfig::Matmul {
                         bm,
@@ -572,7 +671,7 @@ impl Domain {
                         schedule: s,
                     });
                 }
-                for v in adjacent(&tile_values(&self.tiles, |t| t.2), bk) {
+                for v in adjacent(&axes.bk, bk) {
                     out.push(TunedConfig::Matmul {
                         bm,
                         bn,
@@ -594,8 +693,8 @@ impl Domain {
                     }
                 }
             }
-            (TunedConfig::Transpose { t, staging }, WorkloadKind::Transpose { n }) => {
-                for v in adjacent(&self.transpose_t_values(n), t) {
+            (TunedConfig::Transpose { t, staging }, WorkloadKind::Transpose { .. }) => {
+                for v in adjacent(&axes.t, t) {
                     out.push(TunedConfig::Transpose {
                         t: v,
                         staging: self.repair_staging(v, staging),
@@ -620,15 +719,15 @@ impl Domain {
                     }
                 }
             }
-            (TunedConfig::Nw { b, layout }, WorkloadKind::Nw { n, .. }) => {
+            (TunedConfig::Nw { b, layout }, WorkloadKind::Nw { .. }) => {
                 // The adjacent launch-schedule tooth bottoms first, so
                 // polishing converges across the additive pricing's
                 // sawtooth instead of stalling at one tooth's floor;
                 // then the raw-axis steps for within-tooth refinement.
-                for v in adjacent(&self.nw_tooth_values(n), b) {
+                for v in adjacent(&axes.teeth, b) {
                     out.push(TunedConfig::Nw { b: v, layout });
                 }
-                for v in adjacent(&self.nw_b_values(n), b) {
+                for v in adjacent(&axes.b, b) {
                     out.push(TunedConfig::Nw { b: v, layout });
                 }
                 out.push(TunedConfig::Nw {
@@ -636,12 +735,12 @@ impl Domain {
                     layout: flip(layout),
                 });
             }
-            (TunedConfig::Lud { r, t }, WorkloadKind::Lud { n, bs }) => {
+            (TunedConfig::Lud { r, t }, WorkloadKind::Lud { n, .. }) => {
                 // Tile moves first, holding the coarsened block r·t
                 // fixed: the same LUD block on another CUDA tile changes
                 // only the occupancy footprint, which is exactly the
                 // refinement polishing is for.
-                for v in adjacent(&self.lud_t_values(n, bs), t) {
+                for v in adjacent(&axes.t, t) {
                     out.push(TunedConfig::Lud {
                         r: nearest(&self.lud_r_values(n, v), (r * t) / v).unwrap_or(r),
                         t: v,
@@ -651,8 +750,8 @@ impl Domain {
                     out.push(TunedConfig::Lud { r: v, t });
                 }
             }
-            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { n, .. }) => {
-                for v in adjacent(&self.rowwise_bs_values(n), bs) {
+            (TunedConfig::Rowwise { op, bs }, WorkloadKind::Rowwise { .. }) => {
+                for v in adjacent(&axes.bs, bs) {
                     out.push(TunedConfig::Rowwise { op, bs: v });
                 }
             }
@@ -763,73 +862,16 @@ impl Domain {
         }
     }
 
-    // -- per-axis values: the only code that depends on the scale -------
+    // -- dependent axes: a table row, or computed off the axes ----------
 
-    /// Legal `(bm, bn, bk)` matmul tiles. The enlarged set is the full
-    /// product of its side and depth ranges; the legacy set is the v2
-    /// triples, which are hand-picked rather than a product.
-    fn matmul_tiles(&self, n: i64) -> Vec<Tile> {
-        let divides = |&(bm, bn, bk): &Tile| n % bm == 0 && n % bn == 0 && n % bk == 0;
-        match self.scale {
-            SpaceScale::Legacy => LEGACY_TILES.into_iter().filter(divides).collect(),
-            SpaceScale::Enlarged => {
-                let sides = divisors_in(n, 32, 256);
-                let depths = divisors_in(n, 16, 128);
-                let mut out = Vec::new();
-                for &bm in &sides {
-                    for &bn in &sides {
-                        for &bk in &depths {
-                            out.push((bm, bn, bk));
-                        }
-                    }
-                }
-                out
-            }
+    /// Legal schedules for the `(n/bm) × (n/bn)` tile grid of the
+    /// workload's `n`.
+    fn matmul_schedules(&self, n: i64, bm: i64, bn: i64) -> Cow<'_, [ScheduleChoice]> {
+        let axes = &self.axes;
+        match (axes.bm.binary_search(&bm), axes.bn.binary_search(&bn)) {
+            (Ok(i), Ok(j)) => Cow::Borrowed(&axes.schedules[i * axes.bn.len() + j]),
+            _ => Cow::Owned(self.scale.matmul_schedules(n, bm, bn)),
         }
-    }
-
-    /// Legal schedules for an `(n/bm) × (n/bn)` tile grid.
-    fn matmul_schedules(&self, n: i64, bm: i64, bn: i64) -> Vec<ScheduleChoice> {
-        let (nt_m, nt_n) = (n / bm, n / bn);
-        let mut out = vec![ScheduleChoice::RowMajor];
-        // The concrete grouped layout factorizes nt_m as (nt_m/gm)·gm,
-        // so gm must divide nt_m. v2 also offers Morton on a 1×1 grid.
-        let (gms, morton_min) = match self.scale {
-            SpaceScale::Legacy => (
-                [4, 8, 16].into_iter().filter(|g| nt_m % g == 0).collect(),
-                1,
-            ),
-            SpaceScale::Enlarged => (divisors_in(nt_m, 2, 64), 2),
-        };
-        for gm in gms {
-            out.push(ScheduleChoice::Grouped { gm });
-        }
-        if nt_m == nt_n && nt_m.count_ones() == 1 && nt_m >= morton_min {
-            out.push(ScheduleChoice::Morton);
-        }
-        let bc: &[(i64, i64)] = match self.scale {
-            SpaceScale::Legacy => &[(8, 2)],
-            SpaceScale::Enlarged => &[
-                (2, 1),
-                (2, 2),
-                (2, 4),
-                (4, 1),
-                (4, 2),
-                (4, 4),
-                (8, 1),
-                (8, 2),
-                (8, 4),
-                (16, 1),
-                (16, 2),
-                (16, 4),
-            ],
-        };
-        for &(p, b) in bc {
-            if nt_m % (p * b) == 0 {
-                out.push(ScheduleChoice::BlockCyclic { p, b });
-            }
-        }
-        out
     }
 
     /// Snaps a schedule onto the legal set for the `(bm, bn)` grid.
@@ -861,42 +903,11 @@ impl Domain {
         }
     }
 
-    /// Legal transpose tile sides (powers of two dividing `n`).
-    fn transpose_t_values(&self, n: i64) -> Vec<i64> {
-        let (lo, hi) = match self.scale {
-            SpaceScale::Legacy => (16, 32),
-            SpaceScale::Enlarged => (8, 64),
-        };
-        divisors_in(n, lo, hi)
-            .into_iter()
-            .filter(|v| v.count_ones() == 1)
-            .collect()
-    }
-
-    /// Legal staging layouts for a `t×t` tile (`None` = unstaged). The
-    /// legacy space stages every tile; its unstaged point is the
-    /// default alone.
-    fn transpose_stagings(&self, t: i64) -> Vec<Option<StagingChoice>> {
-        let (unstaged, ps, bs): (&[_], &[i64], &[i64]) = match self.scale {
-            SpaceScale::Legacy => (&[], &[8], &[4]),
-            SpaceScale::Enlarged => (&[None], &[2, 4, 8, 16, 32], &[1, 2, 4, 8, 16]),
-        };
-        let mut out = unstaged.to_vec();
-        out.extend([
-            Some(StagingChoice::Identity),
-            Some(StagingChoice::Swizzle),
-            Some(StagingChoice::ColMajor),
-            Some(StagingChoice::Antidiag),
-        ]);
-        for &p in ps {
-            for &b in bs {
-                // block_cyclic_elems needs p·b | t².
-                if p * b <= t * t && (t * t) % (p * b) == 0 {
-                    out.push(Some(StagingChoice::BlockCyclic { p, b }));
-                }
-            }
-        }
-        out
+    /// Legal staging layouts for a `t×t` transpose tile.
+    fn transpose_stagings(&self, t: i64) -> Cow<'_, [Option<StagingChoice>]> {
+        row(&self.axes.t, &self.axes.stagings, t, || {
+            self.scale.transpose_stagings(t)
+        })
     }
 
     /// Snaps a staging choice onto the legal set for tile side `t`.
@@ -923,13 +934,139 @@ impl Domain {
         Some(StagingChoice::Swizzle)
     }
 
+    /// Legal stencil layouts for grid side `n` (a config's `n` may be
+    /// foreign to the workload).
+    fn stencil_layouts(&self, n: i64) -> Cow<'_, [StencilLayoutChoice]> {
+        match self.kind {
+            WorkloadKind::Stencil { n: wn, .. } if wn == n => Cow::Borrowed(&self.axes.layouts),
+            _ => Cow::Owned(self.scale.stencil_layouts(n)),
+        }
+    }
+
+    /// Legal LUD coarsening factors for the workload's `n` and block
+    /// side `t`.
+    fn lud_r_values(&self, n: i64, t: i64) -> Cow<'_, [i64]> {
+        row(&self.axes.t, &self.axes.r, t, || {
+            self.scale.lud_r_values(n, t)
+        })
+    }
+}
+
+// -- per-axis values: the only code that depends on the scale -----------
+
+impl SpaceScale {
+    /// Legal `(bm, bn, bk)` matmul tiles. The enlarged set is the full
+    /// product of its side and depth ranges; the legacy set is the v2
+    /// triples, which are hand-picked rather than a product.
+    fn matmul_tiles(self, n: i64) -> Vec<Tile> {
+        let divides = |&(bm, bn, bk): &Tile| n % bm == 0 && n % bn == 0 && n % bk == 0;
+        match self {
+            SpaceScale::Legacy => LEGACY_TILES.into_iter().filter(divides).collect(),
+            SpaceScale::Enlarged => {
+                let sides = divisors_in(n, 32, 256);
+                let depths = divisors_in(n, 16, 128);
+                let mut out = Vec::new();
+                for &bm in &sides {
+                    for &bn in &sides {
+                        for &bk in &depths {
+                            out.push((bm, bn, bk));
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+
+    /// Legal schedules for an `(n/bm) × (n/bn)` tile grid.
+    fn matmul_schedules(self, n: i64, bm: i64, bn: i64) -> Vec<ScheduleChoice> {
+        let (nt_m, nt_n) = (n / bm, n / bn);
+        let mut out = vec![ScheduleChoice::RowMajor];
+        // The concrete grouped layout factorizes nt_m as (nt_m/gm)·gm,
+        // so gm must divide nt_m. v2 also offers Morton on a 1×1 grid.
+        let (gms, morton_min) = match self {
+            SpaceScale::Legacy => (
+                [4, 8, 16].into_iter().filter(|g| nt_m % g == 0).collect(),
+                1,
+            ),
+            SpaceScale::Enlarged => (divisors_in(nt_m, 2, 64), 2),
+        };
+        for gm in gms {
+            out.push(ScheduleChoice::Grouped { gm });
+        }
+        if nt_m == nt_n && nt_m.count_ones() == 1 && nt_m >= morton_min {
+            out.push(ScheduleChoice::Morton);
+        }
+        let bc: &[(i64, i64)] = match self {
+            SpaceScale::Legacy => &[(8, 2)],
+            SpaceScale::Enlarged => &[
+                (2, 1),
+                (2, 2),
+                (2, 4),
+                (4, 1),
+                (4, 2),
+                (4, 4),
+                (8, 1),
+                (8, 2),
+                (8, 4),
+                (16, 1),
+                (16, 2),
+                (16, 4),
+            ],
+        };
+        for &(p, b) in bc {
+            if nt_m % (p * b) == 0 {
+                out.push(ScheduleChoice::BlockCyclic { p, b });
+            }
+        }
+        out
+    }
+
+    /// Legal transpose tile sides (powers of two dividing `n`).
+    fn transpose_t_values(self, n: i64) -> Vec<i64> {
+        let (lo, hi) = match self {
+            SpaceScale::Legacy => (16, 32),
+            SpaceScale::Enlarged => (8, 64),
+        };
+        divisors_in(n, lo, hi)
+            .into_iter()
+            .filter(|v| v.count_ones() == 1)
+            .collect()
+    }
+
+    /// Legal staging layouts for a `t×t` tile (`None` = unstaged). The
+    /// legacy space stages every tile; its unstaged point is the
+    /// default alone.
+    fn transpose_stagings(self, t: i64) -> Vec<Option<StagingChoice>> {
+        let (unstaged, ps, bs): (&[_], &[i64], &[i64]) = match self {
+            SpaceScale::Legacy => (&[], &[8], &[4]),
+            SpaceScale::Enlarged => (&[None], &[2, 4, 8, 16, 32], &[1, 2, 4, 8, 16]),
+        };
+        let mut out = unstaged.to_vec();
+        out.extend([
+            Some(StagingChoice::Identity),
+            Some(StagingChoice::Swizzle),
+            Some(StagingChoice::ColMajor),
+            Some(StagingChoice::Antidiag),
+        ]);
+        for &p in ps {
+            for &b in bs {
+                // block_cyclic_elems needs p·b | t².
+                if p * b <= t * t && (t * t) % (p * b) == 0 {
+                    out.push(Some(StagingChoice::BlockCyclic { p, b }));
+                }
+            }
+        }
+        out
+    }
+
     /// Legal stencil layouts, flattened (row-major walks + brick sides).
-    fn stencil_layouts(&self, n: i64) -> Vec<StencilLayoutChoice> {
+    fn stencil_layouts(self, n: i64) -> Vec<StencilLayoutChoice> {
         let mut out = vec![
             StencilLayoutChoice::RowMajorY,
             StencilLayoutChoice::RowMajorZ,
         ];
-        let bricks = match self.scale {
+        let bricks = match self {
             SpaceScale::Legacy => [4, 8].into_iter().filter(|b| n % b == 0).collect(),
             SpaceScale::Enlarged => divisors_in(n, 2, 16),
         };
@@ -942,8 +1079,8 @@ impl Domain {
     /// Legal NW block sizes. The legacy list requires `b | n`; the
     /// enlarged range frees `b` to any multiple of 4 (the trace pads the
     /// last block diagonal, as the generated kernel does).
-    fn nw_b_values(&self, n: i64) -> Vec<i64> {
-        match self.scale {
+    fn nw_b_values(self, n: i64) -> Vec<i64> {
+        match self {
             SpaceScale::Legacy => [16i64, 32, 64, 112, 128, 224]
                 .into_iter()
                 .filter(|b| n % b == 0)
@@ -955,38 +1092,17 @@ impl Domain {
         }
     }
 
-    /// The NW block sizes at the "tooth bottoms" of the additive launch
-    /// schedule: the smallest legal `b` for each distinct block-diagonal
-    /// count `ceil(n/b)`. The additive pricing is sawtooth in `b` —
-    /// time drops whenever the diagonal count falls, then climbs within
-    /// a tooth — so the meaningful search coordinate is the diagonal
-    /// count, and moves that step between tooth bottoms cross the
-    /// sawtooth in one hop instead of fighting uphill through it.
-    fn nw_tooth_values(&self, n: i64) -> Vec<i64> {
-        let all = self.nw_b_values(n);
-        let mut out = Vec::new();
-        let mut last_nb = i64::MIN;
-        for &b in &all {
-            let nb = (n + b - 1) / b;
-            if nb != last_nb {
-                out.push(b);
-                last_nb = nb;
-            }
-        }
-        out
-    }
-
     /// Legal LUD CUDA block sides.
-    fn lud_t_values(&self, n: i64, bs: i64) -> Vec<i64> {
-        match self.scale {
+    fn lud_t_values(self, n: i64, bs: i64) -> Vec<i64> {
+        match self {
             SpaceScale::Legacy => vec![bs],
             SpaceScale::Enlarged => [8i64, 16, 32].into_iter().filter(|&t| t <= n).collect(),
         }
     }
 
     /// Legal LUD coarsening factors for block side `t`.
-    fn lud_r_values(&self, n: i64, t: i64) -> Vec<i64> {
-        match self.scale {
+    fn lud_r_values(self, n: i64, t: i64) -> Vec<i64> {
+        match self {
             SpaceScale::Legacy => [1i64, 2, 4, 8]
                 .into_iter()
                 .filter(|r| n % (r * t) == 0)
@@ -996,12 +1112,26 @@ impl Domain {
             SpaceScale::Enlarged => (1..=16).filter(|r| r * t <= 256.min(n)).collect(),
         }
     }
+}
 
-    /// Legal rowwise column block sizes (powers of two — the generated
-    /// Triton kernels require it). Both scales share the list.
-    fn rowwise_bs_values(&self, n: i64) -> Vec<i64> {
-        crate::space::rowwise_block_sizes(n)
+/// The NW block sizes at the "tooth bottoms" of the additive launch
+/// schedule: the smallest legal `b` (of the ascending `b_values`) for
+/// each distinct block-diagonal count `ceil(n/b)`. The additive pricing
+/// is sawtooth in `b` — time drops whenever the diagonal count falls,
+/// then climbs within a tooth — so the meaningful search coordinate is
+/// the diagonal count, and moves that step between tooth bottoms cross
+/// the sawtooth in one hop instead of fighting uphill through it.
+fn nw_tooth_values(n: i64, b_values: &[i64]) -> Vec<i64> {
+    let mut out = Vec::new();
+    let mut last_nb = i64::MIN;
+    for &b in b_values {
+        let nb = (n + b - 1) / b;
+        if nb != last_nb {
+            out.push(b);
+            last_nb = nb;
+        }
     }
+    out
 }
 
 #[cfg(test)]
@@ -1070,6 +1200,24 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// `len` is counted from the axis tables, not enumerated: it agrees
+    /// with `enumerate` on every kind, including empty axis products
+    /// and defaults that lie off the axes (counted once, first).
+    #[test]
+    fn len_counts_the_enumerated_points() {
+        for kind in kinds() {
+            for scale in [SpaceScale::Legacy, SpaceScale::Enlarged] {
+                let domain = Domain::new(kind, scale);
+                assert_eq!(
+                    domain.len(),
+                    domain.enumerate().len(),
+                    "{} {scale:?}",
+                    kind.name()
+                );
             }
         }
     }

@@ -24,12 +24,21 @@
 //! *unique* configurations scored or pruned; re-proposing an
 //! already-seen point costs nothing.
 //!
+//! A budget that covers the whole domain (`domain.len() ≤ budget`)
+//! does not walk: anneal and genetic would score every point anyway,
+//! so they sweep [`Domain::enumerate`] once, as the exhaustive strategy
+//! does but without its bound cutoff. They then answer the exhaustive
+//! winner, with ties broken by domain order, and evaluate exactly
+//! `domain.len()` points. The walks below run only on domains larger
+//! than their budget.
+//!
 //! All strategies are deterministic: randomness comes from the in-crate
 //! [`Rng`] seeded by the tuning cache key plus the strategy name, so
 //! the same search replays bit-identically (the basis of the
 //! determinism tests and the CI gate). Because the proposal stream does
 //! not depend on the budget, a larger budget evaluates a superset of a
-//! smaller one — the winner can only improve (asserted by the
+//! smaller one, and a budget that covers the domain evaluates all of
+//! it — the winner can only improve (asserted by the
 //! budget-monotonicity test).
 
 use std::collections::HashMap;
@@ -123,7 +132,9 @@ pub struct SearchOutcome {
     pub evaluated: usize,
     /// Candidates dismissed by the admissible lower bound without a
     /// traffic pass (exhaustive strategy only; always 0 for the
-    /// metaheuristics, whose proposal streams pruning must not touch).
+    /// metaheuristics, whose proposal streams pruning must not touch,
+    /// and whose sweep of a domain their budget covers runs without
+    /// the cutoff).
     pub pruned: usize,
     /// Traffic-memo hits during this search (geometries priced without
     /// a trace replay).
@@ -329,7 +340,8 @@ pub const FRONTIER_K: usize = 8;
 
 /// Runs `strategy` over `domain` and returns the outcome: one
 /// `Evaluator` scores the default, the strategy spends the budget on
-/// proposals, and the evaluator's entries become the outcome.
+/// proposals (or, when the budget covers the domain, sweeps it), and
+/// the evaluator's entries become the outcome.
 ///
 /// `seed_key` derives the deterministic RNG (pass the tuning cache key);
 /// `warm_start` is a previously persisted frontier to seed from (ignored
@@ -363,6 +375,13 @@ pub fn run_search(
         // The enumerated sweep is the one place bound pruning is
         // winner-safe by construction, so only it turns the cutoff on.
         Strategy::Exhaustive => eval.score(&domain.enumerate(), true),
+        // The budget covers the domain, so a walk could at best score
+        // every point: score each once, in domain order, instead. The
+        // winner is the exhaustive one with ties broken by that order.
+        // No cutoff, so `pruned` stays 0 for the budgeted strategies.
+        Strategy::Anneal | Strategy::Genetic if domain.len() <= max_evals => {
+            eval.score(&domain.enumerate(), false);
+        }
         Strategy::Anneal => anneal(domain, &mut eval, &mut rng, warm_start),
         Strategy::Genetic => genetic(domain, &mut eval, &mut rng, warm_start),
     }
@@ -406,7 +425,7 @@ fn anneal(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start: 
     }
 
     let mut t = T0;
-    let max_proposals = 64 * eval.max_evals;
+    let max_proposals = eval.max_evals.saturating_mul(64);
     let mut proposals = 0usize;
     // Whenever a new incumbent best appears, its unit-step neighborhood
     // is queued for systematic probing before random proposals resume.
@@ -510,7 +529,7 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
         eval.score(&pop[half..], false);
     }
 
-    let max_generations = 4 * eval.max_evals / LAMBDA.min(eval.max_evals).max(1) + 4;
+    let max_generations = eval.max_evals.saturating_mul(4) / LAMBDA.min(eval.max_evals).max(1) + 4;
     for _ in 0..max_generations {
         if eval.exhausted() {
             break;
@@ -574,7 +593,10 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::cache_key;
     use crate::domain::SpaceScale;
+    use lego_codegen::cuda::stencil::StencilShape;
+    use lego_codegen::tuning::RowwiseOp;
 
     /// A sweep the cutoff prunes: 544 configs, about half of them
     /// dismissed by the bound in a full exhaustive pass.
@@ -647,5 +669,79 @@ mod tests {
         // A batch mixing seen and fresh configs charges only the fresh.
         eval.score(&all[48..80], false);
         assert_eq!(eval.entries.len(), 80);
+    }
+
+    /// The walks themselves reach the legacy exhaustive optimum when
+    /// their budget equals the legacy domain's size, on every workload
+    /// of the search-parity gate and every device model. `run_search`
+    /// sweeps such a domain instead of walking it, so this drives
+    /// `anneal` and `genetic` directly, seeded as `run_search` seeds
+    /// them: a neighborhood or repair that strands part of the space
+    /// fails here.
+    #[test]
+    fn walks_with_a_budget_of_the_legacy_domain_reach_the_legacy_optimum() {
+        let kinds = [
+            WorkloadKind::Matmul { n: 512 },
+            WorkloadKind::Transpose { n: 256 },
+            WorkloadKind::Stencil {
+                shape: StencilShape::Star(1),
+                n: 32,
+            },
+            WorkloadKind::Nw { n: 256, b: 16 },
+            WorkloadKind::Lud { n: 256, bs: 16 },
+            WorkloadKind::Rowwise {
+                op: RowwiseOp::Softmax,
+                m: 256,
+                n: 1000,
+            },
+        ];
+        for gpu in [gpu_sim::a100(), gpu_sim::h100(), gpu_sim::mi300()] {
+            for kind in kinds {
+                let domain = Domain::new(kind, SpaceScale::Legacy);
+                let key = cache_key(&kind.name(), kind.pricing_mode(), &gpu);
+                let truth = run_search(
+                    Strategy::Exhaustive,
+                    &domain,
+                    &gpu,
+                    Budget::default(),
+                    &key,
+                    &[],
+                )
+                .expect("exhaustive search");
+                for strategy in [Strategy::Anneal, Strategy::Genetic] {
+                    let mut rng = Rng::from_key(&format!("{key}|{}", strategy.name()));
+                    let mut eval = Evaluator::new(kind, &gpu, domain.len());
+                    eval.eval_default(&domain.default_config())
+                        .expect("default builds");
+                    match strategy {
+                        Strategy::Anneal => anneal(&domain, &mut eval, &mut rng, &[]),
+                        Strategy::Genetic => genetic(&domain, &mut eval, &mut rng, &[]),
+                        Strategy::Exhaustive => unreachable!("not a walk"),
+                    }
+                    let r = eval.finish();
+                    assert!(
+                        r.evaluated <= domain.len(),
+                        "{} {strategy} on {}: {} evals > budget {}",
+                        kind.name(),
+                        gpu.name,
+                        r.evaluated,
+                        domain.len()
+                    );
+                    assert!(
+                        r.tuned.time_s <= truth.tuned.time_s * (1.0 + 1e-9),
+                        "{} {strategy} on {}: {} (config {}) misses legacy optimum {} \
+                         (config {}) with {}/{} evals",
+                        kind.name(),
+                        gpu.name,
+                        r.tuned.time_s,
+                        r.winner.config,
+                        truth.tuned.time_s,
+                        truth.winner.config,
+                        r.evaluated,
+                        truth.evaluated
+                    );
+                }
+            }
+        }
     }
 }

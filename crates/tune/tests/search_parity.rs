@@ -18,7 +18,15 @@
 //!   returns a worse winner;
 //! * pinned to the legacy space with a budget of its size, both
 //!   metaheuristics reach the legacy exhaustive optimum on every
-//!   device model.
+//!   device model;
+//! * a budget that covers the domain — any budget up to `usize::MAX`,
+//!   and the persist-mix budget of 64 on the small persist-mix shapes —
+//!   answers exactly the exhaustive winner after evaluating the whole
+//!   domain once.
+//!
+//! A budget that covers the domain sweeps it instead of walking, so the
+//! walks themselves are gated at a budget of the legacy domain's size
+//! by the `strategy::tests` unit test the same CI job runs.
 //!
 //! Any oracle or space change that silently breaks the metaheuristics
 //! (a neighborhood that can no longer reach the optimum, a scoring
@@ -27,7 +35,7 @@
 
 use gpu_sim::{a100, h100, mi300};
 use lego_codegen::cuda::stencil::StencilShape;
-use lego_tune::{Budget, Domain, RowwiseOp, SpaceScale, Strategy, Tuner, WorkloadKind};
+use lego_tune::{Budget, Domain, RowwiseOp, SpaceScale, Strategy, TuneResult, Tuner, WorkloadKind};
 
 /// The workloads of the gate, at the legacy problem sizes (kept small
 /// enough that exhaustive ground truth stays cheap).
@@ -72,6 +80,7 @@ fn metaheuristics_match_exhaustive_optimum_within_quarter_budget() {
             .tune(&kind)
             .unwrap_or_else(|e| panic!("{}: exhaustive: {e}", kind.name()));
         let budget = parity_budget(truth.evaluated);
+        let len = Domain::new(kind, SpaceScale::Enlarged).len();
         for strategy in [Strategy::Anneal, Strategy::Genetic] {
             let r = Tuner::new(gpu.clone())
                 .with_strategy(strategy)
@@ -85,6 +94,11 @@ fn metaheuristics_match_exhaustive_optimum_within_quarter_budget() {
                 r.evaluated,
                 budget.max_evals()
             );
+            // The 16-evaluation floor covers the tiny stencil and
+            // rowwise domains, which are then swept, not walked.
+            if budget.max_evals() >= len {
+                assert_swept(&r, &truth, len, &format!("{} {strategy}", kind.name()));
+            }
             assert!(
                 r.tuned.time_s <= truth.tuned.time_s * (1.0 + 1e-9),
                 "{} {strategy}: {} (config {}) misses optimum {} (config {}) \
@@ -107,10 +121,10 @@ fn metaheuristics_match_exhaustive_optimum_within_quarter_budget() {
 }
 
 /// Budgeted searches over the legacy space: with a budget equal to the
-/// legacy domain's size, seeded Anneal and Genetic reach the legacy
-/// exhaustive optimum on every workload and device model. Their moves
-/// walk the same per-axis definition exhaustive search enumerates, so
-/// a repair that strands part of the space fails here.
+/// legacy domain's size, seeded Anneal and Genetic answer the legacy
+/// exhaustive winner on every workload and device model. Such a budget
+/// covers the domain, so both sweep it; the walks at this budget are
+/// gated by `strategy::tests`.
 #[test]
 fn legacy_budgeted_searches_match_legacy_exhaustive() {
     for gpu in [a100(), h100(), mi300()] {
@@ -119,7 +133,8 @@ fn legacy_budgeted_searches_match_legacy_exhaustive() {
                 .with_space(SpaceScale::Legacy)
                 .tune(&kind)
                 .unwrap_or_else(|e| panic!("{}: exhaustive: {e}", kind.name()));
-            let budget = Budget(Domain::new(kind, SpaceScale::Legacy).len());
+            let len = Domain::new(kind, SpaceScale::Legacy).len();
+            let budget = Budget(len);
             for strategy in [Strategy::Anneal, Strategy::Genetic] {
                 let r = Tuner::new(gpu.clone())
                     .with_space(SpaceScale::Legacy)
@@ -148,6 +163,97 @@ fn legacy_budgeted_searches_match_legacy_exhaustive() {
                     r.evaluated,
                     truth.evaluated
                 );
+                let what = format!("{} {strategy} on {}", kind.name(), gpu.name);
+                assert_swept(&r, &truth, len, &what);
+            }
+        }
+    }
+}
+
+/// A budgeted search whose budget covers its `len`-point domain swept
+/// it: it evaluated every point and answers the exhaustive winner,
+/// ties included.
+fn assert_swept(r: &TuneResult, truth: &TuneResult, len: usize, what: &str) {
+    assert_eq!(r.evaluated, len, "{what}: a covering budget sweeps");
+    assert_eq!(
+        r.config, truth.config,
+        "{what}: the sweep answers the exhaustive winner"
+    );
+    assert_eq!(r.tuned, truth.tuned, "{what}");
+    assert_eq!(r.naive, truth.naive, "{what}");
+}
+
+/// A budget far beyond any domain used to overflow the walks'
+/// proposal caps: anneal computed `64 × budget`, which wraps to 0 at
+/// `1 << 58` and answered the naive default, and genetic planned about
+/// 10^17 generations. Now every such budget sweeps the domain once.
+#[test]
+fn unbounded_budgets_sweep_to_the_exhaustive_winner() {
+    let gpu = a100();
+    for kind in [
+        WorkloadKind::Transpose { n: 256 },
+        WorkloadKind::Nw { n: 256, b: 16 },
+    ] {
+        let truth = Tuner::new(gpu.clone())
+            .with_space(SpaceScale::Enlarged)
+            .tune(&kind)
+            .unwrap_or_else(|e| panic!("{}: exhaustive: {e}", kind.name()));
+        let len = Domain::new(kind, SpaceScale::Enlarged).len();
+        for budget in [1usize << 58, 1 << 62, usize::MAX] {
+            for strategy in [Strategy::Anneal, Strategy::Genetic] {
+                let r = Tuner::new(gpu.clone())
+                    .with_strategy(strategy)
+                    .with_budget(Budget(budget))
+                    .tune(&kind)
+                    .unwrap_or_else(|e| panic!("{}: {strategy}: {e}", kind.name()));
+                let what = format!("{} {strategy} budget {budget}", kind.name());
+                assert_swept(&r, &truth, len, &what);
+            }
+        }
+    }
+}
+
+/// The budgeted keys of the persist-mix benchmark whose enlarged
+/// domain fits its anneal budget of 64 — both NW and LUD shapes and
+/// the three rowwise shapes — answer the exhaustive-enlarged winner
+/// under anneal-64 and genetic-64 on every device model.
+#[test]
+fn persist_mix_budget_covers_the_small_domains() {
+    const BUDGET: usize = 64;
+    let shapes = [
+        "matmul(n=512)",
+        "matmul(n=1024)",
+        "transpose(n=256)",
+        "transpose(n=512)",
+        "nw(n=64,b=16)",
+        "nw(n=112,b=16)",
+        "lud(n=256,bs=16)",
+        "lud(n=512,bs=16)",
+        "softmax(m=256,n=1024)",
+        "layernorm-fwd(m=256,n=1024)",
+        "layernorm-bwd(m=128,n=512)",
+    ];
+    let small: Vec<(WorkloadKind, usize)> = shapes
+        .iter()
+        .map(|s| WorkloadKind::parse(s).unwrap_or_else(|e| panic!("{s}: {e}")))
+        .map(|kind| (kind, Domain::new(kind, SpaceScale::Enlarged).len()))
+        .filter(|&(_, len)| len <= BUDGET)
+        .collect();
+    assert_eq!(small.len(), 7, "NW, LUD and rowwise shapes fit the budget");
+    for gpu in [a100(), h100(), mi300()] {
+        for &(kind, len) in &small {
+            let truth = Tuner::new(gpu.clone())
+                .with_space(SpaceScale::Enlarged)
+                .tune(&kind)
+                .unwrap_or_else(|e| panic!("{}: exhaustive: {e}", kind.name()));
+            for strategy in [Strategy::Anneal, Strategy::Genetic] {
+                let r = Tuner::new(gpu.clone())
+                    .with_strategy(strategy)
+                    .with_budget(Budget(BUDGET))
+                    .tune(&kind)
+                    .unwrap_or_else(|e| panic!("{}: {strategy}: {e}", kind.name()));
+                let what = format!("{} {strategy} on {}", kind.name(), gpu.name);
+                assert_swept(&r, &truth, len, &what);
             }
         }
     }
