@@ -210,8 +210,8 @@ const PAPER_MATMUL_SIZES: [i64; 3] = [2048, 4096, 8192];
 const PAPER_SEARCH_GATE_S: f64 = 5.0;
 
 /// Prices the legacy matmul space at size `n` on the A100 model and
-/// returns its summary row: every candidate traced cold (its memo key
-/// dropped, so no geometry is shared), then the whole exhaustive search
+/// returns its summary row: every candidate traced cold (through the
+/// unmemoized `CostModel::trace`), then the whole exhaustive search
 /// on a fresh thread, whose traffic memo starts empty.
 fn paper_matmul_row(n: i64) -> (Json, f64) {
     let device = gpu_sim::a100();
@@ -219,10 +219,9 @@ fn paper_matmul_row(n: i64) -> (Json, f64) {
     let model = CostModel::new(&device);
     let mut times: Vec<f64> = pricing_jobs(&kind, &device)
         .into_iter()
-        .map(|(l, mut w)| {
-            w.traffic_key = None;
+        .map(|(l, w)| {
             let t = Instant::now();
-            std::hint::black_box(model.price(&l, &w));
+            std::hint::black_box(model.assemble(&w, &model.trace(&l, &w)));
             t.elapsed().as_secs_f64()
         })
         .collect();

@@ -221,6 +221,27 @@ impl ConcreteLayout {
         })
     }
 
+    /// Row-major logical flat position → physical flat position:
+    /// [`apply`](ConcreteLayout::apply) after its per-axis checks, for
+    /// callers that flatten (and check) indices themselves.
+    ///
+    /// # Panics
+    ///
+    /// When `flat` is outside `0..size`.
+    #[inline]
+    pub fn apply_flat(&self, flat: Ix) -> Ix {
+        match &self.tables {
+            Some((fwd, _)) => fwd[flat as usize],
+            None => {
+                assert!(
+                    (0..self.size).contains(&flat),
+                    "flat {flat} outside the layout"
+                );
+                flat
+            }
+        }
+    }
+
     /// Physical flat position → logical index; equal to
     /// [`Layout::inv_c`].
     ///

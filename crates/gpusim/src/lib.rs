@@ -15,6 +15,9 @@
 //! * [`config`] — A100, H100 and MI300 (warp-64) hardware parameters,
 //!   including per-device bank geometry, segment width and saturation
 //!   occupancies;
+//! * [`access`] — access maps: each traced phase as plain data
+//!   (iteration space, coordinate maps, taps, mask, clamp, or matmul's
+//!   tile waves), replayed by one interpreter;
 //! * [`model`] — the device-generic pricing engine: one [`CostModel`]
 //!   owns the full trace→estimate path under a per-workload
 //!   [`PricingMode`] (roofline for overlapped kernels, additive launch
@@ -23,9 +26,10 @@
 //!   cost model prices and the `lego-tune` autotuner ranks by;
 //! * [`traffic`] — the per-thread geometry-keyed memo of the two-tier
 //!   pricing split: one trace replay serves every expression variant of
-//!   a geometry, and the memo exports/imports through the persistent
+//!   a geometry, under a key the cost model derives from the phase
+//!   descriptions, and the memo exports/imports through the persistent
 //!   sidecar;
-//! * [`trace`] — the shared workload trace builders that both the
+//! * [`trace`] — the shared workload builders that both the
 //!   `lego-bench` paper reproductions and the `lego-tune` search space
 //!   consume, so their estimates cannot drift apart.
 //!
@@ -47,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod cache;
 pub mod coalesce;
 pub mod config;
@@ -59,6 +64,7 @@ pub mod timing;
 pub mod trace;
 pub mod traffic;
 
+pub use access::{AccessMap, Coord, Lane, TileWaves};
 pub use cache::{Cache, CacheStats};
 pub use coalesce::{coalesce_elems, coalesce_elems_on, coalesce_warp, CoalesceResult};
 pub use config::{a100, h100, lookup, mi300, GpuConfig, DEVICE_TAGS};
@@ -67,9 +73,7 @@ pub use roofline::{attainable, ridge, RooflinePoint};
 pub use score::{BlockResources, Estimate, L2Model, Phase, ScoreJob, Workload};
 pub use smem::{bank_conflicts, bank_conflicts_elems, bank_conflicts_elems_on, BankConflictResult};
 pub use tilecache::TileCache;
-pub use timing::{
-    achieved_bandwidth, achieved_flops, estimate, KernelProfile, Pipeline, TimeEstimate,
-};
+pub use timing::{estimate, KernelProfile, Pipeline, TimeEstimate};
 pub use trace::{
     LaneAxis, LudPanels, MatmulWaves, NwWavefront, RowwiseSweep, StencilWalk, TransposeSweeps,
 };

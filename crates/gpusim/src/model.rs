@@ -97,11 +97,9 @@ impl<'a> CostModel<'a> {
         self.assemble(workload, &tc)
     }
 
-    /// Tier 1: the trace-driven traffic pass. When the workload carries
-    /// a [`traffic_key`](Workload::traffic_key), the result is memoized
-    /// in this thread's geometry cache (see [`crate::traffic`]);
-    /// keyless workloads replay the trace unconditionally. This is the
-    /// one-job case of the batch pass behind
+    /// Tier 1: the trace-driven traffic pass, memoized in this thread's
+    /// geometry cache (see [`crate::traffic`]). This is the one-job
+    /// case of the batch pass behind
     /// [`price_batch`](CostModel::price_batch).
     ///
     /// The layout is [compiled](Layout::compile) at most once, and only
@@ -116,165 +114,100 @@ impl<'a> CostModel<'a> {
         self.traffic_batch(&[(layout, workload)])[0]
     }
 
-    /// The full memo key of a cacheable (layout, workload) pair, or
-    /// `None` when the pair must be traced fresh. Built from the
-    /// producer's geometry prefix plus everything the traffic pass
-    /// reads *outside* the trace closures: the pricing device's traffic
-    /// geometry, the workload's L2 model and per-phase scalars, and the
-    /// compiled layout's [fingerprint](ConcreteLayout::fingerprint)
-    /// (`layout` is `None` exactly when no phase reads the layout). The
-    /// trace closures themselves are the only trust gap, which is
-    /// exactly what the producer's key opt-in promises to cover.
-    fn memo_key(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> Option<String> {
-        let prefix = workload.traffic_key.as_deref()?;
+    /// The traffic pass without the memo: compiles the layout (when
+    /// some phase reads it) and replays every phase. What
+    /// [`traffic`](CostModel::traffic) returns on a memo miss.
+    ///
+    /// # Panics
+    ///
+    /// As [`traffic`](CostModel::traffic).
+    pub fn trace(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
+        self.replay(compile_for(layout, workload).as_ref(), workload)
+    }
+
+    /// The memo key of a (layout, workload) pair: the pricing device's
+    /// traffic geometry, the workload's L2 model, every phase
+    /// description and the compiled layout's
+    /// [fingerprint](ConcreteLayout::fingerprint) (`layout` is `None`
+    /// exactly when no phase reads the layout) — everything the traffic
+    /// pass reads. The descriptions are plain data whose `Debug`
+    /// rendering is exact: floats print round-trip and access maps
+    /// print every field.
+    fn memo_key(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> String {
         let cfg = self.cfg;
-        let mut key = String::with_capacity(prefix.len() + 96);
-        key.push_str(prefix);
-        use std::fmt::Write as _;
-        let _ = write!(
-            key,
-            "|{}:w{}:s{}:c{}:b{}x{}:m{}",
+        format!(
+            "{}:w{}:s{}:c{}:b{}x{}:m{}|{:?}|{:?}|{}",
             cfg.tag,
             cfg.warp_size,
             cfg.sector_bytes,
             cfg.l2_bytes,
             cfg.smem_banks,
             cfg.bank_bytes,
-            cfg.sm_count
-        );
-        match workload.l2 {
-            Some(m) => {
-                let _ = write!(key, "|l2:{}:{}", m.lines, m.assoc);
-            }
-            None => key.push_str("|l2-"),
-        }
-        for phase in &workload.phases {
-            match phase {
-                Phase::Global {
-                    elem_bytes, scale, ..
-                } => {
-                    let _ = write!(key, "|G{}:{:x}", elem_bytes, scale.to_bits());
-                }
-                Phase::Shared { scale, .. } => {
-                    let _ = write!(key, "|S{:x}", scale.to_bits());
-                }
-                Phase::TileTouches { scale, .. } => {
-                    let _ = write!(key, "|T{:x}", scale.to_bits());
-                }
-                Phase::Streamed {
-                    dram_bytes,
-                    l2_bytes,
-                } => {
-                    let _ = write!(key, "|X{:x}:{:x}", dram_bytes.to_bits(), l2_bytes.to_bits());
-                }
-            }
-        }
-        match layout {
-            // No phase receives the layout: traffic is layout-independent.
-            None => key.push_str("|-"),
-            Some(layout) => {
-                key.push('|');
-                key.push_str(&layout.fingerprint());
-            }
-        }
-        Some(key)
+            cfg.sm_count,
+            workload.l2,
+            workload.phases,
+            layout.map_or_else(|| "-".to_string(), ConcreteLayout::fingerprint),
+        )
     }
 
-    /// Replays the phase traces and accumulates their traffic totals —
-    /// the uncached body of tier 1.
-    /// `layout` is the compiled layout, `None` only for workloads whose
-    /// phases never read it.
-    fn trace_traffic(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
+    /// Replays the phases and accumulates their traffic totals — the
+    /// uncached body of tier 1. `layout` is the compiled layout, `None`
+    /// only for workloads whose phases never read it.
+    fn replay(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
         let cfg = self.cfg;
-        let layout = || layout.expect("layout compiled for a layout-reading phase");
-        let mut l2_bytes = 0f64;
-        let mut dram_bytes = 0f64;
-        let mut smem_passes = 0f64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-
+        let mut tc = TrafficCost::default();
         for phase in &workload.phases {
             match phase {
                 Phase::Global {
-                    trace,
+                    map,
                     elem_bytes,
                     scale,
                 } => {
                     let mut moved = 0f64;
                     let mut cache = workload.l2.map(|m| Cache::new(m.lines, m.assoc));
-                    let mut sectors: Vec<i64> = Vec::with_capacity(cfg.warp_size);
-                    let (elem, sector) = (*elem_bytes as i64, cfg.sector_bytes as i64);
-                    // When the width divides the sector, an element at a
-                    // non-negative index lies in one sector, so a warp's
-                    // sorted L2 sectors are also the coalescer's sector
-                    // set, and their count prices the moved bytes.
-                    let one_sector = sector % elem == 0;
-                    trace(layout(), &mut |idx: &[i64]| {
-                        let Some(cache) = cache.as_mut() else {
-                            moved += coalesce_elems_on(idx, *elem_bytes, 0, cfg).moved_bytes as f64;
-                            return;
-                        };
-                        sectors.clear();
-                        sectors.extend(idx.iter().map(|&i| i * elem / sector));
-                        sectors.sort_unstable();
-                        sectors.dedup();
-                        moved += if one_sector && idx.iter().all(|&i| i >= 0) {
-                            (sectors.len() * cfg.sector_bytes) as f64
-                        } else {
-                            coalesce_elems_on(idx, *elem_bytes, 0, cfg).moved_bytes as f64
-                        };
-                        for &s in sectors.iter() {
-                            cache.access(s);
-                        }
+                    let mut sectors = Vec::with_capacity(cfg.warp_size);
+                    map.replay(layout, |idx| {
+                        moved += global_warp(cfg, idx, *elem_bytes, cache.as_mut(), &mut sectors);
                     });
-                    l2_bytes += moved * scale;
-                    match cache {
-                        Some(cache) => {
-                            let stats = cache.stats();
-                            hits += stats.hits;
-                            misses += stats.misses;
-                            dram_bytes += stats.misses as f64 * cfg.sector_bytes as f64 * scale;
-                        }
+                    let stats = cache.map(|c| c.stats()).unwrap_or_default();
+                    tc.hits += stats.hits;
+                    tc.misses += stats.misses;
+                    tc.l2_bytes += moved * scale;
+                    tc.dram_bytes += match workload.l2 {
+                        Some(_) => stats.misses as f64 * cfg.sector_bytes as f64 * scale,
                         // No L2 filtering: streamed straight to DRAM.
-                        None => dram_bytes += moved * scale,
-                    }
+                        None => moved * scale,
+                    };
                 }
-                Phase::Shared { trace, scale } => {
+                Phase::Shared { map, scale } => {
                     let mut passes = 0f64;
-                    trace(layout(), &mut |idx: &[i64]| {
+                    map.replay(layout, |idx| {
                         passes += bank_conflicts_elems_on(idx, 4, cfg).passes as f64;
                     });
-                    smem_passes += passes * scale;
+                    tc.smem_passes += passes * scale;
                 }
-                Phase::TileTouches { trace, scale } => {
+                Phase::TileTouches { waves } => {
                     let mut tiles = TileCache::new(cfg.l2_bytes);
                     let mut touched = 0f64;
-                    trace(layout(), &mut |id: i64, bytes: usize| {
+                    waves.replay(layout.expect("tile phases read the layout"), |id, bytes| {
                         tiles.touch(id, bytes);
                         touched += bytes as f64;
                     });
-                    l2_bytes += touched * scale;
-                    dram_bytes += tiles.miss_bytes() as f64 * scale;
-                    hits += tiles.hits();
-                    misses += tiles.misses();
+                    tc.l2_bytes += touched;
+                    tc.dram_bytes += tiles.miss_bytes() as f64;
+                    tc.hits += tiles.hits();
+                    tc.misses += tiles.misses();
                 }
                 Phase::Streamed {
                     dram_bytes: d,
                     l2_bytes: l,
                 } => {
-                    dram_bytes += d;
-                    l2_bytes += l;
+                    tc.dram_bytes += d;
+                    tc.l2_bytes += l;
                 }
             }
         }
-
-        TrafficCost {
-            dram_bytes,
-            l2_bytes,
-            smem_passes,
-            hits,
-            misses,
-        }
+        tc
     }
 
     /// Tier 2: the closed-form timing assembly. Combines a traced (or
@@ -495,7 +428,7 @@ impl<'a> CostModel<'a> {
     fn traffic_batch(&self, jobs: &[(&Layout, &Workload)]) -> Vec<TrafficCost> {
         let compiled: Vec<Option<ConcreteLayout>> =
             jobs.iter().map(|&(l, w)| compile_for(l, w)).collect();
-        let mut keys: Vec<Option<String>> = jobs
+        let mut keys: Vec<String> = jobs
             .iter()
             .zip(&compiled)
             .map(|(&(_, w), c)| self.memo_key(c.as_ref(), w))
@@ -503,7 +436,7 @@ impl<'a> CostModel<'a> {
         let mut traffic: Vec<Option<TrafficCost>> = vec![None; jobs.len()];
         let mut cold: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            match key.as_deref().and_then(traffic::lookup) {
+            match traffic::lookup(key) {
                 Some(tc) => traffic[i] = Some(tc),
                 None => cold.push(i),
             }
@@ -518,7 +451,7 @@ impl<'a> CostModel<'a> {
         };
         if threads <= 1 {
             for &i in &cold {
-                traffic[i] = Some(self.trace_traffic(compiled[i].as_ref(), jobs[i].1));
+                traffic[i] = Some(self.replay(compiled[i].as_ref(), jobs[i].1));
             }
         } else {
             let mut traced: Vec<Option<TrafficCost>> = vec![None; cold.len()];
@@ -529,7 +462,7 @@ impl<'a> CostModel<'a> {
                     s.spawn(move || {
                         for (k, slot) in out.iter_mut().enumerate() {
                             let i = cold_ref[ci * chunk + k];
-                            *slot = Some(self.trace_traffic(compiled_ref[i].as_ref(), jobs[i].1));
+                            *slot = Some(self.replay(compiled_ref[i].as_ref(), jobs[i].1));
                         }
                     });
                 }
@@ -539,9 +472,7 @@ impl<'a> CostModel<'a> {
             }
         }
         for &i in &cold {
-            if let Some(key) = keys[i].take() {
-                traffic::insert(key, traffic[i].expect("traced"));
-            }
+            traffic::insert(std::mem::take(&mut keys[i]), traffic[i].expect("traced"));
         }
         traffic.into_iter().map(|tc| tc.expect("traced")).collect()
     }
@@ -552,27 +483,55 @@ impl<'a> CostModel<'a> {
     const INLINE_BATCH: usize = 8;
 }
 
-/// Compiles `layout` when some phase of `workload` reads it (every
+/// Compiles `layout` when some phase of `workload` may read it (every
 /// phase but [`Phase::Streamed`]); `None` for layout-free workloads.
 ///
 /// # Panics
 ///
 /// When the layout is read but does not compile.
 fn compile_for(layout: &Layout, workload: &Workload) -> Option<ConcreteLayout> {
-    let reads_layout = workload
-        .phases
-        .iter()
-        .any(|p| !matches!(p, Phase::Streamed { .. }));
-    reads_layout.then(|| {
+    let reads_layout = |p: &Phase| !matches!(p, Phase::Streamed { .. });
+    workload.phases.iter().any(reads_layout).then(|| {
         layout
             .compile()
             .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
     })
 }
 
+/// Moved bytes of one global warp access, whose sectors also go
+/// through `cache` when there is an L2. When the width divides the
+/// sector, an element at a non-negative index lies in one sector, so
+/// the warp's sorted L2 sectors are also the coalescer's sector set,
+/// and their count prices the moved bytes.
+fn global_warp(
+    cfg: &GpuConfig,
+    idx: &[i64],
+    elem_bytes: usize,
+    cache: Option<&mut Cache>,
+    sectors: &mut Vec<i64>,
+) -> f64 {
+    let Some(cache) = cache else {
+        return coalesce_elems_on(idx, elem_bytes, 0, cfg).moved_bytes as f64;
+    };
+    let (elem, sector) = (elem_bytes as i64, cfg.sector_bytes as i64);
+    sectors.clear();
+    sectors.extend(idx.iter().map(|&i| i * elem / sector));
+    sectors.sort_unstable();
+    sectors.dedup();
+    for &s in sectors.iter() {
+        cache.access(s);
+    }
+    if sector % elem == 0 && idx.iter().all(|&i| i >= 0) {
+        (sectors.len() * cfg.sector_bytes) as f64
+    } else {
+        coalesce_elems_on(idx, elem_bytes, 0, cfg).moved_bytes as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{AccessMap, Coord, Lane};
     use crate::config::a100;
     use crate::score::{BlockResources, Phase, Workload};
 
@@ -594,12 +553,11 @@ mod tests {
                 pass_cycles: 5.0,
                 launch_overhead_s: 2.0e-6,
             },
-            traffic_key: None,
             phases: vec![Phase::Shared {
-                trace: Box::new(|_layout, sink| {
-                    let idx: Vec<i64> = (0..32).collect();
-                    sink(&idx);
-                }),
+                map: AccessMap {
+                    flat: true,
+                    ..AccessMap::new(vec![], 32, 32, vec![vec![Coord(0, vec![], Lane::Mul(1))]])
+                },
                 // One conflict-free pass per block.
                 scale: 8.0,
             }],
@@ -631,34 +589,23 @@ mod tests {
         assert!((e2.breakdown.compute_s / e1.breakdown.compute_s - 2.0).abs() < 1e-12);
     }
 
-    /// A hand-built workload: one `Phase::Global` replaying `warps`
-    /// through a small L2, so that they both hit and evict.
-    fn global_workload(elem_bytes: usize, warps: Vec<Vec<i64>>) -> Workload {
-        Workload {
-            name: "global".into(),
-            pipeline: Pipeline::Fp32,
-            flops: 0.0,
-            useful_bytes: 0.0,
-            streamed_bytes: 0.0,
-            blocks: 1.0,
-            launches: 1.0,
-            wave_quantized: false,
-            l2: Some(crate::score::L2Model {
-                lines: 64,
-                assoc: 4,
-            }),
-            resources: BlockResources::default(),
-            mode: PricingMode::Roofline,
-            traffic_key: None,
-            phases: vec![Phase::Global {
-                trace: Box::new(move |_layout, sink| {
-                    for w in &warps {
-                        sink(w);
-                    }
-                }),
-                elem_bytes,
-                scale: 3.0,
-            }],
+    /// Moved bytes and L2 traffic of `warps` at `scale` 3 through a
+    /// small L2, so that they both hit and evict: the sector path as the
+    /// `Phase::Global` arm of the traffic pass runs it.
+    fn sector_path(cfg: &GpuConfig, elem_bytes: usize, warps: &[Vec<i64>]) -> TrafficCost {
+        let mut cache = Cache::new(64, 4);
+        let mut sectors = Vec::new();
+        let moved: f64 = warps
+            .iter()
+            .map(|idx| global_warp(cfg, idx, elem_bytes, Some(&mut cache), &mut sectors))
+            .sum();
+        let stats = cache.stats();
+        TrafficCost {
+            dram_bytes: stats.misses as f64 * cfg.sector_bytes as f64 * 3.0,
+            l2_bytes: moved * 3.0,
+            smem_passes: 0.0,
+            hits: stats.hits,
+            misses: stats.misses,
         }
     }
 
@@ -710,15 +657,13 @@ mod tests {
             Vec::new(),
             (0..32).collect(),
         ];
-        let layout = Layout::identity([64i64]).unwrap();
         for sector in [32usize, 64] {
             let cfg = GpuConfig {
                 sector_bytes: sector,
                 ..a100()
             };
             for elem in [1usize, 2, 4, 8, 32, 12] {
-                let got =
-                    CostModel::new(&cfg).traffic(&layout, &global_workload(elem, warps.clone()));
+                let got = sector_path(&cfg, elem, &warps);
                 let want = coalescer_path(&cfg, elem, &warps);
                 assert_eq!(got, want, "elem {elem} on {sector}-byte sectors");
                 assert!(got.hits > 0 && got.misses > 0);

@@ -11,28 +11,20 @@
 //!
 //! A [`Workload`] describes *what* a kernel touches in logical terms;
 //! the [`lego_core::Layout`] under evaluation decides *where* those
-//! touches land. The cost model compiles the layout once into a
-//! [`ConcreteLayout`]; the workload's trace generators receive that and
-//! emit warp-level element indices (or tile touches) through a callback,
-//! so traces never have to be materialized in memory.
+//! touches land. The traced phases are plain data — an [`AccessMap`]
+//! or [`TileWaves`] — which the cost model replays through the layout,
+//! compiled once into a [`lego_core::ConcreteLayout`], one warp (or
+//! tile touch) at a time, so traces never have to be materialized in
+//! memory.
 
-use lego_core::{ConcreteLayout, Layout};
+use lego_core::Layout;
 
+use crate::access::{AccessMap, TileWaves};
 use crate::model::PricingMode;
 use crate::timing::{Pipeline, TimeEstimate};
 
-/// Generator of warp-level element-index groups: called with the
-/// compiled layout under evaluation and a sink receiving one warp's flat
-/// element indices per call.
-pub type AddrGen = Box<dyn Fn(&ConcreteLayout, &mut dyn FnMut(&[i64])) + Send + Sync>;
-
-/// Generator of tile-granular touches: called with the compiled layout
-/// under evaluation and a sink receiving `(tile_id, bytes)` per touch,
-/// in execution order.
-pub type TouchGen = Box<dyn Fn(&ConcreteLayout, &mut dyn FnMut(i64, usize)) + Send + Sync>;
-
 /// A sector-granular L2 model for [`Phase::Global`] traffic.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct L2Model {
     /// Number of cache lines (sectors).
     pub lines: usize,
@@ -41,13 +33,14 @@ pub struct L2Model {
 }
 
 /// One traffic phase of a workload.
+#[derive(Clone, Debug, PartialEq)]
 pub enum Phase {
     /// Global-memory warp accesses: each emitted warp is coalesced into
     /// `cfg.sector_bytes` sectors; the sector stream is filtered through
     /// the workload's L2 model (if any) to split L2 from DRAM traffic.
     Global {
-        /// The warp trace.
-        trace: AddrGen,
+        /// The warp accesses.
+        map: AccessMap,
         /// Element size in bytes.
         elem_bytes: usize,
         /// How many times the representative trace repeats.
@@ -55,18 +48,16 @@ pub enum Phase {
     },
     /// Shared-memory warp accesses, serialized by bank conflicts.
     Shared {
-        /// The warp trace (element indices into the staging buffer).
-        trace: AddrGen,
+        /// The warp accesses (element indices into the staging buffer).
+        map: AccessMap,
         /// How many times the representative trace repeats.
         scale: f64,
     },
     /// Tile-granular touches filtered through an LRU of L2 capacity —
     /// the wave-reuse model of the matmul driver.
     TileTouches {
-        /// The touch trace.
-        trace: TouchGen,
-        /// How many times the representative trace repeats.
-        scale: f64,
+        /// The wave schedule.
+        waves: TileWaves,
     },
     /// Pre-aggregated traffic charged directly to the DRAM and L2
     /// terms, without cache filtering — for workloads (LUD panels)
@@ -93,6 +84,8 @@ pub struct BlockResources {
 }
 
 /// A workload description: fixed logical structure, layout left free.
+/// The default is an empty FP32 roofline workload to build on.
+#[derive(Clone, Debug, Default)]
 pub struct Workload {
     /// Display name.
     pub name: String,
@@ -120,16 +113,6 @@ pub struct Workload {
     /// How the bottleneck terms combine into a runtime (roofline for
     /// overlapped kernels, additive for dependency-serialized ones).
     pub mode: PricingMode,
-    /// Geometry fingerprint prefix for the traffic memo (see
-    /// [`crate::traffic`]): a stable string covering *every* parameter
-    /// the phase traces read — builder params and the device the
-    /// closures were built against. `None` (the default for hand-built
-    /// workloads) keeps the closure-carrying phases uncacheable; only
-    /// the producer that wrote the closures can promise completeness,
-    /// so cacheability is opt-in at construction. The cost model
-    /// appends the pricing-device geometry and a structural layout
-    /// fingerprint before using it as a memo key.
-    pub traffic_key: Option<String>,
     /// The traffic phases.
     pub phases: Vec<Phase>,
 }
@@ -174,6 +157,7 @@ pub type ScoreJob = (Layout, Workload);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::{Coord, Lane};
     use crate::config::a100;
     use crate::model::CostModel;
 
@@ -190,14 +174,13 @@ mod tests {
             l2: None,
             resources: BlockResources::default(),
             mode: PricingMode::Roofline,
-            traffic_key: None,
             phases: vec![Phase::Global {
-                trace: Box::new(move |layout, sink| {
-                    let idx: Vec<i64> = (0..32)
-                        .map(|l| layout.apply(&[l * stride]).unwrap())
-                        .collect();
-                    sink(&idx);
-                }),
+                map: AccessMap::new(
+                    vec![],
+                    32,
+                    32,
+                    vec![vec![Coord(0, vec![], Lane::Mul(stride))]],
+                ),
                 elem_bytes: 4,
                 scale: 1000.0,
             }],
@@ -249,12 +232,16 @@ mod tests {
             l2: None,
             resources: BlockResources::default(),
             mode: PricingMode::Roofline,
-            traffic_key: None,
             phases: vec![Phase::Shared {
-                trace: Box::new(|layout, sink| {
-                    let idx: Vec<i64> = (0..32).map(|r| layout.apply(&[r, 0]).unwrap()).collect();
-                    sink(&idx);
-                }),
+                map: AccessMap::new(
+                    vec![],
+                    32,
+                    32,
+                    vec![vec![
+                        Coord(0, vec![], Lane::Mul(1)),
+                        Coord(0, vec![], Lane::Mul(0)),
+                    ]],
+                ),
                 scale: 1.0,
             }],
         };

@@ -31,9 +31,10 @@ pub const MEM_SAT_OCCUPANCY: f64 = 0.25;
 pub const ISSUE_SAT_OCCUPANCY: f64 = 0.5;
 
 /// Which compute pipeline a kernel saturates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Pipeline {
     /// CUDA-core FP32 FMA.
+    #[default]
     Fp32,
     /// Tensor-core FP16.
     TensorFp16,
@@ -63,21 +64,6 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// Merges another profile into this one (e.g. per-block profiles).
-    /// Traffic and work are additive; per-block resources take the
-    /// maximum (the worst-occupancy kernel bounds the merged launch).
-    pub fn merge(&mut self, other: &KernelProfile) {
-        self.flops += other.flops;
-        self.dram_bytes += other.dram_bytes;
-        self.l2_bytes += other.l2_bytes;
-        self.smem_passes += other.smem_passes;
-        self.blocks += other.blocks;
-        self.launches += other.launches;
-        self.warps_per_block = self.warps_per_block.max(other.warps_per_block);
-        self.regs_per_block = self.regs_per_block.max(other.regs_per_block);
-        self.smem_per_block = self.smem_per_block.max(other.smem_per_block);
-    }
-
     /// Resident warps per SM under `cfg`'s occupancy limits: how many
     /// whole blocks fit the register file, the shared-memory carveout,
     /// and the warp cap, times warps per block. Returns the warp cap
@@ -170,17 +156,6 @@ pub fn estimate(profile: &KernelProfile, pipeline: Pipeline, cfg: &GpuConfig) ->
         overhead_s,
         total_s,
     }
-}
-
-/// Achieved FLOP/s of a profile under the estimate.
-pub fn achieved_flops(profile: &KernelProfile, pipeline: Pipeline, cfg: &GpuConfig) -> f64 {
-    profile.flops / estimate(profile, pipeline, cfg).total_s
-}
-
-/// Achieved bytes/s (for bandwidth-bound kernels such as transpose,
-/// counting useful bytes only).
-pub fn achieved_bandwidth(useful_bytes: f64, profile: &KernelProfile, cfg: &GpuConfig) -> f64 {
-    useful_bytes / estimate(profile, Pipeline::Fp32, cfg).total_s
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
-//! Shared workload trace builders — one source of truth for how each
-//! paper workload touches memory.
+//! Shared workload builders — one source of truth for how each paper
+//! workload touches memory.
 //!
 //! Historically the repo carried *two* encodings of every workload's
 //! access pattern: the `lego-bench` drivers replayed traces for the
 //! paper tables, and `lego-tune`'s search space re-implemented the same
 //! loops for the tuning oracle, so the two could silently drift apart.
 //! This module is the merge point: each builder struct owns one
-//! workload's logical access pattern and its `build` method emits it as
-//! [`Phase`]s through the existing [`AddrGen`] / [`TouchGen`] callbacks,
+//! workload's logical access pattern and its `build` method describes
+//! it as data — [`Phase`]s carrying an [`AccessMap`] or [`TileWaves`] —
 //! producing a [`Workload`] that [`crate::CostModel::price`] prices. An
 //! estimate printed in a paper table and an estimate ranked by the tuner
 //! now come from literally the same code path.
@@ -17,13 +17,14 @@
 //! register/warp estimates come from the generator family and scale
 //! with the device's warp size — and the occupancy term of
 //! [`crate::timing`] can penalize register/smem-hungry configurations.
-//! Warp-sized lane groups are emitted per [`GpuConfig::warp_size`]
-//! (32-lane NVIDIA warps, 64-lane CDNA wavefronts), so the same trace
-//! code prices both device families.
+//! Lanes are chunked into warps of [`GpuConfig::warp_size`] (32-lane
+//! NVIDIA warps, 64-lane CDNA wavefronts), so the same descriptions
+//! price both device families.
 
+use crate::access::{AccessMap, Coord, Lane, TileWaves};
 use crate::config::GpuConfig;
 use crate::model::PricingMode;
-use crate::score::{AddrGen, BlockResources, L2Model, Phase, TouchGen, Workload};
+use crate::score::{BlockResources, L2Model, Phase, Workload};
 use crate::timing::Pipeline;
 
 /// Non-smem instruction cycles per NW in-block wavefront step
@@ -39,15 +40,6 @@ pub const NW_PASS_CYCLES: f64 = 5.0;
 /// (calibrated at half the A100's 4 µs), and scaling by the config
 /// keeps the device descriptor authoritative for dispatch cost.
 pub const NW_LAUNCH_OVERHEAD_RATIO: f64 = 0.5;
-
-/// Splits `idx` into device-warp-sized lane groups and feeds each to
-/// `sink` — the shared "what is one warp access on this device"
-/// helper of the trace builders.
-fn emit_warp_chunks(idx: &[i64], warp: usize, sink: &mut dyn FnMut(&[i64])) {
-    for chunk in idx.chunks(warp.max(1)) {
-        sink(chunk);
-    }
-}
 
 // ---------------------------------------------------------------------
 // Matmul: wave-by-wave tile touches.
@@ -112,28 +104,14 @@ impl MatmulWaves {
         let (nt_m, nt_n) = (n / bm, n / bn);
         let ksteps = n / bk;
         let nblocks = nt_m * nt_n;
-        let wave = cfg.sm_count as i64;
-        let a_bytes = (bm * bk * elem) as usize;
-        let b_bytes = (bk * bn * elem) as usize;
-        let trace: TouchGen = Box::new(move |layout, sink| {
-            let mut pid0 = 0i64;
-            while pid0 < nblocks {
-                let pids: Vec<(i64, i64)> = (pid0..(pid0 + wave).min(nblocks))
-                    .map(|pid| {
-                        let v = layout.inv(pid).expect("pid in range");
-                        (v[0], v[1])
-                    })
-                    .collect();
-                for kk in 0..ksteps {
-                    for &(pm, pn) in &pids {
-                        // Tile ids: disjoint namespaces for A and B.
-                        sink((pm * ksteps + kk) << 1, a_bytes);
-                        sink(((kk * nt_n + pn) << 1) | 1, b_bytes);
-                    }
-                }
-                pid0 += wave;
-            }
-        });
+        let waves = TileWaves {
+            blocks: nblocks,
+            wave: cfg.sm_count as i64,
+            ksteps,
+            tiles_n: nt_n,
+            a_bytes: (bm * bk * elem) as usize,
+            b_bytes: (bk * bn * elem) as usize,
+        };
         let c_bytes = (n * n * elem) as f64;
         Workload {
             name: self.name(),
@@ -144,13 +122,9 @@ impl MatmulWaves {
             blocks: nblocks as f64,
             launches: if self.vendor { 1.0 } else { 2.0 },
             wave_quantized: !self.vendor,
-            l2: None,
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
-            // The trace reads n/bm/bn/bk plus the wave width (sm_count)
-            // baked in above; vendor/index_flops only touch assembly.
-            traffic_key: Some(format!("mm:n{n}:t{bm}x{bn}x{bk}:d{}", cfg.tag)),
-            phases: vec![Phase::TileTouches { trace, scale: 1.0 }],
+            phases: vec![Phase::TileTouches { waves }],
+            ..Workload::default()
         }
     }
 }
@@ -201,21 +175,15 @@ impl TransposeSweeps {
         // tile's thread count.
         let lanes = (cfg.warp_size as i64).min(t * t);
         let warps_per_tile = (t * t) as f64 / lanes as f64;
-        let global: AddrGen = Box::new(move |_layout, sink| {
-            let row: Vec<i64> = (0..lanes).collect();
-            if staged {
-                // Both global accesses row-contiguous.
-                sink(&row);
-                sink(&row);
-            } else {
-                // Coalesced read, stride-n write.
-                let col: Vec<i64> = (0..lanes).map(|l| l * n).collect();
-                sink(&row);
-                sink(&col);
-            }
-        });
+        // Both global halves read one row-contiguous warp when staged;
+        // unstaged, the write half strides by `n`. Flat element indices.
+        let row = vec![Coord(0, vec![], Lane::Mul(1))];
+        let write = vec![Coord(0, vec![], Lane::Mul(if staged { 1 } else { n }))];
         let mut phases = vec![Phase::Global {
-            trace: global,
+            map: AccessMap {
+                flat: true,
+                ..AccessMap::new(vec![], lanes, cfg.warp_size, vec![row, write])
+            },
             elem_bytes: 4,
             scale: warps_per_tile * tiles as f64,
         }];
@@ -223,44 +191,23 @@ impl TransposeSweeps {
             // The staging tile's threads in row-major order, chunked
             // into device-warp lane groups: each warp stores its slice
             // row-wise and loads it transposed.
-            let warp = cfg.warp_size;
-            let shared: AddrGen = Box::new(move |layout, sink| {
-                let threads: Vec<(i64, i64)> = (0..t)
-                    .flat_map(|ty| (0..t).map(move |tx| (ty, tx)))
-                    .collect();
-                let mut store = Vec::with_capacity(warp);
-                let mut load = Vec::with_capacity(warp);
-                for chunk in threads.chunks(warp) {
-                    store.clear();
-                    load.clear();
-                    for &(ty, tx) in chunk {
-                        store.push(layout.apply(&[ty, tx]).expect("in tile"));
-                        load.push(layout.apply(&[tx, ty]).expect("in tile"));
-                    }
-                    sink(&store);
-                    sink(&load);
-                }
-            });
+            let ty = Coord(0, vec![], Lane::Div(t));
+            let tx = Coord(0, vec![], Lane::Mod(t));
+            let maps = vec![vec![ty.clone(), tx.clone()], vec![tx, ty]];
             phases.push(Phase::Shared {
-                trace: shared,
+                map: AccessMap::new(vec![], t * t, cfg.warp_size, maps),
                 scale: tiles as f64,
             });
         }
         Workload {
             name: self.name(),
-            pipeline: Pipeline::Fp32,
             flops: self.index_flops,
             useful_bytes: 2.0 * (n * n * 4) as f64,
-            streamed_bytes: 0.0,
             blocks: tiles as f64,
             launches: 1.0,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
-            // The traces read n/t/staged plus the warp width baked in.
-            traffic_key: Some(format!("tr:n{n}:t{t}:s{}:d{}", staged as u8, cfg.tag)),
             phases,
+            ..Workload::default()
         }
     }
 }
@@ -334,109 +281,48 @@ impl StencilWalk {
             radius: r,
             ..
         } = *self;
-        let offs = self.offsets.clone();
-        let points = offs.len() as f64;
-        let warp_lanes = cfg.warp_size as i64;
-        let trace: AddrGen = Box::new(move |layout, sink| {
-            let clamp = |v: i64| v.clamp(r, n - 1 - r);
-            let lanes = warp_lanes;
-            let mut idx = Vec::with_capacity(lanes as usize);
-            for tx in 0..n / bx {
-                for ty in 0..n / by {
-                    for tz in 0..n / bz {
-                        // Enumerate warps inside the tile.
-                        let (wi_max, wj_max, lane_max) = match lane_axis {
-                            LaneAxis::Z => (bx, by, bz),
-                            LaneAxis::Y => (bx, bz, by),
-                            LaneAxis::YZ => (bx, 1, by * bz),
-                        };
-                        for wi in 0..wi_max {
-                            for wj in 0..wj_max {
-                                let mut l0 = 0i64;
-                                while l0 < lane_max {
-                                    let nl = lanes.min(lane_max - l0);
-                                    for &(dx, dy, dz) in &offs {
-                                        idx.clear();
-                                        for lane in 0..nl {
-                                            let (x, y, z) = match lane_axis {
-                                                LaneAxis::Z => (
-                                                    tx * bx + wi,
-                                                    ty * by + wj,
-                                                    tz * bz + l0 + lane,
-                                                ),
-                                                LaneAxis::Y => (
-                                                    tx * bx + wi,
-                                                    ty * by + l0 + lane,
-                                                    tz * bz + wj,
-                                                ),
-                                                LaneAxis::YZ => {
-                                                    let local = l0 + lane;
-                                                    (
-                                                        tx * bx + wi,
-                                                        ty * by + local / bz,
-                                                        tz * bz + local % bz,
-                                                    )
-                                                }
-                                            };
-                                            idx.push(
-                                                layout
-                                                    .apply(&[
-                                                        clamp(x + dx),
-                                                        clamp(y + dy),
-                                                        clamp(z + dz),
-                                                    ])
-                                                    .expect("in bounds"),
-                                            );
-                                        }
-                                        sink(&idx);
-                                    }
-                                    l0 += lanes;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
+        let points = self.offsets.len() as f64;
+        // Outer space: tile (tx, ty, tz), then the warp row (wi, wj)
+        // inside it; the lanes walk the rest of the tile.
+        let (wj, lanes, (y_wj, y_lane), (z_wj, z_lane)) = match lane_axis {
+            LaneAxis::Z => (by, bz, (1, Lane::Mul(0)), (0, Lane::Mul(1))),
+            LaneAxis::Y => (bz, by, (0, Lane::Mul(1)), (1, Lane::Mul(0))),
+            LaneAxis::YZ => (1, by * bz, (0, Lane::Div(bz)), (0, Lane::Mod(bz))),
+        };
+        let walk = vec![
+            Coord(0, vec![bx, 0, 0, 1, 0], Lane::Mul(0)),
+            Coord(0, vec![0, by, 0, 0, y_wj], y_lane),
+            Coord(0, vec![0, 0, bz, 0, z_wj], z_lane),
+        ];
+        let outer = vec![n / bx, n / by, n / bz, bx, wj];
+        let taps = self
+            .offsets
+            .iter()
+            .map(|&(x, y, z)| vec![x, y, z])
+            .collect();
+        let map = AccessMap {
+            taps,
+            clamp: Some((r, n - 1 - r)),
+            ..AccessMap::new(outer, lanes, cfg.warp_size, vec![walk])
+        };
         // Scaled L2: preserve the paper's 512³·4B : 40 MiB ratio.
         let domain_bytes = (n * n * n * 4) as f64;
         let lines = ((domain_bytes / 12.8) as usize / cfg.sector_bytes).max(1024);
-        // The offsets are the only unbounded trace parameter: fold them
-        // into an FNV tag so custom shapes sharing a display name
-        // cannot collide in the traffic memo.
-        let mut off_tag: u64 = 0xcbf2_9ce4_8422_2325;
-        for &(dx, dy, dz) in &self.offsets {
-            for v in [dx, dy, dz] {
-                off_tag ^= v as u64;
-                off_tag = off_tag.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
         Workload {
             name: self.name(),
-            pipeline: Pipeline::Fp32,
             flops: 2.0 * points * (n * n * n) as f64 + self.index_flops,
             useful_bytes: 2.0 * domain_bytes,
             streamed_bytes: domain_bytes,
             blocks: ((n / bx) * (n / by) * (n / bz)) as f64,
             launches: 1.0,
-            wave_quantized: false,
             l2: Some(L2Model { lines, assoc: 16 }),
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
-            traffic_key: Some(format!(
-                "st:o{off_tag:016x}:r{r}:n{n}:b{bx}x{by}x{bz}:a{}:d{}",
-                match lane_axis {
-                    LaneAxis::Y => "y",
-                    LaneAxis::Z => "z",
-                    LaneAxis::YZ => "yz",
-                },
-                cfg.tag
-            )),
             phases: vec![Phase::Global {
-                trace,
+                map,
                 elem_bytes: 4,
                 scale: 1.0,
             }],
+            ..Workload::default()
         }
     }
 }
@@ -462,30 +348,22 @@ pub struct NwWavefront {
 }
 
 impl NwWavefront {
-    /// The per-block wavefront warp trace: on each of the `2b-1`
-    /// in-block diagonals the active lanes write `(t+1, d-t+1)` and
-    /// read the three neighbors (NW, N, W) — four access groups per
-    /// step, each emitted through the buffer layout in `warp`-lane
-    /// chunks (a diagonal longer than the device's warp takes several
-    /// warp instructions).
-    pub fn block_trace(b: i64, warp: usize) -> AddrGen {
-        Box::new(move |layout, sink| {
-            // Per step: the write (t+1, d-t+1), then the NW, N and W
-            // reads, as (row, col) offsets from (t, d-t).
-            const GROUPS: [(i64, i64); 4] = [(1, 1), (0, 0), (0, 1), (1, 0)];
-            let mut group = Vec::with_capacity(b as usize);
-            for d in 0..(2 * b - 1) {
-                let lo = (d + 1 - b).max(0);
-                let hi = d.min(b - 1);
-                for (di, dj) in GROUPS {
-                    group.clear();
-                    group.extend(
-                        (lo..=hi).map(|t| layout.apply(&[t + di, d - t + dj]).expect("in bounds")),
-                    );
-                    emit_warp_chunks(&group, warp, sink);
-                }
-            }
-        })
+    /// One block's wavefront accesses: on each of the `2b-1` in-block
+    /// diagonals `d`, the lanes `t` inside the buffer's `b×b` interior
+    /// write `(t+1, d-t+1)` and read the three neighbors (NW, N, W) —
+    /// four taps off `(t, d-t)` — through the buffer layout, in
+    /// `warp`-lane chunks (a diagonal longer than the device's warp
+    /// takes several warp instructions).
+    pub fn block_map(b: i64, warp: usize) -> AccessMap {
+        let diagonal = vec![
+            Coord(0, vec![0], Lane::Mul(1)),
+            Coord(0, vec![1], Lane::Mul(-1)),
+        ];
+        AccessMap {
+            taps: vec![vec![1, 1], vec![0, 0], vec![0, 1], vec![1, 0]],
+            mask: Some((0, b - 1)),
+            ..AccessMap::new(vec![2 * b - 1], b, warp, vec![diagonal])
+        }
     }
 
     /// The dependency-limited launch schedule over `nb × nb` blocks:
@@ -536,15 +414,12 @@ impl NwWavefront {
         let matrix_bytes = (n * n * 4) as f64;
         Workload {
             name: self.name(),
-            pipeline: Pipeline::Fp32,
             flops: self.index_flops,
             useful_bytes: 2.0 * matrix_bytes,
             // Matrix read + write plus one reference-matrix read.
             streamed_bytes: 3.0 * matrix_bytes,
             blocks,
             launches,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
             // The calibrated additive wavefront pricing that used to be
             // the NW bench driver's private loop: each of the `2b-1`
@@ -556,13 +431,11 @@ impl NwWavefront {
                 pass_cycles: NW_PASS_CYCLES,
                 launch_overhead_s: NW_LAUNCH_OVERHEAD_RATIO * cfg.launch_overhead,
             },
-            // The trace reads b plus the warp width baked in; n only
-            // enters through the phase scale, which the memo key covers.
-            traffic_key: Some(format!("nw:n{n}:b{b}:d{}", cfg.tag)),
             phases: vec![Phase::Shared {
-                trace: NwWavefront::block_trace(b, cfg.warp_size),
+                map: NwWavefront::block_map(b, cfg.warp_size),
                 scale: blocks,
             }],
+            ..Workload::default()
         }
     }
 }
@@ -636,14 +509,10 @@ impl LudPanels {
         }
         Workload {
             name: self.name(),
-            pipeline: Pipeline::Fp32,
             flops: flops + self.index_flops,
             useful_bytes: 2.0 * (n * n * 4) as f64,
-            streamed_bytes: 0.0,
             blocks,
             launches,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
             // The three kernels of every factorization step depend on
             // each other: panel traffic and compute cannot overlap
@@ -655,12 +524,11 @@ impl LudPanels {
                 pass_cycles: 0.0,
                 launch_overhead_s: cfg.launch_overhead,
             },
-            // Pure pre-aggregated traffic: no closures, no layout.
-            traffic_key: Some(format!("lud:n{n}:bs{bs}:d{}", cfg.tag)),
             phases: vec![Phase::Streamed {
                 dram_bytes: dram,
                 l2_bytes: dram * 1.5,
             }],
+            ..Workload::default()
         }
     }
 }
@@ -735,38 +603,22 @@ impl RowwiseSweep {
         // every chunk is identical, so the trace is scaled to the full
         // traffic.
         let lanes = (cfg.warp_size as i64).min(bs);
-        let trace: AddrGen = Box::new(move |layout, sink| {
-            let idx: Vec<i64> = (0..lanes)
-                .map(|l| layout.apply(&[l]).expect("lane in block"))
-                .collect();
-            sink(&idx);
-        });
+        let lane = vec![vec![Coord(0, vec![], Lane::Mul(1))]];
+        let map = AccessMap::new(vec![], lanes, cfg.warp_size, lane);
         let warp_bytes = lanes as f64 * 2.0;
         Workload {
             name: self.name(),
-            pipeline: Pipeline::Fp32,
             flops: padded * self.flops_per_elem + instr_flops + self.index_flops,
             useful_bytes: 2.0 * elems * 2.0,
-            streamed_bytes: 0.0,
             blocks: m as f64,
             launches: 1.0,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
-            // `passes` is spelled out explicitly: unlike `name()`, the
-            // memo key must separate operators that share m/n/bs but
-            // sweep the matrix a different number of times.
-            traffic_key: Some(format!(
-                "rw:m{m}:n{n}:bs{bs}:p{:x}:d{}",
-                self.passes.to_bits(),
-                cfg.tag
-            )),
             phases: vec![Phase::Global {
-                trace,
+                map,
                 elem_bytes: 2,
                 scale: bytes / warp_bytes,
             }],
+            ..Workload::default()
         }
     }
 }
@@ -818,7 +670,7 @@ mod tests {
         let passes = |layout: &Layout| {
             let layout = layout.compile().unwrap();
             let mut passes = 0usize;
-            NwWavefront::block_trace(b, cfg.warp_size)(&layout, &mut |g: &[i64]| {
+            NwWavefront::block_map(b, cfg.warp_size).replay(Some(&layout), |g| {
                 passes += bank_conflicts_elems_on(g, 4, &cfg).passes;
             });
             passes as f64
@@ -961,5 +813,380 @@ mod tests {
             y.l2_bytes,
             z.l2_bytes
         );
+    }
+
+    /// The hand-written loop nests the builders emitted before their
+    /// phases became access maps, kept verbatim (as functions of what
+    /// each closure captured) as the reference the replay must match.
+    mod reference {
+        use super::LaneAxis;
+        use lego_core::ConcreteLayout;
+
+        fn emit_warp_chunks(idx: &[i64], warp: usize, sink: &mut dyn FnMut(&[i64])) {
+            for chunk in idx.chunks(warp.max(1)) {
+                sink(chunk);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn matmul(
+            (nblocks, wave, ksteps, nt_n): (i64, i64, i64, i64),
+            a_bytes: usize,
+            b_bytes: usize,
+            layout: &ConcreteLayout,
+            sink: &mut dyn FnMut(i64, usize),
+        ) {
+            let mut pid0 = 0i64;
+            while pid0 < nblocks {
+                let pids: Vec<(i64, i64)> = (pid0..(pid0 + wave).min(nblocks))
+                    .map(|pid| {
+                        let v = layout.inv(pid).expect("pid in range");
+                        (v[0], v[1])
+                    })
+                    .collect();
+                for kk in 0..ksteps {
+                    for &(pm, pn) in &pids {
+                        // Tile ids: disjoint namespaces for A and B.
+                        sink((pm * ksteps + kk) << 1, a_bytes);
+                        sink(((kk * nt_n + pn) << 1) | 1, b_bytes);
+                    }
+                }
+                pid0 += wave;
+            }
+        }
+
+        pub(super) fn transpose_global(
+            n: i64,
+            staged: bool,
+            lanes: i64,
+            sink: &mut dyn FnMut(&[i64]),
+        ) {
+            let row: Vec<i64> = (0..lanes).collect();
+            if staged {
+                // Both global accesses row-contiguous.
+                sink(&row);
+                sink(&row);
+            } else {
+                // Coalesced read, stride-n write.
+                let col: Vec<i64> = (0..lanes).map(|l| l * n).collect();
+                sink(&row);
+                sink(&col);
+            }
+        }
+
+        pub(super) fn transpose_shared(
+            t: i64,
+            warp: usize,
+            layout: &ConcreteLayout,
+            sink: &mut dyn FnMut(&[i64]),
+        ) {
+            let threads: Vec<(i64, i64)> = (0..t)
+                .flat_map(|ty| (0..t).map(move |tx| (ty, tx)))
+                .collect();
+            let mut store = Vec::with_capacity(warp);
+            let mut load = Vec::with_capacity(warp);
+            for chunk in threads.chunks(warp) {
+                store.clear();
+                load.clear();
+                for &(ty, tx) in chunk {
+                    store.push(layout.apply(&[ty, tx]).expect("in tile"));
+                    load.push(layout.apply(&[tx, ty]).expect("in tile"));
+                }
+                sink(&store);
+                sink(&load);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn stencil(
+            n: i64,
+            (bx, by, bz): (i64, i64, i64),
+            lane_axis: LaneAxis,
+            r: i64,
+            offs: &[(i64, i64, i64)],
+            warp_lanes: i64,
+            layout: &ConcreteLayout,
+            sink: &mut dyn FnMut(&[i64]),
+        ) {
+            let clamp = |v: i64| v.clamp(r, n - 1 - r);
+            let lanes = warp_lanes;
+            let mut idx = Vec::with_capacity(lanes as usize);
+            for tx in 0..n / bx {
+                for ty in 0..n / by {
+                    for tz in 0..n / bz {
+                        // Enumerate warps inside the tile.
+                        let (wi_max, wj_max, lane_max) = match lane_axis {
+                            LaneAxis::Z => (bx, by, bz),
+                            LaneAxis::Y => (bx, bz, by),
+                            LaneAxis::YZ => (bx, 1, by * bz),
+                        };
+                        for wi in 0..wi_max {
+                            for wj in 0..wj_max {
+                                let mut l0 = 0i64;
+                                while l0 < lane_max {
+                                    let nl = lanes.min(lane_max - l0);
+                                    for &(dx, dy, dz) in offs {
+                                        idx.clear();
+                                        for lane in 0..nl {
+                                            let (x, y, z) = match lane_axis {
+                                                LaneAxis::Z => (
+                                                    tx * bx + wi,
+                                                    ty * by + wj,
+                                                    tz * bz + l0 + lane,
+                                                ),
+                                                LaneAxis::Y => (
+                                                    tx * bx + wi,
+                                                    ty * by + l0 + lane,
+                                                    tz * bz + wj,
+                                                ),
+                                                LaneAxis::YZ => {
+                                                    let local = l0 + lane;
+                                                    (
+                                                        tx * bx + wi,
+                                                        ty * by + local / bz,
+                                                        tz * bz + local % bz,
+                                                    )
+                                                }
+                                            };
+                                            idx.push(
+                                                layout
+                                                    .apply(&[
+                                                        clamp(x + dx),
+                                                        clamp(y + dy),
+                                                        clamp(z + dz),
+                                                    ])
+                                                    .expect("in bounds"),
+                                            );
+                                        }
+                                        sink(&idx);
+                                    }
+                                    l0 += lanes;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        pub(super) fn nw(
+            b: i64,
+            warp: usize,
+            layout: &ConcreteLayout,
+            sink: &mut dyn FnMut(&[i64]),
+        ) {
+            // Per step: the write (t+1, d-t+1), then the NW, N and W
+            // reads, as (row, col) offsets from (t, d-t).
+            const GROUPS: [(i64, i64); 4] = [(1, 1), (0, 0), (0, 1), (1, 0)];
+            let mut group = Vec::with_capacity(b as usize);
+            for d in 0..(2 * b - 1) {
+                let lo = (d + 1 - b).max(0);
+                let hi = d.min(b - 1);
+                for (di, dj) in GROUPS {
+                    group.clear();
+                    group.extend(
+                        (lo..=hi).map(|t| layout.apply(&[t + di, d - t + dj]).expect("in bounds")),
+                    );
+                    emit_warp_chunks(&group, warp, sink);
+                }
+            }
+        }
+
+        pub(super) fn rowwise(lanes: i64, layout: &ConcreteLayout, sink: &mut dyn FnMut(&[i64])) {
+            let idx: Vec<i64> = (0..lanes)
+                .map(|l| layout.apply(&[l]).expect("lane in block"))
+                .collect();
+            sink(&idx);
+        }
+    }
+
+    fn devices() -> [GpuConfig; 3] {
+        [a100(), h100(), crate::config::mi300()]
+    }
+
+    /// The identity and the reversed layout over `dims`, compiled.
+    fn layouts<const N: usize>(dims: [i64; N]) -> [lego_core::ConcreteLayout; 2] {
+        use lego_core::perms::reverse_perm;
+        use lego_core::OrderBy;
+        let reversed = Layout::builder(dims)
+            .order_by(OrderBy::new([reverse_perm(&dims).unwrap()]).unwrap())
+            .build()
+            .unwrap();
+        [Layout::identity(dims).unwrap(), reversed].map(|l| l.compile().unwrap())
+    }
+
+    /// Warp accesses, in emission order.
+    fn warps(emit: impl FnOnce(&mut dyn FnMut(&[i64]))) -> Vec<Vec<i64>> {
+        let mut out = Vec::new();
+        emit(&mut |idx: &[i64]| out.push(idx.to_vec()));
+        out
+    }
+
+    /// The single access map of `phase`, replayed.
+    fn replayed(phase: &Phase, layout: &lego_core::ConcreteLayout) -> Vec<Vec<i64>> {
+        match phase {
+            Phase::Global { map, .. } | Phase::Shared { map, .. } => {
+                warps(|sink| map.replay(Some(layout), sink))
+            }
+            other => panic!("not an access map: {other:?}"),
+        }
+    }
+
+    fn sorted(mut warps: Vec<Vec<i64>>) -> Vec<Vec<i64>> {
+        warps.sort();
+        warps
+    }
+
+    #[test]
+    fn matmul_waves_replay_the_reference_touches() {
+        for cfg in devices() {
+            for (n, tiles) in [
+                (512, (64, 64, 32)),
+                (1024, (128, 64, 64)),
+                (768, (128, 128, 64)),
+            ] {
+                let w = MatmulWaves::with_tiles(n, tiles).build(&cfg);
+                let [Phase::TileTouches { waves }] = &w.phases[..] else {
+                    panic!("matmul is one tile-touch phase");
+                };
+                let (bm, bn, bk) = tiles;
+                for layout in layouts([n / bm, n / bn]) {
+                    let mut got = Vec::new();
+                    waves.replay(&layout, |id, bytes| got.push((id, bytes)));
+                    let mut want = Vec::new();
+                    let shape = ((n / bm) * (n / bn), cfg.sm_count as i64, n / bk, n / bn);
+                    let (a, b) = ((bm * bk * 2) as usize, (bk * bn * 2) as usize);
+                    reference::matmul(shape, a, b, &layout, &mut |id, bytes| {
+                        want.push((id, bytes))
+                    });
+                    assert_eq!(got, want, "matmul(n={n},{tiles:?}) on {}", cfg.tag);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_maps_replay_the_reference_warps() {
+        for cfg in devices() {
+            for t in [4, 8, 32] {
+                for staged in [false, true] {
+                    let n = 256;
+                    let w = TransposeSweeps {
+                        n,
+                        t,
+                        staged,
+                        index_flops: 0.0,
+                    }
+                    .build(&cfg);
+                    let what = format!("transpose t={t} staged={staged} on {}", cfg.tag);
+                    let Phase::Global { map, .. } = &w.phases[0] else {
+                        panic!("{what}: global phase first");
+                    };
+                    let lanes = (cfg.warp_size as i64).min(t * t);
+                    assert_eq!(
+                        warps(|sink| map.replay(None, sink)),
+                        warps(|sink| reference::transpose_global(n, staged, lanes, sink)),
+                        "{what}"
+                    );
+                    assert_eq!(w.phases.len(), 1 + staged as usize, "{what}");
+                    for layout in layouts([t, t]).iter().filter(|_| staged) {
+                        assert_eq!(
+                            sorted(replayed(&w.phases[1], layout)),
+                            sorted(warps(|sink| {
+                                reference::transpose_shared(t, cfg.warp_size, layout, sink)
+                            })),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stencil_maps_replay_the_reference_warps() {
+        let offsets = vec![(0, 0, 0), (1, 0, 0), (0, -1, 0), (0, 0, 1), (-1, 1, -1)];
+        for cfg in devices() {
+            for n in [8, 16, 32] {
+                for lane_axis in [LaneAxis::Y, LaneAxis::Z, LaneAxis::YZ] {
+                    for block in [(2, 4, 8), (4, 8, 4), (1, 8, 8)] {
+                        let walk = StencilWalk {
+                            shape_name: "custom".into(),
+                            offsets: offsets.clone(),
+                            radius: 1,
+                            n,
+                            block,
+                            lane_axis,
+                            index_flops: 0.0,
+                        };
+                        let w = walk.build(&cfg);
+                        for layout in layouts([n, n, n]) {
+                            let want = warps(|sink| {
+                                let warp = cfg.warp_size as i64;
+                                reference::stencil(
+                                    n, block, lane_axis, 1, &offsets, warp, &layout, sink,
+                                )
+                            });
+                            assert_eq!(
+                                replayed(&w.phases[0], &layout),
+                                want,
+                                "stencil n={n} {lane_axis:?} {block:?} on {}",
+                                cfg.tag
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nw_block_map_replays_the_reference_warps() {
+        for cfg in devices() {
+            for b in [16, 48, 96] {
+                let w = NwWavefront {
+                    n: 4 * b,
+                    b,
+                    index_flops: 0.0,
+                }
+                .build(&cfg);
+                for layout in layouts([b + 1, b + 1]) {
+                    // Chunk and tap order may swap; passes are summed.
+                    assert_eq!(
+                        sorted(replayed(&w.phases[0], &layout)),
+                        sorted(warps(|sink| reference::nw(b, cfg.warp_size, &layout, sink))),
+                        "nw b={b} on {}",
+                        cfg.tag
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rowwise_map_replays_the_reference_warp() {
+        for cfg in devices() {
+            for bs in [16, 32, 48, 256] {
+                let w = RowwiseSweep {
+                    op_name: "softmax".into(),
+                    m: 64,
+                    n: 1000,
+                    bs,
+                    passes: 2.0,
+                    flops_per_elem: 6.0,
+                    index_flops: 0.0,
+                }
+                .build(&cfg);
+                let lanes = (cfg.warp_size as i64).min(bs);
+                for layout in layouts([bs]) {
+                    assert_eq!(
+                        replayed(&w.phases[0], &layout),
+                        warps(|sink| reference::rowwise(lanes, &layout, sink)),
+                        "rowwise bs={bs} on {}",
+                        cfg.tag
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,22 +4,19 @@
 //! warp-level trace (coalescing, bank conflicts, L2 filtering) to
 //! produce the bytes-moved totals, then assembles a timing estimate
 //! from them. The replay depends only on the candidate's *geometry* —
-//! the trace-builder parameters, the layout under test, and the device
-//! — while expression variants only perturb the cheap closed-form
+//! the phase descriptions, the layout under test, and the device —
+//! while expression variants only perturb the cheap closed-form
 //! assembly (`flops`, resources). This module caches the replay's
 //! result, a [`TrafficCost`], in a per-thread map keyed by a
 //! **geometry fingerprint**, so N variants per geometry cost one trace
 //! replay plus N re-timings.
 //!
-//! The fingerprint is opt-in at the producer: a
-//! [`Workload`](crate::Workload) whose `traffic_key` is `None` (every
-//! hand-built workload) bypasses the memo entirely, because closures in
-//! [`Phase`](crate::Phase) traces are opaque — only the code that built
-//! them can promise that a key captures everything the trace reads.
-//! The built-in [`crate::trace`] builders all set keys covering their
-//! full parameter set plus the device tag; the cost model appends the
-//! pricing-device geometry and a structural layout fingerprint before
-//! probing the memo (see `CostModel::traffic`).
+//! The cost model derives the key itself (see `CostModel::traffic`):
+//! the phases are plain data ([`crate::access`]), so it renders them
+//! exactly, together with the workload's L2 model, the pricing-device
+//! geometry and a structural layout fingerprint. Every workload is
+//! memoizable, hand-built ones included; `CostModel::trace` is the
+//! unmemoized pass.
 //!
 //! Like the expression memos, the map is thread-local (searches are
 //! sharded across threads with no locks) and exportable: the
@@ -90,8 +87,8 @@ pub(crate) fn insert(key: String, tc: TrafficCost) {
     });
 }
 
-/// (hits, misses) of this thread's traffic-memo probes. Uncacheable
-/// prices (no `traffic_key`) are not counted.
+/// (hits, misses) of this thread's traffic-memo probes. Unmemoized
+/// traces (`CostModel::trace`) are not counted.
 pub fn memo_stats() -> (u64, u64) {
     STATS.get()
 }

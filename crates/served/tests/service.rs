@@ -217,6 +217,38 @@ fn a_budget_beyond_the_domain_gets_the_exhaustive_winner() {
     shutdown_and_join(server);
 }
 
+/// A budget-64 anneal that swept `nw(n=64,b=16)`'s 30-point domain
+/// answers a later budget-128 request from the memory tier, with the
+/// bytes a fresh budget-128 search answers.
+#[test]
+fn a_swept_domain_serves_a_larger_budget_from_memory() {
+    let tune = |budget: usize| {
+        format!(
+            "{{\"verb\":\"tune\",\"workload\":\"nw(n=64,b=16)\",\
+             \"strategy\":\"anneal\",\"budget\":{budget}}}"
+        )
+    };
+    let fresh = start_with(None, 1);
+    let expected = Client::connect(fresh.local_addr())
+        .expect("connect")
+        .roundtrip_line(&tune(128))
+        .expect("fresh budget-128 tune");
+    shutdown_and_join(fresh);
+
+    let server = start_with(None, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let first = client.roundtrip_line(&tune(64)).expect("budget-64 tune");
+    assert!(is_ok(&Json::parse(&first).expect("JSON")), "{first}");
+    let served = client.roundtrip_line(&tune(128)).expect("budget-128 tune");
+    assert_eq!(server.service().metrics().searches_run(), 1);
+    let tiers = server.service().metrics().to_json();
+    let memory = tiers.get("tiers").and_then(|t| t.get("memory"));
+    assert_eq!(memory.and_then(Json::as_i64), Some(1));
+    assert_eq!(served, expected);
+    drop(client);
+    shutdown_and_join(server);
+}
+
 fn service_errors(server: &Server) -> i64 {
     server
         .service()

@@ -197,7 +197,7 @@ impl TuneRequest {
     /// Whether a stored entry satisfies this request (same rule the
     /// [`Tuner`] applies on a cache hit).
     pub fn satisfied_by(&self, hit: &CachedTuning) -> bool {
-        self.tuner().satisfied_by(hit)
+        self.tuner().satisfied_by(&self.kind, hit)
     }
 }
 

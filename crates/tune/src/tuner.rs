@@ -165,18 +165,22 @@ impl Tuner {
         })
     }
 
-    /// Whether a cached entry satisfies the current search request: the
-    /// strategy and space must match, and a budgeted entry must have
-    /// spent at least the requested budget. Public so services layering
-    /// their own in-memory tier over the cache (the `lego-served`
-    /// daemon) apply exactly the serving rule `tune` does.
-    pub fn satisfied_by(&self, hit: &CachedTuning) -> bool {
+    /// Whether a cached entry for `kind` satisfies the current search
+    /// request: the strategy and space must match, and a budgeted entry
+    /// must have spent at least the requested budget or swept its whole
+    /// domain (`evaluated` equal to the domain's size), which no larger
+    /// budget could improve on. Public so services layering their own
+    /// in-memory tier over the cache (the `lego-served` daemon) apply
+    /// exactly the serving rule `tune` does.
+    pub fn satisfied_by(&self, kind: &WorkloadKind, hit: &CachedTuning) -> bool {
+        let space = self.effective_space();
         hit.strategy == self.strategy.name()
-            && hit.space == self.effective_space().name()
+            && hit.space == space.name()
             && match self.strategy {
                 Strategy::Exhaustive => true,
                 Strategy::Anneal | Strategy::Genetic => {
                     hit.budget.unwrap_or(0) >= self.budget.max_evals()
+                        || hit.evaluated == Domain::new(*kind, space).len()
                 }
             }
     }
@@ -214,7 +218,7 @@ impl Tuner {
         let mut warm_start: Vec<TunedConfig> = Vec::new();
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.lookup(&key) {
-                if self.satisfied_by(&hit) {
+                if self.satisfied_by(kind, &hit) {
                     let result = TuneResult {
                         workload,
                         config: hit.config,

@@ -168,6 +168,37 @@ fn second_run_hits_cache() {
     let _ = std::fs::remove_dir(&dir);
 }
 
+/// A budgeted search that swept its whole domain satisfies a later,
+/// larger budget from the cache: no larger budget could change it.
+#[test]
+fn a_swept_domain_satisfies_any_later_budget() {
+    let dir = std::env::temp_dir().join(format!("lego-tune-test-{}", std::process::id()));
+    let path = dir.join("cache-swept.json");
+    let _ = std::fs::remove_file(&path);
+
+    let kind = WorkloadKind::Nw { n: 64, b: 16 };
+    let len = Domain::new(kind, SpaceScale::Enlarged).len();
+    assert!(len < 64, "the budget-64 search must sweep the domain");
+    let anneal = |budget| {
+        Tuner::new(a100())
+            .with_cache(&path)
+            .with_strategy(Strategy::Anneal)
+            .with_budget(Budget(budget))
+            .tune(&kind)
+            .unwrap()
+    };
+    let first = anneal(64);
+    assert!(!first.from_cache);
+    assert_eq!(first.evaluated, len);
+    let second = anneal(128);
+    assert!(second.from_cache, "a swept domain must satisfy budget 128");
+    assert_eq!(second.config, first.config);
+    assert_eq!(second.tuned, first.tuned);
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir(&dir);
+}
+
 /// Non-power-of-two problem sizes enumerate only constructible
 /// schedules (GM must divide nt_m) and tune cleanly end to end.
 #[test]

@@ -5,16 +5,19 @@
 //! optimizations: by contract they change *nothing* observable.
 //!
 //! * memo on vs. memo off must produce bit-identical [`Estimate`]s for
-//!   every candidate of every workload family on every device (a
-//!   `traffic_key = None` workload bypasses the memo entirely, so
-//!   pricing the same candidate both ways compares the cached and the
-//!   uncached paths);
+//!   every candidate of every workload family on every device
+//!   ([`gpu_sim::CostModel::trace`] is the unmemoized traffic pass, so
+//!   assembling its result compares the cached and the uncached
+//!   paths);
+//! * the memo key, derived from the phase descriptions, separates
+//!   workloads whose traces differ and serves hand-built workloads too;
 //! * [`gpu_sim::CostModel::bound`] must be admissible — never above
 //!   the full-trace time — for every candidate, since the pruning
 //!   proof rests on it;
 //! * the pruned exhaustive search must return the same winner, naive
 //!   baseline, frontier, and evaluation count as scoring everything.
 
+use gpu_sim::trace::{LaneAxis, StencilWalk};
 use gpu_sim::{a100, h100, mi300, CostModel, GpuConfig};
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_tune::cache::config_to_json;
@@ -74,12 +77,9 @@ fn memoized_pricing_is_bit_identical_to_uncached() {
         for kind in &kinds() {
             for (cand, layout) in feasible(kind, 13) {
                 let wl = lego_tune::build_workload(kind, &cand, gpu);
-                assert!(wl.traffic_key.is_some(), "{kind:?} builder must set a key");
                 let cached_cold = model.price(&layout, &wl);
                 let cached_warm = model.price(&layout, &wl);
-                let mut bare = lego_tune::build_workload(kind, &cand, gpu);
-                bare.traffic_key = None;
-                let uncached = model.price(&layout, &bare);
+                let uncached = model.assemble(&wl, &model.trace(&layout, &wl));
                 assert_eq!(
                     cached_cold, uncached,
                     "{kind:?} on {}: memoized price diverged from direct trace",
@@ -93,6 +93,101 @@ fn memoized_pricing_is_bit_identical_to_uncached() {
             }
         }
     }
+}
+
+/// Memo (hits, misses) on a fresh thread — a fresh memo — after
+/// pricing `jobs` in order.
+fn memo_probes(gpu: &GpuConfig, jobs: &[(lego_core::Layout, gpu_sim::Workload)]) -> (u64, u64) {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(gpu);
+            for (layout, wl) in jobs {
+                let est = model.price(layout, wl);
+                assert_eq!(est, model.assemble(wl, &model.trace(layout, wl)));
+            }
+            gpu_sim::traffic_memo_stats()
+        })
+        .join()
+        .expect("memo probe thread")
+    })
+}
+
+fn stencil(offsets: Vec<(i64, i64, i64)>) -> StencilWalk {
+    StencilWalk {
+        shape_name: "custom".into(),
+        offsets,
+        radius: 1,
+        n: 16,
+        block: (2, 4, 8),
+        lane_axis: LaneAxis::YZ,
+        index_flops: 0.0,
+    }
+}
+
+/// Two stencils sharing a display name but not their offsets trace
+/// differently, so they must not share a memo entry.
+#[test]
+fn stencils_differing_only_in_offsets_get_different_keys() {
+    let gpu = a100();
+    let layout = lego_core::brick::row_major3d(16).unwrap();
+    let a = stencil(vec![(0, 0, 0), (1, 0, 0), (-1, 0, 0)]).build(&gpu);
+    let b = stencil(vec![(0, 0, 0), (0, 1, 0), (0, -1, 0)]).build(&gpu);
+    assert_eq!(a.name, b.name);
+    assert_eq!(
+        memo_probes(&gpu, &[(layout.clone(), a), (layout, b)]),
+        (0, 2)
+    );
+}
+
+/// A builder built for 32-lane warps and for 64-lane wavefronts
+/// chunks its lanes differently, so the two must not share a memo
+/// entry even when priced on one device.
+#[test]
+fn warp_widths_get_different_keys() {
+    let gpu = a100();
+    let wide = GpuConfig {
+        warp_size: 64,
+        ..a100()
+    };
+    let layout = lego_core::brick::row_major3d(16).unwrap();
+    let walk = stencil(vec![(0, 0, 0), (1, 0, 0)]);
+    let jobs = [
+        (layout.clone(), walk.build(&gpu)),
+        (layout, walk.build(&wide)),
+    ];
+    assert_eq!(memo_probes(&gpu, &jobs), (0, 2));
+}
+
+/// A workload built by hand, not by a `gpu_sim::trace` builder, is
+/// memoized like any other: pricing it again is a memo hit.
+#[test]
+fn a_hand_built_workload_is_memoized() {
+    use gpu_sim::{AccessMap, BlockResources, Coord, Lane, Phase, Pipeline, PricingMode, Workload};
+    let gpu = a100();
+    let column = vec![
+        Coord(0, vec![], Lane::Mul(1)),
+        Coord(0, vec![1], Lane::Mul(0)),
+    ];
+    let wl = Workload {
+        name: "columns".into(),
+        pipeline: Pipeline::Fp32,
+        flops: 0.0,
+        useful_bytes: 0.0,
+        streamed_bytes: 0.0,
+        blocks: 1.0,
+        launches: 1.0,
+        wave_quantized: false,
+        l2: None,
+        resources: BlockResources::default(),
+        mode: PricingMode::Roofline,
+        phases: vec![Phase::Shared {
+            map: AccessMap::new(vec![32], 32, 32, vec![column]),
+            scale: 1.0,
+        }],
+    };
+    let layout = lego_core::Layout::identity([32i64, 32]).unwrap();
+    let jobs = [(layout.clone(), wl.clone()), (layout, wl)];
+    assert_eq!(memo_probes(&gpu, &jobs), (1, 1));
 }
 
 #[test]

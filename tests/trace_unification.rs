@@ -196,7 +196,7 @@ fn nw_and_lud_prices_are_bit_identical() {
         for layout in [&k.baseline, &k.optimized] {
             let compiled = layout.compile().unwrap();
             let mut passes = 0usize;
-            NwWavefront::block_trace(16, cfg.warp_size)(&compiled, &mut |g: &[i64]| {
+            NwWavefront::block_map(16, cfg.warp_size).replay(Some(&compiled), |g| {
                 passes += bank_conflicts_elems_on(g, 4, &cfg).passes;
             });
             let block_passes = passes as f64;
