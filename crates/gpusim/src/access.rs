@@ -4,10 +4,10 @@
 //! an [`AccessMap`] for lane-parallel element accesses (global or
 //! shared memory) or [`TileWaves`] for matmul's wave-by-wave tile
 //! touches — and the cost model replays every description with the
-//! one interpreter here. Since nothing is hidden in a closure, the
-//! cost model derives the traffic-memo key from the descriptions
-//! themselves (see [`crate::traffic`]), and later passes can read the
-//! iteration space instead of only running it.
+//! one interpreter here. Because the descriptions are data, the cost
+//! model derives the traffic-memo key from them (see
+//! [`crate::traffic`]), and later passes can read the iteration space
+//! instead of only running it.
 
 use std::fmt;
 

@@ -274,7 +274,7 @@ impl<'a> CostModel<'a> {
     ///   because a partial wave bills as a full one.
     /// * **memory floor** — guaranteed bytes at un-derated peak
     ///   bandwidth. Guaranteed traffic is `streamed_bytes` plus the
-    ///   closure-free [`Phase::Streamed`] charges; trace-derived
+    ///   pre-aggregated [`Phase::Streamed`] charges; replayed
     ///   traffic only ever *adds* to it, and the bandwidth derate ≤ 1.
     ///   (`useful_bytes` is deliberately not used: under non-dividing
     ///   tiles the nominal algorithmic minimum can exceed what a
