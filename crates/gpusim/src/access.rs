@@ -9,9 +9,9 @@
 //! [`crate::traffic`]), and later passes can read the iteration space
 //! instead of only running it.
 
-use std::fmt;
-
 use lego_core::ConcreteLayout;
+
+use crate::traffic::key_ints;
 
 /// The lane-dependent term of a [`Coord`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,14 +25,17 @@ pub enum Lane {
 }
 
 impl Lane {
-    fn at(self, lane: i64) -> i64 {
+    /// Appends the term of each lane `0..lanes` to `out`.
+    fn tabulate(self, lanes: i64, out: &mut Vec<i64>) {
+        // Lanes are non-negative: powers of two shift and mask.
+        let pow2 = |q: i64| q > 0 && q & (q - 1) == 0;
+        let lanes = 0..lanes;
         match self {
-            Lane::Mul(a) => a * lane,
-            // Lanes are non-negative: powers of two shift and mask.
-            Lane::Div(q) if q > 0 && q & (q - 1) == 0 => lane >> q.trailing_zeros(),
-            Lane::Mod(q) if q > 0 && q & (q - 1) == 0 => lane & (q - 1),
-            Lane::Div(q) => lane / q,
-            Lane::Mod(q) => lane % q,
+            Lane::Mul(a) => out.extend(lanes.map(|l| a * l)),
+            Lane::Div(q) if pow2(q) => out.extend(lanes.map(|l| l >> q.trailing_zeros())),
+            Lane::Mod(q) if pow2(q) => out.extend(lanes.map(|l| l & (q - 1))),
+            Lane::Div(q) => out.extend(lanes.map(|l| l / q)),
+            Lane::Mod(q) => out.extend(lanes.map(|l| l % q)),
         }
     }
 }
@@ -47,7 +50,7 @@ pub struct Coord(pub i64, pub Vec<i64>, pub Lane);
 /// `outer` space (last index fastest), the lanes `0..lanes` that pass
 /// the mask are chunked into warps of `warp` lanes; each chunk emits
 /// one warp access per coordinate map and tap, in that order.
-#[derive(Clone, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AccessMap {
     /// Outer iteration extents.
     pub outer: Vec<i64>,
@@ -85,6 +88,32 @@ impl AccessMap {
         }
     }
 
+    /// Appends the map to a traffic-memo key, exactly: two maps that
+    /// replay differently append different text.
+    pub fn key(&self, out: &mut String) {
+        let rank = self.maps.first().map_or(0, Vec::len) as i64;
+        let lanes = [self.lanes, self.warp as i64, rank, self.flat as i64];
+        key_ints(out, 'o', &self.outer);
+        key_ints(out, 'l', &lanes);
+        for Coord(base, outer, lane) in self.maps.iter().flatten() {
+            let (kind, q) = match *lane {
+                Lane::Mul(a) => ('*', a),
+                Lane::Div(q) => ('/', q),
+                Lane::Mod(q) => ('%', q),
+            };
+            key_ints(out, kind, &[q, *base]);
+            key_ints(out, ':', outer);
+        }
+        for tap in &self.taps {
+            key_ints(out, 't', tap);
+        }
+        for (tag, range) in [('k', self.mask), ('z', self.clamp)] {
+            if let Some((lo, hi)) = range {
+                key_ints(out, tag, &[lo, hi]);
+            }
+        }
+    }
+
     /// Feeds every warp access, in order, to `sink` as element indices
     /// (through `layout` unless the map is flat). Lane terms are
     /// tabulated once, each outer point's coordinate bases once per
@@ -93,15 +122,14 @@ impl AccessMap {
     /// # Panics
     ///
     /// When a non-flat map gets no layout, when the maps do not have
-    /// one coordinate per layout axis (one to four), or when an access
+    /// one coordinate per layout axis (one to three), or when an access
     /// falls outside the layout.
     pub fn replay(&self, layout: Option<&ConcreteLayout>, sink: impl FnMut(&[i64])) {
         match self.maps.first().map_or(0, Vec::len) {
             1 => self.replay_rank::<1>(layout, sink),
             2 => self.replay_rank::<2>(layout, sink),
             3 => self.replay_rank::<3>(layout, sink),
-            4 => self.replay_rank::<4>(layout, sink),
-            rank => panic!("access maps have one to four coordinates, not {rank}"),
+            rank => panic!("access maps have one to three coordinates, not {rank}"),
         }
     }
 
@@ -116,45 +144,43 @@ impl AccessMap {
         // A flat map's one coordinate is the element index itself.
         let dims: [i64; R] =
             layout.map_or([i64::MAX; R], |l| l.dims().try_into().expect("map rank"));
-        let coords: Vec<&Coord> = self.maps.iter().flatten().collect();
-        // `nc` terms per lane, one per coordinate of every map.
-        let nc = coords.len();
-        let mut terms = Vec::with_capacity(self.lanes.max(0) as usize * nc);
-        for lane in 0..self.lanes {
-            terms.extend(coords.iter().map(|c| c.2.at(lane)));
+        // One column of lane terms per coordinate of every map.
+        let (lanes, nc) = (self.lanes.max(0) as usize, self.maps.len() * R);
+        let mut terms = Vec::with_capacity(lanes * nc);
+        for c in self.maps.iter().flatten() {
+            c.2.tabulate(self.lanes, &mut terms);
         }
+        let column = |k: usize| &terms[k * lanes..][..lanes];
         let (lo, hi) = self.clamp.unwrap_or((i64::MIN, i64::MAX));
         let (mut point, mut bases) = (vec![0i64; self.outer.len()], vec![0i64; nc]);
-        let (mut active, mut idx) = (Vec::new(), Vec::with_capacity(self.warp));
+        let (mut active, mut idx) = (Vec::with_capacity(lanes), Vec::with_capacity(self.warp));
         for p in 0..self.outer.iter().map(|&e| e.max(0)).product::<i64>() {
             // The outer point (last index fastest) and its coordinate bases.
             let mut rest = p;
             for (o, &e) in point.iter_mut().zip(&self.outer).rev() {
                 (*o, rest) = (rest % e, rest / e);
             }
-            for (b, c) in bases.iter_mut().zip(&coords) {
+            for (b, c) in bases.iter_mut().zip(self.maps.iter().flatten()) {
                 *b = c.0 + c.1.iter().zip(&point).map(|(k, o)| k * o).sum::<i64>();
             }
             active.clear();
-            active.extend((0..self.lanes).filter(|&lane| {
-                self.mask.is_none_or(|(lo, hi)| {
-                    let row = &terms[lane as usize * nc..][..nc];
-                    bases
-                        .iter()
-                        .zip(row)
-                        .all(|(b, t)| (lo..=hi).contains(&(b + t)))
-                })
-            }));
+            active.extend(0..lanes);
+            if let Some((lo, hi)) = self.mask {
+                for (k, b) in bases.iter().enumerate() {
+                    let col = column(k);
+                    active.retain(|&lane| (lo..=hi).contains(&(b + col[lane])));
+                }
+            }
             for chunk in active.chunks(self.warp.max(1)) {
                 for (m, base) in bases.chunks_exact(R).enumerate() {
+                    let cols: [&[i64]; R] = std::array::from_fn(|c| column(m * R + c));
                     for tap in &self.taps {
                         let start: [i64; R] = std::array::from_fn(|c| base[c] + tap[c]);
                         idx.clear();
                         for &lane in chunk {
-                            let row = &terms[lane as usize * nc + m * R..][..R];
                             let mut flat = 0;
                             for c in 0..R {
-                                let x = (start[c] + row[c]).clamp(lo, hi);
+                                let x = (start[c] + cols[c][lane]).clamp(lo, hi);
                                 let inside = layout.is_none() || (0..dims[c]).contains(&x);
                                 assert!(inside, "access {x} outside a layout axis of {}", dims[c]);
                                 flat = flat * dims[c] + x;
@@ -166,45 +192,6 @@ impl AccessMap {
                 }
             }
         }
-    }
-}
-
-/// An exact, compact rendering: traffic-memo keys embed it, so any
-/// two maps that replay differently must render differently. Every
-/// integer is written by hand as zigzag hex and a comma, since a key is
-/// built for each priced candidate.
-impl fmt::Debug for AccessMap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::with_capacity(256);
-        let mut ints = |tag: char, vs: &[i64]| {
-            s.push(tag);
-            for &v in vs {
-                let z = ((v << 1) ^ (v >> 63)) as u64;
-                let hex = |i: u32| char::from_digit((z >> (4 * i)) as u32 & 15, 16);
-                s.extend(
-                    (0..(64 - z.leading_zeros()).div_ceil(4).max(1))
-                        .rev()
-                        .filter_map(hex),
-                );
-                s.push(',');
-            }
-        };
-        let rank = self.maps.first().map_or(0, Vec::len) as i64;
-        ints('o', &self.outer);
-        ints('l', &[self.lanes, self.warp as i64, rank, self.flat as i64]);
-        for Coord(base, outer, lane) in self.maps.iter().flatten() {
-            let (kind, q) = match lane {
-                Lane::Mul(a) => ('*', a),
-                Lane::Div(q) => ('/', q),
-                Lane::Mod(q) => ('%', q),
-            };
-            ints(kind, &[*q, *base]);
-            ints(':', outer);
-        }
-        self.taps.iter().for_each(|t| ints('t', t));
-        ints('k', &self.mask.map_or(vec![], |(lo, hi)| vec![lo, hi]));
-        ints('z', &self.clamp.map_or(vec![], |(lo, hi)| vec![lo, hi]));
-        f.write_str(&s)
     }
 }
 

@@ -25,7 +25,7 @@ use crate::score::{Estimate, Phase, Workload};
 use crate::smem::bank_conflicts_elems_on;
 use crate::tilecache::TileCache;
 use crate::timing::{estimate, occupancy_derate, KernelProfile, Pipeline, TimeEstimate};
-use crate::traffic::{self, TrafficCost};
+use crate::traffic::{self, key_ints, TrafficCost};
 
 /// How a workload's bottleneck terms combine into a runtime.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
@@ -130,24 +130,57 @@ impl<'a> CostModel<'a> {
     /// description and the compiled layout's
     /// [fingerprint](ConcreteLayout::fingerprint) (`layout` is `None`
     /// exactly when no phase reads the layout) — everything the traffic
-    /// pass reads. The descriptions are plain data whose `Debug`
-    /// rendering is exact: floats print round-trip and access maps
-    /// print every field.
+    /// pass reads, rendered exactly (floats by their bits).
     fn memo_key(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> String {
         let cfg = self.cfg;
-        format!(
-            "{}:w{}:s{}:c{}:b{}x{}:m{}|{:?}|{:?}|{}",
-            cfg.tag,
+        let mut key = String::with_capacity(256);
+        key.push_str(cfg.tag);
+        let geometry = [
             cfg.warp_size,
             cfg.sector_bytes,
             cfg.l2_bytes,
             cfg.smem_banks,
             cfg.bank_bytes,
             cfg.sm_count,
-            workload.l2,
-            workload.phases,
-            layout.map_or_else(|| "-".to_string(), ConcreteLayout::fingerprint),
-        )
+        ];
+        key_ints(&mut key, '|', &geometry.map(|g| g as i64));
+        if let Some(l2) = workload.l2 {
+            key_ints(&mut key, 'L', &[l2.lines as i64, l2.assoc as i64]);
+        }
+        for phase in &workload.phases {
+            match phase {
+                Phase::Global {
+                    map,
+                    elem_bytes,
+                    scale,
+                } => {
+                    key_ints(&mut key, 'G', &[*elem_bytes as i64, scale.to_bits() as i64]);
+                    map.key(&mut key);
+                }
+                Phase::Shared { map, scale } => {
+                    key_ints(&mut key, 'S', &[scale.to_bits() as i64]);
+                    map.key(&mut key);
+                }
+                Phase::TileTouches { waves: w } => {
+                    let bytes = [w.a_bytes, w.b_bytes].map(|b| b as i64);
+                    let waves = [w.blocks, w.wave, w.ksteps, w.tiles_n, bytes[0], bytes[1]];
+                    key_ints(&mut key, 'T', &waves);
+                }
+                Phase::Streamed {
+                    dram_bytes,
+                    l2_bytes,
+                } => {
+                    let bits = [dram_bytes.to_bits() as i64, l2_bytes.to_bits() as i64];
+                    key_ints(&mut key, 'M', &bits);
+                }
+            }
+        }
+        key.push('|');
+        match layout {
+            Some(l) => key.push_str(&l.fingerprint()),
+            None => key.push('-'),
+        }
+        key
     }
 
     /// Replays the phases and accumulates their traffic totals — the
@@ -589,23 +622,37 @@ mod tests {
         assert!((e2.breakdown.compute_s / e1.breakdown.compute_s - 2.0).abs() < 1e-12);
     }
 
-    /// Moved bytes and L2 traffic of `warps` at `scale` 3 through a
-    /// small L2, so that they both hit and evict: the sector path as the
-    /// `Phase::Global` arm of the traffic pass runs it.
-    fn sector_path(cfg: &GpuConfig, elem_bytes: usize, warps: &[Vec<i64>]) -> TrafficCost {
-        let mut cache = Cache::new(64, 4);
-        let mut sectors = Vec::new();
-        let moved: f64 = warps
+    /// A hand-built workload: one `Phase::Global` at scale 3 replaying
+    /// `warps` — one flat map each, `base + stride·lane` over 32 lanes —
+    /// through a small L2, so that they both hit and evict.
+    fn global_workload(elem_bytes: usize, warps: &[(i64, i64)]) -> Workload {
+        let maps = warps
             .iter()
-            .map(|idx| global_warp(cfg, idx, elem_bytes, Some(&mut cache), &mut sectors))
-            .sum();
-        let stats = cache.stats();
-        TrafficCost {
-            dram_bytes: stats.misses as f64 * cfg.sector_bytes as f64 * 3.0,
-            l2_bytes: moved * 3.0,
-            smem_passes: 0.0,
-            hits: stats.hits,
-            misses: stats.misses,
+            .map(|&(base, stride)| vec![Coord(base, vec![], Lane::Mul(stride))])
+            .collect();
+        Workload {
+            name: "global".into(),
+            pipeline: Pipeline::Fp32,
+            flops: 0.0,
+            useful_bytes: 0.0,
+            streamed_bytes: 0.0,
+            blocks: 1.0,
+            launches: 1.0,
+            wave_quantized: false,
+            l2: Some(crate::score::L2Model {
+                lines: 64,
+                assoc: 4,
+            }),
+            resources: BlockResources::default(),
+            mode: PricingMode::Roofline,
+            phases: vec![Phase::Global {
+                map: AccessMap {
+                    flat: true,
+                    ..AccessMap::new(vec![], 32, 32, maps)
+                },
+                elem_bytes,
+                scale: 3.0,
+            }],
         }
     }
 
@@ -638,35 +685,42 @@ mod tests {
 
     /// Widths that divide the sector take one sort per warp; the traffic
     /// it gives equals the coalescer path field for field on 32- and
-    /// 64-byte sectors, over unit-stride, strided, broadcast, shuffled,
-    /// reversed and empty warps. A 12-byte width, whose elements
-    /// straddle sectors, keeps the coalescer's count — as does a warp
-    /// with a negative lane.
+    /// 64-byte sectors, over unit-stride, strided, broadcast, reversed
+    /// and repeated warps through the whole `Phase::Global` arm (scale
+    /// and L2 included), and over shuffled and empty warps, which no
+    /// access map expresses, through `global_warp` alone. A 12-byte
+    /// width, whose elements straddle sectors, keeps the coalescer's
+    /// count — as does a warp with a negative lane.
     #[test]
     fn one_sort_sector_path_matches_the_coalescer_path() {
+        // (base, stride): lane l reads base + stride·l.
+        let strided = [(0, 1), (0, 9), (7, 0), (31, -1), (5, 101), (-20, 3), (0, 1)];
+        let warps: Vec<Vec<i64>> = strided
+            .iter()
+            .map(|&(base, stride)| (0..32).map(|l| base + stride * l).collect())
+            .collect();
         let mut shuffled: Vec<i64> = (0..32).map(|l| (l * 13) % 32 + 40).collect();
         shuffled.swap(3, 17);
-        let warps = vec![
-            (0..32).collect(),
-            (0..32).map(|l| l * 9).collect(),
-            vec![7; 32],
-            shuffled,
-            (0..32).map(|l| 31 - l).collect(),
-            (0..32).map(|l| l * 101 + 5).collect(),
-            (0..32).map(|l| l * 3 - 20).collect(),
-            Vec::new(),
-            (0..32).collect(),
-        ];
+        let layout = Layout::identity([64i64]).unwrap();
         for sector in [32usize, 64] {
             let cfg = GpuConfig {
                 sector_bytes: sector,
                 ..a100()
             };
             for elem in [1usize, 2, 4, 8, 32, 12] {
-                let got = sector_path(&cfg, elem, &warps);
+                let wl = global_workload(elem, &strided);
+                let got = CostModel::new(&cfg).traffic(&layout, &wl);
                 let want = coalescer_path(&cfg, elem, &warps);
                 assert_eq!(got, want, "elem {elem} on {sector}-byte sectors");
                 assert!(got.hits > 0 && got.misses > 0);
+                for warp in [shuffled.clone(), Vec::new()] {
+                    let mut cache = Cache::new(64, 4);
+                    let moved = global_warp(&cfg, &warp, elem, Some(&mut cache), &mut Vec::new());
+                    let want = coalescer_path(&cfg, elem, std::slice::from_ref(&warp));
+                    assert_eq!(moved * 3.0, want.l2_bytes, "elem {elem}: {warp:?}");
+                    let stats = cache.stats();
+                    assert_eq!((stats.hits, stats.misses), (want.hits, want.misses));
+                }
             }
         }
     }

@@ -84,8 +84,7 @@ pub struct BlockResources {
 }
 
 /// A workload description: fixed logical structure, layout left free.
-/// The default is an empty FP32 roofline workload to build on.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Workload {
     /// Display name.
     pub name: String,

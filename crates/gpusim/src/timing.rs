@@ -31,10 +31,9 @@ pub const MEM_SAT_OCCUPANCY: f64 = 0.25;
 pub const ISSUE_SAT_OCCUPANCY: f64 = 0.5;
 
 /// Which compute pipeline a kernel saturates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Pipeline {
     /// CUDA-core FP32 FMA.
-    #[default]
     Fp32,
     /// Tensor-core FP16.
     TensorFp16,

@@ -122,9 +122,10 @@ impl MatmulWaves {
             blocks: nblocks as f64,
             launches: if self.vendor { 1.0 } else { 2.0 },
             wave_quantized: !self.vendor,
+            l2: None,
             resources: self.resources(cfg),
+            mode: PricingMode::Roofline,
             phases: vec![Phase::TileTouches { waves }],
-            ..Workload::default()
         }
     }
 }
@@ -201,13 +202,17 @@ impl TransposeSweeps {
         }
         Workload {
             name: self.name(),
+            pipeline: Pipeline::Fp32,
             flops: self.index_flops,
             useful_bytes: 2.0 * (n * n * 4) as f64,
+            streamed_bytes: 0.0,
             blocks: tiles as f64,
             launches: 1.0,
+            wave_quantized: false,
+            l2: None,
             resources: self.resources(cfg),
+            mode: PricingMode::Roofline,
             phases,
-            ..Workload::default()
         }
     }
 }
@@ -310,19 +315,21 @@ impl StencilWalk {
         let lines = ((domain_bytes / 12.8) as usize / cfg.sector_bytes).max(1024);
         Workload {
             name: self.name(),
+            pipeline: Pipeline::Fp32,
             flops: 2.0 * points * (n * n * n) as f64 + self.index_flops,
             useful_bytes: 2.0 * domain_bytes,
             streamed_bytes: domain_bytes,
             blocks: ((n / bx) * (n / by) * (n / bz)) as f64,
             launches: 1.0,
+            wave_quantized: false,
             l2: Some(L2Model { lines, assoc: 16 }),
             resources: self.resources(cfg),
+            mode: PricingMode::Roofline,
             phases: vec![Phase::Global {
                 map,
                 elem_bytes: 4,
                 scale: 1.0,
             }],
-            ..Workload::default()
         }
     }
 }
@@ -414,12 +421,15 @@ impl NwWavefront {
         let matrix_bytes = (n * n * 4) as f64;
         Workload {
             name: self.name(),
+            pipeline: Pipeline::Fp32,
             flops: self.index_flops,
             useful_bytes: 2.0 * matrix_bytes,
             // Matrix read + write plus one reference-matrix read.
             streamed_bytes: 3.0 * matrix_bytes,
             blocks,
             launches,
+            wave_quantized: false,
+            l2: None,
             resources: self.resources(cfg),
             // The calibrated additive wavefront pricing that used to be
             // the NW bench driver's private loop: each of the `2b-1`
@@ -435,7 +445,6 @@ impl NwWavefront {
                 map: NwWavefront::block_map(b, cfg.warp_size),
                 scale: blocks,
             }],
-            ..Workload::default()
         }
     }
 }
@@ -509,10 +518,14 @@ impl LudPanels {
         }
         Workload {
             name: self.name(),
+            pipeline: Pipeline::Fp32,
             flops: flops + self.index_flops,
             useful_bytes: 2.0 * (n * n * 4) as f64,
+            streamed_bytes: 0.0,
             blocks,
             launches,
+            wave_quantized: false,
+            l2: None,
             resources: self.resources(cfg),
             // The three kernels of every factorization step depend on
             // each other: panel traffic and compute cannot overlap
@@ -528,7 +541,6 @@ impl LudPanels {
                 dram_bytes: dram,
                 l2_bytes: dram * 1.5,
             }],
-            ..Workload::default()
         }
     }
 }
@@ -608,17 +620,21 @@ impl RowwiseSweep {
         let warp_bytes = lanes as f64 * 2.0;
         Workload {
             name: self.name(),
+            pipeline: Pipeline::Fp32,
             flops: padded * self.flops_per_elem + instr_flops + self.index_flops,
             useful_bytes: 2.0 * elems * 2.0,
+            streamed_bytes: 0.0,
             blocks: m as f64,
             launches: 1.0,
+            wave_quantized: false,
+            l2: None,
             resources: self.resources(cfg),
+            mode: PricingMode::Roofline,
             phases: vec![Phase::Global {
                 map,
                 elem_bytes: 2,
                 scale: bytes / warp_bytes,
             }],
-            ..Workload::default()
         }
     }
 }

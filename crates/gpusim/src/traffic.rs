@@ -57,6 +57,21 @@ thread_local! {
     static SIDECAR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
+/// Appends `tag` and then each of `ints`, comma-terminated, to a memo
+/// key. Integers are written by hand in zigzag hex (a key is rendered
+/// for every priced candidate); tags are never hex digits, so a key
+/// reads back unambiguously.
+pub(crate) fn key_ints(out: &mut String, tag: char, ints: &[i64]) {
+    out.push(tag);
+    for &v in ints {
+        let z = ((v << 1) ^ (v >> 63)) as u64;
+        let digits = (64 - z.leading_zeros()).div_ceil(4).max(1);
+        let digit = |i: u32| char::from_digit((z >> (4 * i)) as u32 & 15, 16);
+        out.extend((0..digits).rev().filter_map(digit));
+        out.push(',');
+    }
+}
+
 /// Probes this thread's traffic memo. Counts a hit or miss; hits on
 /// sidecar-imported entries are also attributed to [`sidecar_stats`].
 pub(crate) fn lookup(key: &str) -> Option<TrafficCost> {

@@ -58,7 +58,8 @@ pub struct CachedTuning {
     /// Name of the strategy that produced the entry
     /// (`exhaustive`/`anneal`/`genetic`).
     pub strategy: String,
-    /// Evaluation budget of the search (`None` for exhaustive).
+    /// Evaluation budget of the search (`None` when it swept its
+    /// domain: exhaustive, or a budget that covered the domain).
     pub budget: Option<usize>,
     /// Which space scale was searched (`legacy`/`enlarged`).
     pub space: String,

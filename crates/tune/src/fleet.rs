@@ -397,8 +397,9 @@ pub struct FleetTuned {
     /// 1-based index of the evaluation that first scored the winner
     /// (0 on a cache hit).
     pub evals_to_winner: usize,
-    /// The budget the search actually ran under (`None` for exhaustive
-    /// and cache hits) — reduced from the request's on a transfer.
+    /// The budget the search actually ran under (`None` for cache hits
+    /// and searches that swept their domain, exhaustive included) —
+    /// reduced from the request's on a transfer.
     pub budget: Option<usize>,
     /// Evaluations the transfer saved versus the request's cold budget.
     pub evals_saved: usize,
@@ -928,8 +929,9 @@ fn search_key(
                 // soundness tests — is cold-equivalent winner quality,
                 // and recording the cut budget would make fleets
                 // non-idempotent (every re-run would re-search exactly
-                // the keys the fleet just tuned).
-                entry.budget = Some(cold);
+                // the keys the fleet just tuned). A search that swept its
+                // domain keeps no budget.
+                entry.budget = entry.budget.map(|_| cold);
             }
             (Ok(tuned), Some(entry))
         }

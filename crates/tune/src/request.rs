@@ -197,7 +197,7 @@ impl TuneRequest {
     /// Whether a stored entry satisfies this request (same rule the
     /// [`Tuner`] applies on a cache hit).
     pub fn satisfied_by(&self, hit: &CachedTuning) -> bool {
-        self.tuner().satisfied_by(&self.kind, hit)
+        self.tuner().satisfied_by(hit)
     }
 }
 
@@ -353,5 +353,14 @@ mod tests {
         assert!(!req(Strategy::Anneal, 128).satisfied_by(&hit));
         assert!(!req(Strategy::Genetic, 64).satisfied_by(&hit));
         assert!(!req(Strategy::Exhaustive, 64).satisfied_by(&hit));
+        let swept = CachedTuning {
+            budget: None,
+            ..hit
+        };
+        assert!(
+            req(Strategy::Anneal, 1 << 20).satisfied_by(&swept),
+            "a swept domain serves any budget"
+        );
+        assert!(!req(Strategy::Genetic, 64).satisfied_by(&swept));
     }
 }

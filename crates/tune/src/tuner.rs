@@ -87,9 +87,10 @@ pub struct SeededTune {
     pub frontier: Vec<(TunedConfig, f64)>,
     /// 1-based index of the evaluation that first scored the winner.
     pub evals_to_winner: usize,
-    /// The evaluation budget the search actually ran under (`None` for
-    /// exhaustive) — what a cache entry must record so satisfaction
-    /// checks stay honest when a transfer cut the budget.
+    /// The evaluation budget the search actually ran under (`None` when
+    /// it swept its domain: exhaustive, or a budget that covered the
+    /// domain) — what a cache entry must record so satisfaction checks
+    /// stay honest when a transfer cut the budget.
     pub budget: Option<usize>,
 }
 
@@ -165,22 +166,20 @@ impl Tuner {
         })
     }
 
-    /// Whether a cached entry for `kind` satisfies the current search
-    /// request: the strategy and space must match, and a budgeted entry
-    /// must have spent at least the requested budget or swept its whole
-    /// domain (`evaluated` equal to the domain's size), which no larger
-    /// budget could improve on. Public so services layering their own
-    /// in-memory tier over the cache (the `lego-served` daemon) apply
-    /// exactly the serving rule `tune` does.
-    pub fn satisfied_by(&self, kind: &WorkloadKind, hit: &CachedTuning) -> bool {
-        let space = self.effective_space();
+    /// Whether a cached entry satisfies the current search request: the
+    /// strategy and space must match, and a budgeted entry must have
+    /// spent at least the requested budget or have swept its whole
+    /// domain (recorded as no budget), which no larger budget could
+    /// improve on. Public so services layering their own in-memory tier
+    /// over the cache (the `lego-served` daemon) apply exactly the
+    /// serving rule `tune` does.
+    pub fn satisfied_by(&self, hit: &CachedTuning) -> bool {
         hit.strategy == self.strategy.name()
-            && hit.space == space.name()
+            && hit.space == self.effective_space().name()
             && match self.strategy {
                 Strategy::Exhaustive => true,
                 Strategy::Anneal | Strategy::Genetic => {
-                    hit.budget.unwrap_or(0) >= self.budget.max_evals()
-                        || hit.evaluated == Domain::new(*kind, space).len()
+                    hit.budget.is_none_or(|b| b >= self.budget.max_evals())
                 }
             }
     }
@@ -218,7 +217,7 @@ impl Tuner {
         let mut warm_start: Vec<TunedConfig> = Vec::new();
         if let Some(cache) = &self.cache {
             if let Some(hit) = cache.lookup(&key) {
-                if self.satisfied_by(kind, &hit) {
+                if self.satisfied_by(&hit) {
                     let result = TuneResult {
                         workload,
                         config: hit.config,
@@ -293,9 +292,13 @@ impl Tuner {
             },
             frontier: outcome.frontier,
             evals_to_winner: outcome.evals_to_winner,
+            // A budget that covers the domain sweeps it (see
+            // `run_search`), so no budget limited the search.
             budget: match self.strategy {
                 Strategy::Exhaustive => None,
-                Strategy::Anneal | Strategy::Genetic => Some(budget.max_evals()),
+                Strategy::Anneal | Strategy::Genetic => {
+                    Some(budget.max_evals()).filter(|&b| b < domain.len())
+                }
             },
         })
     }
