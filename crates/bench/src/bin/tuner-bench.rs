@@ -61,10 +61,10 @@
 
 use std::time::Instant;
 
-use gpu_sim::score::ScoreJob;
-use gpu_sim::{CostModel, Estimate, GpuConfig};
+use gpu_sim::{CostModel, Estimate, GpuConfig, Workload};
 use lego_bench::{emit, tuned};
 use lego_codegen::cuda::stencil::StencilShape;
+use lego_core::Layout;
 use lego_expr::intern::stats as arena_stats;
 use lego_tune::space::annotate_cache_stats;
 use lego_tune::{
@@ -176,7 +176,7 @@ fn legacy_candidates(kind: &WorkloadKind) -> Vec<Candidate> {
 /// The `(layout, workload)` pricing jobs of a kind's legacy space,
 /// built on the calling thread so candidate-construction cost stays
 /// out of the timed pricing loops.
-fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<ScoreJob> {
+fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<(Layout, Workload)> {
     legacy_candidates(kind)
         .iter()
         .filter_map(|c| {
@@ -192,7 +192,8 @@ fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<ScoreJob> {
 /// cold-process stand-in for the pricing tier — unless a sidecar
 /// installed its geometries first.
 fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec<Estimate>, f64) {
-    let jobs: Vec<ScoreJob> = kinds.iter().flat_map(|k| pricing_jobs(k, device)).collect();
+    let jobs: Vec<(Layout, Workload)> =
+        kinds.iter().flat_map(|k| pricing_jobs(k, device)).collect();
     let model = CostModel::new(device);
     let t = Instant::now();
     let ests: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();

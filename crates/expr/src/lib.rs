@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atomicfile;
 pub mod cost;
 pub mod engine;
 pub mod expand;

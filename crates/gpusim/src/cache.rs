@@ -4,15 +4,6 @@
 //! sectors for element traces, whole tiles for the tile-level matmul
 //! simulation).
 
-/// Hit/miss outcome of one access.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Access {
-    /// The line was resident.
-    Hit,
-    /// The line was fetched (and possibly evicted another).
-    Miss,
-}
-
 /// Aggregate cache statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
@@ -20,17 +11,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Number of misses.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit rate in [0, 1] (1.0 for no accesses).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 1.0;
-        }
-        self.hits as f64 / total as f64
-    }
 }
 
 /// A set-associative cache with LRU replacement over abstract line ids.
@@ -60,8 +40,9 @@ impl Cache {
         }
     }
 
-    /// Accesses `line`, updating LRU state and statistics.
-    pub fn access(&mut self, line: i64) -> Access {
+    /// Accesses `line`, updating LRU state and statistics; `true` on a
+    /// hit.
+    pub fn access(&mut self, line: i64) -> bool {
         self.stamp += 1;
         let stamp = self.stamp;
         let nsets = self.sets.len() as i64;
@@ -69,7 +50,7 @@ impl Cache {
         if let Some(slot) = set.iter_mut().find(|(l, _)| *l == line) {
             slot.1 = stamp;
             self.stats.hits += 1;
-            return Access::Hit;
+            return true;
         }
         self.stats.misses += 1;
         if set.len() >= self.assoc {
@@ -82,7 +63,7 @@ impl Cache {
             set.swap_remove(pos);
         }
         set.push((line, stamp));
-        Access::Miss
+        false
     }
 
     /// The statistics so far.
@@ -98,8 +79,8 @@ mod tests {
     #[test]
     fn cold_miss_then_hit() {
         let mut c = Cache::new(4, 4);
-        assert_eq!(c.access(7), Access::Miss);
-        assert_eq!(c.access(7), Access::Hit);
+        assert!(!c.access(7));
+        assert!(c.access(7));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
     }
@@ -111,8 +92,8 @@ mod tests {
         c.access(2);
         c.access(1); // 2 is now LRU
         c.access(3); // evicts 2
-        assert_eq!(c.access(1), Access::Hit);
-        assert_eq!(c.access(2), Access::Miss);
+        assert!(c.access(1));
+        assert!(!c.access(2));
     }
 
     #[test]
@@ -121,9 +102,9 @@ mod tests {
         let mut c = Cache::new(2, 1);
         c.access(0);
         c.access(1);
-        assert_eq!(c.access(0), Access::Hit);
+        assert!(c.access(0));
         c.access(2); // evicts 0 (same set)
-        assert_eq!(c.access(0), Access::Miss);
+        assert!(!c.access(0));
     }
 
     #[test]
@@ -132,7 +113,7 @@ mod tests {
         for _ in 0..3 {
             c.access(42);
         }
-        assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(c.stats(), CacheStats { hits: 2, misses: 1 });
     }
 
     #[test]

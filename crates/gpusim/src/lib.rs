@@ -20,10 +20,14 @@
 //!   tile waves), replayed by one interpreter;
 //! * [`model`] — the device-generic pricing engine: one [`CostModel`]
 //!   owns the full trace→estimate path under a per-workload
-//!   [`PricingMode`] (roofline for overlapped kernels, additive launch
-//!   for the NW/LUD wavefront pipelines);
+//!   [`PricingMode`] (roofline, optionally wave-quantized, for
+//!   overlapped kernels; additive launch for the NW/LUD wavefront
+//!   pipelines);
 //! * [`mod@score`] — the [`Workload`] / [`Estimate`] vocabulary the
-//!   cost model prices and the `lego-tune` autotuner ranks by;
+//!   cost model prices and the `lego-tune` autotuner ranks by; each
+//!   pricing input is stated once, where the model reads it (a global
+//!   phase's L2, the mode's wave quantization, the workload's
+//!   unreplayed DRAM and L2 bytes);
 //! * [`traffic`] — the per-thread geometry-keyed memo of the two-tier
 //!   pricing split: one trace replay serves every expression variant of
 //!   a geometry, under a key the cost model derives from the phase
@@ -31,7 +35,8 @@
 //!   sidecar;
 //! * [`trace`] — the shared workload builders that both the
 //!   `lego-bench` paper reproductions and the `lego-tune` search space
-//!   consume, so their estimates cannot drift apart.
+//!   consume, so their estimates cannot drift apart. Builders describe
+//!   geometry only; the tuner adds its index-expression flops.
 //!
 //! Layouts change *addresses*; this model turns address streams into
 //! sectors, conflicts, hits, and finally time. Absolute times are
@@ -69,8 +74,8 @@ pub use cache::{Cache, CacheStats};
 pub use coalesce::{coalesce_elems, coalesce_elems_on, coalesce_warp, CoalesceResult};
 pub use config::{a100, h100, lookup, mi300, GpuConfig, DEVICE_TAGS};
 pub use model::{CostModel, PricingMode};
-pub use roofline::{attainable, ridge, RooflinePoint};
-pub use score::{BlockResources, Estimate, L2Model, Phase, ScoreJob, Workload};
+pub use roofline::{attainable, ridge};
+pub use score::{BlockResources, Estimate, L2Model, Phase, Workload};
 pub use smem::{bank_conflicts, bank_conflicts_elems, bank_conflicts_elems_on, BankConflictResult};
 pub use tilecache::TileCache;
 pub use timing::{estimate, KernelProfile, Pipeline, TimeEstimate};

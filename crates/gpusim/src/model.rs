@@ -15,6 +15,11 @@
 //! [`GpuConfig`] handed to [`CostModel::new`], so an MI300-class
 //! (warp-64, 64-bank LDS, 64-byte segment) device prices through
 //! exactly the same code as the A100.
+//!
+//! The engine reads each pricing input in one place: a
+//! [`Phase::Global`]'s own L2 model while replaying it, the workload's
+//! `streamed_*` bytes while assembling, and wave quantization from
+//! [`PricingMode::Roofline`].
 
 use lego_core::{ConcreteLayout, Layout};
 
@@ -28,14 +33,17 @@ use crate::timing::{estimate, occupancy_derate, KernelProfile, Pipeline, TimeEst
 use crate::traffic::{self, key_ints, TrafficCost};
 
 /// How a workload's bottleneck terms combine into a runtime.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PricingMode {
     /// Overlapped bulk-synchronous execution: runtime is the *maximum*
     /// of the compute / DRAM / L2 / shared-memory terms plus launch
     /// overhead — the standard roofline. Used by matmul, transpose,
     /// stencil and rowwise workloads.
-    #[default]
-    Roofline,
+    Roofline {
+        /// Whether compute time is wave-quantized (a partial last wave
+        /// costs a full wave), as in the LEGO matmul pipeline.
+        wave_quantized: bool,
+    },
     /// Dependency-serialized execution (wavefront and panel pipelines):
     /// the launch schedule forbids overlapping compute with the
     /// streamed traffic, so the terms *add*, and in-block compute is
@@ -60,7 +68,7 @@ impl PricingMode {
     /// Stable name for cache keys and reports.
     pub fn name(&self) -> &'static str {
         match self {
-            PricingMode::Roofline => "roofline",
+            PricingMode::Roofline { .. } => "roofline",
             PricingMode::AdditiveLaunch { .. } => "additive-launch",
         }
     }
@@ -103,19 +111,20 @@ impl<'a> CostModel<'a> {
     /// [`price_batch`](CostModel::price_batch).
     ///
     /// The layout is [compiled](Layout::compile) at most once, and only
-    /// when some phase reads it; the compiled form serves both the memo
-    /// key and the trace.
+    /// when the workload has a phase; the compiled form serves both the
+    /// memo key and the trace.
     ///
     /// # Panics
     ///
-    /// When a phase reads the layout and it does not compile (symbolic
-    /// dims or a broken `GenP`): a traced layout must be concrete.
+    /// When the workload has a phase and the layout does not compile
+    /// (symbolic dims or a broken `GenP`): a traced layout must be
+    /// concrete.
     pub fn traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
         self.traffic_batch(&[(layout, workload)])[0]
     }
 
     /// The traffic pass without the memo: compiles the layout (when
-    /// some phase reads it) and replays every phase. What
+    /// the workload has a phase) and replays every phase. What
     /// [`traffic`](CostModel::traffic) returns on a memo miss.
     ///
     /// # Panics
@@ -126,10 +135,10 @@ impl<'a> CostModel<'a> {
     }
 
     /// The memo key of a (layout, workload) pair: the pricing device's
-    /// traffic geometry, the workload's L2 model, every phase
-    /// description and the compiled layout's
+    /// traffic geometry, every phase description (a global phase's L2
+    /// model included) and the compiled layout's
     /// [fingerprint](ConcreteLayout::fingerprint) (`layout` is `None`
-    /// exactly when no phase reads the layout) — everything the traffic
+    /// exactly when the workload has no phase) — everything the traffic
     /// pass reads, rendered exactly (floats by their bits).
     fn memo_key(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> String {
         let cfg = self.cfg;
@@ -144,17 +153,18 @@ impl<'a> CostModel<'a> {
             cfg.sm_count,
         ];
         key_ints(&mut key, '|', &geometry.map(|g| g as i64));
-        if let Some(l2) = workload.l2 {
-            key_ints(&mut key, 'L', &[l2.lines as i64, l2.assoc as i64]);
-        }
         for phase in &workload.phases {
             match phase {
                 Phase::Global {
                     map,
                     elem_bytes,
                     scale,
+                    l2,
                 } => {
                     key_ints(&mut key, 'G', &[*elem_bytes as i64, scale.to_bits() as i64]);
+                    if let Some(l2) = l2 {
+                        key_ints(&mut key, 'L', &[l2.lines as i64, l2.assoc as i64]);
+                    }
                     map.key(&mut key);
                 }
                 Phase::Shared { map, scale } => {
@@ -165,13 +175,6 @@ impl<'a> CostModel<'a> {
                     let bytes = [w.a_bytes, w.b_bytes].map(|b| b as i64);
                     let waves = [w.blocks, w.wave, w.ksteps, w.tiles_n, bytes[0], bytes[1]];
                     key_ints(&mut key, 'T', &waves);
-                }
-                Phase::Streamed {
-                    dram_bytes,
-                    l2_bytes,
-                } => {
-                    let bits = [dram_bytes.to_bits() as i64, l2_bytes.to_bits() as i64];
-                    key_ints(&mut key, 'M', &bits);
                 }
             }
         }
@@ -185,7 +188,7 @@ impl<'a> CostModel<'a> {
 
     /// Replays the phases and accumulates their traffic totals — the
     /// uncached body of tier 1. `layout` is the compiled layout, `None`
-    /// only for workloads whose phases never read it.
+    /// only for workloads without phases.
     fn replay(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
         let cfg = self.cfg;
         let mut tc = TrafficCost::default();
@@ -195,9 +198,10 @@ impl<'a> CostModel<'a> {
                     map,
                     elem_bytes,
                     scale,
+                    l2,
                 } => {
                     let mut moved = 0f64;
-                    let mut cache = workload.l2.map(|m| Cache::new(m.lines, m.assoc));
+                    let mut cache = l2.map(|m| Cache::new(m.lines, m.assoc));
                     let mut sectors = Vec::with_capacity(cfg.warp_size);
                     map.replay(layout, |idx| {
                         moved += global_warp(cfg, idx, *elem_bytes, cache.as_mut(), &mut sectors);
@@ -206,7 +210,7 @@ impl<'a> CostModel<'a> {
                     tc.hits += stats.hits;
                     tc.misses += stats.misses;
                     tc.l2_bytes += moved * scale;
-                    tc.dram_bytes += match workload.l2 {
+                    tc.dram_bytes += match l2 {
                         Some(_) => stats.misses as f64 * cfg.sector_bytes as f64 * scale,
                         // No L2 filtering: streamed straight to DRAM.
                         None => moved * scale,
@@ -231,13 +235,6 @@ impl<'a> CostModel<'a> {
                     tc.hits += tiles.hits();
                     tc.misses += tiles.misses();
                 }
-                Phase::Streamed {
-                    dram_bytes: d,
-                    l2_bytes: l,
-                } => {
-                    tc.dram_bytes += d;
-                    tc.l2_bytes += l;
-                }
             }
         }
         tc
@@ -251,8 +248,8 @@ impl<'a> CostModel<'a> {
     pub fn assemble(&self, workload: &Workload, tc: &TrafficCost) -> Estimate {
         let profile = KernelProfile {
             flops: workload.flops,
-            dram_bytes: tc.dram_bytes + workload.streamed_bytes,
-            l2_bytes: tc.l2_bytes + workload.streamed_bytes,
+            dram_bytes: tc.dram_bytes + workload.streamed_dram_bytes,
+            l2_bytes: tc.l2_bytes + workload.streamed_l2_bytes,
             smem_passes: tc.smem_passes,
             blocks: workload.blocks,
             launches: workload.launches,
@@ -261,7 +258,9 @@ impl<'a> CostModel<'a> {
             smem_per_block: workload.resources.smem_per_block,
         };
         let t = match workload.mode {
-            PricingMode::Roofline => self.price_roofline(workload, &profile),
+            PricingMode::Roofline { wave_quantized } => {
+                self.price_roofline(workload, &profile, wave_quantized)
+            }
             PricingMode::AdditiveLaunch {
                 rounds,
                 step_cycles,
@@ -306,9 +305,9 @@ impl<'a> CostModel<'a> {
     ///   `flops/peak · ⌈blocks/sms⌉·sms/blocks` (≥ the plain floor),
     ///   because a partial wave bills as a full one.
     /// * **memory floor** — guaranteed bytes at un-derated peak
-    ///   bandwidth. Guaranteed traffic is `streamed_bytes` plus the
-    ///   pre-aggregated [`Phase::Streamed`] charges; replayed
-    ///   traffic only ever *adds* to it, and the bandwidth derate ≤ 1.
+    ///   bandwidth. Guaranteed traffic is the workload's
+    ///   `streamed_dram_bytes` and `streamed_l2_bytes`; replayed
+    ///   traffic only ever *adds* to them, and the bandwidth derate ≤ 1.
     ///   (`useful_bytes` is deliberately not used: under non-dividing
     ///   tiles the nominal algorithmic minimum can exceed what a
     ///   floored trace actually touches, which would break
@@ -322,23 +321,12 @@ impl<'a> CostModel<'a> {
     /// rounds cost `step_cycles + bank passes` at a derated clock).
     pub fn bound(&self, workload: &Workload) -> f64 {
         let cfg = self.cfg;
-        let mut dram = workload.streamed_bytes;
-        let mut l2 = workload.streamed_bytes;
-        for phase in &workload.phases {
-            if let Phase::Streamed {
-                dram_bytes,
-                l2_bytes,
-            } = phase
-            {
-                dram += dram_bytes;
-                l2 += l2_bytes;
-            }
-        }
-        let mem_floor = (dram / (cfg.dram_bw * cfg.dram_efficiency)).max(l2 / cfg.l2_bw);
+        let dram_s = workload.streamed_dram_bytes / (cfg.dram_bw * cfg.dram_efficiency);
+        let mem_floor = dram_s.max(workload.streamed_l2_bytes / cfg.l2_bw);
         let mut compute_floor = workload.flops / self.peak(workload.pipeline);
         match workload.mode {
-            PricingMode::Roofline => {
-                if workload.wave_quantized && workload.blocks > 0.0 {
+            PricingMode::Roofline { wave_quantized } => {
+                if wave_quantized && workload.blocks > 0.0 {
                     let sms = cfg.sm_count as f64;
                     compute_floor *= (workload.blocks / sms).ceil() * sms / workload.blocks;
                 }
@@ -359,11 +347,16 @@ impl<'a> CostModel<'a> {
     }
 
     /// Roofline pricing: overlapped bottleneck terms, with matmul-style
-    /// wave quantization when the workload asks for it.
-    fn price_roofline(&self, workload: &Workload, profile: &KernelProfile) -> TimeEstimate {
+    /// wave quantization when the mode asks for it.
+    fn price_roofline(
+        &self,
+        workload: &Workload,
+        profile: &KernelProfile,
+        wave_quantized: bool,
+    ) -> TimeEstimate {
         let cfg = self.cfg;
         let mut t = estimate(profile, workload.pipeline, cfg);
-        if workload.wave_quantized && workload.blocks > 0.0 {
+        if wave_quantized && workload.blocks > 0.0 {
             // A partial last wave occupies the machine for a full wave.
             let peak = self.peak(workload.pipeline);
             let issue = occupancy_derate(profile.occupancy(cfg), cfg.issue_sat_occupancy, cfg);
@@ -449,7 +442,7 @@ impl<'a> CostModel<'a> {
     /// The traffic pass of a batch, in order: probe → trace → record.
     ///
     /// Each layout is compiled once on the calling thread (when its
-    /// workload reads it) and serves both its memo key and its trace.
+    /// workload has a phase) and serves both its memo key and its trace.
     /// The traffic memo is probed on the calling thread first (spawned
     /// threads would see fresh thread-locals): warm geometries are
     /// answered inline, and only the cold traces fan out, with their
@@ -516,15 +509,14 @@ impl<'a> CostModel<'a> {
     const INLINE_BATCH: usize = 8;
 }
 
-/// Compiles `layout` when some phase of `workload` may read it (every
-/// phase but [`Phase::Streamed`]); `None` for layout-free workloads.
+/// Compiles `layout` when `workload` has a phase (every phase may read
+/// it); `None` for phase-less workloads.
 ///
 /// # Panics
 ///
 /// When the layout is read but does not compile.
 fn compile_for(layout: &Layout, workload: &Workload) -> Option<ConcreteLayout> {
-    let reads_layout = |p: &Phase| !matches!(p, Phase::Streamed { .. });
-    workload.phases.iter().any(reads_layout).then(|| {
+    (!workload.phases.is_empty()).then(|| {
         layout
             .compile()
             .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
@@ -570,15 +562,13 @@ mod tests {
 
     fn additive_workload(rounds: f64, launches: f64) -> Workload {
         Workload {
-            name: "wavefront".into(),
             pipeline: Pipeline::Fp32,
             flops: 0.0,
             useful_bytes: 1e6,
-            streamed_bytes: 1e6,
+            streamed_dram_bytes: 1e6,
+            streamed_l2_bytes: 1e6,
             blocks: 8.0,
             launches,
-            wave_quantized: false,
-            l2: None,
             resources: BlockResources::default(),
             mode: PricingMode::AdditiveLaunch {
                 rounds,
@@ -631,20 +621,17 @@ mod tests {
             .map(|&(base, stride)| vec![Coord(base, vec![], Lane::Mul(stride))])
             .collect();
         Workload {
-            name: "global".into(),
             pipeline: Pipeline::Fp32,
             flops: 0.0,
             useful_bytes: 0.0,
-            streamed_bytes: 0.0,
+            streamed_dram_bytes: 0.0,
+            streamed_l2_bytes: 0.0,
             blocks: 1.0,
             launches: 1.0,
-            wave_quantized: false,
-            l2: Some(crate::score::L2Model {
-                lines: 64,
-                assoc: 4,
-            }),
             resources: BlockResources::default(),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: false,
+            },
             phases: vec![Phase::Global {
                 map: AccessMap {
                     flat: true,
@@ -652,6 +639,10 @@ mod tests {
                 },
                 elem_bytes,
                 scale: 3.0,
+                l2: Some(crate::score::L2Model {
+                    lines: 64,
+                    assoc: 4,
+                }),
             }],
         }
     }
@@ -727,7 +718,9 @@ mod tests {
 
     #[test]
     fn mode_names_are_stable() {
-        assert_eq!(PricingMode::Roofline.name(), "roofline");
+        for wave_quantized in [false, true] {
+            assert_eq!(PricingMode::Roofline { wave_quantized }.name(), "roofline");
+        }
         assert_eq!(
             PricingMode::AdditiveLaunch {
                 rounds: 0.0,

@@ -7,17 +7,6 @@
 use crate::config::GpuConfig;
 use crate::timing::Pipeline;
 
-/// One point on a roofline plot.
-#[derive(Clone, Copy, Debug)]
-pub struct RooflinePoint {
-    /// Arithmetic intensity (FLOP/byte).
-    pub intensity: f64,
-    /// Achieved performance (FLOP/s).
-    pub achieved: f64,
-    /// The roof at this intensity (FLOP/s).
-    pub attainable: f64,
-}
-
 /// The roof value at a given intensity.
 pub fn attainable(intensity: f64, pipeline: Pipeline, cfg: &GpuConfig) -> f64 {
     let peak = match pipeline {
@@ -25,15 +14,6 @@ pub fn attainable(intensity: f64, pipeline: Pipeline, cfg: &GpuConfig) -> f64 {
         Pipeline::TensorFp16 => cfg.fp16_tc_flops,
     };
     peak.min(intensity * cfg.dram_bw * cfg.dram_efficiency)
-}
-
-/// Builds a roofline point from measured intensity and achieved rate.
-pub fn point(intensity: f64, achieved: f64, pipeline: Pipeline, cfg: &GpuConfig) -> RooflinePoint {
-    RooflinePoint {
-        intensity,
-        achieved,
-        attainable: attainable(intensity, pipeline, cfg),
-    }
 }
 
 /// The ridge point (intensity where compute == bandwidth roof).
@@ -69,12 +49,5 @@ mod tests {
         let x = ridge(Pipeline::Fp32, &cfg);
         assert!(attainable(x * 0.9, Pipeline::Fp32, &cfg) < cfg.fp32_flops);
         assert_eq!(attainable(x * 1.1, Pipeline::Fp32, &cfg), cfg.fp32_flops);
-    }
-
-    #[test]
-    fn point_is_below_roof_when_reasonable() {
-        let cfg = a100();
-        let p = point(10.0, 1e12, Pipeline::Fp32, &cfg);
-        assert!(p.achieved <= p.attainable);
     }
 }

@@ -16,8 +16,12 @@
 //! compiled once into a [`lego_core::ConcreteLayout`], one warp (or
 //! tile touch) at a time, so traces never have to be materialized in
 //! memory.
-
-use lego_core::Layout;
+//!
+//! Each pricing input lives where the cost model reads it: the L2
+//! model on the [`Phase::Global`] it filters, wave quantization on
+//! [`PricingMode::Roofline`], and traffic that no phase replays (result
+//! writeback, LUD's analytic panel charges) in the workload's
+//! `streamed_*` bytes.
 
 use crate::access::{AccessMap, TileWaves};
 use crate::model::PricingMode;
@@ -37,7 +41,7 @@ pub struct L2Model {
 pub enum Phase {
     /// Global-memory warp accesses: each emitted warp is coalesced into
     /// `cfg.sector_bytes` sectors; the sector stream is filtered through
-    /// the workload's L2 model (if any) to split L2 from DRAM traffic.
+    /// the phase's L2 model (if any) to split L2 from DRAM traffic.
     Global {
         /// The warp accesses.
         map: AccessMap,
@@ -45,6 +49,9 @@ pub enum Phase {
         elem_bytes: usize,
         /// How many times the representative trace repeats.
         scale: f64,
+        /// Sector-granular L2, fresh for this phase; `None` sends all
+        /// coalesced traffic to DRAM (streaming kernels).
+        l2: Option<L2Model>,
     },
     /// Shared-memory warp accesses, serialized by bank conflicts.
     Shared {
@@ -58,15 +65,6 @@ pub enum Phase {
     TileTouches {
         /// The wave schedule.
         waves: TileWaves,
-    },
-    /// Pre-aggregated traffic charged directly to the DRAM and L2
-    /// terms, without cache filtering — for workloads (LUD panels)
-    /// whose reuse is modeled analytically at panel granularity.
-    Streamed {
-        /// Bytes charged to the DRAM term.
-        dram_bytes: f64,
-        /// Bytes charged to the L2 term.
-        l2_bytes: f64,
     },
 }
 
@@ -86,27 +84,21 @@ pub struct BlockResources {
 /// A workload description: fixed logical structure, layout left free.
 #[derive(Clone, Debug)]
 pub struct Workload {
-    /// Display name.
-    pub name: String,
     /// Compute pipeline the kernel saturates.
     pub pipeline: Pipeline,
     /// Floating-point work (layout-independent).
     pub flops: f64,
     /// Useful bytes (for bandwidth accounting).
     pub useful_bytes: f64,
-    /// Streaming traffic not covered by the traces (e.g. result
-    /// writeback) — added to both DRAM and L2 terms.
-    pub streamed_bytes: f64,
+    /// Traffic no phase replays (result writeback, analytically
+    /// modeled panels), charged to the DRAM term as is.
+    pub streamed_dram_bytes: f64,
+    /// Traffic no phase replays, charged to the L2 term as is.
+    pub streamed_l2_bytes: f64,
     /// Thread blocks launched.
     pub blocks: f64,
     /// Kernel launches.
     pub launches: f64,
-    /// Whether compute time is wave-quantized (a partial last wave costs
-    /// a full wave).
-    pub wave_quantized: bool,
-    /// Sector-granular L2 for [`Phase::Global`] traffic; `None` sends
-    /// all coalesced traffic to DRAM (streaming kernels).
-    pub l2: Option<L2Model>,
     /// Per-block resource footprint for the occupancy model.
     pub resources: BlockResources,
     /// How the bottleneck terms combine into a runtime (roofline for
@@ -149,30 +141,27 @@ impl Estimate {
     }
 }
 
-/// One unit of batch work: a candidate layout plus the workload it is
-/// scored against (workloads may differ per candidate, e.g. tile sizes).
-pub type ScoreJob = (Layout, Workload);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::{Coord, Lane};
     use crate::config::a100;
     use crate::model::CostModel;
+    use lego_core::Layout;
 
     fn streaming_workload(stride: i64) -> Workload {
         Workload {
-            name: format!("stream-stride-{stride}"),
             pipeline: Pipeline::Fp32,
             flops: 0.0,
             useful_bytes: 32.0 * 4.0 * 1000.0,
-            streamed_bytes: 0.0,
+            streamed_dram_bytes: 0.0,
+            streamed_l2_bytes: 0.0,
             blocks: 1.0,
             launches: 1.0,
-            wave_quantized: false,
-            l2: None,
             resources: BlockResources::default(),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: false,
+            },
             phases: vec![Phase::Global {
                 map: AccessMap::new(
                     vec![],
@@ -182,6 +171,7 @@ mod tests {
                 ),
                 elem_bytes: 4,
                 scale: 1000.0,
+                l2: None,
             }],
         }
     }
@@ -200,7 +190,7 @@ mod tests {
     #[test]
     fn batch_matches_sequential() {
         let cfg = a100();
-        let jobs: Vec<ScoreJob> = (1..9)
+        let jobs: Vec<(Layout, Workload)> = (1..9)
             .map(|s| {
                 (
                     Layout::identity([100_000i64]).unwrap(),
@@ -220,17 +210,17 @@ mod tests {
         let layout = Layout::identity([32i64, 32]).unwrap();
         // Column walk through an unswizzled 32x32 tile: 32-way conflicts.
         let w = Workload {
-            name: "smem".into(),
             pipeline: Pipeline::Fp32,
             flops: 0.0,
             useful_bytes: 0.0,
-            streamed_bytes: 0.0,
+            streamed_dram_bytes: 0.0,
+            streamed_l2_bytes: 0.0,
             blocks: 1.0,
             launches: 1.0,
-            wave_quantized: false,
-            l2: None,
             resources: BlockResources::default(),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: false,
+            },
             phases: vec![Phase::Shared {
                 map: AccessMap::new(
                     vec![],

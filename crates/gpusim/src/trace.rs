@@ -20,6 +20,9 @@
 //! Lanes are chunked into warps of [`GpuConfig::warp_size`] (32-lane
 //! NVIDIA warps, 64-lane CDNA wavefronts), so the same descriptions
 //! price both device families.
+//!
+//! Builders describe geometry only: the tuner's index-expression flop
+//! term is added to the built workload by `lego_tune::build_workload`.
 
 use crate::access::{AccessMap, Coord, Lane, TileWaves};
 use crate::config::GpuConfig;
@@ -60,8 +63,6 @@ pub struct MatmulWaves {
     pub bn: i64,
     /// K-step depth.
     pub bk: i64,
-    /// Extra flops charged for index computation (tuner cost model).
-    pub index_flops: f64,
     /// Vendor-library model: ideal scheduling (no wave quantization)
     /// and a single dispatch instead of the two-launch LEGO pipeline.
     pub vendor: bool,
@@ -75,14 +76,8 @@ impl MatmulWaves {
             bm,
             bn,
             bk,
-            index_flops: 0.0,
             vendor: false,
         }
-    }
-
-    /// Stable display name, e.g. `matmul(n=2048,128x128x64)`.
-    fn name(&self) -> String {
-        format!("matmul(n={},{}x{}x{})", self.n, self.bm, self.bn, self.bk)
     }
 
     /// 256 threads (8 NVIDIA warps, 4 CDNA wavefronts), single-buffered
@@ -114,17 +109,17 @@ impl MatmulWaves {
         };
         let c_bytes = (n * n * elem) as f64;
         Workload {
-            name: self.name(),
             pipeline: Pipeline::TensorFp16,
-            flops: 2.0 * (n as f64).powi(3) + self.index_flops,
+            flops: 2.0 * (n as f64).powi(3),
             useful_bytes: 3.0 * c_bytes,
-            streamed_bytes: c_bytes,
+            streamed_dram_bytes: c_bytes,
+            streamed_l2_bytes: c_bytes,
             blocks: nblocks as f64,
             launches: if self.vendor { 1.0 } else { 2.0 },
-            wave_quantized: !self.vendor,
-            l2: None,
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: !self.vendor,
+            },
             phases: vec![Phase::TileTouches { waves }],
         }
     }
@@ -147,16 +142,9 @@ pub struct TransposeSweeps {
     pub t: i64,
     /// Whether a shared-memory staging tile is used.
     pub staged: bool,
-    /// Extra flops charged for index computation (tuner cost model).
-    pub index_flops: f64,
 }
 
 impl TransposeSweeps {
-    /// Stable display name.
-    fn name(&self) -> String {
-        format!("transpose(n={},t={})", self.n, self.t)
-    }
-
     /// Per-block resources: `t×t` threads, a `t×t` fp32 staging tile
     /// when staged.
     fn resources(&self, cfg: &GpuConfig) -> BlockResources {
@@ -187,6 +175,7 @@ impl TransposeSweeps {
             },
             elem_bytes: 4,
             scale: warps_per_tile * tiles as f64,
+            l2: None,
         }];
         if staged {
             // The staging tile's threads in row-major order, chunked
@@ -201,17 +190,17 @@ impl TransposeSweeps {
             });
         }
         Workload {
-            name: self.name(),
             pipeline: Pipeline::Fp32,
-            flops: self.index_flops,
+            flops: 0.0,
             useful_bytes: 2.0 * (n * n * 4) as f64,
-            streamed_bytes: 0.0,
+            streamed_dram_bytes: 0.0,
+            streamed_l2_bytes: 0.0,
             blocks: tiles as f64,
             launches: 1.0,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: false,
+            },
             phases,
         }
     }
@@ -243,8 +232,6 @@ pub enum LaneAxis {
 /// same factor, preserving the working-set-to-cache ratio).
 #[derive(Clone, Debug)]
 pub struct StencilWalk {
-    /// Display name of the stencil shape, e.g. `star-13pt`.
-    pub shape_name: String,
     /// The neighbor offsets `(dx, dy, dz)` of the stencil.
     pub offsets: Vec<(i64, i64, i64)>,
     /// Halo radius (taps are clamped to `[r, n-1-r]`).
@@ -255,16 +242,9 @@ pub struct StencilWalk {
     pub block: (i64, i64, i64),
     /// Warp lane walk order.
     pub lane_axis: LaneAxis,
-    /// Extra flops charged for index computation (tuner cost model).
-    pub index_flops: f64,
 }
 
 impl StencilWalk {
-    /// Stable display name.
-    fn name(&self) -> String {
-        format!("stencil({},n={})", self.shape_name, self.n)
-    }
-
     /// Per-block resources: one thread per tile point, no shared
     /// staging.
     fn resources(&self, cfg: &GpuConfig) -> BlockResources {
@@ -314,21 +294,22 @@ impl StencilWalk {
         let domain_bytes = (n * n * n * 4) as f64;
         let lines = ((domain_bytes / 12.8) as usize / cfg.sector_bytes).max(1024);
         Workload {
-            name: self.name(),
             pipeline: Pipeline::Fp32,
-            flops: 2.0 * points * (n * n * n) as f64 + self.index_flops,
+            flops: 2.0 * points * (n * n * n) as f64,
             useful_bytes: 2.0 * domain_bytes,
-            streamed_bytes: domain_bytes,
+            streamed_dram_bytes: domain_bytes,
+            streamed_l2_bytes: domain_bytes,
             blocks: ((n / bx) * (n / by) * (n / bz)) as f64,
             launches: 1.0,
-            wave_quantized: false,
-            l2: Some(L2Model { lines, assoc: 16 }),
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: false,
+            },
             phases: vec![Phase::Global {
                 map,
                 elem_bytes: 4,
                 scale: 1.0,
+                l2: Some(L2Model { lines, assoc: 16 }),
             }],
         }
     }
@@ -350,8 +331,6 @@ pub struct NwWavefront {
     pub n: i64,
     /// Block size (buffer side is `b + 1`).
     pub b: i64,
-    /// Extra flops charged for index computation (tuner cost model).
-    pub index_flops: f64,
 }
 
 impl NwWavefront {
@@ -390,11 +369,6 @@ impl NwWavefront {
         (rounds, launches)
     }
 
-    /// Stable display name.
-    fn name(&self) -> String {
-        format!("nw(n={},b={})", self.n, self.b)
-    }
-
     /// Per-block resources: `b` threads (one per wavefront lane) and
     /// the `(b+1)²` fp32 scoring buffer in shared memory. Large blocks
     /// are smem-bound: a `b=224` buffer fits an H100's 228 KiB carveout
@@ -420,16 +394,14 @@ impl NwWavefront {
         let (rounds, launches) = NwWavefront::schedule(nb, cfg);
         let matrix_bytes = (n * n * 4) as f64;
         Workload {
-            name: self.name(),
             pipeline: Pipeline::Fp32,
-            flops: self.index_flops,
+            flops: 0.0,
             useful_bytes: 2.0 * matrix_bytes,
             // Matrix read + write plus one reference-matrix read.
-            streamed_bytes: 3.0 * matrix_bytes,
+            streamed_dram_bytes: 3.0 * matrix_bytes,
+            streamed_l2_bytes: 3.0 * matrix_bytes,
             blocks,
             launches,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
             // The calibrated additive wavefront pricing that used to be
             // the NW bench driver's private loop: each of the `2b-1`
@@ -456,8 +428,9 @@ impl NwWavefront {
 /// LU decomposition in `bs×bs` block steps (diagonal, perimeter,
 /// internal kernels per step); thread coarsening enlarges the LUD block
 /// (`bs = r·t`), dividing launches and perimeter traffic by `r`. Reuse
-/// is modeled analytically at panel granularity, so the trace emits
-/// pre-aggregated [`Phase::Streamed`] traffic.
+/// is modeled analytically at panel granularity, so the workload has no
+/// phases: its panel traffic is the workload's streamed bytes, with the
+/// L2 term charged 1.5× the DRAM term.
 #[derive(Clone, Copy, Debug)]
 pub struct LudPanels {
     /// Matrix side length.
@@ -466,16 +439,9 @@ pub struct LudPanels {
     pub bs: i64,
     /// CUDA block side (16 in Rodinia).
     pub t: i64,
-    /// Extra flops charged for index computation (tuner cost model).
-    pub index_flops: f64,
 }
 
 impl LudPanels {
-    /// Stable display name.
-    fn name(&self) -> String {
-        format!("lud(n={},bs={})", self.n, self.bs)
-    }
-
     /// Per-block resources: a `t×t` CUDA block staging the perimeter
     /// row and column panels, with `r²` accumulators per thread.
     fn resources(&self, cfg: &GpuConfig) -> BlockResources {
@@ -517,15 +483,13 @@ impl LudPanels {
             blocks += 1.0 + 2.0 * rem + rem * rem;
         }
         Workload {
-            name: self.name(),
             pipeline: Pipeline::Fp32,
-            flops: flops + self.index_flops,
+            flops,
             useful_bytes: 2.0 * (n * n * 4) as f64,
-            streamed_bytes: 0.0,
+            streamed_dram_bytes: dram,
+            streamed_l2_bytes: dram * 1.5,
             blocks,
             launches,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
             // The three kernels of every factorization step depend on
             // each other: panel traffic and compute cannot overlap
@@ -537,10 +501,7 @@ impl LudPanels {
                 pass_cycles: 0.0,
                 launch_overhead_s: cfg.launch_overhead,
             },
-            phases: vec![Phase::Streamed {
-                dram_bytes: dram,
-                l2_bytes: dram * 1.5,
-            }],
+            phases: vec![],
         }
     }
 }
@@ -561,10 +522,8 @@ pub const ROWWISE_CHUNK_CYCLES: f64 = 28.0;
 /// pays per-chunk loop instructions, large `bs` pays masked-lane
 /// compute past the row end and register pressure that lowers
 /// occupancy below the bandwidth-saturation point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct RowwiseSweep {
-    /// Display name of the operator, e.g. `softmax`.
-    pub op_name: String,
     /// Number of rows (one program each).
     pub m: i64,
     /// Row length in elements.
@@ -575,16 +534,9 @@ pub struct RowwiseSweep {
     pub passes: f64,
     /// Floating-point work per processed (lane-padded) element.
     pub flops_per_elem: f64,
-    /// Extra flops charged for index computation (tuner cost model).
-    pub index_flops: f64,
 }
 
 impl RowwiseSweep {
-    /// Stable display name.
-    fn name(&self) -> String {
-        format!("{}(m={},n={},bs={})", self.op_name, self.m, self.n, self.bs)
-    }
-
     /// Per-block resources: Triton-style `num_warps` scaling with the
     /// block size (8 warp-widths of work per warp, as in the 32-lane
     /// `bs/256` heuristic), with the row chunk held live in registers.
@@ -619,21 +571,22 @@ impl RowwiseSweep {
         let map = AccessMap::new(vec![], lanes, cfg.warp_size, lane);
         let warp_bytes = lanes as f64 * 2.0;
         Workload {
-            name: self.name(),
             pipeline: Pipeline::Fp32,
-            flops: padded * self.flops_per_elem + instr_flops + self.index_flops,
+            flops: padded * self.flops_per_elem + instr_flops,
             useful_bytes: 2.0 * elems * 2.0,
-            streamed_bytes: 0.0,
+            streamed_dram_bytes: 0.0,
+            streamed_l2_bytes: 0.0,
             blocks: m as f64,
             launches: 1.0,
-            wave_quantized: false,
-            l2: None,
             resources: self.resources(cfg),
-            mode: PricingMode::Roofline,
+            mode: PricingMode::Roofline {
+                wave_quantized: false,
+            },
             phases: vec![Phase::Global {
                 map,
                 elem_bytes: 2,
                 scale: bytes / warp_bytes,
+                l2: None,
             }],
         }
     }
@@ -654,7 +607,12 @@ mod tests {
         let w = b.build(&cfg);
         assert_eq!(w.blocks, 256.0);
         assert_eq!(w.launches, 2.0);
-        assert!(w.wave_quantized);
+        assert_eq!(
+            w.mode,
+            PricingMode::Roofline {
+                wave_quantized: true
+            }
+        );
         assert!((w.flops - 2.0 * 2048f64.powi(3)).abs() < 1.0);
     }
 
@@ -667,7 +625,12 @@ mod tests {
         }
         .build(&cfg);
         assert_eq!(w.launches, 1.0);
-        assert!(!w.wave_quantized);
+        assert_eq!(
+            w.mode,
+            PricingMode::Roofline {
+                wave_quantized: false
+            }
+        );
     }
 
     #[test]
@@ -699,11 +662,7 @@ mod tests {
 
     #[test]
     fn nw_giant_block_fits_h100_not_a100() {
-        let w = NwWavefront {
-            n: 3584,
-            b: 224,
-            index_flops: 0.0,
-        };
+        let w = NwWavefront { n: 3584, b: 224 };
         let r = w.resources(&a100());
         let p = crate::timing::KernelProfile {
             warps_per_block: r.warps_per_block,
@@ -722,14 +681,12 @@ mod tests {
             n: 2048,
             bs: 16,
             t: 16,
-            index_flops: 0.0,
         }
         .build(&cfg);
         let coarse = LudPanels {
             n: 2048,
             bs: 64,
             t: 16,
-            index_flops: 0.0,
         }
         .build(&cfg);
         assert!(coarse.launches < base.launches / 3.0);
@@ -744,19 +701,13 @@ mod tests {
     fn nw_and_lud_pad_non_dividing_blocks() {
         let cfg = a100();
         // 512 = 5·96 + 32: six block diagonals, the last one partial.
-        let padded = NwWavefront {
-            n: 512,
-            b: 96,
-            index_flops: 0.0,
-        }
-        .build(&cfg);
+        let padded = NwWavefront { n: 512, b: 96 }.build(&cfg);
         assert_eq!(padded.launches, 2.0 * 11.0);
         assert_eq!(padded.blocks, 2.0 * 36.0);
         let lud = LudPanels {
             n: 512,
             bs: 96,
             t: 16,
-            index_flops: 0.0,
         }
         .build(&cfg);
         // ceil(512/96) = 6 factorization steps, 3 launches each.
@@ -768,13 +719,11 @@ mod tests {
         let cfg = a100();
         let layout = |bs: i64| Layout::identity([bs]).unwrap();
         let sweep = |bs: i64| RowwiseSweep {
-            op_name: "softmax".into(),
             m: 4096,
             n: 3000,
             bs,
             passes: 2.0,
             flops_per_elem: 6.0,
-            index_flops: 0.0,
         };
         let t = |bs: i64| {
             let w = sweep(bs).build(&cfg);
@@ -791,13 +740,11 @@ mod tests {
     fn rowwise_traffic_scales_with_passes() {
         let cfg = a100();
         let mk = |passes: f64| RowwiseSweep {
-            op_name: "layernorm".into(),
             m: 1024,
             n: 1024,
             bs: 1024,
             passes,
             flops_per_elem: 8.0,
-            index_flops: 0.0,
         };
         let l = Layout::identity([1024i64]).unwrap();
         let two = CostModel::new(&cfg).price(&l, &mk(2.0).build(&cfg));
@@ -813,13 +760,11 @@ mod tests {
         let rm = row_major3d(n).unwrap();
         let offsets = vec![(0, 0, 0), (1, 0, 0), (-1, 0, 0)];
         let mk = |lane_axis, block| StencilWalk {
-            shape_name: "test".into(),
             offsets: offsets.clone(),
             radius: 1,
             n,
             block,
             lane_axis,
-            index_flops: 0.0,
         };
         let y = CostModel::new(&cfg).price(&rm, &mk(LaneAxis::Y, (4, 8, 4)).build(&cfg));
         let z = CostModel::new(&cfg).price(&rm, &mk(LaneAxis::Z, (4, 4, 8)).build(&cfg));
@@ -1087,13 +1032,7 @@ mod tests {
             for t in [4, 8, 32] {
                 for staged in [false, true] {
                     let n = 256;
-                    let w = TransposeSweeps {
-                        n,
-                        t,
-                        staged,
-                        index_flops: 0.0,
-                    }
-                    .build(&cfg);
+                    let w = TransposeSweeps { n, t, staged }.build(&cfg);
                     let what = format!("transpose t={t} staged={staged} on {}", cfg.tag);
                     let Phase::Global { map, .. } = &w.phases[0] else {
                         panic!("{what}: global phase first");
@@ -1127,13 +1066,11 @@ mod tests {
                 for lane_axis in [LaneAxis::Y, LaneAxis::Z, LaneAxis::YZ] {
                     for block in [(2, 4, 8), (4, 8, 4), (1, 8, 8)] {
                         let walk = StencilWalk {
-                            shape_name: "custom".into(),
                             offsets: offsets.clone(),
                             radius: 1,
                             n,
                             block,
                             lane_axis,
-                            index_flops: 0.0,
                         };
                         let w = walk.build(&cfg);
                         for layout in layouts([n, n, n]) {
@@ -1160,12 +1097,7 @@ mod tests {
     fn nw_block_map_replays_the_reference_warps() {
         for cfg in devices() {
             for b in [16, 48, 96] {
-                let w = NwWavefront {
-                    n: 4 * b,
-                    b,
-                    index_flops: 0.0,
-                }
-                .build(&cfg);
+                let w = NwWavefront { n: 4 * b, b }.build(&cfg);
                 for layout in layouts([b + 1, b + 1]) {
                     // Chunk and tap order may swap; passes are summed.
                     assert_eq!(
@@ -1184,13 +1116,11 @@ mod tests {
         for cfg in devices() {
             for bs in [16, 32, 48, 256] {
                 let w = RowwiseSweep {
-                    op_name: "softmax".into(),
                     m: 64,
                     n: 1000,
                     bs,
                     passes: 2.0,
                     flops_per_elem: 6.0,
-                    index_flops: 0.0,
                 }
                 .build(&cfg);
                 let lanes = (cfg.warp_size as i64).min(bs);

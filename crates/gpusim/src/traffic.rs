@@ -13,8 +13,8 @@
 //!
 //! The cost model derives the key itself (see `CostModel::traffic`):
 //! the phases are plain data ([`crate::access`]), so it renders them
-//! exactly, together with the workload's L2 model, the pricing-device
-//! geometry and a structural layout fingerprint. Every workload is
+//! exactly (a global phase's L2 model included), together with the
+//! pricing-device geometry and a structural layout fingerprint. Every workload is
 //! memoizable, hand-built ones included; `CostModel::trace` is the
 //! unmemoized pass.
 //!
@@ -34,10 +34,10 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrafficCost {
     /// Bytes that miss past L2 to DRAM, summed over phases (before the
-    /// workload's `streamed_bytes` is added at assembly time).
+    /// workload's `streamed_dram_bytes` is added at assembly time).
     pub dram_bytes: f64,
     /// Bytes moved through L2, summed over phases (before
-    /// `streamed_bytes`).
+    /// `streamed_l2_bytes`).
     pub l2_bytes: f64,
     /// Serialized shared-memory passes, summed over phases.
     pub smem_passes: f64,

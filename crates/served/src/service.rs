@@ -6,7 +6,10 @@
 //!    costs one lock acquisition.
 //! 2. **In-flight coalescing** — a table of searches currently running,
 //!    keyed by [`TuneRequest::coalesce_key`] (cache key + search
-//!    knobs). A thundering herd of N identical concurrent requests
+//!    knobs), held under the same mutex as the memory tier. A runner
+//!    promotes its entry and removes its slot in one critical section,
+//!    so every request sees the search either in flight or done. A
+//!    thundering herd of N identical concurrent requests
 //!    finds the first requester's slot here and blocks on its
 //!    `Condvar`; all N receive the single search's result. Seeds derive
 //!    from the key, so the shared result is exactly what each request
@@ -24,7 +27,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use gpu_sim::score::Estimate;
 use gpu_sim::GpuConfig;
@@ -157,6 +160,14 @@ impl Slot {
     }
 }
 
+/// The memory tier and the in-flight table, guarded together: a probe
+/// sees both at once, and a finished search leaves the one for the
+/// other in a single critical section.
+struct Tiers {
+    memory: HashMap<String, CachedTuning>,
+    inflight: HashMap<String, Arc<Slot>>,
+}
+
 /// The shared state of one daemon: tiers, metrics, shutdown flag.
 pub struct TuneService {
     default_device: GpuConfig,
@@ -170,8 +181,7 @@ pub struct TuneService {
     sidecar_path: Option<PathBuf>,
     sidecar_in: Option<lego_tune::Sidecar>,
     sidecar_out: Mutex<lego_tune::Sidecar>,
-    memory: Mutex<HashMap<String, CachedTuning>>,
-    inflight: Mutex<HashMap<String, Arc<Slot>>>,
+    tiers: Mutex<Tiers>,
     metrics: Metrics,
     shutdown: AtomicBool,
     /// Set once the listener is bound; `begin_shutdown` pokes it to
@@ -204,8 +214,10 @@ impl TuneService {
             sidecar_path,
             sidecar_in,
             sidecar_out: Mutex::new(lego_tune::Sidecar::new()),
-            memory: Mutex::new(memory),
-            inflight: Mutex::new(HashMap::new()),
+            tiers: Mutex::new(Tiers {
+                memory,
+                inflight: HashMap::new(),
+            }),
             metrics: Metrics::new(),
             shutdown: AtomicBool::new(false),
             addr: OnceLock::new(),
@@ -252,7 +264,7 @@ impl TuneService {
 
     /// Number of completed results held in the memory tier.
     pub fn memory_len(&self) -> usize {
-        self.memory.lock().expect("memory tier poisoned").len()
+        self.tiers().memory.len()
     }
 
     /// Records the bound listener address (enables acceptor wakeup).
@@ -293,7 +305,7 @@ impl TuneService {
         };
         let on_disk: std::collections::HashSet<String> =
             cache.entries().into_iter().map(|(k, _)| k).collect();
-        let memory = self.memory.lock().expect("memory tier poisoned").clone();
+        let memory = self.tiers().memory.clone();
         let mut missing: Vec<_> = memory
             .into_iter()
             .filter(|(k, _)| !on_disk.contains(k))
@@ -309,47 +321,47 @@ impl TuneService {
         let cache_key = req.cache_key();
         let coalesce_key = req.coalesce_key();
 
-        // One inflight-table critical section covers both the memory
-        // probe and the slot probe. The runner promotes to memory
-        // *before* unpublishing its slot (the removal also takes this
-        // lock), so any concurrent request is guaranteed to observe one
-        // of the two — a herd can never leak a second search through
-        // the promote/unpublish gap.
         let slot = {
-            let mut inflight = self.inflight.lock().expect("inflight table poisoned");
+            let mut tiers = self.tiers();
 
             // Tier 1: completed results in memory.
-            {
-                let memory = self.memory.lock().expect("memory tier poisoned");
-                if let Some(hit) = memory.get(&cache_key) {
-                    if req.satisfied_by(hit) {
-                        return (Ok(served_from(req, hit)), Tier::Memory);
-                    }
+            if let Some(hit) = tiers.memory.get(&cache_key) {
+                if req.satisfied_by(hit) {
+                    return (Ok(served_from(req, hit)), Tier::Memory);
                 }
             }
 
             // Tier 2: an identical search already in flight.
-            if let Some(slot) = inflight.get(&coalesce_key) {
+            if let Some(slot) = tiers.inflight.get(&coalesce_key) {
                 let slot = Arc::clone(slot);
-                drop(inflight);
+                drop(tiers);
                 return (slot.wait(), Tier::Coalesced);
             }
             let slot = Arc::new(Slot::new());
-            inflight.insert(coalesce_key.clone(), Arc::clone(&slot));
+            tiers
+                .inflight
+                .insert(coalesce_key.clone(), Arc::clone(&slot));
             slot
         };
 
-        // Tier 3: we are the runner.
-        let (result, tier) = self.run_search(req, &cache_key);
-
-        // Promote before unpublishing the slot, so a request arriving
-        // between the two always finds one of the tiers populated.
-        {
-            let mut inflight = self.inflight.lock().expect("inflight table poisoned");
-            inflight.remove(&coalesce_key);
-        }
+        // Tier 3: we are the runner. The entry enters the memory tier
+        // as the slot leaves the in-flight table, under one lock.
+        let (entry, tier) = self.run_search(req);
+        let mut tiers = self.tiers();
+        tiers.inflight.remove(&coalesce_key);
+        let result = entry.map(|entry| {
+            let served = served_from(req, &entry);
+            tiers.memory.insert(cache_key, entry);
+            served
+        });
+        drop(tiers);
         slot.publish(result.clone());
         (result, tier)
+    }
+
+    /// Locks the memory tier and the in-flight table.
+    fn tiers(&self) -> MutexGuard<'_, Tiers> {
+        self.tiers.lock().expect("tier lock poisoned")
     }
 
     /// Tunes a whole grid through the [`FleetDriver`] — sharing the
@@ -369,26 +381,26 @@ impl TuneService {
         }
         let report = driver.run(grid);
 
-        let mut memory = self.memory.lock().expect("memory tier poisoned");
+        let mut tiers = self.tiers();
         for key in &report.keys {
             if let Some(entry) = &key.entry {
-                memory.insert(key.cache_key.clone(), entry.clone());
+                tiers.memory.insert(key.cache_key.clone(), entry.clone());
             }
         }
-        drop(memory);
+        drop(tiers);
 
         self.metrics.record_fleet(&report.class_counters());
         report
     }
 
     /// Runs the search tier: a tuner configured exactly as the request
-    /// asks, persisting through the concurrency-safe cache. The entry
-    /// the tuner read or persisted is promoted into the memory tier
-    /// as-is (frontier included), so the cache tier, the memory tier and
-    /// a restarted daemon's preload answer the same bytes. Panics in
-    /// the search are contained so a follower can never be left waiting
-    /// on a dead slot.
-    fn run_search(&self, req: &TuneRequest, cache_key: &str) -> (Result<Served, String>, Tier) {
+    /// asks, persisting through the concurrency-safe cache. Returns the
+    /// entry the tuner read or persisted, which the caller promotes into
+    /// the memory tier as-is (frontier included), so the cache tier, the
+    /// memory tier and a restarted daemon's preload answer the same
+    /// bytes. Panics in the search are contained so a follower can never
+    /// be left waiting on a dead slot.
+    fn run_search(&self, req: &TuneRequest) -> (Result<CachedTuning, String>, Tier) {
         let mut tuner = req.tuner();
         if let Some(cache) = &self.cache {
             tuner = tuner.with_cache(cache.path());
@@ -402,12 +414,7 @@ impl TuneService {
                 } else {
                     Tier::Searched
                 };
-                let served = served_from(req, &entry);
-                self.memory
-                    .lock()
-                    .expect("memory tier poisoned")
-                    .insert(cache_key.to_string(), entry);
-                (Ok(served), tier)
+                (Ok(entry), tier)
             }
             Ok(Err(e)) => (Err(format!("tuning failed: {e}")), Tier::Searched),
             Err(_) => (

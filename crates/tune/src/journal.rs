@@ -5,9 +5,9 @@
 //! last record per `(tag, key)` and drops a torn tail (a final line
 //! with no newline that is a prefix of a well-formed record); any other
 //! anomaly reads as an empty journal, a cold start. [`write()`] appends
-//! under [`atomicfile::path_lock`], and rewrites a missing, stale or
-//! torn file through [`atomicfile::write_atomic`], which is also how it
-//! compacts.
+//! under a per-path lock (`atomicfile::path_lock`), and rewrites a
+//! missing, stale or torn file through a tempfile and an atomic rename
+//! (`atomicfile::write_atomic`), which is also how it compacts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -15,9 +15,11 @@ use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write as _};
 use std::path::Path;
 
-use lego_expr::{atomicfile, rules};
+use lego_expr::rules;
 
 use crate::cache::CACHE_SCHEMA_VERSION;
+
+mod atomicfile;
 
 /// Record tag of a tuning-cache entry.
 pub const TUNE: &str = "tune";
@@ -90,7 +92,7 @@ pub enum Mode {
 /// Appends `rows` to the journal at `path` under its per-path lock. A
 /// missing, stale or torn file (or, under [`Mode::Compact`], a mostly
 /// dead one) is rewritten instead, as its live records plus `rows` in
-/// `(tag, key)` order, through [`atomicfile::write_atomic`].
+/// `(tag, key)` order, through `atomicfile::write_atomic`.
 ///
 /// # Errors
 ///

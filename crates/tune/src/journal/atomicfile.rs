@@ -1,7 +1,7 @@
-//! Concurrent-writer-safe file replacement.
+//! Concurrent-writer-safe file replacement, private to the journal.
 //!
-//! The persistence journal (`lego_tune::journal`, the one format behind
-//! both the tuning cache and the memo sidecar) serializes same-file
+//! The persistence journal (the one format behind both the tuning cache
+//! and the memo sidecar) serializes same-file
 //! writers within the process behind a per-canonical-path mutex
 //! ([`path_lock`]): every append and every rewrite runs under it. A
 //! rewrite — creating a journal, replacing a stale or torn one, or
@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the same file — the tuning-service daemon's workers, a parallel
 /// fleet driver — are serialized here, so no append interleaves with
 /// another and no rewrite clobbers another writer's entries.
-pub fn path_lock(path: &Path) -> Arc<Mutex<()>> {
+pub(super) fn path_lock(path: &Path) -> Arc<Mutex<()>> {
     static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
     let mut locks = LOCKS
         .get_or_init(|| Mutex::new(HashMap::new()))
@@ -62,7 +62,7 @@ fn lock_key(path: &Path) -> PathBuf {
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+pub(super) fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;

@@ -715,68 +715,51 @@ fn index_evals(kind: &WorkloadKind, config: &TunedConfig) -> f64 {
 
 /// Builds the `gpu-sim` workload trace for one candidate by
 /// instantiating the matching [`gpu_sim::trace`] builder — the same
-/// builders the `lego-bench` drivers replay — with the tuner's
-/// index-expression flop term attached.
+/// builders the `lego-bench` drivers replay — and adding the tuner's
+/// index-expression flop term, the only place that term is charged.
 pub fn build_workload(kind: &WorkloadKind, candidate: &Candidate, gpu: &GpuConfig) -> Workload {
-    let index_flops =
-        candidate.index_ops.unwrap_or(0) as f64 * index_evals(kind, &candidate.config);
-    match (*kind, candidate.config) {
-        (WorkloadKind::Matmul { n }, TunedConfig::Matmul { bm, bn, bk, .. }) => MatmulWaves {
-            n,
-            bm,
-            bn,
-            bk,
-            index_flops,
-            vendor: false,
+    let mut wl = match (*kind, candidate.config) {
+        (WorkloadKind::Matmul { n }, TunedConfig::Matmul { bm, bn, bk, .. }) => {
+            MatmulWaves::with_tiles(n, (bm, bn, bk)).build(gpu)
         }
-        .build(gpu),
         (WorkloadKind::Transpose { n }, TunedConfig::Transpose { t, staging }) => TransposeSweeps {
             n,
             t,
             staged: staging.is_some(),
-            index_flops,
         }
         .build(gpu),
         (WorkloadKind::Stencil { shape, n }, TunedConfig::Stencil { layout: choice, .. }) => {
             let (block, lane_axis) = stencil_block(&choice, n);
             StencilWalk {
-                shape_name: shape.name(),
                 offsets: shape.offsets(),
                 radius: shape.radius(),
                 n,
                 block,
                 lane_axis,
-                index_flops,
             }
             .build(gpu)
         }
-        (WorkloadKind::Nw { n, .. }, TunedConfig::Nw { b, .. }) => {
-            NwWavefront { n, b, index_flops }.build(gpu)
+        (WorkloadKind::Nw { n, .. }, TunedConfig::Nw { b, .. }) => NwWavefront { n, b }.build(gpu),
+        (WorkloadKind::Lud { n, .. }, TunedConfig::Lud { r, t }) => {
+            LudPanels { n, bs: r * t, t }.build(gpu)
         }
-        (WorkloadKind::Lud { n, .. }, TunedConfig::Lud { r, t }) => LudPanels {
-            n,
-            bs: r * t,
-            t,
-            index_flops,
-        }
-        .build(gpu),
         (WorkloadKind::Rowwise { op, m, n }, TunedConfig::Rowwise { bs, .. }) => {
             // Traffic and flop factors come from the operator itself
             // (`RowwiseOp::{traffic_passes, flops_per_elem}`), the same
             // calibration point `lego-bench`'s driver consumes.
             RowwiseSweep {
-                op_name: op.tag().to_string(),
                 m,
                 n,
                 bs,
                 passes: op.traffic_passes(),
                 flops_per_elem: op.flops_per_elem(),
-                index_flops,
             }
             .build(gpu)
         }
         _ => unreachable!("kind/config pairs come from one Domain"),
-    }
+    };
+    wl.flops += candidate.index_ops.unwrap_or(0) as f64 * index_evals(kind, &candidate.config);
+    wl
 }
 
 /// The thread-block tile and warp lane walk of a stencil layout choice.

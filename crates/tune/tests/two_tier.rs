@@ -114,29 +114,71 @@ fn memo_probes(gpu: &GpuConfig, jobs: &[(lego_core::Layout, gpu_sim::Workload)])
 
 fn stencil(offsets: Vec<(i64, i64, i64)>) -> StencilWalk {
     StencilWalk {
-        shape_name: "custom".into(),
         offsets,
         radius: 1,
         n: 16,
         block: (2, 4, 8),
         lane_axis: LaneAxis::YZ,
-        index_flops: 0.0,
     }
 }
 
-/// Two stencils sharing a display name but not their offsets trace
-/// differently, so they must not share a memo entry.
+/// Two stencils differing only in their offsets trace differently, so
+/// they must not share a memo entry.
 #[test]
 fn stencils_differing_only_in_offsets_get_different_keys() {
     let gpu = a100();
     let layout = lego_core::brick::row_major3d(16).unwrap();
     let a = stencil(vec![(0, 0, 0), (1, 0, 0), (-1, 0, 0)]).build(&gpu);
     let b = stencil(vec![(0, 0, 0), (0, 1, 0), (0, -1, 0)]).build(&gpu);
-    assert_eq!(a.name, b.name);
     assert_eq!(
         memo_probes(&gpu, &[(layout.clone(), a), (layout, b)]),
         (0, 2)
     );
+}
+
+/// The L2 model lives on the global phase it filters, and the key
+/// renders it there: two stencils differing only in their phase's L2
+/// lines filter the same sectors differently, so they must not share a
+/// memo entry (while a repeat of either is a hit).
+#[test]
+fn stencils_differing_only_in_l2_lines_get_different_keys() {
+    use gpu_sim::Phase;
+    let gpu = a100();
+    let layout = lego_core::brick::row_major3d(16).unwrap();
+    let a = stencil(vec![(0, 0, 0), (1, 0, 0), (-1, 0, 0)]).build(&gpu);
+    let mut b = a.clone();
+    let [Phase::Global { l2: Some(l2), .. }] = &mut b.phases[..] else {
+        panic!("a stencil is one L2-filtered global phase");
+    };
+    l2.lines *= 2;
+    let jobs = [
+        (layout.clone(), a.clone()),
+        (layout.clone(), b),
+        (layout, a),
+    ];
+    assert_eq!(memo_probes(&gpu, &jobs), (1, 2));
+}
+
+/// LUD's panel traffic is the workload's streamed bytes, with no phase
+/// to replay: the traced traffic is zero, the price is bit-identical to
+/// assembling the direct trace, and the estimate's bytes are exactly
+/// the streamed bytes.
+#[test]
+fn a_phaseless_lud_workload_prices_like_its_direct_trace() {
+    for gpu in &devices() {
+        let model = CostModel::new(gpu);
+        let kind = WorkloadKind::Lud { n: 256, bs: 16 };
+        for (cand, layout) in feasible(&kind, 1) {
+            let wl = lego_tune::build_workload(&kind, &cand, gpu);
+            assert!(wl.phases.is_empty(), "{:?}", cand.config);
+            let tc = model.trace(&layout, &wl);
+            assert_eq!(tc, gpu_sim::TrafficCost::default());
+            let est = model.price(&layout, &wl);
+            assert_eq!(est, model.assemble(&wl, &tc), "{:?}", cand.config);
+            assert_eq!(est.dram_bytes, wl.streamed_dram_bytes);
+            assert_eq!(est.l2_bytes, wl.streamed_l2_bytes);
+        }
+    }
 }
 
 /// A builder built for 32-lane warps and for 64-lane wavefronts
@@ -169,17 +211,17 @@ fn a_hand_built_workload_is_memoized() {
         Coord(0, vec![1], Lane::Mul(0)),
     ];
     let wl = Workload {
-        name: "columns".into(),
         pipeline: Pipeline::Fp32,
         flops: 0.0,
         useful_bytes: 0.0,
-        streamed_bytes: 0.0,
+        streamed_dram_bytes: 0.0,
+        streamed_l2_bytes: 0.0,
         blocks: 1.0,
         launches: 1.0,
-        wave_quantized: false,
-        l2: None,
         resources: BlockResources::default(),
-        mode: PricingMode::Roofline,
+        mode: PricingMode::Roofline {
+            wave_quantized: false,
+        },
         phases: vec![Phase::Shared {
             map: AccessMap::new(vec![32], 32, 32, vec![column]),
             scale: 1.0,

@@ -202,15 +202,8 @@ fn nw_and_lud_prices_are_bit_identical() {
             let block_passes = passes as f64;
             let nb = 2048 / 16;
             let blocks = 2.0 * (nb * nb) as f64;
-            let tuned = CostModel::new(&cfg).price(
-                layout,
-                &NwWavefront {
-                    n: 2048,
-                    b: 16,
-                    index_flops: 0.0,
-                }
-                .build(&cfg),
-            );
+            let tuned =
+                CostModel::new(&cfg).price(layout, &NwWavefront { n: 2048, b: 16 }.build(&cfg));
             assert_eq!(tuned.smem_passes, block_passes * blocks);
         }
 
