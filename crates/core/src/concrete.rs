@@ -14,17 +14,17 @@
 //! every `OrderBy` level into a full table by mixed-radix composition of
 //! its tile tables (no per-element division), and composes the levels
 //! in order. Layouts whose map is the identity store no table at all.
+//!
+//! A compiled layout is what a trace indexes, never what names it: the
+//! traffic memo keys a layout by its specification
+//! ([`Layout::key`]), so a memo hit compiles nothing and only a miss
+//! pays for the tables.
 
 use crate::error::{LayoutError, Result};
 use crate::group_by::Layout;
 use crate::order_by::OrderBy;
 use crate::perm::Perm;
 use crate::shape::{flatten, unflatten, Ix};
-
-/// FNV-1a offset basis of the layout fingerprint.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime of the layout fingerprint.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A constant-shaped [`Layout`] compiled into lookup tables: a flat
 /// forward table and its inverse (none when the map is the identity).
@@ -55,9 +55,6 @@ pub struct ConcreteLayout {
     /// `(fwd, inv)`: `fwd[logical_flat] = physical`, `inv` its inverse;
     /// `None` when the map is the identity.
     tables: Option<(Vec<Ix>, Vec<Ix>)>,
-    /// FNV-1a over the physical positions in logical order, or `None`
-    /// for a layout without an `OrderBy` chain.
-    hash: Option<u64>,
 }
 
 impl Layout {
@@ -80,7 +77,6 @@ impl Layout {
                 dims,
                 size,
                 tables: None,
-                hash: None,
             });
         }
         let mut fwd: Vec<Ix> = Vec::new();
@@ -101,9 +97,6 @@ impl Layout {
                 }
             }
         }
-        let hash = fwd
-            .iter()
-            .fold(FNV_OFFSET, |h, &p| (h ^ p as u64).wrapping_mul(FNV_PRIME));
         let tables = if fwd.iter().enumerate().all(|(i, &p)| p == i as Ix) {
             None
         } else {
@@ -119,12 +112,7 @@ impl Layout {
             }
             Some((fwd, inv))
         };
-        Ok(ConcreteLayout {
-            dims,
-            size,
-            tables,
-            hash: Some(hash),
-        })
+        Ok(ConcreteLayout { dims, size, tables })
     }
 }
 
@@ -270,39 +258,12 @@ impl ConcreteLayout {
             None => (0..self.size).collect(),
         }
     }
-
-    /// A structural fingerprint: layouts with equal fingerprints induce
-    /// the same logical→physical map over the same view. `id{dims:?}`
-    /// for a layout without an `OrderBy` chain, otherwise
-    /// `p{dims:?}x{h:016x}` with `h` the FNV-1a hash of the physical
-    /// positions in logical order — the traffic-memo and sidecar key
-    /// format, so it must stay stable.
-    pub fn fingerprint(&self) -> String {
-        let dims = &self.dims;
-        match self.hash {
-            None => format!("id{dims:?}"),
-            Some(h) => format!("p{dims:?}x{h:016x}"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::perms::{morton, reverse_perm};
-
-    fn fig2() -> Layout {
-        Layout::builder([6i64, 4])
-            .order_by(
-                OrderBy::new([
-                    Perm::reg([2i64, 2], [2usize, 1]).unwrap(),
-                    reverse_perm(&[3, 2]).unwrap(),
-                ])
-                .unwrap(),
-            )
-            .build()
-            .unwrap()
-    }
 
     /// Every element and every out-of-range probe agrees with the
     /// reference interpreter, over a multi-level chain with both
@@ -335,25 +296,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fingerprint_hashes_the_physical_order() {
-        let l = fig2();
-        let c = l.compile().unwrap();
-        let mut h = FNV_OFFSET;
-        for f in 0..24 {
-            let p = l
-                .apply_c(&crate::shape::unflatten(&[6, 4], f).unwrap())
-                .unwrap();
-            h = (h ^ p as u64).wrapping_mul(FNV_PRIME);
-        }
-        assert_eq!(c.fingerprint(), format!("p[6, 4]x{h:016x}"));
-        let id = Layout::identity([3i64, 5]).unwrap().compile().unwrap();
-        assert_eq!(id.fingerprint(), "id[3, 5]");
-        assert!(id.tables.is_none());
-    }
-
-    /// A chain that happens to compute the identity stores no table but
-    /// keeps the chain-layout fingerprint.
+    /// A chain that happens to compute the identity stores no table.
     #[test]
     fn identity_valued_chain_drops_its_table() {
         let l = Layout::builder([4i64, 4])
@@ -362,7 +305,6 @@ mod tests {
             .unwrap();
         let c = l.compile().unwrap();
         assert!(c.tables.is_none());
-        assert!(c.fingerprint().starts_with("p[4, 4]x"));
         assert_eq!(c.permutation(), (0..16).collect::<Vec<_>>());
     }
 

@@ -13,7 +13,8 @@ use lego_expr::{Expr, RangeEnv};
 
 use crate::error::{LayoutError, Result};
 use crate::order_by::OrderBy;
-use crate::shape::{flatten, flatten_sym, unflatten, unflatten_sym, Ix, Shape};
+use crate::perm::Perm;
+use crate::shape::{flatten, flatten_sym, key_ints, unflatten, unflatten_sym, Ix, Shape};
 
 /// An index argument for [`Layout::apply_sliced`]: either a point
 /// coordinate or a full-dimension slice (the `:` of the paper's Triton
@@ -298,12 +299,52 @@ impl Layout {
     pub fn to_permutation(&self) -> Result<Vec<Ix>> {
         Ok(self.compile()?.permutation())
     }
+
+    /// Appends a structural rendering of this layout to a memo key: the
+    /// view dims, then each `OrderBy`'s permutations in order — a
+    /// `RegP` as its tile dims and `σ`, a `GenP` as its tile dims and
+    /// its length-prefixed [`GenFns::name`](crate::GenFns::name).
+    ///
+    /// The specification determines every index, so equal keys mean
+    /// equal view dims and equal [permutations](Layout::to_permutation)
+    /// — given the `GenFns::name` contract that equal names on equal
+    /// tiles denote equal bijections. The converse does not hold:
+    /// different specifications of one map (an identity-valued `RegP`
+    /// and no `OrderBy`, `morton(2)` and the `2x2` block-cyclic
+    /// identity) get different keys. Rendering reads no element, so it
+    /// costs O(chain length), not O(view size), and it validates
+    /// nothing beyond constant dims: a key is only a name for what
+    /// [`compile`](Layout::compile) would produce.
+    ///
+    /// # Errors
+    ///
+    /// [`LayoutError::NonConstDims`] for symbolic view or tile sizes.
+    pub fn key(&self, out: &mut String) -> Result<()> {
+        key_ints(out, 'v', &self.view.dims_const()?);
+        for ob in &self.orders {
+            out.push('o');
+            for perm in ob.perms() {
+                match perm {
+                    Perm::Reg { tile, sigma } => {
+                        key_ints(out, 'r', &tile.dims_const()?);
+                        let sigma: Vec<Ix> = sigma.iter().map(|&s| s as Ix).collect();
+                        key_ints(out, 's', &sigma);
+                    }
+                    Perm::Gen { tile, fns } => {
+                        key_ints(out, 'g', &tile.dims_const()?);
+                        key_ints(out, 'n', &[fns.name.len() as Ix]);
+                        out.push_str(&fns.name);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perm::Perm;
     use crate::perms::reverse_perm;
 
     /// The Fig. 2 layout: GroupBy([6,4], OrderBy(RegP([2,2],[2,1]),
@@ -405,6 +446,37 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn key(l: &Layout) -> Result<String> {
+        let mut out = String::new();
+        l.key(&mut out).map(|()| out)
+    }
+
+    /// The key spells out the specification in zigzag hex: the view,
+    /// then per `OrderBy` (`o`) each `RegP`'s tile and σ or each
+    /// `GenP`'s tile and length-prefixed name.
+    #[test]
+    fn key_renders_the_specification() {
+        assert_eq!(
+            key(&fig2()).unwrap(),
+            "vc,8,or4,4,s4,2,g6,4,n1a,reverse[3, 2]"
+        );
+        assert_eq!(key(&Layout::identity([3i64, 5]).unwrap()).unwrap(), "v6,a,");
+        let two_levels = Layout::builder([4i64, 4])
+            .order_by(OrderBy::new([Perm::reg([4i64, 4], [2usize, 1]).unwrap()]).unwrap())
+            .order_by(OrderBy::new([reverse_perm(&[4, 4]).unwrap()]).unwrap())
+            .build()
+            .unwrap();
+        assert_eq!(
+            key(&two_levels).unwrap(),
+            "v8,8,or8,8,s4,2,og8,8,n1a,reverse[4, 4]"
+        );
+        let symbolic = Layout::identity(Shape::syms(["M", "K"])).unwrap();
+        assert!(matches!(
+            key(&symbolic),
+            Err(LayoutError::NonConstDims { .. })
+        ));
     }
 
     #[test]

@@ -28,7 +28,17 @@ pub type GenInvSym = Arc<dyn Fn(&Expr) -> Vec<Expr> + Send + Sync>;
 /// The function bundle of a general permutation.
 #[derive(Clone)]
 pub struct GenFns {
-    /// Display name (used in errors and `Debug`).
+    /// The bijection's name (used in errors, `Debug` and layout keys).
+    ///
+    /// **Identity contract:** equal names on equal tiles must denote
+    /// equal concrete bijections, so a name carries every parameter
+    /// the map depends on beyond the tile (`morton8`,
+    /// `block_cyclic_rows(8x4,p=2,b=2)`). [`Layout::key`](crate::Layout::key)
+    /// renders a `GenP` by its tile and name, and the traffic memo and
+    /// its persisted sidecar rows are keyed by that rendering, so two
+    /// closures sharing a name on one tile would share a memoized
+    /// trace. Different names for one map are allowed; they only cost
+    /// a duplicate trace.
     pub name: String,
     /// Concrete forward bijection.
     pub fwd: GenFwd,

@@ -95,6 +95,22 @@ fn bc_inv_sym(f: &Expr, p: Ix, b: Ix, c: Ix) -> Expr {
     block_cyclic_inv_sym(f, &Expr::val(p), &Expr::val(b), &Expr::val(c))
 }
 
+/// The name of a rank-2 block-cyclic `GenP`. With one processor
+/// (`p = 1`) or one cycle (`c = 1`) the distribution is the identity,
+/// whatever the block size, so every such parameter choice gets the one
+/// name `{base}({rows}x{cols},identity)` and layout keys that differ
+/// only there coincide. Other coincidences keep their own names:
+/// `block_cyclic_elems(t×t, p=t, b=1)` is the column-major transpose a
+/// `RegP` also spells, and `block_cyclic_rows(2x2,identity)` is
+/// `morton2`.
+fn bc_name(base: &str, rows: Ix, cols: Ix, p: Ix, b: Ix, c: Ix) -> String {
+    if p == 1 || c == 1 {
+        format!("{base}({rows}x{cols},identity)")
+    } else {
+        format!("{base}({rows}x{cols},p={p},b={b})")
+    }
+}
+
 /// Rank-2 block-cyclic over the *row* axis: `(i, j) → bc(i)·cols + j`.
 ///
 /// Distributes the rows of a `rows×cols` space block-cyclically while
@@ -113,7 +129,7 @@ pub fn block_cyclic_rows(rows: Ix, cols: Ix, p: Ix, b: Ix) -> Result<Perm> {
     }
     let c = rows / (p * b);
     let fns = GenFns {
-        name: format!("block_cyclic_rows({rows}x{cols},p={p},b={b})"),
+        name: bc_name("block_cyclic_rows", rows, cols, p, b, c),
         fwd: Arc::new(move |idx: &[Ix]| bc_fwd(idx[0], p, b, c) * cols + idx[1]),
         inv: Arc::new(move |f: Ix| vec![bc_inv(f / cols, p, b, c), f % cols]),
         fwd_sym: Some(Arc::new(move |idx: &[Expr]| {
@@ -147,7 +163,7 @@ pub fn block_cyclic_elems(rows: Ix, cols: Ix, p: Ix, b: Ix) -> Result<Perm> {
     }
     let c = rows * cols / (p * b);
     let fns = GenFns {
-        name: format!("block_cyclic_elems({rows}x{cols},p={p},b={b})"),
+        name: bc_name("block_cyclic_elems", rows, cols, p, b, c),
         fwd: Arc::new(move |idx: &[Ix]| bc_fwd(idx[0] * cols + idx[1], p, b, c)),
         inv: Arc::new(move |f: Ix| {
             let i = bc_inv(f, p, b, c);
@@ -254,6 +270,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Identity-valued parameter choices share one name; the rest keep
+    /// theirs.
+    #[test]
+    fn identity_valued_rank2_variants_share_a_name() {
+        let name = |perm: Perm| match perm {
+            Perm::Gen { fns, .. } => fns.name,
+            Perm::Reg { .. } => unreachable!("block-cyclic is a GenP"),
+        };
+        for (p_, b) in [(1, 1), (1, 2), (1, 8), (2, 4), (4, 2), (8, 1)] {
+            let rows = block_cyclic_rows(8, 8, p_, b).unwrap();
+            assert_eq!(
+                name(rows),
+                "block_cyclic_rows(8x8,identity)",
+                "p={p_} b={b}"
+            );
+        }
+        for (p_, b) in [(1, 4), (4, 16), (64, 1)] {
+            let elems = block_cyclic_elems(8, 8, p_, b).unwrap();
+            assert_eq!(
+                name(elems),
+                "block_cyclic_elems(8x8,identity)",
+                "p={p_} b={b}"
+            );
+        }
+        let rows = block_cyclic_rows(8, 8, 2, 2).unwrap();
+        assert_eq!(name(rows), "block_cyclic_rows(8x8,p=2,b=2)");
+        let elems = block_cyclic_elems(8, 8, 8, 1).unwrap();
+        assert_eq!(name(elems), "block_cyclic_elems(8x8,p=8,b=1)");
     }
 
     #[test]

@@ -182,6 +182,21 @@ pub fn unflatten_sym(dims: &[Expr], flat: &Expr) -> Vec<Expr> {
     idx
 }
 
+/// Appends `tag` and then each of `ints`, comma-terminated, to a memo
+/// key. Integers are written by hand in zigzag hex (a key is rendered
+/// for every priced candidate); tags are never hex digits, so a key
+/// reads back unambiguously.
+pub fn key_ints(out: &mut String, tag: char, ints: &[Ix]) {
+    out.push(tag);
+    for &v in ints {
+        let z = ((v << 1) ^ (v >> 63)) as u64;
+        let digits = (64 - z.leading_zeros()).div_ceil(4).max(1);
+        let digit = |i: u32| char::from_digit((z >> (4 * i)) as u32 & 15, 16);
+        out.extend((0..digits).rev().filter_map(digit));
+        out.push(',');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,9 +9,8 @@
 //! [`crate::traffic`]), and later passes can read the iteration space
 //! instead of only running it.
 
+use lego_core::shape::key_ints;
 use lego_core::ConcreteLayout;
-
-use crate::traffic::key_ints;
 
 /// The lane-dependent term of a [`Coord`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

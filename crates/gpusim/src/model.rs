@@ -21,6 +21,7 @@
 //! `streamed_*` bytes while assembling, and wave quantization from
 //! [`PricingMode::Roofline`].
 
+use lego_core::shape::key_ints;
 use lego_core::{ConcreteLayout, Layout};
 
 use crate::cache::Cache;
@@ -30,7 +31,7 @@ use crate::score::{Estimate, Phase, Workload};
 use crate::smem::bank_conflicts_elems_on;
 use crate::tilecache::TileCache;
 use crate::timing::{estimate, occupancy_derate, KernelProfile, Pipeline, TimeEstimate};
-use crate::traffic::{self, key_ints, TrafficCost};
+use crate::traffic::{self, TrafficCost};
 
 /// How a workload's bottleneck terms combine into a runtime.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -110,15 +111,16 @@ impl<'a> CostModel<'a> {
     /// case of the batch pass behind
     /// [`price_batch`](CostModel::price_batch).
     ///
-    /// The layout is [compiled](Layout::compile) at most once, and only
-    /// when the workload has a phase; the compiled form serves both the
-    /// memo key and the trace.
+    /// The memo key names the layout by its specification
+    /// ([`Layout::key`]), so a hit does no work proportional to the
+    /// layout: the layout is [compiled](Layout::compile) only on a miss,
+    /// for its trace, and only when the workload has a phase.
     ///
     /// # Panics
     ///
     /// When the workload has a phase and the layout does not compile
-    /// (symbolic dims or a broken `GenP`): a traced layout must be
-    /// concrete.
+    /// (symbolic dims, or on a miss a broken `GenP`): a traced layout
+    /// must be concrete.
     pub fn traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
         self.traffic_batch(&[(layout, workload)])[0]
     }
@@ -131,16 +133,24 @@ impl<'a> CostModel<'a> {
     ///
     /// As [`traffic`](CostModel::traffic).
     pub fn trace(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
-        self.replay(compile_for(layout, workload).as_ref(), workload)
+        let compiled = (!workload.phases.is_empty()).then(|| {
+            layout
+                .compile()
+                .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
+        });
+        self.replay(compiled.as_ref(), workload)
     }
 
     /// The memo key of a (layout, workload) pair: the pricing device's
     /// traffic geometry, every phase description (a global phase's L2
-    /// model included) and the compiled layout's
-    /// [fingerprint](ConcreteLayout::fingerprint) (`layout` is `None`
-    /// exactly when the workload has no phase) — everything the traffic
-    /// pass reads, rendered exactly (floats by their bits).
-    fn memo_key(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> String {
+    /// model included) and, when the workload has a phase, the layout's
+    /// structural [key](Layout::key) — everything the traffic pass
+    /// reads, rendered exactly (floats by their bits).
+    ///
+    /// # Panics
+    ///
+    /// When the workload has a phase and the layout has symbolic dims.
+    fn memo_key(&self, layout: &Layout, workload: &Workload) -> String {
         let cfg = self.cfg;
         let mut key = String::with_capacity(256);
         key.push_str(cfg.tag);
@@ -179,9 +189,10 @@ impl<'a> CostModel<'a> {
             }
         }
         key.push('|');
-        match layout {
-            Some(l) => key.push_str(&l.fingerprint()),
-            None => key.push('-'),
+        if workload.phases.is_empty() {
+            key.push('-');
+        } else if let Err(e) = layout.key(&mut key) {
+            panic!("traced layout must compile: {e}");
         }
         key
     }
@@ -441,24 +452,18 @@ impl<'a> CostModel<'a> {
 
     /// The traffic pass of a batch, in order: probe → trace → record.
     ///
-    /// Each layout is compiled once on the calling thread (when its
-    /// workload has a phase) and serves both its memo key and its trace.
     /// The traffic memo is probed on the calling thread first (spawned
     /// threads would see fresh thread-locals): warm geometries are
-    /// answered inline, and only the cold traces fan out, with their
-    /// compiled layouts, over `available_parallelism` OS threads —
-    /// inline when fewer than `INLINE_BATCH` remain, since spawning
-    /// costs more than a handful of traces. Fresh traces are recorded
-    /// back into the calling thread's memo. Chunks are sized so no
-    /// spawned thread receives an empty tail.
+    /// answered inline without compiling their layouts, and only the
+    /// cold jobs are [traced](CostModel::trace) — each compiling its
+    /// layout on the thread that replays it — over
+    /// `available_parallelism` OS threads, or inline when fewer than
+    /// `INLINE_BATCH` remain, since spawning costs more than a handful
+    /// of traces. Fresh traces are recorded back into the calling
+    /// thread's memo. Chunks are sized so no spawned thread receives an
+    /// empty tail.
     fn traffic_batch(&self, jobs: &[(&Layout, &Workload)]) -> Vec<TrafficCost> {
-        let compiled: Vec<Option<ConcreteLayout>> =
-            jobs.iter().map(|&(l, w)| compile_for(l, w)).collect();
-        let mut keys: Vec<String> = jobs
-            .iter()
-            .zip(&compiled)
-            .map(|(&(_, w), c)| self.memo_key(c.as_ref(), w))
-            .collect();
+        let mut keys: Vec<String> = jobs.iter().map(|&(l, w)| self.memo_key(l, w)).collect();
         let mut traffic: Vec<Option<TrafficCost>> = vec![None; jobs.len()];
         let mut cold: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
@@ -477,18 +482,18 @@ impl<'a> CostModel<'a> {
         };
         if threads <= 1 {
             for &i in &cold {
-                traffic[i] = Some(self.replay(compiled[i].as_ref(), jobs[i].1));
+                traffic[i] = Some(self.trace(jobs[i].0, jobs[i].1));
             }
         } else {
             let mut traced: Vec<Option<TrafficCost>> = vec![None; cold.len()];
             let chunk = cold.len().div_ceil(threads);
-            let (compiled_ref, cold_ref) = (&compiled, &cold);
+            let cold_ref = &cold;
             std::thread::scope(|s| {
                 for (ci, out) in traced.chunks_mut(chunk).enumerate() {
                     s.spawn(move || {
                         for (k, slot) in out.iter_mut().enumerate() {
-                            let i = cold_ref[ci * chunk + k];
-                            *slot = Some(self.replay(compiled_ref[i].as_ref(), jobs[i].1));
+                            let (layout, wl) = jobs[cold_ref[ci * chunk + k]];
+                            *slot = Some(self.trace(layout, wl));
                         }
                     });
                 }
@@ -507,20 +512,6 @@ impl<'a> CostModel<'a> {
     /// stays on the calling thread: thread spawn + scope teardown cost
     /// more than the traces themselves.
     const INLINE_BATCH: usize = 8;
-}
-
-/// Compiles `layout` when `workload` has a phase (every phase may read
-/// it); `None` for phase-less workloads.
-///
-/// # Panics
-///
-/// When the layout is read but does not compile.
-fn compile_for(layout: &Layout, workload: &Workload) -> Option<ConcreteLayout> {
-    (!workload.phases.is_empty()).then(|| {
-        layout
-            .compile()
-            .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
-    })
 }
 
 /// Moved bytes of one global warp access, whose sectors also go

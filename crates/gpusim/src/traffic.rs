@@ -8,15 +8,17 @@
 //! while expression variants only perturb the cheap closed-form
 //! assembly (`flops`, resources). This module caches the replay's
 //! result, a [`TrafficCost`], in a per-thread map keyed by a
-//! **geometry fingerprint**, so N variants per geometry cost one trace
-//! replay plus N re-timings.
+//! **geometry key**, so N variants per geometry cost one trace replay
+//! plus N re-timings.
 //!
 //! The cost model derives the key itself (see `CostModel::traffic`):
 //! the phases are plain data ([`crate::access`]), so it renders them
 //! exactly (a global phase's L2 model included), together with the
-//! pricing-device geometry and a structural layout fingerprint. Every workload is
-//! memoizable, hand-built ones included; `CostModel::trace` is the
-//! unmemoized pass.
+//! pricing-device geometry and the layout's specification
+//! ([`lego_core::Layout::key`]). Rendering the key reads no layout
+//! element, so a hit costs a key and a probe; only a miss compiles the
+//! layout and replays its trace. Every workload is memoizable,
+//! hand-built ones included; `CostModel::trace` is the unmemoized pass.
 //!
 //! Like the expression memos, the map is thread-local (searches are
 //! sharded across threads with no locks) and exportable: the
@@ -55,21 +57,6 @@ thread_local! {
     static STATS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     /// (installed, hits) attributable to sidecar-imported entries.
     static SIDECAR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// Appends `tag` and then each of `ints`, comma-terminated, to a memo
-/// key. Integers are written by hand in zigzag hex (a key is rendered
-/// for every priced candidate); tags are never hex digits, so a key
-/// reads back unambiguously.
-pub(crate) fn key_ints(out: &mut String, tag: char, ints: &[i64]) {
-    out.push(tag);
-    for &v in ints {
-        let z = ((v << 1) ^ (v >> 63)) as u64;
-        let digits = (64 - z.leading_zeros()).div_ceil(4).max(1);
-        let digit = |i: u32| char::from_digit((z >> (4 * i)) as u32 & 15, 16);
-        out.extend((0..digits).rev().filter_map(digit));
-        out.push(',');
-    }
 }
 
 /// Probes this thread's traffic memo. Counts a hit or miss; hits on

@@ -56,7 +56,7 @@ impl Sidecar {
         self.section(ANN)
     }
 
-    /// Adds (or replaces) a traffic entry: a geometry fingerprint mapped
+    /// Adds (or replaces) a traffic entry: a geometry key mapped
     /// to an encoded traffic cost. Keys and values containing newlines
     /// are dropped at render time.
     pub fn set_traffic(&mut self, key: &str, value: &str) {

@@ -200,17 +200,15 @@ fn warp_widths_get_different_keys() {
     assert_eq!(memo_probes(&gpu, &jobs), (0, 2));
 }
 
-/// A workload built by hand, not by a `gpu_sim::trace` builder, is
-/// memoized like any other: pricing it again is a memo hit.
-#[test]
-fn a_hand_built_workload_is_memoized() {
+/// A hand-built workload: one shared phase reading a 32×32 layout
+/// column by column.
+fn column_workload() -> gpu_sim::Workload {
     use gpu_sim::{AccessMap, BlockResources, Coord, Lane, Phase, Pipeline, PricingMode, Workload};
-    let gpu = a100();
     let column = vec![
         Coord(0, vec![], Lane::Mul(1)),
         Coord(0, vec![1], Lane::Mul(0)),
     ];
-    let wl = Workload {
+    Workload {
         pipeline: Pipeline::Fp32,
         flops: 0.0,
         useful_bytes: 0.0,
@@ -226,10 +224,66 @@ fn a_hand_built_workload_is_memoized() {
             map: AccessMap::new(vec![32], 32, 32, vec![column]),
             scale: 1.0,
         }],
-    };
+    }
+}
+
+/// A workload built by hand, not by a `gpu_sim::trace` builder, is
+/// memoized like any other: pricing it again is a memo hit.
+#[test]
+fn a_hand_built_workload_is_memoized() {
+    let gpu = a100();
+    let wl = column_workload();
     let layout = lego_core::Layout::identity([32i64, 32]).unwrap();
     let jobs = [(layout.clone(), wl.clone()), (layout, wl)];
     assert_eq!(memo_probes(&gpu, &jobs), (1, 1));
+}
+
+/// The memo keys a layout by its specification, so a hit compiles
+/// nothing: a freshly built layout equal to one already priced is
+/// answered without a single call of its `GenP`'s forward closure,
+/// while the miss that first priced it tabulated the whole tile.
+#[test]
+fn a_memo_hit_never_calls_the_layout_closures() {
+    use lego_core::{GenFns, Layout, OrderBy, Perm};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let calls = Arc::new(AtomicUsize::new(0));
+    // A 32×32 transpose whose forward closure counts its calls.
+    let layout = || {
+        let counter = Arc::clone(&calls);
+        let fns = GenFns {
+            name: "counted_transpose32".into(),
+            fwd: Arc::new(move |idx: &[i64]| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                idx[1] * 32 + idx[0]
+            }),
+            inv: Arc::new(|f: i64| vec![f % 32, f / 32]),
+            fwd_sym: None,
+            inv_sym: None,
+        };
+        let perm = Perm::gen([32i64, 32], fns).unwrap();
+        Layout::builder([32i64, 32])
+            .order_by(OrderBy::new([perm]).unwrap())
+            .build()
+            .unwrap()
+    };
+    let gpu = a100();
+    let wl = column_workload();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(&gpu);
+            let first = model.traffic(&layout(), &wl);
+            assert_eq!(calls.swap(0, Ordering::Relaxed), 32 * 32, "a miss compiles");
+            let second = model.traffic(&layout(), &wl);
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                0,
+                "a hit compiled the layout"
+            );
+            assert_eq!(first, second);
+            assert_eq!(gpu_sim::traffic_memo_stats(), (1, 1));
+        });
+    });
 }
 
 #[test]

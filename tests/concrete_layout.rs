@@ -1,12 +1,16 @@
 //! Differential test of compiled layouts: for every tuner candidate the
 //! cost model prices, the table-driven [`ConcreteLayout`] must agree
 //! with the reference interpreter (`Layout::apply_c`/`inv_c`) on every
-//! element and every out-of-range probe, its fingerprint must be the
-//! FNV-1a hash of the interpreter's enumeration (the traffic-memo and
-//! sidecar key format), and wherever the tuner builds symbolic index
-//! expressions, their *simplified* forms must evaluate to the table —
-//! which ties the concrete, compiled and symbolic layers together and
-//! checks simplifier soundness on real layouts.
+//! element and every out-of-range probe, and wherever the tuner builds
+//! symbolic index expressions, their *simplified* forms must evaluate
+//! to the table — which ties the concrete, compiled and symbolic layers
+//! together and checks simplifier soundness on real layouts.
+//!
+//! The same candidates check the soundness of the structural layout key
+//! (`Layout::key`, the layout part of the traffic-memo and sidecar
+//! keys): candidates with equal keys must have equal view dims and
+//! equal permutations, since a memo hit prices one by the other's
+//! trace.
 //!
 //! Candidates cover the whole legacy space of every `perfbench` pool
 //! shape (all six families) plus a seeded sample of the enlarged
@@ -14,6 +18,8 @@
 //! device, so one pass covers the a100, h100 and mi300 pools alike.
 
 mod prop_support;
+
+use std::collections::HashMap;
 
 use lego_codegen::tuning::TunedConfig;
 use lego_core::shape::unflatten;
@@ -56,24 +62,7 @@ fn pool_kinds() -> Vec<WorkloadKind> {
         .collect()
 }
 
-/// The parent definition of the layout fingerprint: FNV-1a over the
-/// interpreter's `apply_c` enumeration, or the view dims alone for a
-/// layout without an `OrderBy` chain.
-fn interpreted_fingerprint(layout: &Layout, dims: &[i64]) -> String {
-    if layout.orders().is_empty() {
-        return format!("id{dims:?}");
-    }
-    let size: i64 = dims.iter().product();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for f in 0..size {
-        let p = layout.apply_c(&unflatten(dims, f).unwrap()).unwrap();
-        h ^= p as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("p{dims:?}x{h:016x}")
-}
-
-/// Every element, every out-of-range probe and the fingerprint.
+/// Every element and every out-of-range probe.
 fn check_against_interpreter(tag: &str, layout: &Layout, c: &ConcreteLayout) {
     let dims = c.dims().to_vec();
     assert_eq!(dims, layout.view().dims_const().unwrap(), "{tag}: dims");
@@ -100,11 +89,40 @@ fn check_against_interpreter(tag: &str, layout: &Layout, c: &ConcreteLayout) {
         assert!(want.is_err(), "{tag}: probe {idx:?} must be out of range");
         assert_eq!(got, want, "{tag}: apply {idx:?}");
     }
-    assert_eq!(
-        c.fingerprint(),
-        interpreted_fingerprint(layout, &dims),
-        "{tag}: fingerprint"
-    );
+}
+
+/// Each structural key seen so far, with the dims and permutation of
+/// the first candidate that rendered it, and how many later candidates
+/// were compared against an earlier one.
+#[derive(Default)]
+struct KeySoundness {
+    seen: HashMap<String, (String, Vec<i64>, Vec<i64>)>,
+    compared: usize,
+}
+
+impl KeySoundness {
+    /// Records `c` under `layout`'s key, asserting that any earlier
+    /// candidate with the same key compiled to the same map.
+    fn check(&mut self, tag: &str, layout: &Layout, c: &ConcreteLayout) {
+        let mut key = String::new();
+        layout
+            .key(&mut key)
+            .unwrap_or_else(|e| panic!("{tag}: key: {e}"));
+        let (dims, perm) = (c.dims().to_vec(), c.permutation());
+        match self.seen.get(&key) {
+            Some((first, d, p)) => {
+                assert_eq!(d, &dims, "{tag} and {first} share key {key} but not dims");
+                assert!(
+                    p == &perm,
+                    "{tag} and {first} share key {key} but not the map"
+                );
+                self.compared += 1;
+            }
+            None => {
+                self.seen.insert(key, (tag.to_string(), dims, perm));
+            }
+        }
+    }
 }
 
 /// Evaluates the tuner's simplified symbolic expressions at sampled
@@ -169,13 +187,19 @@ fn check_symbolic(
     true
 }
 
-fn check_candidate(kind: &WorkloadKind, config: &TunedConfig, rng: &mut Rng) -> Option<bool> {
+fn check_candidate(
+    kind: &WorkloadKind,
+    config: &TunedConfig,
+    rng: &mut Rng,
+    keys: &mut KeySoundness,
+) -> Option<bool> {
     let tag = format!("{} {config}", kind.name());
     let layout = build_layout(kind, config).ok()?;
     let c = layout
         .compile()
         .unwrap_or_else(|e| panic!("{tag}: compile: {e}"));
     check_against_interpreter(&tag, &layout, &c);
+    keys.check(&tag, &layout, &c);
     Some(check_symbolic(&tag, kind, config, &c, rng))
 }
 
@@ -183,17 +207,19 @@ fn check_candidate(kind: &WorkloadKind, config: &TunedConfig, rng: &mut Rng) -> 
 fn legacy_space_candidates_match_the_interpreter() {
     let mut rng = Rng::new(0x00c0_ffee_1e90);
     let (mut checked, mut symbolic) = (0, 0);
+    let mut keys = KeySoundness::default();
     for kind in pool_kinds() {
         let configs = Domain::new(kind, SpaceScale::Legacy).enumerate();
         assert!(!configs.is_empty(), "{}", kind.name());
         for config in &configs {
-            let had_symbolic = check_candidate(&kind, config, &mut rng)
+            let had_symbolic = check_candidate(&kind, config, &mut rng, &mut keys)
                 .unwrap_or_else(|| panic!("legacy candidate {config} must build"));
             checked += 1;
             symbolic += usize::from(had_symbolic);
         }
     }
     assert!(checked >= 100, "only {checked} legacy candidates");
+    assert!(keys.compared > 0, "no two legacy candidates shared a key");
     assert!(
         symbolic >= checked / 2,
         "only {symbolic} of {checked} had symbolic forms"
@@ -204,13 +230,15 @@ fn legacy_space_candidates_match_the_interpreter() {
 fn sampled_enlarged_space_candidates_match_the_interpreter() {
     let mut rng = Rng::new(0x0e1a_e9ed);
     let mut checked = 0;
+    let mut keys = KeySoundness::default();
     for kind in pool_kinds() {
         let configs = Domain::new(kind, SpaceScale::Enlarged).enumerate();
         for _ in 0..ENLARGED_PER_SHAPE {
             let config = *rng.choose(&configs);
             // Unbuildable points are infeasible to the tuner too.
-            checked += usize::from(check_candidate(&kind, &config, &mut rng).is_some());
+            checked += usize::from(check_candidate(&kind, &config, &mut rng, &mut keys).is_some());
         }
     }
     assert!(checked >= 200, "only {checked} enlarged candidates built");
+    assert!(keys.compared > 0, "no two enlarged candidates shared a key");
 }
