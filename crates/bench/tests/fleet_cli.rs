@@ -45,7 +45,7 @@ fn zero_budget_is_refused() {
 #[test]
 fn flag_given_as_a_value_is_refused_and_writes_nothing() {
     let dir = scratch("cache");
-    assert_eq!(fleet(&dir, &["--cache", "--no-transfer"]), Some(2));
+    assert_eq!(fleet(&dir, &["--cache", "--sidecar"]), Some(2));
     assert!(entries(&dir).is_empty(), "wrote {:?}", entries(&dir));
     std::fs::remove_dir_all(&dir).unwrap();
 }

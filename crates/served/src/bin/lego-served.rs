@@ -42,7 +42,7 @@ protocol (one JSON object per line, response mirrors with \"ok\"):
   {\"verb\":\"tune\",\"workload\":\"matmul(n=2048)\",\"device\":\"h100\",
    \"strategy\":\"anneal\",\"budget\":256,\"space\":\"enlarged\"}
   {\"verb\":\"fleet\",\"grid\":\"matmul:512..4096x2@a100,h100\",
-   \"strategy\":\"anneal\",\"budget\":160,\"threads\":4,\"transfer\":true}
+   \"strategy\":\"anneal\",\"budget\":160,\"threads\":4}
    (a fleet grid may expand to at most 1024 keys and ask for at most 64 threads)
   {\"verb\":\"metrics\"}
   {\"verb\":\"shutdown\"}";

@@ -31,8 +31,8 @@ struct ClassStats {
     errors: u64,
     tiers: [u64; 4],
     latencies_ms: Vec<f64>,
-    /// Fleet-run contributions to this class (keys tuned, transfer
-    /// hits, evals saved).
+    /// Fleet-run contributions to this class (keys tuned, cache hits,
+    /// searches, evaluations, errors).
     fleet: FleetCounters,
 }
 
@@ -348,16 +348,16 @@ mod tests {
     #[test]
     fn fleet_counters_accumulate_per_class_and_in_total() {
         let m = Metrics::new();
-        let per_run = |keys, transfers, saved| FleetCounters {
+        let per_run = |keys, hits, evals| FleetCounters {
             keys,
-            searched: keys,
-            transfers,
-            evals_saved: saved,
+            cache_hits: hits,
+            searched: keys - hits,
+            evals_total: evals,
             ..FleetCounters::default()
         };
         let mut classes = BTreeMap::new();
-        classes.insert("matmul@a100".to_string(), per_run(4, 3, 360));
-        classes.insert("matmul@h100".to_string(), per_run(4, 4, 480));
+        classes.insert("matmul@a100".to_string(), per_run(4, 1, 360));
+        classes.insert("matmul@h100".to_string(), per_run(4, 0, 480));
         m.record_fleet(&classes);
         m.record_fleet(&classes);
 
@@ -365,14 +365,15 @@ mod tests {
         let fleet = j.get("fleet").expect("top-level fleet object");
         assert_eq!(fleet.get("runs").and_then(Json::as_i64), Some(2));
         assert_eq!(fleet.get("keys_tuned").and_then(Json::as_i64), Some(16));
-        assert_eq!(fleet.get("transfer_hits").and_then(Json::as_i64), Some(14));
-        assert_eq!(fleet.get("evals_saved").and_then(Json::as_i64), Some(1680));
+        assert_eq!(fleet.get("cache_hits").and_then(Json::as_i64), Some(2));
+        assert_eq!(fleet.get("searched").and_then(Json::as_i64), Some(14));
+        assert_eq!(fleet.get("evals_total").and_then(Json::as_i64), Some(1680));
         let class = j
             .get("classes")
             .and_then(|c| c.get("matmul@h100"))
             .expect("fleet-only classes appear in the report");
         let cf = class.get("fleet").expect("per-class fleet counters");
         assert_eq!(cf.get("keys_tuned").and_then(Json::as_i64), Some(8));
-        assert_eq!(cf.get("transfer_hits").and_then(Json::as_i64), Some(8));
+        assert_eq!(cf.get("searched").and_then(Json::as_i64), Some(8));
     }
 }

@@ -14,15 +14,14 @@
 //! Only `workload` is required for `tune`; `device` falls back to the
 //! daemon's `--device-default`, and the search knobs fall back to the
 //! [`lego_tune::Tuner`] defaults (exhaustive, budget 2000, unpinned
-//! space). The `fleet` verb requires only `grid` (a
-//! [`FleetSpec`] string); its strategy defaults to `anneal` — a fleet
-//! exists to amortize budgeted searches — and `transfer` (boolean)
-//! defaults to true. A fleet request may expand to at most
+//! space). The `fleet` verb requires only `grid` (a [`FleetSpec`]
+//! string); its strategy defaults to `anneal` — a fleet exists to
+//! amortize budgeted searches. A fleet request may expand to at most
 //! [`MAX_FLEET_KEYS`] keys and ask for at most [`MAX_FLEET_THREADS`]
-//! threads; anything larger is an error. Responses always carry
-//! `"ok"`; failures look like `{"ok": false, "error": "..."}` and
-//! never close the connection — a malformed line costs one error
-//! response, nothing more.
+//! threads; anything larger is an error. A field a verb does not know
+//! is ignored. Responses always carry `"ok"`; failures look like
+//! `{"ok": false, "error": "..."}` and never close the connection — a
+//! malformed line costs one error response, nothing more.
 //!
 //! Tune responses are *deterministic*: they contain only the served
 //! result (winner config, estimates, evaluation count), never
@@ -110,13 +109,11 @@ pub struct FleetWire {
     pub space: Option<String>,
     /// Worker threads (`None` = the driver default, 4).
     pub threads: Option<usize>,
-    /// Whether to transfer frontiers between keys (`None` = true).
-    pub transfer: Option<bool>,
 }
 
 impl FleetWire {
     /// A wire spec naming only the grid (daemon-default device, anneal,
-    /// default budget, transfer on).
+    /// default budget).
     pub fn grid(spec: impl Into<String>) -> FleetWire {
         FleetWire {
             grid: spec.into(),
@@ -143,9 +140,6 @@ impl FleetWire {
         }
         if let Some(t) = self.threads {
             pairs.push(("threads".to_string(), Json::Int(t as i64)));
-        }
-        if let Some(t) = self.transfer {
-            pairs.push(("transfer".to_string(), Json::Bool(t)));
         }
         Json::Obj(pairs)
     }
@@ -217,11 +211,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     Some(_) => Err(format!("\"{k}\" must be a positive integer")),
                 }
             };
-            let transfer = match doc.get("transfer") {
-                None | Some(Json::Null) => None,
-                Some(Json::Bool(b)) => Some(*b),
-                Some(_) => return Err("\"transfer\" must be a boolean".to_string()),
-            };
             Ok(Request::Fleet(FleetWire {
                 grid,
                 device: opt_str("device")?,
@@ -229,7 +218,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 budget: opt_pos("budget")?,
                 space: opt_str("space")?,
                 threads: opt_pos("threads")?,
-                transfer,
             }))
         }
         other => Err(format!(
@@ -256,9 +244,9 @@ pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneReques
     Ok(knobs.request(kind))
 }
 
-/// Most keys one `fleet` request may expand to. The driver's transfer
-/// topology compares every key with every earlier one before any
-/// search runs, so the grid size bounds that quadratic setup too.
+/// Most keys one `fleet` request may expand to: one request runs one
+/// search per key, so the cap bounds the work a single line can ask
+/// for.
 pub const MAX_FLEET_KEYS: usize = 1024;
 
 /// Most worker threads one `fleet` request may ask for (the driver
@@ -272,13 +260,11 @@ pub struct ResolvedFleet {
     pub grid: Vec<TuneRequest>,
     /// Worker threads for the fleet driver.
     pub threads: usize,
-    /// Whether frontier transfer is enabled.
-    pub transfer: bool,
 }
 
 /// Resolves a wire-form fleet spec against the daemon's default device.
 /// The strategy defaults to `anneal` (a fleet exists to amortize
-/// budgeted searches), threads to 4, transfer to on.
+/// budgeted searches), threads to 4.
 ///
 /// # Errors
 ///
@@ -315,7 +301,6 @@ pub fn resolve_fleet(
     Ok(ResolvedFleet {
         grid: spec.requests(&knobs.device, knobs.strategy, knobs.budget, knobs.space),
         threads,
-        transfer: wire.transfer.unwrap_or(true),
     })
 }
 
@@ -363,6 +348,8 @@ mod tests {
                 space: Some("enlarged".into()),
             })
         );
+        // `transfer` is not a fleet field, so it is ignored like any
+        // other unknown field.
         let f = parse_request(
             "{\"verb\":\"fleet\",\"grid\":\"matmul:512..2048x2@a100,h100\",\
              \"strategy\":\"genetic\",\"budget\":96,\"threads\":2,\"transfer\":false}",
@@ -377,7 +364,6 @@ mod tests {
                 budget: Some(96),
                 space: None,
                 threads: Some(2),
-                transfer: Some(false),
             })
         );
     }
@@ -391,7 +377,6 @@ mod tests {
             budget: Some(48),
             space: Some("enlarged".into()),
             threads: Some(3),
-            transfer: Some(true),
         };
         let line = render_line(&wire.to_json());
         assert_eq!(parse_request(&line), Ok(Request::Fleet(wire)));
@@ -408,7 +393,6 @@ mod tests {
         assert!(r.grid.iter().all(|req| req.device.tag == "h100"));
         assert!(r.grid.iter().all(|req| req.strategy == Strategy::Anneal));
         assert_eq!(r.threads, 4);
-        assert!(r.transfer);
 
         assert!(resolve_fleet(&FleetWire::grid("matmul:"), &gpu_sim::a100())
             .unwrap_err()
@@ -477,7 +461,6 @@ mod tests {
             "{\"verb\": \"fleet\"}",
             "{\"verb\": \"fleet\", \"grid\": 7}",
             "{\"verb\": \"fleet\", \"grid\": \"matmul:256\", \"threads\": 0}",
-            "{\"verb\": \"fleet\", \"grid\": \"matmul:256\", \"transfer\": \"yes\"}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} must not parse");
         }

@@ -306,7 +306,7 @@ fn dispatch(idx: usize, line: &str, service: &TuneService) -> (Json, bool) {
                     (protocol::error_response(&e), false)
                 }
                 Ok(r) => {
-                    let report = service.fleet(&r.grid, r.threads, r.transfer);
+                    let report = service.fleet(&r.grid, r.threads);
                     (fleet_response(&report), false)
                 }
             }

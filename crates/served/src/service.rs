@@ -371,8 +371,8 @@ impl TuneService {
     /// promoted into the memory tier, so a later `tune` of a fleet key
     /// hits tier 1 with the same bytes a fresh search would answer.
     /// The run's per-class counters land in the `metrics` report.
-    pub fn fleet(&self, grid: &[TuneRequest], threads: usize, transfer: bool) -> FleetReport {
-        let mut driver = FleetDriver::new(threads).with_transfer(transfer);
+    pub fn fleet(&self, grid: &[TuneRequest], threads: usize) -> FleetReport {
+        let mut driver = FleetDriver::new(threads);
         if let Some(cache) = &self.cache {
             driver = driver.with_cache(cache.path());
         }

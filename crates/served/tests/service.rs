@@ -344,10 +344,7 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
     assert!(is_ok(&report), "fleet must succeed: {}", report.render());
     assert_eq!(report.get("keys_tuned").and_then(Json::as_i64), Some(3));
     assert_eq!(report.get("errors").and_then(Json::as_i64), Some(0));
-    assert!(
-        report.get("transfer_hits").and_then(Json::as_i64).unwrap() >= 2,
-        "the sweep's tail must transfer from its head"
-    );
+    assert_eq!(report.get("searched").and_then(Json::as_i64), Some(3));
     let keys = report
         .get("keys")
         .and_then(Json::as_arr)
@@ -355,8 +352,7 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
     assert_eq!(keys.len(), 3);
     assert!(keys.iter().all(|k| k.get("ok") == Some(&Json::Bool(true))));
 
-    // The fleet's results serve subsequent tune requests from memory —
-    // including transferred keys, which record the cold budget.
+    // The fleet's results serve subsequent tune requests from memory.
     let mut spec = TuneSpec::workload("matmul(n=512)");
     spec.strategy = Some("anneal".into());
     spec.budget = Some(48);
@@ -377,13 +373,12 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
         .get("classes")
         .and_then(|c| c.get("matmul@a100"))
         .expect("fleet classes appear in metrics");
-    assert!(
+    assert_eq!(
         class
             .get("fleet")
-            .and_then(|f| f.get("transfer_hits"))
-            .and_then(Json::as_i64)
-            .unwrap()
-            >= 2
+            .and_then(|f| f.get("searched"))
+            .and_then(Json::as_i64),
+        Some(3)
     );
 
     // A second identical fleet run is all cache hits.
@@ -597,9 +592,9 @@ fn fleet_tuned_keys_answer_the_bytes_of_a_fresh_search() {
         let fleet_cache = cached.then(|| temp_cache("answer_fleet"));
         let server = start_with(fleet_cache.clone(), 1);
         let mut client = Client::connect(server.local_addr()).expect("connect");
-        let mut wire = FleetWire::grid("softmax:1k");
-        wire.transfer = Some(false);
-        let report = client.fleet(&wire).expect("fleet roundtrip");
+        let report = client
+            .fleet(&FleetWire::grid("softmax:1k"))
+            .expect("fleet roundtrip");
         assert_eq!(report.get("searched").and_then(Json::as_i64), Some(1));
         let served = client.roundtrip_line(TUNE).expect("tune after fleet");
         assert_eq!(server.service().metrics().searches_run(), 0);

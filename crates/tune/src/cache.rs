@@ -21,7 +21,6 @@ use lego_expr::Variant;
 
 use crate::journal::{self, Mode, Row, TUNE};
 use crate::json::Json;
-use crate::space::WorkloadKind;
 
 /// Version of the cache schema *and* of the estimate semantics behind
 /// it, stamped into every journal header (`cache=<version>`). Bump
@@ -64,8 +63,8 @@ pub struct CachedTuning {
     /// Which space scale was searched (`legacy`/`enlarged`).
     pub space: String,
     /// Top-k evaluated configurations (best first) with their estimated
-    /// times — served as the warm-start population when a later search
-    /// of the same key is not satisfied by this entry.
+    /// times: what the search saw next to its winner. No search seeds
+    /// from it.
     pub frontier: Vec<(TunedConfig, f64)>,
 }
 
@@ -172,81 +171,6 @@ impl TuningCache {
             .collect();
         journal::write(&self.path, &rows, mode)
     }
-}
-
-/// Splits a schema-v4 cache key into its parsed workload and the
-/// device-identity suffix (everything after the workload name: pricing
-/// mode + hardware parameters). `None` for keys whose workload segment
-/// does not parse — foreign or future-schema keys simply never match.
-pub fn key_workload(key: &str) -> Option<(WorkloadKind, &str)> {
-    let (name, rest) = key.split_once('|')?;
-    let kind = WorkloadKind::parse(name).ok()?;
-    Some((kind, rest))
-}
-
-/// Penalty added to [`key_distance`] when two keys' device identities
-/// differ: large enough that any same-device candidate beats every
-/// cross-device one, finite so a sweep's first key on a new device can
-/// still transfer from a sibling device when nothing closer exists.
-pub const CROSS_DEVICE_PENALTY: f64 = 256.0;
-
-/// Penalty for two stencil workloads of different shapes (a star-7pt
-/// frontier still seeds a cube-27pt search usefully — the tuned knobs
-/// are sizes — but a same-shape neighbor must always win first).
-const SHAPE_MISMATCH_PENALTY: f64 = 64.0;
-
-/// The transfer distance between two cache keys: the L1 distance of
-/// their workloads' size parameters in log2 space, plus
-/// [`CROSS_DEVICE_PENALTY`] when the device identities differ. `None`
-/// when the keys are incomparable — different workload families (a
-/// matmul frontier holds no transpose configs), different pricing
-/// modes, or an unparseable key.
-pub fn key_distance(a: &str, b: &str) -> Option<f64> {
-    let (ka, da) = key_workload(a)?;
-    let (kb, db) = key_workload(b)?;
-    if ka.family() != kb.family() {
-        return None;
-    }
-    let mut dist = 0.0;
-    if let (WorkloadKind::Stencil { shape: sa, .. }, WorkloadKind::Stencil { shape: sb, .. }) =
-        (&ka, &kb)
-    {
-        if sa != sb {
-            dist += SHAPE_MISMATCH_PENALTY;
-        }
-    }
-    for ((_, va), (_, vb)) in ka.size_params().iter().zip(kb.size_params().iter()) {
-        dist += ((*va as f64).log2() - (*vb as f64).log2()).abs();
-    }
-    if da != db {
-        dist += CROSS_DEVICE_PENALTY;
-    }
-    Some(dist)
-}
-
-/// The comparable candidate key nearest to `target` under
-/// [`key_distance`], ties broken toward the lexicographically smaller
-/// key so the choice is deterministic regardless of candidate order.
-/// This is the fleet driver's transfer index: "which already-tuned key
-/// should seed this search".
-pub fn nearest_neighbor<'a, I>(target: &str, candidates: I) -> Option<&'a str>
-where
-    I: IntoIterator<Item = &'a str>,
-{
-    let mut best: Option<(f64, &'a str)> = None;
-    for cand in candidates {
-        let Some(d) = key_distance(target, cand) else {
-            continue;
-        };
-        let better = match best {
-            None => true,
-            Some((bd, bk)) => d < bd || (d == bd && cand < bk),
-        };
-        if better {
-            best = Some((d, cand));
-        }
-    }
-    best.map(|(_, k)| k)
 }
 
 /// Serializes an [`Estimate`] (bit-exact float round trip).
@@ -911,48 +835,5 @@ mod tests {
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn key_distance_orders_by_size_then_device() {
-        let (a, h) = (gpu_sim::a100(), gpu_sim::h100());
-        let key = |n: i64, gpu: &GpuConfig| cache_key(&format!("matmul(n={n})"), "roofline", gpu);
-        let target = key(1024, &a);
-        // Same device: one octave is distance 1, two octaves 2.
-        assert_eq!(key_distance(&target, &key(2048, &a)), Some(1.0));
-        assert_eq!(key_distance(&target, &key(512, &a)), Some(1.0));
-        assert_eq!(key_distance(&target, &key(4096, &a)), Some(2.0));
-        assert_eq!(key_distance(&target, &target), Some(0.0));
-        // Cross-device exact size costs exactly the penalty.
-        assert_eq!(
-            key_distance(&target, &key(1024, &h)),
-            Some(CROSS_DEVICE_PENALTY)
-        );
-        // Other families are incomparable, not merely distant.
-        assert_eq!(
-            key_distance(&target, &cache_key("transpose(n=1024)", "roofline", &a)),
-            None
-        );
-        assert_eq!(key_distance(&target, "garbage-key"), None);
-
-        // Nearest-neighbor: same-device octave beats cross-device exact
-        // size; incomparable candidates are skipped; ties break toward
-        // the lexicographically smaller key.
-        let candidates = [
-            key(1024, &h),
-            key(2048, &a),
-            cache_key("transpose(n=1024)", "roofline", &a),
-        ];
-        assert_eq!(
-            nearest_neighbor(&target, candidates.iter().map(String::as_str)),
-            Some(candidates[1].as_str())
-        );
-        let tie = [key(2048, &a), key(512, &a)];
-        let expect = tie.iter().map(String::as_str).min().unwrap();
-        assert_eq!(
-            nearest_neighbor(&target, tie.iter().map(String::as_str)),
-            Some(expect)
-        );
-        assert_eq!(nearest_neighbor(&target, ["garbage"]), None);
     }
 }

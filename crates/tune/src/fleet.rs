@@ -1,70 +1,47 @@
 //! Fleet-scale tuning: a driver that tunes a whole grid of
-//! `(workload, size, device)` keys on a small thread pool with
-//! cross-key frontier transfer.
+//! `(workload, size, device)` keys on a small thread pool.
 //!
-//! Pre-tuning a model zoo is embarrassingly parallel *and* highly
-//! self-similar: `matmul(n=4096)` on an A100 is one unit-lattice hop
-//! away from `matmul(n=2048)`'s winner, and the schema-v4 cache already
-//! persists each search's top-k frontier. The [`FleetDriver`] exploits
-//! both:
+//! A fleet is a parallel map of independent per-key tunes. The
+//! [`FleetDriver`] dedupes the grid by cache key, and its workers pull
+//! the unique keys from one shared cursor. Each key is answered exactly
+//! as the sequential tuner answers it: a preloaded cache entry that
+//! satisfies the request is a hit, and anything else runs
+//! [`crate::Tuner::tune_entry`] with the request's knobs and no cache.
+//! No search is seeded from another key or from a stale entry, so every
+//! answer is a pure function of `(key, knobs)`: the same across thread
+//! counts, grids, and whatever the cache held before (asserted by the
+//! fleet tests).
 //!
-//! * **Parallelism** — a fixed pool of worker threads takes keys from
-//!   one FIFO queue of runnable keys. Each worker keeps its
-//!   thread-local expression arena warm across every key it tunes
-//!   (the same per-thread-arena economics `lego-served` relies on).
-//!   Completed entries land in one in-memory map, and each key's
-//!   report carries the entry the run persists for it
-//!   ([`FleetKeyReport::entry`]); the entries are written in grid
-//!   order with a *single* [`TuningCache::store_and_compact`] batch at
-//!   the end — one append (or compaction) instead of one write per key.
-//! * **Transfer** — before a key falls back to a cold search, it seeds
-//!   from the frontier of the *nearest already-tuned key* in its
-//!   `(family, device)` class under [`crate::cache::key_distance`]
-//!   (size distance in log2 space, cross-device fallback at a penalty).
-//!   Completed keys feed the in-memory map as the run progresses, so
-//!   late keys in a sweep transfer from early ones, and a transferred
-//!   search runs at a fraction of the cold budget
-//!   ([`TRANSFER_BUDGET_DIVISOR`]) because its seeds already contain a
-//!   near-winner.
+//! * **Warm workers** — each worker keeps its thread-local expression
+//!   arena warm across every key it tunes (the same per-thread-arena
+//!   economics `lego-served` relies on), and with a memo sidecar
+//!   attached every worker installs it before taking work.
+//! * **One write** — each key's report carries the entry the run
+//!   persists for it ([`FleetKeyReport::entry`]); the entries are
+//!   written in grid order with a *single*
+//!   [`TuningCache::store_and_compact`] batch at the end, one append (or
+//!   compaction) instead of one write per key.
 //!
-//! Determinism: each key's dependency is fixed *before* the run — a
-//! repeated key depends on its first occurrence, and with transfer on
-//! any other key on the nearest earlier-in-grid key by distance, not
-//! "whatever happened to finish first" — and a key only becomes
-//! runnable once its dependency completed. Every search is a pure
-//! function of `(key, knobs, seeds)`, so a fleet's results are
-//! bit-identical across thread counts and scheduling orders (asserted
-//! by the determinism tests). A search that panics fails only its own
-//! key; its dependents start cold, as they do after any failed key.
+//! A repeated key is searched once and filled in as a hit of its first
+//! occurrence. A search that panics fails only its own key.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use gpu_sim::score::Estimate;
 use gpu_sim::GpuConfig;
 use lego_codegen::cuda::stencil::StencilShape;
-use lego_codegen::tuning::{RowwiseOp, TunedConfig};
+use lego_codegen::tuning::RowwiseOp;
 
-use crate::cache::{config_to_json, nearest_neighbor, CachedTuning, TuningCache};
-use crate::domain::{Domain, SpaceScale};
+use crate::cache::{config_to_json, CachedTuning, TuningCache};
+use crate::domain::SpaceScale;
 use crate::json::Json;
 use crate::request::{KnobText, Knobs, TuneRequest};
 use crate::space::WorkloadKind;
 use crate::strategy::{Budget, Strategy};
-
-/// A transferred search runs at `cold_budget / TRANSFER_BUDGET_DIVISOR`
-/// (floored at [`TRANSFER_MIN_EVALS`]): its seeds already contain a
-/// near-winner, so the remaining budget only has to polish, and the cut
-/// is where the fleet's keys/second win comes from.
-pub const TRANSFER_BUDGET_DIVISOR: usize = 4;
-
-/// Floor of the transferred budget, so the cut leaves room to evaluate
-/// the seeds plus a polish neighborhood. Never raises a budget above
-/// the cold one.
-pub const TRANSFER_MIN_EVALS: usize = 32;
+use crate::tuner::TuneResult;
 
 /// Row count of the rowwise workloads a [`FleetSpec`] expands to (the
 /// tuned knob is the column block size; `m` only scales the trace).
@@ -328,9 +305,8 @@ impl FleetSpec {
     }
 
     /// Expands the spec into concrete requests, every key carrying the
-    /// given search knobs. Order is deterministic — per group, per
-    /// device, sizes ascending — which is also the transfer topology:
-    /// each key's nearest earlier sibling is its warm-start source.
+    /// given search knobs, in a deterministic order: per group, per
+    /// device, sizes ascending.
     pub fn requests(
         &self,
         default_device: &GpuConfig,
@@ -383,30 +359,6 @@ impl fmt::Display for FleetSpec {
 // Reports
 // ---------------------------------------------------------------------
 
-/// The per-key payload of a completed fleet search or cache hit.
-#[derive(Clone, Debug)]
-pub struct FleetTuned {
-    /// The winning configuration.
-    pub config: TunedConfig,
-    /// Estimate of the hand-picked default.
-    pub naive: Estimate,
-    /// Estimate of the winner.
-    pub tuned: Estimate,
-    /// Unique configurations scored (0 on a cache hit).
-    pub evaluated: usize,
-    /// 1-based index of the evaluation that first scored the winner
-    /// (0 on a cache hit).
-    pub evals_to_winner: usize,
-    /// The budget the search actually ran under (`None` for cache hits
-    /// and searches that swept their domain, exhaustive included) —
-    /// reduced from the request's on a transfer.
-    pub budget: Option<usize>,
-    /// Evaluations the transfer saved versus the request's cold budget.
-    pub evals_saved: usize,
-    /// Whether the key was satisfied straight from the result map.
-    pub from_cache: bool,
-}
-
 /// One grid key's outcome.
 #[derive(Clone, Debug)]
 pub struct FleetKeyReport {
@@ -414,23 +366,14 @@ pub struct FleetKeyReport {
     pub request: TuneRequest,
     /// Its schema-v4 cache key.
     pub cache_key: String,
-    /// The outcome (an error never aborts the fleet; dependents of a
-    /// failed key fall back to cold starts).
-    pub result: Result<FleetTuned, String>,
-    /// `workload@device` label of the key whose frontier seeded this
-    /// search (`None` for cold starts, cache hits, and same-key warm
-    /// restarts).
-    pub transferred_from: Option<String>,
-    /// Warm-start configs offered to the search (before domain
-    /// filtering).
-    pub seeds: usize,
+    /// The outcome (an error never aborts the fleet).
+    pub result: Result<TuneResult, String>,
     /// Which worker ran the key.
     pub worker: usize,
     /// Wall-clock seconds this key took on its worker.
     pub elapsed_s: f64,
-    /// The record this run persists for the key: the search's entry,
-    /// recorded at the request's cold budget when a transfer cut it.
-    /// `None` for cache hits and errors. Not part of [`Self::to_json`].
+    /// The record this run persists for the key. `None` for cache hits
+    /// and errors. Not part of [`Self::to_json`].
     pub entry: Option<CachedTuning>,
 }
 
@@ -449,14 +392,6 @@ impl FleetKeyReport {
                 Json::Str(self.request.device.tag.to_string()),
             ),
             ("class".to_string(), Json::Str(self.class())),
-            (
-                "transferred_from".to_string(),
-                match &self.transferred_from {
-                    None => Json::Null,
-                    Some(src) => Json::Str(src.clone()),
-                },
-            ),
-            ("seeds".to_string(), Json::Int(self.seeds as i64)),
             ("worker".to_string(), Json::Int(self.worker as i64)),
             ("elapsed_s".to_string(), Json::num(self.elapsed_s)),
         ];
@@ -466,23 +401,8 @@ impl FleetKeyReport {
                 pairs.push(("config".to_string(), config_to_json(&t.config)));
                 pairs.push(("naive_s".to_string(), Json::num(t.naive.time_s)));
                 pairs.push(("tuned_s".to_string(), Json::num(t.tuned.time_s)));
-                pairs.push((
-                    "speedup".to_string(),
-                    Json::num(t.naive.time_s / t.tuned.time_s),
-                ));
+                pairs.push(("speedup".to_string(), Json::num(t.speedup())));
                 pairs.push(("evaluated".to_string(), Json::Int(t.evaluated as i64)));
-                pairs.push((
-                    "evals_to_winner".to_string(),
-                    Json::Int(t.evals_to_winner as i64),
-                ));
-                pairs.push((
-                    "budget".to_string(),
-                    match t.budget {
-                        None => Json::Null,
-                        Some(b) => Json::Int(b as i64),
-                    },
-                ));
-                pairs.push(("evals_saved".to_string(), Json::Int(t.evals_saved as i64)));
                 pairs.push(("from_cache".to_string(), Json::Bool(t.from_cache)));
             }
             Err(e) => {
@@ -499,18 +419,12 @@ impl FleetKeyReport {
 pub struct FleetCounters {
     /// Keys tuned (completed, successfully or not).
     pub keys: u64,
-    /// Keys served straight from the preloaded cache / earlier result.
+    /// Keys served from the preloaded cache or an earlier occurrence.
     pub cache_hits: u64,
     /// Fresh searches run.
     pub searched: u64,
-    /// Searches seeded from a *different* key's frontier.
-    pub transfers: u64,
     /// Total unique configurations scored.
     pub evals_total: u64,
-    /// Sum of evals-to-winner over fresh searches.
-    pub evals_to_winner_total: u64,
-    /// Evaluations saved by transfer budget cuts versus cold budgets.
-    pub evals_saved: u64,
     /// Keys whose search failed.
     pub errors: u64,
 }
@@ -522,12 +436,7 @@ impl FleetCounters {
             Ok(t) if t.from_cache => self.cache_hits += 1,
             Ok(t) => {
                 self.searched += 1;
-                if key.transferred_from.is_some() {
-                    self.transfers += 1;
-                }
                 self.evals_total += t.evaluated as u64;
-                self.evals_to_winner_total += t.evals_to_winner as u64;
-                self.evals_saved += t.evals_saved as u64;
             }
             Err(_) => self.errors += 1,
         }
@@ -539,21 +448,8 @@ impl FleetCounters {
         self.keys += other.keys;
         self.cache_hits += other.cache_hits;
         self.searched += other.searched;
-        self.transfers += other.transfers;
         self.evals_total += other.evals_total;
-        self.evals_to_winner_total += other.evals_to_winner_total;
-        self.evals_saved += other.evals_saved;
         self.errors += other.errors;
-    }
-
-    /// Mean evaluations to the winner over fresh searches (0 when none
-    /// ran).
-    pub fn mean_evals_to_winner(&self) -> f64 {
-        if self.searched == 0 {
-            0.0
-        } else {
-            self.evals_to_winner_total as f64 / self.searched as f64
-        }
     }
 
     /// The counters as a JSON object (the shape `lego-served`'s
@@ -563,9 +459,7 @@ impl FleetCounters {
             ("keys_tuned", Json::Int(self.keys as i64)),
             ("cache_hits", Json::Int(self.cache_hits as i64)),
             ("searched", Json::Int(self.searched as i64)),
-            ("transfer_hits", Json::Int(self.transfers as i64)),
             ("evals_total", Json::Int(self.evals_total as i64)),
-            ("evals_saved", Json::Int(self.evals_saved as i64)),
             ("errors", Json::Int(self.errors as i64)),
         ])
     }
@@ -578,8 +472,6 @@ pub struct FleetReport {
     pub keys: Vec<FleetKeyReport>,
     /// Worker threads the run used.
     pub threads: usize,
-    /// Whether transfer was enabled.
-    pub transfer: bool,
     /// End-to-end wall-clock seconds.
     pub elapsed_s: f64,
 }
@@ -615,15 +507,11 @@ impl FleetReport {
         Json::obj([
             ("keys", Json::Int(self.keys.len() as i64)),
             ("threads", Json::Int(self.threads as i64)),
-            ("transfer", Json::Bool(self.transfer)),
             ("elapsed_s", Json::num(self.elapsed_s)),
             ("keys_per_s", Json::num(self.keys_per_s())),
             ("cache_hits", Json::Int(c.cache_hits as i64)),
             ("searched", Json::Int(c.searched as i64)),
-            ("transfer_hits", Json::Int(c.transfers as i64)),
             ("evals_total", Json::Int(c.evals_total as i64)),
-            ("evals_saved", Json::Int(c.evals_saved as i64)),
-            ("mean_evals_to_winner", Json::num(c.mean_evals_to_winner())),
             ("errors", Json::Int(c.errors as i64)),
         ])
     }
@@ -639,24 +527,21 @@ pub struct FleetDriver {
     threads: usize,
     cache: Option<TuningCache>,
     sidecar: Option<std::path::PathBuf>,
-    transfer: bool,
 }
 
 impl FleetDriver {
-    /// A driver with `threads` workers, transfer enabled, no cache.
+    /// A driver with `threads` workers and no cache.
     pub fn new(threads: usize) -> FleetDriver {
         FleetDriver {
             threads: threads.max(1),
             cache: None,
             sidecar: None,
-            transfer: true,
         }
     }
 
-    /// Attaches a persistent cache: its entries preload the result map
-    /// (satisfying keys become instant hits, stale frontiers become
-    /// seeds), and every fresh result is written back in one batched
-    /// [`TuningCache::store_and_compact`] at the end of the run.
+    /// Attaches a persistent cache: its satisfying entries answer keys
+    /// as instant hits, and every fresh result is written back in one
+    /// batched [`TuningCache::store_and_compact`] at the end of the run.
     #[must_use]
     pub fn with_cache(mut self, path: impl Into<std::path::PathBuf>) -> FleetDriver {
         self.cache = Some(TuningCache::new(path.into()));
@@ -673,59 +558,23 @@ impl FleetDriver {
         self
     }
 
-    /// Enables or disables frontier transfer (disabled = every miss is
-    /// a cold full-budget search; the bench's baseline mode).
-    #[must_use]
-    pub fn with_transfer(mut self, transfer: bool) -> FleetDriver {
-        self.transfer = transfer;
-        self
-    }
-
     /// Tunes every key of `grid` and returns the per-key outcomes plus
     /// run counters. Individual failures, panics included, are recorded,
     /// never fatal; the merged cache write happens once, after the last
     /// key.
     pub fn run(&self, grid: &[TuneRequest]) -> FleetReport {
         let t0 = Instant::now();
-        let n = grid.len();
         let keys: Vec<String> = grid.iter().map(TuneRequest::cache_key).collect();
-
-        // Static dependency topology, decided before anything runs: a
-        // repeated key depends on its first occurrence (and is then a
-        // hit), and with transfer on every other key depends on the
-        // nearest comparable earlier key. The source is a function of
-        // the grid, not of scheduling, which keeps the run
-        // deterministic.
         let mut first_at: HashMap<&str, usize> = HashMap::new();
-        for (i, k) in keys.iter().enumerate() {
-            first_at.entry(k.as_str()).or_insert(i);
-        }
-        let deps: Vec<Option<usize>> = (0..n)
-            .map(|i| match first_at[keys[i].as_str()] {
-                first if first < i => Some(first),
-                _ if self.transfer => {
-                    nearest_neighbor(&keys[i], keys[..i].iter().map(String::as_str))
-                        .map(|k| first_at[k])
-                }
-                _ => None,
-            })
+        let unique: Vec<usize> = (0..grid.len())
+            .filter(|&i| *first_at.entry(keys[i].as_str()).or_insert(i) == i)
             .collect();
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, dep) in deps.iter().enumerate() {
-            if let Some(j) = *dep {
-                children[j].push(i);
-            }
-        }
-
-        // Completed entries by cache key, preloaded from the cache.
-        let tuned: Mutex<HashMap<String, CachedTuning>> = Mutex::new(
-            self.cache
-                .as_ref()
-                .map(|c| c.entries().into_iter().collect())
-                .unwrap_or_default(),
-        );
-        let queue = ReadyQueue::new((0..n).filter(|&i| deps[i].is_none()), n);
-        let threads = self.threads.min(n.max(1));
+        let preloaded: HashMap<String, CachedTuning> = self
+            .cache
+            .as_ref()
+            .map(|c| c.entries().into_iter().collect())
+            .unwrap_or_default();
+        let threads = self.threads.min(unique.len().max(1));
 
         // The persistent memo sidecar is parsed once here; each worker
         // installs it into its own thread-local caches before taking
@@ -737,31 +586,25 @@ impl FleetDriver {
             .map(crate::sidecar::Sidecar::load)
             .filter(|sc| !sc.is_empty());
 
-        let mut slots: Vec<Option<FleetKeyReport>> = vec![None; n];
+        // `Relaxed` suffices: the cursor publishes no data, only hands
+        // out indices (each once), and the reports come back through
+        // the joins.
+        let cursor = AtomicUsize::new(0);
+        let mut slots: Vec<Option<FleetKeyReport>> = vec![None; grid.len()];
         let mut sidecar_out = crate::sidecar::Sidecar::new();
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|w| {
-                    let (queue, tuned, keys, deps, children) =
-                        (&queue, &tuned, &keys, &deps, &children);
+                    let (cursor, unique, keys, preloaded) = (&cursor, &unique, &keys, &preloaded);
                     let sidecar_in = sidecar_in.as_ref();
                     scope.spawn(move || {
                         if let Some(sc) = sidecar_in {
                             crate::sidecar::install(sc);
                         }
                         let mut done = Vec::new();
-                        while let Some(i) = queue.next() {
-                            let report = run_key(grid, keys, deps, tuned, i, w);
-                            if let Some(entry) = &report.entry {
-                                tuned
-                                    .lock()
-                                    .expect("result map poisoned")
-                                    .insert(keys[i].clone(), entry.clone());
-                            }
-                            // Dependents become runnable only now, with
-                            // the entry already visible in the map.
-                            queue.complete(&children[i]);
-                            done.push((i, report));
+                        while let Some(&i) = unique.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            let hit = preloaded.get(&keys[i]);
+                            done.push((i, run_key(&grid[i], &keys[i], hit, w)));
                         }
                         (done, self.sidecar.is_some().then(crate::sidecar::collect))
                     })
@@ -777,11 +620,6 @@ impl FleetDriver {
                 }
             }
         });
-        let mut reports: Vec<FleetKeyReport> = slots
-            .into_iter()
-            .map(|r| r.expect("every key completed"))
-            .collect();
-
         if let Some(path) = &self.sidecar {
             if let Err(e) = sidecar_out.save(path) {
                 // Same best-effort stance as the cache write below.
@@ -790,15 +628,16 @@ impl FleetDriver {
         }
 
         if let Some(cache) = &self.cache {
-            let batch: Vec<(String, CachedTuning)> = reports
+            let batch: Vec<(String, CachedTuning)> = slots
                 .iter()
+                .flatten()
                 .filter_map(|r| Some((r.cache_key.clone(), r.entry.clone()?)))
                 .collect();
             if let Err(e) = cache.store_and_compact(&batch) {
                 // Persisting is best-effort at this layer; surface the
                 // failure on every fresh key's report instead of
                 // panicking a completed run.
-                for r in &mut reports {
+                for r in slots.iter_mut().flatten() {
                     if r.entry.take().is_some() {
                         r.result = Err(format!("cache write failed: {e}"));
                     }
@@ -806,197 +645,64 @@ impl FleetDriver {
             }
         }
 
+        // A repeated key is a hit of its first occurrence's answer.
+        let mut reports: Vec<FleetKeyReport> = Vec::with_capacity(grid.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            let report = slot.unwrap_or_else(|| {
+                let first = &reports[first_at[keys[i].as_str()]];
+                FleetKeyReport {
+                    request: grid[i].clone(),
+                    result: first.result.clone().map(|r| TuneResult {
+                        evaluated: 0,
+                        from_cache: true,
+                        ..r
+                    }),
+                    elapsed_s: 0.0,
+                    entry: None,
+                    ..first.clone()
+                }
+            });
+            reports.push(report);
+        }
+
         FleetReport {
             keys: reports,
             threads,
-            transfer: self.transfer,
             elapsed_s: t0.elapsed().as_secs_f64(),
         }
     }
 }
 
-/// Tunes grid key `i` on worker `w`. A fresh search's report carries
-/// the entry to publish (the caller inserts it into the result map
-/// *before* marking the key complete). A panicking search becomes an
-/// error report for this key alone.
+/// Answers one unique grid key on worker `w`: a preloaded entry that
+/// satisfies the request is a hit (the rule the sequential tuner and
+/// the daemon apply), anything else a cache-less
+/// [`crate::Tuner::tune_entry`]. A panicking search becomes an error
+/// report for this key alone.
 fn run_key(
-    grid: &[TuneRequest],
-    keys: &[String],
-    deps: &[Option<usize>],
-    tuned: &Mutex<HashMap<String, CachedTuning>>,
-    i: usize,
+    req: &TuneRequest,
+    key: &str,
+    preloaded: Option<&CachedTuning>,
     w: usize,
 ) -> FleetKeyReport {
     let t0 = Instant::now();
-    let req = &grid[i];
-    let lookup = |k: &str| -> Option<CachedTuning> {
-        tuned.lock().expect("result map poisoned").get(k).cloned()
+    let (result, entry) = match preloaded.filter(|hit| req.satisfied_by(hit)) {
+        Some(hit) => (Ok(TuneResult::from_entry(req.kind.name(), hit, true)), None),
+        None => match catch_unwind(AssertUnwindSafe(|| req.tuner().tune_entry(&req.kind))) {
+            Ok(Ok((result, entry))) => (Ok(result), Some(entry)),
+            Ok(Err(e)) => (Err(e.to_string()), None),
+            Err(_) => (
+                Err(format!("tuning panicked for {}", req.kind.name())),
+                None,
+            ),
+        },
     };
-    let mut report = FleetKeyReport {
+    FleetKeyReport {
         request: req.clone(),
-        cache_key: keys[i].clone(),
-        result: Err(format!("tuning panicked for {}", req.kind.name())),
-        transferred_from: None,
-        seeds: 0,
+        cache_key: key.to_string(),
+        result,
         worker: w,
-        elapsed_s: 0.0,
-        entry: None,
-    };
-
-    // Instant hit: a preloaded or earlier-completed entry satisfies the
-    // request as-is (same rule the sequential tuner and daemon apply).
-    let own = lookup(&keys[i]);
-    if let Some(hit) = own.as_ref().filter(|hit| req.satisfied_by(hit)) {
-        report.result = Ok(FleetTuned {
-            config: hit.config,
-            naive: hit.naive,
-            tuned: hit.tuned,
-            evaluated: 0,
-            evals_to_winner: 0,
-            budget: None,
-            evals_saved: 0,
-            from_cache: true,
-        });
-    } else {
-        let source = deps[i]
-            .filter(|&j| keys[j] != keys[i])
-            .and_then(|j| Some((j, lookup(&keys[j])?)));
-        // On a panic `report` keeps the error it was built with.
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            search_key(grid, req, own, source, &mut report);
-        }));
-    }
-    report.elapsed_s = t0.elapsed().as_secs_f64();
-    report
-}
-
-/// Runs the search of a key that missed, seeded from its own stale
-/// entry and its transfer source `(grid index, entry)`, and fills the
-/// report's outcome fields in one step after the search returns.
-fn search_key(
-    grid: &[TuneRequest],
-    req: &TuneRequest,
-    own: Option<CachedTuning>,
-    source: Option<(usize, CachedTuning)>,
-    report: &mut FleetKeyReport,
-) {
-    // Seeds: the key's own stale frontier first (a differently-searched
-    // entry still knows good points), then the transfer source's.
-    let domain = Domain::new(req.kind, req.effective_space());
-    let mut seeds: Vec<TunedConfig> = own
-        .iter()
-        .flat_map(|h| h.frontier.iter().map(|(c, _)| *c))
-        .collect();
-    let mut transferred_from = None;
-    if let Some((j, src)) = source {
-        let survivors: Vec<TunedConfig> = src
-            .frontier
-            .iter()
-            .map(|(c, _)| *c)
-            .filter(|c| domain.contains(c))
-            .collect();
-        if !survivors.is_empty() {
-            transferred_from = Some(format!("{}@{}", grid[j].kind.name(), grid[j].device.tag));
-            seeds.extend(survivors);
-        }
-    }
-
-    // A transferred search keeps only a fraction of the cold budget:
-    // the seeds carry a near-winner, so the remainder just polishes.
-    let cold = req.budget.max_evals();
-    let budget_override = (transferred_from.is_some()
-        && !matches!(req.strategy, Strategy::Exhaustive))
-    .then(|| Budget((cold / TRANSFER_BUDGET_DIVISOR).max(TRANSFER_MIN_EVALS.min(cold))));
-
-    let tuner = req.tuner();
-    let (result, entry) = match tuner.tune_seeded(&req.kind, &seeds, budget_override) {
-        Ok(seeded) => {
-            let tuned = FleetTuned {
-                config: seeded.result.config,
-                naive: seeded.result.naive,
-                tuned: seeded.result.tuned,
-                evaluated: seeded.result.evaluated,
-                evals_to_winner: seeded.evals_to_winner,
-                budget: seeded.budget,
-                evals_saved: budget_override
-                    .map_or(0, |_| cold.saturating_sub(seeded.result.evaluated)),
-                from_cache: false,
-            };
-            let mut entry = tuner.entry_from(&seeded);
-            if budget_override.is_some() {
-                // A transferred entry is recorded at the request's cold
-                // budget: transfer's contract — asserted by the
-                // soundness tests — is cold-equivalent winner quality,
-                // and recording the cut budget would make fleets
-                // non-idempotent (every re-run would re-search exactly
-                // the keys the fleet just tuned). A search that swept its
-                // domain keeps no budget.
-                entry.budget = entry.budget.map(|_| cold);
-            }
-            (Ok(tuned), Some(entry))
-        }
-        Err(e) => (Err(e.to_string()), None),
-    };
-    report.result = result;
-    report.entry = entry;
-    report.transferred_from = transferred_from;
-    report.seeds = seeds.len();
-}
-
-// ---------------------------------------------------------------------
-// The scheduler
-// ---------------------------------------------------------------------
-
-/// One FIFO of runnable keys shared by every worker. A key enters it
-/// only once its dependency has completed, so a runnable key's seeds
-/// are always visible in the result map.
-struct ReadyQueue {
-    inner: Mutex<Ready>,
-    wake: Condvar,
-}
-
-struct Ready {
-    runnable: VecDeque<usize>,
-    /// Keys not yet completed (runnable, running, or still blocked on a
-    /// dependency). Workers exit when it reaches zero.
-    remaining: usize,
-}
-
-impl ReadyQueue {
-    /// A queue seeded with the keys that have no dependency, in grid
-    /// order, out of `total` keys.
-    fn new(roots: impl Iterator<Item = usize>, total: usize) -> ReadyQueue {
-        ReadyQueue {
-            inner: Mutex::new(Ready {
-                runnable: roots.collect(),
-                remaining: total,
-            }),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// The next runnable key, blocking until a completion frees one.
-    /// `None` once every key has completed.
-    fn next(&self) -> Option<usize> {
-        let mut inner = self.inner.lock().expect("scheduler poisoned");
-        loop {
-            if inner.remaining == 0 {
-                return None;
-            }
-            if let Some(i) = inner.runnable.pop_front() {
-                return Some(i);
-            }
-            inner = self.wake.wait(inner).expect("scheduler poisoned");
-        }
-    }
-
-    /// Marks a key complete and makes its dependents runnable.
-    fn complete(&self, dependents: &[usize]) {
-        let mut inner = self.inner.lock().expect("scheduler poisoned");
-        inner.remaining -= 1;
-        inner.runnable.extend(dependents);
-        drop(inner);
-        self.wake.notify_all();
+        elapsed_s: t0.elapsed().as_secs_f64(),
+        entry,
     }
 }
 
@@ -1096,39 +802,5 @@ mod tests {
                 "{bad:?}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn transfer_deps_point_at_nearest_earlier_same_class_key() {
-        let spec = FleetSpec::parse("matmul:256..1024x2@a100,h100").unwrap();
-        let grid = spec.requests(&gpu_sim::a100(), Strategy::Anneal, Budget(64), None);
-        let keys: Vec<String> = grid.iter().map(TuneRequest::cache_key).collect();
-        // a100: 256, 512, 1024 then h100: 256, 512, 1024.
-        // First key has no earlier sibling.
-        assert_eq!(
-            nearest_neighbor(&keys[0], keys[..0].iter().map(String::as_str)),
-            None
-        );
-        // a100 512 transfers from a100 256; a100 1024 from a100 512.
-        assert_eq!(
-            nearest_neighbor(&keys[1], keys[..1].iter().map(String::as_str)),
-            Some(keys[0].as_str())
-        );
-        assert_eq!(
-            nearest_neighbor(&keys[2], keys[..2].iter().map(String::as_str)),
-            Some(keys[1].as_str())
-        );
-        // h100 256 has no same-device sibling yet: cross-device
-        // fallback to a100 256 (distance = the device penalty).
-        assert_eq!(
-            nearest_neighbor(&keys[3], keys[..3].iter().map(String::as_str)),
-            Some(keys[0].as_str())
-        );
-        // h100 512 prefers its same-device neighbor over the exact-size
-        // cross-device one.
-        assert_eq!(
-            nearest_neighbor(&keys[4], keys[..4].iter().map(String::as_str)),
-            Some(keys[3].as_str())
-        );
     }
 }

@@ -19,10 +19,11 @@
 //!    every candidate priced by `gpu-sim`'s [`gpu_sim::CostModel`]
 //!    (coalescing + bank conflicts + cache filtering + roofline timing
 //!    in one call);
-//! 3. persists the winner *and the top-k frontier* in a journal-backed
-//!    [`TuningCache`] keyed by `(workload, problem size, hardware
-//!    config)`, so repeated runs skip the search and later searches
-//!    warm-start from previous populations;
+//! 3. persists the winner in a journal-backed [`TuningCache`] keyed by
+//!    `(workload, problem size, hardware config)`, so a repeated run
+//!    whose knobs the entry satisfies skips the search; any other run
+//!    searches afresh, so an answer never depends on what the cache
+//!    held before;
 //! 4. hands the winning [`TunedConfig`] back to `lego-codegen`'s
 //!    `from_tuned` constructors to instantiate the tuned kernel.
 //!
@@ -60,9 +61,7 @@ pub mod space;
 pub mod strategy;
 pub mod tuner;
 
-pub use cache::{
-    cache_key, key_distance, nearest_neighbor, CachedTuning, TuningCache, CACHE_SCHEMA_VERSION,
-};
+pub use cache::{cache_key, CachedTuning, TuningCache, CACHE_SCHEMA_VERSION};
 pub use domain::{Domain, SpaceScale};
 pub use fleet::{FleetCounters, FleetDriver, FleetReport, FleetSpec};
 pub use json::Json;
@@ -76,4 +75,4 @@ pub use space::{
     rowwise_block_sizes, stencil_block, symbolic_exprs, Candidate, WorkloadKind,
 };
 pub use strategy::{run_search, Budget, SearchOutcome, Strategy, FRONTIER_K};
-pub use tuner::{SeededTune, TuneError, TuneResult, Tuner};
+pub use tuner::{TuneError, TuneResult, Tuner};

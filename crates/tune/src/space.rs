@@ -110,21 +110,6 @@ impl WorkloadKind {
         }
     }
 
-    /// The workload's numeric size parameters in a stable order — the
-    /// coordinates the fleet driver's transfer distance
-    /// ([`crate::cache::key_distance`]) is computed over. Two workloads
-    /// of one family always return equally-shaped lists.
-    pub fn size_params(&self) -> Vec<(&'static str, i64)> {
-        match *self {
-            WorkloadKind::Matmul { n } => vec![("n", n)],
-            WorkloadKind::Transpose { n } => vec![("n", n)],
-            WorkloadKind::Stencil { n, .. } => vec![("n", n)],
-            WorkloadKind::Nw { n, b } => vec![("n", n), ("b", b)],
-            WorkloadKind::Lud { n, bs } => vec![("n", n), ("bs", bs)],
-            WorkloadKind::Rowwise { m, n, .. } => vec![("m", m), ("n", n)],
-        }
-    }
-
     /// Parses a display/cache name (the exact strings [`Self::name`]
     /// produces, e.g. `matmul(n=2048)` or `stencil(star-13pt,n=48)`)
     /// back into a workload — the tuning-service wire protocol names

@@ -12,8 +12,8 @@
 //!   cooling, and greedy reheats from the incumbent best;
 //! * [`Strategy::Genetic`] — a (μ+λ) genetic search: elite carry-over,
 //!   tournament parent selection, axis-wise [`Domain::crossover`] and
-//!   neighbor-mutation, with the population seeded from the cache's
-//!   persisted top-k frontier when one is available.
+//!   neighbor-mutation from a founding population of the default plus
+//!   random samples.
 //!
 //! Every strategy scores through one `Evaluator` built by
 //! [`run_search`]: it scores the default first (entry zero, the naive
@@ -35,10 +35,12 @@
 //! All strategies are deterministic: randomness comes from the in-crate
 //! [`Rng`] seeded by the tuning cache key plus the strategy name, so
 //! the same search replays bit-identically (the basis of the
-//! determinism tests and the CI gate). Because the proposal stream does
-//! not depend on the budget, a larger budget evaluates a superset of a
-//! smaller one, and a budget that covers the domain evaluates all of
-//! it — the winner can only improve (asserted by the
+//! determinism tests and the CI gate). No search is seeded from another
+//! search's results, so an answer depends on the workload, device and
+//! knobs alone, never on what a cache held before. Because the proposal
+//! stream does not depend on the budget, a larger budget evaluates a
+//! superset of a smaller one, and a budget that covers the domain
+//! evaluates all of it — the winner can only improve (asserted by the
 //! budget-monotonicity test).
 
 use std::collections::HashMap;
@@ -79,7 +81,7 @@ pub enum Strategy {
     Exhaustive,
     /// Simulated annealing over the parameterized domain.
     Anneal,
-    /// Genetic search with cache-frontier warm starts.
+    /// (μ+λ) genetic search.
     Genetic,
 }
 
@@ -142,13 +144,8 @@ pub struct SearchOutcome {
     /// Traffic-memo misses during this search (geometries traced and
     /// recorded).
     pub traffic_misses: u64,
-    /// 1-based index of the evaluation that first scored the winner —
-    /// the "evals to optimum" a transferred warm start is meant to
-    /// shrink (seeds are evaluated first, so a transfer that already
-    /// contains a near-winner pushes this toward 1).
-    pub evals_to_winner: usize,
-    /// The top-k evaluated configs (best first) with their times — the
-    /// warm-start population persisted in the cache.
+    /// The top-k evaluated configs (best first) with their times, as
+    /// persisted in the cache entry.
     pub frontier: Vec<(TunedConfig, f64)>,
 }
 
@@ -327,9 +324,6 @@ impl<'a> Evaluator<'a> {
             // Filled in by `run_search` from the memo-stat deltas.
             traffic_hits: 0,
             traffic_misses: 0,
-            // Entries are appended in evaluation order, so the winning
-            // index is exactly how many evaluations it took to find it.
-            evals_to_winner: self.best + 1,
             frontier,
         }
     }
@@ -343,9 +337,11 @@ pub const FRONTIER_K: usize = 8;
 /// proposals (or, when the budget covers the domain, sweeps it), and
 /// the evaluator's entries become the outcome.
 ///
-/// `seed_key` derives the deterministic RNG (pass the tuning cache key);
-/// `warm_start` is a previously persisted frontier to seed from (ignored
-/// by `Exhaustive`).
+/// `seed_key` derives the deterministic RNG (pass the tuning cache key).
+/// `warm_start` lists configs the walk scores before its own proposals
+/// (ignored by `Exhaustive` and by a sweep). The tuner always passes
+/// `&[]`, so its answers depend on the request alone; the parameter
+/// goes once the benchmark harness stops passing it.
 ///
 /// # Errors
 ///
@@ -490,8 +486,8 @@ fn genetic(domain: &Domain, eval: &mut Evaluator<'_>, rng: &mut Rng, warm_start:
     const LAMBDA: usize = POP - ELITE;
     const MUTATE_P: f64 = 0.4;
 
-    // Founding population: default first (the naive baseline), then the
-    // persisted frontier, then random samples.
+    // Founding population: default first (the naive baseline), then any
+    // warm-start configs, then random samples.
     let mut pop: Vec<TunedConfig> = vec![domain.default_config()];
     for c in warm_start {
         if !pop.contains(c) {

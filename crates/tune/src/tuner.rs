@@ -1,5 +1,5 @@
 //! The search driver: pick a strategy, spend the budget, cache the
-//! winner (with its frontier) per `(workload, hardware)`.
+//! winner per `(workload, hardware)`.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -48,7 +48,7 @@ impl From<std::io::Error> for TuneError {
 }
 
 /// The outcome of tuning one workload.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TuneResult {
     /// Workload name (also the first half of the cache key).
     pub workload: String,
@@ -69,29 +69,26 @@ pub struct TuneResult {
 }
 
 impl TuneResult {
+    /// The result `entry` answers: a cache hit when `from_cache`
+    /// (nothing evaluated to answer it), else the search that produced
+    /// the entry.
+    pub fn from_entry(workload: String, entry: &CachedTuning, from_cache: bool) -> TuneResult {
+        TuneResult {
+            workload,
+            config: entry.config,
+            expr_variant: entry.expr_variant,
+            index_ops: entry.index_ops,
+            naive: entry.naive,
+            tuned: entry.tuned,
+            evaluated: if from_cache { 0 } else { entry.evaluated },
+            from_cache,
+        }
+    }
+
     /// Naive-over-tuned speedup.
     pub fn speedup(&self) -> f64 {
         self.naive.time_s / self.tuned.time_s
     }
-}
-
-/// The outcome of one cache-free seeded search
-/// ([`Tuner::tune_seeded`]): the result plus everything a fleet driver
-/// needs to feed later keys and persist the entry itself.
-#[derive(Clone, Debug)]
-pub struct SeededTune {
-    /// The tuning result (never `from_cache`; the caller owns caching).
-    pub result: TuneResult,
-    /// The search's top-k frontier — the warm-start population for
-    /// neighboring keys and the cache entry's persisted frontier.
-    pub frontier: Vec<(TunedConfig, f64)>,
-    /// 1-based index of the evaluation that first scored the winner.
-    pub evals_to_winner: usize,
-    /// The evaluation budget the search actually ran under (`None` when
-    /// it swept its domain: exhaustive, or a budget that covered the
-    /// domain) — what a cache entry must record so satisfaction checks
-    /// stay honest when a transfer cut the budget.
-    pub budget: Option<usize>,
 }
 
 /// The autotuner: a hardware model, a search strategy with its budget,
@@ -186,10 +183,9 @@ impl Tuner {
 
     /// Tunes one workload: returns the cached result when the cache has
     /// a satisfying entry for `(workload, hardware)`, otherwise runs the
-    /// configured [`Strategy`] over the workload's [`Domain`] — warm-
-    /// started from any unsatisfying entry's persisted frontier — picks
-    /// the fastest evaluated configuration, and persists it together
-    /// with the new top-k frontier.
+    /// configured [`Strategy`] over the workload's [`Domain`], picks the
+    /// fastest evaluated configuration, and persists it together with
+    /// the search's top-k frontier.
     ///
     /// The default configuration is always evaluated first, so
     /// `tuned.time_s <= naive.time_s` holds by construction under every
@@ -208,116 +204,50 @@ impl Tuner {
     /// layering its own memory tier over the cache promotes this entry
     /// as-is, so every tier answers from the same record.
     ///
+    /// This is the one search primitive: the daemon and the fleet driver
+    /// call it too. An unsatisfying entry is replaced, never used to
+    /// seed the search, and the search's RNG derives from the cache key
+    /// and strategy, so every answer is a pure function of
+    /// `(kind, gpu, strategy, space, budget)` whatever the cache held.
+    ///
     /// # Errors
     ///
     /// As [`Tuner::tune`].
     pub fn tune_entry(&self, kind: &WorkloadKind) -> Result<(TuneResult, CachedTuning), TuneError> {
         let workload = kind.name();
         let key = cache_key(&workload, kind.pricing_mode(), &self.gpu);
-        let mut warm_start: Vec<TunedConfig> = Vec::new();
-        if let Some(cache) = &self.cache {
-            if let Some(hit) = cache.lookup(&key) {
-                if self.satisfied_by(&hit) {
-                    let result = TuneResult {
-                        workload,
-                        config: hit.config,
-                        expr_variant: hit.expr_variant,
-                        index_ops: hit.index_ops,
-                        naive: hit.naive,
-                        tuned: hit.tuned,
-                        evaluated: 0,
-                        from_cache: true,
-                    };
-                    return Ok((result, hit));
-                }
-                // A differently-searched entry still knows good points:
-                // reuse its frontier as the warm-start population.
-                warm_start = hit.frontier.iter().map(|(c, _)| *c).collect();
-            }
+        let hit = self.cache.as_ref().and_then(|cache| cache.lookup(&key));
+        if let Some(hit) = hit.filter(|hit| self.satisfied_by(hit)) {
+            return Ok((TuneResult::from_entry(workload, &hit, true), hit));
         }
 
-        let seeded = self.tune_seeded(kind, &warm_start, None)?;
-        let entry = self.entry_from(&seeded);
-        if let Some(cache) = &self.cache {
-            // One journal append, through the same batched writer a
-            // fleet uses.
-            cache.store_many(&[(key, entry.clone())])?;
-        }
-        Ok((seeded.result, entry))
-    }
-
-    /// Runs the configured search for `kind`, seeded by `seeds` (configs
-    /// outside the effective domain are dropped first) and optionally
-    /// under a budget override — without touching the cache in either
-    /// direction. This is the fleet driver's primitive: it decides
-    /// seeding and persistence itself, and a transferred frontier rides
-    /// in here with a cut-down budget.
-    ///
-    /// Deterministic: the RNG seed derives from the cache key and
-    /// strategy, so the outcome is a pure function of
-    /// `(kind, gpu, strategy, space, budget, seeds)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layout construction failures.
-    pub fn tune_seeded(
-        &self,
-        kind: &WorkloadKind,
-        seeds: &[TunedConfig],
-        budget: Option<Budget>,
-    ) -> Result<SeededTune, TuneError> {
-        let workload = kind.name();
-        let key = cache_key(&workload, kind.pricing_mode(), &self.gpu);
         let domain = Domain::new(*kind, self.effective_space());
-        // A frontier cached under another space scale (or transferred
-        // from another problem size) may hold configs this search must
-        // not return (e.g. an enlarged-only NW block size when the
-        // caller pinned --space legacy, or a tile larger than the new
-        // problem).
-        let mut warm_start: Vec<TunedConfig> = seeds.to_vec();
-        warm_start.retain(|c| domain.contains(c));
-        warm_start.dedup();
-        let budget = budget.unwrap_or(self.budget);
-        let outcome = run_search(self.strategy, &domain, &self.gpu, budget, &key, &warm_start)?;
-        Ok(SeededTune {
-            result: TuneResult {
-                workload,
-                config: outcome.winner.config,
-                expr_variant: outcome.winner.expr_variant,
-                index_ops: outcome.winner.index_ops,
-                naive: outcome.naive,
-                tuned: outcome.tuned,
-                evaluated: outcome.evaluated,
-                from_cache: false,
-            },
-            frontier: outcome.frontier,
-            evals_to_winner: outcome.evals_to_winner,
+        let outcome = run_search(self.strategy, &domain, &self.gpu, self.budget, &key, &[])?;
+        let entry = CachedTuning {
+            config: outcome.winner.config,
+            expr_variant: outcome.winner.expr_variant,
+            index_ops: outcome.winner.index_ops,
+            naive: outcome.naive,
+            tuned: outcome.tuned,
+            evaluated: outcome.evaluated,
+            strategy: self.strategy.name().to_string(),
             // A budget that covers the domain sweeps it (see
             // `run_search`), so no budget limited the search.
             budget: match self.strategy {
                 Strategy::Exhaustive => None,
                 Strategy::Anneal | Strategy::Genetic => {
-                    Some(budget.max_evals()).filter(|&b| b < domain.len())
+                    Some(self.budget.max_evals()).filter(|&b| b < domain.len())
                 }
             },
-        })
-    }
-
-    /// The cache entry a seeded outcome persists as (under this tuner's
-    /// strategy/space and the budget the search actually ran with).
-    pub fn entry_from(&self, seeded: &SeededTune) -> CachedTuning {
-        CachedTuning {
-            config: seeded.result.config,
-            expr_variant: seeded.result.expr_variant,
-            index_ops: seeded.result.index_ops,
-            naive: seeded.result.naive,
-            tuned: seeded.result.tuned,
-            evaluated: seeded.result.evaluated,
-            strategy: self.strategy.name().to_string(),
-            budget: seeded.budget,
             space: self.effective_space().name().to_string(),
-            frontier: seeded.frontier.clone(),
+            frontier: outcome.frontier,
+        };
+        if let Some(cache) = &self.cache {
+            // One journal append, through the same batched writer a
+            // fleet uses.
+            cache.store_many(&[(key, entry.clone())])?;
         }
+        Ok((TuneResult::from_entry(workload, &entry, false), entry))
     }
 
     /// Tunes a list of workloads in order.
