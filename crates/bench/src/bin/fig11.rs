@@ -21,6 +21,7 @@ use lego_tune::{Json, RowwiseOp, WorkloadKind};
 const TILES: (i64, i64, i64) = (128, 128, 64);
 
 fn main() {
+    tuned::reject_unknown_flags(&tuned::BENCH_FLAGS);
     let cfg = tuned::device_from_args();
     let sizes = [2048i64, 4096, 8192];
     let mut rows = Vec::new();

@@ -14,6 +14,7 @@ use lego_codegen::cuda::stencil::StencilShape;
 use lego_tune::{Json, WorkloadKind};
 
 fn main() {
+    tuned::reject_unknown_flags(&tuned::BENCH_FLAGS);
     let which = tuned::positional_args()
         .into_iter()
         .next()

@@ -15,6 +15,7 @@ use lego_codegen::cuda::stencil::StencilShape;
 use lego_tune::{Json, WorkloadKind};
 
 fn main() {
+    tuned::reject_unknown_flags(&tuned::BENCH_FLAGS);
     let cfg = tuned::device_from_args();
     println!("Figure 13: rooflines ({} FP32 model)", cfg.name);
     println!(

@@ -13,16 +13,28 @@
 //! `--cache PATH`, `--sidecar PATH` (warm every worker from the
 //! persisted memo sidecar and merge the derived results back on
 //! completion). The search knobs go through the resolver every front
-//! door shares ([`lego_tune::Knobs::resolve`]); bad input, or a flag
-//! given where a value belongs, exits with status 2. A key that fails
-//! exits with status 1.
+//! door shares ([`lego_tune::Knobs::resolve`]); bad input, a flag
+//! given where a value belongs, or a flag outside this list exits with
+//! status 2. A key that fails exits with status 1.
 
 use std::process::exit;
 
 use lego_bench::emit;
-use lego_bench::tuned::{flag_value, knobs_from_args, parsed_flag};
+use lego_bench::tuned::{flag_value, knobs_from_args, parsed_flag, reject_unknown_flags};
 use lego_tune::fleet::FleetReport;
 use lego_tune::{Budget, FleetDriver, FleetSpec, Json, Knobs, Strategy, TuneRequest};
+
+/// Every flag `lego-fleet` knows.
+const FLAGS: [&str; 8] = [
+    "--grid",
+    "--threads",
+    "--strategy",
+    "--budget",
+    "--space",
+    "--device",
+    "--cache",
+    "--sidecar",
+];
 
 /// The default smoke grid: three families × two devices, 26 keys.
 const DEFAULT_GRID: &str = "matmul:256..2048x2,nw:512..4096x2,softmax:1k..16kx2@a100,h100";
@@ -64,6 +76,7 @@ fn print_report(report: &FleetReport) {
 }
 
 fn main() {
+    reject_unknown_flags(&FLAGS);
     let spec_text = flag_value("--grid").unwrap_or_else(|| DEFAULT_GRID.to_string());
     let spec = FleetSpec::parse(&spec_text).unwrap_or_else(|e| {
         eprintln!("bad --grid: {e}");

@@ -29,6 +29,7 @@ fn time<F: FnMut()>(mut f: F) -> f64 {
 }
 
 fn main() {
+    tuned::reject_unknown_flags(&tuned::BENCH_FLAGS);
     println!("Table III: per-application code generation and simplification");
     println!("(paper column: Apple M2 Max + SymPy/Z3; measured column: this");
     println!(" Rust implementation — absolute values differ, sub-second to");

@@ -141,6 +141,7 @@ TL = TileBy([R, R], [T, T]).OrderBy(Row(R * T, R * T))
 point = TL[ri, rj, ti, tj]";
 
 fn main() {
+    tuned::reject_unknown_flags(&tuned::BENCH_FLAGS);
     println!("Table IV: arithmetic ops in user-written code, before/after\n");
     println!(
         "{:<18} {:>13} {:>13} {:>12} {:>12}",

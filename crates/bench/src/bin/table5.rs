@@ -22,6 +22,7 @@ use lego_tune::{Json, WorkloadKind};
 const SDK_OVERHEAD: f64 = 0.98;
 
 fn main() {
+    tuned::reject_unknown_flags(&tuned::BENCH_FLAGS);
     let cfg = tuned::device_from_args();
     let sizes = [2048i64, 4096, 8192];
 

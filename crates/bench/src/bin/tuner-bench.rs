@@ -294,6 +294,7 @@ fn fresh_enumeration(kinds: &[WorkloadKind]) -> (usize, f64, Vec<String>, f64) {
 }
 
 fn main() {
+    tuned::reject_unknown_flags(&["--device", "--sidecar"]);
     let device = tuned::device_from_args();
     println!(
         "-- tuner-bench: candidate-construction throughput ({}) --",

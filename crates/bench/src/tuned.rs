@@ -38,9 +38,33 @@ pub fn tuned_requested() -> bool {
     has_flag("--tuned")
 }
 
+/// Every flag a paper-table binary knows: `--tuned`, then the
+/// value-taking knobs of [`maybe_report`].
+pub const BENCH_FLAGS: [&str; 6] = [
+    "--tuned",
+    "--device",
+    "--strategy",
+    "--budget",
+    "--space",
+    "--sidecar",
+];
+
 /// The command-line flags that take a value — skipped (with their
 /// values) by [`positional_args`].
-const VALUE_FLAGS: [&str; 5] = ["--device", "--strategy", "--budget", "--space", "--sidecar"];
+const VALUE_FLAGS: &[&str] = BENCH_FLAGS.split_at(1).1;
+
+/// Aborts with status 2, before any work, when the command line holds
+/// a `--flag` outside `known`, so a misspelled or retired flag cannot
+/// run something else without a word.
+pub fn reject_unknown_flags(known: &[&str]) {
+    let unknown = std::env::args()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()));
+    if let Some(flag) = unknown {
+        eprintln!("unknown flag {flag} (known: {})", known.join(" "));
+        exit(2);
+    }
+}
 
 /// The positional (non-flag) arguments: everything after the binary
 /// name minus `--tuned` and the value-taking flags with their values.

@@ -1,7 +1,8 @@
 //! The `lego-fleet` command line refuses bad search knobs the way every
-//! other front door does: a zero budget and a flag given where a value
-//! belongs exit with status 2 before any work, and devices take the
-//! spellings the daemon's wire protocol accepts.
+//! other front door does: a zero budget, a flag given where a value
+//! belongs and a flag it does not know exit with status 2 before any
+//! work, and devices take the spellings the daemon's wire protocol
+//! accepts.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -46,6 +47,14 @@ fn zero_budget_is_refused() {
 fn flag_given_as_a_value_is_refused_and_writes_nothing() {
     let dir = scratch("cache");
     assert_eq!(fleet(&dir, &["--cache", "--sidecar"]), Some(2));
+    assert!(entries(&dir).is_empty(), "wrote {:?}", entries(&dir));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_flag_is_refused_and_writes_nothing() {
+    let dir = scratch("unknown");
+    assert_eq!(fleet(&dir, &["--no-transfer"]), Some(2));
     assert!(entries(&dir).is_empty(), "wrote {:?}", entries(&dir));
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -101,8 +101,7 @@ fn coalesce(
 }
 
 /// Coalesces a warp of element indices using the memory-segment width
-/// of the device `cfg` — the entry point the [`crate::model`] pricing
-/// engine uses, so no caller has to know which parameter is the
+/// of the device `cfg`, so no caller has to know which parameter is the
 /// device-dependent one.
 pub fn coalesce_elems_on(
     elem_idx: &[i64],

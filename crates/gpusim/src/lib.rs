@@ -83,8 +83,8 @@ pub use trace::{
     LaneAxis, LudPanels, MatmulWaves, NwWavefront, RowwiseSweep, StencilWalk, TransposeSweeps,
 };
 pub use traffic::{
-    export as export_traffic, import as import_traffic, memo_stats as traffic_memo_stats,
-    sidecar_stats as traffic_sidecar_stats, TrafficCost,
+    export as export_traffic, import as import_traffic, is_current_key as is_current_traffic_key,
+    memo_stats as traffic_memo_stats, sidecar_stats as traffic_sidecar_stats, TrafficCost,
 };
 
 /// A tiny deterministic LCG for the property tests of the warp models

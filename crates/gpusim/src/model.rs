@@ -24,11 +24,14 @@
 use lego_core::shape::key_ints;
 use lego_core::{ConcreteLayout, Layout};
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use crate::cache::Cache;
-use crate::coalesce::coalesce_elems_on;
+use crate::coalesce::coalesce_elems;
 use crate::config::GpuConfig;
 use crate::score::{Estimate, Phase, Workload};
-use crate::smem::bank_conflicts_elems_on;
+use crate::smem::bank_passes;
 use crate::tilecache::TileCache;
 use crate::timing::{estimate, occupancy_derate, KernelProfile, Pipeline, TimeEstimate};
 use crate::traffic::{self, TrafficCost};
@@ -138,31 +141,24 @@ impl<'a> CostModel<'a> {
                 .compile()
                 .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
         });
-        self.replay(compiled.as_ref(), workload)
+        replay(TraceGeometry::of(self.cfg), compiled.as_ref(), workload)
     }
 
-    /// The memo key of a (layout, workload) pair: the pricing device's
-    /// traffic geometry, every phase description (a global phase's L2
-    /// model included) and, when the workload has a phase, the layout's
-    /// structural [key](Layout::key) — everything the traffic pass
-    /// reads, rendered exactly (floats by their bits).
+    /// The memo key of a (layout, workload) pair: the key format, every
+    /// phase description with the device fields that phase's replay
+    /// reads ([`TraceGeometry`]; a global phase's L2 model included)
+    /// and, when the workload has a phase, the layout's structural
+    /// [key](Layout::key) — everything the traffic pass reads, rendered
+    /// exactly (floats by their bits). The device itself is not named,
+    /// so devices that agree on a phase's fields share its trace.
     ///
     /// # Panics
     ///
     /// When the workload has a phase and the layout has symbolic dims.
     fn memo_key(&self, layout: &Layout, workload: &Workload) -> String {
-        let cfg = self.cfg;
+        let geo = TraceGeometry::of(self.cfg);
         let mut key = String::with_capacity(256);
-        key.push_str(cfg.tag);
-        let geometry = [
-            cfg.warp_size,
-            cfg.sector_bytes,
-            cfg.l2_bytes,
-            cfg.smem_banks,
-            cfg.bank_bytes,
-            cfg.sm_count,
-        ];
-        key_ints(&mut key, '|', &geometry.map(|g| g as i64));
+        key.push_str(traffic::KEY_FORMAT);
         for phase in &workload.phases {
             match phase {
                 Phase::Global {
@@ -171,19 +167,23 @@ impl<'a> CostModel<'a> {
                     scale,
                     l2,
                 } => {
-                    key_ints(&mut key, 'G', &[*elem_bytes as i64, scale.to_bits() as i64]);
+                    let (elem, sector) = (*elem_bytes as i64, geo.sector_bytes as i64);
+                    key_ints(&mut key, 'G', &[elem, scale.to_bits() as i64, sector]);
                     if let Some(l2) = l2 {
                         key_ints(&mut key, 'L', &[l2.lines as i64, l2.assoc as i64]);
                     }
                     map.key(&mut key);
                 }
                 Phase::Shared { map, scale } => {
-                    key_ints(&mut key, 'S', &[scale.to_bits() as i64]);
+                    let (banks, bank) = (geo.smem_banks as i64, geo.bank_bytes as i64);
+                    key_ints(&mut key, 'S', &[scale.to_bits() as i64, banks, bank]);
                     map.key(&mut key);
                 }
                 Phase::TileTouches { waves: w } => {
-                    let bytes = [w.a_bytes, w.b_bytes].map(|b| b as i64);
-                    let waves = [w.blocks, w.wave, w.ksteps, w.tiles_n, bytes[0], bytes[1]];
+                    let bytes = [w.a_bytes, w.b_bytes, geo.l2_bytes].map(|b| b as i64);
+                    let waves = [
+                        w.blocks, w.wave, w.ksteps, w.tiles_n, bytes[0], bytes[1], bytes[2],
+                    ];
                     key_ints(&mut key, 'T', &waves);
                 }
             }
@@ -195,60 +195,6 @@ impl<'a> CostModel<'a> {
             panic!("traced layout must compile: {e}");
         }
         key
-    }
-
-    /// Replays the phases and accumulates their traffic totals — the
-    /// uncached body of tier 1. `layout` is the compiled layout, `None`
-    /// only for workloads without phases.
-    fn replay(&self, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
-        let cfg = self.cfg;
-        let mut tc = TrafficCost::default();
-        for phase in &workload.phases {
-            match phase {
-                Phase::Global {
-                    map,
-                    elem_bytes,
-                    scale,
-                    l2,
-                } => {
-                    let mut moved = 0f64;
-                    let mut cache = l2.map(|m| Cache::new(m.lines, m.assoc));
-                    let mut sectors = Vec::with_capacity(cfg.warp_size);
-                    map.replay(layout, |idx| {
-                        moved += global_warp(cfg, idx, *elem_bytes, cache.as_mut(), &mut sectors);
-                    });
-                    let stats = cache.map(|c| c.stats()).unwrap_or_default();
-                    tc.hits += stats.hits;
-                    tc.misses += stats.misses;
-                    tc.l2_bytes += moved * scale;
-                    tc.dram_bytes += match l2 {
-                        Some(_) => stats.misses as f64 * cfg.sector_bytes as f64 * scale,
-                        // No L2 filtering: streamed straight to DRAM.
-                        None => moved * scale,
-                    };
-                }
-                Phase::Shared { map, scale } => {
-                    let mut passes = 0f64;
-                    map.replay(layout, |idx| {
-                        passes += bank_conflicts_elems_on(idx, 4, cfg).passes as f64;
-                    });
-                    tc.smem_passes += passes * scale;
-                }
-                Phase::TileTouches { waves } => {
-                    let mut tiles = TileCache::new(cfg.l2_bytes);
-                    let mut touched = 0f64;
-                    waves.replay(layout.expect("tile phases read the layout"), |id, bytes| {
-                        tiles.touch(id, bytes);
-                        touched += bytes as f64;
-                    });
-                    tc.l2_bytes += touched;
-                    tc.dram_bytes += tiles.miss_bytes() as f64;
-                    tc.hits += tiles.hits();
-                    tc.misses += tiles.misses();
-                }
-            }
-        }
-        tc
     }
 
     /// Tier 2: the closed-form timing assembly. Combines a traced (or
@@ -313,8 +259,14 @@ impl<'a> CostModel<'a> {
     /// * **compute floor** — `flops / peak`: every derate in the model
     ///   (`occupancy_derate`) is ≤ 1, so real compute time only grows.
     ///   Under wave quantization the floor sharpens to
-    ///   `flops/peak · ⌈blocks/sms⌉·sms/blocks` (≥ the plain floor),
+    ///   `⌈blocks/sms⌉ · flops/blocks/(peak/sms)` (≥ the plain floor),
     ///   because a partial wave bills as a full one.
+    ///
+    /// Each floor is computed in the same operation order as the price
+    /// it bounds, with the derates at 1 and the replayed traffic at 0.
+    /// IEEE rounding is monotone in every operand, so the bound is
+    /// admissible exactly — never even one ulp above the price — and a
+    /// strict `bound > cutoff` never prunes a candidate that ties.
     /// * **memory floor** — guaranteed bytes at un-derated peak
     ///   bandwidth. Guaranteed traffic is the workload's
     ///   `streamed_dram_bytes` and `streamed_l2_bytes`; replayed
@@ -334,12 +286,15 @@ impl<'a> CostModel<'a> {
         let cfg = self.cfg;
         let dram_s = workload.streamed_dram_bytes / (cfg.dram_bw * cfg.dram_efficiency);
         let mem_floor = dram_s.max(workload.streamed_l2_bytes / cfg.l2_bw);
-        let mut compute_floor = workload.flops / self.peak(workload.pipeline);
+        let peak = self.peak(workload.pipeline);
+        let mut compute_floor = workload.flops / peak;
         match workload.mode {
             PricingMode::Roofline { wave_quantized } => {
                 if wave_quantized && workload.blocks > 0.0 {
+                    // `price_roofline`'s wave time at full issue rate.
                     let sms = cfg.sm_count as f64;
-                    compute_floor *= (workload.blocks / sms).ceil() * sms / workload.blocks;
+                    let wave_time = workload.flops / workload.blocks / (peak / sms);
+                    compute_floor = (workload.blocks / sms).ceil() * wave_time;
                 }
                 compute_floor.max(mem_floor) + workload.launches.max(1.0) * cfg.launch_overhead
             }
@@ -455,13 +410,12 @@ impl<'a> CostModel<'a> {
     /// The traffic memo is probed on the calling thread first (spawned
     /// threads would see fresh thread-locals): warm geometries are
     /// answered inline without compiling their layouts, and only the
-    /// cold jobs are [traced](CostModel::trace) — each compiling its
-    /// layout on the thread that replays it — over
-    /// `available_parallelism` OS threads, or inline when fewer than
-    /// `INLINE_BATCH` remain, since spawning costs more than a handful
-    /// of traces. Fresh traces are recorded back into the calling
-    /// thread's memo. Chunks are sized so no spawned thread receives an
-    /// empty tail.
+    /// cold jobs are [traced](CostModel::trace), each compiling its
+    /// layout on the thread that replays it. The cold jobs form one
+    /// queue behind an atomic cursor: the calling thread works it, and
+    /// when two or more are cold, so do `cores − 1` scoped helpers, so
+    /// a slow trace never leaves a core idle behind a fixed split.
+    /// Fresh traces are recorded back into the calling thread's memo.
     fn traffic_batch(&self, jobs: &[(&Layout, &Workload)]) -> Vec<TrafficCost> {
         let mut keys: Vec<String> = jobs.iter().map(|&(l, w)| self.memo_key(l, w)).collect();
         let mut traffic: Vec<Option<TrafficCost>> = vec![None; jobs.len()];
@@ -472,64 +426,150 @@ impl<'a> CostModel<'a> {
                 None => cold.push(i),
             }
         }
-        let threads = if cold.len() < Self::INLINE_BATCH {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(cold.len())
+        if cold.is_empty() {
+            return traffic.into_iter().map(|tc| tc.expect("hit")).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut traced = Vec::new();
+            while let Some(&i) = cold.get(next.fetch_add(1, Ordering::Relaxed)) {
+                traced.push((i, self.trace(jobs[i].0, jobs[i].1)));
+            }
+            traced
         };
-        if threads <= 1 {
-            for &i in &cold {
-                traffic[i] = Some(self.trace(jobs[i].0, jobs[i].1));
-            }
+        let helpers = if cold.len() < 2 {
+            0
         } else {
-            let mut traced: Vec<Option<TrafficCost>> = vec![None; cold.len()];
-            let chunk = cold.len().div_ceil(threads);
-            let cold_ref = &cold;
-            std::thread::scope(|s| {
-                for (ci, out) in traced.chunks_mut(chunk).enumerate() {
-                    s.spawn(move || {
-                        for (k, slot) in out.iter_mut().enumerate() {
-                            let (layout, wl) = jobs[cold_ref[ci * chunk + k]];
-                            *slot = Some(self.trace(layout, wl));
-                        }
-                    });
-                }
-            });
-            for (k, tc) in traced.into_iter().enumerate() {
-                traffic[cold[k]] = tc;
+            cores().min(cold.len()) - 1
+        };
+        let traced = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+            let mut traced = work();
+            for h in handles {
+                traced.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
             }
+            traced
+        });
+        for (i, tc) in traced {
+            traffic[i] = Some(tc);
         }
         for &i in &cold {
             traffic::insert(std::mem::take(&mut keys[i]), traffic[i].expect("traced"));
         }
         traffic.into_iter().map(|tc| tc.expect("traced")).collect()
     }
-
-    /// Below this many cold traces, [`traffic_batch`](Self::traffic_batch)
-    /// stays on the calling thread: thread spawn + scope teardown cost
-    /// more than the traces themselves.
-    const INLINE_BATCH: usize = 8;
 }
 
-/// Moved bytes of one global warp access, whose sectors also go
-/// through `cache` when there is an L2. When the width divides the
-/// sector, an element at a non-negative index lies in one sector, so
-/// the warp's sorted L2 sectors are also the coalescer's sector set,
-/// and their count prices the moved bytes.
+/// The cores [`CostModel::traffic_batch`] spreads cold traces over,
+/// queried once: `available_parallelism` reads cgroup files, which
+/// would cost more than a batch of memo hits.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// The device fields a trace replay reads, and all it reads: a global
+/// phase's sector width, a shared phase's bank geometry and a tile
+/// phase's L2 capacity. [`replay`] sees the device only through this
+/// value, and `CostModel::memo_key` renders each field into the key
+/// segment of the phase that reads it, so no unkeyed field can reach
+/// a trace.
+#[derive(Clone, Copy, Debug)]
+struct TraceGeometry {
+    sector_bytes: usize,
+    smem_banks: usize,
+    bank_bytes: usize,
+    l2_bytes: usize,
+}
+
+impl TraceGeometry {
+    fn of(cfg: &GpuConfig) -> TraceGeometry {
+        TraceGeometry {
+            sector_bytes: cfg.sector_bytes,
+            smem_banks: cfg.smem_banks,
+            bank_bytes: cfg.bank_bytes,
+            l2_bytes: cfg.l2_bytes,
+        }
+    }
+}
+
+/// Replays the phases and accumulates their traffic totals — the
+/// uncached body of tier 1. `layout` is the compiled layout, `None`
+/// only for workloads without phases.
+fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
+    let mut tc = TrafficCost::default();
+    for phase in &workload.phases {
+        match phase {
+            Phase::Global {
+                map,
+                elem_bytes,
+                scale,
+                l2,
+            } => {
+                let mut moved = 0f64;
+                let mut cache = l2.map(|m| Cache::new(m.lines, m.assoc));
+                let mut sectors = Vec::with_capacity(map.warp);
+                map.replay(layout, |idx| {
+                    moved += global_warp(
+                        geo.sector_bytes,
+                        idx,
+                        *elem_bytes,
+                        cache.as_mut(),
+                        &mut sectors,
+                    );
+                });
+                let stats = cache.map(|c| c.stats()).unwrap_or_default();
+                tc.hits += stats.hits;
+                tc.misses += stats.misses;
+                tc.l2_bytes += moved * scale;
+                tc.dram_bytes += match l2 {
+                    Some(_) => stats.misses as f64 * geo.sector_bytes as f64 * scale,
+                    // No L2 filtering: streamed straight to DRAM.
+                    None => moved * scale,
+                };
+            }
+            Phase::Shared { map, scale } => {
+                let mut passes = 0f64;
+                map.replay(layout, |idx| {
+                    let addrs = idx.iter().map(|&i| i * 4);
+                    passes +=
+                        bank_passes(addrs, idx.len(), geo.smem_banks, geo.bank_bytes).passes as f64;
+                });
+                tc.smem_passes += passes * scale;
+            }
+            Phase::TileTouches { waves } => {
+                let mut tiles = TileCache::new(geo.l2_bytes);
+                let mut touched = 0f64;
+                waves.replay(layout.expect("tile phases read the layout"), |id, bytes| {
+                    tiles.touch(id, bytes);
+                    touched += bytes as f64;
+                });
+                tc.l2_bytes += touched;
+                tc.dram_bytes += tiles.miss_bytes() as f64;
+                tc.hits += tiles.hits();
+                tc.misses += tiles.misses();
+            }
+        }
+    }
+    tc
+}
+
+/// Moved bytes of one global warp access on `sector_bytes`-wide
+/// sectors, which also go through `cache` when there is an L2. When the
+/// width divides the sector, an element at a non-negative index lies in
+/// one sector, so the warp's sorted L2 sectors are also the coalescer's
+/// sector set, and their count prices the moved bytes.
 fn global_warp(
-    cfg: &GpuConfig,
+    sector_bytes: usize,
     idx: &[i64],
     elem_bytes: usize,
     cache: Option<&mut Cache>,
     sectors: &mut Vec<i64>,
 ) -> f64 {
     let Some(cache) = cache else {
-        return coalesce_elems_on(idx, elem_bytes, 0, cfg).moved_bytes as f64;
+        return coalesce_elems(idx, elem_bytes, 0, sector_bytes).moved_bytes as f64;
     };
-    let (elem, sector) = (elem_bytes as i64, cfg.sector_bytes as i64);
+    let (elem, sector) = (elem_bytes as i64, sector_bytes as i64);
     sectors.clear();
     sectors.extend(idx.iter().map(|&i| i * elem / sector));
     sectors.sort_unstable();
@@ -538,9 +578,9 @@ fn global_warp(
         cache.access(s);
     }
     if sector % elem == 0 && idx.iter().all(|&i| i >= 0) {
-        (sectors.len() * cfg.sector_bytes) as f64
+        (sectors.len() * sector_bytes) as f64
     } else {
-        coalesce_elems_on(idx, elem_bytes, 0, cfg).moved_bytes as f64
+        coalesce_elems(idx, elem_bytes, 0, sector_bytes).moved_bytes as f64
     }
 }
 
@@ -548,6 +588,7 @@ fn global_warp(
 mod tests {
     use super::*;
     use crate::access::{AccessMap, Coord, Lane};
+    use crate::coalesce::coalesce_elems_on;
     use crate::config::a100;
     use crate::score::{BlockResources, Phase, Workload};
 
@@ -697,7 +738,7 @@ mod tests {
                 assert!(got.hits > 0 && got.misses > 0);
                 for warp in [shuffled.clone(), Vec::new()] {
                     let mut cache = Cache::new(64, 4);
-                    let moved = global_warp(&cfg, &warp, elem, Some(&mut cache), &mut Vec::new());
+                    let moved = global_warp(sector, &warp, elem, Some(&mut cache), &mut Vec::new());
                     let want = coalescer_path(&cfg, elem, std::slice::from_ref(&warp));
                     assert_eq!(moved * 3.0, want.l2_bytes, "elem {elem}: {warp:?}");
                     let stats = cache.stats();

@@ -40,7 +40,7 @@ pub fn bank_conflicts_elems(elem_idx: &[i64], banks: usize) -> BankConflictResul
 
 /// Computes conflicts for a warp of element indices into an
 /// `elem_bytes`-wide shared array on the bank geometry of the device
-/// `cfg` — the entry point the [`crate::model`] pricing engine uses.
+/// `cfg`.
 pub fn bank_conflicts_elems_on(
     elem_idx: &[i64],
     elem_bytes: usize,
@@ -73,7 +73,7 @@ const COUNT_BANKS: usize = 64;
 /// inputs), which is sorted so that each bank's words form a run; equal
 /// pairs are one broadcast word, and the longest run of distinct words
 /// is the serialization.
-fn bank_passes(
+pub(crate) fn bank_passes(
     addrs: impl Iterator<Item = i64> + Clone,
     lanes: usize,
     banks: usize,

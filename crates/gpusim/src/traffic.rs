@@ -4,28 +4,33 @@
 //! warp-level trace (coalescing, bank conflicts, L2 filtering) to
 //! produce the bytes-moved totals, then assembles a timing estimate
 //! from them. The replay depends only on the candidate's *geometry* —
-//! the phase descriptions, the layout under test, and the device —
-//! while expression variants only perturb the cheap closed-form
-//! assembly (`flops`, resources). This module caches the replay's
-//! result, a [`TrafficCost`], in a per-thread map keyed by a
+//! the phase descriptions, the layout under test, and the device fields
+//! each phase reads — while expression variants only perturb the cheap
+//! closed-form assembly (`flops`, resources). This module caches the
+//! replay's result, a [`TrafficCost`], in a per-thread map keyed by a
 //! **geometry key**, so N variants per geometry cost one trace replay
 //! plus N re-timings.
 //!
 //! The cost model derives the key itself (see `CostModel::traffic`):
 //! the phases are plain data ([`crate::access`]), so it renders them
-//! exactly (a global phase's L2 model included), together with the
-//! pricing-device geometry and the layout's specification
-//! ([`lego_core::Layout::key`]). Rendering the key reads no layout
-//! element, so a hit costs a key and a probe; only a miss compiles the
-//! layout and replays its trace. Every workload is memoizable,
-//! hand-built ones included; `CostModel::trace` is the unmemoized pass.
+//! exactly (a global phase's L2 model included), each with the device
+//! fields that phase reads — a global phase's sector width, a shared
+//! phase's bank count and width, a tile phase's L2 capacity — and the
+//! layout's specification ([`lego_core::Layout::key`]). The device is
+//! not named, so two devices that agree on those fields share a trace.
+//! Rendering the key reads no layout element, so a hit costs a key and
+//! a probe; only a miss compiles the layout and replays its trace.
+//! Every workload is memoizable, hand-built ones included;
+//! `CostModel::trace` is the unmemoized pass.
 //!
 //! Like the expression memos, the map is thread-local (searches are
 //! sharded across threads with no locks) and exportable: the
 //! [`export`]/[`import`] pair round-trips entries as stable strings so
-//! `lego_tune`'s sidecar can persist the memo across processes.
-//! Imported entries are tracked separately so re-warm benefit is
-//! measurable ([`sidecar_stats`]).
+//! `lego_tune`'s sidecar can persist the memo across processes. Every
+//! key starts with [`KEY_FORMAT`], so the sidecar can recognise and
+//! shed entries persisted under another key format
+//! ([`is_current_key`]). Imported entries are tracked separately so
+//! re-warm benefit is measurable ([`sidecar_stats`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -47,6 +52,17 @@ pub struct TrafficCost {
     pub hits: u64,
     /// L2 / tile-cache misses across the traced phases.
     pub misses: u64,
+}
+
+/// The prefix of every memo key, naming its format. Change it whenever
+/// the key's rendering changes, so entries persisted under the old
+/// format read as stale instead of being carried forever.
+pub const KEY_FORMAT: &str = "v2;";
+
+/// Whether `key` is in the current memo-key format ([`KEY_FORMAT`]):
+/// a key in any other format can never be probed again.
+pub fn is_current_key(key: &str) -> bool {
+    key.starts_with(KEY_FORMAT)
 }
 
 thread_local! {

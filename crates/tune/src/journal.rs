@@ -4,10 +4,14 @@
 //! <vlen>:<value>\n` records whose lengths count bytes. Replay keeps the
 //! last record per `(tag, key)` and drops a torn tail (a final line
 //! with no newline that is a prefix of a well-formed record); any other
-//! anomaly reads as an empty journal, a cold start. [`write()`] appends
-//! under a per-path lock (`atomicfile::path_lock`), and rewrites a
-//! missing, stale or torn file through a tempfile and an atomic rename
-//! (`atomicfile::write_atomic`), which is also how it compacts.
+//! anomaly reads as an empty journal, a cold start. A `traffic` record
+//! whose key is in another memo-key format
+//! ([`gpu_sim::is_current_traffic_key`]) is dead: no live set holds
+//! it. [`write()`] appends under a per-path lock
+//! (`atomicfile::path_lock`), and rewrites a missing, stale or torn
+//! file, or one holding a dead-format record, through a tempfile and
+//! an atomic rename (`atomicfile::write_atomic`), which is also how it
+//! compacts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -66,9 +70,20 @@ pub fn replay(bytes: &[u8]) -> Option<(Vec<Row<'_>>, bool)> {
     Some((records, false))
 }
 
-/// The live records among `records`: the last of each `(tag, key)`.
+/// The live records among `records`: the last of each `(tag, key)`,
+/// less the records of a dead key format.
 pub fn live<'a>(records: &[Row<'a>]) -> Live<'a> {
-    records.iter().map(|&(t, k, v)| ((t, k), v)).collect()
+    records
+        .iter()
+        .filter(|&&row| current(row))
+        .map(|&(t, k, v)| ((t, k), v))
+        .collect()
+}
+
+/// Whether `row` is in a key format the program still reads: only a
+/// `traffic` key can be in a dead one.
+fn current((tag, key, _): Row<'_>) -> bool {
+    tag != TRAFFIC || gpu_sim::is_current_traffic_key(key)
 }
 
 /// Hands the live records of the journal at `path` to `f`. A missing,
@@ -90,9 +105,10 @@ pub enum Mode {
 }
 
 /// Appends `rows` to the journal at `path` under its per-path lock. A
-/// missing, stale or torn file (or, under [`Mode::Compact`], a mostly
-/// dead one) is rewritten instead, as its live records plus `rows` in
-/// `(tag, key)` order, through `atomicfile::write_atomic`.
+/// missing, stale or torn file, one holding a record of a dead key
+/// format (or, under [`Mode::Compact`], a mostly dead one) is rewritten
+/// instead, as its live records plus `rows` in `(tag, key)` order,
+/// through `atomicfile::write_atomic`.
 ///
 /// # Errors
 ///
@@ -113,7 +129,8 @@ pub fn write(path: &Path, rows: &[Row<'_>], mode: Mode) -> io::Result<()> {
         .copied()
         .collect();
     let sparse = mode == Mode::Compact && records.len() - live.len() > live.len();
-    if !torn && !sparse && append(path, &rows)? {
+    let dead_format = !records.iter().all(|&row| current(row));
+    if !torn && !sparse && !dead_format && append(path, &rows)? {
         return Ok(());
     }
     live.extend(rows.iter().map(|&(t, k, v)| ((t, k), v)));

@@ -8,7 +8,8 @@
 //!   simplifying an index expression;
 //! * `traffic` — the cost model's geometry → traffic memo
 //!   ([`gpu_sim::export_traffic`]): a warmed process re-times a known
-//!   geometry without replaying its trace.
+//!   geometry without replaying its trace. Rows whose key is in another
+//!   memo-key format are skipped on load and left out of the next save.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -130,7 +131,9 @@ impl Sidecar {
 
     /// Merges this document into the journal at `path`: appends only
     /// the keys absent on disk ([`journal::Mode::Merge`]), so a healthy
-    /// file is never rewritten and concurrent savers lose nothing.
+    /// file is never rewritten and concurrent savers lose nothing. A
+    /// file holding `traffic` rows of another memo-key format is
+    /// rewritten without them.
     ///
     /// # Errors
     ///
@@ -204,10 +207,11 @@ mod tests {
 
     #[test]
     fn render_parse_round_trips_and_is_deterministic() {
+        let [a, b] = ["geom-a", "geom-b"].map(|k| format!("{}{k}", gpu_sim::traffic::KEY_FORMAT));
         let mut sc = Sidecar::new();
-        sc.set_traffic("geom-b", "1,2,3");
+        sc.set_traffic(&b, "1,2,3");
         sc.set_annotation("matmul(n=64)|{}", "u|7");
-        sc.set_traffic("geom-a", "4:5 6");
+        sc.set_traffic(&a, "4:5 6");
         sc.set_annotation("nw(n=16,b=16)|{}", "-|-");
         sc.set_annotation("dropped\nkey", "v");
         let text = sc.render();
@@ -219,9 +223,9 @@ mod tests {
             text,
             header()
                 + "ann 15:matmul(n=64)|{} 3:u|7\n\
-                   ann 16:nw(n=16,b=16)|{} 3:-|-\n\
-                   traffic 6:geom-a 5:4:5 6\n\
-                   traffic 6:geom-b 5:1,2,3\n"
+                   ann 16:nw(n=16,b=16)|{} 3:-|-\n"
+                + &format!("traffic {}:{a} 5:4:5 6\n", a.len())
+                + &format!("traffic {}:{b} 5:1,2,3\n", b.len())
         );
     }
 
@@ -294,6 +298,56 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(warmed, (cand.expr_variant, cand.index_ops));
+    }
+
+    /// A `traffic` row in an older memo-key format is never installed,
+    /// and the next save rewrites the file without it; later saves of
+    /// the same state leave the file as it is.
+    #[test]
+    fn old_format_traffic_rows_are_shed() {
+        let path = std::env::temp_dir().join(format!("lego_sidecar_shed_{}", std::process::id()));
+        let old_key = "a100|20,40,2800000,40,8,d8,|-";
+        let value = "0000000000000000.0000000000000000.0000000000000000.0.0";
+        std::fs::write(
+            &path,
+            format!(
+                "{}traffic {}:{old_key} {}:{value}\n",
+                header(),
+                old_key.len(),
+                value.len()
+            ),
+        )
+        .unwrap();
+        let sizes = std::thread::spawn({
+            let path = path.clone();
+            move || {
+                let loaded = Sidecar::load(&path);
+                assert_eq!(loaded.traffics().count(), 0, "old-format row loaded");
+                assert_eq!(install(&loaded).traffics, 0);
+                let kind = WorkloadKind::Lud { n: 64, bs: 16 };
+                let cand = Candidate::annotated(&kind, &kind.default_config());
+                let gpu = gpu_sim::a100();
+                let layout = crate::space::build_layout(&kind, &cand.config).expect("builds");
+                let wl = crate::space::build_workload(&kind, &cand, &gpu);
+                gpu_sim::CostModel::new(&gpu).price(&layout, &wl);
+                let mut sizes = Vec::new();
+                for _ in 0..2 {
+                    collect_and_save(&path).unwrap();
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    assert!(!text.contains(old_key), "old-format row survived a save");
+                    assert!(text.contains(gpu_sim::traffic::KEY_FORMAT));
+                    sizes.push(text.len());
+                }
+                sizes
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            sizes[0], sizes[1],
+            "a second save of the same state grew the file"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

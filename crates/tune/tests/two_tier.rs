@@ -200,6 +200,203 @@ fn warp_widths_get_different_keys() {
     assert_eq!(memo_probes(&gpu, &jobs), (0, 2));
 }
 
+/// The device is not part of a trace: pricing every legacy candidate
+/// of a family on the A100 and then on the H100, on one thread, traces
+/// nothing new on the H100 for the families whose phases read only
+/// fields the two devices share (sector width, bank geometry), while
+/// matmul's tile phase, which reads the L2 capacity and the SM count,
+/// traces again. Every estimate equals a fresh thread's direct trace.
+#[test]
+fn a100_and_h100_share_every_trace_but_matmuls() {
+    let families = [
+        WorkloadKind::Rowwise {
+            op: RowwiseOp::Softmax,
+            m: 256,
+            n: 1024,
+        },
+        WorkloadKind::Lud { n: 256, bs: 16 },
+        WorkloadKind::Transpose { n: 256 },
+        WorkloadKind::Stencil {
+            shape: StencilShape::Star(1),
+            n: 16,
+        },
+        WorkloadKind::Nw { n: 112, b: 16 },
+        WorkloadKind::Matmul { n: 512 },
+    ];
+    let jobs =
+        |kind: &WorkloadKind, gpu: &GpuConfig| -> Vec<(lego_core::Layout, gpu_sim::Workload)> {
+            Domain::new(*kind, SpaceScale::Legacy)
+                .enumerate()
+                .into_iter()
+                .filter_map(|c| {
+                    let layout = lego_tune::build_layout(kind, &c).ok()?;
+                    let wl = lego_tune::build_workload(kind, &Candidate::annotated(kind, &c), gpu);
+                    Some((layout, wl))
+                })
+                .collect()
+        };
+    let (a, h) = (a100(), h100());
+    for kind in &families {
+        let (on_a, on_h) = (jobs(kind, &a), jobs(kind, &h));
+        assert!(!on_a.is_empty(), "{kind:?}");
+        let (priced, h_misses) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut priced = Vec::new();
+                for (layout, wl) in &on_a {
+                    priced.push(CostModel::new(&a).price(layout, wl));
+                }
+                let before = gpu_sim::traffic_memo_stats().1;
+                for (layout, wl) in &on_h {
+                    priced.push(CostModel::new(&h).price(layout, wl));
+                }
+                (priced, gpu_sim::traffic_memo_stats().1 - before)
+            })
+            .join()
+            .expect("pricing thread")
+        });
+        let direct = std::thread::scope(|s| {
+            s.spawn(|| {
+                let on = |gpu, jobs: &[(lego_core::Layout, gpu_sim::Workload)]| {
+                    let model = CostModel::new(gpu);
+                    let direct: Vec<_> = jobs
+                        .iter()
+                        .map(|(l, w)| model.assemble(w, &model.trace(l, w)))
+                        .collect();
+                    direct
+                };
+                [on(&a, &on_a), on(&h, &on_h)].concat()
+            })
+            .join()
+            .expect("direct-trace thread")
+        });
+        assert_eq!(priced, direct, "{kind:?}: a memoized price diverged");
+        match kind {
+            WorkloadKind::Matmul { .. } => assert!(h_misses > 0, "matmul shared its tile traces"),
+            _ => assert_eq!(h_misses, 0, "{kind:?} traced again on the h100"),
+        }
+    }
+}
+
+/// The memo key holds every device field a replay reads and no other:
+/// a device differing from the A100 only in a field some phase reads
+/// misses on the workloads with that phase and hits on the rest, and
+/// one differing only in fields no replay reads hits everywhere. Each
+/// answer, hit or miss, equals a direct trace on the device asked.
+#[test]
+fn the_memo_key_holds_exactly_the_device_fields_replay_reads() {
+    let gpu = a100();
+    let kind = WorkloadKind::Matmul { n: 512 };
+    let cand = Candidate::annotated(&kind, &kind.default_config());
+    let jobs = [
+        // Global phase: reads the sector width.
+        (
+            lego_core::brick::row_major3d(16).unwrap(),
+            stencil(vec![(0, 0, 0), (1, 0, 0), (-1, 0, 0)]).build(&gpu),
+        ),
+        // Shared phase: reads the bank count and width.
+        (
+            lego_core::Layout::identity([32i64, 32]).unwrap(),
+            column_workload(),
+        ),
+        // Tile phase: reads the L2 capacity.
+        (
+            lego_tune::build_layout(&kind, &cand.config).unwrap(),
+            lego_tune::build_workload(&kind, &cand, &gpu),
+        ),
+    ];
+    let variants: [(&str, GpuConfig, [bool; 3]); 9] = [
+        (
+            "sector_bytes",
+            GpuConfig {
+                sector_bytes: 64,
+                ..a100()
+            },
+            [true, false, false],
+        ),
+        (
+            "smem_banks",
+            GpuConfig {
+                smem_banks: 64,
+                ..a100()
+            },
+            [false, true, false],
+        ),
+        (
+            "bank_bytes",
+            GpuConfig {
+                bank_bytes: 8,
+                ..a100()
+            },
+            [false, true, false],
+        ),
+        (
+            "l2_bytes",
+            GpuConfig {
+                l2_bytes: 8 << 20,
+                ..a100()
+            },
+            [false, false, true],
+        ),
+        (
+            "tag",
+            GpuConfig {
+                tag: "other",
+                ..a100()
+            },
+            [false; 3],
+        ),
+        (
+            "name",
+            GpuConfig {
+                name: "Other",
+                ..a100()
+            },
+            [false; 3],
+        ),
+        (
+            "sm_count",
+            GpuConfig {
+                sm_count: 7,
+                ..a100()
+            },
+            [false; 3],
+        ),
+        (
+            "dram_bw",
+            GpuConfig {
+                dram_bw: 1e9,
+                ..a100()
+            },
+            [false; 3],
+        ),
+        (
+            "l2_bw",
+            GpuConfig {
+                l2_bw: 1e9,
+                ..a100()
+            },
+            [false; 3],
+        ),
+    ];
+    for (field, device, misses) in &variants {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for (layout, wl) in &jobs {
+                    CostModel::new(&gpu).traffic(layout, wl);
+                }
+                let model = CostModel::new(device);
+                for ((layout, wl), &miss) in jobs.iter().zip(misses) {
+                    let before = gpu_sim::traffic_memo_stats().1;
+                    let got = model.traffic(layout, wl);
+                    let missed = gpu_sim::traffic_memo_stats().1 > before;
+                    assert_eq!(missed, miss, "{field}: phases {:?}", wl.phases.len());
+                    assert_eq!(got, model.trace(layout, wl), "{field}: a stale trace");
+                }
+            });
+        });
+    }
+}
+
 /// A hand-built workload: one shared phase reading a 32×32 layout
 /// column by column.
 fn column_workload() -> gpu_sim::Workload {
@@ -286,17 +483,58 @@ fn a_memo_hit_never_calls_the_layout_closures() {
     });
 }
 
+/// The shapes of the benchmark's key pools (its exhaustive and
+/// anneal pools together).
+const POOL_SHAPES: [&str; 16] = [
+    "softmax(m=256,n=1024)",
+    "layernorm-fwd(m=256,n=1024)",
+    "layernorm-bwd(m=128,n=512)",
+    "lud(n=256,bs=16)",
+    "lud(n=512,bs=16)",
+    "matmul(n=512)",
+    "matmul(n=1024)",
+    "transpose(n=128)",
+    "transpose(n=256)",
+    "transpose(n=512)",
+    "stencil(star-7pt,n=8)",
+    "stencil(cube-27pt,n=8)",
+    "stencil(star-7pt,n=16)",
+    "nw(n=64,b=16)",
+    "nw(n=112,b=16)",
+    "nw(n=224,b=16)",
+];
+
+/// The bound is admissible exactly, not up to rounding: it never
+/// exceeds the priced time by even one ulp, so a strict `bound >
+/// cutoff` never prunes a candidate that ties the cutoff. Checked over
+/// a thinned enlarged domain of every family and over the whole legacy
+/// domain of every benchmark pool shape, on every device.
 #[test]
 fn bound_never_exceeds_full_price() {
+    let pools: Vec<(WorkloadKind, Vec<lego_tune::TunedConfig>)> = POOL_SHAPES
+        .iter()
+        .map(|shape| {
+            let kind = WorkloadKind::parse(shape).expect("pool shape parses");
+            (kind, Domain::new(kind, SpaceScale::Legacy).enumerate())
+        })
+        .collect();
     for gpu in &devices() {
         let model = CostModel::new(gpu);
-        for kind in &kinds() {
-            for (cand, layout) in feasible(kind, 7) {
-                let wl = lego_tune::build_workload(kind, &cand, gpu);
+        let thinned = kinds().into_iter().map(|kind| {
+            let configs = feasible(&kind, 7).into_iter().map(|(c, _)| c.config);
+            (kind, configs.collect::<Vec<_>>())
+        });
+        for (kind, configs) in thinned.chain(pools.iter().cloned()) {
+            for config in configs {
+                let Ok(layout) = lego_tune::build_layout(&kind, &config) else {
+                    continue;
+                };
+                let cand = Candidate::annotated(&kind, &config);
+                let wl = lego_tune::build_workload(&kind, &cand, gpu);
                 let est = model.price(&layout, &wl);
                 let lo = model.bound(&wl);
                 assert!(
-                    lo <= est.time_s * (1.0 + 1e-9),
+                    lo <= est.time_s,
                     "{kind:?} on {}: bound {lo:e} exceeds priced time {:e} for {:?}",
                     gpu.tag,
                     est.time_s,
