@@ -52,6 +52,12 @@
 //! search swept the domain (`evaluated == domain.len()`) and answered
 //! the exhaustive-enlarged winner; it does not gate on time.
 //!
+//! A **cold-search pass** phase tunes the benchmark's 39 `cold-search`
+//! keys (13 exhaustive shapes on three devices) in a fixed order on a
+//! fresh thread, twice. The `cold-search-pass` row reports each pass's
+//! time and, per pass, its traffic-memo and annotation-cache hits and
+//! misses: counts, which the phase checks repeat exactly.
+//!
 //! A last **paper-size** phase prices the legacy matmul space at the
 //! paper's Fig. 11 sizes (`n` ∈ {2048, 4096, 8192}) on the A100 model,
 //! whatever `--device` says: each candidate traced cold (median and max
@@ -200,6 +206,52 @@ fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec
     let secs = t.elapsed().as_secs_f64();
     let (h, m) = gpu_sim::traffic_memo_stats();
     (jobs.len(), secs, ests, rate(h, m))
+}
+
+/// The shapes of the benchmark's `cold-search` key pool (its
+/// exhaustive shapes), in pool order.
+const COLD_SEARCH_SHAPES: [&str; 13] = [
+    "softmax(m=256,n=1024)",
+    "layernorm-fwd(m=256,n=1024)",
+    "lud(n=256,bs=16)",
+    "matmul(n=512)",
+    "transpose(n=128)",
+    "transpose(n=256)",
+    "transpose(n=512)",
+    "stencil(star-7pt,n=8)",
+    "matmul(n=1024)",
+    "stencil(cube-27pt,n=8)",
+    "nw(n=112,b=16)",
+    "stencil(star-7pt,n=16)",
+    "nw(n=224,b=16)",
+];
+
+/// The devices the `cold-search` pool spreads each shape over.
+const COLD_SEARCH_DEVICES: [&str; 3] = ["a100", "h100", "mi300"];
+
+/// One cold pass over the benchmark's `cold-search` keys: every shape
+/// on every device, tuned exhaustively without a cache, in a fixed
+/// order on a fresh thread (fresh traffic and annotation memos, as a
+/// fresh daemon worker has). Returns `(seconds, traffic hits, traffic
+/// misses, annotation hits, annotation misses)`. The counts depend on
+/// the keys and their order alone, so two passes repeat them exactly.
+fn cold_search_pass() -> (f64, u64, u64, u64, u64) {
+    std::thread::spawn(|| {
+        let t = Instant::now();
+        for shape in COLD_SEARCH_SHAPES {
+            let kind = WorkloadKind::parse(shape).expect("cold-search shape parses");
+            for tag in COLD_SEARCH_DEVICES {
+                let device = gpu_sim::lookup(tag).expect("cold-search device");
+                Tuner::new(device).tune(&kind).expect("cold-search tune");
+            }
+        }
+        let secs = t.elapsed().as_secs_f64();
+        let (th, tm) = gpu_sim::traffic_memo_stats();
+        let (ah, am) = annotate_cache_stats();
+        (secs, th, tm, ah, am)
+    })
+    .join()
+    .expect("cold-search pass thread")
 }
 
 /// The paper's Fig. 11 matmul sizes, priced by the paper-size phase.
@@ -679,6 +731,36 @@ fn main() {
     for shape in SMALL_DOMAIN_SHAPES {
         rows.push(small_domain_row(shape, &device));
     }
+
+    println!("-- cold-search pass: the benchmark's cold keys on fresh threads --");
+    let passes = [cold_search_pass(), cold_search_pass()];
+    let counts = passes.map(|p| (p.1, p.2, p.3, p.4));
+    assert_eq!(
+        counts[0], counts[1],
+        "two cold-search passes did different work (traffic hits/misses, annotation hits/misses)"
+    );
+    let (t_hits, t_misses, a_hits, a_misses) = counts[0];
+    println!(
+        "{:<22} {:>6} keys   {t_misses} traffic misses ({t_hits} hits), \
+         {a_misses} annotation misses ({a_hits} hits) per pass; {:.1}ms / {:.1}ms",
+        "cold-search pass",
+        COLD_SEARCH_SHAPES.len() * COLD_SEARCH_DEVICES.len(),
+        passes[0].0 * 1e3,
+        passes[1].0 * 1e3,
+    );
+    rows.push(Json::obj([
+        ("workload", Json::Str("cold-search-pass".to_string())),
+        (
+            "keys",
+            Json::Int((COLD_SEARCH_SHAPES.len() * COLD_SEARCH_DEVICES.len()) as i64),
+        ),
+        ("traffic_hits", Json::Int(t_hits as i64)),
+        ("traffic_misses", Json::Int(t_misses as i64)),
+        ("annotate_hits", Json::Int(a_hits as i64)),
+        ("annotate_misses", Json::Int(a_misses as i64)),
+        ("pass_s", Json::Num(passes[0].0)),
+        ("second_pass_s", Json::Num(passes[1].0)),
+    ]));
 
     println!("-- paper-size matmul: legacy exhaustive on the A100 model --");
     for n in PAPER_MATMUL_SIZES {

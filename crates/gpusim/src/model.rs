@@ -2,7 +2,8 @@
 //! trace→estimate path.
 //!
 //! Every estimate, bench or tuner, on any device, is produced by
-//! [`CostModel::price`] (or [`CostModel::price_batch`]), so an NW table
+//! [`CostModel::price`] (or a [`CostModel::traffic_batch`] pass and
+//! [`CostModel::assemble`]), so an NW table
 //! number and the tuner's NW ranking cannot disagree. A [`Workload`]
 //! carries its [`PricingMode`], so the dependency-serialized wavefront
 //! workloads
@@ -100,7 +101,7 @@ impl<'a> CostModel<'a> {
     /// Prices one candidate layout against a workload in two tiers:
     /// the [`traffic`](CostModel::traffic) pass replays every phase's
     /// trace through the coalescing / bank-conflict / cache models (all
-    /// parameterized by the device) — memoized per geometry — and
+    /// parameterized by the device) — memoized per phase geometry — and
     /// [`assemble`](CostModel::assemble) combines the resulting
     /// [`TrafficCost`] with the variant-dependent flops/resources under
     /// the workload's [`PricingMode`].
@@ -109,92 +110,87 @@ impl<'a> CostModel<'a> {
         self.assemble(workload, &tc)
     }
 
-    /// Tier 1: the trace-driven traffic pass, memoized in this thread's
-    /// geometry cache (see [`crate::traffic`]). This is the one-job
-    /// case of the batch pass behind
-    /// [`price_batch`](CostModel::price_batch).
+    /// Tier 1: the trace-driven traffic pass, memoized per phase in
+    /// this thread's geometry cache (see [`crate::traffic`]). This is
+    /// the one-job case of [`traffic_batch`](CostModel::traffic_batch).
     ///
-    /// The memo key names the layout by its specification
+    /// The memo keys name the layout by its specification
     /// ([`Layout::key`]), so a hit does no work proportional to the
     /// layout: the layout is [compiled](Layout::compile) only on a miss,
-    /// for its trace, and only when the workload has a phase.
+    /// for its trace, and only when a missed phase reads it.
     ///
     /// # Panics
     ///
-    /// When the workload has a phase and the layout does not compile
+    /// When a phase reads the layout and the layout does not compile
     /// (symbolic dims, or on a miss a broken `GenP`): a traced layout
     /// must be concrete.
     pub fn traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
-        self.traffic_batch(&[(layout, workload)])[0]
+        self.traffic_batch(&[(layout, workload)], || ()).0[0]
     }
 
-    /// The traffic pass without the memo: compiles the layout (when
-    /// the workload has a phase) and replays every phase. What
+    /// The traffic pass without the memo: compiles the layout (when a
+    /// phase reads it) and replays every phase. What
     /// [`traffic`](CostModel::traffic) returns on a memo miss.
     ///
     /// # Panics
     ///
     /// As [`traffic`](CostModel::traffic).
     pub fn trace(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
-        let compiled = (!workload.phases.is_empty()).then(|| {
-            layout
-                .compile()
-                .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
-        });
-        replay(TraceGeometry::of(self.cfg), compiled.as_ref(), workload)
+        let geo = TraceGeometry::of(self.cfg);
+        let compiled = workload
+            .phases
+            .iter()
+            .any(reads_layout)
+            .then(|| compile(layout));
+        let mut tc = TrafficCost::default();
+        for phase in &workload.phases {
+            fold(&mut tc, phase, &replay(geo, compiled.as_ref(), phase));
+        }
+        tc
     }
 
-    /// The memo key of a (layout, workload) pair: the key format, every
-    /// phase description with the device fields that phase's replay
-    /// reads ([`TraceGeometry`]; a global phase's L2 model included)
-    /// and, when the workload has a phase, the layout's structural
-    /// [key](Layout::key) — everything the traffic pass reads, rendered
-    /// exactly (floats by their bits). The device itself is not named,
-    /// so devices that agree on a phase's fields share its trace.
+    /// The memo key of one phase: the key format, the phase description
+    /// without its `scale` (a global phase's L2 model included), the
+    /// device fields its replay reads ([`TraceGeometry`]) and, when the
+    /// phase reads the layout, `layout_key` (the layout's structural
+    /// [key](Layout::key)) — everything [`replay`] reads, rendered
+    /// exactly. The device itself is not named, so devices that agree
+    /// on a phase's fields share its trace; the scale only multiplies
+    /// the replayed totals ([`fold`]), so problems that repeat one
+    /// block or tile a different number of times share it too.
     ///
-    /// # Panics
-    ///
-    /// When the workload has a phase and the layout has symbolic dims.
-    fn memo_key(&self, layout: &Layout, workload: &Workload) -> String {
-        let geo = TraceGeometry::of(self.cfg);
-        let mut key = String::with_capacity(256);
+    /// Rendered into `key`, which is cleared first, so a batch probes
+    /// all its phases through one buffer.
+    fn phase_key(geo: TraceGeometry, phase: &Phase, layout_key: &str, key: &mut String) {
+        key.clear();
         key.push_str(traffic::KEY_FORMAT);
-        for phase in &workload.phases {
-            match phase {
-                Phase::Global {
-                    map,
-                    elem_bytes,
-                    scale,
-                    l2,
-                } => {
-                    let (elem, sector) = (*elem_bytes as i64, geo.sector_bytes as i64);
-                    key_ints(&mut key, 'G', &[elem, scale.to_bits() as i64, sector]);
-                    if let Some(l2) = l2 {
-                        key_ints(&mut key, 'L', &[l2.lines as i64, l2.assoc as i64]);
-                    }
-                    map.key(&mut key);
+        match phase {
+            Phase::Global {
+                map,
+                elem_bytes,
+                l2,
+                ..
+            } => {
+                key_ints(key, 'G', &[*elem_bytes as i64, geo.sector_bytes as i64]);
+                if let Some(l2) = l2 {
+                    key_ints(key, 'L', &[l2.lines as i64, l2.assoc as i64]);
                 }
-                Phase::Shared { map, scale } => {
-                    let (banks, bank) = (geo.smem_banks as i64, geo.bank_bytes as i64);
-                    key_ints(&mut key, 'S', &[scale.to_bits() as i64, banks, bank]);
-                    map.key(&mut key);
-                }
-                Phase::TileTouches { waves: w } => {
-                    let bytes = [w.a_bytes, w.b_bytes, geo.l2_bytes].map(|b| b as i64);
-                    let waves = [
-                        w.blocks, w.wave, w.ksteps, w.tiles_n, bytes[0], bytes[1], bytes[2],
-                    ];
-                    key_ints(&mut key, 'T', &waves);
-                }
+                map.key(key);
+            }
+            Phase::Shared { map, .. } => {
+                key_ints(key, 'S', &[geo.smem_banks as i64, geo.bank_bytes as i64]);
+                map.key(key);
+            }
+            Phase::TileTouches { waves: w } => {
+                let bytes = [w.a_bytes, w.b_bytes, geo.l2_bytes].map(|b| b as i64);
+                let waves = [
+                    w.blocks, w.wave, w.ksteps, w.tiles_n, bytes[0], bytes[1], bytes[2],
+                ];
+                key_ints(key, 'T', &waves);
             }
         }
         key.push('|');
-        if workload.phases.is_empty() {
-            key.push('-');
-        } else if let Err(e) = layout.key(&mut key) {
-            panic!("traced layout must compile: {e}");
-        }
-        key
+        key.push_str(if reads_layout(phase) { layout_key } else { "-" });
     }
 
     /// Tier 2: the closed-form timing assembly. Combines a traced (or
@@ -250,66 +246,21 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// An admissible analytic lower bound on [`price`](CostModel::price)
-    /// — no trace replay, so it costs nanoseconds and can prune a
-    /// candidate before tier 1 runs.
+    /// An admissible lower bound on [`price`](CostModel::price) with no
+    /// trace replay, so it costs nanoseconds and can prune a candidate
+    /// before tier 1 runs: the workload [assembled](CostModel::assemble)
+    /// with zero replayed traffic.
     ///
-    /// Admissibility argument, term by term against the pricing modes:
-    ///
-    /// * **compute floor** — `flops / peak`: every derate in the model
-    ///   (`occupancy_derate`) is ≤ 1, so real compute time only grows.
-    ///   Under wave quantization the floor sharpens to
-    ///   `⌈blocks/sms⌉ · flops/blocks/(peak/sms)` (≥ the plain floor),
-    ///   because a partial wave bills as a full one.
-    ///
-    /// Each floor is computed in the same operation order as the price
-    /// it bounds, with the derates at 1 and the replayed traffic at 0.
-    /// IEEE rounding is monotone in every operand, so the bound is
-    /// admissible exactly — never even one ulp above the price — and a
-    /// strict `bound > cutoff` never prunes a candidate that ties.
-    /// * **memory floor** — guaranteed bytes at un-derated peak
-    ///   bandwidth. Guaranteed traffic is the workload's
-    ///   `streamed_dram_bytes` and `streamed_l2_bytes`; replayed
-    ///   traffic only ever *adds* to them, and the bandwidth derate ≤ 1.
-    ///   (`useful_bytes` is deliberately not used: under non-dividing
-    ///   tiles the nominal algorithmic minimum can exceed what a
-    ///   floored trace actually touches, which would break
-    ///   admissibility.)
-    /// * **launch floor** — `launches·overhead` is charged exactly by
-    ///   both modes, never overlapped.
-    ///
-    /// Roofline takes the max of the floors (the mode maxes the real
-    /// terms); additive-launch adds them (the mode adds the real
-    /// terms), plus the round floor `rounds·step_cycles/clock` (real
-    /// rounds cost `step_cycles + bank passes` at a derated clock).
+    /// Assembly is monotone non-decreasing in every traffic total (each
+    /// one only adds bytes or passes to a term that is summed or maxed,
+    /// through IEEE operations that are monotone in every operand), and
+    /// replayed totals are never negative, so the bound never exceeds
+    /// the price — not even by one ulp, and a strict `bound > cutoff`
+    /// never prunes a candidate that ties. The same argument covers
+    /// `flops`: a workload built without its index-expression term
+    /// bounds the annotated one.
     pub fn bound(&self, workload: &Workload) -> f64 {
-        let cfg = self.cfg;
-        let dram_s = workload.streamed_dram_bytes / (cfg.dram_bw * cfg.dram_efficiency);
-        let mem_floor = dram_s.max(workload.streamed_l2_bytes / cfg.l2_bw);
-        let peak = self.peak(workload.pipeline);
-        let mut compute_floor = workload.flops / peak;
-        match workload.mode {
-            PricingMode::Roofline { wave_quantized } => {
-                if wave_quantized && workload.blocks > 0.0 {
-                    // `price_roofline`'s wave time at full issue rate.
-                    let sms = cfg.sm_count as f64;
-                    let wave_time = workload.flops / workload.blocks / (peak / sms);
-                    compute_floor = (workload.blocks / sms).ceil() * wave_time;
-                }
-                compute_floor.max(mem_floor) + workload.launches.max(1.0) * cfg.launch_overhead
-            }
-            PricingMode::AdditiveLaunch {
-                rounds,
-                step_cycles,
-                launch_overhead_s,
-                ..
-            } => {
-                compute_floor
-                    + rounds * step_cycles / cfg.clock_hz
-                    + mem_floor
-                    + workload.launches.max(1.0) * launch_overhead_s
-            }
-        }
+        self.assemble(workload, &TrafficCost::default()).time_s
     }
 
     /// Roofline pricing: overlapped bottleneck terms, with matmul-style
@@ -389,75 +340,162 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Prices a batch of candidates in parallel, preserving order: one
-    /// [`traffic`](CostModel::traffic) pass over the whole batch, then
-    /// [`assemble`](CostModel::assemble) per job.
+    /// The traffic pass of a batch, in order: probe → trace → record,
+    /// with `meanwhile` run on the calling thread while helpers trace.
+    ///
+    /// Each phase of each job is probed in the calling thread's memo
+    /// first (spawned threads would see fresh thread-locals), under its
+    /// own key (see [`crate::traffic`]; a job with no phase probes the
+    /// entry of the empty trace); a key already queued by an earlier job
+    /// of the batch counts as a hit and waits for that trace. A job is traced only when it queued a phase, and
+    /// then only those phases, compiling its layout on the thread that
+    /// replays it when one of them reads it. The traced jobs form one
+    /// queue behind an atomic cursor: when two or more are queued,
+    /// `cores − 1` scoped helpers start on it, the calling thread runs
+    /// `meanwhile`, and then works the queue too, so a slow trace never
+    /// leaves a core idle behind a fixed split. `meanwhile` runs exactly
+    /// once, on the calling thread, whether or not anything was traced.
+    /// Fresh phase totals are recorded in the calling thread's memo, and
+    /// each job's [`TrafficCost`] folds its phases in order.
     ///
     /// # Panics
     ///
     /// As [`traffic`](CostModel::traffic).
-    pub fn price_batch(&self, jobs: Vec<(Layout, Workload)>) -> Vec<Estimate> {
-        let refs: Vec<(&Layout, &Workload)> = jobs.iter().map(|(l, w)| (l, w)).collect();
-        self.traffic_batch(&refs)
-            .iter()
-            .zip(&jobs)
-            .map(|(tc, (_, w))| self.assemble(w, tc))
-            .collect()
-    }
-
-    /// The traffic pass of a batch, in order: probe → trace → record.
-    ///
-    /// The traffic memo is probed on the calling thread first (spawned
-    /// threads would see fresh thread-locals): warm geometries are
-    /// answered inline without compiling their layouts, and only the
-    /// cold jobs are [traced](CostModel::trace), each compiling its
-    /// layout on the thread that replays it. The cold jobs form one
-    /// queue behind an atomic cursor: the calling thread works it, and
-    /// when two or more are cold, so do `cores − 1` scoped helpers, so
-    /// a slow trace never leaves a core idle behind a fixed split.
-    /// Fresh traces are recorded back into the calling thread's memo.
-    fn traffic_batch(&self, jobs: &[(&Layout, &Workload)]) -> Vec<TrafficCost> {
-        let mut keys: Vec<String> = jobs.iter().map(|&(l, w)| self.memo_key(l, w)).collect();
-        let mut traffic: Vec<Option<TrafficCost>> = vec![None; jobs.len()];
-        let mut cold: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            match traffic::lookup(key) {
-                Some(tc) => traffic[i] = Some(tc),
-                None => cold.push(i),
+    pub fn traffic_batch<R>(
+        &self,
+        jobs: &[(&Layout, &Workload)],
+        meanwhile: impl FnOnce() -> R,
+    ) -> (Vec<TrafficCost>, R) {
+        let geo = TraceGeometry::of(self.cfg);
+        // Each job's phases in order, where their totals come from; per
+        // queued phase, its key, job and phase index.
+        let mut sources: Vec<Source> = Vec::new();
+        let mut queued: Vec<(String, usize, usize)> = Vec::new();
+        let (mut key, mut layout_key) = (String::with_capacity(256), String::new());
+        for (j, &(layout, wl)) in jobs.iter().enumerate() {
+            if wl.phases.is_empty() {
+                // One entry stands for the empty trace, so every priced
+                // workload probes the memo at least once.
+                key.clear();
+                key.push_str(traffic::KEY_FORMAT);
+                key.push_str("|-");
+                if traffic::lookup(&key).is_none() {
+                    traffic::insert(key.clone(), TrafficCost::default());
+                }
+            }
+            layout_key.clear();
+            if wl.phases.iter().any(reads_layout) {
+                if let Err(e) = layout.key(&mut layout_key) {
+                    panic!("traced layout must compile: {e}");
+                }
+            }
+            for (p, phase) in wl.phases.iter().enumerate() {
+                Self::phase_key(geo, phase, &layout_key, &mut key);
+                let source = if let Some(q) = queued.iter().position(|(k, ..)| *k == key) {
+                    traffic::count_queued_hit();
+                    Source::Queued(q)
+                } else if let Some(raw) = traffic::lookup(&key) {
+                    Source::Memo(raw)
+                } else {
+                    queued.push((key.clone(), j, p));
+                    Source::Queued(queued.len() - 1)
+                };
+                sources.push(source);
             }
         }
-        if cold.is_empty() {
-            return traffic.into_iter().map(|tc| tc.expect("hit")).collect();
+        // One unit per traced job: its run of `queued`.
+        let mut units: Vec<std::ops::Range<usize>> = Vec::new();
+        for (q, &(_, j, _)) in queued.iter().enumerate() {
+            match units.last_mut() {
+                Some(run) if queued[run.start].1 == j => run.end = q + 1,
+                _ => units.push(q..q + 1),
+            }
         }
         let next = AtomicUsize::new(0);
         let work = || {
             let mut traced = Vec::new();
-            while let Some(&i) = cold.get(next.fetch_add(1, Ordering::Relaxed)) {
-                traced.push((i, self.trace(jobs[i].0, jobs[i].1)));
+            while let Some(run) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (layout, wl) = jobs[queued[run.start].1];
+                let phases = run.clone().map(|q| &wl.phases[queued[q].2]);
+                let compiled = phases.clone().any(reads_layout).then(|| compile(layout));
+                for (q, phase) in run.clone().zip(phases) {
+                    traced.push((q, replay(geo, compiled.as_ref(), phase)));
+                }
             }
             traced
         };
-        let helpers = if cold.len() < 2 {
+        let helpers = if units.len() < 2 {
             0
         } else {
-            cores().min(cold.len()) - 1
+            cores().min(units.len()) - 1
         };
-        let traced = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
-            let mut traced = work();
-            for h in handles {
-                traced.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-            }
-            traced
-        });
-        for (i, tc) in traced {
-            traffic[i] = Some(tc);
+        let (traced, r) = if helpers == 0 {
+            let r = meanwhile();
+            (work(), r)
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+                let r = meanwhile();
+                let mut traced = work();
+                for h in handles {
+                    traced.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+                }
+                (traced, r)
+            })
+        };
+        let mut raws = vec![TrafficCost::default(); queued.len()];
+        for (q, raw) in traced {
+            raws[q] = raw;
         }
-        for &i in &cold {
-            traffic::insert(std::mem::take(&mut keys[i]), traffic[i].expect("traced"));
+        for ((key, ..), raw) in queued.into_iter().zip(&raws) {
+            traffic::insert(key, *raw);
         }
-        traffic.into_iter().map(|tc| tc.expect("traced")).collect()
+        let mut sources = sources.iter();
+        let traffic = jobs
+            .iter()
+            .map(|&(_, wl)| {
+                let mut tc = TrafficCost::default();
+                for phase in &wl.phases {
+                    let raw = match *sources.next().expect("one source per phase") {
+                        Source::Memo(raw) => raw,
+                        Source::Queued(q) => raws[q],
+                    };
+                    fold(&mut tc, phase, &raw);
+                }
+                tc
+            })
+            .collect();
+        (traffic, r)
     }
+}
+
+/// Where a phase of a batched job gets its unscaled totals.
+#[derive(Clone, Copy)]
+enum Source {
+    /// A memo hit.
+    Memo(TrafficCost),
+    /// The trace of the batch's queued phase at this index.
+    Queued(usize),
+}
+
+/// Whether replaying `phase` reads the layout: a tile phase maps every
+/// block through it, an access map unless it is flat.
+fn reads_layout(phase: &Phase) -> bool {
+    match phase {
+        Phase::Global { map, .. } | Phase::Shared { map, .. } => !map.flat,
+        Phase::TileTouches { .. } => true,
+    }
+}
+
+/// The layout compiled for a trace.
+///
+/// # Panics
+///
+/// When it does not compile: a traced layout must be concrete.
+fn compile(layout: &Layout) -> ConcreteLayout {
+    layout
+        .compile()
+        .unwrap_or_else(|e| panic!("traced layout must compile: {e}"))
 }
 
 /// The cores [`CostModel::traffic_batch`] spreads cold traces over,
@@ -493,65 +531,94 @@ impl TraceGeometry {
     }
 }
 
-/// Replays the phases and accumulates their traffic totals — the
-/// uncached body of tier 1. `layout` is the compiled layout, `None`
-/// only for workloads without phases.
-fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, workload: &Workload) -> TrafficCost {
-    let mut tc = TrafficCost::default();
-    for phase in &workload.phases {
-        match phase {
-            Phase::Global {
-                map,
-                elem_bytes,
-                scale,
-                l2,
-            } => {
-                let mut moved = 0f64;
-                let mut cache = l2.map(|m| Cache::new(m.lines, m.assoc));
-                let mut sectors = Vec::with_capacity(map.warp);
-                map.replay(layout, |idx| {
-                    moved += global_warp(
-                        geo.sector_bytes,
-                        idx,
-                        *elem_bytes,
-                        cache.as_mut(),
-                        &mut sectors,
-                    );
-                });
-                let stats = cache.map(|c| c.stats()).unwrap_or_default();
-                tc.hits += stats.hits;
-                tc.misses += stats.misses;
-                tc.l2_bytes += moved * scale;
-                tc.dram_bytes += match l2 {
-                    Some(_) => stats.misses as f64 * geo.sector_bytes as f64 * scale,
+/// Replays one phase and returns its unscaled totals — the uncached
+/// body of tier 1: a global phase's moved bytes (`l2_bytes`), the bytes
+/// past its L2 (`dram_bytes`: `misses × sector`, or every moved byte
+/// without an L2) and its L2 hits and misses; a shared phase's bank
+/// passes; a tile phase's touched and missed bytes, hits and misses.
+/// `layout` is the compiled layout, `None` only when the phase does not
+/// [read it](reads_layout).
+fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, phase: &Phase) -> TrafficCost {
+    match phase {
+        Phase::Global {
+            map,
+            elem_bytes,
+            l2,
+            ..
+        } => {
+            let mut moved = 0f64;
+            let mut cache = l2.map(|m| Cache::new(m.lines, m.assoc));
+            let mut sectors = Vec::with_capacity(map.warp);
+            map.replay(layout, |idx| {
+                moved += global_warp(
+                    geo.sector_bytes,
+                    idx,
+                    *elem_bytes,
+                    cache.as_mut(),
+                    &mut sectors,
+                );
+            });
+            let stats = cache.map(|c| c.stats()).unwrap_or_default();
+            TrafficCost {
+                l2_bytes: moved,
+                dram_bytes: match l2 {
+                    Some(_) => stats.misses as f64 * geo.sector_bytes as f64,
                     // No L2 filtering: streamed straight to DRAM.
-                    None => moved * scale,
-                };
+                    None => moved,
+                },
+                smem_passes: 0.0,
+                hits: stats.hits,
+                misses: stats.misses,
             }
-            Phase::Shared { map, scale } => {
-                let mut passes = 0f64;
-                map.replay(layout, |idx| {
-                    let addrs = idx.iter().map(|&i| i * 4);
-                    passes +=
-                        bank_passes(addrs, idx.len(), geo.smem_banks, geo.bank_bytes).passes as f64;
-                });
-                tc.smem_passes += passes * scale;
+        }
+        Phase::Shared { map, .. } => {
+            let mut passes = 0f64;
+            map.replay(layout, |idx| {
+                let addrs = idx.iter().map(|&i| i * 4);
+                passes +=
+                    bank_passes(addrs, idx.len(), geo.smem_banks, geo.bank_bytes).passes as f64;
+            });
+            TrafficCost {
+                smem_passes: passes,
+                ..TrafficCost::default()
             }
-            Phase::TileTouches { waves } => {
-                let mut tiles = TileCache::new(geo.l2_bytes);
-                let mut touched = 0f64;
-                waves.replay(layout.expect("tile phases read the layout"), |id, bytes| {
-                    tiles.touch(id, bytes);
-                    touched += bytes as f64;
-                });
-                tc.l2_bytes += touched;
-                tc.dram_bytes += tiles.miss_bytes() as f64;
-                tc.hits += tiles.hits();
-                tc.misses += tiles.misses();
+        }
+        Phase::TileTouches { waves } => {
+            let mut tiles = TileCache::new(geo.l2_bytes);
+            let mut touched = 0f64;
+            waves.replay(layout.expect("tile phases read the layout"), |id, bytes| {
+                tiles.touch(id, bytes);
+                touched += bytes as f64;
+            });
+            TrafficCost {
+                l2_bytes: touched,
+                dram_bytes: tiles.miss_bytes() as f64,
+                smem_passes: 0.0,
+                hits: tiles.hits(),
+                misses: tiles.misses(),
             }
         }
     }
-    tc
+}
+
+/// Adds one phase's unscaled totals `raw` ([`replay`]) to `tc`, times
+/// the phase's `scale` (a tile phase is not scaled). Folding a
+/// workload's phases in order from zero is the arithmetic of replaying
+/// them into one accumulator, operation for operation.
+fn fold(tc: &mut TrafficCost, phase: &Phase, raw: &TrafficCost) {
+    match phase {
+        Phase::Global { scale, .. } => {
+            tc.l2_bytes += raw.l2_bytes * scale;
+            tc.dram_bytes += raw.dram_bytes * scale;
+        }
+        Phase::Shared { scale, .. } => tc.smem_passes += raw.smem_passes * scale,
+        Phase::TileTouches { .. } => {
+            tc.l2_bytes += raw.l2_bytes;
+            tc.dram_bytes += raw.dram_bytes;
+        }
+    }
+    tc.hits += raw.hits;
+    tc.misses += raw.misses;
 }
 
 /// Moved bytes of one global warp access on `sector_bytes`-wide

@@ -2,7 +2,7 @@
 //! [`Phase`]) and what pricing it returns ([`Estimate`]).
 //!
 //! Pricing itself is [`crate::CostModel::price`] (or
-//! [`crate::CostModel::price_batch`] for many candidates in parallel),
+//! [`crate::CostModel::traffic_batch`] for many candidates in parallel),
 //! which composes the crate's primitive models — warp coalescing
 //! ([`crate::coalesce`]), shared-memory bank serialization
 //! ([`crate::smem`]), sector- and tile-granular L2 filtering
@@ -199,8 +199,17 @@ mod tests {
             })
             .collect();
         let model = CostModel::new(&cfg);
-        let seq: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
-        let par = model.price_batch(jobs);
+        let refs: Vec<(&Layout, &Workload)> = jobs.iter().map(|(l, w)| (l, w)).collect();
+        let (traffic, ()) = model.traffic_batch(&refs, || ());
+        let par: Vec<Estimate> = jobs
+            .iter()
+            .zip(&traffic)
+            .map(|((_, w), tc)| model.assemble(w, tc))
+            .collect();
+        let seq: Vec<Estimate> = jobs
+            .iter()
+            .map(|(l, w)| model.assemble(w, &model.trace(l, w)))
+            .collect();
         assert_eq!(seq, par);
     }
 

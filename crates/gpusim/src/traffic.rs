@@ -7,20 +7,30 @@
 //! the phase descriptions, the layout under test, and the device fields
 //! each phase reads — while expression variants only perturb the cheap
 //! closed-form assembly (`flops`, resources). This module caches the
-//! replay's result, a [`TrafficCost`], in a per-thread map keyed by a
-//! **geometry key**, so N variants per geometry cost one trace replay
-//! plus N re-timings.
+//! replay's results in a per-thread map keyed by **geometry keys**, so
+//! N variants per geometry cost one trace replay plus N re-timings.
 //!
-//! The cost model derives the key itself (see `CostModel::traffic`):
-//! the phases are plain data ([`crate::access`]), so it renders them
-//! exactly (a global phase's L2 model included), each with the device
-//! fields that phase reads — a global phase's sector width, a shared
-//! phase's bank count and width, a tile phase's L2 capacity — and the
-//! layout's specification ([`lego_core::Layout::key`]). The device is
-//! not named, so two devices that agree on those fields share a trace.
-//! Rendering the key reads no layout element, so a hit costs a key and
-//! a probe; only a miss compiles the layout and replays its trace.
-//! Every workload is memoizable, hand-built ones included;
+//! The memo is kept per phase, not per workload. The cost model
+//! derives each phase's key itself (see `CostModel::phase_key`): the
+//! phases are plain data ([`crate::access`]), so it renders one exactly
+//! (a global phase's L2 model included) with the device fields that
+//! phase reads — a global phase's sector width, a shared phase's bank
+//! count and width, a tile phase's L2 capacity — and, when the phase
+//! reads the layout, the layout's specification
+//! ([`lego_core::Layout::key`]). The phase's `scale` (how many blocks
+//! or tiles repeat its representative trace) is not in the key: the
+//! value is the phase's *unscaled* totals, a [`TrafficCost`], and a
+//! workload's traffic multiplies each by its scale while folding its
+//! phases in order. So one NW block buffer or one transpose staging
+//! tile is traced once whatever the problem size, a flat phase (which
+//! never reads the layout) is shared by every layout, and the device is
+//! not named, so two devices that agree on a phase's fields share its
+//! trace. Rendering a key reads no layout element, so a hit costs a
+//! key and a probe; only a miss compiles the layout and replays the
+//! phase. Every workload is memoizable, hand-built ones included; a
+//! workload with no phase (LUD's, whose traffic is all streamed bytes)
+//! probes one entry, keyed `KEY_FORMAT` then `|-`, that holds the empty
+//! trace, so every priced workload shows in the memo statistics.
 //! `CostModel::trace` is the unmemoized pass.
 //!
 //! Like the expression memos, the map is thread-local (searches are
@@ -35,9 +45,11 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-/// The trace-derived traffic totals of one geometry: everything
+/// Trace-derived traffic totals: everything
 /// [`CostModel::price`](crate::CostModel::price) learns from replaying
-/// the phase traces, and nothing it learns elsewhere.
+/// the phase traces, and nothing it learns elsewhere. A memo entry
+/// holds one phase's unscaled totals; a workload's traffic is its
+/// phases' totals, each times its scale.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrafficCost {
     /// Bytes that miss past L2 to DRAM, summed over phases (before the
@@ -57,7 +69,7 @@ pub struct TrafficCost {
 /// The prefix of every memo key, naming its format. Change it whenever
 /// the key's rendering changes, so entries persisted under the old
 /// format read as stale instead of being carried forever.
-pub const KEY_FORMAT: &str = "v2;";
+pub const KEY_FORMAT: &str = "v3;";
 
 /// Whether `key` is in the current memo-key format ([`KEY_FORMAT`]):
 /// a key in any other format can never be probed again.
@@ -69,7 +81,7 @@ thread_local! {
     /// key → (traffic, from_sidecar).
     static MEMO: RefCell<HashMap<String, (TrafficCost, bool)>> =
         RefCell::new(HashMap::new());
-    /// (hits, misses) of memo probes — only cacheable prices count.
+    /// (hits, misses) of memo probes, one per phase priced.
     static STATS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     /// (installed, hits) attributable to sidecar-imported entries.
     static SIDECAR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
@@ -98,15 +110,23 @@ pub(crate) fn lookup(key: &str) -> Option<TrafficCost> {
     })
 }
 
-/// Records a freshly traced geometry in this thread's memo.
+/// Counts a probe answered by a trace an earlier job of the same batch
+/// queued: a hit, since nothing is traced for it.
+pub(crate) fn count_queued_hit() {
+    let (h, mi) = STATS.get();
+    STATS.set((h + 1, mi));
+}
+
+/// Records a freshly traced phase geometry in this thread's memo.
 pub(crate) fn insert(key: String, tc: TrafficCost) {
     MEMO.with(|m| {
         m.borrow_mut().entry(key).or_insert((tc, false));
     });
 }
 
-/// (hits, misses) of this thread's traffic-memo probes. Unmemoized
-/// traces (`CostModel::trace`) are not counted.
+/// (hits, misses) of this thread's traffic-memo probes, one per phase
+/// priced: a miss is one phase geometry traced. Unmemoized traces
+/// (`CostModel::trace`) are not counted.
 pub fn memo_stats() -> (u64, u64) {
     STATS.get()
 }

@@ -696,3 +696,49 @@ fn cache_tier_answers_the_bytes_of_a_restarted_daemon() {
     shutdown_and_join(restarted);
     let _ = std::fs::remove_file(&cache);
 }
+
+/// A workload too small to price is refused at every door with the
+/// same check: the library's one search primitive
+/// (`Tuner::tune_entry`) answers `TuneError::Invalid` instead of a
+/// launch-overhead "winner", while the daemon's tune and fleet verbs
+/// and the fleet grid parser refuse it before searching, with the
+/// messages they always gave.
+#[test]
+fn an_undersized_workload_is_refused_at_every_door() {
+    const CHECK: &str = "n=33 is smaller than the default configuration's tile or block (64)";
+    let kind = WorkloadKind::Matmul { n: 33 };
+    match Tuner::new(gpu_sim::a100()).tune(&kind) {
+        Err(e @ lego_tune::TuneError::Invalid(_)) => assert_eq!(
+            e.to_string(),
+            format!("invalid workload: matmul(n=33): {CHECK}")
+        ),
+        other => panic!("matmul(n=33) was not refused: {other:?}"),
+    }
+    assert_eq!(
+        lego_tune::FleetSpec::parse("matmul:33").unwrap_err(),
+        format!("group \"matmul:33\": size 33: {CHECK}")
+    );
+
+    let server = start_with(None, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let error = |resp: Json| {
+        assert!(!is_ok(&resp), "{}", resp.render());
+        resp.get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_default()
+            .to_string()
+    };
+    let tune = client
+        .tune(&TuneSpec::workload("matmul(n=33)"))
+        .expect("tune roundtrip");
+    assert_eq!(error(tune), format!("workload \"matmul(n=33)\": {CHECK}"));
+    let fleet = client
+        .fleet(&FleetWire::grid("matmul:33"))
+        .expect("fleet roundtrip");
+    assert_eq!(
+        error(fleet),
+        format!("bad grid: group \"matmul:33\": size 33: {CHECK}")
+    );
+    drop(client);
+    shutdown_and_join(server);
+}

@@ -703,7 +703,23 @@ fn index_evals(kind: &WorkloadKind, config: &TunedConfig) -> f64 {
 /// builders the `lego-bench` drivers replay — and adding the tuner's
 /// index-expression flop term, the only place that term is charged.
 pub fn build_workload(kind: &WorkloadKind, candidate: &Candidate, gpu: &GpuConfig) -> Workload {
-    let mut wl = match (*kind, candidate.config) {
+    let mut wl = unannotated_workload(kind, &candidate.config, gpu);
+    add_index_term(kind, candidate, &mut wl);
+    wl
+}
+
+/// [`build_workload`] without the index-expression flop term: the
+/// workload of `config` before its candidate is annotated. Its traffic
+/// and its geometry are the annotated workload's (no phase reads
+/// `flops`), and its [`gpu_sim::CostModel::bound`] bounds the annotated
+/// price (the term only adds flops), so a search can trace and prune it
+/// while the annotation is still running.
+pub(crate) fn unannotated_workload(
+    kind: &WorkloadKind,
+    config: &TunedConfig,
+    gpu: &GpuConfig,
+) -> Workload {
+    match (*kind, *config) {
         (WorkloadKind::Matmul { n }, TunedConfig::Matmul { bm, bn, bk, .. }) => {
             MatmulWaves::with_tiles(n, (bm, bn, bk)).build(gpu)
         }
@@ -742,9 +758,14 @@ pub fn build_workload(kind: &WorkloadKind, candidate: &Candidate, gpu: &GpuConfi
             .build(gpu)
         }
         _ => unreachable!("kind/config pairs come from one Domain"),
-    };
+    }
+}
+
+/// Adds `candidate`'s index-expression flop term to its
+/// [unannotated](unannotated_workload) workload: the op count of the
+/// chosen expression variant times how often the kernel evaluates it.
+pub(crate) fn add_index_term(kind: &WorkloadKind, candidate: &Candidate, wl: &mut Workload) {
     wl.flops += candidate.index_ops.unwrap_or(0) as f64 * index_evals(kind, &candidate.config);
-    wl
 }
 
 /// The thread-block tile and warp lane walk of a stencil layout choice.

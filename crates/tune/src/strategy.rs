@@ -17,12 +17,18 @@
 //!
 //! Every strategy scores through one `Evaluator` built by
 //! [`run_search`]: it scores the default first (entry zero, the naive
-//! baseline), then whatever the strategy proposes. Its one scoring
-//! routine annotates, builds and prices candidates in chunks of one
-//! [`CostModel::price_batch`] each, with an admissible-bound cutoff
-//! that only the exhaustive sweep turns on. A [`Budget`] bounds
-//! *unique* configurations scored or pruned; re-proposing an
-//! already-seen point costs nothing.
+//! baseline), then whatever the strategy proposes. A sweep of the whole
+//! domain scores the default and the domain in one call, so the
+//! default's trace shares the first batch instead of running alone.
+//! The one scoring routine builds candidates in chunks of one
+//! [`CostModel::traffic_batch`] each: layouts and unannotated
+//! workloads first, then the traffic pass, while the searching thread
+//! annotates the chunk as helpers trace; each estimate then adds its
+//! index term. An admissible-bound cutoff, which only the exhaustive
+//! sweep turns on, prunes on the unannotated workload's bound before
+//! any trace or annotation. A [`Budget`] bounds *unique*
+//! configurations scored or pruned; re-proposing an already-seen point
+//! costs nothing.
 //!
 //! A budget that covers the whole domain (`domain.len() ≤ budget`)
 //! does not walk: anneal and genetic would score every point anyway,
@@ -51,7 +57,7 @@ use lego_codegen::tuning::TunedConfig;
 
 use crate::domain::Domain;
 use crate::rng::Rng;
-use crate::space::{build_layout, build_workload, Candidate, WorkloadKind};
+use crate::space::{add_index_term, build_layout, unannotated_workload, Candidate, WorkloadKind};
 use crate::tuner::TuneError;
 
 /// Maximum number of unique configurations a search may score. The
@@ -138,11 +144,11 @@ pub struct SearchOutcome {
     /// and whose sweep of a domain their budget covers runs without
     /// the cutoff).
     pub pruned: usize,
-    /// Traffic-memo hits during this search (geometries priced without
-    /// a trace replay).
+    /// Traffic-memo hits during this search (phase geometries priced
+    /// without a trace replay).
     pub traffic_hits: u64,
-    /// Traffic-memo misses during this search (geometries traced and
-    /// recorded).
+    /// Traffic-memo misses during this search (phase geometries traced
+    /// and recorded).
     pub traffic_misses: u64,
     /// The top-k evaluated configs (best first) with their times, as
     /// persisted in the cache entry.
@@ -196,42 +202,49 @@ impl<'a> Evaluator<'a> {
     /// batch or earlier), until scored plus pruned configs reach the
     /// budget. Unbuildable configs are infeasible and not charged.
     ///
-    /// The sweep proceeds in chunks priced by one
-    /// [`CostModel::price_batch`] each. With `cutoff` (the exhaustive
-    /// sweep only), the [`FRONTIER_K`]-th best scored time before each
-    /// chunk becomes a cutoff, and any candidate whose
-    /// [`CostModel::bound`] *strictly* exceeds it is pruned without a
-    /// traffic pass. That is winner- and frontier-identical to the
-    /// unpruned sweep: the bound never exceeds the true time, and the
-    /// cutoff only tightens, so a pruned candidate's time strictly
-    /// exceeds at least [`FRONTIER_K`] final times — it could not have
-    /// won or entered the frontier (ties break toward lower indices,
-    /// which scored entries keep). Pruned candidates count as
-    /// evaluated, so budgets and cache bookkeeping are numerically
-    /// unchanged.
+    /// The sweep proceeds in chunks of one
+    /// [`CostModel::traffic_batch`] each. Per chunk, it builds each
+    /// config's layout and its [unannotated](unannotated_workload)
+    /// workload; while the batch's helpers trace the cold geometries,
+    /// the searching thread annotates the chunk's candidates (on this
+    /// thread, so its annotation and expression caches stay warm), and
+    /// each estimate then adds its candidate's index term and
+    /// [assembles](CostModel::assemble).
+    ///
+    /// With `cutoff` (the exhaustive sweep only), the [`FRONTIER_K`]-th
+    /// best scored time before each chunk becomes a cutoff, and any
+    /// candidate whose [`CostModel::bound`] on the unannotated workload
+    /// *strictly* exceeds it is pruned without a traffic pass or an
+    /// annotation. That is winner- and frontier-identical to the
+    /// unpruned sweep: the bound never exceeds the true time (the index
+    /// term only adds flops), and the cutoff only tightens, so a pruned
+    /// candidate's time strictly exceeds at least [`FRONTIER_K`] final
+    /// times — it could not have won or entered the frontier (ties
+    /// break toward lower indices, which scored entries keep). Pruned
+    /// candidates count as evaluated, so budgets and cache bookkeeping
+    /// are numerically unchanged.
     fn score(&mut self, configs: &[TunedConfig], cutoff: bool) {
         /// Candidates between cutoff recomputations. Small enough that
         /// the cutoff tightens while the sweep is still hot; large
-        /// enough that `price_batch` can fan out.
+        /// enough that `traffic_batch` can fan out.
         const CHUNK: usize = 32;
         let model = CostModel::new(self.gpu);
         for chunk in configs.chunks(CHUNK) {
             let threshold = if cutoff { self.prune_threshold() } else { None };
-            let mut fresh: Vec<Candidate> = Vec::new();
+            let mut fresh: Vec<TunedConfig> = Vec::new();
             let mut jobs = Vec::new();
             for &key in chunk {
                 if self.entries.len() + self.pruned + fresh.len() >= self.max_evals {
                     break;
                 }
-                if self.seen.contains_key(&key) || fresh.iter().any(|c| c.config == key) {
+                if self.seen.contains_key(&key) || fresh.contains(&key) {
                     continue;
                 }
-                let cand = Candidate::annotated(&self.kind, &key);
-                let Ok(layout) = build_layout(&self.kind, &cand.config) else {
+                let Ok(layout) = build_layout(&self.kind, &key) else {
                     self.seen.insert(key, usize::MAX);
                     continue;
                 };
-                let wl = build_workload(&self.kind, &cand, self.gpu);
+                let wl = unannotated_workload(&self.kind, &key, self.gpu);
                 // Prune only after a successful build, so the
                 // infeasible/evaluated split matches the unpruned sweep.
                 if threshold.is_some_and(|t| model.bound(&wl) > t) {
@@ -240,12 +253,23 @@ impl<'a> Evaluator<'a> {
                     continue;
                 }
                 jobs.push((layout, wl));
-                fresh.push(cand);
+                fresh.push(key);
             }
             if fresh.is_empty() {
                 continue;
             }
-            for (cand, est) in fresh.into_iter().zip(model.price_batch(jobs)) {
+            let kind = self.kind;
+            let refs: Vec<_> = jobs.iter().map(|(l, w)| (l, w)).collect();
+            let annotate = || -> Vec<Candidate> {
+                fresh
+                    .iter()
+                    .map(|c| Candidate::annotated(&kind, c))
+                    .collect()
+            };
+            let (traffic, cands) = model.traffic_batch(&refs, annotate);
+            for ((cand, (_, mut wl)), tc) in cands.into_iter().zip(jobs).zip(&traffic) {
+                add_index_term(&kind, &cand, &mut wl);
+                let est = model.assemble(&wl, tc);
                 let idx = self.entries.len();
                 self.seen.insert(cand.config, idx);
                 self.entries.push((cand, est));
@@ -281,6 +305,25 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
+    /// Scores the default configuration and then the whole domain in
+    /// one [`Evaluator::score`] call: the default is still entry zero
+    /// (and an error, as in [`Evaluator::eval_default`], when it does
+    /// not build), but its trace shares the first chunk's batch instead
+    /// of running alone.
+    fn sweep(
+        &mut self,
+        default: TunedConfig,
+        domain: &Domain,
+        cutoff: bool,
+    ) -> Result<(), TuneError> {
+        debug_assert!(self.entries.is_empty(), "default must be entry zero");
+        build_layout(&self.kind, &default)?;
+        let mut configs = vec![default];
+        configs.extend(domain.enumerate());
+        self.score(&configs, cutoff);
+        Ok(())
+    }
+
     /// Scores one config and looks it up: its estimate, or `None` when
     /// it is infeasible, pruned, or unseen with the budget exhausted.
     fn eval(&mut self, c: &TunedConfig) -> Option<Estimate> {
@@ -299,7 +342,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The outcome so far. Entry zero exists: every search starts with
-    /// [`Evaluator::eval_default`].
+    /// [`Evaluator::eval_default`] or [`Evaluator::sweep`].
     fn finish(self) -> SearchOutcome {
         let naive = self.entries[0].1;
         let (winner, tuned) = self.entries[self.best].clone();
@@ -333,8 +376,9 @@ impl<'a> Evaluator<'a> {
 pub const FRONTIER_K: usize = 8;
 
 /// Runs `strategy` over `domain` and returns the outcome: one
-/// `Evaluator` scores the default, the strategy spends the budget on
-/// proposals (or, when the budget covers the domain, sweeps it), and
+/// `Evaluator` scores the default first, then either sweeps the domain
+/// in the same call (the exhaustive strategy, and a budget that covers
+/// the domain) or lets the strategy spend the budget on proposals, and
 /// the evaluator's entries become the outcome.
 ///
 /// `seed_key` derives the deterministic RNG (pass the tuning cache key).
@@ -355,7 +399,7 @@ pub fn run_search(
     warm_start: &[TunedConfig],
 ) -> Result<SearchOutcome, TuneError> {
     let mut rng = Rng::from_key(&format!("{seed_key}|{}", strategy.name()));
-    // Traffic-memo probes all land on this thread (`price_batch` looks
+    // Traffic-memo probes all land on this thread (`traffic_batch` looks
     // keys up before fanning out), so the stat delta around the search
     // is exactly this search's hit/miss count.
     let (hits0, misses0) = gpu_sim::traffic_memo_stats();
@@ -366,20 +410,26 @@ pub fn run_search(
         Strategy::Anneal | Strategy::Genetic => budget.max_evals(),
     };
     let mut eval = Evaluator::new(domain.kind, gpu, max_evals);
-    eval.eval_default(&domain.default_config())?;
+    let default = domain.default_config();
     match strategy {
         // The enumerated sweep is the one place bound pruning is
         // winner-safe by construction, so only it turns the cutoff on.
-        Strategy::Exhaustive => eval.score(&domain.enumerate(), true),
+        Strategy::Exhaustive => eval.sweep(default, domain, true)?,
         // The budget covers the domain, so a walk could at best score
         // every point: score each once, in domain order, instead. The
         // winner is the exhaustive one with ties broken by that order.
         // No cutoff, so `pruned` stays 0 for the budgeted strategies.
         Strategy::Anneal | Strategy::Genetic if domain.len() <= max_evals => {
-            eval.score(&domain.enumerate(), false);
+            eval.sweep(default, domain, false)?;
         }
-        Strategy::Anneal => anneal(domain, &mut eval, &mut rng, warm_start),
-        Strategy::Genetic => genetic(domain, &mut eval, &mut rng, warm_start),
+        Strategy::Anneal => {
+            eval.eval_default(&default)?;
+            anneal(domain, &mut eval, &mut rng, warm_start);
+        }
+        Strategy::Genetic => {
+            eval.eval_default(&default)?;
+            genetic(domain, &mut eval, &mut rng, warm_start);
+        }
     }
     let mut outcome = eval.finish();
     let (hits1, misses1) = gpu_sim::traffic_memo_stats();

@@ -18,6 +18,10 @@ use crate::strategy::{run_search, Budget, Strategy};
 /// Errors of the tuning pipeline.
 #[derive(Debug)]
 pub enum TuneError {
+    /// The workload fails [`WorkloadKind::validate`]: it cannot be
+    /// priced (an element count that overflows, or a problem smaller
+    /// than its default tile). Names the workload and the failed check.
+    Invalid(String),
     /// A candidate layout failed to build.
     Layout(LayoutError),
     /// The cache file could not be written.
@@ -27,6 +31,7 @@ pub enum TuneError {
 impl fmt::Display for TuneError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TuneError::Invalid(e) => write!(f, "invalid workload: {e}"),
             TuneError::Layout(e) => write!(f, "layout error: {e}"),
             TuneError::Io(e) => write!(f, "cache i/o error: {e}"),
         }
@@ -193,7 +198,8 @@ impl Tuner {
     ///
     /// # Errors
     ///
-    /// Propagates layout construction and cache write failures.
+    /// Refuses a workload that fails [`WorkloadKind::validate`];
+    /// propagates layout construction and cache write failures.
     pub fn tune(&self, kind: &WorkloadKind) -> Result<TuneResult, TuneError> {
         self.tune_entry(kind).map(|(result, _)| result)
     }
@@ -205,16 +211,23 @@ impl Tuner {
     /// as-is, so every tier answers from the same record.
     ///
     /// This is the one search primitive: the daemon and the fleet driver
-    /// call it too. An unsatisfying entry is replaced, never used to
+    /// call it too, and it is where a workload is checked
+    /// ([`WorkloadKind::validate`]) before any cache probe or search, so
+    /// a kind built in code gets the refusal a parsed name gets (the
+    /// front doors parse, and so refuse first, with their own message).
+    /// An unsatisfying entry is replaced, never used to
     /// seed the search, and the search's RNG derives from the cache key
     /// and strategy, so every answer is a pure function of
     /// `(kind, gpu, strategy, space, budget)` whatever the cache held.
     ///
     /// # Errors
     ///
-    /// As [`Tuner::tune`].
+    /// [`TuneError::Invalid`] when the workload fails its checks;
+    /// otherwise as [`Tuner::tune`].
     pub fn tune_entry(&self, kind: &WorkloadKind) -> Result<(TuneResult, CachedTuning), TuneError> {
         let workload = kind.name();
+        kind.validate()
+            .map_err(|e| TuneError::Invalid(format!("{workload}: {e}")))?;
         let key = cache_key(&workload, kind.pricing_mode(), &self.gpu);
         let hit = self.cache.as_ref().and_then(|cache| cache.lookup(&key));
         if let Some(hit) = hit.filter(|hit| self.satisfied_by(hit)) {

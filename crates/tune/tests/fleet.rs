@@ -5,7 +5,6 @@
 //! it wrote; a panicking key fails alone.
 
 use gpu_sim::a100;
-use lego_codegen::cuda::stencil::StencilShape;
 use lego_tune::fleet::{FleetDriver, FleetSpec};
 use lego_tune::{Budget, Strategy, TuneRequest, TuningCache, WorkloadKind};
 
@@ -143,12 +142,13 @@ fn a_panicking_key_fails_alone() {
     let mut grid = FleetSpec::parse("matmul:256..512x2,stencil:32")
         .unwrap()
         .requests(&a100(), Strategy::Anneal, Budget(48), None);
-    // `stencil:2` is refused by the grid parser; built by hand it
-    // panics inside pricing.
+    // A device with zero-byte sectors is no device a front door
+    // resolves; built by hand, it panics inside pricing (the global
+    // phase divides by the sector width).
     let mut bad = grid[2].clone();
-    bad.kind = WorkloadKind::Stencil {
-        shape: StencilShape::Star(1),
-        n: 2,
+    bad.device = gpu_sim::GpuConfig {
+        sector_bytes: 0,
+        ..a100()
     };
     grid.insert(2, bad);
 

@@ -223,21 +223,9 @@ fn a100_and_h100_share_every_trace_but_matmuls() {
         WorkloadKind::Nw { n: 112, b: 16 },
         WorkloadKind::Matmul { n: 512 },
     ];
-    let jobs =
-        |kind: &WorkloadKind, gpu: &GpuConfig| -> Vec<(lego_core::Layout, gpu_sim::Workload)> {
-            Domain::new(*kind, SpaceScale::Legacy)
-                .enumerate()
-                .into_iter()
-                .filter_map(|c| {
-                    let layout = lego_tune::build_layout(kind, &c).ok()?;
-                    let wl = lego_tune::build_workload(kind, &Candidate::annotated(kind, &c), gpu);
-                    Some((layout, wl))
-                })
-                .collect()
-        };
     let (a, h) = (a100(), h100());
     for kind in &families {
-        let (on_a, on_h) = (jobs(kind, &a), jobs(kind, &h));
+        let (on_a, on_h) = (legacy_jobs(kind, &a), legacy_jobs(kind, &h));
         assert!(!on_a.is_empty(), "{kind:?}");
         let (priced, h_misses) = std::thread::scope(|s| {
             s.spawn(|| {
@@ -619,4 +607,177 @@ fn pruned_exhaustive_matches_score_everything_ground_truth() {
         total_pruned > 0,
         "the admissible bound pruned nothing across any family"
     );
+}
+
+/// The `(layout, workload)` jobs of a kind's legacy domain on `gpu`.
+fn legacy_jobs(
+    kind: &WorkloadKind,
+    gpu: &GpuConfig,
+) -> Vec<(lego_core::Layout, gpu_sim::Workload)> {
+    Domain::new(*kind, SpaceScale::Legacy)
+        .enumerate()
+        .into_iter()
+        .filter_map(|c| {
+            let layout = lego_tune::build_layout(kind, &c).ok()?;
+            let wl = lego_tune::build_workload(kind, &Candidate::annotated(kind, &c), gpu);
+            Some((layout, wl))
+        })
+        .collect()
+}
+
+/// Prices every job set in order on one fresh thread (a fresh memo)
+/// and returns each set's estimates and traffic-memo misses, after
+/// checking that every estimate equals a second fresh thread's
+/// unmemoized `assemble(wl, &trace(..))` bit for bit.
+fn price_in_order(
+    gpu: &GpuConfig,
+    sets: &[Vec<(lego_core::Layout, gpu_sim::Workload)>],
+) -> Vec<u64> {
+    let (priced, misses): (Vec<Vec<gpu_sim::Estimate>>, Vec<u64>) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(gpu);
+            sets.iter()
+                .map(|jobs| {
+                    let before = gpu_sim::traffic_memo_stats().1;
+                    let priced = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
+                    (priced, gpu_sim::traffic_memo_stats().1 - before)
+                })
+                .unzip()
+        })
+        .join()
+        .expect("pricing thread")
+    });
+    let direct: Vec<Vec<gpu_sim::Estimate>> = std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(gpu);
+            let direct = |jobs: &Vec<(lego_core::Layout, gpu_sim::Workload)>| {
+                jobs.iter()
+                    .map(|(l, w)| model.assemble(w, &model.trace(l, w)))
+                    .collect()
+            };
+            sets.iter().map(direct).collect()
+        })
+        .join()
+        .expect("direct-trace thread")
+    });
+    assert_eq!(
+        priced, direct,
+        "a memoized price diverged from a direct trace"
+    );
+    misses
+}
+
+/// A phase's scale is not part of its trace: after every legacy
+/// `nw(n=224,b=16)` candidate is priced, every `nw(n=112,b=16)`
+/// candidate (the same blocks and layouts, fewer of them) is priced
+/// without a single trace, on every device.
+#[test]
+fn nw_problem_sizes_share_their_block_traces() {
+    let (large, small) = (
+        WorkloadKind::Nw { n: 224, b: 16 },
+        WorkloadKind::Nw { n: 112, b: 16 },
+    );
+    for gpu in &devices() {
+        let sets = [legacy_jobs(&large, gpu), legacy_jobs(&small, gpu)];
+        assert!(!sets[1].is_empty());
+        let misses = price_in_order(gpu, &sets);
+        assert!(misses[0] > 0, "{}: nothing traced", gpu.tag);
+        assert_eq!(misses[1], 0, "{}: nw(n=112) traced again", gpu.tag);
+    }
+}
+
+/// The staged transposes of the benchmark share their staging tiles
+/// across problem sizes: after `transpose(n=128)`'s legacy candidates
+/// are priced, the shared phases of every staged `n=256` and `n=512`
+/// candidate hit, as does their flat global phase, which reads no
+/// layout.
+#[test]
+fn staged_transposes_share_their_tile_traces_across_sizes() {
+    use gpu_sim::Phase;
+    let gpu = a100();
+    let sets: Vec<_> = [128, 256, 512]
+        .map(|n| legacy_jobs(&WorkloadKind::Transpose { n }, &gpu))
+        .into_iter()
+        .map(|jobs| {
+            jobs.into_iter()
+                .filter(|(_, wl)| wl.phases.iter().any(|p| matches!(p, Phase::Shared { .. })))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert!(
+        sets.iter().all(|jobs| !jobs.is_empty()),
+        "no staged transpose"
+    );
+    let misses = price_in_order(&gpu, &sets);
+    assert!(misses[0] > 0);
+    assert_eq!(misses[1..], [0, 0], "a staging tile was traced per size");
+}
+
+/// The key holds what a replay reads and nothing it only multiplies:
+/// a shared phase priced again at another scale hits (and prices its
+/// own scale), while a different access map or bank geometry misses.
+#[test]
+fn a_phase_scale_is_not_in_the_key() {
+    use gpu_sim::Phase;
+    let gpu = a100();
+    let layout = lego_core::Layout::identity([32i64, 32]).unwrap();
+    let scaled = |scale: f64, outer: i64| {
+        let mut wl = column_workload();
+        let Phase::Shared { map, scale: s } = &mut wl.phases[0] else {
+            panic!("one shared phase");
+        };
+        (*s, map.outer) = (scale, vec![outer]);
+        wl
+    };
+    let banks = GpuConfig {
+        smem_banks: 16,
+        ..a100()
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let probe = |gpu: &GpuConfig, wl: &gpu_sim::Workload| {
+                let model = CostModel::new(gpu);
+                let before = gpu_sim::traffic_memo_stats();
+                let got = model.traffic(&layout, wl);
+                assert_eq!(got, model.trace(&layout, wl), "a stale trace");
+                let after = gpu_sim::traffic_memo_stats();
+                (after.0 - before.0, after.1 - before.1)
+            };
+            assert_eq!(probe(&gpu, &scaled(1.0, 32)), (0, 1));
+            assert_eq!(probe(&gpu, &scaled(7.0, 32)), (1, 0), "scale missed");
+            assert_eq!(probe(&gpu, &scaled(7.0, 16)), (0, 1), "map hit");
+            assert_eq!(probe(&banks, &scaled(7.0, 32)), (0, 1), "banks hit");
+        });
+    });
+}
+
+/// `traffic_batch` runs its `meanwhile` closure exactly once, on the
+/// calling thread, whether the batch is all hits, one cold job (traced
+/// inline) or many cold jobs (traced by helpers too), and its traffic
+/// equals a direct trace of every job.
+#[test]
+fn traffic_batch_runs_meanwhile_once_on_the_calling_thread() {
+    let gpu = a100();
+    let jobs = legacy_jobs(&WorkloadKind::Transpose { n: 256 }, &gpu);
+    let refs: Vec<_> = jobs.iter().map(|(l, w)| (l, w)).collect();
+    assert!(refs.len() > 4);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(&gpu);
+            let caller = std::thread::current().id();
+            // Many cold, one cold (the rest now hits), all hits.
+            for (batch, cold) in [(&refs[1..], true), (&refs[..2], true), (&refs[..], false)] {
+                let calls = std::cell::Cell::new(0);
+                let before = gpu_sim::traffic_memo_stats().1;
+                let (traffic, ran_on) = model.traffic_batch(batch, || {
+                    calls.set(calls.get() + 1);
+                    std::thread::current().id()
+                });
+                assert_eq!((calls.get(), ran_on), (1, caller));
+                assert_eq!(gpu_sim::traffic_memo_stats().1 > before, cold);
+                let direct: Vec<_> = batch.iter().map(|&(l, w)| model.trace(l, w)).collect();
+                assert_eq!(traffic, direct);
+            }
+        });
+    });
 }
