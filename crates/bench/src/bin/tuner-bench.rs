@@ -56,14 +56,18 @@
 //! keys (13 exhaustive shapes on three devices) in a fixed order on a
 //! fresh thread, twice. The `cold-search-pass` row reports each pass's
 //! time and, per pass, its traffic-memo and annotation-cache hits and
-//! misses: counts, which the phase checks repeat exactly.
+//! misses and its replay work (tile touches fed through the LRU and
+//! access-map lanes replayed, [`gpu_sim::replay_work`]): counts, which
+//! the phase checks repeat exactly.
 //!
 //! A last **paper-size** phase prices the legacy matmul space at the
 //! paper's Fig. 11 sizes (`n` ∈ {2048, 4096, 8192}) on the A100 model,
 //! whatever `--device` says: each candidate traced cold (median and max
 //! per-candidate price time), then the whole exhaustive search on a
 //! fresh thread. One `matmul-paper-n<N>` row per size; the run fails
-//! when the n=4096 search takes [`PAPER_SEARCH_GATE_S`] or more.
+//! when the n=4096 search takes [`PAPER_SEARCH_GATE_S`] or more, or
+//! touches no tile: its tiles overflow the A100's L2, so the LRU must
+//! simulate its schedules.
 
 use std::time::Instant;
 
@@ -229,13 +233,26 @@ const COLD_SEARCH_SHAPES: [&str; 13] = [
 /// The devices the `cold-search` pool spreads each shape over.
 const COLD_SEARCH_DEVICES: [&str; 3] = ["a100", "h100", "mi300"];
 
+/// The work one cold-search pass did, in counts that depend on the keys
+/// and their order alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PassCounts {
+    traffic_hits: u64,
+    traffic_misses: u64,
+    annotate_hits: u64,
+    annotate_misses: u64,
+    /// Tile touches the traced matmul phases fed through the LRU.
+    tile_touches: u64,
+    /// Access-map lanes the traced global and shared phases replayed.
+    lanes: u64,
+}
+
 /// One cold pass over the benchmark's `cold-search` keys: every shape
 /// on every device, tuned exhaustively without a cache, in a fixed
 /// order on a fresh thread (fresh traffic and annotation memos, as a
-/// fresh daemon worker has). Returns `(seconds, traffic hits, traffic
-/// misses, annotation hits, annotation misses)`. The counts depend on
-/// the keys and their order alone, so two passes repeat them exactly.
-fn cold_search_pass() -> (f64, u64, u64, u64, u64) {
+/// fresh daemon worker has). Returns the pass's seconds and its counts,
+/// which two passes repeat exactly.
+fn cold_search_pass() -> (f64, PassCounts) {
     std::thread::spawn(|| {
         let t = Instant::now();
         for shape in COLD_SEARCH_SHAPES {
@@ -246,9 +263,18 @@ fn cold_search_pass() -> (f64, u64, u64, u64, u64) {
             }
         }
         let secs = t.elapsed().as_secs_f64();
-        let (th, tm) = gpu_sim::traffic_memo_stats();
-        let (ah, am) = annotate_cache_stats();
-        (secs, th, tm, ah, am)
+        let (traffic_hits, traffic_misses) = gpu_sim::traffic_memo_stats();
+        let (annotate_hits, annotate_misses) = annotate_cache_stats();
+        let work = gpu_sim::replay_work();
+        let counts = PassCounts {
+            traffic_hits,
+            traffic_misses,
+            annotate_hits,
+            annotate_misses,
+            tile_touches: work.tile_touches,
+            lanes: work.lanes,
+        };
+        (secs, counts)
     })
     .join()
     .expect("cold-search pass thread")
@@ -265,8 +291,10 @@ const PAPER_SEARCH_GATE_S: f64 = 5.0;
 /// Prices the legacy matmul space at size `n` on the A100 model and
 /// returns its summary row: every candidate traced cold (through the
 /// unmemoized `CostModel::trace`), then the whole exhaustive search
-/// on a fresh thread, whose traffic memo starts empty.
-fn paper_matmul_row(n: i64) -> (Json, f64) {
+/// on a fresh thread, whose traffic memo starts empty. Also returns the
+/// search's seconds and the tile touches it fed through the LRU (none
+/// when the tiles fit the L2, as up to n=2048).
+fn paper_matmul_row(n: i64) -> (Json, f64, u64) {
     let device = gpu_sim::a100();
     let kind = WorkloadKind::Matmul { n };
     let model = CostModel::new(&device);
@@ -281,7 +309,7 @@ fn paper_matmul_row(n: i64) -> (Json, f64) {
     times.sort_by(f64::total_cmp);
     let median = times.get(times.len() / 2).copied().unwrap_or(0.0);
     let max = times.last().copied().unwrap_or(0.0);
-    let (search_s, evaluated) = std::thread::scope(|s| {
+    let (search_s, evaluated, touches) = std::thread::scope(|s| {
         s.spawn(|| {
             let t = Instant::now();
             let outcome = run_search(
@@ -293,19 +321,22 @@ fn paper_matmul_row(n: i64) -> (Json, f64) {
                 &[],
             )
             .expect("paper-size exhaustive search");
-            (t.elapsed().as_secs_f64(), outcome.evaluated)
+            let touches = gpu_sim::replay_work().tile_touches;
+            (t.elapsed().as_secs_f64(), outcome.evaluated, touches)
         })
         .join()
         .expect("paper-size search thread")
     });
     println!(
-        "{:<22} {:>6} cands  price median {:.2}ms max {:.2}ms  exhaustive {:.2}s ({} evaluated)",
+        "{:<22} {:>6} cands  price median {:.2}ms max {:.2}ms  exhaustive {:.2}s \
+         ({} evaluated, {} tile touches)",
         format!("matmul(n={n}) a100"),
         times.len(),
         median * 1e3,
         max * 1e3,
         search_s,
         evaluated,
+        touches,
     );
     let row = Json::obj([
         ("workload", Json::Str(format!("matmul-paper-n{n}"))),
@@ -315,8 +346,9 @@ fn paper_matmul_row(n: i64) -> (Json, f64) {
         ("price_max_s", Json::Num(max)),
         ("exhaustive_evaluated", Json::Int(evaluated as i64)),
         ("exhaustive_search_s", Json::Num(search_s)),
+        ("exhaustive_tile_touches", Json::Int(touches as i64)),
     ]);
-    (row, search_s)
+    (row, search_s, touches)
 }
 
 /// Enumerates every workload once on the *calling* thread and returns
@@ -734,17 +766,23 @@ fn main() {
 
     println!("-- cold-search pass: the benchmark's cold keys on fresh threads --");
     let passes = [cold_search_pass(), cold_search_pass()];
-    let counts = passes.map(|p| (p.1, p.2, p.3, p.4));
     assert_eq!(
-        counts[0], counts[1],
-        "two cold-search passes did different work (traffic hits/misses, annotation hits/misses)"
+        passes[0].1, passes[1].1,
+        "two cold-search passes did different work"
     );
-    let (t_hits, t_misses, a_hits, a_misses) = counts[0];
+    let c = passes[0].1;
     println!(
-        "{:<22} {:>6} keys   {t_misses} traffic misses ({t_hits} hits), \
-         {a_misses} annotation misses ({a_hits} hits) per pass; {:.1}ms / {:.1}ms",
+        "{:<22} {:>6} keys   {} traffic misses ({} hits), \
+         {} annotation misses ({} hits), {} tile touches, {} lanes per pass; \
+         {:.1}ms / {:.1}ms",
         "cold-search pass",
         COLD_SEARCH_SHAPES.len() * COLD_SEARCH_DEVICES.len(),
+        c.traffic_misses,
+        c.traffic_hits,
+        c.annotate_misses,
+        c.annotate_hits,
+        c.tile_touches,
+        c.lanes,
         passes[0].0 * 1e3,
         passes[1].0 * 1e3,
     );
@@ -754,17 +792,19 @@ fn main() {
             "keys",
             Json::Int((COLD_SEARCH_SHAPES.len() * COLD_SEARCH_DEVICES.len()) as i64),
         ),
-        ("traffic_hits", Json::Int(t_hits as i64)),
-        ("traffic_misses", Json::Int(t_misses as i64)),
-        ("annotate_hits", Json::Int(a_hits as i64)),
-        ("annotate_misses", Json::Int(a_misses as i64)),
+        ("traffic_hits", Json::Int(c.traffic_hits as i64)),
+        ("traffic_misses", Json::Int(c.traffic_misses as i64)),
+        ("annotate_hits", Json::Int(c.annotate_hits as i64)),
+        ("annotate_misses", Json::Int(c.annotate_misses as i64)),
+        ("tile_touches", Json::Int(c.tile_touches as i64)),
+        ("lanes", Json::Int(c.lanes as i64)),
         ("pass_s", Json::Num(passes[0].0)),
         ("second_pass_s", Json::Num(passes[1].0)),
     ]));
 
     println!("-- paper-size matmul: legacy exhaustive on the A100 model --");
     for n in PAPER_MATMUL_SIZES {
-        let (row, search_s) = paper_matmul_row(n);
+        let (row, search_s, touches) = paper_matmul_row(n);
         rows.push(row);
         if n == 4096 {
             assert!(
@@ -772,6 +812,9 @@ fn main() {
                 "legacy exhaustive matmul(n=4096) took {search_s:.2}s \
                  (gate {PAPER_SEARCH_GATE_S}s)"
             );
+            // Its tiles overflow the A100's L2, so the schedule matters
+            // and the search must simulate it.
+            assert!(touches > 0, "matmul(n=4096) was priced without the LRU");
         }
     }
 

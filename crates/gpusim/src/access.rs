@@ -198,6 +198,14 @@ impl AccessMap {
 /// at a time in `pid` order, the layout maps each `pid` to its
 /// `(pid_m, pid_n)` tile, and every block of a wave touches its `A`
 /// and `B` tiles at each K step.
+///
+/// The layout is a schedule: it maps the pids `0..blocks` one-to-one
+/// onto the `rows × tiles_n` grid of output tiles, `rows = blocks /
+/// tiles_n`. Every tiled-GEMM layout does, and
+/// [`TileWaves::resident`] relies on it: the stream then touches exactly
+/// `rows·ksteps` distinct `A` tiles and `ksteps·tiles_n` distinct `B`
+/// tiles whatever the schedule, so when they all fit the cache, the
+/// schedule cannot change what the stream costs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TileWaves {
     /// Thread blocks.
@@ -214,7 +222,74 @@ pub struct TileWaves {
     pub b_bytes: usize,
 }
 
+/// What a tile stream costs through an LRU tile cache
+/// ([`crate::TileCache`]): bytes touched, hits, misses and the bytes
+/// the misses fetch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TileTotals {
+    /// Bytes of every touch, hit or miss.
+    pub touched_bytes: u64,
+    /// Touches of a resident tile.
+    pub hits: u64,
+    /// Touches that fetch their tile.
+    pub misses: u64,
+    /// Bytes the misses fetch.
+    pub miss_bytes: u64,
+}
+
 impl TileWaves {
+    /// The stream's totals through an LRU cache of `capacity` bytes,
+    /// in closed form, when every distinct tile fits in it — `None`
+    /// otherwise, when [`replay`](TileWaves::replay) through the cache
+    /// must price it.
+    ///
+    /// With `A = rows·ksteps` distinct `A` tiles and `B =
+    /// ksteps·tiles_n` distinct `B` tiles (none without blocks), the
+    /// stream is resident when `A·a_bytes + B·b_bytes ≤ capacity`:
+    /// nothing is ever evicted, because the resident bytes plus a
+    /// missing tile never exceed the distinct bytes. Then each distinct
+    /// tile misses once (`misses = A + B`, fetching `A·a_bytes +
+    /// B·b_bytes`) and every other touch of the `2·blocks·ksteps` hits,
+    /// whatever the pid order. `touched_bytes` is
+    /// `blocks·ksteps·(a_bytes + b_bytes)`, at most 2^53 here, so every
+    /// partial sum of a per-touch `f64` accumulation is exact and
+    /// `touched_bytes as f64` equals it bit for bit.
+    ///
+    /// `None` also when the fields do not describe a grid (`tiles_n`
+    /// not dividing `blocks`, a negative count) or a count overflows.
+    pub fn resident(&self, capacity: usize) -> Option<TileTotals> {
+        let count = |x: i64| u64::try_from(x).ok();
+        let (blocks, ksteps, tiles_n) = (
+            count(self.blocks)?,
+            count(self.ksteps)?,
+            count(self.tiles_n)?,
+        );
+        if tiles_n == 0 || blocks % tiles_n != 0 {
+            return None;
+        }
+        let (a_bytes, b_bytes) = (self.a_bytes as u64, self.b_bytes as u64);
+        let a = (blocks / tiles_n).checked_mul(ksteps)?;
+        let b = if blocks == 0 {
+            0
+        } else {
+            ksteps.checked_mul(tiles_n)?
+        };
+        let miss_bytes = a
+            .checked_mul(a_bytes)?
+            .checked_add(b.checked_mul(b_bytes)?)?;
+        // Each block's K step touches one A and one B tile.
+        let steps = blocks.checked_mul(ksteps)?;
+        let touches = steps.checked_mul(2)?;
+        let touched_bytes = steps.checked_mul(a_bytes.checked_add(b_bytes)?)?;
+        let fits = miss_bytes <= capacity as u64 && touched_bytes <= 1 << f64::MANTISSA_DIGITS;
+        fits.then_some(TileTotals {
+            touched_bytes,
+            hits: touches - (a + b),
+            misses: a + b,
+            miss_bytes,
+        })
+    }
+
     /// Feeds every `(tile_id, bytes)` touch to `sink` in execution
     /// order; `A` tiles take even ids and `B` tiles odd ones.
     ///
@@ -234,5 +309,153 @@ impl TileWaves {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_rng::Lcg;
+    use crate::TileCache;
+    use lego_core::{GenFns, Layout, OrderBy, Perm};
+    use std::sync::Arc;
+
+    /// A `rows × cols` grid layout whose pid order is the shuffled
+    /// `order`: pid `p` runs tile `order[p]` (row-major).
+    fn pid_order(rows: i64, cols: i64, order: Vec<i64>) -> ConcreteLayout {
+        let mut pos = vec![0; order.len()];
+        for (pid, &tile) in order.iter().enumerate() {
+            pos[tile as usize] = pid as i64;
+        }
+        let name = format!("pid_order{order:?}");
+        let fns = GenFns {
+            name,
+            fwd: Arc::new(move |idx: &[i64]| pos[(idx[0] * cols + idx[1]) as usize]),
+            inv: Arc::new(move |pid: i64| {
+                let tile = order[pid as usize];
+                vec![tile / cols, tile % cols]
+            }),
+            fwd_sym: None,
+            inv_sym: None,
+        };
+        Layout::builder([rows, cols])
+            .order_by(OrderBy::new([Perm::gen([rows, cols], fns).unwrap()]).unwrap())
+            .build()
+            .unwrap()
+            .compile()
+            .unwrap()
+    }
+
+    /// The stream replayed through a [`TileCache`], bytes summed per
+    /// touch in `f64` as the cost model's LRU arm sums them.
+    fn through_cache(
+        waves: &TileWaves,
+        layout: &ConcreteLayout,
+        capacity: usize,
+    ) -> (TileTotals, f64) {
+        let mut cache = TileCache::new(capacity);
+        let (mut touched, mut touched_f64) = (0u64, 0f64);
+        waves.replay(layout, |id, bytes| {
+            cache.touch(id, bytes);
+            touched += bytes as u64;
+            touched_f64 += bytes as f64;
+        });
+        let totals = TileTotals {
+            touched_bytes: touched,
+            hits: cache.hits(),
+            misses: cache.misses(),
+            miss_bytes: cache.miss_bytes(),
+        };
+        (totals, touched_f64)
+    }
+
+    /// Random grids, tile sizes, wave widths and one-to-one pid orders:
+    /// at every capacity from well below the distinct bytes to well
+    /// above — the distinct bytes exactly, and one byte short, included —
+    /// the closed form is `None` below the distinct bytes and equals
+    /// the LRU replay field for field (and the `f64` byte sum bit for
+    /// bit) from there up. Covers `ksteps = 0` and a single-tile grid.
+    #[test]
+    fn resident_streams_match_the_lru_replay() {
+        let mut rng = Lcg(0x7e5_1de47);
+        for round in 0..300 {
+            let (rows, cols) = match round % 10 {
+                0 => (1, 1),
+                _ => (1 + rng.below(6), 1 + rng.below(6)),
+            };
+            let ksteps = if round % 7 == 0 { 0 } else { 1 + rng.below(5) };
+            let waves = TileWaves {
+                blocks: rows * cols,
+                wave: 1 + rng.below(8),
+                ksteps,
+                tiles_n: cols,
+                a_bytes: 1 + rng.below(64) as usize,
+                b_bytes: [0, 1, 33, 64][rng.below(4) as usize],
+            };
+            let mut order: Vec<i64> = (0..rows * cols).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let layout = pid_order(rows, cols, order);
+            let distinct =
+                rows * ksteps * waves.a_bytes as i64 + ksteps * cols * waves.b_bytes as i64;
+            for capacity in [
+                0,
+                distinct / 2,
+                distinct - 1,
+                distinct,
+                distinct + 1,
+                4 * distinct + 64,
+            ] {
+                let Ok(capacity) = usize::try_from(capacity) else {
+                    continue;
+                };
+                let (lru, touched_f64) = through_cache(&waves, &layout, capacity);
+                match waves.resident(capacity) {
+                    Some(closed) => {
+                        assert!(capacity as i64 >= distinct, "{waves:?} at {capacity}");
+                        assert_eq!(closed, lru, "{waves:?} at {capacity}");
+                        assert_eq!(
+                            (closed.touched_bytes as f64).to_bits(),
+                            touched_f64.to_bits()
+                        );
+                    }
+                    None => assert!((capacity as i64) < distinct, "{waves:?} at {capacity}"),
+                }
+            }
+        }
+    }
+
+    /// Fields that do not describe a grid are never priced in closed
+    /// form.
+    #[test]
+    fn non_grid_streams_are_not_resident() {
+        let grid = TileWaves {
+            blocks: 6,
+            wave: 2,
+            ksteps: 2,
+            tiles_n: 3,
+            a_bytes: 8,
+            b_bytes: 8,
+        };
+        assert!(grid.resident(usize::MAX).is_some());
+        for waves in [
+            TileWaves { tiles_n: 0, ..grid },
+            TileWaves { tiles_n: 4, ..grid },
+            TileWaves { blocks: -6, ..grid },
+            TileWaves { ksteps: -1, ..grid },
+            TileWaves {
+                ksteps: i64::MAX,
+                ..grid
+            },
+        ] {
+            assert_eq!(waves.resident(usize::MAX), None, "{waves:?}");
+        }
+        let none = TileWaves { blocks: 0, ..grid }.resident(0);
+        assert_eq!(
+            none,
+            Some(TileTotals::default()),
+            "no block touches nothing"
+        );
     }
 }

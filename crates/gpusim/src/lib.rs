@@ -69,7 +69,7 @@ pub mod timing;
 pub mod trace;
 pub mod traffic;
 
-pub use access::{AccessMap, Coord, Lane, TileWaves};
+pub use access::{AccessMap, Coord, Lane, TileTotals, TileWaves};
 pub use cache::{Cache, CacheStats};
 pub use coalesce::{coalesce_elems, coalesce_elems_on, coalesce_warp, CoalesceResult};
 pub use config::{a100, h100, lookup, mi300, GpuConfig, DEVICE_TAGS};
@@ -84,7 +84,8 @@ pub use trace::{
 };
 pub use traffic::{
     export as export_traffic, import as import_traffic, is_current_key as is_current_traffic_key,
-    memo_stats as traffic_memo_stats, sidecar_stats as traffic_sidecar_stats, TrafficCost,
+    memo_stats as traffic_memo_stats, replay_work, sidecar_stats as traffic_sidecar_stats,
+    ReplayWork, TrafficCost,
 };
 
 /// A tiny deterministic LCG for the property tests of the warp models

@@ -35,7 +35,7 @@ use crate::score::{Estimate, Phase, Workload};
 use crate::smem::bank_passes;
 use crate::tilecache::TileCache;
 use crate::timing::{estimate, occupancy_derate, KernelProfile, Pipeline, TimeEstimate};
-use crate::traffic::{self, TrafficCost};
+use crate::traffic::{self, ReplayWork, TrafficCost};
 
 /// How a workload's bottleneck terms combine into a runtime.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -129,7 +129,8 @@ impl<'a> CostModel<'a> {
     }
 
     /// The traffic pass without the memo: compiles the layout (when a
-    /// phase reads it) and replays every phase. What
+    /// phase reads it) and replays every phase, counting the work in
+    /// this thread's [`traffic::replay_work`]. What
     /// [`traffic`](CostModel::traffic) returns on a memo miss.
     ///
     /// # Panics
@@ -140,24 +141,30 @@ impl<'a> CostModel<'a> {
         let compiled = workload
             .phases
             .iter()
-            .any(reads_layout)
+            .any(|p| reads_layout(geo, p))
             .then(|| compile(layout));
-        let mut tc = TrafficCost::default();
+        let (mut tc, mut work) = (TrafficCost::default(), ReplayWork::default());
         for phase in &workload.phases {
-            fold(&mut tc, phase, &replay(geo, compiled.as_ref(), phase));
+            let (raw, w) = replay(geo, compiled.as_ref(), phase);
+            fold(&mut tc, phase, &raw);
+            work += w;
         }
+        traffic::count_work(work);
         tc
     }
 
     /// The memo key of one phase: the key format, the phase description
     /// without its `scale` (a global phase's L2 model included), the
     /// device fields its replay reads ([`TraceGeometry`]) and, when the
-    /// phase reads the layout, `layout_key` (the layout's structural
-    /// [key](Layout::key)) — everything [`replay`] reads, rendered
-    /// exactly. The device itself is not named, so devices that agree
-    /// on a phase's fields share its trace; the scale only multiplies
-    /// the replayed totals ([`fold`]), so problems that repeat one
-    /// block or tile a different number of times share it too.
+    /// phase [reads the layout](reads_layout), `layout_key` (the
+    /// layout's structural [key](Layout::key)) — everything [`replay`]
+    /// reads, rendered exactly. A tile phase whose stream fits the L2
+    /// does not read the layout, so its key ends in `|-` and every
+    /// schedule of its tile shape shares it. The device itself is not
+    /// named, so devices that agree on a phase's fields share its trace;
+    /// the scale only multiplies the replayed totals ([`fold`]), so
+    /// problems that repeat one block or tile a different number of
+    /// times share it too.
     ///
     /// Rendered into `key`, which is cleared first, so a batch probes
     /// all its phases through one buffer.
@@ -190,7 +197,11 @@ impl<'a> CostModel<'a> {
             }
         }
         key.push('|');
-        key.push_str(if reads_layout(phase) { layout_key } else { "-" });
+        key.push_str(if reads_layout(geo, phase) {
+            layout_key
+        } else {
+            "-"
+        });
     }
 
     /// Tier 2: the closed-form timing assembly. Combines a traced (or
@@ -384,7 +395,7 @@ impl<'a> CostModel<'a> {
                 }
             }
             layout_key.clear();
-            if wl.phases.iter().any(reads_layout) {
+            if wl.phases.iter().any(|p| reads_layout(geo, p)) {
                 if let Err(e) = layout.key(&mut layout_key) {
                     panic!("traced layout must compile: {e}");
                 }
@@ -413,36 +424,44 @@ impl<'a> CostModel<'a> {
         }
         let next = AtomicUsize::new(0);
         let work = || {
-            let mut traced = Vec::new();
+            let (mut traced, mut work) = (Vec::new(), ReplayWork::default());
             while let Some(run) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let (layout, wl) = jobs[queued[run.start].1];
                 let phases = run.clone().map(|q| &wl.phases[queued[q].2]);
-                let compiled = phases.clone().any(reads_layout).then(|| compile(layout));
+                let compiled = phases
+                    .clone()
+                    .any(|p| reads_layout(geo, p))
+                    .then(|| compile(layout));
                 for (q, phase) in run.clone().zip(phases) {
-                    traced.push((q, replay(geo, compiled.as_ref(), phase)));
+                    let (raw, w) = replay(geo, compiled.as_ref(), phase);
+                    traced.push((q, raw));
+                    work += w;
                 }
             }
-            traced
+            (traced, work)
         };
         let helpers = if units.len() < 2 {
             0
         } else {
             cores().min(units.len()) - 1
         };
-        let (traced, r) = if helpers == 0 {
+        let ((traced, done), r) = if helpers == 0 {
             let r = meanwhile();
             (work(), r)
         } else {
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
                 let r = meanwhile();
-                let mut traced = work();
+                let (mut traced, mut done) = work();
                 for h in handles {
-                    traced.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+                    let (more, w) = h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+                    traced.extend(more);
+                    done += w;
                 }
-                (traced, r)
+                ((traced, done), r)
             })
         };
+        traffic::count_work(done);
         let mut raws = vec![TrafficCost::default(); queued.len()];
         for (q, raw) in traced {
             raws[q] = raw;
@@ -478,12 +497,14 @@ enum Source {
     Queued(usize),
 }
 
-/// Whether replaying `phase` reads the layout: a tile phase maps every
-/// block through it, an access map unless it is flat.
-fn reads_layout(phase: &Phase) -> bool {
+/// Whether replaying `phase` on `geo` reads the layout: an access map
+/// unless it is flat, and a tile phase unless its stream is
+/// [resident](crate::TileWaves::resident) in the L2 — then its price is
+/// the same for every schedule, and [`replay`] computes it without one.
+fn reads_layout(geo: TraceGeometry, phase: &Phase) -> bool {
     match phase {
         Phase::Global { map, .. } | Phase::Shared { map, .. } => !map.flat,
-        Phase::TileTouches { .. } => true,
+        Phase::TileTouches { waves } => waves.resident(geo.l2_bytes).is_none(),
     }
 }
 
@@ -509,7 +530,7 @@ fn cores() -> usize {
 /// The device fields a trace replay reads, and all it reads: a global
 /// phase's sector width, a shared phase's bank geometry and a tile
 /// phase's L2 capacity. [`replay`] sees the device only through this
-/// value, and `CostModel::memo_key` renders each field into the key
+/// value, and `CostModel::phase_key` renders each field into the key
 /// segment of the phase that reads it, so no unkeyed field can reach
 /// a trace.
 #[derive(Clone, Copy, Debug)]
@@ -535,11 +556,18 @@ impl TraceGeometry {
 /// body of tier 1: a global phase's moved bytes (`l2_bytes`), the bytes
 /// past its L2 (`dram_bytes`: `misses × sector`, or every moved byte
 /// without an L2) and its L2 hits and misses; a shared phase's bank
-/// passes; a tile phase's touched and missed bytes, hits and misses.
-/// `layout` is the compiled layout, `None` only when the phase does not
-/// [read it](reads_layout).
-fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, phase: &Phase) -> TrafficCost {
-    match phase {
+/// passes; a tile phase's touched and missed bytes, hits and misses,
+/// in closed form when its stream is resident in the L2 and through the
+/// LRU tile cache otherwise — and the work the replay did. `layout` is
+/// the compiled layout, `None` only when the phase does not [read
+/// it](reads_layout).
+fn replay(
+    geo: TraceGeometry,
+    layout: Option<&ConcreteLayout>,
+    phase: &Phase,
+) -> (TrafficCost, ReplayWork) {
+    let mut work = ReplayWork::default();
+    let raw = match phase {
         Phase::Global {
             map,
             elem_bytes,
@@ -550,6 +578,7 @@ fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, phase: &Phase) ->
             let mut cache = l2.map(|m| Cache::new(m.lines, m.assoc));
             let mut sectors = Vec::with_capacity(map.warp);
             map.replay(layout, |idx| {
+                work.lanes += idx.len() as u64;
                 moved += global_warp(
                     geo.sector_bytes,
                     idx,
@@ -574,6 +603,7 @@ fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, phase: &Phase) ->
         Phase::Shared { map, .. } => {
             let mut passes = 0f64;
             map.replay(layout, |idx| {
+                work.lanes += idx.len() as u64;
                 let addrs = idx.iter().map(|&i| i * 4);
                 passes +=
                     bank_passes(addrs, idx.len(), geo.smem_banks, geo.bank_bytes).passes as f64;
@@ -583,22 +613,34 @@ fn replay(geo: TraceGeometry, layout: Option<&ConcreteLayout>, phase: &Phase) ->
                 ..TrafficCost::default()
             }
         }
-        Phase::TileTouches { waves } => {
-            let mut tiles = TileCache::new(geo.l2_bytes);
-            let mut touched = 0f64;
-            waves.replay(layout.expect("tile phases read the layout"), |id, bytes| {
-                tiles.touch(id, bytes);
-                touched += bytes as f64;
-            });
-            TrafficCost {
-                l2_bytes: touched,
-                dram_bytes: tiles.miss_bytes() as f64,
+        Phase::TileTouches { waves } => match waves.resident(geo.l2_bytes) {
+            Some(t) => TrafficCost {
+                l2_bytes: t.touched_bytes as f64,
+                dram_bytes: t.miss_bytes as f64,
                 smem_passes: 0.0,
-                hits: tiles.hits(),
-                misses: tiles.misses(),
+                hits: t.hits,
+                misses: t.misses,
+            },
+            None => {
+                let mut tiles = TileCache::new(geo.l2_bytes);
+                let mut touched = 0f64;
+                let layout = layout.expect("a stream that overflows the L2 reads the layout");
+                waves.replay(layout, |id, bytes| {
+                    tiles.touch(id, bytes);
+                    touched += bytes as f64;
+                });
+                work.tile_touches = tiles.hits() + tiles.misses();
+                TrafficCost {
+                    l2_bytes: touched,
+                    dram_bytes: tiles.miss_bytes() as f64,
+                    smem_passes: 0.0,
+                    hits: tiles.hits(),
+                    misses: tiles.misses(),
+                }
             }
-        }
-    }
+        },
+    };
+    (raw, work)
 }
 
 /// Adds one phase's unscaled totals `raw` ([`replay`]) to `tc`, times

@@ -6,6 +6,15 @@
 //! still capturing the reuse effect the grouped thread-block layout
 //! exists for.
 //!
+//! **Resident streams are not replayed.** That effect exists only when
+//! the distinct tiles overflow the cache. When they all fit, nothing is
+//! ever evicted — the resident bytes plus a missing tile never exceed
+//! the distinct bytes — so each distinct tile misses once and every
+//! other touch hits, in any order. The cost model prices such a stream
+//! in closed form ([`crate::TileWaves::resident`]) without touching
+//! this cache, and without the schedule; a test holds the closed form
+//! to this cache field for field over random pid orders.
+//!
 //! **Complexity.** Resident objects live in a slab of nodes threaded on
 //! an intrusive doubly-linked recency list (most recent at the head),
 //! beside an `id → slot` map with a cheap integer hasher. A touch is
@@ -41,20 +50,33 @@ struct Node {
     next: u32,
 }
 
-/// A hasher for `i64` ids: one folded 64×64→128-bit multiply, so both
-/// the low bits (bucket index) and the high bits (the map's control
-/// tag) depend on every bit of a dense or strided id.
+/// A cheap hasher for the simulator's maps: one folded 64×64→128-bit
+/// multiply per 8-byte word, so both the low bits (bucket index) and the
+/// high bits (the map's control tag) depend on every bit of a dense or
+/// strided id. It hashes this cache's `i64` ids in one multiply and the
+/// traffic memo's string keys ([`crate::traffic`]) a word at a time.
+/// Every key is rendered by the cost model (or re-imported from a
+/// sidecar it wrote), and each new memo key costs a trace replay, far
+/// more than a collision chain could add, so neither map needs the
+/// defence against chosen collisions that SipHash pays for.
 #[derive(Default)]
-struct IdHasher(u64);
+pub(crate) struct FoldHasher(u64);
 
-impl Hasher for IdHasher {
+impl Hasher for FoldHasher {
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
@@ -75,7 +97,7 @@ pub struct TileCache {
     used: usize,
     nodes: Vec<Node>,
     free: Vec<u32>,
-    slots: HashMap<i64, u32, BuildHasherDefault<IdHasher>>,
+    slots: HashMap<i64, u32, BuildHasherDefault<FoldHasher>>,
     /// Most recently touched resident object.
     head: u32,
     /// Least recently touched resident object: the next victim.

@@ -17,18 +17,23 @@
 //! phase reads — a global phase's sector width, a shared phase's bank
 //! count and width, a tile phase's L2 capacity — and, when the phase
 //! reads the layout, the layout's specification
-//! ([`lego_core::Layout::key`]). The phase's `scale` (how many blocks
-//! or tiles repeat its representative trace) is not in the key: the
-//! value is the phase's *unscaled* totals, a [`TrafficCost`], and a
-//! workload's traffic multiplies each by its scale while folding its
-//! phases in order. So one NW block buffer or one transpose staging
+//! ([`lego_core::Layout::key`]). A flat access map never reads it, nor
+//! does a tile phase whose distinct tiles fit the L2: such a stream is
+//! priced in closed form ([`crate::TileWaves::resident`]) because no
+//! schedule can change it, so its key ends in `|-` and every schedule
+//! of one matmul tile shape shares its entry. The phase's `scale` (how
+//! many blocks or tiles repeat its representative trace) is not in the
+//! key: the value is the phase's *unscaled* totals, a [`TrafficCost`],
+//! and a workload's traffic multiplies each by its scale while folding
+//! its phases in order. So one NW block buffer or one transpose staging
 //! tile is traced once whatever the problem size, a flat phase (which
 //! never reads the layout) is shared by every layout, and the device is
 //! not named, so two devices that agree on a phase's fields share its
 //! trace. Rendering a key reads no layout element, so a hit costs a
-//! key and a probe; only a miss compiles the layout and replays the
-//! phase. Every workload is memoizable, hand-built ones included; a
-//! workload with no phase (LUD's, whose traffic is all streamed bytes)
+//! key and a probe (hashed a word at a time, not by SipHash); only a
+//! miss replays the phase, compiling the layout if the phase reads it.
+//! Every workload is memoizable, hand-built ones included; a workload
+//! with no phase (LUD's, whose traffic is all streamed bytes)
 //! probes one entry, keyed `KEY_FORMAT` then `|-`, that holds the empty
 //! trace, so every priced workload shows in the memo statistics.
 //! `CostModel::trace` is the unmemoized pass.
@@ -40,10 +45,15 @@
 //! key starts with [`KEY_FORMAT`], so the sidecar can recognise and
 //! shed entries persisted under another key format
 //! ([`is_current_key`]). Imported entries are tracked separately so
-//! re-warm benefit is measurable ([`sidecar_stats`]).
+//! re-warm benefit is measurable ([`sidecar_stats`]). The work the
+//! replays did for a thread is counted too ([`replay_work`]), so a
+//! change to the traffic pass can be measured without a timer.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use crate::tilecache::FoldHasher;
 
 /// Trace-derived traffic totals: everything
 /// [`CostModel::price`](crate::CostModel::price) learns from replaying
@@ -66,10 +76,31 @@ pub struct TrafficCost {
     pub misses: u64,
 }
 
+/// The simulation work trace replays did: the deterministic measure of
+/// the traffic pass's cost, where a timer is noisy. Counted per thread:
+/// a batch or an unmemoized trace adds its replays' work once, on the
+/// thread that asked for it (helpers' replays included).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplayWork {
+    /// Tile touches fed through the LRU tile cache by tile phases that
+    /// do not fit the L2 (a resident stream is priced in closed form
+    /// and touches nothing).
+    pub tile_touches: u64,
+    /// Lanes of the warp accesses global and shared phases replayed.
+    pub lanes: u64,
+}
+
+impl std::ops::AddAssign for ReplayWork {
+    fn add_assign(&mut self, other: ReplayWork) {
+        self.tile_touches += other.tile_touches;
+        self.lanes += other.lanes;
+    }
+}
+
 /// The prefix of every memo key, naming its format. Change it whenever
 /// the key's rendering changes, so entries persisted under the old
 /// format read as stale instead of being carried forever.
-pub const KEY_FORMAT: &str = "v3;";
+pub const KEY_FORMAT: &str = "v4;";
 
 /// Whether `key` is in the current memo-key format ([`KEY_FORMAT`]):
 /// a key in any other format can never be probed again.
@@ -77,14 +108,33 @@ pub fn is_current_key(key: &str) -> bool {
     key.starts_with(KEY_FORMAT)
 }
 
+/// key → (traffic, from_sidecar), hashed a word at a time
+/// ([`FoldHasher`]) rather than by SipHash.
+type Memo = HashMap<String, (TrafficCost, bool), BuildHasherDefault<FoldHasher>>;
+
 thread_local! {
-    /// key → (traffic, from_sidecar).
-    static MEMO: RefCell<HashMap<String, (TrafficCost, bool)>> =
-        RefCell::new(HashMap::new());
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
     /// (hits, misses) of memo probes, one per phase priced.
     static STATS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     /// (installed, hits) attributable to sidecar-imported entries.
     static SIDECAR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Replay work done for this thread.
+    static WORK: Cell<ReplayWork> = const {
+        Cell::new(ReplayWork { tile_touches: 0, lanes: 0 })
+    };
+}
+
+/// Adds replays' work to this thread's [`replay_work`].
+pub(crate) fn count_work(work: ReplayWork) {
+    let mut total = WORK.get();
+    total += work;
+    WORK.set(total);
+}
+
+/// The replay work done for this thread so far: every traced phase of
+/// its memoized and unmemoized traffic passes.
+pub fn replay_work() -> ReplayWork {
+    WORK.get()
 }
 
 /// Probes this thread's traffic memo. Counts a hit or miss; hits on

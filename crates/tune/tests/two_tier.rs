@@ -781,3 +781,223 @@ fn traffic_batch_runs_meanwhile_once_on_the_calling_thread() {
         });
     });
 }
+
+/// The tile arm as it priced every stream before resident streams got
+/// a closed form: the stream replayed through the LRU tile cache, its
+/// bytes summed per touch.
+fn lru_tile_traffic(
+    waves: &gpu_sim::TileWaves,
+    layout: &lego_core::ConcreteLayout,
+    l2_bytes: usize,
+) -> gpu_sim::TrafficCost {
+    let mut tiles = gpu_sim::TileCache::new(l2_bytes);
+    let mut touched = 0f64;
+    waves.replay(layout, |id, bytes| {
+        tiles.touch(id, bytes);
+        touched += bytes as f64;
+    });
+    gpu_sim::TrafficCost {
+        l2_bytes: touched,
+        dram_bytes: tiles.miss_bytes() as f64,
+        smem_passes: 0.0,
+        hits: tiles.hits(),
+        misses: tiles.misses(),
+    }
+}
+
+/// The single tile phase of a matmul workload.
+fn tile_waves(wl: &gpu_sim::Workload) -> gpu_sim::TileWaves {
+    match wl.phases[..] {
+        [gpu_sim::Phase::TileTouches { waves }] => waves,
+        _ => panic!("matmul is one tile-touch phase"),
+    }
+}
+
+/// Every matmul candidate of both spaces, on every device, at every
+/// size up to the paper's n=4096: a candidate's stream is resident
+/// exactly when its `A` and `B` tiles (4n² bytes of fp16) fit the L2,
+/// as on the MI300 at n=4096, with the capacity met exactly. Every
+/// resident candidate's schedule maps its pids one-to-one onto the tile
+/// grid — what the closed form assumes — and its unmemoized traffic
+/// equals the LRU replay field for field: for every candidate at the
+/// benchmark's sizes (n ≤ 1024), and once per tile shape and device
+/// above them, where replaying every schedule would take ten times as
+/// long (the random pid orders of `gpu_sim`'s own oracle test cover
+/// the schedules).
+#[test]
+fn resident_matmul_streams_price_as_the_lru_replay() {
+    let mut resident_shapes = 0;
+    for n in [512i64, 1024, 2048, 4096] {
+        let kind = WorkloadKind::Matmul { n };
+        for scale in [SpaceScale::Legacy, SpaceScale::Enlarged] {
+            let configs = Domain::new(kind, scale).enumerate();
+            for gpu in &devices() {
+                let model = CostModel::new(gpu);
+                let fits = 4 * n * n <= gpu.l2_bytes as i64;
+                let mut replayed = Vec::new();
+                for config in &configs {
+                    let layout = lego_tune::build_layout(&kind, config).expect("matmul builds");
+                    let cand = Candidate {
+                        config: *config,
+                        expr_variant: None,
+                        index_ops: None,
+                    };
+                    let wl = lego_tune::build_workload(&kind, &cand, gpu);
+                    let waves = tile_waves(&wl);
+                    let what = format!("{config:?} n={n} on {}", gpu.tag);
+                    assert_eq!(waves.resident(gpu.l2_bytes).is_some(), fits, "{what}");
+                    if !fits {
+                        continue;
+                    }
+                    let concrete = layout.compile().expect("matmul compiles");
+                    let (rows, cols) = (waves.blocks / waves.tiles_n, waves.tiles_n);
+                    let mut seen = vec![false; waves.blocks as usize];
+                    for pid in 0..waves.blocks {
+                        let v = concrete.inv(pid).expect("pid in range");
+                        assert!(
+                            (0..rows).contains(&v[0]) && (0..cols).contains(&v[1]),
+                            "{what}"
+                        );
+                        let tile = &mut seen[(v[0] * cols + v[1]) as usize];
+                        assert!(!*tile, "{what}: two pids run one tile");
+                        *tile = true;
+                    }
+                    let new_shape = !replayed.contains(&waves);
+                    if new_shape {
+                        replayed.push(waves);
+                    }
+                    if new_shape || n <= 1024 {
+                        let want = lru_tile_traffic(&waves, &concrete, gpu.l2_bytes);
+                        assert_eq!(model.trace(&layout, &wl), want, "{what}");
+                    }
+                }
+                resident_shapes += replayed.len();
+            }
+        }
+    }
+    assert!(resident_shapes > 0);
+}
+
+/// A `rows × cols` grid layout whose `GenP` counts every call of its
+/// forward closure in `calls`: the transpose of the row-major pid
+/// order, named `name`.
+fn counted_grid(
+    rows: i64,
+    cols: i64,
+    name: &str,
+    calls: &std::sync::Arc<std::sync::atomic::AtomicUsize>,
+) -> lego_core::Layout {
+    use lego_core::{GenFns, Layout, OrderBy, Perm};
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    let counter = Arc::clone(calls);
+    let fns = GenFns {
+        name: name.into(),
+        fwd: Arc::new(move |idx: &[i64]| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            idx[1] * rows + idx[0]
+        }),
+        inv: Arc::new(move |f: i64| vec![f % rows, f / rows]),
+        fwd_sym: None,
+        inv_sym: None,
+    };
+    Layout::builder([rows, cols])
+        .order_by(OrderBy::new([Perm::gen([rows, cols], fns).unwrap()]).unwrap())
+        .build()
+        .unwrap()
+}
+
+/// A matmul whose tiles fit the L2 is priced without its schedule:
+/// every legacy `matmul(n=1024)` candidate on a fresh thread misses the
+/// memo once per tile shape, and a miss under a schedule whose closures
+/// count their calls compiles nothing — nor does a hit under a second
+/// schedule of that tile shape.
+#[test]
+fn resident_matmuls_miss_once_per_tile_shape_and_compile_nothing() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let kind = WorkloadKind::Matmul { n: 1024 };
+    for gpu in &devices() {
+        let jobs = legacy_jobs(&kind, gpu);
+        let mut shapes: Vec<gpu_sim::TileWaves> =
+            jobs.iter().map(|(_, wl)| tile_waves(wl)).collect();
+        shapes.sort_by_key(|w| (w.a_bytes, w.b_bytes, w.ksteps, w.tiles_n));
+        shapes.dedup();
+        assert!(
+            jobs.len() > shapes.len(),
+            "{}: one schedule per shape",
+            gpu.tag
+        );
+        let misses = price_in_order(gpu, &[jobs]);
+        assert_eq!(misses, [shapes.len() as u64], "{}", gpu.tag);
+    }
+    let gpu = a100();
+    let wl = gpu_sim::MatmulWaves::with_tiles(1024, (128, 64, 64)).build(&gpu);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let (first, second) = (
+        counted_grid(8, 16, "counted_grid_a", &calls),
+        counted_grid(8, 16, "counted_grid_b", &calls),
+    );
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(&gpu);
+            let traffic = [model.traffic(&first, &wl), model.traffic(&second, &wl)];
+            assert_eq!(gpu_sim::traffic_memo_stats(), (1, 1));
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                0,
+                "a resident stream compiled"
+            );
+            assert_eq!(traffic[0], traffic[1]);
+            assert_eq!(gpu_sim::replay_work().tile_touches, 0);
+        });
+    });
+}
+
+/// Where the tiles overflow the L2 the schedule decides the reuse, so
+/// the key holds the layout and the LRU prices it: two schedules of one
+/// `matmul(n=4096)` tile shape on the A100 miss apart, a repeat hits,
+/// and the miss compiles the layout and feeds its stream through the
+/// tile cache.
+#[test]
+fn an_overflowing_matmul_is_still_keyed_by_its_layout() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let gpu = a100();
+    let kind = WorkloadKind::Matmul { n: 4096 };
+    let shape = |wl: &gpu_sim::Workload| {
+        let w = tile_waves(wl);
+        (w.a_bytes, w.b_bytes, w.ksteps)
+    };
+    let jobs = legacy_jobs(&kind, &gpu);
+    let (layout, wl) = &jobs[0];
+    let same: Vec<_> = jobs.iter().filter(|(_, w)| shape(w) == shape(wl)).collect();
+    assert!(same.len() > 1, "one schedule for {:?}", shape(wl));
+    let other = &same[1].0;
+    let waves = tile_waves(wl);
+    assert_eq!(waves.resident(gpu.l2_bytes), None);
+    let grid = (waves.blocks / waves.tiles_n, waves.tiles_n);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = counted_grid(grid.0, grid.1, "counted_grid", &calls);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(&gpu);
+            let traffic = [layout, other, layout].map(|l| model.traffic(l, wl));
+            assert_eq!(gpu_sim::traffic_memo_stats(), (1, 2));
+            let touches = gpu_sim::replay_work().tile_touches;
+            assert_eq!(
+                touches,
+                2 * 2 * (waves.blocks * waves.ksteps) as u64,
+                "two misses"
+            );
+            assert_eq!(traffic, [layout, other, layout].map(|l| model.trace(l, wl)));
+            model.traffic(&counted, wl);
+            assert_eq!(gpu_sim::traffic_memo_stats(), (1, 3));
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                waves.blocks as usize,
+                "the miss compiled"
+            );
+        });
+    });
+}
