@@ -123,7 +123,8 @@ impl<'a> CostModel<'a> {
     ///
     /// When a phase reads the layout and the layout does not compile
     /// (symbolic dims, or on a miss a broken `GenP`): a traced layout
-    /// must be concrete.
+    /// must be concrete. When a tile phase's layout does not view its
+    /// `rows × tiles_n` tile grid, whether or not the phase reads it.
     pub fn traffic(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
         self.traffic_batch(&[(layout, workload)], || ()).0[0]
     }
@@ -138,6 +139,9 @@ impl<'a> CostModel<'a> {
     /// As [`traffic`](CostModel::traffic).
     pub fn trace(&self, layout: &Layout, workload: &Workload) -> TrafficCost {
         let geo = TraceGeometry::of(self.cfg);
+        for phase in &workload.phases {
+            check_schedule(layout, phase);
+        }
         let compiled = workload
             .phases
             .iter()
@@ -401,6 +405,7 @@ impl<'a> CostModel<'a> {
                 }
             }
             for (p, phase) in wl.phases.iter().enumerate() {
+                check_schedule(layout, phase);
                 Self::phase_key(geo, phase, &layout_key, &mut key);
                 let source = if let Some(q) = queued.iter().position(|(k, ..)| *k == key) {
                     traffic::count_queued_hit();
@@ -505,6 +510,30 @@ fn reads_layout(geo: TraceGeometry, phase: &Phase) -> bool {
     match phase {
         Phase::Global { map, .. } | Phase::Shared { map, .. } => !map.flat,
         Phase::TileTouches { waves } => waves.resident(geo.l2_bytes).is_none(),
+    }
+}
+
+/// Checks what can be checked of a tile phase's schedule without
+/// compiling it: the layout's view is the phase's `rows × tiles_n`
+/// tile grid ([`TileWaves`](crate::TileWaves)). A resident stream is
+/// priced and keyed without the layout, on the promise that the layout
+/// maps the pids one-to-one onto that grid, so a layout built for
+/// another tile shape would otherwise pass unnoticed.
+///
+/// # Panics
+///
+/// When a tile phase's layout does not view its tile grid.
+fn check_schedule(layout: &Layout, phase: &Phase) {
+    if let Phase::TileTouches { waves } = phase {
+        let grid = [waves.blocks / waves.tiles_n.max(1), waves.tiles_n];
+        let view = layout.view().dims();
+        assert!(
+            view.len() == 2 && view.iter().zip(grid).all(|(d, g)| d.as_const() == Some(g)),
+            "tile schedule views {:?}, not the {}x{} tile grid",
+            layout.view(),
+            grid[0],
+            grid[1]
+        );
     }
 }
 

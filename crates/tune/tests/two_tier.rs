@@ -1001,3 +1001,33 @@ fn an_overflowing_matmul_is_still_keyed_by_its_layout() {
         });
     });
 }
+
+/// A resident stream's price never reads its schedule, so a schedule
+/// built for another tile grid would price silently as a perfect one:
+/// `traffic` (a miss and a hit of the shared entry) and `trace` refuse
+/// a layout that does not view the phase's `rows × tiles_n` grid.
+#[test]
+fn a_resident_matmul_refuses_a_schedule_of_another_grid() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+    let gpu = a100();
+    let wl = gpu_sim::MatmulWaves::with_tiles(1024, (128, 64, 64)).build(&gpu);
+    let waves = tile_waves(&wl);
+    assert!(waves.resident(gpu.l2_bytes).is_some());
+    let calls = Arc::new(AtomicUsize::new(0));
+    let fits = counted_grid(8, 16, "counted_grid", &calls);
+    let transposed = counted_grid(16, 8, "counted_grid", &calls);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let model = CostModel::new(&gpu);
+            let refused = |price: &dyn Fn() -> gpu_sim::TrafficCost| {
+                catch_unwind(AssertUnwindSafe(price)).is_err()
+            };
+            assert!(refused(&|| model.traffic(&transposed, &wl)), "miss");
+            model.traffic(&fits, &wl);
+            assert!(refused(&|| model.traffic(&transposed, &wl)), "hit");
+            assert!(refused(&|| model.trace(&transposed, &wl)), "trace");
+        });
+    });
+}
