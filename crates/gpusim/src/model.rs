@@ -362,8 +362,11 @@ impl<'a> CostModel<'a> {
     /// first (spawned threads would see fresh thread-locals), under its
     /// own key (see [`crate::traffic`]; a job with no phase probes the
     /// entry of the empty trace); a key already queued by an earlier job
-    /// of the batch counts as a hit and waits for that trace. A job is traced only when it queued a phase, and
-    /// then only those phases, compiling its layout on the thread that
+    /// of the batch counts as a hit and waits for that trace. A missed
+    /// tile phase that is [resident](crate::TileWaves::resident) in the
+    /// L2 is priced in closed form on the spot and recorded at once, so
+    /// it queues nothing and starts no helper. A job is traced only when
+    /// it queued a phase, and then only those phases, compiling its layout on the thread that
     /// replays it when one of them reads it. The traced jobs form one
     /// queue behind an atomic cursor: when two or more are queued,
     /// `cores − 1` scoped helpers start on it, the calling thread runs
@@ -411,6 +414,11 @@ impl<'a> CostModel<'a> {
                     traffic::count_queued_hit();
                     Source::Queued(q)
                 } else if let Some(raw) = traffic::lookup(&key) {
+                    Source::Memo(raw)
+                } else if let Some(raw) = resident(geo, phase) {
+                    // Priced in closed form here: nothing to trace, so
+                    // no helper starts for it.
+                    traffic::insert(key.clone(), raw);
                     Source::Memo(raw)
                 } else {
                     queued.push((key.clone(), j, p));
@@ -642,14 +650,8 @@ fn replay(
                 ..TrafficCost::default()
             }
         }
-        Phase::TileTouches { waves } => match waves.resident(geo.l2_bytes) {
-            Some(t) => TrafficCost {
-                l2_bytes: t.touched_bytes as f64,
-                dram_bytes: t.miss_bytes as f64,
-                smem_passes: 0.0,
-                hits: t.hits,
-                misses: t.misses,
-            },
+        Phase::TileTouches { waves } => match resident(geo, phase) {
+            Some(raw) => raw,
             None => {
                 let mut tiles = TileCache::new(geo.l2_bytes);
                 let mut touched = 0f64;
@@ -670,6 +672,23 @@ fn replay(
         },
     };
     (raw, work)
+}
+
+/// A tile phase's unscaled totals in closed form, when its stream is
+/// [resident](crate::TileWaves::resident) in the L2 of `geo`: no replay
+/// and no layout. `None` for any other phase.
+fn resident(geo: TraceGeometry, phase: &Phase) -> Option<TrafficCost> {
+    let Phase::TileTouches { waves } = phase else {
+        return None;
+    };
+    let t = waves.resident(geo.l2_bytes)?;
+    Some(TrafficCost {
+        l2_bytes: t.touched_bytes as f64,
+        dram_bytes: t.miss_bytes as f64,
+        smem_passes: 0.0,
+        hits: t.hits,
+        misses: t.misses,
+    })
 }
 
 /// Adds one phase's unscaled totals `raw` ([`replay`]) to `tc`, times
