@@ -48,14 +48,6 @@
 //! sidecar-warmed one re-times from the persisted traffic memo, and
 //! the two must price bit-identically.
 //!
-//! A **small-domain** phase runs the persist-mix benchmark's anneal-64
-//! request on the shapes whose enlarged domain fits that budget
-//! ([`SMALL_DOMAIN_SHAPES`]): one warm-up search, then a timed warm one.
-//! Each `small-domain <shape>` row reports the warm search time and its
-//! evaluation count. The phase checks, deterministically, that the
-//! search swept the domain (`evaluated == domain.len()`) and answered
-//! the exhaustive-enlarged winner; it does not gate on time.
-//!
 //! A **cold-search pass** phase tunes the benchmark's 39 `cold-search`
 //! keys (13 exhaustive shapes on three devices) in a fixed order on a
 //! fresh thread, twice. The `cold-search-pass` row reports each pass's
@@ -108,62 +100,6 @@ fn workloads() -> Vec<WorkloadKind> {
             n: 1024,
         },
     ]
-}
-
-/// Persist-mix anneal shapes whose enlarged domain fits the anneal
-/// budget of 64, so the budgeted search sweeps them.
-const SMALL_DOMAIN_SHAPES: [&str; 4] = [
-    "nw(n=64,b=16)",
-    "nw(n=112,b=16)",
-    "lud(n=256,bs=16)",
-    "softmax(m=256,n=1024)",
-];
-
-/// The persist-mix anneal budget.
-const SMALL_DOMAIN_BUDGET: usize = 64;
-
-/// Runs anneal-64 on a small-domain shape twice (the second warm) and
-/// returns its summary row, after checking that the search swept the
-/// domain and answered the exhaustive-enlarged winner.
-fn small_domain_row(shape: &str, device: &GpuConfig) -> Json {
-    let kind = WorkloadKind::parse(shape).expect("small-domain shape parses");
-    let len = Domain::new(kind, SpaceScale::Enlarged).len();
-    let truth = Tuner::new(device.clone())
-        .with_space(SpaceScale::Enlarged)
-        .tune(&kind)
-        .expect("exhaustive search");
-    let tuner = Tuner::new(device.clone())
-        .with_strategy(Strategy::Anneal)
-        .with_budget(Budget(SMALL_DOMAIN_BUDGET));
-    tuner.tune(&kind).expect("warm-up anneal search");
-    let t = Instant::now();
-    let r = tuner.tune(&kind).expect("anneal search");
-    let warm_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        r.evaluated, len,
-        "{shape}: anneal-{SMALL_DOMAIN_BUDGET} did not sweep its {len}-point domain"
-    );
-    assert_eq!(
-        r.config, truth.config,
-        "{shape}: anneal-{SMALL_DOMAIN_BUDGET} missed the exhaustive winner"
-    );
-    println!(
-        "{:<22} {:>6} points  warm anneal-{SMALL_DOMAIN_BUDGET} {:.3}ms  {} evaluated  winner {}",
-        shape,
-        len,
-        warm_s * 1e3,
-        r.evaluated,
-        r.config,
-    );
-    Json::obj([
-        ("workload", Json::Str(format!("small-domain {shape}"))),
-        ("device", Json::Str(device.tag.to_string())),
-        ("domain_len", Json::Int(len as i64)),
-        ("anneal_budget", Json::Int(SMALL_DOMAIN_BUDGET as i64)),
-        ("anneal_evaluated", Json::Int(r.evaluated as i64)),
-        ("anneal_warm_ms", Json::Num(warm_s * 1e3)),
-        ("matches_exhaustive", Json::Bool(true)),
-    ])
 }
 
 /// Hit rate of a `(hits, misses)` pair, `0.0` when idle.
@@ -855,11 +791,6 @@ fn main() {
     ]));
     if !keep_sidecar {
         let _ = std::fs::remove_file(&sidecar_path);
-    }
-
-    println!("-- small domains: warm anneal-{SMALL_DOMAIN_BUDGET} sweeps --");
-    for shape in SMALL_DOMAIN_SHAPES {
-        rows.push(small_domain_row(shape, &device));
     }
 
     println!("-- cold-search pass: the benchmark's cold keys on fresh threads --");

@@ -18,10 +18,11 @@
 //! Everything is `std`-only: `std::net::TcpListener` plus a fixed
 //! worker-thread pool — no async runtime.
 //!
-//! Binaries: `lego-served` (the daemon) and `lego-served-load` (a load
-//! generator that emits `BENCH_served.json`). Programs embed the daemon
+//! The binary is `lego-served` (the daemon). Programs embed the daemon
 //! through [`server::Server`] and talk to one through
-//! [`client::Client`].
+//! [`client::Client`]. `tests/service.rs` drives a real daemon on an
+//! ephemeral port (herd coalescing, the memory tier, sidecar rewarm);
+//! the repository's `perfbench` package measures it under load.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -319,9 +319,8 @@ impl TuneService {
     /// `Searched`; followers of a failed search report `Coalesced`).
     pub fn resolve(&self, req: &TuneRequest) -> (Result<Served, String>, Tier) {
         let cache_key = req.cache_key();
-        let coalesce_key = req.coalesce_key();
 
-        let slot = {
+        let (slot, coalesce_key) = {
             let mut tiers = self.tiers();
 
             // Tier 1: completed results in memory.
@@ -331,7 +330,10 @@ impl TuneService {
                 }
             }
 
-            // Tier 2: an identical search already in flight.
+            // Tier 2: an identical search already in flight. The
+            // coalescing key re-renders the cache key, so a memory hit
+            // never pays for it.
+            let coalesce_key = req.coalesce_key();
             if let Some(slot) = tiers.inflight.get(&coalesce_key) {
                 let slot = Arc::clone(slot);
                 drop(tiers);
@@ -341,7 +343,7 @@ impl TuneService {
             tiers
                 .inflight
                 .insert(coalesce_key.clone(), Arc::clone(&slot));
-            slot
+            (slot, coalesce_key)
         };
 
         // Tier 3: we are the runner. The entry enters the memory tier

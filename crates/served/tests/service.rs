@@ -1,5 +1,6 @@
 //! End-to-end tests against a real daemon on an ephemeral port.
 
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 
@@ -43,33 +44,56 @@ fn shutdown_and_join(server: Server) {
     server.join().expect("drain and flush");
 }
 
+/// Tunes each `(workload, device)` key once over `clients` concurrent
+/// connections (key `i` on connection `i % clients`, all released by
+/// one barrier) and returns the response lines in key order.
+fn tune_concurrently(addr: SocketAddr, keys: &[(&str, &str)], clients: usize) -> Vec<String> {
+    let barrier = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let barrier = Arc::clone(&barrier);
+            let lines: Vec<(usize, String)> = keys
+                .iter()
+                .enumerate()
+                .skip(c)
+                .step_by(clients)
+                .map(|(i, (workload, device))| {
+                    let line = format!(
+                        "{{\"verb\":\"tune\",\"workload\":\"{workload}\",\"device\":\"{device}\"}}"
+                    );
+                    (i, line)
+                })
+                .collect();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                barrier.wait();
+                lines
+                    .into_iter()
+                    .map(|(i, line)| (i, client.roundtrip_line(&line).expect("tune roundtrip")))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut responses = vec![String::new(); keys.len()];
+    for handle in handles {
+        for (i, line) in handle.join().expect("client") {
+            responses[i] = line;
+        }
+    }
+    responses
+}
+
 #[test]
 fn herd_of_sixteen_coalesces_onto_one_search() {
     const HERD: usize = 16;
     let (server, cache) = start("herd", HERD);
-    let addr = server.local_addr();
     let service = server.service();
 
-    let barrier = Arc::new(Barrier::new(HERD));
-    let handles: Vec<_> = (0..HERD)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                barrier.wait();
-                client
-                    .roundtrip_line(
-                        "{\"verb\":\"tune\",\"workload\":\"nw(n=448,b=16)\",\
-                         \"device\":\"h100\"}",
-                    )
-                    .expect("tune roundtrip")
-            })
-        })
-        .collect();
-    let lines: Vec<String> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client"))
-        .collect();
+    let lines = tune_concurrently(
+        server.local_addr(),
+        &[("nw(n=448,b=16)", "h100"); HERD],
+        HERD,
+    );
 
     assert_eq!(
         service.metrics().searches_run(),
@@ -249,6 +273,17 @@ fn a_swept_domain_serves_a_larger_budget_from_memory() {
     shutdown_and_join(server);
 }
 
+/// `server`'s count of requests answered by `tier`.
+fn tier_count(server: &Server, tier: &str) -> Option<i64> {
+    server
+        .service()
+        .metrics()
+        .to_json()
+        .get("tiers")
+        .and_then(|t| t.get(tier))
+        .and_then(Json::as_i64)
+}
+
 fn service_errors(server: &Server) -> i64 {
     server
         .service()
@@ -391,57 +426,77 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
     let _ = std::fs::remove_file(&cache);
 }
 
+/// A pool of distinct cold keys over three families and two devices
+/// (one workload on both), sent by concurrent clients: each key is one
+/// fresh search, a replay is all memory-tier hits, and a daemon
+/// restarted on a fresh cache but the first daemon's memo sidecar
+/// searches every key again, answering the cold bytes from re-warmed
+/// memo tables.
 #[test]
 fn sidecar_rewarm_reproduces_results_and_reports_warm_hits() {
+    const CLIENTS: usize = 3;
+    const KEYS: [(&str, &str); 8] = [
+        ("transpose(n=288)", "a100"),
+        ("transpose(n=288)", "h100"),
+        ("transpose(n=256)", "h100"),
+        ("softmax(m=8,n=256)", "a100"),
+        ("softmax(m=16,n=256)", "h100"),
+        ("nw(n=64,b=16)", "a100"),
+        ("nw(n=80,b=16)", "h100"),
+        ("transpose(n=272)", "a100"),
+    ];
+    let keys = KEYS.len() as i64;
     let cache1 = temp_cache("sidecar_cold");
     let sidecar = std::env::temp_dir().join(format!(
         "lego_served_test_sidecar_{}.txt",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&sidecar);
+    let start_on = |cache: &PathBuf| {
+        Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: CLIENTS,
+            cache: Some(cache.clone()),
+            sidecar: Some(sidecar.clone()),
+            device_default: gpu_sim::a100(),
+        })
+        .expect("bind daemon")
+    };
 
-    // Run one search cold and shut down: the flush must leave a
-    // sidecar behind.
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        cache: Some(cache1.clone()),
-        sidecar: Some(sidecar.clone()),
-        device_default: gpu_sim::a100(),
-    })
-    .expect("bind cold daemon");
-    let spec = TuneSpec::workload("transpose(n=288)");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let cold = client.tune(&spec).expect("cold tune");
-    assert!(is_ok(&cold));
+    // Every distinct cold key is a fresh search; a replay is served
+    // from the memory tier with the same bytes. The shutdown flush
+    // must leave a sidecar behind.
+    let server = start_on(&cache1);
+    let cold = tune_concurrently(server.local_addr(), &KEYS, CLIENTS);
+    for (line, key) in cold.iter().zip(KEYS) {
+        assert!(is_ok(&Json::parse(line).expect("JSON")), "{key:?}: {line}");
+    }
+    assert_eq!(tier_count(&server, "searched"), Some(keys));
+    let replay = tune_concurrently(server.local_addr(), &KEYS, CLIENTS);
+    assert_eq!(replay, cold, "a replay must serve the cold bytes");
+    assert_eq!(tier_count(&server, "memory"), Some(keys));
+    assert_eq!(tier_count(&server, "searched"), Some(keys));
     shutdown_and_join(server);
     assert!(sidecar.exists(), "shutdown must flush the memo sidecar");
 
-    // Restart against a FRESH cache (forcing a real search) but the
-    // same sidecar: the search must reproduce the cold result
+    // Restart against a FRESH cache (forcing real searches) but the
+    // same sidecar: the searches must reproduce the cold results
     // byte-identically and be served from re-warmed memo tables.
     let cache2 = temp_cache("sidecar_rewarm");
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        cache: Some(cache2.clone()),
-        sidecar: Some(sidecar.clone()),
-        device_default: gpu_sim::a100(),
-    })
-    .expect("bind rewarmed daemon");
-    let mut client = Client::connect(server.local_addr()).expect("reconnect");
-    let rewarmed = client.tune(&spec).expect("rewarmed tune");
+    let server = start_on(&cache2);
+    let rewarmed = tune_concurrently(server.local_addr(), &KEYS, CLIENTS);
+    for ((cold, rewarmed), key) in cold.iter().zip(&rewarmed).zip(KEYS) {
+        assert_eq!(
+            cold, rewarmed,
+            "{key:?}: a sidecar-warmed search must reproduce the cold result byte-identically"
+        );
+    }
     assert_eq!(
-        cold.render(),
-        rewarmed.render(),
-        "a sidecar-warmed search must reproduce the cold result byte-identically"
+        tier_count(&server, "searched"),
+        Some(keys),
+        "the fresh cache must force a real search of every key"
     );
-    assert_eq!(
-        server.service().metrics().searches_run(),
-        1,
-        "the fresh cache must force a real search"
-    );
-    let metrics = client.metrics().expect("metrics");
+    let metrics = server.service().metrics().to_json();
     assert!(
         metrics
             .get("sidecar_installed")
@@ -456,7 +511,7 @@ fn sidecar_rewarm_reproduces_results_and_reports_warm_hits() {
             .and_then(Json::as_i64)
             .unwrap()
             > 0,
-        "the rewarmed search must hit installed entries"
+        "the rewarmed searches must hit installed entries"
     );
 
     shutdown_and_join(server);
@@ -656,16 +711,6 @@ fn bad_fleet_requests_error_and_the_daemon_keeps_serving() {
 fn cache_tier_answers_the_bytes_of_a_restarted_daemon() {
     const WORKLOAD: &str = "softmax(m=64,n=256)";
     const TUNE: &str = "{\"verb\":\"tune\",\"workload\":\"softmax(m=64,n=256)\"}";
-    let tier_count = |server: &Server, tier: &str| {
-        server
-            .service()
-            .metrics()
-            .to_json()
-            .get("tiers")
-            .and_then(|t| t.get(tier))
-            .and_then(Json::as_i64)
-    };
-
     let (server, cache) = start("cache_tier", 2);
     assert_eq!(server.service().memory_len(), 0, "nothing to preload");
     let kind = lego_tune::WorkloadKind::parse(WORKLOAD).expect("workload");

@@ -58,7 +58,7 @@ use lego_codegen::tuning::TunedConfig;
 use crate::domain::Domain;
 use crate::rng::Rng;
 use crate::space::{add_index_term, build_layout, unannotated_workload, Candidate, WorkloadKind};
-use crate::tuner::TuneError;
+use crate::tuner::{check_workload, TuneError};
 
 /// Maximum number of unique configurations a search may score. The
 /// default (2000) comfortably covers every built-in enlarged space.
@@ -389,7 +389,10 @@ pub const FRONTIER_K: usize = 8;
 ///
 /// # Errors
 ///
-/// [`TuneError::Layout`] when the domain's default does not build.
+/// [`TuneError::Invalid`] when the domain's workload fails
+/// [`WorkloadKind::validate`] (the refusal [`crate::Tuner::tune_entry`]
+/// gives); [`TuneError::Layout`] when the domain's default does not
+/// build.
 pub fn run_search(
     strategy: Strategy,
     domain: &Domain,
@@ -398,6 +401,7 @@ pub fn run_search(
     seed_key: &str,
     warm_start: &[TunedConfig],
 ) -> Result<SearchOutcome, TuneError> {
+    check_workload(&domain.kind)?;
     let mut rng = Rng::from_key(&format!("{seed_key}|{}", strategy.name()));
     // Traffic-memo probes all land on this thread (`traffic_batch` looks
     // keys up before fanning out), so the stat delta around the search
@@ -715,6 +719,28 @@ mod tests {
         // A batch mixing seen and fresh configs charges only the fresh.
         eval.score(&all[48..80], false);
         assert_eq!(eval.entries.len(), 80);
+    }
+
+    /// `run_search` refuses a workload too small to price, with the
+    /// refusal `Tuner::tune_entry` gives, instead of a winner priced at
+    /// launch overhead alone.
+    #[test]
+    fn run_search_refuses_an_undersized_workload() {
+        let gpu = gpu_sim::a100();
+        let kind = WorkloadKind::Matmul { n: 33 };
+        let key = cache_key(&kind.name(), kind.pricing_mode(), &gpu);
+        let domain = Domain::new(kind, SpaceScale::Legacy);
+        let want = crate::Tuner::new(gpu.clone())
+            .tune_entry(&kind)
+            .expect_err("the tuner refuses matmul(n=33)")
+            .to_string();
+        for strategy in [Strategy::Exhaustive, Strategy::Anneal, Strategy::Genetic] {
+            match run_search(strategy, &domain, &gpu, Budget::default(), &key, &[]) {
+                Err(e @ TuneError::Invalid(_)) => assert_eq!(e.to_string(), want, "{strategy}"),
+                Err(e) => panic!("{strategy}: matmul(n=33) failed otherwise: {e}"),
+                Ok(_) => panic!("{strategy}: matmul(n=33) was not refused"),
+            }
+        }
     }
 
     /// The walks themselves reach the legacy exhaustive optimum when

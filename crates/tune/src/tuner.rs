@@ -52,6 +52,12 @@ impl From<std::io::Error> for TuneError {
     }
 }
 
+/// Refuses a workload that fails [`WorkloadKind::validate`], naming it.
+pub(crate) fn check_workload(kind: &WorkloadKind) -> Result<(), TuneError> {
+    kind.validate()
+        .map_err(|e| TuneError::Invalid(format!("{}: {e}", kind.name())))
+}
+
 /// The outcome of tuning one workload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneResult {
@@ -225,9 +231,8 @@ impl Tuner {
     /// [`TuneError::Invalid`] when the workload fails its checks;
     /// otherwise as [`Tuner::tune`].
     pub fn tune_entry(&self, kind: &WorkloadKind) -> Result<(TuneResult, CachedTuning), TuneError> {
+        check_workload(kind)?;
         let workload = kind.name();
-        kind.validate()
-            .map_err(|e| TuneError::Invalid(format!("{workload}: {e}")))?;
         let key = cache_key(&workload, kind.pricing_mode(), &self.gpu);
         let hit = self.cache.as_ref().and_then(|cache| cache.lookup(&key));
         if let Some(hit) = hit.filter(|hit| self.satisfied_by(hit)) {
