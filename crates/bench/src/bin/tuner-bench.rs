@@ -18,10 +18,7 @@
 //!   geometry traced) then warm (every price served from the traffic
 //!   memo and re-assembled) — asserting bit-identical estimates, a
 //!   warm pass that replays no trace ([`gpu_sim::replay_work`]) and a
-//!   ≥ 2× warm speedup on the variant-heavy rowwise space, whose cold
-//!   pass replays its access maps (this matmul's tiles fit the L2, so
-//!   its cold pass is priced in closed form and replays nothing; the
-//!   paper-size phase gates a matmul that overflows it), plus a
+//!   rowwise cold pass that replays its access maps, plus a
 //!   bound-pruned exhaustive search over the enlarged domain reporting
 //!   its pruned count and traffic hit rate,
 //!
@@ -29,24 +26,10 @@
 //! from [`lego_expr::intern::stats`]. Results land in
 //! `BENCH_tuner[_<device>].json` (`--device a100|h100|mi300`), uploaded
 //! by CI next to the paper-table artifacts so the tuner's throughput
-//! finally has its own trajectory.
-//!
-//! A final **sidecar** phase persists the run's answers — candidate
-//! annotations and traffic geometries — into the cross-session memo
-//! sidecar (`--sidecar PATH`, or a temp file removed afterwards) and
-//! replays the full enumeration twice on fresh threads — a fresh thread
-//! owns a fresh thread-local arena and an empty annotation cache, the
-//! closest a single process gets to a restart. The cold replay
-//! re-derives everything; the warmed replay installs the sidecar first
-//! and answers every annotation from it. The phase asserts the two
-//! produce byte-identical per-candidate results and that the warmed
-//! replay's candidates/second is at least the cold one's, and emits a
-//! `sidecar-rewarm` summary row (`cold_process_candidates_per_s`,
-//! `sidecar_candidates_per_s`, `sidecar_speedup`, load time, entry and
-//! annotation warm-hit counts). A matching `traffic-rewarm` row replays the
-//! pricing jobs the same way: a cold process traces every geometry, a
-//! sidecar-warmed one re-times from the persisted traffic memo, and
-//! the two must price bit-identically.
+//! has its own trajectory. Rates are reported, never compared with
+//! each other: wall-clock pairs are noisy, so the asserts check counts
+//! and identities, and the tests (`two_tier`, `sidecar_persistence`,
+//! `lego_tune::sidecar`) pin the memo and sidecar contracts.
 //!
 //! A **cold-search pass** phase tunes the benchmark's 39 `cold-search`
 //! keys (13 exhaustive shapes on three devices) in a fixed order on a
@@ -63,11 +46,7 @@
 //! fresh thread. One `matmul-paper-n<N>` row per size; the run fails
 //! when the n=4096 search takes [`PAPER_SEARCH_GATE_S`] or more, or
 //! touches no tile: its tiles overflow the A100's L2, so the LRU must
-//! simulate its schedules. For n=4096 a `matmul-paper-n4096-two-tier`
-//! row then prices the legacy jobs cold and warm on a fresh thread and
-//! fails unless the cold pass fed tiles through the LRU and the warm
-//! pass is at least 2× faster: the memo's gate where a matmul's cold
-//! pricing still replays.
+//! simulate its schedules.
 
 use std::time::Instant;
 
@@ -79,7 +58,7 @@ use lego_expr::intern::stats as arena_stats;
 use lego_tune::space::annotate_cache_stats;
 use lego_tune::{
     build_layout, build_workload, run_search, Budget, Candidate, Domain, Json, RowwiseOp,
-    SpaceScale, Strategy, Tuner, WorkloadKind,
+    SearchOutcome, SpaceScale, Strategy, Tuner, WorkloadKind,
 };
 
 /// The benchmarked workload instances (gate-sized: every legacy tile
@@ -140,56 +119,65 @@ fn pricing_jobs(kind: &WorkloadKind, device: &GpuConfig) -> Vec<(Layout, Workloa
         .collect()
 }
 
-/// Prices every workload's legacy jobs once on the calling thread:
-/// `(jobs, seconds, estimates, traffic (hits, misses))`. On a fresh
-/// `std::thread` the traffic memo starts empty, so this is the
-/// cold-process stand-in for the pricing tier — unless a sidecar
-/// installed its geometries first.
-fn fresh_pricing(kinds: &[WorkloadKind], device: &GpuConfig) -> (usize, f64, Vec<Estimate>, f64) {
-    let jobs: Vec<(Layout, Workload)> =
-        kinds.iter().flat_map(|k| pricing_jobs(k, device)).collect();
-    let model = CostModel::new(device);
-    let t = Instant::now();
-    let ests: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
-    let secs = t.elapsed().as_secs_f64();
-    let (h, m) = gpu_sim::traffic_memo_stats();
-    (jobs.len(), secs, ests, rate(h, m))
-}
-
-/// A two-tier pricing measurement ([`two_tier_pricing`]).
-struct TwoTier {
+/// A kind's pricing phase ([`pricing_phase`]).
+struct Pricing {
+    jobs: usize,
     cold_s: f64,
     warm_s: f64,
     /// What the cold pass replayed; the warm pass replays nothing.
     cold_work: ReplayWork,
+    /// Traffic-memo hit rate over both passes.
+    hit_rate: f64,
+    /// The bound-pruned exhaustive search over the enlarged domain.
+    exhaustive: SearchOutcome,
 }
 
-/// Prices `jobs` twice on the calling thread, which must be fresh (its
-/// traffic memo and work counters start empty): cold, every geometry
-/// traced, then warm, every price served from the memo the cold pass
-/// filled. Checks the warm pass prices bit-identically and replays no
-/// trace.
-fn two_tier_pricing(jobs: &[(Layout, Workload)], device: &GpuConfig) -> TwoTier {
-    let model = CostModel::new(device);
-    let pass = || {
-        let t = Instant::now();
-        let ests: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
-        (ests, t.elapsed().as_secs_f64())
-    };
-    let (cold, cold_s) = pass();
-    let cold_work = gpu_sim::replay_work();
-    let (warm, warm_s) = pass();
-    assert_eq!(cold, warm, "warm re-pricing diverged from the cold trace");
-    assert_eq!(
-        gpu_sim::replay_work(),
-        cold_work,
-        "warm re-pricing replayed a trace the memo holds"
-    );
-    TwoTier {
-        cold_s,
-        warm_s,
-        cold_work,
-    }
+/// Prices a kind's legacy jobs twice on a fresh thread (its traffic
+/// memo and work counters start empty): cold, every geometry traced,
+/// then warm, every price served from the memo the cold pass filled.
+/// Checks the warm pass prices bit-identically and replays no trace,
+/// then runs the bound-pruned exhaustive search over the enlarged
+/// domain there while the memo is hot.
+fn pricing_phase(kind: WorkloadKind, device: &GpuConfig) -> Pricing {
+    let jobs = pricing_jobs(&kind, device);
+    let device = device.clone();
+    std::thread::spawn(move || {
+        let model = CostModel::new(&device);
+        let pass = || {
+            let t = Instant::now();
+            let ests: Vec<Estimate> = jobs.iter().map(|(l, w)| model.price(l, w)).collect();
+            (ests, t.elapsed().as_secs_f64())
+        };
+        let (cold, cold_s) = pass();
+        let cold_work = gpu_sim::replay_work();
+        let (warm, warm_s) = pass();
+        assert_eq!(cold, warm, "warm re-pricing diverged from the cold trace");
+        assert_eq!(
+            gpu_sim::replay_work(),
+            cold_work,
+            "warm re-pricing replayed a trace the memo holds"
+        );
+        let (h, m) = gpu_sim::traffic_memo_stats();
+        let exhaustive = run_search(
+            Strategy::Exhaustive,
+            &Domain::new(kind, SpaceScale::Enlarged),
+            &device,
+            Budget::default(),
+            "tuner-bench",
+            &[],
+        )
+        .expect("exhaustive search");
+        Pricing {
+            jobs: jobs.len(),
+            cold_s,
+            warm_s,
+            cold_work,
+            hit_rate: rate(h, m),
+            exhaustive,
+        }
+    })
+    .join()
+    .expect("pricing thread")
 }
 
 /// The shapes of the benchmark's `cold-search` key pool (its
@@ -331,80 +319,8 @@ fn paper_matmul_row(n: i64) -> (Json, f64, u64) {
     (row, search_s, touches)
 }
 
-/// The two-tier pricing gate on the paper-size matmul at `n` on the
-/// A100 model, whose tiles overflow its L2 (n ≥ 4096): the legacy jobs
-/// priced cold and warm on a fresh thread ([`two_tier_pricing`]). The
-/// cold pass feeds every schedule through the LRU, so the memoized
-/// traffic pass must at least double pricing throughput.
-fn paper_two_tier_row(n: i64) -> Json {
-    let device = gpu_sim::a100();
-    let jobs = pricing_jobs(&WorkloadKind::Matmul { n }, &device);
-    let (jobs_n, tag) = (jobs.len(), device.tag.to_string());
-    let tiers = std::thread::spawn(move || two_tier_pricing(&jobs, &device))
-        .join()
-        .expect("paper-size pricing thread");
-    let cold = per_second(jobs_n, tiers.cold_s);
-    let warm = per_second(jobs_n, tiers.warm_s);
-    println!(
-        "{:<22} {:>6} jobs  cold {cold:.0} evals/s  warm {warm:.0} evals/s \
-         ({:.0}x, {} cold tile touches)",
-        "  two-tier pricing",
-        jobs_n,
-        warm / cold.max(1e-9),
-        tiers.cold_work.tile_touches,
-    );
-    assert!(
-        tiers.cold_work.tile_touches > 0,
-        "matmul(n={n}): cold pricing fed no tile through the LRU"
-    );
-    assert!(
-        warm >= 2.0 * cold,
-        "matmul(n={n}): two-tier pricing below 2x ({warm:.0} vs {cold:.0} evals/s)"
-    );
-    Json::obj([
-        ("workload", Json::Str(format!("matmul-paper-n{n}-two-tier"))),
-        ("device", Json::Str(tag)),
-        ("pricing_jobs", Json::Int(jobs_n as i64)),
-        ("pricing_cold_s", Json::Num(tiers.cold_s)),
-        ("pricing_warm_s", Json::Num(tiers.warm_s)),
-        ("pricing_cold_evals_per_s", Json::Num(cold)),
-        ("pricing_warm_evals_per_s", Json::Num(warm)),
-        ("pricing_speedup", Json::Num(warm / cold.max(1e-9))),
-        (
-            "pricing_cold_tile_touches",
-            Json::Int(tiers.cold_work.tile_touches as i64),
-        ),
-    ])
-}
-
-/// Enumerates every workload once on the *calling* thread and returns
-/// `(candidates, seconds, per-candidate result lines, memo hit rate)`.
-/// Run on a fresh `std::thread` this is a cold-process stand-in: the
-/// thread-local arena and annotation cache start empty, so the only
-/// possible warm-up is whatever a sidecar installed beforehand.
-fn fresh_enumeration(kinds: &[WorkloadKind]) -> (usize, f64, Vec<String>, f64) {
-    let before = arena_stats();
-    let t = Instant::now();
-    let mut lines = Vec::new();
-    for kind in kinds {
-        for c in &legacy_candidates(kind) {
-            lines.push(format!(
-                "{}|{}|{:?}|{:?}",
-                kind.name(),
-                c.config,
-                c.expr_variant,
-                c.index_ops
-            ));
-        }
-    }
-    let secs = t.elapsed().as_secs_f64();
-    let stats = arena_stats().since(&before);
-    let n = lines.len();
-    (n, secs, lines, rate(stats.memo_hits(), stats.memo_misses()))
-}
-
 fn main() {
-    tuned::reject_unknown_flags(&["--device", "--sidecar"]);
+    tuned::reject_unknown_flags(&["--device"]);
     let device = tuned::device_from_args();
     println!(
         "-- tuner-bench: candidate-construction throughput ({}) --",
@@ -443,57 +359,12 @@ fn main() {
             .expect("anneal search");
         let anneal_s = t2.elapsed().as_secs_f64();
 
-        // Two-tier pricing: price the legacy jobs once on the main
-        // thread (feeding the session traffic memo that the sidecar
-        // phase below persists), then measure the cold-vs-warm pricing
-        // split on a fresh thread whose traffic memo starts empty, and
-        // run the bound-pruned exhaustive sweep over the enlarged
-        // domain there while its memo is hot.
-        let jobs = pricing_jobs(&kind, &device);
-        let jobs_n = jobs.len();
-        {
-            let model = CostModel::new(&device);
-            for (l, w) in &jobs {
-                let _ = model.price(l, w);
-            }
-        }
-        let (tiers, tr_rate, ex) = {
-            let device = device.clone();
-            std::thread::spawn(move || {
-                let tiers = two_tier_pricing(&jobs, &device);
-                let (h, m) = gpu_sim::traffic_memo_stats();
-                let outcome = run_search(
-                    Strategy::Exhaustive,
-                    &Domain::new(kind, SpaceScale::Enlarged),
-                    &device,
-                    Budget::default(),
-                    "tuner-bench",
-                    &[],
-                )
-                .expect("exhaustive search");
-                (
-                    tiers,
-                    rate(h, m),
-                    (
-                        outcome.evaluated,
-                        outcome.pruned,
-                        outcome.traffic_hits,
-                        outcome.traffic_misses,
-                    ),
-                )
-            })
-            .join()
-            .expect("pricing thread")
-        };
-        let (ex_evaluated, ex_pruned, ex_hits, ex_misses) = ex;
-        total_pruned += ex_pruned;
-        let TwoTier {
-            cold_s: price_cold_s,
-            warm_s: price_warm_s,
-            cold_work,
-        } = tiers;
-        let price_cold = per_second(jobs_n, price_cold_s);
-        let price_warm = per_second(jobs_n, price_warm_s);
+        let pricing = pricing_phase(kind, &device);
+        let ex = &pricing.exhaustive;
+        total_pruned += ex.pruned;
+        let price_cold = per_second(pricing.jobs, pricing.cold_s);
+        let price_warm = per_second(pricing.jobs, pricing.warm_s);
+        let ex_rate = rate(ex.traffic_hits, ex.traffic_misses);
 
         let total_stats = arena_stats().since(&before);
         let (ann_h1, ann_m1) = annotate_cache_stats();
@@ -516,13 +387,13 @@ fn main() {
         println!(
             "{:<22} {:>6} {:>12.0} {:>12.0} {:>9.1}%   pruned {}/{} (traffic {:.1}%)",
             "  two-tier pricing",
-            jobs_n,
+            pricing.jobs,
             price_cold,
             price_warm,
-            tr_rate * 100.0,
-            ex_pruned,
-            ex_evaluated,
-            rate(ex_hits, ex_misses) * 100.0,
+            pricing.hit_rate * 100.0,
+            ex.pruned,
+            ex.evaluated,
+            ex_rate * 100.0,
         );
 
         rows.push(Json::obj([
@@ -566,27 +437,23 @@ fn main() {
             ),
             ("annotate_cache_hits", Json::Int((ann_h1 - ann_h0) as i64)),
             ("annotate_cache_misses", Json::Int((ann_m1 - ann_m0) as i64)),
-            ("pricing_jobs", Json::Int(jobs_n as i64)),
-            ("pricing_cold_s", Json::Num(price_cold_s)),
-            ("pricing_warm_s", Json::Num(price_warm_s)),
+            ("pricing_jobs", Json::Int(pricing.jobs as i64)),
+            ("pricing_cold_s", Json::Num(pricing.cold_s)),
+            ("pricing_warm_s", Json::Num(pricing.warm_s)),
             ("pricing_cold_evals_per_s", Json::Num(price_cold)),
             ("pricing_warm_evals_per_s", Json::Num(price_warm)),
             (
-                "pricing_speedup",
-                Json::Num(price_warm / price_cold.max(1e-9)),
-            ),
-            (
                 "pricing_cold_tile_touches",
-                Json::Int(cold_work.tile_touches as i64),
+                Json::Int(pricing.cold_work.tile_touches as i64),
             ),
-            ("pricing_cold_lanes", Json::Int(cold_work.lanes as i64)),
-            ("traffic_hit_rate", Json::Num(tr_rate)),
-            ("exhaustive_evaluated", Json::Int(ex_evaluated as i64)),
-            ("exhaustive_pruned", Json::Int(ex_pruned as i64)),
             (
-                "exhaustive_traffic_hit_rate",
-                Json::Num(rate(ex_hits, ex_misses)),
+                "pricing_cold_lanes",
+                Json::Int(pricing.cold_work.lanes as i64),
             ),
+            ("traffic_hit_rate", Json::Num(pricing.hit_rate)),
+            ("exhaustive_evaluated", Json::Int(ex.evaluated as i64)),
+            ("exhaustive_pruned", Json::Int(ex.pruned as i64)),
+            ("exhaustive_traffic_hit_rate", Json::Num(ex_rate)),
         ]));
 
         // The whole point of the interned IR: candidate construction
@@ -606,33 +473,19 @@ fn main() {
             kind.name()
         );
         // The warm pricing pass answers every probe from the traffic
-        // memo, so the phase's overall hit rate must be positive and
-        // re-timing can never be slower than re-tracing.
+        // memo, so the phase's overall hit rate must be positive.
         assert!(
-            tr_rate > 0.0,
+            pricing.hit_rate > 0.0,
             "{}: pricing phase never hit the traffic memo",
             kind.name()
         );
-        assert!(
-            price_warm >= price_cold,
-            "{}: warm pricing slower than cold ({price_warm:.0} vs {price_cold:.0} evals/s)",
-            kind.name()
-        );
-        // The acceptance gate: where the cold pass replays traces, the
-        // memoized traffic pass must at least double pricing throughput.
-        // Rowwise replays its access maps. This matmul's tiles fit the
-        // L2, so its cold pass is priced in closed form and replays
-        // nothing for the memo to save; the paper-size phase gates a
-        // matmul whose tiles overflow the L2 instead.
+        // Rowwise replays its access maps, so its warm pass has a trace
+        // to save. (This matmul's tiles fit the L2: its cold pass is
+        // priced in closed form and replays nothing.)
         if matches!(kind, WorkloadKind::Rowwise { .. }) {
             assert!(
-                cold_work.lanes > 0,
+                pricing.cold_work.lanes > 0,
                 "{}: cold pricing replayed no access map",
-                kind.name()
-            );
-            assert!(
-                price_warm >= 2.0 * price_cold,
-                "{}: two-tier pricing below 2x ({price_warm:.0} vs {price_cold:.0} evals/s)",
                 kind.name()
             );
         }
@@ -644,154 +497,6 @@ fn main() {
         total_pruned > 0,
         "the admissible bound pruned nothing across any family"
     );
-
-    // Cross-session sidecar: persist everything the run above derived,
-    // then replay the full enumeration on two fresh threads — one cold,
-    // one warmed from the sidecar — and compare results and throughput.
-    let kinds = workloads();
-    let (sidecar_path, keep_sidecar) = match tuned::sidecar_from_args() {
-        Some(p) => (p, true),
-        None => {
-            let p = std::env::temp_dir()
-                .join(format!("tuner-bench-sidecar-{}.txt", std::process::id()));
-            let _ = std::fs::remove_file(&p);
-            (p, false)
-        }
-    };
-    lego_tune::sidecar::collect_and_save(&sidecar_path).expect("sidecar write");
-    let entries = lego_tune::Sidecar::load(&sidecar_path).len();
-
-    let cold = {
-        let kinds = kinds.clone();
-        std::thread::spawn(move || fresh_enumeration(&kinds))
-            .join()
-            .expect("cold replay thread")
-    };
-    let (warmed, load_s, installed, warm_hits) = {
-        let kinds = kinds.clone();
-        let path = sidecar_path.clone();
-        std::thread::spawn(move || {
-            let t = Instant::now();
-            let warm = lego_tune::sidecar::load_and_install(&path);
-            let load_s = t.elapsed().as_secs_f64();
-            let r = fresh_enumeration(&kinds);
-            let (_, hits) = lego_tune::space::annotate_sidecar_stats();
-            (r, load_s, warm.installed(), hits)
-        })
-        .join()
-        .expect("warmed replay thread")
-    };
-
-    let (cold_n, cold_s, cold_lines, cold_memo) = cold;
-    let (warm_n, warm_s, warm_lines, warm_memo) = warmed;
-    assert_eq!(cold_n, warm_n, "replay candidate counts diverged");
-    assert_eq!(
-        cold_lines, warm_lines,
-        "sidecar-warmed replay produced different results than cold"
-    );
-    assert!(
-        installed > 0,
-        "sidecar installed nothing after a full bench run"
-    );
-    assert!(warm_hits > 0, "sidecar-warmed replay never hit the sidecar");
-    let cold_cps = per_second(cold_n, cold_s);
-    let warm_cps = per_second(warm_n, warm_s);
-    assert!(
-        warm_cps >= cold_cps,
-        "sidecar-warmed replay was slower than a cold process \
-         ({warm_cps:.0} vs {cold_cps:.0} candidates/s)"
-    );
-    println!(
-        "sidecar rewarm: {entries} entries ({installed} installed, load {:.2}ms); \
-         cold {cold_cps:.0} c/s -> warmed {warm_cps:.0} c/s ({:.1}x), \
-         {warm_hits} warm hits, byte-identical results",
-        load_s * 1e3,
-        warm_cps / cold_cps.max(1e-9)
-    );
-    rows.push(Json::obj([
-        ("workload", Json::Str("sidecar-rewarm".to_string())),
-        ("candidates", Json::Int(cold_n as i64)),
-        ("sidecar_entries", Json::Int(entries as i64)),
-        ("sidecar_installed", Json::Int(installed as i64)),
-        ("sidecar_load_s", Json::Num(load_s)),
-        ("sidecar_warm_hits", Json::Int(warm_hits as i64)),
-        ("cold_process_candidates_per_s", Json::Num(cold_cps)),
-        ("sidecar_candidates_per_s", Json::Num(warm_cps)),
-        ("sidecar_speedup", Json::Num(warm_cps / cold_cps.max(1e-9))),
-        ("cold_process_memo_hit_rate", Json::Num(cold_memo)),
-        ("sidecar_memo_hit_rate", Json::Num(warm_memo)),
-        ("byte_identical", Json::Bool(true)),
-    ]));
-    // Traffic rewarm: the same fresh-thread replay for the pricing
-    // tier. The cold process traces every geometry from scratch; the
-    // warmed one installs the sidecar's traffic section first and
-    // re-times from it. Both must price bit-identically.
-    let tcold = {
-        let kinds = kinds.clone();
-        let device = device.clone();
-        std::thread::spawn(move || fresh_pricing(&kinds, &device))
-            .join()
-            .expect("cold pricing thread")
-    };
-    let (twarm, tload_s, tinstalled, tside_hits) = {
-        let kinds = kinds.clone();
-        let device = device.clone();
-        let path = sidecar_path.clone();
-        std::thread::spawn(move || {
-            let t = Instant::now();
-            let warm = lego_tune::sidecar::load_and_install(&path);
-            let load_s = t.elapsed().as_secs_f64();
-            let r = fresh_pricing(&kinds, &device);
-            let (_, hits) = gpu_sim::traffic_sidecar_stats();
-            (r, load_s, warm.traffics, hits)
-        })
-        .join()
-        .expect("warmed pricing thread")
-    };
-    let (tcold_n, tcold_s, tcold_ests, _) = tcold;
-    let (twarm_n, twarm_s, twarm_ests, twarm_rate) = twarm;
-    assert_eq!(tcold_n, twarm_n, "pricing replay job counts diverged");
-    assert_eq!(
-        tcold_ests, twarm_ests,
-        "sidecar-warmed pricing produced different estimates than cold"
-    );
-    assert!(tinstalled > 0, "sidecar carried no traffic geometries");
-    assert!(
-        tside_hits > 0,
-        "warmed pricing never hit the imported traffic memo"
-    );
-    let tcold_eps = per_second(tcold_n, tcold_s);
-    let twarm_eps = per_second(twarm_n, twarm_s);
-    assert!(
-        twarm_eps >= tcold_eps,
-        "traffic-rewarmed pricing was slower than a cold process \
-         ({twarm_eps:.0} vs {tcold_eps:.0} evals/s)"
-    );
-    println!(
-        "traffic rewarm: {tinstalled} geometries (load {:.2}ms); \
-         cold {tcold_eps:.0} evals/s -> warmed {twarm_eps:.0} evals/s ({:.1}x), \
-         {tside_hits} warm hits, bit-identical estimates",
-        tload_s * 1e3,
-        twarm_eps / tcold_eps.max(1e-9)
-    );
-    rows.push(Json::obj([
-        ("workload", Json::Str("traffic-rewarm".to_string())),
-        ("pricing_jobs", Json::Int(tcold_n as i64)),
-        ("traffic_installed", Json::Int(tinstalled as i64)),
-        ("sidecar_load_s", Json::Num(tload_s)),
-        ("traffic_warm_hits", Json::Int(tside_hits as i64)),
-        ("cold_process_evals_per_s", Json::Num(tcold_eps)),
-        ("sidecar_evals_per_s", Json::Num(twarm_eps)),
-        (
-            "traffic_speedup",
-            Json::Num(twarm_eps / tcold_eps.max(1e-9)),
-        ),
-        ("sidecar_traffic_hit_rate", Json::Num(twarm_rate)),
-        ("bit_identical", Json::Bool(true)),
-    ]));
-    if !keep_sidecar {
-        let _ = std::fs::remove_file(&sidecar_path);
-    }
 
     println!("-- cold-search pass: the benchmark's cold keys on fresh threads --");
     let passes = [cold_search_pass(), cold_search_pass()];
@@ -844,7 +549,6 @@ fn main() {
             // Its tiles overflow the A100's L2, so the schedule matters
             // and the search must simulate it.
             assert!(touches > 0, "matmul(n=4096) was priced without the LRU");
-            rows.push(paper_two_tier_row(n));
         }
     }
 

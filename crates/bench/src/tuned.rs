@@ -153,20 +153,12 @@ pub fn bench_name(base: &str, cfg: &GpuConfig) -> String {
     }
 }
 
-/// The persistent memo-sidecar path selected by `--sidecar`, if any
-/// (`none` disables, mirroring `lego-served`).
-pub fn sidecar_from_args() -> Option<std::path::PathBuf> {
-    flag_value("--sidecar")
-        .filter(|v| v != "none")
-        .map(std::path::PathBuf::from)
-}
-
-/// Warm-start this thread from the `--sidecar` file, if one was given:
-/// installs the persisted candidate annotations and traffic geometries
-/// and prints what got re-warmed. Returns the path for
-/// [`sidecar_teardown`].
+/// Warm-start this thread from the `--sidecar` file, if one was given
+/// (`none` disables, mirroring `lego-served`): installs the persisted
+/// candidate annotations and traffic geometries and prints what got
+/// re-warmed. Returns the path for [`sidecar_teardown`].
 pub fn sidecar_setup() -> Option<std::path::PathBuf> {
-    let path = sidecar_from_args()?;
+    let path = std::path::PathBuf::from(flag_value("--sidecar").filter(|v| v != "none")?);
     let warm = lego_tune::sidecar::load_and_install(&path);
     println!(
         "-- sidecar {}: installed {} annotations + {} traffic geometries --",

@@ -84,8 +84,7 @@ pub use trace::{
 };
 pub use traffic::{
     export as export_traffic, import as import_traffic, is_current_key as is_current_traffic_key,
-    memo_stats as traffic_memo_stats, replay_work, sidecar_stats as traffic_sidecar_stats,
-    ReplayWork, TrafficCost,
+    memo_stats as traffic_memo_stats, replay_work, ReplayWork, TrafficCost,
 };
 
 /// A tiny deterministic LCG for the property tests of the warp models

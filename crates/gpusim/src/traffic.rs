@@ -44,10 +44,11 @@
 //! `lego_tune`'s sidecar can persist the memo across processes. Every
 //! key starts with [`KEY_FORMAT`], so the sidecar can recognise and
 //! shed entries persisted under another key format
-//! ([`is_current_key`]). Imported entries are tracked separately so
-//! re-warm benefit is measurable ([`sidecar_stats`]). The work the
-//! replays did for a thread is counted too ([`replay_work`]), so a
-//! change to the traffic pass can be measured without a timer.
+//! ([`is_current_key`]). An imported entry is indistinguishable from a
+//! traced one: a hit on it counts as any other hit ([`memo_stats`]).
+//! The work the replays did for a thread is counted too
+//! ([`replay_work`]), so a change to the traffic pass can be measured
+//! without a timer.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -108,16 +109,14 @@ pub fn is_current_key(key: &str) -> bool {
     key.starts_with(KEY_FORMAT)
 }
 
-/// key → (traffic, from_sidecar), hashed a word at a time
-/// ([`FoldHasher`]) rather than by SipHash.
-type Memo = HashMap<String, (TrafficCost, bool), BuildHasherDefault<FoldHasher>>;
+/// key → traffic, hashed a word at a time ([`FoldHasher`]) rather than
+/// by SipHash.
+type Memo = HashMap<String, TrafficCost, BuildHasherDefault<FoldHasher>>;
 
 thread_local! {
     static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
     /// (hits, misses) of memo probes, one per phase priced.
     static STATS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-    /// (installed, hits) attributable to sidecar-imported entries.
-    static SIDECAR: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
     /// Replay work done for this thread.
     static WORK: Cell<ReplayWork> = const {
         Cell::new(ReplayWork { tile_touches: 0, lanes: 0 })
@@ -137,27 +136,15 @@ pub fn replay_work() -> ReplayWork {
     WORK.get()
 }
 
-/// Probes this thread's traffic memo. Counts a hit or miss; hits on
-/// sidecar-imported entries are also attributed to [`sidecar_stats`].
+/// Probes this thread's traffic memo, counting a hit or miss.
 pub(crate) fn lookup(key: &str) -> Option<TrafficCost> {
-    MEMO.with(|m| {
-        let got = m.borrow().get(key).copied();
-        let (h, mi) = STATS.get();
-        match got {
-            Some((tc, from_sidecar)) => {
-                STATS.set((h + 1, mi));
-                if from_sidecar {
-                    let (inst, sh) = SIDECAR.get();
-                    SIDECAR.set((inst, sh + 1));
-                }
-                Some(tc)
-            }
-            None => {
-                STATS.set((h, mi + 1));
-                None
-            }
-        }
-    })
+    let got = MEMO.with(|m| m.borrow().get(key).copied());
+    let (h, mi) = STATS.get();
+    STATS.set(match got {
+        Some(_) => (h + 1, mi),
+        None => (h, mi + 1),
+    });
+    got
 }
 
 /// Counts a probe answered by a trace an earlier job of the same batch
@@ -170,7 +157,7 @@ pub(crate) fn count_queued_hit() {
 /// Records a freshly traced phase geometry in this thread's memo.
 pub(crate) fn insert(key: String, tc: TrafficCost) {
     MEMO.with(|m| {
-        m.borrow_mut().entry(key).or_insert((tc, false));
+        m.borrow_mut().entry(key).or_insert(tc);
     });
 }
 
@@ -179,13 +166,6 @@ pub(crate) fn insert(key: String, tc: TrafficCost) {
 /// (`CostModel::trace`) are not counted.
 pub fn memo_stats() -> (u64, u64) {
     STATS.get()
-}
-
-/// (installed, hits) of sidecar-imported traffic entries on this
-/// thread: how many entries [`import`] added, and how many memo hits
-/// they served since.
-pub fn sidecar_stats() -> (u64, u64) {
-    SIDECAR.get()
 }
 
 /// Encodes a [`TrafficCost`] as a stable ASCII string. The f64 fields
@@ -226,7 +206,7 @@ pub fn export() -> Vec<(String, String)> {
     MEMO.with(|m| {
         m.borrow()
             .iter()
-            .map(|(k, (tc, _))| (k.clone(), encode(tc)))
+            .map(|(k, tc)| (k.clone(), encode(tc)))
             .collect()
     })
 }
@@ -244,12 +224,10 @@ where
         for (k, v) in entries {
             let Some(tc) = decode(v) else { continue };
             if let std::collections::hash_map::Entry::Vacant(e) = map.entry(k.to_string()) {
-                e.insert((tc, true));
+                e.insert(tc);
                 added += 1;
             }
         }
-        let (inst, h) = SIDECAR.get();
-        SIDECAR.set((inst + added, h));
         added
     })
 }
@@ -274,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn import_respects_session_entries_and_tracks_attribution() {
+    fn import_respects_session_entries() {
         std::thread::spawn(|| {
             let fresh = TrafficCost {
                 dram_bytes: 1.0,
@@ -295,7 +273,6 @@ mod tests {
             assert_eq!(lookup("geo-b").unwrap().dram_bytes, 3.0);
             assert_eq!(lookup("geo-c"), None);
             assert_eq!(memo_stats(), (2, 1));
-            assert_eq!(sidecar_stats(), (1, 1), "one imported, one hit on it");
         })
         .join()
         .unwrap();

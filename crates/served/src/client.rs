@@ -2,8 +2,8 @@
 //!
 //! One [`Client`] wraps one TCP connection and issues requests
 //! sequentially; spin up one client per thread for concurrency (the
-//! daemon serves each connection from a dedicated worker). Used by the
-//! load generator and the integration tests, and importable by anything
+//! daemon serves each connection from a dedicated worker). Used by
+//! `perfbench` and the integration tests, and importable by anything
 //! that wants tunings from a resident daemon instead of an in-process
 //! [`lego_tune::Tuner`].
 

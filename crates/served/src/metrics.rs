@@ -5,14 +5,15 @@
 //! the granularity the ROADMAP asks metrics for — fine enough to see
 //! which families are search-bound on which devices, coarse enough to
 //! stay bounded. Latencies are kept as raw samples (one `f64` per
-//! request) and reduced to p50/p99 only when a `metrics` request asks;
-//! a load-generator run keeps a few thousand samples per class, which
-//! is noise memory-wise.
+//! request) and reduced to p50/p99 only when a `metrics` request asks,
+//! so memory and scrape cost grow with the run: a perfbench warm-hits
+//! run records 125k–624k samples.
 //!
 //! The expression arena and its memo tables are *per worker thread*
 //! ([`lego_expr::intern::stats`] reads the calling thread's counters),
-//! so each worker publishes its own snapshot after every request and
-//! the report sums across workers.
+//! so each worker publishes its own snapshot after every request that
+//! ran the tuner on it (tiers `searched` and `cache`) and the report
+//! sums across workers.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

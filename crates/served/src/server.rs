@@ -31,7 +31,7 @@ use lego_tune::fleet::FleetReport;
 use lego_tune::Json;
 
 use crate::protocol::{self, Request};
-use crate::service::TuneService;
+use crate::service::{Tier, TuneService};
 
 /// How often a blocked read re-checks the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -145,8 +145,8 @@ impl Server {
         self.local
     }
 
-    /// The shared service state (tests and the load generator read
-    /// counters and trigger shutdown through it).
+    /// The shared service state (tests read counters and trigger
+    /// shutdown through it).
     pub fn service(&self) -> Arc<TuneService> {
         Arc::clone(&self.service)
     }
@@ -320,21 +320,17 @@ fn dispatch(idx: usize, line: &str, service: &TuneService) -> (Json, bool) {
                 let t0 = Instant::now();
                 let (result, tier) = service.resolve(&req);
                 let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-                service
-                    .metrics()
-                    .record_tune(&req.class(), tier, result.is_ok(), elapsed_ms);
-                // The arena and annotation caches are per worker
-                // thread; publish this worker's counters so the metrics
-                // report can aggregate them.
-                service
-                    .metrics()
-                    .record_arena(idx, lego_expr::intern::stats());
-                service
-                    .metrics()
-                    .record_sidecar(idx, lego_tune::annotate_sidecar_stats());
-                service
-                    .metrics()
-                    .record_traffic(idx, gpu_sim::traffic_memo_stats());
+                let metrics = service.metrics();
+                metrics.record_tune(&req.class(), tier, result.is_ok(), elapsed_ms);
+                // The arena, annotation and traffic caches are per
+                // worker thread and move only when this worker ran the
+                // tuner; then publish its counters so the metrics report
+                // can aggregate them.
+                if matches!(tier, Tier::Searched | Tier::Cache) {
+                    metrics.record_arena(idx, lego_expr::intern::stats());
+                    metrics.record_sidecar(idx, lego_tune::annotate_sidecar_stats());
+                    metrics.record_traffic(idx, gpu_sim::traffic_memo_stats());
+                }
                 match result {
                     Ok(served) => (served.to_json(), false),
                     Err(e) => (protocol::error_response(&e), false),

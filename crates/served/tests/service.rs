@@ -322,6 +322,26 @@ fn memory_tier_serves_repeats_and_metrics_see_every_tier() {
     let arena = metrics.get("arena").expect("arena aggregate");
     assert!(arena.get("nodes").and_then(Json::as_i64).unwrap() > 0);
 
+    // Memory hits run no tuner, so the per-worker cache counters they
+    // would publish cannot have moved: a burst of them leaves every
+    // published field as it was.
+    let published = |m: &Json| {
+        ["arena", "traffic", "sidecar_warm_hits", "sidecar_installed"]
+            .map(|field| m.get(field).expect("published field").render())
+    };
+    for _ in 0..16 {
+        assert!(is_ok(&client.tune(&spec).expect("memory hit")));
+    }
+    let after = client.metrics().expect("metrics after the burst");
+    assert_eq!(
+        after
+            .get("tiers")
+            .and_then(|t| t.get("memory"))
+            .and_then(Json::as_i64),
+        Some(17)
+    );
+    assert_eq!(published(&after), published(&metrics));
+
     shutdown_and_join(server);
     let _ = std::fs::remove_file(&cache);
 }

@@ -350,32 +350,63 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Every legacy candidate of all six families, at the two-tier
+    /// gate's sizes, priced on a100, h100 and mi300 by a fresh thread
+    /// (a fresh process's empty memo): cold, or after installing a
+    /// document collected from a cold run. The warmed run must price
+    /// bit-identically without a single memo miss.
     #[test]
     fn traffic_round_trips_through_a_document() {
-        fn price() -> gpu_sim::Estimate {
-            use crate::space::{build_layout, build_workload};
-            let kind = WorkloadKind::Matmul { n: 64 };
-            let gpu = gpu_sim::a100();
-            let cand = Candidate::annotated(&kind, &kind.default_config());
-            let layout = build_layout(&kind, &cand.config).expect("default builds");
-            let wl = build_workload(&kind, &cand, &gpu);
-            gpu_sim::CostModel::new(&gpu).price(&layout, &wl)
+        use crate::space::{build_layout, build_workload};
+        use crate::{Domain, RowwiseOp, SpaceScale};
+        use lego_codegen::cuda::stencil::StencilShape;
+
+        fn price_all() -> Vec<gpu_sim::Estimate> {
+            let kinds = [
+                WorkloadKind::Matmul { n: 512 },
+                WorkloadKind::Transpose { n: 256 },
+                WorkloadKind::Stencil {
+                    shape: StencilShape::Star(1),
+                    n: 32,
+                },
+                WorkloadKind::Nw { n: 256, b: 16 },
+                WorkloadKind::Lud { n: 256, bs: 16 },
+                WorkloadKind::Rowwise {
+                    op: RowwiseOp::Softmax,
+                    m: 256,
+                    n: 1000,
+                },
+            ];
+            let mut ests = Vec::new();
+            for gpu in [gpu_sim::a100(), gpu_sim::h100(), gpu_sim::mi300()] {
+                let model = gpu_sim::CostModel::new(&gpu);
+                for kind in &kinds {
+                    for config in Domain::new(*kind, SpaceScale::Legacy).enumerate() {
+                        let cand = Candidate::annotated(kind, &config);
+                        let Ok(layout) = build_layout(kind, &cand.config) else {
+                            continue;
+                        };
+                        ests.push(model.price(&layout, &build_workload(kind, &cand, &gpu)));
+                    }
+                }
+            }
+            ests
         }
-        let cold = price();
-        let text = collect().render();
-        // A fresh thread models a fresh process: an empty traffic memo,
-        // then the parsed document warms it and serves the same price.
-        let warm_est = std::thread::spawn(move || {
+        let (cold, text) = std::thread::spawn(|| (price_all(), collect().render()))
+            .join()
+            .unwrap();
+        let (warm, warm_misses) = std::thread::spawn(move || {
             let parsed = Sidecar::parse(&text).expect("collected document must parse");
-            let warm = install(&parsed);
-            assert!(warm.traffics > 0, "no traffic entries installed");
-            let est = price();
-            let (_, hits) = gpu_sim::traffic_sidecar_stats();
-            assert!(hits > 0, "traffic traced cold despite import");
-            est
+            assert!(
+                install(&parsed).traffics > 0,
+                "no traffic entries installed"
+            );
+            (price_all(), gpu_sim::traffic_memo_stats().1)
         })
         .join()
         .unwrap();
-        assert_eq!(cold, warm_est, "imported traffic must price identically");
+        assert!(cold.len() > 6, "too few legacy candidates priced");
+        assert_eq!(cold, warm, "imported traffic must price identically");
+        assert_eq!(warm_misses, 0, "a geometry was traced despite the import");
     }
 }

@@ -8,7 +8,7 @@
 //!   every candidate of every workload family on every device
 //!   ([`gpu_sim::CostModel::trace`] is the unmemoized traffic pass, so
 //!   assembling its result compares the cached and the uncached
-//!   paths);
+//!   paths), and a memo hit replays nothing ([`gpu_sim::replay_work`]);
 //! * the memo key, derived from the phase descriptions, separates
 //!   workloads whose traces differ and serves hand-built workloads too;
 //! * [`gpu_sim::CostModel::bound`] must be admissible — never above
@@ -78,7 +78,14 @@ fn memoized_pricing_is_bit_identical_to_uncached() {
             for (cand, layout) in feasible(kind, 13) {
                 let wl = lego_tune::build_workload(kind, &cand, gpu);
                 let cached_cold = model.price(&layout, &wl);
+                let work = gpu_sim::replay_work();
                 let cached_warm = model.price(&layout, &wl);
+                assert_eq!(
+                    gpu_sim::replay_work(),
+                    work,
+                    "{kind:?} on {}: a warm memo hit replayed a trace",
+                    gpu.tag
+                );
                 let uncached = model.assemble(&wl, &model.trace(&layout, &wl));
                 assert_eq!(
                     cached_cold, uncached,

@@ -23,20 +23,29 @@ mod prop_support;
 
 use std::path::{Path, PathBuf};
 
+use lego_codegen::cuda::stencil::StencilShape;
 use lego_tune::{Candidate, Domain, RowwiseOp, Sidecar, SpaceScale, WorkloadKind};
 use prop_support::Rng;
 
 /// The workloads the properties enumerate — small enough that a fresh
 /// thread re-derives them in milliseconds, varied enough to exercise
-/// both expression variants in the annotation rows.
+/// both expression variants in the annotation rows, and one of every
+/// [`WorkloadKind::parse`] form, so each family's name round-trips
+/// through an `ann` key.
 fn kinds() -> Vec<WorkloadKind> {
+    let rowwise = |op| WorkloadKind::Rowwise { op, m: 16, n: 256 };
     vec![
         WorkloadKind::Matmul { n: 256 },
-        WorkloadKind::Rowwise {
-            op: RowwiseOp::Softmax,
-            m: 16,
-            n: 256,
+        WorkloadKind::Transpose { n: 128 },
+        WorkloadKind::Stencil {
+            shape: StencilShape::Star(1),
+            n: 16,
         },
+        WorkloadKind::Nw { n: 112, b: 16 },
+        WorkloadKind::Lud { n: 64, bs: 16 },
+        rowwise(RowwiseOp::Softmax),
+        rowwise(RowwiseOp::LayernormFwd),
+        rowwise(RowwiseOp::LayernormBwd),
     ]
 }
 
@@ -117,11 +126,16 @@ fn round_trip_is_bit_identical_across_fresh_threads() {
     );
 
     // A fresh thread warmed from the file reproduces every derived
-    // result bit-identically, and genuinely answers from the sidecar.
+    // result bit-identically, and answers every candidate from the
+    // sidecar: an `ann` key that does not parse back would be re-derived.
     let (warm_lines, installed, hits) = fresh_thread_enumeration(Some(path.clone()));
     assert_eq!(warm_lines, cold_lines, "warmed results diverged from cold");
     assert!(installed > 0, "install put nothing into the fresh thread");
-    assert!(hits > 0, "warmed enumeration never hit the sidecar");
+    assert_eq!(
+        hits,
+        warm_lines.len() as u64,
+        "warmed enumeration re-derived a candidate the sidecar holds"
+    );
 
     // And re-collecting from the warmed thread writes the same bytes: no
     // information is lost or invented across the process boundary.
