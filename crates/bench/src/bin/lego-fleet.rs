@@ -1,28 +1,33 @@
 //! `lego-fleet`: fleet-scale parallel tuning from the command line.
 //!
 //! Expands a [`FleetSpec`] grid (`family:lo..hixSTEP[,...][@devices]`)
-//! into tuning requests and runs them through the [`FleetDriver`]: one
-//! independent search per unique key on a small thread pool, warm
-//! per-worker expression arenas, one merged cache write. Prints a
-//! per-key table and emits `BENCH_fleet.json`. Every answer equals the
-//! one the sequential tuner gives for the same key and knobs.
+//! into tuning requests and tunes them on an in-process
+//! [`TuneService`], the engine behind the `lego-served` daemon: one
+//! resolution per unique key (memory tier, cache tier, search) on a few
+//! threads, then one [`TuneService::flush`] that compacts the cache and
+//! writes the merged memo sidecar. Prints a per-key table and emits
+//! `BENCH_fleet.json`. Every answer equals the one the sequential
+//! tuner gives for the same key and knobs.
 //!
 //! Flags: `--grid SPEC`, `--threads N`, `--strategy anneal|genetic`,
 //! `--budget N`, `--space legacy|enlarged`, `--device TAG` (default
 //! device for specs without `@`; a tag or full name, in any case),
-//! `--cache PATH`, `--sidecar PATH` (warm every worker from the
-//! persisted memo sidecar and merge the derived results back on
+//! `--cache PATH`, `--sidecar PATH` (warm every fleet thread from the
+//! persisted memo sidecar and write the merged derived results back on
 //! completion). The search knobs go through the resolver every front
 //! door shares ([`lego_tune::Knobs::resolve`]); bad input, a flag
 //! given where a value belongs, or a flag outside this list exits with
-//! status 2. A key that fails exits with status 1.
+//! status 2. A key that fails, or a failed final write, exits with
+//! status 1.
 
+use std::path::PathBuf;
 use std::process::exit;
 
 use lego_bench::emit;
 use lego_bench::tuned::{flag_value, knobs_from_args, parsed_flag, reject_unknown_flags};
+use lego_served::TuneService;
 use lego_tune::fleet::FleetReport;
-use lego_tune::{Budget, FleetDriver, FleetSpec, Json, Knobs, Strategy, TuneRequest};
+use lego_tune::{Budget, FleetSpec, Json, Knobs, Strategy, TuneRequest};
 
 /// Every flag `lego-fleet` knows.
 const FLAGS: [&str; 8] = [
@@ -88,11 +93,10 @@ fn main() {
         ..Knobs::new(gpu_sim::a100())
     });
     let threads = parsed_flag("--threads").unwrap_or(4);
-    let cache = flag_value("--cache");
-    let sidecar = flag_value("--sidecar");
+    let cache = flag_value("--cache").map(PathBuf::from);
+    let sidecar = flag_value("--sidecar").map(PathBuf::from);
 
-    let grid: Vec<TuneRequest> =
-        spec.requests(&knobs.device, knobs.strategy, knobs.budget, knobs.space);
+    let grid: Vec<TuneRequest> = spec.requests(&knobs);
     println!(
         "-- lego-fleet: {} keys ({spec}), {threads} threads, {} @ {} evals --",
         grid.len(),
@@ -100,21 +104,20 @@ fn main() {
         knobs.budget.max_evals()
     );
 
-    let mut driver = FleetDriver::new(threads);
-    if let Some(path) = cache {
-        driver = driver.with_cache(path);
-    }
-    if let Some(path) = sidecar {
-        driver = driver.with_sidecar(path);
-    }
-    let report = driver.run(&grid);
+    let service = TuneService::new(knobs.device.clone(), cache, sidecar);
+    let report = service.fleet(&grid, threads);
     print_report(&report);
+    let flushed = service.flush();
     let mut rows: Vec<Json> = report.keys.iter().map(|k| k.to_json()).collect();
     if let Json::Obj(mut summary) = report.summary_json() {
         summary.insert(0, ("phase".to_string(), Json::Str("summary".to_string())));
         rows.push(Json::Obj(summary));
     }
     emit::announce(emit::write_bench_json("fleet", rows));
+    if let Err(e) = flushed {
+        eprintln!("lego-fleet: cache or sidecar write failed: {e}");
+        exit(1);
+    }
     if report.counters().errors > 0 {
         exit(1);
     }

@@ -7,14 +7,13 @@
 //!
 //! Listens for line-JSON requests (`tune`, `fleet`, `metrics`,
 //! `shutdown`) and serves best-config answers through the three-tier
-//! path described in `lego_served::service` — the `fleet` verb tunes a
-//! whole grid at once through the [`lego_tune::FleetDriver`], at most
-//! 1,024 keys on at most 64 threads per request
-//! (`lego_served::protocol::MAX_FLEET_KEYS`, `MAX_FLEET_THREADS`), and
-//! promotes the entries it persisted into the memory tier. Runs until a
-//! client sends the `shutdown`
-//! verb, then drains in-flight work, flushes the tuning cache, and
-//! exits 0.
+//! path described in `lego_served::service`. The `fleet` verb tunes a
+//! whole grid at once by resolving every key through that same path
+//! (`lego_served::TuneService::fleet`), at most 1,024 keys on at most
+//! 64 threads per request (`lego_served::protocol::MAX_FLEET_KEYS`,
+//! `MAX_FLEET_THREADS`). Runs until a client sends the `shutdown` verb,
+//! then drains in-flight work, flushes the tuning cache and the
+//! sidecar, and exits 0.
 
 use std::path::PathBuf;
 

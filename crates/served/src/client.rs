@@ -86,9 +86,8 @@ impl Client {
         self.request(&spec.to_json())
     }
 
-    /// Issues a `fleet` request: tunes a whole grid through the
-    /// daemon's fleet driver and returns the run summary with per-key
-    /// outcomes.
+    /// Issues a `fleet` request: tunes a whole grid on the daemon and
+    /// returns the run summary with per-key outcomes.
     ///
     /// # Errors
     ///

@@ -15,14 +15,22 @@
 //! 3. a fresh [`lego_tune::Tuner`] run on the worker's warm per-thread
 //!    expression arena.
 //!
+//! A fleet (a whole [`lego_tune::FleetSpec`] grid) is that same
+//! resolution mapped over the grid's unique keys on a few threads
+//! ([`TuneService::fleet`]): the daemon's `fleet` verb, the `lego-fleet`
+//! CLI and in-process callers all tune a grid through it, so there is
+//! one tuning engine.
+//!
 //! Everything is `std`-only: `std::net::TcpListener` plus a fixed
 //! worker-thread pool — no async runtime.
 //!
 //! The binary is `lego-served` (the daemon). Programs embed the daemon
-//! through [`server::Server`] and talk to one through
-//! [`client::Client`]. `tests/service.rs` drives a real daemon on an
-//! ephemeral port (herd coalescing, the memory tier, sidecar rewarm);
-//! the repository's `perfbench` package measures it under load.
+//! through [`server::Server`], embed the service alone through
+//! [`TuneService`], and talk to a daemon through [`client::Client`].
+//! `tests/service.rs` drives a real daemon on an ephemeral port (herd
+//! coalescing, the memory tier, sidecar rewarm, the fleet verb);
+//! `tests/fleet.rs` drives in-process fleets; the repository's
+//! `perfbench` package measures the daemon under load.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,7 +20,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use lego_expr::intern::ArenaStats;
-use lego_tune::fleet::FleetCounters;
 use lego_tune::Json;
 
 use crate::service::Tier;
@@ -32,9 +31,6 @@ struct ClassStats {
     errors: u64,
     tiers: [u64; 4],
     latencies_ms: Vec<f64>,
-    /// Fleet-run contributions to this class (keys tuned, cache hits,
-    /// searches, evaluations, errors).
-    fleet: FleetCounters,
 }
 
 #[derive(Default)]
@@ -47,9 +43,8 @@ struct Inner {
     oversized_lines: u64,
     tiers: [u64; 4],
     classes: BTreeMap<String, ClassStats>,
-    /// Completed fleet runs and their summed counters.
+    /// Completed fleet runs (their keys count as `tune` requests).
     fleet_runs: u64,
-    fleet: FleetCounters,
     /// Latest arena snapshot per worker thread (counters are monotone
     /// per thread, so "latest" is "total").
     arena: BTreeMap<usize, ArenaStats>,
@@ -110,19 +105,10 @@ impl Metrics {
         self.inner.lock().expect("metrics poisoned").oversized_lines += 1;
     }
 
-    /// Records one completed fleet run's per-class counters.
-    pub fn record_fleet(&self, classes: &BTreeMap<String, FleetCounters>) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        inner.fleet_runs += 1;
-        for (class, c) in classes {
-            inner.fleet.merge(c);
-            inner
-                .classes
-                .entry(class.clone())
-                .or_default()
-                .fleet
-                .merge(c);
-        }
+    /// Records one completed fleet run (its keys were recorded one by
+    /// one through [`Metrics::record_tune`]).
+    pub fn record_fleet_run(&self) {
+        self.inner.lock().expect("metrics poisoned").fleet_runs += 1;
     }
 
     /// Publishes worker `idx`'s current arena counters.
@@ -190,7 +176,6 @@ impl Metrics {
                             ("qps", Json::num(c.requests as f64 / uptime_s)),
                             ("p50_ms", Json::num(percentile(&sorted, 0.50))),
                             ("p99_ms", Json::num(percentile(&sorted, 0.99))),
-                            ("fleet", c.fleet.to_json()),
                         ]),
                     )
                 })
@@ -248,13 +233,10 @@ impl Metrics {
                 Json::Int(inner.tiers[tier_index(Tier::Coalesced)] as i64),
             ),
             ("classes", classes),
-            ("fleet", {
-                let mut f = inner.fleet.to_json();
-                if let Json::Obj(pairs) = &mut f {
-                    pairs.insert(0, ("runs".to_string(), Json::Int(inner.fleet_runs as i64)));
-                }
-                f
-            }),
+            (
+                "fleet",
+                Json::obj([("runs", Json::Int(inner.fleet_runs as i64))]),
+            ),
             (
                 "traffic",
                 Json::obj([
@@ -347,34 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn fleet_counters_accumulate_per_class_and_in_total() {
+    fn fleet_runs_count_at_the_top_level_and_keys_count_as_tunes() {
         let m = Metrics::new();
-        let per_run = |keys, hits, evals| FleetCounters {
-            keys,
-            cache_hits: hits,
-            searched: keys - hits,
-            evals_total: evals,
-            ..FleetCounters::default()
-        };
-        let mut classes = BTreeMap::new();
-        classes.insert("matmul@a100".to_string(), per_run(4, 1, 360));
-        classes.insert("matmul@h100".to_string(), per_run(4, 0, 480));
-        m.record_fleet(&classes);
-        m.record_fleet(&classes);
-
+        m.record_tune("matmul@a100", Tier::Searched, true, 10.0);
+        m.record_fleet_run();
+        m.record_fleet_run();
         let j = m.to_json();
         let fleet = j.get("fleet").expect("top-level fleet object");
-        assert_eq!(fleet.get("runs").and_then(Json::as_i64), Some(2));
-        assert_eq!(fleet.get("keys_tuned").and_then(Json::as_i64), Some(16));
-        assert_eq!(fleet.get("cache_hits").and_then(Json::as_i64), Some(2));
-        assert_eq!(fleet.get("searched").and_then(Json::as_i64), Some(14));
-        assert_eq!(fleet.get("evals_total").and_then(Json::as_i64), Some(1680));
-        let class = j
-            .get("classes")
-            .and_then(|c| c.get("matmul@h100"))
-            .expect("fleet-only classes appear in the report");
-        let cf = class.get("fleet").expect("per-class fleet counters");
-        assert_eq!(cf.get("keys_tuned").and_then(Json::as_i64), Some(8));
-        assert_eq!(cf.get("searched").and_then(Json::as_i64), Some(8));
+        assert_eq!(fleet, &Json::obj([("runs", Json::Int(2))]));
+        let class = j.get("classes").and_then(|c| c.get("matmul@a100"));
+        assert!(class.expect("the key's class").get("fleet").is_none());
     }
 }

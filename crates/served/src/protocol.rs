@@ -38,7 +38,7 @@ use lego_tune::{FleetSpec, Json, KnobText, Knobs, TuneRequest, WorkloadKind};
 pub enum Request {
     /// Resolve a best-config query.
     Tune(TuneSpec),
-    /// Tune a whole grid of keys through the fleet driver.
+    /// Tune a whole grid of keys ([`crate::TuneService::fleet`]).
     Fleet(FleetWire),
     /// Report the live service counters.
     Metrics,
@@ -107,7 +107,7 @@ pub struct FleetWire {
     pub budget: Option<usize>,
     /// Space-scale pin (`None` = strategy default).
     pub space: Option<String>,
-    /// Worker threads (`None` = the driver default, 4).
+    /// Fleet threads (`None` = 4).
     pub threads: Option<usize>,
 }
 
@@ -249,16 +249,16 @@ pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneReques
 /// for.
 pub const MAX_FLEET_KEYS: usize = 1024;
 
-/// Most worker threads one `fleet` request may ask for (the driver
-/// spawns one OS thread per worker, up to the key count).
+/// Most threads one `fleet` request may ask for (a fleet spawns one OS
+/// thread per requested thread, up to the key count).
 pub const MAX_FLEET_THREADS: usize = 64;
 
-/// A resolved fleet request: the expanded grid plus driver knobs.
+/// A resolved fleet request: the expanded grid plus its thread count.
 #[derive(Clone, Debug)]
 pub struct ResolvedFleet {
     /// The concrete tuning requests, in grid order.
     pub grid: Vec<TuneRequest>,
-    /// Worker threads for the fleet driver.
+    /// Threads the fleet runs on.
     pub threads: usize,
 }
 
@@ -299,7 +299,7 @@ pub fn resolve_fleet(
         budget: wire.budget,
     })?;
     Ok(ResolvedFleet {
-        grid: spec.requests(&knobs.device, knobs.strategy, knobs.budget, knobs.space),
+        grid: spec.requests(&knobs),
         threads,
     })
 }

@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gpu_sim::GpuConfig;
 use lego_tune::fleet::FleetReport;
@@ -51,9 +51,9 @@ pub struct ServerConfig {
     /// Persistent tuning-cache path (`None` = memory only).
     pub cache: Option<PathBuf>,
     /// Persistent memo-sidecar path (`None` = cold workers). Loaded
-    /// once at startup to re-warm every worker's annotation cache and
-    /// traffic memo; the merged per-worker derived results are flushed
-    /// back on graceful shutdown.
+    /// once at startup to re-warm every worker's and fleet thread's
+    /// annotation cache and traffic memo; the merged derived results
+    /// are flushed back on graceful shutdown.
     pub sidecar: Option<PathBuf>,
     /// Device used when a request names none.
     pub device_default: GpuConfig,
@@ -317,11 +317,8 @@ fn dispatch(idx: usize, line: &str, service: &TuneService) -> (Json, bool) {
                 (protocol::error_response(&e), false)
             }
             Ok(req) => {
-                let t0 = Instant::now();
-                let (result, tier) = service.resolve(&req);
-                let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let (result, tier) = service.resolve_recorded(&req);
                 let metrics = service.metrics();
-                metrics.record_tune(&req.class(), tier, result.is_ok(), elapsed_ms);
                 // The arena, annotation and traffic caches are per
                 // worker thread and move only when this worker ran the
                 // tuner; then publish its counters so the metrics report

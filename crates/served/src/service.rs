@@ -21,20 +21,25 @@
 //! The tier an answer came from is reported to [`Metrics`] but never
 //! serialized into the response, so coalesced, memory-served and
 //! freshly-searched answers for one key are byte-identical on the wire.
+//!
+//! A fleet ([`TuneService::fleet`]) resolves every unique key of a grid
+//! through these same tiers, so it is the one tuning engine behind the
+//! `tune` and `fleet` verbs and the `lego-fleet` CLI.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::Instant;
 
 use gpu_sim::score::Estimate;
 use gpu_sim::GpuConfig;
 use lego_expr::Variant;
 use lego_tune::cache::{config_to_json, estimate_to_json};
-use lego_tune::fleet::FleetReport;
-use lego_tune::{CachedTuning, FleetDriver, Json, TuneRequest, TunedConfig, TuningCache};
+use lego_tune::fleet::{FleetKeyReport, FleetReport};
+use lego_tune::{CachedTuning, Json, TuneRequest, TuneResult, TunedConfig, TuningCache};
 
 use crate::metrics::Metrics;
 
@@ -173,11 +178,11 @@ pub struct TuneService {
     default_device: GpuConfig,
     cache: Option<TuningCache>,
     /// Persistent memo-sidecar path (`None` = no persistence). The
-    /// document is parsed once at startup; every worker installs it
-    /// into its thread-local caches before serving
-    /// ([`TuneService::warm_worker`]) and contributes its derived
-    /// results back on drain ([`TuneService::harvest_worker`]), so the
-    /// shutdown flush writes one merged document.
+    /// document is parsed once at startup; every worker and fleet
+    /// thread installs it into its thread-local caches before taking
+    /// work and contributes its derived results back when it finishes
+    /// ([`TuneService::harvest_worker`]), so the flush writes one merged
+    /// document.
     sidecar_path: Option<PathBuf>,
     sidecar_in: Option<lego_tune::Sidecar>,
     sidecar_out: Mutex<lego_tune::Sidecar>,
@@ -228,9 +233,7 @@ impl TuneService {
     /// caches and publishes the resulting warm counters. Workers
     /// call this once, before taking connections.
     pub fn warm_worker(&self, idx: usize) {
-        if let Some(sc) = &self.sidecar_in {
-            lego_tune::sidecar::install(sc);
-        }
+        self.install_sidecar();
         self.metrics.record_arena(idx, lego_expr::intern::stats());
         self.metrics
             .record_sidecar(idx, lego_tune::annotate_sidecar_stats());
@@ -238,9 +241,16 @@ impl TuneService {
             .record_traffic(idx, gpu_sim::traffic_memo_stats());
     }
 
-    /// Merges the calling worker thread's derived results into the
-    /// shared outgoing sidecar. Workers call this once, on drain; the
-    /// shutdown [`TuneService::flush`] persists the merged document.
+    /// Installs the startup sidecar into the calling thread's caches.
+    fn install_sidecar(&self) {
+        if let Some(sc) = &self.sidecar_in {
+            lego_tune::sidecar::install(sc);
+        }
+    }
+
+    /// Merges the calling thread's derived results into the shared
+    /// outgoing sidecar. Workers and fleet threads call this once, when
+    /// they finish; [`TuneService::flush`] persists the merged document.
     pub fn harvest_worker(&self) {
         if self.sidecar_path.is_none() {
             return;
@@ -361,38 +371,116 @@ impl TuneService {
         (result, tier)
     }
 
+    /// [`TuneService::resolve`], timed and recorded in the metrics as
+    /// one `tune` request of the request's class.
+    pub fn resolve_recorded(&self, req: &TuneRequest) -> (Result<Served, String>, Tier) {
+        let t0 = Instant::now();
+        let (result, tier) = self.resolve(req);
+        let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
+        self.metrics
+            .record_tune(&req.class(), tier, result.is_ok(), elapsed_ms);
+        (result, tier)
+    }
+
     /// Locks the memory tier and the in-flight table.
     fn tiers(&self) -> MutexGuard<'_, Tiers> {
         self.tiers.lock().expect("tier lock poisoned")
     }
 
-    /// Tunes a whole grid through the [`FleetDriver`] — sharing the
-    /// daemon's persistent cache, so already-served keys are instant
-    /// hits and fresh results come back in one merged write. The
-    /// entries the run persisted (or, without a cache, would have) are
-    /// promoted into the memory tier, so a later `tune` of a fleet key
-    /// hits tier 1 with the same bytes a fresh search would answer.
-    /// The run's per-class counters land in the `metrics` report.
+    /// Tunes a whole grid: [`TuneService::resolve`] mapped over its
+    /// unique keys. The grid is deduped by cache key; up to `threads`
+    /// scoped threads, each warmed from the startup sidecar, pull the
+    /// unique keys from one cursor and resolve them exactly as `tune`
+    /// requests, so every tier, coalescing, persistence and panic
+    /// containment are the daemon's own, and each key counts in the
+    /// metrics as one `tune`. A repeated key is a hit of its first
+    /// occurrence's answer. Each thread hands its derived memo results
+    /// to the merge [`TuneService::flush`] persists.
     pub fn fleet(&self, grid: &[TuneRequest], threads: usize) -> FleetReport {
-        let mut driver = FleetDriver::new(threads);
-        if let Some(cache) = &self.cache {
-            driver = driver.with_cache(cache.path());
-        }
-        if let Some(path) = &self.sidecar_path {
-            driver = driver.with_sidecar(path);
-        }
-        let report = driver.run(grid);
+        let t0 = Instant::now();
+        let keys: Vec<String> = grid.iter().map(TuneRequest::cache_key).collect();
+        let mut first_at: HashMap<&str, usize> = HashMap::new();
+        let unique: Vec<usize> = (0..grid.len())
+            .filter(|&i| *first_at.entry(keys[i].as_str()).or_insert(i) == i)
+            .collect();
+        let threads = threads.clamp(1, unique.len().max(1));
 
-        let mut tiers = self.tiers();
-        for key in &report.keys {
-            if let Some(entry) = &key.entry {
-                tiers.memory.insert(key.cache_key.clone(), entry.clone());
+        // `Relaxed` suffices: the cursor publishes no data, only hands
+        // out indices (each once), and the reports come back through
+        // the joins.
+        let cursor = AtomicUsize::new(0);
+        let mut slots: Vec<Option<FleetKeyReport>> = vec![None; grid.len()];
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|worker| {
+                    let (cursor, unique, keys) = (&cursor, &unique, &keys);
+                    scope.spawn(move || {
+                        self.install_sidecar();
+                        let mut done = Vec::new();
+                        while let Some(&i) = unique.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            done.push((i, self.fleet_key(&grid[i], &keys[i], worker)));
+                        }
+                        self.harvest_worker();
+                        done
+                    })
+                })
+                .collect();
+            for worker in workers {
+                for (i, report) in worker.join().expect("fleet thread panicked") {
+                    slots[i] = Some(report);
+                }
             }
-        }
-        drop(tiers);
+        });
 
-        self.metrics.record_fleet(&report.class_counters());
-        report
+        let mut reports: Vec<FleetKeyReport> = Vec::with_capacity(grid.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            let report = slot.unwrap_or_else(|| {
+                let first = &reports[first_at[keys[i].as_str()]];
+                FleetKeyReport {
+                    request: grid[i].clone(),
+                    result: first.result.clone().map(|r| TuneResult {
+                        evaluated: 0,
+                        from_cache: true,
+                        ..r
+                    }),
+                    elapsed_s: 0.0,
+                    ..first.clone()
+                }
+            });
+            reports.push(report);
+        }
+        self.metrics.record_fleet_run();
+        FleetReport {
+            keys: reports,
+            threads,
+            elapsed_s: t0.elapsed().as_secs_f64(),
+        }
+    }
+
+    /// Answers one unique fleet key as a `tune` request. Any tier but
+    /// `Searched` is a hit, which evaluated nothing.
+    fn fleet_key(&self, req: &TuneRequest, cache_key: &str, worker: usize) -> FleetKeyReport {
+        let t0 = Instant::now();
+        let (result, tier) = self.resolve_recorded(req);
+        let elapsed_s = t0.elapsed().as_secs_f64();
+        let searched = tier == Tier::Searched;
+        let result = result.map(|s| TuneResult {
+            workload: s.workload,
+            config: s.config,
+            expr_variant: s.expr_variant,
+            index_ops: s.index_ops,
+            naive: s.naive,
+            tuned: s.tuned,
+            evaluated: if searched { s.evaluated } else { 0 },
+            from_cache: !searched,
+        });
+        FleetKeyReport {
+            request: req.clone(),
+            cache_key: cache_key.to_string(),
+            result,
+            worker,
+            elapsed_s,
+        }
     }
 
     /// Runs the search tier: a tuner configured exactly as the request

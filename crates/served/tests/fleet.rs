@@ -1,17 +1,27 @@
-//! Fleet-driver integration tests: every fleet answer equals the
-//! sequential tuner's for the same key and knobs, on any thread count
-//! and whatever the cache held before; a repeated key is searched once;
-//! the merged cache write persists every key and the reports carry what
-//! it wrote; a panicking key fails alone.
+//! In-process fleet tests (`TuneService::fleet`): every fleet answer
+//! equals the sequential tuner's for the same key and knobs, on any
+//! thread count and whatever the cache held before; a repeated key is
+//! searched once; every key is persisted and a restarted service
+//! answers the grid from the file; a panicking key fails alone.
 
 use gpu_sim::a100;
-use lego_tune::fleet::{FleetDriver, FleetSpec};
-use lego_tune::{Budget, Strategy, TuneRequest, TuningCache, WorkloadKind};
+use lego_served::TuneService;
+use lego_tune::fleet::FleetSpec;
+use lego_tune::{Budget, Knobs, Strategy, TuneRequest, TuningCache, WorkloadKind};
+
+/// Budget-48 anneal on the a100 (the device of a grid without `@`).
+fn anneal_48() -> Knobs {
+    Knobs {
+        strategy: Strategy::Anneal,
+        budget: Budget(48),
+        ..Knobs::new(a100())
+    }
+}
 
 fn small_grid() -> Vec<TuneRequest> {
     FleetSpec::parse("matmul:256..1024x2,softmax:512..2048x2@a100,h100")
         .unwrap()
-        .requests(&a100(), Strategy::Anneal, Budget(48), None)
+        .requests(&anneal_48())
 }
 
 /// A fresh temp path for one cache file (removed if it exists).
@@ -54,14 +64,14 @@ fn every_fleet_key_answers_like_a_plain_tune() {
             if stale_cache {
                 std::fs::copy(&stale_path, &path).unwrap();
             }
-            let report = FleetDriver::new(threads).with_cache(&path).run(&grid);
+            let service = TuneService::new(a100(), Some(path.clone()), None);
+            let report = service.fleet(&grid, threads);
             let what = format!("{threads} threads, stale cache: {stale_cache}");
             let c = report.counters();
             assert_eq!((c.searched, c.errors), (grid.len() as u64, 0), "{what}");
             let persisted = TuningCache::new(&path);
             for (key, (result, entry)) in report.keys.iter().zip(&solo) {
                 assert_eq!(key.result.as_ref(), Ok(result), "{what}: {}", key.cache_key);
-                assert_eq!(key.entry.as_ref(), Some(entry), "{what}: {}", key.cache_key);
                 let on_disk = persisted.lookup(&key.cache_key);
                 assert_eq!(on_disk.as_ref(), Some(entry), "{what}: {}", key.cache_key);
             }
@@ -71,9 +81,9 @@ fn every_fleet_key_answers_like_a_plain_tune() {
     let _ = std::fs::remove_file(&stale_path);
 }
 
-/// A cache-backed fleet writes every fresh result in one merged batch;
-/// a second run over the same grid is all instant hits; no tempfile
-/// litter survives.
+/// A cache-backed fleet persists every fresh result; a restarted
+/// service over the same file answers the whole grid from it; no
+/// tempfile litter survives.
 #[test]
 fn fleet_persists_once_and_rehits() {
     let dir = std::env::temp_dir().join(format!("lego-fleet-cache-{}", std::process::id()));
@@ -82,8 +92,12 @@ fn fleet_persists_once_and_rehits() {
     let _ = std::fs::remove_file(&path);
 
     let grid = small_grid();
-    let driver = FleetDriver::new(3).with_cache(&path);
-    let first = driver.run(&grid);
+    let first = {
+        let service = TuneService::new(a100(), Some(path.clone()), None);
+        let report = service.fleet(&grid, 3);
+        service.flush().unwrap();
+        report
+    };
     assert_eq!(first.counters().errors, 0);
     assert_eq!(first.counters().searched, grid.len() as u64);
 
@@ -98,13 +112,8 @@ fn fleet_persists_once_and_rehits() {
         assert!(req.satisfied_by(hit), "{}", req.cache_key());
         assert!(!hit.frontier.is_empty(), "frontier persisted");
     }
-    // Each fresh key's report carries exactly the entry persisted.
-    for key in &first.keys {
-        let persisted = entries.iter().find(|(k, _)| *k == key.cache_key);
-        assert_eq!(key.entry.as_ref(), persisted.map(|(_, v)| v));
-    }
 
-    let second = driver.run(&grid);
+    let second = TuneService::new(a100(), Some(path.clone()), None).fleet(&grid, 3);
     let c = second.counters();
     assert_eq!(c.cache_hits, grid.len() as u64, "second run all hits");
     assert_eq!(c.searched, 0);
@@ -121,7 +130,6 @@ fn fleet_persists_once_and_rehits() {
         assert_eq!(ra.config, rb.config);
         assert_eq!(ra.tuned, rb.tuned);
         assert!(rb.from_cache);
-        assert!(b.entry.is_none(), "a hit persists nothing");
     }
 
     let leftovers: Vec<_> = std::fs::read_dir(&dir)
@@ -141,7 +149,7 @@ fn fleet_persists_once_and_rehits() {
 fn a_panicking_key_fails_alone() {
     let mut grid = FleetSpec::parse("matmul:256..512x2,stencil:32")
         .unwrap()
-        .requests(&a100(), Strategy::Anneal, Budget(48), None);
+        .requests(&anneal_48());
     // A device with zero-byte sectors is no device a front door
     // resolves; built by hand, it panics inside pricing (the global
     // phase divides by the sector width).
@@ -152,11 +160,10 @@ fn a_panicking_key_fails_alone() {
     };
     grid.insert(2, bad);
 
-    let report = FleetDriver::new(2).run(&grid);
+    let report = TuneService::new(a100(), None, None).fleet(&grid, 2);
     assert_eq!(report.keys.len(), 4);
     let err = report.keys[2].result.as_ref().unwrap_err();
     assert!(err.contains("panicked"), "{err}");
-    assert!(report.keys[2].entry.is_none());
     for (i, key) in report.keys.iter().enumerate().filter(|(i, _)| *i != 2) {
         assert!(
             key.result.is_ok(),
@@ -174,16 +181,14 @@ fn a_panicking_key_fails_alone() {
 fn repeated_keys_search_once_without_transfer() {
     let grid = FleetSpec::parse("softmax:1k,softmax:1k,softmax:1k,softmax:1k@a100")
         .unwrap()
-        .requests(&a100(), Strategy::Anneal, Budget(48), None);
-    let one = FleetDriver::new(1).run(&grid);
-    let many = FleetDriver::new(4).run(&grid);
+        .requests(&anneal_48());
+    let one = TuneService::new(a100(), None, None).fleet(&grid, 1);
+    let many = TuneService::new(a100(), None, None).fleet(&grid, 4);
     for report in [&one, &many] {
         let c = report.counters();
         assert_eq!((c.searched, c.cache_hits), (1, 3));
         let first = report.keys[0].result.as_ref().unwrap();
         assert!(!first.from_cache, "the first occurrence is the search");
-        assert!(report.keys[0].entry.is_some());
-        assert!(report.keys[1..].iter().all(|k| k.entry.is_none()));
     }
     for (a, b) in one.keys.iter().zip(many.keys.iter()) {
         let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());

@@ -407,6 +407,9 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
     assert_eq!(keys.len(), 3);
     assert!(keys.iter().all(|k| k.get("ok") == Some(&Json::Bool(true))));
 
+    // The fleet's searches are the daemon's own: each counts once.
+    assert_eq!(server.service().metrics().searches_run(), 3);
+
     // The fleet's results serve subsequent tune requests from memory.
     let mut spec = TuneSpec::workload("matmul(n=512)");
     spec.strategy = Some("anneal".into());
@@ -415,23 +418,22 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
     assert!(is_ok(&served));
     assert_eq!(
         server.service().metrics().searches_run(),
-        0,
+        3,
         "a fleet-tuned key must not trigger a fresh search"
     );
 
-    // Metrics expose the fleet counters, per class and in total.
+    // Metrics count the fleet run, and its keys as tunes of their class.
     let metrics = client.metrics().expect("metrics");
     let fleet = metrics.get("fleet").expect("fleet counters");
     assert_eq!(fleet.get("runs").and_then(Json::as_i64), Some(1));
-    assert_eq!(fleet.get("keys_tuned").and_then(Json::as_i64), Some(3));
     let class = metrics
         .get("classes")
         .and_then(|c| c.get("matmul@a100"))
         .expect("fleet classes appear in metrics");
     assert_eq!(
         class
-            .get("fleet")
-            .and_then(|f| f.get("searched"))
+            .get("tiers")
+            .and_then(|t| t.get("searched"))
             .and_then(Json::as_i64),
         Some(3)
     );
@@ -672,7 +674,8 @@ fn fleet_tuned_keys_answer_the_bytes_of_a_fresh_search() {
             .expect("fleet roundtrip");
         assert_eq!(report.get("searched").and_then(Json::as_i64), Some(1));
         let served = client.roundtrip_line(TUNE).expect("tune after fleet");
-        assert_eq!(server.service().metrics().searches_run(), 0);
+        // The fleet's one search; the tune is a memory hit.
+        assert_eq!(server.service().metrics().searches_run(), 1);
         assert_eq!(served, expected, "cache attached: {cached}");
         drop(client);
         shutdown_and_join(server);
@@ -681,6 +684,45 @@ fn fleet_tuned_keys_answer_the_bytes_of_a_fresh_search() {
             let _ = std::fs::remove_file(path);
         }
     }
+}
+
+/// A fleet on a memory-only daemon resolves its keys through the
+/// daemon's tiers: a key an earlier `tune` searched is a memory hit, not
+/// a second search, and the fleet's one search counts in `searches_run`
+/// and in its class's tiers.
+#[test]
+fn fleet_keys_hit_the_memory_tier_and_count_as_searches() {
+    let server = start_with(None, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+
+    let mut spec = TuneSpec::workload("softmax(m=256,n=1024)");
+    spec.strategy = Some("anneal".into());
+    spec.budget = Some(48);
+    assert!(is_ok(&client.tune(&spec).expect("tune")));
+    assert_eq!(server.service().metrics().searches_run(), 1);
+
+    let mut wire = FleetWire::grid("softmax:1k,matmul:256");
+    wire.budget = Some(48);
+    let report = client.fleet(&wire).expect("fleet roundtrip");
+    assert!(is_ok(&report), "{}", report.render());
+    assert_eq!(report.get("searched").and_then(Json::as_i64), Some(1));
+    assert_eq!(report.get("cache_hits").and_then(Json::as_i64), Some(1));
+    assert_eq!(server.service().metrics().searches_run(), 2);
+
+    let metrics = client.metrics().expect("metrics");
+    let tiers = |class: &str| {
+        let tiers = metrics
+            .get("classes")
+            .and_then(|c| c.get(class))
+            .and_then(|c| c.get("tiers"))
+            .unwrap_or_else(|| panic!("{class} in metrics"));
+        ["memory", "searched"].map(|t| tiers.get(t).and_then(Json::as_i64))
+    };
+    assert_eq!(tiers("softmax@a100"), [Some(1), Some(1)]);
+    assert_eq!(tiers("matmul@a100"), [Some(0), Some(1)]);
+
+    drop(client);
+    shutdown_and_join(server);
 }
 
 /// Fleet requests over the key or thread cap, or naming a size the

@@ -150,7 +150,8 @@ impl TuningCache {
 
     /// [`TuningCache::store_many`], but rewrites the journal as its live
     /// records plus `batch` when superseded records outnumber live ones:
-    /// the end-of-run write of the daemon's flush and the fleet driver.
+    /// the write of `lego_served::TuneService::flush`, which a daemon
+    /// runs at shutdown and `lego-fleet` after its run.
     ///
     /// # Errors
     ///

@@ -1,46 +1,28 @@
-//! Fleet-scale tuning: a driver that tunes a whole grid of
-//! `(workload, size, device)` keys on a small thread pool.
+//! Fleet-scale tuning: the grid grammar and the report types of a run
+//! that tunes a whole grid of `(workload, size, device)` keys.
 //!
-//! A fleet is a parallel map of independent per-key tunes. The
-//! [`FleetDriver`] dedupes the grid by cache key, and its workers pull
-//! the unique keys from one shared cursor. Each key is answered exactly
-//! as the sequential tuner answers it: a preloaded cache entry that
-//! satisfies the request is a hit, and anything else runs
-//! [`crate::Tuner::tune_entry`] with the request's knobs and no cache.
-//! No search is seeded from another key or from a stale entry, so every
-//! answer is a pure function of `(key, knobs)`: the same across thread
-//! counts, grids, and whatever the cache held before (asserted by the
-//! fleet tests).
-//!
-//! * **Warm workers** — each worker keeps its thread-local expression
-//!   arena warm across every key it tunes (the same per-thread-arena
-//!   economics `lego-served` relies on), and with a memo sidecar
-//!   attached every worker installs it before taking work.
-//! * **One write** — each key's report carries the entry the run
-//!   persists for it ([`FleetKeyReport::entry`]); the entries are
-//!   written in grid order with a *single*
-//!   [`TuningCache::store_and_compact`] batch at the end, one append (or
-//!   compaction) instead of one write per key.
-//!
-//! A repeated key is searched once and filled in as a hit of its first
-//! occurrence. A search that panics fails only its own key.
+//! A [`FleetSpec`] expands into one [`TuneRequest`] per key. The runner
+//! is `lego_served::TuneService::fleet`: it dedupes the grid by cache
+//! key and answers every unique key with the same
+//! `TuneService::resolve` a `tune` request goes through, on a few
+//! threads pulling from one cursor, so a fleet key gets the daemon's
+//! memory and cache tiers, coalescing, search, persistence and panic
+//! containment. Every answer is a pure function of `(key, knobs)`, the
+//! answer [`crate::Tuner::tune_entry`] gives, on any thread count and
+//! whatever the cache held before. A run comes back as a
+//! [`FleetReport`] of per-key [`FleetKeyReport`]s.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use gpu_sim::GpuConfig;
 use lego_codegen::cuda::stencil::StencilShape;
 use lego_codegen::tuning::RowwiseOp;
 
-use crate::cache::{config_to_json, CachedTuning, TuningCache};
-use crate::domain::SpaceScale;
+use crate::cache::config_to_json;
 use crate::json::Json;
 use crate::request::{KnobText, Knobs, TuneRequest};
 use crate::space::WorkloadKind;
-use crate::strategy::{Budget, Strategy};
 use crate::tuner::TuneResult;
 
 /// Row count of the rowwise workloads a [`FleetSpec`] expands to (the
@@ -178,7 +160,7 @@ impl fmt::Display for FleetGroup {
 /// means "matmul at 512, 1024, …, 4096 and softmax rows of 1024…65536
 /// columns, each on both the A100 and the H100". Sizes take a `k`
 /// suffix (×1024); the step after `x` defaults to 2; with no `@` the
-/// driver's default device is used. The rendering round-trips
+/// caller's default device is used. The rendering round-trips
 /// ([`fmt::Display`] prints the canonical form, which re-parses to an
 /// equal spec).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -306,16 +288,11 @@ impl FleetSpec {
 
     /// Expands the spec into concrete requests, every key carrying the
     /// given search knobs, in a deterministic order: per group, per
-    /// device, sizes ascending.
-    pub fn requests(
-        &self,
-        default_device: &GpuConfig,
-        strategy: Strategy,
-        budget: Budget,
-        space: Option<SpaceScale>,
-    ) -> Vec<TuneRequest> {
+    /// device, sizes ascending. `knobs.device` is the device of a spec
+    /// without `@`.
+    pub fn requests(&self, knobs: &Knobs) -> Vec<TuneRequest> {
         let devices: Vec<GpuConfig> = if self.devices.is_empty() {
-            vec![default_device.clone()]
+            vec![knobs.device.clone()]
         } else {
             self.devices
                 .iter()
@@ -326,13 +303,11 @@ impl FleetSpec {
         for group in &self.groups {
             for device in &devices {
                 for n in group.sizes() {
-                    out.push(TuneRequest {
-                        kind: group.family.kind(n),
+                    let knobs = Knobs {
                         device: device.clone(),
-                        strategy,
-                        budget,
-                        space,
-                    });
+                        ..knobs.clone()
+                    };
+                    out.push(knobs.request(group.family.kind(n)));
                 }
             }
         }
@@ -372,9 +347,6 @@ pub struct FleetKeyReport {
     pub worker: usize,
     /// Wall-clock seconds this key took on its worker.
     pub elapsed_s: f64,
-    /// The record this run persists for the key. `None` for cache hits
-    /// and errors. Not part of [`Self::to_json`].
-    pub entry: Option<CachedTuning>,
 }
 
 impl FleetKeyReport {
@@ -419,7 +391,9 @@ impl FleetKeyReport {
 pub struct FleetCounters {
     /// Keys tuned (completed, successfully or not).
     pub keys: u64,
-    /// Keys served from the preloaded cache or an earlier occurrence.
+    /// Keys answered without a search: from the memory or cache tier,
+    /// by an identical in-flight search, or as a repeat of an earlier
+    /// grid key.
     pub cache_hits: u64,
     /// Fresh searches run.
     pub searched: u64,
@@ -442,18 +416,8 @@ impl FleetCounters {
         }
     }
 
-    /// Accumulates another counter set (how `lego-served` aggregates
-    /// fleet runs into its live metrics).
-    pub fn merge(&mut self, other: &FleetCounters) {
-        self.keys += other.keys;
-        self.cache_hits += other.cache_hits;
-        self.searched += other.searched;
-        self.evals_total += other.evals_total;
-        self.errors += other.errors;
-    }
-
     /// The counters as a JSON object (the shape `lego-served`'s
-    /// `metrics` verb embeds per class).
+    /// `fleet` verb reports per class).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("keys_tuned", Json::Int(self.keys as i64)),
@@ -465,7 +429,7 @@ impl FleetCounters {
     }
 }
 
-/// The outcome of one [`FleetDriver::run`].
+/// The outcome of one fleet run.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
     /// Per-key outcomes, in grid order.
@@ -517,198 +481,10 @@ impl FleetReport {
     }
 }
 
-// ---------------------------------------------------------------------
-// The driver
-// ---------------------------------------------------------------------
-
-/// The fleet driver. See the module docs for semantics.
-#[derive(Clone, Debug)]
-pub struct FleetDriver {
-    threads: usize,
-    cache: Option<TuningCache>,
-    sidecar: Option<std::path::PathBuf>,
-}
-
-impl FleetDriver {
-    /// A driver with `threads` workers and no cache.
-    pub fn new(threads: usize) -> FleetDriver {
-        FleetDriver {
-            threads: threads.max(1),
-            cache: None,
-            sidecar: None,
-        }
-    }
-
-    /// Attaches a persistent cache: its satisfying entries answer keys
-    /// as instant hits, and every fresh result is written back in one
-    /// batched [`TuningCache::store_and_compact`] at the end of the run.
-    #[must_use]
-    pub fn with_cache(mut self, path: impl Into<std::path::PathBuf>) -> FleetDriver {
-        self.cache = Some(TuningCache::new(path.into()));
-        self
-    }
-
-    /// Attaches a persistent memo sidecar: every worker thread installs
-    /// it before taking work (so the annotation cache and traffic memo
-    /// start warm), and the per-worker derived results are merged into
-    /// *one* sidecar write at the end of the run.
-    #[must_use]
-    pub fn with_sidecar(mut self, path: impl Into<std::path::PathBuf>) -> FleetDriver {
-        self.sidecar = Some(path.into());
-        self
-    }
-
-    /// Tunes every key of `grid` and returns the per-key outcomes plus
-    /// run counters. Individual failures, panics included, are recorded,
-    /// never fatal; the merged cache write happens once, after the last
-    /// key.
-    pub fn run(&self, grid: &[TuneRequest]) -> FleetReport {
-        let t0 = Instant::now();
-        let keys: Vec<String> = grid.iter().map(TuneRequest::cache_key).collect();
-        let mut first_at: HashMap<&str, usize> = HashMap::new();
-        let unique: Vec<usize> = (0..grid.len())
-            .filter(|&i| *first_at.entry(keys[i].as_str()).or_insert(i) == i)
-            .collect();
-        let preloaded: HashMap<String, CachedTuning> = self
-            .cache
-            .as_ref()
-            .map(|c| c.entries().into_iter().collect())
-            .unwrap_or_default();
-        let threads = self.threads.min(unique.len().max(1));
-
-        // The persistent memo sidecar is parsed once here; each worker
-        // installs it into its own thread-local caches before taking
-        // work and hands back its derived results, merged below into
-        // one document persisted in a single write.
-        let sidecar_in = self
-            .sidecar
-            .as_deref()
-            .map(crate::sidecar::Sidecar::load)
-            .filter(|sc| !sc.is_empty());
-
-        // `Relaxed` suffices: the cursor publishes no data, only hands
-        // out indices (each once), and the reports come back through
-        // the joins.
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<FleetKeyReport>> = vec![None; grid.len()];
-        let mut sidecar_out = crate::sidecar::Sidecar::new();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (cursor, unique, keys, preloaded) = (&cursor, &unique, &keys, &preloaded);
-                    let sidecar_in = sidecar_in.as_ref();
-                    scope.spawn(move || {
-                        if let Some(sc) = sidecar_in {
-                            crate::sidecar::install(sc);
-                        }
-                        let mut done = Vec::new();
-                        while let Some(&i) = unique.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                            let hit = preloaded.get(&keys[i]);
-                            done.push((i, run_key(&grid[i], &keys[i], hit, w)));
-                        }
-                        (done, self.sidecar.is_some().then(crate::sidecar::collect))
-                    })
-                })
-                .collect();
-            for worker in workers {
-                let (done, derived) = worker.join().expect("fleet worker panicked");
-                for (i, report) in done {
-                    slots[i] = Some(report);
-                }
-                if let Some(derived) = derived {
-                    sidecar_out.merge(&derived);
-                }
-            }
-        });
-        if let Some(path) = &self.sidecar {
-            if let Err(e) = sidecar_out.save(path) {
-                // Same best-effort stance as the cache write below.
-                eprintln!("fleet: sidecar write failed: {e}");
-            }
-        }
-
-        if let Some(cache) = &self.cache {
-            let batch: Vec<(String, CachedTuning)> = slots
-                .iter()
-                .flatten()
-                .filter_map(|r| Some((r.cache_key.clone(), r.entry.clone()?)))
-                .collect();
-            if let Err(e) = cache.store_and_compact(&batch) {
-                // Persisting is best-effort at this layer; surface the
-                // failure on every fresh key's report instead of
-                // panicking a completed run.
-                for r in slots.iter_mut().flatten() {
-                    if r.entry.take().is_some() {
-                        r.result = Err(format!("cache write failed: {e}"));
-                    }
-                }
-            }
-        }
-
-        // A repeated key is a hit of its first occurrence's answer.
-        let mut reports: Vec<FleetKeyReport> = Vec::with_capacity(grid.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            let report = slot.unwrap_or_else(|| {
-                let first = &reports[first_at[keys[i].as_str()]];
-                FleetKeyReport {
-                    request: grid[i].clone(),
-                    result: first.result.clone().map(|r| TuneResult {
-                        evaluated: 0,
-                        from_cache: true,
-                        ..r
-                    }),
-                    elapsed_s: 0.0,
-                    entry: None,
-                    ..first.clone()
-                }
-            });
-            reports.push(report);
-        }
-
-        FleetReport {
-            keys: reports,
-            threads,
-            elapsed_s: t0.elapsed().as_secs_f64(),
-        }
-    }
-}
-
-/// Answers one unique grid key on worker `w`: a preloaded entry that
-/// satisfies the request is a hit (the rule the sequential tuner and
-/// the daemon apply), anything else a cache-less
-/// [`crate::Tuner::tune_entry`]. A panicking search becomes an error
-/// report for this key alone.
-fn run_key(
-    req: &TuneRequest,
-    key: &str,
-    preloaded: Option<&CachedTuning>,
-    w: usize,
-) -> FleetKeyReport {
-    let t0 = Instant::now();
-    let (result, entry) = match preloaded.filter(|hit| req.satisfied_by(hit)) {
-        Some(hit) => (Ok(TuneResult::from_entry(req.kind.name(), hit, true)), None),
-        None => match catch_unwind(AssertUnwindSafe(|| req.tuner().tune_entry(&req.kind))) {
-            Ok(Ok((result, entry))) => (Ok(result), Some(entry)),
-            Ok(Err(e)) => (Err(e.to_string()), None),
-            Err(_) => (
-                Err(format!("tuning panicked for {}", req.kind.name())),
-                None,
-            ),
-        },
-    };
-    FleetKeyReport {
-        request: req.clone(),
-        cache_key: key.to_string(),
-        result,
-        worker: w,
-        elapsed_s: t0.elapsed().as_secs_f64(),
-        entry,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::{Budget, Strategy};
 
     #[test]
     fn spec_parse_expands_the_readme_example() {
@@ -722,7 +498,12 @@ mod tests {
         );
         // 4 matmul sizes + 7 rowwise sizes, each on 2 devices.
         assert_eq!(spec.len(), 22);
-        let reqs = spec.requests(&gpu_sim::a100(), Strategy::Anneal, Budget(64), None);
+        let knobs = Knobs {
+            strategy: Strategy::Anneal,
+            budget: Budget(64),
+            ..Knobs::new(gpu_sim::a100())
+        };
+        let reqs = spec.requests(&knobs);
         assert_eq!(reqs.len(), 22);
         assert_eq!(reqs[0].kind, WorkloadKind::Matmul { n: 512 });
         assert_eq!(reqs[0].device.tag, "a100");

@@ -63,7 +63,7 @@ pub mod tuner;
 
 pub use cache::{cache_key, CachedTuning, TuningCache, CACHE_SCHEMA_VERSION};
 pub use domain::{Domain, SpaceScale};
-pub use fleet::{FleetCounters, FleetDriver, FleetReport, FleetSpec};
+pub use fleet::{FleetCounters, FleetReport, FleetSpec};
 pub use json::Json;
 pub use lego_codegen::tuning::{
     NwLayoutChoice, RowwiseOp, ScheduleChoice, StagingChoice, StencilLayoutChoice, TunedConfig,

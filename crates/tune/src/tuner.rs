@@ -261,8 +261,7 @@ impl Tuner {
             frontier: outcome.frontier,
         };
         if let Some(cache) = &self.cache {
-            // One journal append, through the same batched writer a
-            // fleet uses.
+            // One journal append, through the batched writer.
             cache.store_many(&[(key, entry.clone())])?;
         }
         Ok((TuneResult::from_entry(workload, &entry, false), entry))

@@ -1,28 +1,35 @@
 //! Fleet-scale tuning demo: expand a grid spec into a dozen
 //! `(workload, size, device)` keys and tune them on one thread and on
-//! four. A fleet is a parallel map of independent per-key tunes, so
-//! both runs give identical answers; only the keys/s differ.
+//! four, each on its own in-process tuning service. A fleet resolves
+//! every key as an independent tune, so both runs give identical
+//! answers; only the keys/s differ.
 //!
 //! ```text
 //! cargo run --release --example fleet
 //! ```
 
-use lego_tune::fleet::{FleetDriver, FleetSpec};
-use lego_tune::{Budget, Strategy};
+use lego_served::TuneService;
+use lego_tune::{Budget, FleetSpec, Knobs, Strategy};
 
 const GRID: &str = "matmul:256..1024x2,softmax:512..2048x2@a100,h100";
 
 fn main() {
     let spec = FleetSpec::parse(GRID).expect("grid spec");
-    let grid = spec.requests(&gpu_sim::a100(), Strategy::Anneal, Budget(64), None);
+    let knobs = Knobs {
+        strategy: Strategy::Anneal,
+        budget: Budget(64),
+        ..Knobs::new(gpu_sim::a100())
+    };
+    let grid = spec.requests(&knobs);
     println!(
         "fleet grid {spec}: {} keys across {} devices\n",
         grid.len(),
         spec.devices.len()
     );
 
-    let one = FleetDriver::new(1).run(&grid);
-    let four = FleetDriver::new(4).run(&grid);
+    // A memory-only service per run, so the second run searches too.
+    let run = |threads| TuneService::new(gpu_sim::a100(), None, None).fleet(&grid, threads);
+    let (one, four) = (run(1), run(4));
     for (threads, report) in [(1, &one), (4, &four)] {
         let c = report.counters();
         println!(
