@@ -1,38 +1,36 @@
-//! `lego-fleet`: fleet-scale parallel tuning from the command line.
+//! `lego-fleet`: fleet-scale tuning from the command line.
 //!
 //! Expands a [`FleetSpec`] grid (`family:lo..hixSTEP[,...][@devices]`)
 //! into tuning requests and tunes them on an in-process
 //! [`TuneService`], the engine behind the `lego-served` daemon: one
-//! resolution per unique key (memory tier, cache tier, search) on a few
-//! threads, then one [`TuneService::flush`] that compacts the cache and
-//! writes the merged memo sidecar. Prints a per-key table and emits
-//! `BENCH_fleet.json`. Every answer equals the one the sequential
+//! resolution per key (memory tier, cache tier, search), in grid order
+//! on the main thread, then one [`TuneService::flush`] that compacts
+//! the cache and writes the memo sidecar. Prints a per-key table and
+//! emits `BENCH_fleet.json`. Every answer equals the one the sequential
 //! tuner gives for the same key and knobs.
 //!
-//! Flags: `--grid SPEC`, `--threads N`, `--strategy anneal|genetic`,
-//! `--budget N`, `--space legacy|enlarged`, `--device TAG` (default
-//! device for specs without `@`; a tag or full name, in any case),
-//! `--cache PATH`, `--sidecar PATH` (warm every fleet thread from the
-//! persisted memo sidecar and write the merged derived results back on
-//! completion). The search knobs go through the resolver every front
-//! door shares ([`lego_tune::Knobs::resolve`]); bad input, a flag
-//! given where a value belongs, or a flag outside this list exits with
-//! status 2. A key that fails, or a failed final write, exits with
-//! status 1.
+//! Flags: `--grid SPEC`, `--strategy anneal|genetic`, `--budget N`,
+//! `--space legacy|enlarged`, `--device TAG` (default device for specs
+//! without `@`; a tag or full name, in any case), `--cache PATH`,
+//! `--sidecar PATH` (warm the tuning thread from the persisted memo
+//! sidecar and write its derived results back on completion). The
+//! search knobs go through the resolver every front door shares
+//! ([`lego_tune::Knobs::resolve`]); bad input, a flag given where a
+//! value belongs, or a flag outside this list exits with status 2. A
+//! key that fails, or a failed final write, exits with status 1.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use lego_bench::emit;
-use lego_bench::tuned::{flag_value, knobs_from_args, parsed_flag, reject_unknown_flags};
+use lego_bench::tuned::{flag_value, knobs_from_args, reject_unknown_flags};
 use lego_served::TuneService;
 use lego_tune::fleet::FleetReport;
 use lego_tune::{Budget, FleetSpec, Json, Knobs, Strategy, TuneRequest};
 
 /// Every flag `lego-fleet` knows.
-const FLAGS: [&str; 8] = [
+const FLAGS: [&str; 7] = [
     "--grid",
-    "--threads",
     "--strategy",
     "--budget",
     "--space",
@@ -67,10 +65,9 @@ fn print_report(report: &FleetReport) {
     }
     let c = report.counters();
     println!(
-        "{} keys on {} threads in {:.2}s ({:.2} keys/s) — {} hits, {} searched, \
+        "{} keys in {:.2}s ({:.2} keys/s) — {} hits, {} searched, \
          {} evals total, {} errors",
         report.keys.len(),
-        report.threads,
         report.elapsed_s,
         report.keys_per_s(),
         c.cache_hits,
@@ -92,20 +89,21 @@ fn main() {
         budget: Budget(160),
         ..Knobs::new(gpu_sim::a100())
     });
-    let threads = parsed_flag("--threads").unwrap_or(4);
     let cache = flag_value("--cache").map(PathBuf::from);
     let sidecar = flag_value("--sidecar").map(PathBuf::from);
 
     let grid: Vec<TuneRequest> = spec.requests(&knobs);
     println!(
-        "-- lego-fleet: {} keys ({spec}), {threads} threads, {} @ {} evals --",
+        "-- lego-fleet: {} keys ({spec}), {} @ {} evals --",
         grid.len(),
         knobs.strategy,
         knobs.budget.max_evals()
     );
 
     let service = TuneService::new(knobs.device.clone(), cache, sidecar);
-    let report = service.fleet(&grid, threads);
+    service.warm_worker(0);
+    let report = service.fleet(&grid);
+    service.harvest_worker();
     print_report(&report);
     let flushed = service.flush();
     let mut rows: Vec<Json> = report.keys.iter().map(|k| k.to_json()).collect();

@@ -1,7 +1,12 @@
 //! **Table III**: per-application code generation and simplification
 //! latency. Reproduces the paper's one-time cost table by timing this
-//! repository's actual generators (layout construction + symbolic
-//! apply/inv + Table II simplification + printing).
+//! repository's actual generators. Every row but the two Bricks rows
+//! times layout construction + symbolic apply/inv + Table II
+//! simplification + printing. The Bricks rows
+//! (`lego_codegen::cuda::stencil::generate`) build the row-major and
+//! brick layouts and render a template whose taps index through an
+//! `IDX` macro: no symbolic apply and no simplification, so the paper's
+//! two dearest rows are among this table's cheapest.
 //!
 //! Pass `--tuned` to additionally run the `lego-tune` search for every
 //! generator family (through the shared `gpu_sim::trace` builders) and

@@ -103,7 +103,7 @@ pub fn flag_value(flag: &str) -> Option<String> {
 
 /// The value following `flag`, parsed; a value that does not parse
 /// aborts with a usage message.
-pub fn parsed_flag<T: FromStr>(flag: &str) -> Option<T> {
+fn parsed_flag<T: FromStr>(flag: &str) -> Option<T> {
     flag_value(flag).map(|v| {
         v.parse().unwrap_or_else(|_| {
             eprintln!("bad value {v:?} for {flag}");

@@ -20,7 +20,7 @@ fn scratch(name: &str) -> PathBuf {
 fn fleet(dir: &Path, extra: &[&str]) -> Option<i32> {
     Command::new(env!("CARGO_BIN_EXE_lego-fleet"))
         .current_dir(dir)
-        .args(["--grid", "matmul:256", "--threads", "1"])
+        .args(["--grid", "matmul:256"])
         .args(extra)
         .output()
         .expect("run lego-fleet")
@@ -54,8 +54,11 @@ fn flag_given_as_a_value_is_refused_and_writes_nothing() {
 #[test]
 fn unknown_flag_is_refused_and_writes_nothing() {
     let dir = scratch("unknown");
-    assert_eq!(fleet(&dir, &["--no-transfer"]), Some(2));
-    assert!(entries(&dir).is_empty(), "wrote {:?}", entries(&dir));
+    // A fleet runs on the thread that asks for it: `--threads` is no flag.
+    for extra in [&["--no-transfer"][..], &["--threads", "4"]] {
+        assert_eq!(fleet(&dir, extra), Some(2), "{extra:?}");
+        assert!(entries(&dir).is_empty(), "wrote {:?}", entries(&dir));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

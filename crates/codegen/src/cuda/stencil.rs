@@ -5,6 +5,12 @@
 //! is evaluated with the conventional row-major layout and with the
 //! 6-D brick layout of Table I (last row) — the only difference being
 //! the LEGO layout the index expressions are derived from.
+//!
+//! [`generate`] builds both layouts but derives no expression from
+//! them: its kernel source is a template whose taps index through a
+//! hand-written `IDX` macro of the brick offset. No symbolic apply or
+//! simplification runs, so Table III's Bricks rows time layout
+//! construction and template rendering only.
 
 use lego_core::brick::{brick3d, row_major3d};
 use lego_core::{Layout, LayoutError, Result};

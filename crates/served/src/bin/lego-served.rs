@@ -9,11 +9,11 @@
 //! `shutdown`) and serves best-config answers through the three-tier
 //! path described in `lego_served::service`. The `fleet` verb tunes a
 //! whole grid at once by resolving every key through that same path
-//! (`lego_served::TuneService::fleet`), at most 1,024 keys on at most
-//! 64 threads per request (`lego_served::protocol::MAX_FLEET_KEYS`,
-//! `MAX_FLEET_THREADS`). Runs until a client sends the `shutdown` verb,
-//! then drains in-flight work, flushes the tuning cache and the
-//! sidecar, and exits 0.
+//! (`lego_served::TuneService::fleet`) on the worker that read the
+//! line, at most 1,024 keys per request
+//! (`lego_served::protocol::MAX_FLEET_KEYS`). Runs until a client
+//! sends the `shutdown` verb, then drains in-flight work, flushes the
+//! tuning cache and the sidecar, and exits 0.
 
 use std::path::PathBuf;
 
@@ -41,8 +41,8 @@ protocol (one JSON object per line, response mirrors with \"ok\"):
   {\"verb\":\"tune\",\"workload\":\"matmul(n=2048)\",\"device\":\"h100\",
    \"strategy\":\"anneal\",\"budget\":256,\"space\":\"enlarged\"}
   {\"verb\":\"fleet\",\"grid\":\"matmul:512..4096x2@a100,h100\",
-   \"strategy\":\"anneal\",\"budget\":160,\"threads\":4}
-   (a fleet grid may expand to at most 1024 keys and ask for at most 64 threads)
+   \"strategy\":\"anneal\",\"budget\":160}
+   (a fleet grid may expand to at most 1024 keys)
   {\"verb\":\"metrics\"}
   {\"verb\":\"shutdown\"}";
 

@@ -16,10 +16,10 @@
 //!    expression arena.
 //!
 //! A fleet (a whole [`lego_tune::FleetSpec`] grid) is that same
-//! resolution mapped over the grid's unique keys on a few threads
-//! ([`TuneService::fleet`]): the daemon's `fleet` verb, the `lego-fleet`
-//! CLI and in-process callers all tune a grid through it, so there is
-//! one tuning engine.
+//! resolution mapped over the grid's keys on the calling thread
+//! ([`TuneService::fleet`]): the daemon's `fleet` verb (on the worker
+//! that read the line), the `lego-fleet` CLI and in-process callers all
+//! tune a grid through it, so there is one tuning engine.
 //!
 //! Everything is `std`-only: `std::net::TcpListener` plus a fixed
 //! worker-thread pool — no async runtime.

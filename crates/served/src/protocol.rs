@@ -6,7 +6,7 @@
 //! {"verb": "tune", "workload": "matmul(n=2048)", "device": "h100",
 //!  "strategy": "anneal", "budget": 256, "space": "enlarged"}
 //! {"verb": "fleet", "grid": "matmul:512..4096x2@a100,h100",
-//!  "strategy": "anneal", "budget": 160, "threads": 4}
+//!  "strategy": "anneal", "budget": 160}
 //! {"verb": "metrics"}
 //! {"verb": "shutdown"}
 //! ```
@@ -17,9 +17,10 @@
 //! space). The `fleet` verb requires only `grid` (a [`FleetSpec`]
 //! string); its strategy defaults to `anneal` — a fleet exists to
 //! amortize budgeted searches. A fleet request may expand to at most
-//! [`MAX_FLEET_KEYS`] keys and ask for at most [`MAX_FLEET_THREADS`]
-//! threads; anything larger is an error. A field a verb does not know
-//! is ignored. Responses always carry `"ok"`; failures look like
+//! [`MAX_FLEET_KEYS`] keys; a larger grid is an error. A fleet runs on
+//! the worker that read its line, so it takes no thread count. A field
+//! a verb does not know (a fleet's `threads` or `transfer`, say) is
+//! ignored. Responses always carry `"ok"`; failures look like
 //! `{"ok": false, "error": "..."}` and never close the connection — a
 //! malformed line costs one error response, nothing more.
 //!
@@ -107,8 +108,6 @@ pub struct FleetWire {
     pub budget: Option<usize>,
     /// Space-scale pin (`None` = strategy default).
     pub space: Option<String>,
-    /// Fleet threads (`None` = 4).
-    pub threads: Option<usize>,
 }
 
 impl FleetWire {
@@ -138,9 +137,6 @@ impl FleetWire {
         if let Some(b) = self.budget {
             pairs.push(("budget".to_string(), Json::Int(b as i64)));
         }
-        if let Some(t) = self.threads {
-            pairs.push(("threads".to_string(), Json::Int(t as i64)));
-        }
         Json::Obj(pairs)
     }
 }
@@ -160,6 +156,20 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .get("verb")
         .and_then(Json::as_str)
         .ok_or_else(|| "\"verb\" must be a string".to_string())?;
+    let opt_str = |k: &str| -> Result<Option<String>, String> {
+        match doc.get(k) {
+            None | Some(Json::Null) => Ok(None),
+            Some(Json::Str(s)) => Ok(Some(s.clone())),
+            Some(_) => Err(format!("\"{k}\" must be a string")),
+        }
+    };
+    let budget = || -> Result<Option<usize>, String> {
+        match doc.get("budget") {
+            None | Some(Json::Null) => Ok(None),
+            Some(Json::Int(v)) if *v > 0 => Ok(Some(*v as usize)),
+            Some(_) => Err("\"budget\" must be a positive integer".to_string()),
+        }
+    };
     match verb {
         "metrics" => Ok(Request::Metrics),
         "shutdown" => Ok(Request::Shutdown),
@@ -169,25 +179,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Json::as_str)
                 .ok_or_else(|| "tune requires a string \"workload\"".to_string())?
                 .to_string();
-            let opt_str = |k: &str| -> Result<Option<String>, String> {
-                match doc.get(k) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Str(s)) => Ok(Some(s.clone())),
-                    Some(_) => Err(format!("\"{k}\" must be a string")),
-                }
-            };
-            let budget = match doc.get("budget") {
-                None | Some(Json::Null) => None,
-                Some(Json::Int(v)) if *v > 0 => Some(*v as usize),
-                Some(_) => {
-                    return Err("\"budget\" must be a positive integer".to_string());
-                }
-            };
             Ok(Request::Tune(TuneSpec {
                 workload,
                 device: opt_str("device")?,
                 strategy: opt_str("strategy")?,
-                budget,
+                budget: budget()?,
                 space: opt_str("space")?,
             }))
         }
@@ -197,27 +193,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Json::as_str)
                 .ok_or_else(|| "fleet requires a string \"grid\"".to_string())?
                 .to_string();
-            let opt_str = |k: &str| -> Result<Option<String>, String> {
-                match doc.get(k) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Str(s)) => Ok(Some(s.clone())),
-                    Some(_) => Err(format!("\"{k}\" must be a string")),
-                }
-            };
-            let opt_pos = |k: &str| -> Result<Option<usize>, String> {
-                match doc.get(k) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Int(v)) if *v > 0 => Ok(Some(*v as usize)),
-                    Some(_) => Err(format!("\"{k}\" must be a positive integer")),
-                }
-            };
             Ok(Request::Fleet(FleetWire {
                 grid,
                 device: opt_str("device")?,
                 strategy: opt_str("strategy")?,
-                budget: opt_pos("budget")?,
+                budget: budget()?,
                 space: opt_str("space")?,
-                threads: opt_pos("threads")?,
             }))
         }
         other => Err(format!(
@@ -249,43 +230,23 @@ pub fn resolve(spec: &TuneSpec, default_device: &GpuConfig) -> Result<TuneReques
 /// for.
 pub const MAX_FLEET_KEYS: usize = 1024;
 
-/// Most threads one `fleet` request may ask for (a fleet spawns one OS
-/// thread per requested thread, up to the key count).
-pub const MAX_FLEET_THREADS: usize = 64;
-
-/// A resolved fleet request: the expanded grid plus its thread count.
-#[derive(Clone, Debug)]
-pub struct ResolvedFleet {
-    /// The concrete tuning requests, in grid order.
-    pub grid: Vec<TuneRequest>,
-    /// Threads the fleet runs on.
-    pub threads: usize,
-}
-
-/// Resolves a wire-form fleet spec against the daemon's default device.
-/// The strategy defaults to `anneal` (a fleet exists to amortize
-/// budgeted searches), threads to 4.
+/// Resolves a wire-form fleet spec into its grid of tuning requests,
+/// in grid order, against the daemon's default device. The strategy
+/// defaults to `anneal` (a fleet exists to amortize budgeted searches).
 ///
 /// # Errors
 ///
 /// Malformed grid spec, unknown device, strategy, or space, a zero
-/// budget, a grid of more than [`MAX_FLEET_KEYS`] keys or more than
-/// [`MAX_FLEET_THREADS`] threads.
+/// budget, or a grid of more than [`MAX_FLEET_KEYS`] keys.
 pub fn resolve_fleet(
     wire: &FleetWire,
     default_device: &GpuConfig,
-) -> Result<ResolvedFleet, String> {
+) -> Result<Vec<TuneRequest>, String> {
     let spec = FleetSpec::parse(&wire.grid).map_err(|e| format!("bad grid: {e}"))?;
     if spec.len() > MAX_FLEET_KEYS {
         return Err(format!(
             "grid expands to {} keys, above the cap of {MAX_FLEET_KEYS}",
             spec.len()
-        ));
-    }
-    let threads = wire.threads.unwrap_or(4);
-    if threads > MAX_FLEET_THREADS {
-        return Err(format!(
-            "{threads} threads is above the cap of {MAX_FLEET_THREADS}"
         ));
     }
     let knobs = Knobs {
@@ -298,10 +259,7 @@ pub fn resolve_fleet(
         space: wire.space.as_deref(),
         budget: wire.budget,
     })?;
-    Ok(ResolvedFleet {
-        grid: spec.requests(&knobs),
-        threads,
-    })
+    Ok(spec.requests(&knobs))
 }
 
 /// The uniform failure response.
@@ -348,8 +306,8 @@ mod tests {
                 space: Some("enlarged".into()),
             })
         );
-        // `transfer` is not a fleet field, so it is ignored like any
-        // other unknown field.
+        // Neither `threads` nor `transfer` is a fleet field, so both are
+        // ignored like any other unknown field.
         let f = parse_request(
             "{\"verb\":\"fleet\",\"grid\":\"matmul:512..2048x2@a100,h100\",\
              \"strategy\":\"genetic\",\"budget\":96,\"threads\":2,\"transfer\":false}",
@@ -363,7 +321,6 @@ mod tests {
                 strategy: Some("genetic".into()),
                 budget: Some(96),
                 space: None,
-                threads: Some(2),
             })
         );
     }
@@ -376,7 +333,6 @@ mod tests {
             strategy: Some("anneal".into()),
             budget: Some(48),
             space: Some("enlarged".into()),
-            threads: Some(3),
         };
         let line = render_line(&wire.to_json());
         assert_eq!(parse_request(&line), Ok(Request::Fleet(wire)));
@@ -388,11 +344,10 @@ mod tests {
     #[test]
     fn resolve_fleet_expands_the_grid_with_defaults() {
         let wire = FleetWire::grid("matmul:256..512x2");
-        let r = resolve_fleet(&wire, &gpu_sim::h100()).unwrap();
-        assert_eq!(r.grid.len(), 2);
-        assert!(r.grid.iter().all(|req| req.device.tag == "h100"));
-        assert!(r.grid.iter().all(|req| req.strategy == Strategy::Anneal));
-        assert_eq!(r.threads, 4);
+        let grid = resolve_fleet(&wire, &gpu_sim::h100()).unwrap();
+        assert_eq!(grid.len(), 2);
+        assert!(grid.iter().all(|req| req.device.tag == "h100"));
+        assert!(grid.iter().all(|req| req.strategy == Strategy::Anneal));
 
         assert!(resolve_fleet(&FleetWire::grid("matmul:"), &gpu_sim::a100())
             .unwrap_err()
@@ -408,7 +363,7 @@ mod tests {
     fn resolve_fleet_caps_the_key_count() {
         let grid = |keys: usize| FleetWire::grid(vec!["softmax:1k"; keys].join(","));
         let at_cap = resolve_fleet(&grid(MAX_FLEET_KEYS), &gpu_sim::a100()).unwrap();
-        assert_eq!(at_cap.grid.len(), MAX_FLEET_KEYS);
+        assert_eq!(at_cap.len(), MAX_FLEET_KEYS);
         let err = resolve_fleet(&grid(MAX_FLEET_KEYS + 1), &gpu_sim::a100()).unwrap_err();
         assert!(err.contains("cap of 1024"), "{err}");
         // Devices multiply the count: 342 groups on 3 devices is 1026.
@@ -416,19 +371,6 @@ mod tests {
         wide.grid.push_str("@a100,h100,mi300");
         let err = resolve_fleet(&wide, &gpu_sim::a100()).unwrap_err();
         assert!(err.contains("1026 keys"), "{err}");
-    }
-
-    #[test]
-    fn resolve_fleet_caps_the_thread_count() {
-        let mut wire = FleetWire::grid("matmul:256");
-        wire.threads = Some(MAX_FLEET_THREADS);
-        assert_eq!(
-            resolve_fleet(&wire, &gpu_sim::a100()).unwrap().threads,
-            MAX_FLEET_THREADS
-        );
-        wire.threads = Some(MAX_FLEET_THREADS + 1);
-        let err = resolve_fleet(&wire, &gpu_sim::a100()).unwrap_err();
-        assert!(err.contains("cap of 64"), "{err}");
     }
 
     #[test]
@@ -460,7 +402,6 @@ mod tests {
             "{\"verb\": \"tune\", \"workload\": \"matmul(n=64)\", \"strategy\": 3}",
             "{\"verb\": \"fleet\"}",
             "{\"verb\": \"fleet\", \"grid\": 7}",
-            "{\"verb\": \"fleet\", \"grid\": \"matmul:256\", \"threads\": 0}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} must not parse");
         }

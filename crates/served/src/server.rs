@@ -51,9 +51,9 @@ pub struct ServerConfig {
     /// Persistent tuning-cache path (`None` = memory only).
     pub cache: Option<PathBuf>,
     /// Persistent memo-sidecar path (`None` = cold workers). Loaded
-    /// once at startup to re-warm every worker's and fleet thread's
-    /// annotation cache and traffic memo; the merged derived results
-    /// are flushed back on graceful shutdown.
+    /// once at startup to re-warm every worker's annotation cache and
+    /// traffic memo; the merged derived results are flushed back on
+    /// graceful shutdown.
     pub sidecar: Option<PathBuf>,
     /// Device used when a request names none.
     pub device_default: GpuConfig,
@@ -305,8 +305,9 @@ fn dispatch(idx: usize, line: &str, service: &TuneService) -> (Json, bool) {
                     service.metrics().record_rejected();
                     (protocol::error_response(&e), false)
                 }
-                Ok(r) => {
-                    let report = service.fleet(&r.grid, r.threads);
+                Ok(grid) => {
+                    let report = service.fleet(&grid);
+                    service.publish_worker(idx);
                     (fleet_response(&report), false)
                 }
             }
@@ -318,15 +319,11 @@ fn dispatch(idx: usize, line: &str, service: &TuneService) -> (Json, bool) {
             }
             Ok(req) => {
                 let (result, tier) = service.resolve_recorded(&req);
-                let metrics = service.metrics();
-                // The arena, annotation and traffic caches are per
-                // worker thread and move only when this worker ran the
-                // tuner; then publish its counters so the metrics report
-                // can aggregate them.
+                // Only a search or a cache read ran the tuner on this
+                // worker; a memory or coalesced answer left its caches
+                // as they were.
                 if matches!(tier, Tier::Searched | Tier::Cache) {
-                    metrics.record_arena(idx, lego_expr::intern::stats());
-                    metrics.record_sidecar(idx, lego_tune::annotate_sidecar_stats());
-                    metrics.record_traffic(idx, gpu_sim::traffic_memo_stats());
+                    service.publish_worker(idx);
                 }
                 match result {
                     Ok(served) => (served.to_json(), false),

@@ -22,15 +22,16 @@
 //! serialized into the response, so coalesced, memory-served and
 //! freshly-searched answers for one key are byte-identical on the wire.
 //!
-//! A fleet ([`TuneService::fleet`]) resolves every unique key of a grid
-//! through these same tiers, so it is the one tuning engine behind the
-//! `tune` and `fleet` verbs and the `lego-fleet` CLI.
+//! A fleet ([`TuneService::fleet`]) resolves every key of a grid, in
+//! order on the calling thread, through these same tiers, so it is the
+//! one tuning engine behind the `tune` and `fleet` verbs and the
+//! `lego-fleet` CLI.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -178,9 +179,9 @@ pub struct TuneService {
     default_device: GpuConfig,
     cache: Option<TuningCache>,
     /// Persistent memo-sidecar path (`None` = no persistence). The
-    /// document is parsed once at startup; every worker and fleet
-    /// thread installs it into its thread-local caches before taking
-    /// work and contributes its derived results back when it finishes
+    /// document is parsed once at startup; every worker installs it
+    /// into its thread-local caches before taking work and contributes
+    /// its derived results back when it finishes
     /// ([`TuneService::harvest_worker`]), so the flush writes one merged
     /// document.
     sidecar_path: Option<PathBuf>,
@@ -233,7 +234,17 @@ impl TuneService {
     /// caches and publishes the resulting warm counters. Workers
     /// call this once, before taking connections.
     pub fn warm_worker(&self, idx: usize) {
-        self.install_sidecar();
+        if let Some(sc) = &self.sidecar_in {
+            lego_tune::sidecar::install(sc);
+        }
+        self.publish_worker(idx);
+    }
+
+    /// Publishes the calling thread's arena, annotation and traffic
+    /// counters as worker `idx`'s snapshot. These caches are per
+    /// thread and move only when the thread runs the tuner, so a
+    /// worker publishes after warming and after each search.
+    pub(crate) fn publish_worker(&self, idx: usize) {
         self.metrics.record_arena(idx, lego_expr::intern::stats());
         self.metrics
             .record_sidecar(idx, lego_tune::annotate_sidecar_stats());
@@ -241,16 +252,9 @@ impl TuneService {
             .record_traffic(idx, gpu_sim::traffic_memo_stats());
     }
 
-    /// Installs the startup sidecar into the calling thread's caches.
-    fn install_sidecar(&self) {
-        if let Some(sc) = &self.sidecar_in {
-            lego_tune::sidecar::install(sc);
-        }
-    }
-
     /// Merges the calling thread's derived results into the shared
-    /// outgoing sidecar. Workers and fleet threads call this once, when
-    /// they finish; [`TuneService::flush`] persists the merged document.
+    /// outgoing sidecar. Workers call this once, when they finish;
+    /// [`TuneService::flush`] persists the merged document.
     pub fn harvest_worker(&self) {
         if self.sidecar_path.is_none() {
             return;
@@ -387,79 +391,29 @@ impl TuneService {
         self.tiers.lock().expect("tier lock poisoned")
     }
 
-    /// Tunes a whole grid: [`TuneService::resolve`] mapped over its
-    /// unique keys. The grid is deduped by cache key; up to `threads`
-    /// scoped threads, each warmed from the startup sidecar, pull the
-    /// unique keys from one cursor and resolve them exactly as `tune`
-    /// requests, so every tier, coalescing, persistence and panic
+    /// Tunes a whole grid: [`TuneService::resolve`] mapped over it, in
+    /// grid order, on the calling thread. Each key resolves exactly as a
+    /// `tune` request, so every tier, coalescing, persistence and panic
     /// containment are the daemon's own, and each key counts in the
-    /// metrics as one `tune`. A repeated key is a hit of its first
-    /// occurrence's answer. Each thread hands its derived memo results
-    /// to the merge [`TuneService::flush`] persists.
-    pub fn fleet(&self, grid: &[TuneRequest], threads: usize) -> FleetReport {
+    /// metrics as one `tune`. A repeated key finds its first
+    /// occurrence's answer in the memory tier. Searches run on the
+    /// caller's thread-local caches: a caller that wants them warmed
+    /// from the sidecar and harvested back brackets the call with
+    /// [`TuneService::warm_worker`] and [`TuneService::harvest_worker`],
+    /// as a daemon worker does.
+    pub fn fleet(&self, grid: &[TuneRequest]) -> FleetReport {
         let t0 = Instant::now();
-        let keys: Vec<String> = grid.iter().map(TuneRequest::cache_key).collect();
-        let mut first_at: HashMap<&str, usize> = HashMap::new();
-        let unique: Vec<usize> = (0..grid.len())
-            .filter(|&i| *first_at.entry(keys[i].as_str()).or_insert(i) == i)
-            .collect();
-        let threads = threads.clamp(1, unique.len().max(1));
-
-        // `Relaxed` suffices: the cursor publishes no data, only hands
-        // out indices (each once), and the reports come back through
-        // the joins.
-        let cursor = AtomicUsize::new(0);
-        let mut slots: Vec<Option<FleetKeyReport>> = vec![None; grid.len()];
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|worker| {
-                    let (cursor, unique, keys) = (&cursor, &unique, &keys);
-                    scope.spawn(move || {
-                        self.install_sidecar();
-                        let mut done = Vec::new();
-                        while let Some(&i) = unique.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                            done.push((i, self.fleet_key(&grid[i], &keys[i], worker)));
-                        }
-                        self.harvest_worker();
-                        done
-                    })
-                })
-                .collect();
-            for worker in workers {
-                for (i, report) in worker.join().expect("fleet thread panicked") {
-                    slots[i] = Some(report);
-                }
-            }
-        });
-
-        let mut reports: Vec<FleetKeyReport> = Vec::with_capacity(grid.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            let report = slot.unwrap_or_else(|| {
-                let first = &reports[first_at[keys[i].as_str()]];
-                FleetKeyReport {
-                    request: grid[i].clone(),
-                    result: first.result.clone().map(|r| TuneResult {
-                        evaluated: 0,
-                        from_cache: true,
-                        ..r
-                    }),
-                    elapsed_s: 0.0,
-                    ..first.clone()
-                }
-            });
-            reports.push(report);
-        }
+        let keys = grid.iter().map(|req| self.fleet_key(req)).collect();
         self.metrics.record_fleet_run();
         FleetReport {
-            keys: reports,
-            threads,
+            keys,
             elapsed_s: t0.elapsed().as_secs_f64(),
         }
     }
 
-    /// Answers one unique fleet key as a `tune` request. Any tier but
+    /// Answers one fleet key as a `tune` request. Any tier but
     /// `Searched` is a hit, which evaluated nothing.
-    fn fleet_key(&self, req: &TuneRequest, cache_key: &str, worker: usize) -> FleetKeyReport {
+    fn fleet_key(&self, req: &TuneRequest) -> FleetKeyReport {
         let t0 = Instant::now();
         let (result, tier) = self.resolve_recorded(req);
         let elapsed_s = t0.elapsed().as_secs_f64();
@@ -476,9 +430,8 @@ impl TuneService {
         });
         FleetKeyReport {
             request: req.clone(),
-            cache_key: cache_key.to_string(),
+            cache_key: req.cache_key(),
             result,
-            worker,
             elapsed_s,
         }
     }

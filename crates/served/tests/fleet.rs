@@ -1,8 +1,9 @@
 //! In-process fleet tests (`TuneService::fleet`): every fleet answer
-//! equals the sequential tuner's for the same key and knobs, on any
-//! thread count and whatever the cache held before; a repeated key is
-//! searched once; every key is persisted and a restarted service
-//! answers the grid from the file; a panicking key fails alone.
+//! equals the sequential tuner's for the same key and knobs, whatever
+//! the cache held before; a repeated key is searched once; every key is
+//! persisted and a restarted service answers the grid from the file; a
+//! panicking key fails alone; a fleet replays the lanes a sequential
+//! tuner loop does, on the calling thread.
 
 use gpu_sim::a100;
 use lego_served::TuneService;
@@ -31,10 +32,10 @@ fn temp_cache(name: &str) -> std::path::PathBuf {
     path
 }
 
-/// One answer per key: on 1 and 4 threads, and with a cache preloaded
-/// with stale budget-12 entries for half the keys, every fleet key
-/// answers and persists exactly what `Tuner::tune_entry` with the same
-/// knobs does on a fresh cache.
+/// One answer per key: on a fresh cache, and on a cache preloaded with
+/// stale budget-12 entries for half the keys, every fleet key answers
+/// and persists exactly what `Tuner::tune_entry` with the same knobs
+/// does on a fresh cache.
 #[test]
 fn every_fleet_key_answers_like_a_plain_tune() {
     let grid = small_grid();
@@ -59,24 +60,22 @@ fn every_fleet_key_answers_like_a_plain_tune() {
     }
 
     for stale_cache in [false, true] {
-        for threads in [1, 4] {
-            let path = temp_cache("answers");
-            if stale_cache {
-                std::fs::copy(&stale_path, &path).unwrap();
-            }
-            let service = TuneService::new(a100(), Some(path.clone()), None);
-            let report = service.fleet(&grid, threads);
-            let what = format!("{threads} threads, stale cache: {stale_cache}");
-            let c = report.counters();
-            assert_eq!((c.searched, c.errors), (grid.len() as u64, 0), "{what}");
-            let persisted = TuningCache::new(&path);
-            for (key, (result, entry)) in report.keys.iter().zip(&solo) {
-                assert_eq!(key.result.as_ref(), Ok(result), "{what}: {}", key.cache_key);
-                let on_disk = persisted.lookup(&key.cache_key);
-                assert_eq!(on_disk.as_ref(), Some(entry), "{what}: {}", key.cache_key);
-            }
-            let _ = std::fs::remove_file(&path);
+        let path = temp_cache("answers");
+        if stale_cache {
+            std::fs::copy(&stale_path, &path).unwrap();
         }
+        let service = TuneService::new(a100(), Some(path.clone()), None);
+        let report = service.fleet(&grid);
+        let what = format!("stale cache: {stale_cache}");
+        let c = report.counters();
+        assert_eq!((c.searched, c.errors), (grid.len() as u64, 0), "{what}");
+        let persisted = TuningCache::new(&path);
+        for (key, (result, entry)) in report.keys.iter().zip(&solo) {
+            assert_eq!(key.result.as_ref(), Ok(result), "{what}: {}", key.cache_key);
+            let on_disk = persisted.lookup(&key.cache_key);
+            assert_eq!(on_disk.as_ref(), Some(entry), "{what}: {}", key.cache_key);
+        }
+        let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_file(&stale_path);
 }
@@ -94,7 +93,7 @@ fn fleet_persists_once_and_rehits() {
     let grid = small_grid();
     let first = {
         let service = TuneService::new(a100(), Some(path.clone()), None);
-        let report = service.fleet(&grid, 3);
+        let report = service.fleet(&grid);
         service.flush().unwrap();
         report
     };
@@ -113,7 +112,7 @@ fn fleet_persists_once_and_rehits() {
         assert!(!hit.frontier.is_empty(), "frontier persisted");
     }
 
-    let second = TuneService::new(a100(), Some(path.clone()), None).fleet(&grid, 3);
+    let second = TuneService::new(a100(), Some(path.clone()), None).fleet(&grid);
     let c = second.counters();
     assert_eq!(c.cache_hits, grid.len() as u64, "second run all hits");
     assert_eq!(c.searched, 0);
@@ -160,7 +159,7 @@ fn a_panicking_key_fails_alone() {
     };
     grid.insert(2, bad);
 
-    let report = TuneService::new(a100(), None, None).fleet(&grid, 2);
+    let report = TuneService::new(a100(), None, None).fleet(&grid);
     assert_eq!(report.keys.len(), 4);
     let err = report.keys[2].result.as_ref().unwrap_err();
     assert!(err.contains("panicked"), "{err}");
@@ -175,26 +174,68 @@ fn a_panicking_key_fails_alone() {
 }
 
 /// A repeated key is searched once, at its first occurrence, and every
-/// repeat is a hit of that answer: the same reports on any thread
-/// count.
+/// repeat is a memory-tier hit of that answer that evaluated nothing.
 #[test]
 fn repeated_keys_search_once_without_transfer() {
     let grid = FleetSpec::parse("softmax:1k,softmax:1k,softmax:1k,softmax:1k@a100")
         .unwrap()
         .requests(&anneal_48());
-    let one = TuneService::new(a100(), None, None).fleet(&grid, 1);
-    let many = TuneService::new(a100(), None, None).fleet(&grid, 4);
-    for report in [&one, &many] {
-        let c = report.counters();
-        assert_eq!((c.searched, c.cache_hits), (1, 3));
-        let first = report.keys[0].result.as_ref().unwrap();
-        assert!(!first.from_cache, "the first occurrence is the search");
+    let report = TuneService::new(a100(), None, None).fleet(&grid);
+    let c = report.counters();
+    assert_eq!((c.searched, c.cache_hits), (1, 3));
+    let first = report.keys[0].result.as_ref().unwrap();
+    assert!(!first.from_cache, "the first occurrence is the search");
+    assert!(first.evaluated > 0);
+    for key in &report.keys[1..] {
+        let repeat = key.result.as_ref().unwrap();
+        assert!(repeat.from_cache);
+        assert_eq!(repeat.evaluated, 0);
+        assert_eq!(repeat.config, first.config);
+        assert_eq!(repeat.tuned, first.tuned);
     }
-    for (a, b) in one.keys.iter().zip(many.keys.iter()) {
-        let (ra, rb) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-        assert_eq!(ra.from_cache, rb.from_cache);
-        assert_eq!(ra.config, rb.config);
-        assert_eq!(ra.tuned, rb.tuned);
-        assert_eq!(ra.evaluated, rb.evaluated);
-    }
+}
+
+/// The default `lego-fleet` grid (anneal-160), as `lego-fleet` expands
+/// it.
+fn default_cli_grid() -> Vec<TuneRequest> {
+    let knobs = Knobs {
+        strategy: Strategy::Anneal,
+        budget: Budget(160),
+        ..Knobs::new(a100())
+    };
+    FleetSpec::parse("matmul:256..2048x2,nw:512..4096x2,softmax:1k..16kx2@a100,h100")
+        .unwrap()
+        .requests(&knobs)
+}
+
+/// The replay lanes `work` adds to a fresh thread's count.
+fn lanes_on_a_fresh_thread(work: impl FnOnce() + Send) -> u64 {
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let before = gpu_sim::replay_work().lanes;
+            work();
+            gpu_sim::replay_work().lanes - before
+        })
+        .join()
+        .unwrap()
+    })
+}
+
+/// A fleet traces each geometry once, on the thread that asks for it:
+/// over the default `lego-fleet` grid it replays exactly the lanes a
+/// sequential `Tuner::tune_entry` loop over the same requests replays.
+#[test]
+fn a_fleet_replays_the_lanes_of_a_sequential_loop() {
+    let grid = default_cli_grid();
+    let fleet = lanes_on_a_fresh_thread(|| {
+        let report = TuneService::new(a100(), None, None).fleet(&grid);
+        assert_eq!(report.counters().searched, grid.len() as u64);
+    });
+    let sequential = lanes_on_a_fresh_thread(|| {
+        for req in &grid {
+            req.tuner().tune_entry(&req.kind).unwrap();
+        }
+    });
+    assert!(sequential > 0);
+    assert_eq!(fleet, sequential);
 }

@@ -394,7 +394,6 @@ fn fleet_verb_tunes_a_grid_and_feeds_the_tune_path() {
 
     let mut wire = FleetWire::grid("matmul:256..1024x2");
     wire.budget = Some(48);
-    wire.threads = Some(2);
     let report = client.fleet(&wire).expect("fleet roundtrip");
     assert!(is_ok(&report), "fleet must succeed: {}", report.render());
     assert_eq!(report.get("keys_tuned").and_then(Json::as_i64), Some(3));
@@ -725,20 +724,48 @@ fn fleet_keys_hit_the_memory_tier_and_count_as_searches() {
     shutdown_and_join(server);
 }
 
-/// Fleet requests over the key or thread cap, or naming a size the
-/// workload checks refuse, each get an error, and the daemon's only
-/// worker keeps serving.
+/// A fleet's searches reach `metrics`: the worker that ran them
+/// publishes its arena and traffic-memo counters afterwards, as it does
+/// after a searched `tune`.
+#[test]
+fn fleet_searches_publish_the_worker_caches() {
+    let server = start_with(None, 1);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut wire = FleetWire::grid("softmax:1k,matmul:256");
+    wire.budget = Some(48);
+    let report = client.fleet(&wire).expect("fleet roundtrip");
+    assert_eq!(report.get("searched").and_then(Json::as_i64), Some(2));
+
+    let metrics = client.metrics().expect("metrics");
+    for (obj, name) in [
+        ("traffic", "misses"),
+        ("arena", "nodes"),
+        ("arena", "memo_hit_rate"),
+    ] {
+        let value = metrics
+            .get(obj)
+            .and_then(|o| o.get(name))
+            .and_then(Json::as_f64);
+        assert!(value > Some(0.0), "{obj}.{name}: {}", metrics.render());
+    }
+
+    drop(client);
+    shutdown_and_join(server);
+}
+
+/// Fleet requests over the key cap, or naming a size the workload
+/// checks refuse, each get an error, and the daemon's only worker keeps
+/// serving. A line that still asks for a thread count is answered: a
+/// fleet runs on the worker that read it, so `threads` is ignored like
+/// any unknown field.
 #[test]
 fn bad_fleet_requests_error_and_the_daemon_keeps_serving() {
     let (server, cache) = start("fleet_abuse", 1);
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     let over_keys = FleetWire::grid(vec!["softmax:1k"; 1025].join(","));
-    let mut over_threads = FleetWire::grid("softmax:1k");
-    over_threads.threads = Some(65);
     for (wire, needle) in [
         (over_keys, "cap of 1024"),
-        (over_threads, "cap of 64"),
         (FleetWire::grid("stencil:2"), "size 2"),
     ] {
         let resp = client.fleet(&wire).expect("fleet roundtrip");
@@ -746,6 +773,12 @@ fn bad_fleet_requests_error_and_the_daemon_keeps_serving() {
         let err = resp.get("error").and_then(Json::as_str).unwrap_or_default();
         assert!(err.contains(needle), "{err}");
     }
+    let threads = client
+        .roundtrip_line("{\"verb\":\"fleet\",\"grid\":\"softmax:1k\",\"threads\":65}")
+        .expect("fleet roundtrip");
+    let threads = Json::parse(&threads).expect("fleet response is JSON");
+    assert!(is_ok(&threads), "{}", threads.render());
+    assert_eq!(threads.get("errors").and_then(Json::as_i64), Some(0));
     assert!(is_ok(
         &client
             .tune(&TuneSpec::workload("softmax(m=64,n=256)"))

@@ -2,15 +2,15 @@
 //! that tunes a whole grid of `(workload, size, device)` keys.
 //!
 //! A [`FleetSpec`] expands into one [`TuneRequest`] per key. The runner
-//! is `lego_served::TuneService::fleet`: it dedupes the grid by cache
-//! key and answers every unique key with the same
-//! `TuneService::resolve` a `tune` request goes through, on a few
-//! threads pulling from one cursor, so a fleet key gets the daemon's
-//! memory and cache tiers, coalescing, search, persistence and panic
-//! containment. Every answer is a pure function of `(key, knobs)`, the
-//! answer [`crate::Tuner::tune_entry`] gives, on any thread count and
-//! whatever the cache held before. A run comes back as a
-//! [`FleetReport`] of per-key [`FleetKeyReport`]s.
+//! is `lego_served::TuneService::fleet`: it answers every key, in grid
+//! order on the calling thread, with the same `TuneService::resolve` a
+//! `tune` request goes through, so a fleet key gets the daemon's memory
+//! and cache tiers, coalescing, search, persistence and panic
+//! containment, and a repeated key is a memory hit of its first
+//! occurrence. Every answer is a pure function of `(key, knobs)`, the
+//! answer [`crate::Tuner::tune_entry`] gives, whatever the cache held
+//! before. A run comes back as a [`FleetReport`] of per-key
+//! [`FleetKeyReport`]s.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -343,9 +343,7 @@ pub struct FleetKeyReport {
     pub cache_key: String,
     /// The outcome (an error never aborts the fleet).
     pub result: Result<TuneResult, String>,
-    /// Which worker ran the key.
-    pub worker: usize,
-    /// Wall-clock seconds this key took on its worker.
+    /// Wall-clock seconds this key took.
     pub elapsed_s: f64,
 }
 
@@ -364,7 +362,6 @@ impl FleetKeyReport {
                 Json::Str(self.request.device.tag.to_string()),
             ),
             ("class".to_string(), Json::Str(self.class())),
-            ("worker".to_string(), Json::Int(self.worker as i64)),
             ("elapsed_s".to_string(), Json::num(self.elapsed_s)),
         ];
         match &self.result {
@@ -391,9 +388,9 @@ impl FleetKeyReport {
 pub struct FleetCounters {
     /// Keys tuned (completed, successfully or not).
     pub keys: u64,
-    /// Keys answered without a search: from the memory or cache tier,
-    /// by an identical in-flight search, or as a repeat of an earlier
-    /// grid key.
+    /// Keys answered without a search: from the memory tier (a repeat
+    /// of an earlier grid key among them), the cache tier, or an
+    /// identical in-flight search.
     pub cache_hits: u64,
     /// Fresh searches run.
     pub searched: u64,
@@ -434,8 +431,6 @@ impl FleetCounters {
 pub struct FleetReport {
     /// Per-key outcomes, in grid order.
     pub keys: Vec<FleetKeyReport>,
-    /// Worker threads the run used.
-    pub threads: usize,
     /// End-to-end wall-clock seconds.
     pub elapsed_s: f64,
 }
@@ -470,7 +465,6 @@ impl FleetReport {
         let c = self.counters();
         Json::obj([
             ("keys", Json::Int(self.keys.len() as i64)),
-            ("threads", Json::Int(self.threads as i64)),
             ("elapsed_s", Json::num(self.elapsed_s)),
             ("keys_per_s", Json::num(self.keys_per_s())),
             ("cache_hits", Json::Int(c.cache_hits as i64)),
